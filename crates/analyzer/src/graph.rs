@@ -503,9 +503,8 @@ mod tests {
 
     #[test]
     fn deep_pipelining_deadlocks_a_strictly_blocking_pool() {
-        // The pipelined ring posts every segment of a step before
-        // receiving any (`try_ring_allreduce_pipelined`): each rank sends
-        // S segments to its successor, then drains S from its
+        // A ring step that posts every segment before receiving any: each
+        // rank sends S segments to its successor, then drains S from its
         // predecessor. With fewer credits than segments a *blocking* put
         // would deadlock the whole ring — exactly why the slot
         // transport's overflow path falls back to a non-blocking
@@ -657,12 +656,9 @@ mod tests {
             let cases: Vec<(Collective, P2pPlan)> = vec![
                 (Collective::Barrier, barrier_plan(world)),
                 (Collective::Broadcast { root: 0 }, broadcast_plan(world, 0, 12)),
+                (Collective::ring(2 * world + 1), ring_allreduce_plan(world, 2 * world + 1)),
                 (
-                    Collective::RingAllreduce { elems: 2 * world + 1 },
-                    ring_allreduce_plan(world, 2 * world + 1),
-                ),
-                (
-                    Collective::ChunkedRingAllreduce { elems: 2 * world + 1, seg: 2 },
+                    Collective::RingAllreduce { elems: 2 * world + 1, seg: 2 },
                     chunked_ring_allreduce_plan(world, 2 * world + 1, 2),
                 ),
                 (Collective::SparseAllreduce, sparse_allreduce_demo_plan(world)),

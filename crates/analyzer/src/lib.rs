@@ -4,9 +4,10 @@
 //!
 //! * [`plan`] — a per-rank communication-plan IR ([`plan::P2pPlan`] for
 //!   point-to-point send/recv sequences, [`plan::SchedulePlan`] for
-//!   prioritised collective submissions) plus generators that mirror the
-//!   algorithms in `embrace_collectives::ops` and the 2D schedule from
-//!   `embrace_core::horizontal`.
+//!   prioritised collective submissions) plus generators: byte-sizing
+//!   folds over `embrace_collectives::schedule` for the data-independent
+//!   collectives, simulations for SSAR and re-form, and the 2D schedule
+//!   from `embrace_core::horizontal`.
 //! * [`verify`] — the static verifier: SPMD multiset/priority
 //!   consistency, send/recv pairing (orphan sends, static deadlocks),
 //!   byte conservation, exact-once partition coverage, and priority
@@ -14,6 +15,7 @@
 //!   rank/op provenance. [`verify::PlanMutation`] seeds single defects
 //!   for testing that each is caught with the right diagnostic kind.
 //! * [`model_check`] — a deterministic interleaving model checker that
+//!   interprets those same schedules over virtual links and
 //!   exhaustively enumerates message-delivery orders for small worlds,
 //!   proving deadlock-freedom, bitwise determinism, and abort
 //!   termination.

@@ -33,15 +33,20 @@
 //!   survivor, even when a rank crashes *mid-handshake* (including the
 //!   coordinator, exercising failover).
 //!
-//! The virtual programs mirror `ops.rs` exactly — same peers, same
-//! send/receive order, same chunking ([`row_partition`]), same abort
-//! protocol (origin broadcasts [`Packet::Abort`]-equivalents, receivers
-//! of an abort do not re-broadcast). Terminal results are cross-checked
-//! against the real threaded implementation in this crate's tests.
+//! The data-independent collectives (barrier, broadcast, ring, allgather,
+//! alltoallv — whole or cut into the chunked scheduler's units) are not
+//! restated here: each rank's virtual program is its
+//! `embrace_collectives::schedule` — the definition the live ops execute
+//! — interpreted step by step over virtual links. Only the data-dependent
+//! protocols (SSAR, re-form) keep interpreters of their own. The abort
+//! protocol is the live one (origin broadcasts [`Packet::Abort`]-
+//! equivalents, receivers of an abort do not re-broadcast), and terminal
+//! results are cross-checked against the real threaded implementation in
+//! this crate's tests.
 //!
 //! [`Packet::Abort`]: embrace_collectives::Packet::Abort
 
-use embrace_tensor::row_partition;
+use embrace_collectives::schedule::{prev_pow2, Payload, Schedule, Step, Traversal};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Which collective algorithm to model-check.
@@ -51,11 +56,18 @@ pub enum Collective {
     Broadcast {
         root: usize,
     },
+    /// Ring allreduce in `seg`-element units; `seg` at or above the
+    /// largest chunk is the whole-op ring ([`Collective::ring`]), smaller
+    /// is the chunked scheduler's segmented execution.
     RingAllreduce {
         elems: usize,
+        seg: usize,
     },
-    AllgatherTokens,
-    Alltoallv,
+    /// Token allgather: [`Traversal::Posted`] is the whole op,
+    /// [`Traversal::Paired`] the chunked scheduler's unit-stepped run.
+    AllgatherTokens(Traversal),
+    /// Alltoallv (dense and sparse share the structure), likewise.
+    Alltoallv(Traversal),
     /// The sparse-native split allreduce (SSAR) of
     /// `ops::sparse_allreduce`: fold-in of non-power-of-two extras,
     /// recursive-halving reduce-scatter of (index, value) streams with
@@ -66,20 +78,8 @@ pub enum Collective {
     /// schedule or the pairwise summation tree, so one virtual program
     /// covers every crossover setting.
     SparseAllreduce,
-    /// The chunked scheduler's segmented ring allreduce: `seg`-element
-    /// units, one optional send + one optional recv per unit, mirroring
-    /// `ChunkedExec::Ring::advance` (and `plan::chunked_ring_allreduce_plan`).
-    ChunkedRingAllreduce {
-        elems: usize,
-        seg: usize,
-    },
-    /// Chunked fan-out gather: unit `u` sends to `(rank+u+1) % w`,
-    /// receives from `(rank+w-u-1) % w` — `ChunkedExec::Tokens`.
-    ChunkedAllgather,
-    /// Chunked fan-out alltoallv — `ChunkedExec::Sparse`/`Dense`.
-    ChunkedAlltoallv,
     /// A chunked ring allreduce preempted after `preempt_at` units by a
-    /// whole chunked allgather (the §5.2 scenario: urgent sparse op
+    /// whole paired allgather (the §5.2 scenario: urgent sparse op
     /// interleaved mid-tensor into a bulk dense op), then resumed. The
     /// cut is unit-aligned on every rank, exactly as the controller's
     /// between-unit preemption point guarantees.
@@ -116,13 +116,13 @@ impl Collective {
         match self {
             Collective::Barrier => "barrier",
             Collective::Broadcast { .. } => "broadcast",
-            Collective::RingAllreduce { .. } => "ring_allreduce",
-            Collective::AllgatherTokens => "allgather",
-            Collective::Alltoallv => "alltoallv",
+            Collective::RingAllreduce { elems, seg } if *seg >= *elems => "ring_allreduce",
+            Collective::RingAllreduce { .. } => "ring_allreduce_chunked",
+            Collective::AllgatherTokens(Traversal::Posted) => "allgather",
+            Collective::AllgatherTokens(Traversal::Paired) => "allgather_chunked",
+            Collective::Alltoallv(Traversal::Posted) => "alltoallv",
+            Collective::Alltoallv(Traversal::Paired) => "alltoallv_chunked",
             Collective::SparseAllreduce => "sparse_allreduce",
-            Collective::ChunkedRingAllreduce { .. } => "ring_allreduce_chunked",
-            Collective::ChunkedAllgather => "allgather_chunked",
-            Collective::ChunkedAlltoallv => "alltoallv_chunked",
             Collective::PreemptedRing { .. } => "ring_preempted",
             Collective::Reform => "reform",
             Collective::ReformMidway { .. } => "reform_midway",
@@ -150,14 +150,19 @@ impl Collective {
         v
     }
 
+    /// The whole-op ring allreduce over `elems` values.
+    pub fn ring(elems: usize) -> Collective {
+        Collective::RingAllreduce { elems, seg: usize::MAX }
+    }
+
     /// The whole-op collectives at their default check sizes.
     pub fn all(world: usize) -> Vec<Collective> {
         vec![
             Collective::Barrier,
             Collective::Broadcast { root: 0 },
-            Collective::RingAllreduce { elems: 2 * world + 1 },
-            Collective::AllgatherTokens,
-            Collective::Alltoallv,
+            Collective::ring(2 * world + 1),
+            Collective::AllgatherTokens(Traversal::Posted),
+            Collective::Alltoallv(Traversal::Posted),
             Collective::SparseAllreduce,
         ]
     }
@@ -168,9 +173,9 @@ impl Collective {
     /// reduce-scatter.
     pub fn chunked(world: usize) -> Vec<Collective> {
         vec![
-            Collective::ChunkedRingAllreduce { elems: 2 * world + 1, seg: 2 },
-            Collective::ChunkedAllgather,
-            Collective::ChunkedAlltoallv,
+            Collective::RingAllreduce { elems: 2 * world + 1, seg: 2 },
+            Collective::AllgatherTokens(Traversal::Paired),
+            Collective::Alltoallv(Traversal::Paired),
             Collective::PreemptedRing { elems: 2 * world + 1, seg: 2, preempt_at: world },
         ]
     }
@@ -241,111 +246,36 @@ enum Action {
     Finish,
 }
 
-/// Peers of `rank` in ascending order (the iteration order of `ops.rs`
-/// gather loops).
-fn peers(world: usize, rank: usize) -> impl Iterator<Item = usize> {
-    (0..world).filter(move |&p| p != rank)
-}
-
-/// One instruction of a chunked virtual program (pc-indexed).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Micro {
-    /// Send `buf[lo..hi]` to the ring successor.
-    SegSend {
-        lo: usize,
-        hi: usize,
-    },
-    /// Receive into `buf[lo..hi]` from the ring predecessor: accumulate
-    /// during reduce-scatter, overwrite during the allgather phase.
-    SegRecv {
-        lo: usize,
-        hi: usize,
-        reduce: bool,
-    },
-    /// Fan-out block exchange (chunked gather / alltoallv unit).
-    BlockSend {
-        to: usize,
-    },
-    BlockRecv {
-        from: usize,
-    },
-}
-
-/// The segmented ring allreduce as per-*unit* op lists (0–2 ops each):
-/// unit `(step, i)` sends segment `i` of the step's send chunk if it
-/// exists and receives segment `i` of the recv chunk if it exists. The
-/// unit count is `2(w−1) · ceil(max_chunk/seg)` on every rank
-/// (`row_partition` is global), so unit indices align across ranks —
-/// which is what makes a unit-aligned preemption cut coherent.
-fn ring_units(w: usize, rank: usize, elems: usize, seg: usize) -> Vec<Vec<Micro>> {
-    assert!(seg > 0, "segment size must be positive");
-    let mut units = Vec::new();
-    if w == 1 {
-        return units;
-    }
-    let chunks = row_partition(elems, w);
-    let max_chunk = chunks.iter().map(|c| c.len()).max().unwrap_or(0);
-    let ups = max_chunk.div_ceil(seg).max(1);
-    for step in 0..2 * (w - 1) {
-        let (phase, s) = (step / (w - 1), step % (w - 1));
-        let (send_c, recv_c) = if phase == 0 {
-            ((rank + w - s) % w, (rank + w - s - 1) % w)
-        } else {
-            ((rank + 1 + w - s) % w, (rank + w - s) % w)
-        };
-        for i in 0..ups {
-            let mut unit = Vec::new();
-            let send = chunks[send_c];
-            let lo = send.start + i * seg;
-            if lo < send.end {
-                unit.push(Micro::SegSend { lo, hi: (lo + seg).min(send.end) });
-            }
-            let recv = chunks[recv_c];
-            let rlo = recv.start + i * seg;
-            if rlo < recv.end {
-                unit.push(Micro::SegRecv {
-                    lo: rlo,
-                    hi: (rlo + seg).min(recv.end),
-                    reduce: phase == 0,
-                });
-            }
-            units.push(unit);
-        }
-    }
-    units
-}
-
-/// Chunked fan-out units: send before recv within each unit, matched
-/// unit indices on both ends of every link — deadlock-free by
-/// construction.
-fn fanout_units(w: usize, rank: usize) -> Vec<Micro> {
-    let mut prog = Vec::new();
-    for u in 0..w.saturating_sub(1) {
-        prog.push(Micro::BlockSend { to: (rank + u + 1) % w });
-        prog.push(Micro::BlockRecv { from: (rank + w - u - 1) % w });
-    }
-    prog
-}
-
-/// The flat pc-indexed program of a chunked collective; `None` for the
-/// whole-op collectives (which stay arithmetic in [`action`]).
-fn micro_prog(cfg: &CheckConfig, rank: usize) -> Option<Vec<Micro>> {
-    let w = cfg.world;
+/// Rank `rank`'s program for the data-independent collectives, read off
+/// the shared schedule; `None` for SSAR (arithmetic in [`action`]) and
+/// re-form (its own interpreter).
+fn program(cfg: &CheckConfig, rank: usize) -> Option<Vec<Step>> {
+    let flat = |schedule: Schedule| schedule.units(cfg.world, rank).concat();
     match cfg.collective {
-        Collective::ChunkedRingAllreduce { elems, seg } => {
-            Some(ring_units(w, rank, elems, seg).concat())
+        Collective::Barrier => Some(flat(Schedule::Barrier)),
+        Collective::Broadcast { root } => Some(flat(Schedule::Broadcast { root })),
+        Collective::RingAllreduce { elems, seg } => Some(flat(Schedule::Ring { elems, seg })),
+        Collective::AllgatherTokens(traversal) | Collective::Alltoallv(traversal) => {
+            Some(flat(Schedule::Fanout(traversal)))
         }
-        Collective::ChunkedAllgather | Collective::ChunkedAlltoallv => Some(fanout_units(w, rank)),
+        // Unit indices align across ranks (every rank runs the same units
+        // per ring step), which is what makes a unit-aligned cut coherent.
         Collective::PreemptedRing { elems, seg, preempt_at } => {
-            let units = ring_units(w, rank, elems, seg);
+            let units = Schedule::Ring { elems, seg }.units(cfg.world, rank);
             let k = preempt_at.min(units.len());
             let mut prog = units[..k].concat();
-            prog.extend(fanout_units(w, rank));
+            prog.extend(flat(Schedule::Fanout(Traversal::Paired)));
             prog.extend(units[k..].concat());
             Some(prog)
         }
-        _ => None,
+        Collective::SparseAllreduce | Collective::Reform | Collective::ReformMidway { .. } => None,
     }
+}
+
+/// One configuration plus every rank's schedule program, built once.
+struct Model<'a> {
+    cfg: &'a CheckConfig,
+    progs: Vec<Option<Vec<Step>>>,
 }
 
 // --- Sparse-native split allreduce (SSAR) virtual program ----------------
@@ -366,11 +296,6 @@ pub fn ssar_local(rank: usize) -> Vec<u32> {
         .step_by(stride)
         .flat_map(|i| [i as u32, ((rank * 7 + i) as f32 * 0.25 + 1.0).to_bits()])
         .collect()
-}
-
-fn prev_pow2(n: usize) -> usize {
-    debug_assert!(n >= 1);
-    1 << (usize::BITS - 1 - n.leading_zeros())
 }
 
 /// One decoded SSAR instruction (`j` is the exchange-distance exponent).
@@ -553,97 +478,24 @@ fn reform_normalize(buf: &mut [u32], me: usize, victim: bool) {
     }
 }
 
-fn action(cfg: &CheckConfig, rank: usize, pc: u32) -> Action {
-    if let Some(prog) = micro_prog(cfg, rank) {
+fn action(m: &Model, rank: usize, pc: u32) -> Action {
+    if let Some(prog) = &m.progs[rank] {
         return match prog.get(pc as usize) {
             None => Action::Finish,
-            Some(Micro::SegSend { .. }) => Action::Send((rank + 1) % cfg.world),
-            Some(Micro::SegRecv { .. }) => Action::Recv((rank + cfg.world - 1) % cfg.world),
-            Some(Micro::BlockSend { to }) => Action::Send(*to),
-            Some(Micro::BlockRecv { from }) => Action::Recv(*from),
+            Some(Step::Send { to, .. }) => Action::Send(*to),
+            Some(Step::Recv { from, .. }) => Action::Recv(*from),
         };
     }
-    let w = cfg.world;
-    let pc = pc as usize;
-    match cfg.collective {
-        Collective::Barrier => {
-            // Dissemination barrier: round k (k = 0, 1, ...) sends a signal
-            // at distance 2^k and waits for one from the same distance the
-            // other way; ⌈log₂ w⌉ rounds total. Mirrors `ops::try_barrier`
-            // and `plan::barrier_plan`.
-            if w == 1 {
-                return Action::Finish;
-            }
-            let round = pc / 2;
-            let dist = 1usize << round;
-            if dist >= w {
-                Action::Finish
-            } else if pc.is_multiple_of(2) {
-                Action::Send((rank + dist) % w)
-            } else {
-                Action::Recv((rank + w - dist) % w)
-            }
-        }
-        Collective::Broadcast { root } => {
-            if rank == root {
-                match peers(w, root).nth(pc) {
-                    Some(dst) => Action::Send(dst),
-                    None => Action::Finish,
-                }
-            } else {
-                match pc {
-                    0 => Action::Recv(root),
-                    _ => Action::Finish,
-                }
-            }
-        }
-        Collective::RingAllreduce { .. } => {
-            if w == 1 || pc >= 4 * (w - 1) {
-                return Action::Finish;
-            }
-            let next = (rank + 1) % w;
-            let prev = (rank + w - 1) % w;
-            if pc.is_multiple_of(2) {
-                Action::Send(next)
-            } else {
-                Action::Recv(prev)
-            }
-        }
-        Collective::AllgatherTokens | Collective::Alltoallv => {
-            if pc < w - 1 {
-                let dst = match cfg.collective {
-                    // Alltoall sends in the rotated order of `ops.rs`.
-                    Collective::Alltoallv => (rank + pc + 1) % w,
-                    _ => peers(w, rank).nth(pc).expect("peer index in range"),
-                };
-                Action::Send(dst)
-            } else if pc < 2 * (w - 1) {
-                Action::Recv(peers(w, rank).nth(pc - (w - 1)).expect("peer index in range"))
-            } else {
-                Action::Finish
-            }
-        }
-        Collective::SparseAllreduce => {
-            let p = prev_pow2(w);
-            match ssar_op(w, rank, pc) {
-                SsarOp::Done => Action::Finish,
-                SsarOp::FoldSend => Action::Send(rank - p),
-                SsarOp::FoldRecvResult => Action::Recv(rank - p),
-                SsarOp::FoldRecvMerge => Action::Recv(rank + p),
-                SsarOp::FoldSendResult => Action::Send(rank + p),
-                SsarOp::RsSend(j) | SsarOp::AgSend(j) => Action::Send(rank ^ (1 << j)),
-                SsarOp::RsRecv(j) | SsarOp::AgRecv(j) => Action::Recv(rank ^ (1 << j)),
-            }
-        }
-        Collective::ChunkedRingAllreduce { .. }
-        | Collective::ChunkedAllgather
-        | Collective::ChunkedAlltoallv
-        | Collective::PreemptedRing { .. } => {
-            unreachable!("chunked collectives are handled by their micro program")
-        }
-        Collective::Reform | Collective::ReformMidway { .. } => {
-            unreachable!("re-form is handled by its own interpreter")
-        }
+    let w = m.cfg.world;
+    let p = prev_pow2(w);
+    match ssar_op(w, rank, pc as usize) {
+        SsarOp::Done => Action::Finish,
+        SsarOp::FoldSend => Action::Send(rank - p),
+        SsarOp::FoldRecvResult => Action::Recv(rank - p),
+        SsarOp::FoldRecvMerge => Action::Recv(rank + p),
+        SsarOp::FoldSendResult => Action::Send(rank + p),
+        SsarOp::RsSend(j) | SsarOp::AgSend(j) => Action::Send(rank ^ (1 << j)),
+        SsarOp::RsRecv(j) | SsarOp::AgRecv(j) => Action::Recv(rank ^ (1 << j)),
     }
 }
 
@@ -674,81 +526,54 @@ pub fn broadcast_payload(world: usize) -> Vec<u32> {
     vec![7, 42, world as u32]
 }
 
-fn ring_chunks(cfg: &CheckConfig) -> Vec<embrace_tensor::RowRange> {
-    let elems = match cfg.collective {
-        Collective::RingAllreduce { elems } => elems,
-        _ => unreachable!("ring chunks queried for non-ring collective"),
-    };
-    row_partition(elems, cfg.world)
-}
-
 /// The payload of the send at `pc` (computed from current state, since
 /// ring-allreduce payloads depend on received data).
-fn send_payload(cfg: &CheckConfig, rank: usize, st: &RankState) -> VPacket {
-    let w = cfg.world;
-    if let Some(prog) = micro_prog(cfg, rank) {
-        return match prog[st.pc as usize] {
-            Micro::SegSend { lo, hi } => VPacket::Data(st.buf[lo..hi].to_vec()),
-            Micro::BlockSend { to } => match cfg.collective {
-                Collective::ChunkedAlltoallv => VPacket::Data(alltoallv_part(rank, to)),
-                // Chunked gather and the preemptor inside PreemptedRing.
-                _ => VPacket::Data(gather_local(rank)),
-            },
-            other => unreachable!("send scheduled at {other:?}"),
+fn send_payload(m: &Model, rank: usize, st: &RankState) -> VPacket {
+    let pc = st.pc as usize;
+    if let Some(prog) = &m.progs[rank] {
+        let Step::Send { to, payload } = prog[pc] else {
+            unreachable!("send scheduled at {:?}", prog[pc])
+        };
+        return match payload {
+            Payload::Signal => VPacket::Empty,
+            Payload::Message => VPacket::Data(broadcast_payload(m.cfg.world)),
+            Payload::Seg { lo, hi, .. } => VPacket::Data(st.buf[lo..hi].to_vec()),
+            Payload::Block => VPacket::Data(match m.cfg.collective {
+                Collective::Alltoallv(_) => alltoallv_part(rank, to),
+                // Allgather and the preemptor inside PreemptedRing.
+                _ => gather_local(rank),
+            }),
         };
     }
-    match cfg.collective {
-        Collective::Barrier => VPacket::Empty,
-        Collective::Broadcast { .. } => VPacket::Data(broadcast_payload(w)),
-        Collective::AllgatherTokens => VPacket::Data(gather_local(rank)),
-        Collective::Alltoallv => {
-            let dst = (rank + st.pc as usize + 1) % w;
-            VPacket::Data(alltoallv_part(rank, dst))
+    match ssar_op(m.cfg.world, rank, pc) {
+        // Fold-in, allgather and fold-out ship the whole stream.
+        SsarOp::FoldSend | SsarOp::FoldSendResult | SsarOp::AgSend(_) => {
+            VPacket::Data(st.buf.clone())
         }
-        Collective::RingAllreduce { .. } => {
-            let chunks = ring_chunks(cfg);
-            let step = (st.pc / 2) as usize;
-            let send_c = if step < w - 1 {
-                (rank + w - step) % w
-            } else {
-                let s2 = step - (w - 1);
-                (rank + 1 + w - s2) % w
-            };
-            VPacket::Data(st.buf[chunks[send_c].start..chunks[send_c].end].to_vec())
+        SsarOp::RsSend(j) => {
+            let (lo, hi) = ssar_range(rank, j as usize);
+            let mid = lo + (hi - lo) / 2;
+            let (slo, shi) = if rank & (1 << j) == 0 { (mid, hi) } else { (lo, mid) };
+            VPacket::Data(ssar_pairs_in(&st.buf, slo, shi))
         }
-        Collective::SparseAllreduce => match ssar_op(w, rank, st.pc as usize) {
-            // Fold-in, allgather and fold-out ship the whole stream.
-            SsarOp::FoldSend | SsarOp::FoldSendResult | SsarOp::AgSend(_) => {
-                VPacket::Data(st.buf.clone())
-            }
-            SsarOp::RsSend(j) => {
-                let (lo, hi) = ssar_range(rank, j as usize);
-                let mid = lo + (hi - lo) / 2;
-                let (slo, shi) = if rank & (1 << j) == 0 { (mid, hi) } else { (lo, mid) };
-                VPacket::Data(ssar_pairs_in(&st.buf, slo, shi))
-            }
-            other => unreachable!("SSAR send scheduled at {other:?}"),
-        },
-        Collective::ChunkedRingAllreduce { .. }
-        | Collective::ChunkedAllgather
-        | Collective::ChunkedAlltoallv
-        | Collective::PreemptedRing { .. } => {
-            unreachable!("chunked collectives are handled by their micro program")
-        }
-        Collective::Reform | Collective::ReformMidway { .. } => {
-            unreachable!("re-form is handled by its own interpreter")
-        }
+        other => unreachable!("SSAR send scheduled at {other:?}"),
     }
 }
 
 /// Fold a received packet into the rank's state (the recv at `pc`).
-fn handle_recv(cfg: &CheckConfig, rank: usize, st: &mut RankState, from: usize, p: VPacket) {
-    let w = cfg.world;
-    if let Some(prog) = micro_prog(cfg, rank) {
-        match (prog[st.pc as usize], p) {
-            (Micro::SegRecv { lo, hi, reduce }, VPacket::Data(d)) => {
+fn handle_recv(m: &Model, rank: usize, st: &mut RankState, from: usize, p: VPacket) {
+    let pc = st.pc as usize;
+    if let Some(prog) = &m.progs[rank] {
+        let Step::Recv { payload, .. } = prog[pc] else {
+            unreachable!("recv scheduled at {:?}", prog[pc])
+        };
+        match (payload, p) {
+            (Payload::Signal, VPacket::Empty) => {}
+            (Payload::Message, VPacket::Data(d)) => st.out = vec![d],
+            (Payload::Seg { lo, hi, reduce }, VPacket::Data(d)) => {
                 let dst = &mut st.buf[lo..hi];
                 if reduce {
+                    // Accumulate bit-exactly as the real reduce does.
                     for (acc, inc) in dst.iter_mut().zip(&d) {
                         *acc = (f32::from_bits(*acc) + f32::from_bits(*inc)).to_bits();
                     }
@@ -756,51 +581,26 @@ fn handle_recv(cfg: &CheckConfig, rank: usize, st: &mut RankState, from: usize, 
                     dst.copy_from_slice(&d);
                 }
             }
-            (Micro::BlockRecv { .. }, VPacket::Data(d)) => st.out[from] = d,
-            (m, p) => unreachable!("model protocol violation: {m:?} received {p:?}"),
+            (Payload::Block, VPacket::Data(d)) => st.out[from] = d,
+            (payload, p) => unreachable!("model protocol violation: {payload:?} received {p:?}"),
         }
         return;
     }
-    match (cfg.collective, p) {
-        (Collective::Barrier, VPacket::Empty) => {}
-        (Collective::Broadcast { .. }, VPacket::Data(d)) => st.out = vec![d],
-        (Collective::AllgatherTokens, VPacket::Data(d))
-        | (Collective::Alltoallv, VPacket::Data(d)) => st.out[from] = d,
-        (Collective::RingAllreduce { .. }, VPacket::Data(d)) => {
-            let chunks = ring_chunks(cfg);
-            let step = (st.pc / 2) as usize;
-            if step < w - 1 {
-                // Reduce-scatter: accumulate into the receiving chunk,
-                // bit-exactly as the real implementation does.
-                let recv_c = (rank + w - step - 1) % w;
-                let dst = &mut st.buf[chunks[recv_c].start..chunks[recv_c].end];
-                for (acc, inc) in dst.iter_mut().zip(&d) {
-                    *acc = (f32::from_bits(*acc) + f32::from_bits(*inc)).to_bits();
-                }
-            } else {
-                let s2 = step - (w - 1);
-                let recv_c = (rank + w - s2) % w;
-                st.buf[chunks[recv_c].start..chunks[recv_c].end].copy_from_slice(&d);
-            }
+    let VPacket::Data(d) = p else { unreachable!("model protocol violation: SSAR received {p:?}") };
+    match ssar_op(m.cfg.world, rank, pc) {
+        // Fold-out delivers the finished result verbatim.
+        SsarOp::FoldRecvResult => st.buf = d,
+        // Fold-in and allgather merge whole streams (allgather
+        // segments are disjoint, so no sums actually occur there).
+        SsarOp::FoldRecvMerge | SsarOp::AgRecv(_) => st.buf = ssar_merge(&st.buf, &d),
+        SsarOp::RsRecv(j) => {
+            let (lo, hi) = ssar_range(rank, j as usize);
+            let mid = lo + (hi - lo) / 2;
+            let (klo, khi) = if rank & (1 << j) == 0 { (lo, mid) } else { (mid, hi) };
+            let kept = ssar_pairs_in(&st.buf, klo, khi);
+            st.buf = ssar_merge(&kept, &d);
         }
-        (Collective::SparseAllreduce, VPacket::Data(d)) => {
-            match ssar_op(w, rank, st.pc as usize) {
-                // Fold-out delivers the finished result verbatim.
-                SsarOp::FoldRecvResult => st.buf = d,
-                // Fold-in and allgather merge whole streams (allgather
-                // segments are disjoint, so no sums actually occur there).
-                SsarOp::FoldRecvMerge | SsarOp::AgRecv(_) => st.buf = ssar_merge(&st.buf, &d),
-                SsarOp::RsRecv(j) => {
-                    let (lo, hi) = ssar_range(rank, j as usize);
-                    let mid = lo + (hi - lo) / 2;
-                    let (klo, khi) = if rank & (1 << j) == 0 { (lo, mid) } else { (mid, hi) };
-                    let kept = ssar_pairs_in(&st.buf, klo, khi);
-                    st.buf = ssar_merge(&kept, &d);
-                }
-                other => unreachable!("SSAR recv scheduled at {other:?}"),
-            }
-        }
-        (c, p) => unreachable!("model protocol violation: {c:?} received {p:?}"),
+        other => unreachable!("SSAR recv scheduled at {other:?}"),
     }
 }
 
@@ -810,14 +610,10 @@ impl World {
         let ranks = (0..w)
             .map(|rank| {
                 let (buf, out, status) = match cfg.collective {
-                    Collective::RingAllreduce { elems }
-                    | Collective::ChunkedRingAllreduce { elems, .. } => {
+                    Collective::RingAllreduce { elems, .. } => {
                         (ring_init(rank, elems), Vec::new(), Status::Running)
                     }
-                    Collective::AllgatherTokens
-                    | Collective::Alltoallv
-                    | Collective::ChunkedAllgather
-                    | Collective::ChunkedAlltoallv => {
+                    Collective::AllgatherTokens(_) | Collective::Alltoallv(_) => {
                         (Vec::new(), vec![Vec::new(); w], Status::Running)
                     }
                     Collective::SparseAllreduce => (ssar_local(rank), Vec::new(), Status::Running),
@@ -834,7 +630,9 @@ impl World {
                         let me = 1u32 << rank;
                         (vec![P_PROBE, full, me, 0, me], Vec::new(), Status::Running)
                     }
-                    _ => (Vec::new(), Vec::new(), Status::Running),
+                    Collective::Barrier | Collective::Broadcast { .. } => {
+                        (Vec::new(), Vec::new(), Status::Running)
+                    }
                 };
                 let status =
                     if cfg.crash == Some(rank) { Status::Done(Err(VErr::Crashed)) } else { status };
@@ -999,14 +797,14 @@ impl World {
     /// keep executing non-blocking sends until the next receive choice
     /// point or termination. With budget 0 this is the normalisation pass
     /// (flush initial sends).
-    fn advance(&mut self, cfg: &CheckConfig, r: usize, mut recv_budget: u32) {
-        if cfg.collective.is_reform() {
-            return self.advance_reform(cfg, r, recv_budget);
+    fn advance(&mut self, m: &Model, r: usize, mut recv_budget: u32) {
+        if m.cfg.collective.is_reform() {
+            return self.advance_reform(m.cfg, r, recv_budget);
         }
         while self.running(r) {
-            match action(cfg, r, self.ranks[r].pc) {
+            match action(m, r, self.ranks[r].pc) {
                 Action::Finish => {
-                    let outcome = finish_payload(cfg, r);
+                    let outcome = finish_payload(m.cfg, r);
                     if let Some(out) = outcome {
                         self.ranks[r].out = out_merge(std::mem::take(&mut self.ranks[r].out), out);
                     }
@@ -1019,7 +817,7 @@ impl World {
                         self.fail(r, VErr::PeerGone { peer: to });
                         return;
                     }
-                    let payload = send_payload(cfg, r, &self.ranks[r]);
+                    let payload = send_payload(m, r, &self.ranks[r]);
                     self.queues[to][r].push_back(payload);
                     self.ranks[r].pc += 1;
                 }
@@ -1043,7 +841,7 @@ impl World {
                                     status: Status::Running,
                                 },
                             );
-                            handle_recv(cfg, r, &mut st, from, p);
+                            handle_recv(m, r, &mut st, from, p);
                             st.pc += 1;
                             self.ranks[r] = st;
                             recv_budget -= 1;
@@ -1063,11 +861,11 @@ impl World {
     }
 
     /// Is completing rank `r`'s pending receive possible right now?
-    fn enabled(&self, cfg: &CheckConfig, r: usize) -> bool {
+    fn enabled(&self, m: &Model, r: usize) -> bool {
         if !self.running(r) {
             return false;
         }
-        if cfg.collective.is_reform() {
+        if m.cfg.collective.is_reform() {
             let st = &self.ranks[r];
             return match st.buf[B_PHASE] {
                 // Sends and the victim's crash are always executable.
@@ -1084,7 +882,7 @@ impl World {
                 phase => unreachable!("re-form rank {r} resting at phase {phase}"),
             };
         }
-        match action(cfg, r, self.ranks[r].pc) {
+        match action(m, r, self.ranks[r].pc) {
             Action::Recv(from) => !self.queues[r][from].is_empty() || !self.running(from),
             // After normalisation a running rank always sits at a recv;
             // anything else would be a driver bug.
@@ -1098,13 +896,10 @@ impl World {
 /// local part in place).
 fn finish_payload(cfg: &CheckConfig, rank: usize) -> Option<Vec<(usize, Vec<u32>)>> {
     match cfg.collective {
-        Collective::AllgatherTokens | Collective::ChunkedAllgather => {
+        Collective::AllgatherTokens(_) | Collective::PreemptedRing { .. } => {
             Some(vec![(rank, gather_local(rank))])
         }
-        Collective::Alltoallv | Collective::ChunkedAlltoallv => {
-            Some(vec![(rank, alltoallv_part(rank, rank))])
-        }
-        Collective::PreemptedRing { .. } => Some(vec![(rank, gather_local(rank))]),
+        Collective::Alltoallv(_) => Some(vec![(rank, alltoallv_part(rank, rank))]),
         Collective::Broadcast { root } if rank == root => {
             Some(vec![(0, broadcast_payload(cfg.world))])
         }
@@ -1205,7 +1000,7 @@ impl CheckReport {
 }
 
 struct Explorer<'a> {
-    cfg: &'a CheckConfig,
+    model: Model<'a>,
     /// state → number of schedules from it to any terminal.
     memo: HashMap<World, u128>,
     terminals: HashSet<Vec<RankOutcome>>,
@@ -1221,7 +1016,8 @@ impl Explorer<'_> {
         }
         let depth = w.queues.iter().flat_map(|row| row.iter().map(|q| q.len())).max().unwrap_or(0);
         self.max_link_in_flight = self.max_link_in_flight.max(depth);
-        let enabled: Vec<usize> = (0..w.ranks.len()).filter(|&r| w.enabled(self.cfg, r)).collect();
+        let enabled: Vec<usize> =
+            (0..w.ranks.len()).filter(|&r| w.enabled(&self.model, r)).collect();
         let p = if enabled.is_empty() {
             if w.ranks.iter().any(|st| st.status == Status::Running) {
                 self.deadlocks += 1;
@@ -1233,7 +1029,7 @@ impl Explorer<'_> {
             let mut total: u128 = 0;
             for r in enabled {
                 let mut next = w.clone();
-                next.advance(self.cfg, r, 1);
+                next.advance(&self.model, r, 1);
                 total += self.paths(next);
             }
             total
@@ -1251,14 +1047,15 @@ pub fn check(cfg: &CheckConfig) -> CheckReport {
         assert!(victim < cfg.world, "midway victim out of range");
         assert!(cfg.crash.is_none(), "midway re-form models its own crash");
     }
+    let model = Model { cfg, progs: (0..cfg.world).map(|rank| program(cfg, rank)).collect() };
     let mut init = World::new(cfg);
     for r in 0..cfg.world {
         if init.running(r) {
-            init.advance(cfg, r, 0);
+            init.advance(&model, r, 0);
         }
     }
     let mut ex = Explorer {
-        cfg,
+        model,
         memo: HashMap::new(),
         terminals: HashSet::new(),
         deadlocks: 0,
@@ -1330,8 +1127,9 @@ mod tests {
 
     #[test]
     fn interleaving_counts_grow_with_world() {
-        let w2 = check_collective(2, Collective::AllgatherTokens);
-        let w4 = check_collective(4, Collective::AllgatherTokens);
+        let gather = Collective::AllgatherTokens(Traversal::Posted);
+        let w2 = check_collective(2, gather);
+        let w4 = check_collective(4, gather);
         assert!(w4.interleavings > w2.interleavings, "{} vs {}", w4.summary(), w2.summary());
         // w=4 allgather: 12 addressed receives, 3 per rank, every order:
         // 12! / (3!)^4 schedules.
@@ -1341,7 +1139,7 @@ mod tests {
     #[test]
     fn ring_allreduce_result_is_the_sum() {
         let elems = 5;
-        let r = check_collective(3, Collective::RingAllreduce { elems });
+        let r = check_collective(3, Collective::ring(elems));
         let out = r.unique_outcome().expect("deterministic");
         for o in out {
             let RankOutcome::Ok { buf, .. } = o else { panic!("rank failed") };
@@ -1418,10 +1216,10 @@ mod tests {
         // whole gather — must not change a single bit of the reduction.
         for world in 2..=3 {
             let elems = 2 * world + 1;
-            let whole = check_collective(world, Collective::RingAllreduce { elems });
+            let whole = check_collective(world, Collective::ring(elems));
             let whole_out = whole.unique_outcome().expect("deterministic");
             for c in [
-                Collective::ChunkedRingAllreduce { elems, seg: 2 },
+                Collective::RingAllreduce { elems, seg: 2 },
                 Collective::PreemptedRing { elems, seg: 2, preempt_at: world },
             ] {
                 let r = check_collective(world, c);

@@ -5,11 +5,15 @@
 //!
 //! * **Point-to-point plans** ([`P2pPlan`]): per rank, the ordered
 //!   send/recv records — peer and byte count — a collective will perform.
-//!   The generators here mirror `embrace_collectives::ops` *exactly*
-//!   (same peers, same order, same payload sizes); the `recording`
-//!   cross-validation tests in this crate run the real generic algorithms
-//!   over a [`RecordingEndpoint`] and diff the trace against the plan, so
-//!   the mirror cannot silently drift.
+//!   For the data-independent collectives (barrier, broadcast, ring,
+//!   allgather, alltoall) peers and order are not restated here: each
+//!   generator sizes the steps of `embrace_collectives::schedule` — the
+//!   definition the live ops execute — in bytes. A fan-out is planned in
+//!   the traversal that runs it: posted for a whole-op call, paired for
+//!   the chunked scheduler's units (the schedule module records why they
+//!   differ). The data-dependent plans (SSAR, re-form) are simulated
+//!   here and diffed against live wire counters by the cross-validation
+//!   tests.
 //! * **Schedule plans** ([`SchedulePlan`]): per rank, the ordered
 //!   collective submissions — tag, kind, priority, payload bytes — either
 //!   built statically from `embrace_core::Priorities::schedule_ops` or
@@ -18,9 +22,10 @@
 //! `verify` consumes both levels; `model_check` executes the same
 //! collectives under a virtual scheduler.
 
+use embrace_collectives::schedule::{prev_pow2, Payload, Schedule, Step, Traversal};
 use embrace_collectives::{Comm, CommError, Packet, ReformMsg, SubmittedOp, SEG_HEADER_BYTES};
 use embrace_core::{CommKind, Priorities};
-use embrace_tensor::{column_partition, row_partition, F32_BYTES, INDEX_BYTES, TOKEN_BYTES};
+use embrace_tensor::{column_partition, F32_BYTES, INDEX_BYTES, TOKEN_BYTES};
 
 /// One point-to-point record in a rank's plan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -78,190 +83,88 @@ impl P2pPlan {
     }
 }
 
-fn empty_bytes() -> u64 {
-    0
-}
-
-/// Plan of [`embrace_collectives::ops::barrier`]: the dissemination
-/// barrier — in round `k` (distance `2^k`) every rank sends one empty
-/// packet to `(rank + 2^k) mod N` and receives one from
-/// `(rank − 2^k) mod N`, for ⌈log₂ N⌉ rounds. Mirrors `try_barrier`
-/// op-for-op.
-pub fn barrier_plan(world: usize) -> P2pPlan {
-    let mut plan = P2pPlan::new("barrier", world);
-    if world == 1 {
-        return plan;
-    }
-    for (r, ops) in plan.ranks.iter_mut().enumerate() {
-        let mut dist = 1;
-        while dist < world {
-            ops.push(P2pOp::Send { to: (r + dist) % world, bytes: empty_bytes() });
-            ops.push(P2pOp::Recv { from: (r + world - dist) % world, bytes: empty_bytes() });
-            dist *= 2;
-        }
+/// Size every step of `schedule` in bytes: `bytes(src, dst, payload)` is
+/// the wire size of what `src` sends `dst`.
+fn sized(
+    kind: &'static str,
+    world: usize,
+    schedule: Schedule,
+    bytes: impl Fn(usize, usize, Payload) -> u64,
+) -> P2pPlan {
+    let mut plan = P2pPlan::new(kind, world);
+    for (rank, ops) in plan.ranks.iter_mut().enumerate() {
+        ops.extend(schedule.units(world, rank).into_iter().flatten().map(|step| match step {
+            Step::Send { to, payload } => P2pOp::Send { to, bytes: bytes(rank, to, payload) },
+            Step::Recv { from, payload } => P2pOp::Recv { from, bytes: bytes(from, rank, payload) },
+        }));
     }
     plan
+}
+
+/// Wire bytes of a ring segment; fan-out blocks never reach a ring plan.
+fn seg_bytes(payload: Payload) -> u64 {
+    match payload {
+        Payload::Seg { lo, hi, .. } => ((hi - lo) * F32_BYTES) as u64,
+        other => unreachable!("ring schedules move segments, not {other:?}"),
+    }
+}
+
+/// Plan of [`embrace_collectives::ops::barrier`]: one empty packet each
+/// way per dissemination round.
+pub fn barrier_plan(world: usize) -> P2pPlan {
+    sized("barrier", world, Schedule::Barrier, |_, _, _| 0)
 }
 
 /// Plan of [`embrace_collectives::ops::broadcast`] of a `bytes`-sized
 /// payload from `root`.
 pub fn broadcast_plan(world: usize, root: usize, bytes: u64) -> P2pPlan {
-    let mut plan = P2pPlan::new("broadcast", world);
-    for dst in 0..world {
-        if dst != root {
-            plan.ranks[root].push(P2pOp::Send { to: dst, bytes });
-            plan.ranks[dst].push(P2pOp::Recv { from: root, bytes });
-        }
-    }
-    plan
+    sized("broadcast", world, Schedule::Broadcast { root }, |_, _, _| bytes)
 }
 
 /// Plan of [`embrace_collectives::ops::ring_allreduce`] over a buffer of
-/// `elems` f32 values: N−1 reduce-scatter steps then N−1 all-gather steps,
-/// each moving one [`row_partition`] chunk to the next rank on the ring.
+/// `elems` f32 values: one segment per ring step.
 pub fn ring_allreduce_plan(world: usize, elems: usize) -> P2pPlan {
-    let mut plan = P2pPlan::new("ring_allreduce", world);
-    if world == 1 {
-        return plan;
-    }
-    let chunks = row_partition(elems, world);
-    let chunk_bytes = |c: usize| (chunks[c].len() * F32_BYTES) as u64;
-    for rank in 0..world {
-        let next = (rank + 1) % world;
-        let prev = (rank + world - 1) % world;
-        for step in 0..world - 1 {
-            let send_c = (rank + world - step) % world;
-            let recv_c = (rank + world - step - 1) % world;
-            plan.ranks[rank].push(P2pOp::Send { to: next, bytes: chunk_bytes(send_c) });
-            plan.ranks[rank].push(P2pOp::Recv { from: prev, bytes: chunk_bytes(recv_c) });
-        }
-        for step in 0..world - 1 {
-            let send_c = (rank + 1 + world - step) % world;
-            let recv_c = (rank + world - step) % world;
-            plan.ranks[rank].push(P2pOp::Send { to: next, bytes: chunk_bytes(send_c) });
-            plan.ranks[rank].push(P2pOp::Recv { from: prev, bytes: chunk_bytes(recv_c) });
-        }
-    }
-    plan
+    let whole = Schedule::Ring { elems, seg: usize::MAX };
+    sized("ring_allreduce", world, whole, |_, _, p| seg_bytes(p))
 }
 
-/// Plan of the allgather family: rank `r` sends `local_bytes[r]` to every
-/// peer in rank order, then receives every peer's contribution in rank
-/// order (own kept locally). Covers `allgather_dense`, `allgather_sparse`
-/// and `allgather_tokens`, which share the communication structure.
+/// Plan of the chunked scheduler's ring allreduce (kind
+/// `"ring_allreduce_chunked"`): the same ring cut into `seg_elems`-element
+/// units. Total bytes equal [`ring_allreduce_plan`]'s for the same `elems`.
+pub fn chunked_ring_allreduce_plan(world: usize, elems: usize, seg_elems: usize) -> P2pPlan {
+    let ring = Schedule::Ring { elems, seg: seg_elems };
+    sized("ring_allreduce_chunked", world, ring, |_, _, p| seg_bytes(p))
+}
+
+/// Plan of the whole-op allgather family (`allgather_dense`,
+/// `allgather_sparse`, `allgather_tokens`): an alltoall in which rank `r`
+/// sends the same `local_bytes[r]` to every peer.
 pub fn allgather_plan(world: usize, local_bytes: &[u64]) -> P2pPlan {
     assert_eq!(local_bytes.len(), world, "one payload size per rank");
-    let mut plan = P2pPlan::new("allgather", world);
-    for rank in 0..world {
-        for dst in 0..world {
-            if dst != rank {
-                plan.ranks[rank].push(P2pOp::Send { to: dst, bytes: local_bytes[rank] });
-            }
-        }
-        for (src, &bytes) in local_bytes.iter().enumerate() {
-            if src != rank {
-                plan.ranks[rank].push(P2pOp::Recv { from: src, bytes });
-            }
-        }
-    }
-    plan
+    sized("allgather", world, Schedule::Fanout(Traversal::Posted), |src, _, _| local_bytes[src])
 }
 
-/// Plan of the alltoall family: `bytes[i][j]` is what rank `i` sends rank
-/// `j`. Sends go out in the rotated order the implementation uses
-/// (destination `(rank + off) % world` for `off` in `1..world`); receives
-/// drain in source-rank order. Covers `alltoall_dense` and
-/// `alltoallv_sparse` (pass a per-pair byte matrix for the latter).
-pub fn alltoall_plan(kind: &'static str, bytes: &[Vec<u64>]) -> P2pPlan {
+fn fanout_plan(kind: &'static str, bytes: &[Vec<u64>], traversal: Traversal) -> P2pPlan {
     let world = bytes.len();
     assert!(bytes.iter().all(|row| row.len() == world), "square byte matrix");
-    let mut plan = P2pPlan::new(kind, world);
-    for (rank, row) in bytes.iter().enumerate() {
-        for off in 1..world {
-            let dst = (rank + off) % world;
-            plan.ranks[rank].push(P2pOp::Send { to: dst, bytes: row[dst] });
-        }
-        for (src, srow) in bytes.iter().enumerate() {
-            if src != rank {
-                plan.ranks[rank].push(P2pOp::Recv { from: src, bytes: srow[rank] });
-            }
-        }
-    }
-    plan
+    sized(kind, world, Schedule::Fanout(traversal), |src, dst, _| bytes[src][dst])
 }
 
-/// Plan of the chunked scheduler's segmented ring allreduce (kind
-/// `"ring_allreduce_chunked"`): each ring step's chunk splits into
-/// `seg_elems`-element segments, one send+recv pair per *unit*, with the
-/// unit count per step equal on every rank (`ceil(max_chunk /
-/// seg_elems)`, `row_partition` being global). Units where a rank's
-/// chunk has no `i`-th segment contribute no op — exactly the occupancy
-/// of `ChunkedExec::Ring::advance`, so per-link FIFO pairing and byte
-/// totals match the runtime wire traffic. Total bytes equal
-/// [`ring_allreduce_plan`]'s for the same `elems`.
-pub fn chunked_ring_allreduce_plan(world: usize, elems: usize, seg_elems: usize) -> P2pPlan {
-    assert!(seg_elems > 0, "segment size must be positive");
-    let mut plan = P2pPlan::new("ring_allreduce_chunked", world);
-    if world == 1 {
-        return plan;
-    }
-    let chunks = row_partition(elems, world);
-    let max_chunk = chunks.iter().map(|c| c.len()).max().unwrap_or(0);
-    let units_per_step = max_chunk.div_ceil(seg_elems).max(1);
-    for rank in 0..world {
-        let next = (rank + 1) % world;
-        let prev = (rank + world - 1) % world;
-        for step in 0..2 * (world - 1) {
-            let (phase, s) = (step / (world - 1), step % (world - 1));
-            let (send_c, recv_c) = if phase == 0 {
-                ((rank + world - s) % world, (rank + world - s - 1) % world)
-            } else {
-                ((rank + 1 + world - s) % world, (rank + world - s) % world)
-            };
-            for i in 0..units_per_step {
-                let send = chunks[send_c];
-                let lo = send.start + i * seg_elems;
-                if lo < send.end {
-                    let hi = (lo + seg_elems).min(send.end);
-                    plan.ranks[rank]
-                        .push(P2pOp::Send { to: next, bytes: ((hi - lo) * F32_BYTES) as u64 });
-                }
-                let recv = chunks[recv_c];
-                let rlo = recv.start + i * seg_elems;
-                if rlo < recv.end {
-                    let rhi = (rlo + seg_elems).min(recv.end);
-                    plan.ranks[rank]
-                        .push(P2pOp::Recv { from: prev, bytes: ((rhi - rlo) * F32_BYTES) as u64 });
-                }
-            }
-        }
-    }
-    plan
+/// Plan of the whole-op alltoall family (`alltoall_dense`,
+/// `alltoallv_sparse`, `alltoallv_tokens`): `bytes[i][j]` is what rank `i`
+/// sends rank `j`; every send is posted, then receives drain in
+/// source-rank order.
+pub fn alltoall_plan(kind: &'static str, bytes: &[Vec<u64>]) -> P2pPlan {
+    fanout_plan(kind, bytes, Traversal::Posted)
 }
 
 /// Plan of the chunked scheduler's fan-out collectives (alltoall dense /
-/// sparse and the token allgather, which all share `ChunkedExec`'s unit
-/// structure): in unit `u` rank `r` sends its block for `(r + u + 1) %
-/// world` and receives from `(r + world - u - 1) % world`. Unlike the
-/// whole-op [`alltoall_plan`] (all sends posted, then receives drained in
-/// source order), sends and receives interleave pairwise — each unit
-/// sends before it receives, and on every ordered link the two ends use
-/// the same unit index, so the plan is deadlock-free without buffering
-/// assumptions. `bytes[i][j]` is what rank `i` sends rank `j`; pass a
-/// row of identical entries per rank for the allgather case.
+/// sparse and the token allgather): one send and one receive per unit, so
+/// the plan is deadlock-free without buffering assumptions. `bytes[i][j]`
+/// is what rank `i` sends rank `j`; pass a row of identical entries per
+/// rank for the allgather case.
 pub fn chunked_alltoall_plan(kind: &'static str, bytes: &[Vec<u64>]) -> P2pPlan {
-    let world = bytes.len();
-    assert!(bytes.iter().all(|row| row.len() == world), "square byte matrix");
-    let mut plan = P2pPlan::new(kind, world);
-    for (rank, row) in bytes.iter().enumerate() {
-        for u in 0..world.saturating_sub(1) {
-            let dst = (rank + u + 1) % world;
-            let src = (rank + world - u - 1) % world;
-            plan.ranks[rank].push(P2pOp::Send { to: dst, bytes: row[dst] });
-            plan.ranks[rank].push(P2pOp::Recv { from: src, bytes: bytes[src][rank] });
-        }
-    }
-    plan
+    fanout_plan(kind, bytes, Traversal::Paired)
 }
 
 /// Byte matrix of EmbRace's **AlltoAll #1** (lookup-result redistribution,
@@ -299,10 +202,9 @@ pub fn grad_alltoall_bytes(grad_rows: &[usize], dim_total: usize) -> Vec<Vec<u64
 /// embedding rows back (`alltoall_dense`, `dim × F32_BYTES` per row).
 /// `reqs[i][j]` is the number of distinct uncached rows rank `i` requests
 /// from owner `j`; the response matrix is its transpose scaled to row
-/// width. Both phases use the rotated-send / source-order-receive
-/// structure of [`alltoall_plan`], and the byte counts equal the runtime
-/// `Packet::Tokens` / `Packet::Dense` wire sizes (cross-validated by the
-/// `recording` tests).
+/// width. Both phases are [`alltoall_plan`]s, and the byte counts equal
+/// the runtime `Packet::Tokens` / `Packet::Dense` wire sizes
+/// (cross-validated by the `recording` tests).
 pub fn lookup_plan(reqs: &[Vec<usize>], dim: usize) -> P2pPlan {
     let world = reqs.len();
     assert!(reqs.iter().all(|row| row.len() == world), "square request matrix");
@@ -439,11 +341,6 @@ fn ssar_split(seg: &SimSeg, mid: u32) -> (SimSeg, SimSeg) {
         SimSeg { lo: seg.lo, hi: mid, dense: seg.dense, set: seg.set[..pos].to_vec() },
         SimSeg { lo: mid, hi: seg.hi, dense: seg.dense, set: seg.set[pos..].to_vec() },
     )
-}
-
-fn prev_pow2(n: usize) -> usize {
-    debug_assert!(n >= 1);
-    1 << (usize::BITS - 1 - n.leading_zeros())
 }
 
 /// Plan of [`embrace_collectives::ops::sparse_allreduce`] (SSAR): fold-in

@@ -535,7 +535,7 @@ mod tests {
         assert!(kinds(&diags).contains(&DiagnosticKind::RecvWithoutSend), "{diags:?}");
         // The receiver of the dropped message is named.
         let d = diags.iter().find(|d| d.kind == DiagnosticKind::RecvWithoutSend).unwrap();
-        assert_eq!(d.rank, Some(0)); // rank 1's first send goes to rank 0
+        assert_eq!(d.rank, Some(2)); // rank 1's first send goes to rank 2 (rotated order)
     }
 
     #[test]

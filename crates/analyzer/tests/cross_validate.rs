@@ -23,6 +23,7 @@ use embrace_analyzer::{
     RecordingEndpoint, SchedulePlan,
 };
 use embrace_collectives::ops::{sparse_allreduce, SsarConfig};
+use embrace_collectives::schedule::Traversal;
 use embrace_collectives::{run_group, run_group_on, Comm, Endpoint, Packet};
 use embrace_tensor::{DenseTensor, RowSparse, TokenBuf, F32_BYTES, TOKEN_BYTES};
 use embrace_trainer::scheduled::train_convergence_traced;
@@ -64,52 +65,37 @@ where
 }
 
 #[test]
-fn barrier_plan_matches_real_traffic() {
-    for world in 2..=4 {
+fn whole_op_plans_match_real_traffic() {
+    // Every data-independent family, whole-op: the plan is the shared
+    // schedule sized in bytes, the traffic is the live op executing that
+    // schedule — the counters pin the byte sizing and the posted traversal.
+    for world in [2, 3, 4, 5, 8] {
         assert_counters_match_plan(world, &barrier_plan(world), |_rank, ep| {
             embrace_collectives::ops::barrier(ep);
         });
-    }
-}
 
-#[test]
-fn broadcast_plan_matches_real_traffic() {
-    for world in 2..=4 {
-        let payload = vec![1u32, 2, 3];
-        let plan = broadcast_plan(world, 0, (payload.len() * TOKEN_BYTES) as u64);
+        let (root, payload) = (world - 1, vec![1u32, 2, 3]);
+        let plan = broadcast_plan(world, root, (payload.len() * TOKEN_BYTES) as u64);
         assert_counters_match_plan(world, &plan, move |rank, ep| {
-            let p = (rank == 0).then(|| Packet::Tokens(payload.clone().into()));
-            embrace_collectives::ops::broadcast(ep, 0, p);
+            let p = (rank == root).then(|| Packet::Tokens(payload.clone().into()));
+            embrace_collectives::ops::broadcast(ep, root, p);
         });
-    }
-}
 
-#[test]
-fn ring_allreduce_plan_matches_real_traffic() {
-    for world in 2..=4 {
-        let elems = 2 * world + 3; // uneven chunks
-        assert_counters_match_plan(world, &ring_allreduce_plan(world, elems), move |rank, ep| {
-            let mut buf: Vec<f32> = (0..elems).map(|i| (rank + i) as f32).collect();
-            embrace_collectives::ops::ring_allreduce(ep, &mut buf);
-        });
-    }
-}
+        // Fewer elements than ranks (empty chunks) and uneven chunks.
+        for elems in [world - 1, 2 * world + 3] {
+            let plan = ring_allreduce_plan(world, elems);
+            assert_counters_match_plan(world, &plan, move |rank, ep| {
+                let mut buf: Vec<f32> = (0..elems).map(|i| (rank + i) as f32).collect();
+                embrace_collectives::ops::ring_allreduce(ep, &mut buf);
+            });
+        }
 
-#[test]
-fn allgather_plan_matches_real_traffic() {
-    for world in 2..=4 {
         let locals: Vec<Vec<u32>> = (0..world).map(gather_local).collect();
         let local_bytes: Vec<u64> = locals.iter().map(|l| (l.len() * TOKEN_BYTES) as u64).collect();
-        let plan = allgather_plan(world, &local_bytes);
-        assert_counters_match_plan(world, &plan, move |rank, ep| {
+        assert_counters_match_plan(world, &allgather_plan(world, &local_bytes), move |rank, ep| {
             embrace_collectives::ops::allgather_tokens(ep, locals[rank].clone());
         });
-    }
-}
 
-#[test]
-fn alltoall_plan_matches_real_traffic() {
-    for world in 2..=4 {
         // parts[r][c]: a (r+c+1)-element dense row from rank r to rank c.
         let bytes: Vec<Vec<u64>> = (0..world)
             .map(|r| (0..world).map(|c| ((r + c + 1) * F32_BYTES) as u64).collect())
@@ -270,7 +256,7 @@ fn unique_ok(report: &model_check::CheckReport) -> &[RankOutcome] {
 #[test]
 fn model_allgather_matches_real_results_bitwise() {
     for world in 2..=4 {
-        let report = check_collective(world, Collective::AllgatherTokens);
+        let report = check_collective(world, Collective::AllgatherTokens(Traversal::Posted));
         let model = unique_ok(&report);
         let real = run_group(world, |rank, ep| {
             embrace_collectives::ops::allgather_tokens(ep, gather_local(rank))
@@ -286,7 +272,7 @@ fn model_allgather_matches_real_results_bitwise() {
 fn model_ring_allreduce_matches_real_results_bitwise() {
     for world in 2..=4 {
         let elems = 2 * world + 1;
-        let report = check_collective(world, Collective::RingAllreduce { elems });
+        let report = check_collective(world, Collective::ring(elems));
         let model = unique_ok(&report);
         let real = run_group(world, |rank, ep| {
             let mut buf: Vec<f32> =
@@ -323,7 +309,7 @@ fn model_alltoallv_matches_real_results() {
     // `alltoall_dense` and `alltoallv_sparse`; replay its token parts as
     // 1-row dense tensors (small integers are exact in f32).
     for world in 2..=4 {
-        let report = check_collective(world, Collective::Alltoallv);
+        let report = check_collective(world, Collective::Alltoallv(Traversal::Posted));
         let model = unique_ok(&report);
         let real = run_group(world, |rank, ep| {
             let parts: Vec<DenseTensor> = (0..world)

@@ -48,7 +48,7 @@ use embrace_bench::record::{compare, fmt_run, merge_into_file, Entry, Mode};
 use embrace_collectives::group::run_group_on;
 use embrace_collectives::ops::{
     allgather_dense, allgather_sparse, alltoallv_sparse, broadcast, ring_allreduce,
-    ring_allreduce_pipelined, sparse_allreduce, SsarConfig,
+    sparse_allreduce, SsarConfig,
 };
 use embrace_collectives::transport::{slot_mesh, Packet};
 use embrace_obs::json;
@@ -62,8 +62,6 @@ const QUICK_BYTES: [usize; 2] = [64 << 10, 4 << 20];
 const FULL_BYTES: [usize; 5] = [1 << 10, 64 << 10, 1 << 20, 4 << 20, 16 << 20];
 /// Column width used to shape sparse payloads (embedding-dim scale).
 const SPARSE_DIM: usize = 64;
-/// Segment size (elements) for the pipelined ring variant.
-const PIPELINE_SEG: usize = 64 << 10;
 
 /// Time `f` (already holding its inputs) over `iters` iterations inside a
 /// running group; returns the slowest rank's per-iteration nanoseconds.
@@ -121,11 +119,6 @@ fn bench_cell(op: &'static str, world: usize, bytes: usize, mode: Mode) -> Entry
         "ring_allreduce" => time_group(world, iters, |_r, ep| {
             let mut buf = vec![1.0f32; elems];
             ring_allreduce(ep, &mut buf);
-            std::hint::black_box(&buf);
-        }),
-        "ring_allreduce_pipelined" => time_group(world, iters, |_r, ep| {
-            let mut buf = vec![1.0f32; elems];
-            ring_allreduce_pipelined(ep, &mut buf, PIPELINE_SEG);
             std::hint::black_box(&buf);
         }),
         "allgather_dense" => {
@@ -250,13 +243,7 @@ fn run_sweep(mode: Mode) -> Vec<Entry> {
         Mode::Quick => &QUICK_BYTES,
         Mode::Full => &FULL_BYTES,
     };
-    let ops = [
-        "ring_allreduce",
-        "ring_allreduce_pipelined",
-        "allgather_dense",
-        "alltoallv_sparse",
-        "broadcast_dense",
-    ];
+    let ops = ["ring_allreduce", "allgather_dense", "alltoallv_sparse", "broadcast_dense"];
     let mut entries = Vec::new();
     for &op in &ops {
         for &world in &WORLDS {

@@ -200,8 +200,8 @@ fn demo_mutations() -> Result<(), String> {
     Ok(())
 }
 
-/// Exhaustively model-check the six collectives plus the four chunked /
-/// preempted programs for worlds 2–4, plus abort termination with a
+/// Exhaustively model-check the six collectives plus their three
+/// unit-stepped variants and the preempted ring for worlds 2–4, plus abort termination with a
 /// crashed rank 0. Every fault-free run must also stay within
 /// `SLOT_CAPACITY` in-flight messages per link over all reachable
 /// states, proving the one-sided transport's rendezvous fallback is
@@ -299,12 +299,9 @@ fn graph_agreement() -> Result<(), String> {
         let modeled: Vec<(Collective, P2pPlan)> = vec![
             (Collective::Barrier, barrier_plan(world)),
             (Collective::Broadcast { root: 0 }, broadcast_plan(world, 0, 12)),
+            (Collective::ring(2 * world + 1), ring_allreduce_plan(world, 2 * world + 1)),
             (
-                Collective::RingAllreduce { elems: 2 * world + 1 },
-                ring_allreduce_plan(world, 2 * world + 1),
-            ),
-            (
-                Collective::ChunkedRingAllreduce { elems: 2 * world + 1, seg: 2 },
+                Collective::RingAllreduce { elems: 2 * world + 1, seg: 2 },
                 chunked_ring_allreduce_plan(world, 2 * world + 1, 2),
             ),
             (Collective::SparseAllreduce, sparse_allreduce_demo_plan(world)),

@@ -44,6 +44,7 @@
 pub mod elastic;
 pub mod group;
 pub mod ops;
+pub mod schedule;
 pub mod scheduler;
 pub mod transport;
 

@@ -9,6 +9,12 @@
 //! channels), so no algorithm here can deadlock regardless of send/recv
 //! interleaving.
 //!
+//! Who sends what to whom in which order is not decided here: barrier,
+//! broadcast, the ring and the fan-outs execute [`crate::schedule`]. The
+//! ring and the fan-outs are resumable machines ([`RingMachine`],
+//! [`FanoutMachine`]) that the chunked scheduler steps one unit at a
+//! time; the blocking functions below run the same machines to completion.
+//!
 //! # Failure semantics
 //!
 //! Every collective comes in two flavours:
@@ -37,11 +43,12 @@
 //! fault produces no disconnection edge, so a blocking receive would wait
 //! forever where a deadline turns it into [`CommError::Timeout`].
 
+use crate::schedule::{self, prev_pow2, Ring};
 use crate::transport::{Comm, CommError, Packet, SegBody, SparseSeg};
 use embrace_obs::recorder;
 use embrace_tensor::{
-    coalesce, densify_range, kernels, merge_rowsparse, row_partition, scatter_add_rows,
-    DenseTensor, RowSparse, TokenBuf,
+    coalesce, densify_range, kernels, merge_rowsparse, scatter_add_rows, DenseTensor, RowSparse,
+    TokenBuf,
 };
 
 /// Best-effort abort broadcast, then pass the error through. Locally
@@ -73,31 +80,20 @@ pub fn barrier<C: Comm>(ep: &mut C) {
     finish(try_barrier(ep));
 }
 
-/// Fallible [`barrier`]: a dissemination barrier (Hensgen/Finkel/Manber).
-/// In round `k` every rank signals `(rank + 2^k) mod N` and waits on
-/// `(rank − 2^k) mod N`; after ⌈log₂ N⌉ rounds each rank has transitively
-/// heard from all others. The critical path is O(log N) rounds, versus
-/// the O(N) serial gather-then-release through rank 0 it replaces, and no
-/// rank is a hotspot. A failure on any rank aborts the whole group.
+/// Fallible [`barrier`]: the dissemination barrier of
+/// [`schedule::barrier_rounds`]. The critical path is O(log N) rounds,
+/// versus the O(N) serial gather-then-release through rank 0 it replaces,
+/// and no rank is a hotspot. A failure on any rank aborts the whole group.
 pub fn try_barrier<C: Comm>(ep: &mut C) -> Result<(), CommError> {
     let _span = recorder::span("barrier", "collective");
-    let world = ep.world();
-    if world == 1 {
-        return Ok(());
-    }
-    let rank = ep.rank();
-    let mut dist = 1;
-    while dist < world {
-        let to = (rank + dist) % world;
-        let from = (rank + world - dist) % world;
-        if let Err(e) = ep.try_send(to, Packet::Empty) {
+    for (to, from) in schedule::barrier_rounds(ep.world(), ep.rank()) {
+        let round = ep
+            .try_send(to, Packet::Empty)
+            .and_then(|()| ep.try_recv(from))
+            .and_then(Packet::try_into_empty);
+        if let Err(e) = round {
             return fail(ep, e);
         }
-        match ep.try_recv(from).and_then(Packet::try_into_empty) {
-            Ok(()) => {}
-            Err(e) => return fail(ep, e),
-        }
-        dist *= 2;
     }
     Ok(())
 }
@@ -118,11 +114,9 @@ pub fn try_broadcast<C: Comm>(
     let _span = recorder::span("broadcast", "collective");
     if ep.rank() == root {
         let p = packet.expect("root must supply the payload");
-        for dst in 0..ep.world() {
-            if dst != root {
-                if let Err(e) = ep.try_send(dst, p.clone()) {
-                    return fail(ep, e);
-                }
+        for dst in schedule::broadcast_fan(ep.world(), root) {
+            if let Err(e) = ep.try_send(dst, p.clone()) {
+                return fail(ep, e);
             }
         }
         Ok(p)
@@ -136,6 +130,83 @@ pub fn try_broadcast<C: Comm>(
     }
 }
 
+/// A ring allreduce in flight, executed one [`schedule::RingUnit`] at a
+/// time. Errors come back raw; the caller owns the abort broadcast.
+///
+/// # Receive-fuse-forward
+///
+/// The segment a unit receives is exactly the segment the same unit of
+/// the next step sends (see [`Ring`]), so the received tensor — updated in
+/// place by the fused [`kernels::add_assign_both`] reduce during
+/// reduce-scatter, forwarded verbatim during allgather — *is* that unit's
+/// outgoing packet. Only step 0 stages from `buf`; every other step
+/// touches each element once.
+///
+/// # Allocation discipline
+///
+/// Step 0 stages each segment it sends into a buffer of its own; from
+/// then on each received buffer — whose sole owner we now are — is held
+/// until its unit comes round again and goes back out. A machine
+/// therefore needs at most [`Ring::per_step`] staging buffers (one for
+/// the whole-op ring) however many steps it runs, and it ends owning as
+/// many: a caller running rings back to back passes each machine's
+/// [`RingMachine::into_spare`] to the next, which then allocates nothing
+/// (fresh staging memory is page-faulted memory: +52 µs per 256 KiB
+/// segment measured). Asserted by the `*_steady_state` tests via
+/// [`embrace_tensor::alloc_counter`].
+pub(crate) struct RingMachine {
+    ring: Ring,
+    unit: usize,
+    /// `held[i]`: the buffer received by segment `i` of the previous step.
+    held: Vec<Option<DenseTensor>>,
+    /// Staging buffers for step 0, used before allocating.
+    spare: Vec<DenseTensor>,
+}
+
+impl RingMachine {
+    pub(crate) fn new(ring: Ring, spare: Vec<DenseTensor>) -> Self {
+        let held = (0..ring.per_step()).map(|_| None).collect();
+        RingMachine { ring, unit: 0, held, spare }
+    }
+
+    /// Every buffer this machine still owns, for the next ring to stage into.
+    pub(crate) fn into_spare(self) -> Vec<DenseTensor> {
+        self.held.into_iter().flatten().chain(self.spare).collect()
+    }
+
+    pub(crate) fn done(&self) -> bool {
+        self.unit == self.ring.units()
+    }
+
+    pub(crate) fn step<C: Comm>(&mut self, ep: &mut C, buf: &mut [f32]) -> Result<(), CommError> {
+        let unit = self.ring.unit(self.unit);
+        let slot = &mut self.held[self.unit % self.ring.per_step()];
+        if let Some(send) = unit.send {
+            let outgoing = slot.take().unwrap_or_else(|| {
+                let fresh = || DenseTensor::zeros(1, self.ring.seg());
+                let mut staged = self.spare.pop().unwrap_or_else(fresh);
+                staged.stage_row(&buf[send]);
+                staged
+            });
+            ep.try_send(self.ring.next(), Packet::Dense(outgoing))?;
+        }
+        if let Some(recv) = unit.recv {
+            let mut incoming = ep.try_recv(self.ring.prev()).and_then(Packet::try_into_dense)?;
+            let dst = &mut buf[recv];
+            if unit.reduce {
+                // Fused: dst[i] += incoming[i] and incoming[i] becomes the
+                // sum too — the next step's outgoing segment, already reduced.
+                kernels::add_assign_both(dst, incoming.as_mut_slice());
+            } else {
+                dst.copy_from_slice(incoming.as_slice());
+            }
+            *slot = Some(incoming);
+        }
+        self.unit += 1;
+        Ok(())
+    }
+}
+
 /// Bandwidth-optimal ring AllReduce (sum) in place: after the call every
 /// rank's `buf` holds the element-wise sum over all ranks.
 ///
@@ -146,155 +217,115 @@ pub fn ring_allreduce<C: Comm>(ep: &mut C, buf: &mut [f32]) {
     finish(try_ring_allreduce(ep, buf));
 }
 
-/// Fallible [`ring_allreduce`]. On `Err` the contents of `buf` are
+/// Fallible [`ring_allreduce`]: a [`RingMachine`] with one segment per
+/// step, run to completion. On `Err` the contents of `buf` are
 /// unspecified (the reduction was interrupted part-way).
-///
-/// # Receive-fuse-forward
-///
-/// In both phases the chunk received at step s is exactly the chunk sent
-/// at step s+1 (`recv_c(s) == send_c(s+1)`, including across the phase
-/// boundary), so the received tensor — updated in place by the fused
-/// [`kernels::add_assign_both`] reduce during phase 1, forwarded verbatim
-/// during phase 2 — *is* the next outgoing packet. Only step 0 stages
-/// from `buf`; every other step touches each element once.
-///
-/// # Allocation discipline
-///
-/// One staging buffer of max-chunk capacity is allocated per call and then
-/// *circulates*: it carries step 0's outgoing chunk into the channel, and
-/// each received buffer — whose sole owner we now are — becomes the next
-/// step's outgoing packet. Every buffer in flight started as some rank's
-/// max-chunk scratch, so capacity always suffices and the 2·(N−1) steps
-/// perform zero heap allocations (asserted by `ring_allreduce_steady_state`
-/// tests via [`embrace_tensor::alloc_counter`]). The wire protocol —
-/// packet shapes, sizes, send/recv order and f32 summation order — is
-/// byte-identical to the stage-per-step implementation, so extracted plans
-/// and the model checker are unaffected.
 pub fn try_ring_allreduce<C: Comm>(ep: &mut C, buf: &mut [f32]) -> Result<(), CommError> {
     let _span = recorder::span("ring_allreduce", "collective");
-    let world = ep.world();
-    let rank = ep.rank();
-    if world == 1 {
-        return Ok(());
-    }
-    let chunks = row_partition(buf.len(), world);
-    let next = (rank + 1) % world;
-    let prev = (rank + world - 1) % world;
-    let max_chunk = chunks.iter().map(|c| c.end - c.start).max().unwrap_or(0);
-    let mut scratch = DenseTensor::zeros(1, max_chunk);
-
-    // Phase 0: reduce-scatter — after step s, chunk (rank−s) has been
-    // accumulated over s+1 ranks; after N−1 steps each rank owns the fully
-    // reduced chunk (rank+1) mod N. Phase 1: all-gather the reduced chunks
-    // around the same ring.
-    for phase in 0..2 {
-        for step in 0..world - 1 {
-            let (send_c, recv_c) = if phase == 0 {
-                ((rank + world - step) % world, (rank + world - step - 1) % world)
-            } else {
-                ((rank + 1 + world - step) % world, (rank + world - step) % world)
-            };
-            if phase == 0 && step == 0 {
-                scratch.stage_row(&buf[chunks[send_c].start..chunks[send_c].end]);
-            }
-            let outgoing = std::mem::replace(&mut scratch, DenseTensor::zeros(0, 0));
-            if let Err(e) = ep.try_send(next, Packet::Dense(outgoing)) {
-                return fail(ep, e);
-            }
-            let mut incoming = match ep.try_recv(prev).and_then(Packet::try_into_dense) {
-                Ok(d) => d,
-                Err(e) => return fail(ep, e),
-            };
-            let dst = &mut buf[chunks[recv_c].start..chunks[recv_c].end];
-            if phase == 0 {
-                // Fused: dst[i] += incoming[i] and incoming[i] becomes the
-                // sum too — next step's outgoing chunk, already reduced.
-                kernels::add_assign_both(dst, incoming.as_mut_slice());
-            } else {
-                dst.copy_from_slice(incoming.as_slice());
-            }
-            scratch = incoming;
+    let mut machine = RingMachine::new(Ring::whole(ep.world(), ep.rank(), buf.len()), Vec::new());
+    while !machine.done() {
+        if let Err(e) = machine.step(ep, buf) {
+            return fail(ep, e);
         }
     }
     Ok(())
 }
 
-/// [`ring_allreduce`] with the reduce-scatter and all-gather phases
-/// segmented for pipelining; panics on communication failure.
-pub fn ring_allreduce_pipelined<C: Comm>(ep: &mut C, buf: &mut [f32], seg_elems: usize) {
-    finish(try_ring_allreduce_pipelined(ep, buf, seg_elems));
+/// A fan-out payload: the three wire types share one exchange body.
+pub(crate) trait Block: Sized {
+    fn into_packet(self) -> Packet;
+    fn try_from_packet(packet: Packet) -> Result<Self, CommError>;
 }
 
-/// Fallible segmented/pipelined ring AllReduce for large buffers: each of
-/// the 2·(N−1) ring steps splits its chunk into `seg_elems`-element
-/// segments and posts *all* of them before receiving any, so (sends being
-/// non-blocking) the reduction of segment k on this rank overlaps the
-/// transfer of segments k+1… from its neighbour, instead of serialising a
-/// full-chunk transfer against a full-chunk reduction.
-///
-/// Bitwise-identical to [`try_ring_allreduce`]: the reduction applies the
-/// same `dst[i] += src[i]` operations in the same element order, only the
-/// wire framing differs (several small packets per step instead of one —
-/// empty chunks send zero packets). Staging buffers come from a small
-/// pool that is refilled with received segments, so steady-state steps
-/// allocate nothing. On `Err` the contents of `buf` are unspecified.
-pub fn try_ring_allreduce_pipelined<C: Comm>(
-    ep: &mut C,
-    buf: &mut [f32],
-    seg_elems: usize,
-) -> Result<(), CommError> {
-    assert!(seg_elems > 0, "segment size must be positive");
-    let _span = recorder::span("ring_allreduce_pipelined", "collective");
-    let world = ep.world();
-    let rank = ep.rank();
-    if world == 1 {
-        return Ok(());
+impl Block for DenseTensor {
+    fn into_packet(self) -> Packet {
+        Packet::Dense(self)
     }
-    let chunks = row_partition(buf.len(), world);
-    let next = (rank + 1) % world;
-    let prev = (rank + world - 1) % world;
-    let max_chunk = chunks.iter().map(|c| c.end - c.start).max().unwrap_or(0);
-    let pool_size = max_chunk.div_ceil(seg_elems).max(1);
-    let mut pool: Vec<DenseTensor> =
-        (0..pool_size).map(|_| DenseTensor::zeros(1, seg_elems.min(max_chunk))).collect();
+    fn try_from_packet(packet: Packet) -> Result<Self, CommError> {
+        packet.try_into_dense()
+    }
+}
 
-    for phase in 0..2 {
-        for step in 0..world - 1 {
-            let (send_c, recv_c) = if phase == 0 {
-                ((rank + world - step) % world, (rank + world - step - 1) % world)
-            } else {
-                ((rank + 1 + world - step) % world, (rank + world - step) % world)
-            };
-            let send = chunks[send_c];
-            for seg_start in (send.start..send.end).step_by(seg_elems) {
-                let seg_end = (seg_start + seg_elems).min(send.end);
-                // Chunk sizes differ by at most one element across ranks,
-                // so the pool can transiently run dry at a segment
-                // boundary; the replacement grows on first use (counted).
-                let mut staging = pool.pop().unwrap_or_else(|| DenseTensor::zeros(0, 0));
-                staging.stage_row(&buf[seg_start..seg_end]);
-                if let Err(e) = ep.try_send(next, Packet::Dense(staging)) {
-                    return fail(ep, e);
-                }
-            }
-            let recv = chunks[recv_c];
-            for seg_start in (recv.start..recv.end).step_by(seg_elems) {
-                let seg_end = (seg_start + seg_elems).min(recv.end);
-                let incoming = match ep.try_recv(prev).and_then(Packet::try_into_dense) {
-                    Ok(d) => d,
-                    Err(e) => return fail(ep, e),
-                };
-                let dst = &mut buf[seg_start..seg_end];
-                if phase == 0 {
-                    kernels::add_assign(dst, incoming.as_slice());
-                } else {
-                    dst.copy_from_slice(incoming.as_slice());
-                }
-                pool.push(incoming);
-            }
-        }
+impl Block for RowSparse {
+    fn into_packet(self) -> Packet {
+        Packet::Sparse(self)
     }
-    Ok(())
+    fn try_from_packet(packet: Packet) -> Result<Self, CommError> {
+        packet.try_into_sparse()
+    }
+}
+
+impl Block for TokenBuf {
+    fn into_packet(self) -> Packet {
+        Packet::Tokens(self)
+    }
+    fn try_from_packet(packet: Packet) -> Result<Self, CommError> {
+        packet.try_into_tokens()
+    }
+}
+
+/// A fan-out exchange in flight: `parts[j]` goes to rank `j`, the result
+/// is indexed by source rank (own block moved across, never sent). Errors
+/// come back raw; the caller owns the abort broadcast.
+pub(crate) struct FanoutMachine<P> {
+    parts: Vec<Option<P>>,
+    out: Vec<Option<P>>,
+    unit: usize,
+}
+
+impl<P: Block> FanoutMachine<P> {
+    pub(crate) fn new<C: Comm>(ep: &C, parts: Vec<P>) -> Self {
+        let world = ep.world();
+        assert_eq!(parts.len(), world, "need one outgoing block per rank");
+        let parts = parts.into_iter().map(Some).collect();
+        FanoutMachine { parts, out: (0..world).map(|_| None).collect(), unit: 0 }
+    }
+
+    fn send<C: Comm>(&mut self, ep: &mut C, to: usize) -> Result<(), CommError> {
+        let block = self.parts[to].take().expect("each peer is sent to once");
+        ep.try_send(to, block.into_packet())
+    }
+
+    fn recv<C: Comm>(&mut self, ep: &mut C, from: usize) -> Result<(), CommError> {
+        self.out[from] = Some(P::try_from_packet(ep.try_recv(from)?)?);
+        Ok(())
+    }
+
+    fn finish(&mut self, rank: usize) -> Vec<P> {
+        self.out[rank] = self.parts[rank].take();
+        let out = std::mem::take(&mut self.out);
+        out.into_iter().map(|b| b.expect("every source delivered its block")).collect()
+    }
+
+    /// The whole exchange in [`schedule::Traversal::Posted`] order.
+    fn run<C: Comm>(mut self, ep: &mut C) -> Result<Vec<P>, CommError> {
+        let (world, rank) = (ep.world(), ep.rank());
+        for to in schedule::fanout_peers(world, rank) {
+            self.send(ep, to)?;
+        }
+        for from in schedule::fanout_sources(world, rank) {
+            self.recv(ep, from)?;
+        }
+        Ok(self.finish(rank))
+    }
+
+    /// One unit of [`schedule::Traversal::Paired`] order (requires
+    /// `world > 1`); `Some(result)` once the last unit has run.
+    pub(crate) fn step<C: Comm>(&mut self, ep: &mut C) -> Result<Option<Vec<P>>, CommError> {
+        let (world, rank) = (ep.world(), ep.rank());
+        let (to, from) =
+            schedule::fanout_pairs(world, rank).nth(self.unit).expect("stepped past the last unit");
+        self.send(ep, to)?;
+        self.recv(ep, from)?;
+        self.unit += 1;
+        Ok((self.unit == world - 1).then(|| self.finish(rank)))
+    }
+}
+
+/// Run a whole fan-out under its span, broadcasting an abort on failure.
+fn fanout<C: Comm, P: Block>(ep: &mut C, name: &str, parts: Vec<P>) -> Result<Vec<P>, CommError> {
+    let _span = recorder::span(name, "collective");
+    FanoutMachine::new(ep, parts).run(ep).or_else(|e| fail(ep, e))
 }
 
 /// AllGather of per-rank dense tensors; returns all ranks' tensors in rank
@@ -308,29 +339,9 @@ pub fn try_allgather_dense<C: Comm>(
     ep: &mut C,
     local: DenseTensor,
 ) -> Result<Vec<DenseTensor>, CommError> {
-    let _span = recorder::span("allgather_dense", "collective");
-    let world = ep.world();
-    let rank = ep.rank();
-    // Fan-out sends share one buffer (O(1) Arc bumps, 0 copied bytes).
-    for dst in 0..world {
-        if dst != rank {
-            if let Err(e) = ep.try_send(dst, Packet::Dense(local.share())) {
-                return fail(ep, e);
-            }
-        }
-    }
-    let mut out = Vec::with_capacity(world);
-    for src in 0..world {
-        if src != rank {
-            match ep.try_recv(src).and_then(Packet::try_into_dense) {
-                Ok(d) => out.push(d),
-                Err(e) => return fail(ep, e),
-            }
-        }
-    }
-    // Move the local contribution into its rank slot last — no clone.
-    out.insert(rank, local);
-    Ok(out)
+    // An alltoall whose blocks all share one buffer: O(1) `Arc` bumps,
+    // zero payload bytes copied.
+    fanout(ep, "allgather_dense", (0..ep.world()).map(|_| local.share()).collect())
 }
 
 /// AllGather of row-sparse gradients — Horovod's sparse aggregation path
@@ -346,29 +357,7 @@ pub fn try_allgather_sparse<C: Comm>(
     ep: &mut C,
     local: RowSparse,
 ) -> Result<Vec<RowSparse>, CommError> {
-    let _span = recorder::span("allgather_sparse", "collective");
-    let world = ep.world();
-    let rank = ep.rank();
-    // Fan-out sends share one buffer (O(1) Arc bumps, 0 copied bytes).
-    for dst in 0..world {
-        if dst != rank {
-            if let Err(e) = ep.try_send(dst, Packet::Sparse(local.share())) {
-                return fail(ep, e);
-            }
-        }
-    }
-    let mut out = Vec::with_capacity(world);
-    for src in 0..world {
-        if src != rank {
-            match ep.try_recv(src).and_then(Packet::try_into_sparse) {
-                Ok(s) => out.push(s),
-                Err(e) => return fail(ep, e),
-            }
-        }
-    }
-    // Move the local contribution into its rank slot last — no clone.
-    out.insert(rank, local);
-    Ok(out)
+    fanout(ep, "allgather_sparse", (0..ep.world()).map(|_| local.share()).collect())
 }
 
 /// AllGather of token-id batches; feeds `D_cur` in Algorithm 1 (every rank
@@ -382,31 +371,8 @@ pub fn try_allgather_tokens<C: Comm>(
     ep: &mut C,
     local: Vec<u32>,
 ) -> Result<Vec<TokenBuf>, CommError> {
-    let _span = recorder::span("allgather_tokens", "collective");
-    let world = ep.world();
-    let rank = ep.rank();
-    // One Arc-backed buffer fans out to every link: N−1 sends, zero
-    // payload bytes copied.
-    let local: TokenBuf = local.into();
-    for dst in 0..world {
-        if dst != rank {
-            if let Err(e) = ep.try_send(dst, Packet::Tokens(local.share())) {
-                return fail(ep, e);
-            }
-        }
-    }
-    let mut out = Vec::with_capacity(world);
-    for src in 0..world {
-        if src != rank {
-            match ep.try_recv(src).and_then(Packet::try_into_tokens) {
-                Ok(t) => out.push(t),
-                Err(e) => return fail(ep, e),
-            }
-        }
-    }
-    // Move the local handle into its rank slot last — no clone.
-    out.insert(rank, local);
-    Ok(out)
+    let local = TokenBuf::from(local);
+    fanout(ep, "allgather_tokens", (0..ep.world()).map(|_| local.share()).collect())
 }
 
 /// AlltoAllv of token batches: `parts[j]` goes to rank `j`; returns the
@@ -421,32 +387,9 @@ pub fn alltoallv_tokens<C: Comm>(ep: &mut C, parts: Vec<TokenBuf>) -> Vec<TokenB
 /// Fallible [`alltoallv_tokens`].
 pub fn try_alltoallv_tokens<C: Comm>(
     ep: &mut C,
-    mut parts: Vec<TokenBuf>,
+    parts: Vec<TokenBuf>,
 ) -> Result<Vec<TokenBuf>, CommError> {
-    let _span = recorder::span("alltoallv_tokens", "collective");
-    let world = ep.world();
-    let rank = ep.rank();
-    assert_eq!(parts.len(), world, "need one outgoing batch per rank");
-    // Send in a rotated order so no rank is flooded first.
-    for off in 1..world {
-        let dst = (rank + off) % world;
-        let batch = std::mem::replace(&mut parts[dst], TokenBuf::from(Vec::new()));
-        if let Err(e) = ep.try_send(dst, Packet::Tokens(batch)) {
-            return fail(ep, e);
-        }
-    }
-    let mut out = Vec::with_capacity(world);
-    for src in 0..world {
-        if src == rank {
-            out.push(std::mem::replace(&mut parts[rank], TokenBuf::from(Vec::new())));
-        } else {
-            match ep.try_recv(src).and_then(Packet::try_into_tokens) {
-                Ok(t) => out.push(t),
-                Err(e) => return fail(ep, e),
-            }
-        }
-    }
-    Ok(out)
+    fanout(ep, "alltoallv_tokens", parts)
 }
 
 /// AlltoAll of dense blocks: `parts[j]` goes to rank `j`; returns the
@@ -459,32 +402,9 @@ pub fn alltoall_dense<C: Comm>(ep: &mut C, parts: Vec<DenseTensor>) -> Vec<Dense
 /// Fallible [`alltoall_dense`].
 pub fn try_alltoall_dense<C: Comm>(
     ep: &mut C,
-    mut parts: Vec<DenseTensor>,
+    parts: Vec<DenseTensor>,
 ) -> Result<Vec<DenseTensor>, CommError> {
-    let _span = recorder::span("alltoall_dense", "collective");
-    let world = ep.world();
-    let rank = ep.rank();
-    assert_eq!(parts.len(), world, "need one outgoing block per rank");
-    // Send in a rotated order so no rank is flooded first.
-    for off in 1..world {
-        let dst = (rank + off) % world;
-        let block = std::mem::replace(&mut parts[dst], DenseTensor::zeros(0, 0));
-        if let Err(e) = ep.try_send(dst, Packet::Dense(block)) {
-            return fail(ep, e);
-        }
-    }
-    let mut out = Vec::with_capacity(world);
-    for src in 0..world {
-        if src == rank {
-            out.push(std::mem::replace(&mut parts[rank], DenseTensor::zeros(0, 0)));
-        } else {
-            match ep.try_recv(src).and_then(Packet::try_into_dense) {
-                Ok(d) => out.push(d),
-                Err(e) => return fail(ep, e),
-            }
-        }
-    }
-    Ok(out)
+    fanout(ep, "alltoall_dense", parts)
 }
 
 /// AlltoAllv of row-sparse blocks: `parts[j]` goes to rank `j`. This is
@@ -496,32 +416,9 @@ pub fn alltoallv_sparse<C: Comm>(ep: &mut C, parts: Vec<RowSparse>) -> Vec<RowSp
 /// Fallible [`alltoallv_sparse`].
 pub fn try_alltoallv_sparse<C: Comm>(
     ep: &mut C,
-    mut parts: Vec<RowSparse>,
+    parts: Vec<RowSparse>,
 ) -> Result<Vec<RowSparse>, CommError> {
-    let _span = recorder::span("alltoallv_sparse", "collective");
-    let world = ep.world();
-    let rank = ep.rank();
-    assert_eq!(parts.len(), world, "need one outgoing block per rank");
-    let dim0 = parts[rank].dim();
-    for off in 1..world {
-        let dst = (rank + off) % world;
-        let block = std::mem::replace(&mut parts[dst], RowSparse::empty(dim0));
-        if let Err(e) = ep.try_send(dst, Packet::Sparse(block)) {
-            return fail(ep, e);
-        }
-    }
-    let mut out = Vec::with_capacity(world);
-    for src in 0..world {
-        if src == rank {
-            out.push(std::mem::replace(&mut parts[rank], RowSparse::empty(dim0)));
-        } else {
-            match ep.try_recv(src).and_then(Packet::try_into_sparse) {
-                Ok(s) => out.push(s),
-                Err(e) => return fail(ep, e),
-            }
-        }
-    }
-    Ok(out)
+    fanout(ep, "alltoallv_sparse", parts)
 }
 
 /// Configuration of the sparse-native allreduce ([`sparse_allreduce`]).
@@ -563,15 +460,6 @@ impl SparseReduced {
     pub fn is_dense(&self) -> bool {
         matches!(self, SparseReduced::Dense(_))
     }
-}
-
-/// Largest power of two `<= n` (requires `n >= 1`).
-fn prev_pow2(n: usize) -> usize {
-    let mut p = 1;
-    while p * 2 <= n {
-        p *= 2;
-    }
-    p
 }
 
 /// Representation rule: densify a freshly merged stream when its row
@@ -896,75 +784,104 @@ mod tests {
         }
     }
 
+    /// Drive a [`RingMachine`] over `seg`-element units to completion,
+    /// staging into `spare` first and leaving its buffers there after.
+    fn stepped_ring(
+        ep: &mut crate::Endpoint,
+        buf: &mut [f32],
+        seg: usize,
+        spare: &mut Vec<DenseTensor>,
+    ) {
+        let ring = Ring::new(ep.world(), ep.rank(), buf.len(), seg);
+        let mut m = RingMachine::new(ring, std::mem::take(spare));
+        while !m.done() {
+            m.step(ep, buf).expect("fault-free mesh");
+        }
+        *spare = m.into_spare();
+    }
+
     #[test]
-    fn ring_allreduce_steady_state_allocates_once_per_call() {
-        // The scratch buffer circulates: per call exactly one staging
-        // allocation, independent of world size, step count and payload
-        // length — i.e. zero heap allocations per ring *step*.
+    fn ring_steady_state_allocates_per_call_not_per_step() {
+        // Received buffers circulate, so a call allocates only what its
+        // step-0 sends stage into, independent of world size, step count
+        // and payload length: one buffer for the whole-op ring, one per
+        // segment for a stepped ring starting cold — and nothing at all
+        // for a stepped ring handed its predecessor's buffers, which is
+        // how the comm thread runs them.
         for world in [2, 4, 8] {
-            let calls = 3u64;
-            let counts = run_group(world, move |rank, ep| {
-                let mut buf = vec![rank as f32; 4096];
-                ring_allreduce(ep, &mut buf); // warm-up outside the window
-                barrier(ep);
-                embrace_tensor::alloc_counter::reset();
-                for _ in 0..calls {
-                    ring_allreduce(ep, &mut buf);
+            for (seg, handoff) in [(None, false), (Some(64), false), (Some(64), true)] {
+                let calls = 3u64;
+                let counts = run_group(world, move |rank, ep| {
+                    let mut buf = vec![rank as f32; 4096];
+                    let mut spare = Vec::new();
+                    let mut run = |ep: &mut crate::Endpoint, buf: &mut [f32]| match seg {
+                        None => ring_allreduce(ep, buf),
+                        Some(seg) => {
+                            stepped_ring(ep, buf, seg, &mut spare);
+                            if !handoff {
+                                spare.clear();
+                            }
+                        }
+                    };
+                    run(ep, &mut buf); // warm-up outside the window
+                    barrier(ep);
+                    embrace_tensor::alloc_counter::reset();
+                    for _ in 0..calls {
+                        run(ep, &mut buf);
+                    }
+                    embrace_tensor::alloc_counter::events()
+                });
+                let per_call = match (seg, handoff) {
+                    (None, _) => 1,
+                    (Some(seg), false) => (4096 / world).div_ceil(seg) as u64,
+                    (Some(_), true) => 0,
+                };
+                for (rank, events) in counts.into_iter().enumerate() {
+                    assert_eq!(
+                        events,
+                        calls * per_call,
+                        "world={world} seg={seg:?} handoff={handoff} rank={rank}"
+                    );
                 }
-                embrace_tensor::alloc_counter::events()
-            });
-            for (rank, events) in counts.into_iter().enumerate() {
-                assert_eq!(
-                    events, calls,
-                    "world={world} rank={rank}: expected one scratch allocation per call"
-                );
             }
         }
     }
 
     #[test]
-    fn pipelined_ring_matches_unsegmented_bitwise() {
-        for world in [2, 3, 4, 5] {
+    fn unit_stepped_ring_matches_whole_op_and_serial_fold_bitwise() {
+        // The ring folds chunk c over ranks c, c+1, …, c+N−1 (mod N); f32
+        // `+` is commutative, so that left fold is the exact bit pattern
+        // both the whole-op and every segmentation of it must produce.
+        for world in [1, 2, 3, 4, 5] {
             for len in [0, 1, 7, 64, 257] {
-                for seg in [1, 3, 16, 1024] {
-                    let mk = move |rank: usize| -> Vec<f32> {
-                        (0..len).map(|i| ((rank * 31 + i) as f32).sin()).collect()
-                    };
-                    let plain = run_group(world, move |rank, ep| {
+                let mk = move |rank: usize| -> Vec<f32> {
+                    (0..len).map(|i| ((rank * 31 + i) as f32).sin()).collect()
+                };
+                let inputs: Vec<Vec<f32>> = (0..world).map(mk).collect();
+                let mut serial = vec![0.0f32; len];
+                for (c, chunk) in embrace_tensor::row_partition(len, world).iter().enumerate() {
+                    for (i, sum) in serial.iter_mut().enumerate().take(chunk.end).skip(chunk.start)
+                    {
+                        *sum = (1..world)
+                            .fold(inputs[c][i], |acc, k| acc + inputs[(c + k) % world][i]);
+                    }
+                }
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let max_chunk = len.div_ceil(world).max(1);
+                for seg in [None, Some(1), Some(3), Some(max_chunk), Some(len + 1)] {
+                    let out = run_group(world, move |rank, ep| {
                         let mut buf = mk(rank);
-                        ring_allreduce(ep, &mut buf);
+                        match seg {
+                            None => ring_allreduce(ep, &mut buf),
+                            Some(seg) => stepped_ring(ep, &mut buf, seg, &mut Vec::new()),
+                        }
                         buf
                     });
-                    let piped = run_group(world, move |rank, ep| {
-                        let mut buf = mk(rank);
-                        ring_allreduce_pipelined(ep, &mut buf, seg);
-                        buf
-                    });
-                    // Bitwise, not approximate: identical add order.
-                    for (p, q) in plain.iter().zip(&piped) {
-                        let pb: Vec<u32> = p.iter().map(|x| x.to_bits()).collect();
-                        let qb: Vec<u32> = q.iter().map(|x| x.to_bits()).collect();
-                        assert_eq!(pb, qb, "world={world} len={len} seg={seg}");
+                    for got in &out {
+                        assert_eq!(bits(got), bits(&serial), "world={world} len={len} seg={seg:?}");
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn pipelined_ring_steady_state_reuses_pool() {
-        let out = run_group(4, |rank, ep| {
-            let mut buf = vec![rank as f32; 4096];
-            ring_allreduce_pipelined(ep, &mut buf, 256); // warm-up
-            barrier(ep);
-            embrace_tensor::alloc_counter::reset();
-            ring_allreduce_pipelined(ep, &mut buf, 256);
-            embrace_tensor::alloc_counter::events()
-        });
-        // Per call: the pool (⌈1024/256⌉ = 4 buffers) is allocated once;
-        // no per-step or per-segment allocations on top.
-        for events in out {
-            assert!(events <= 5, "pool should be the only allocation, saw {events} events");
         }
     }
 
@@ -1142,38 +1059,6 @@ mod tests {
                     assert_eq!(bits(&ch.0), bits(&sl.0), "world={world} rank={rank}");
                     assert_eq!((ch.1, ch.2), (sl.1, sl.2), "world={world} rank={rank}");
                 }
-            }
-        }
-
-        /// Pipelined ring over slots: deep in-flight windows may overflow
-        /// the slot pool, but every overflow is *counted* as a rendezvous
-        /// and the result stays bitwise-equal to the channel path.
-        #[test]
-        fn pipelined_ring_over_slots_matches_and_counts_overflow() {
-            let world = 4;
-            let mk = move |rank: usize| -> Vec<f32> {
-                (0..301).map(|i| ((rank * 17 + i) as f32).cos()).collect()
-            };
-            let over_channels = run_group(world, move |rank, ep| {
-                let mut buf = mk(rank);
-                ring_allreduce_pipelined(ep, &mut buf, 2);
-                buf
-            });
-            let over_slots = run_group_on(slot_mesh(world), move |rank, ep| {
-                let mut buf = mk(rank);
-                ring_allreduce_pipelined(ep, &mut buf, 2);
-                let overflow = ep.control_msgs();
-                (buf, overflow, ep.msgs_sent())
-            });
-            for (rank, (ch, (sl, overflow, sent))) in
-                over_channels.iter().zip(&over_slots).enumerate()
-            {
-                assert_eq!(ch, sl, "world={world} rank={rank}");
-                // 301 elems / 4 ranks / seg 2 = ~38 segments per step:
-                // far past SLOT_CAPACITY, so the fallback must have fired
-                // — and never more often than there were messages.
-                assert!(*overflow > 0, "rank={rank}: expected counted rendezvous");
-                assert!(overflow <= sent, "rank={rank}: overflow exceeds sends");
             }
         }
 

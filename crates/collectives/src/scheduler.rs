@@ -14,9 +14,9 @@
 //! controller re-consults its priority queue between units. A strictly
 //! more urgent submission preempts the op already on the wire; its
 //! remaining units resume afterwards, and the chunked result is
-//! bitwise-identical to unchunked execution (same per-element reduce
-//! order, same wire framing per link as
-//! [`crate::ops::try_ring_allreduce_pipelined`]).
+//! bitwise-identical to unchunked execution: both run the same
+//! [`crate::ops`] machines over the same [`crate::schedule`], whole ops to
+//! completion and chunked ops one unit at a time.
 //!
 //! Collectives are SPMD: an operation only completes when *every* rank's
 //! thread reaches it. Correctness therefore requires all ranks to enqueue
@@ -43,12 +43,14 @@
 //!   control token, never conflated with either.
 
 use crate::ops::{
-    allgather_tokens, alltoall_dense, alltoallv_sparse, fail, ring_allreduce, try_allgather_tokens,
+    fail, try_allgather_tokens, try_alltoall_dense, try_alltoallv_sparse, try_ring_allreduce,
+    FanoutMachine, RingMachine,
 };
+use crate::schedule::Ring;
 use crate::transport::{CommError, Endpoint, Packet};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use embrace_obs::{ClockDomain, Metrics, SpanSet, TrackId, WallClock};
-use embrace_tensor::{row_partition, DenseTensor, RowSparse, TokenBuf, F32_BYTES};
+use embrace_tensor::{DenseTensor, RowSparse, TokenBuf, F32_BYTES};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -448,39 +450,35 @@ fn recv_ctrl(ep: &mut Endpoint) -> Result<Ctrl, CommError> {
 // ---------------------------------------------------------------------------
 
 /// A collective in flight, executed one *unit* at a time so the
-/// controller can preempt between units. Ring units are `seg_elems`-f32
-/// segments laid out exactly like `try_ring_allreduce_pipelined`'s (same
-/// wire framing per link, same per-element reduce order — bitwise
-/// identical to unchunked). Fan-out units are one peer's block: unit `u`
-/// sends to `(rank+u+1) % world` and receives from
-/// `(rank+world-u-1) % world`, so on every link the sender's and
-/// receiver's unit indices agree and each unit sends before it receives —
-/// deadlock-free without barriers.
+/// controller can preempt between units: the [`crate::ops`] machines,
+/// stepped instead of run to completion. Ring units are `seg_elems`-f32
+/// segments; fan-out units are one send plus one receive in
+/// [`crate::schedule::Traversal::Paired`] order.
 enum ChunkedExec {
-    Ring { buf: Vec<f32>, seg_elems: usize, unit: usize, pool: Vec<DenseTensor> },
-    Dense { parts: Vec<DenseTensor>, out: Vec<DenseTensor>, unit: usize },
-    Sparse { parts: Vec<RowSparse>, out: Vec<RowSparse>, dim0: usize, unit: usize },
-    Tokens { local: TokenBuf, out: Vec<TokenBuf>, unit: usize },
+    Ring(RingMachine, Vec<f32>),
+    Dense(FanoutMachine<DenseTensor>),
+    Sparse(FanoutMachine<RowSparse>),
+    Tokens(FanoutMachine<TokenBuf>),
 }
 
 impl ChunkedExec {
-    fn new(op: CommOp, rank: usize, world: usize, seg_elems: usize) -> Result<Self, CommError> {
+    fn new(
+        op: CommOp,
+        ep: &Endpoint,
+        seg_elems: usize,
+        spare: &mut Vec<DenseTensor>,
+    ) -> Result<Self, CommError> {
         match op {
             CommOp::AllReduceDense(buf) => {
-                Ok(ChunkedExec::Ring { buf, seg_elems, unit: 0, pool: Vec::new() })
+                let ring = Ring::new(ep.world(), ep.rank(), buf.len(), seg_elems);
+                Ok(ChunkedExec::Ring(RingMachine::new(ring, std::mem::take(spare)), buf))
             }
-            CommOp::AlltoAllDense(parts) => {
-                let out = (0..world).map(|_| DenseTensor::zeros(0, 0)).collect();
-                Ok(ChunkedExec::Dense { parts, out, unit: 0 })
-            }
-            CommOp::AlltoAllSparse(parts) => {
-                let dim0 = parts[rank].dim();
-                let out = (0..world).map(|_| RowSparse::empty(dim0)).collect();
-                Ok(ChunkedExec::Sparse { parts, out, dim0, unit: 0 })
-            }
+            CommOp::AlltoAllDense(parts) => Ok(ChunkedExec::Dense(FanoutMachine::new(ep, parts))),
+            CommOp::AlltoAllSparse(parts) => Ok(ChunkedExec::Sparse(FanoutMachine::new(ep, parts))),
             CommOp::GatherTokens(local) => {
-                let out = vec![TokenBuf::from(Vec::new()); world];
-                Ok(ChunkedExec::Tokens { local: local.into(), out, unit: 0 })
+                let local = TokenBuf::from(local);
+                let parts = (0..ep.world()).map(|_| local.share()).collect();
+                Ok(ChunkedExec::Tokens(FanoutMachine::new(ep, parts)))
             }
             CommOp::Flush => Err(CommError::Protocol {
                 expected: "a chunkable collective",
@@ -492,117 +490,15 @@ impl ChunkedExec {
     /// Execute one unit. `Ok(None)` means the op yielded (more units
     /// remain); `Ok(Some(result))` means the last unit just ran.
     fn advance(&mut self, ep: &mut Endpoint) -> Result<Option<CommResult>, CommError> {
-        let world = ep.world();
-        let rank = ep.rank();
-        match self {
-            ChunkedExec::Ring { buf, seg_elems, unit, pool } => {
-                let chunks = row_partition(buf.len(), world);
-                let max_chunk = chunks.iter().map(|c| c.end - c.start).max().unwrap_or(0);
-                let units_per_step = max_chunk.div_ceil(*seg_elems).max(1);
-                let total = 2 * (world - 1) * units_per_step;
-                let step = *unit / units_per_step;
-                let i = *unit % units_per_step;
-                let next = (rank + 1) % world;
-                let prev = (rank + world - 1) % world;
-                let (phase, s) = (step / (world - 1), step % (world - 1));
-                let (send_c, recv_c) = if phase == 0 {
-                    ((rank + world - s) % world, (rank + world - s - 1) % world)
-                } else {
-                    ((rank + 1 + world - s) % world, (rank + world - s) % world)
-                };
-                // My recv chunk is my predecessor's send chunk, so the
-                // segment-vs-unit occupancy below agrees on both ends of
-                // every link even when chunk sizes differ by one element.
-                let send = chunks[send_c];
-                let lo = send.start + i * *seg_elems;
-                if lo < send.end {
-                    let hi = (lo + *seg_elems).min(send.end);
-                    let mut staging = pool.pop().unwrap_or_else(|| DenseTensor::zeros(0, 0));
-                    staging.stage_row(&buf[lo..hi]);
-                    if let Err(e) = ep.try_send(next, Packet::Dense(staging)) {
-                        return fail(ep, e);
-                    }
-                }
-                let recv = chunks[recv_c];
-                let rlo = recv.start + i * *seg_elems;
-                if rlo < recv.end {
-                    let rhi = (rlo + *seg_elems).min(recv.end);
-                    let incoming = match ep.try_recv(prev).and_then(Packet::try_into_dense) {
-                        Ok(d) => d,
-                        Err(e) => return fail(ep, e),
-                    };
-                    let dst = &mut buf[rlo..rhi];
-                    if phase == 0 {
-                        embrace_tensor::kernels::add_assign(dst, incoming.as_slice());
-                    } else {
-                        dst.copy_from_slice(incoming.as_slice());
-                    }
-                    pool.push(incoming);
-                }
-                *unit += 1;
-                if *unit == total {
-                    Ok(Some(CommResult::AllReduceDense(std::mem::take(buf))))
-                } else {
-                    Ok(None)
-                }
-            }
-            ChunkedExec::Dense { parts, out, unit } => {
-                let dst = (rank + *unit + 1) % world;
-                let block = std::mem::replace(&mut parts[dst], DenseTensor::zeros(0, 0));
-                if let Err(e) = ep.try_send(dst, Packet::Dense(block)) {
-                    return fail(ep, e);
-                }
-                let src = (rank + world - *unit - 1) % world;
-                match ep.try_recv(src).and_then(Packet::try_into_dense) {
-                    Ok(d) => out[src] = d,
-                    Err(e) => return fail(ep, e),
-                }
-                *unit += 1;
-                if *unit == world - 1 {
-                    out[rank] = std::mem::replace(&mut parts[rank], DenseTensor::zeros(0, 0));
-                    Ok(Some(CommResult::AlltoAllDense(std::mem::take(out))))
-                } else {
-                    Ok(None)
-                }
-            }
-            ChunkedExec::Sparse { parts, out, dim0, unit } => {
-                let dst = (rank + *unit + 1) % world;
-                let block = std::mem::replace(&mut parts[dst], RowSparse::empty(*dim0));
-                if let Err(e) = ep.try_send(dst, Packet::Sparse(block)) {
-                    return fail(ep, e);
-                }
-                let src = (rank + world - *unit - 1) % world;
-                match ep.try_recv(src).and_then(Packet::try_into_sparse) {
-                    Ok(p) => out[src] = p,
-                    Err(e) => return fail(ep, e),
-                }
-                *unit += 1;
-                if *unit == world - 1 {
-                    out[rank] = std::mem::replace(&mut parts[rank], RowSparse::empty(*dim0));
-                    Ok(Some(CommResult::AlltoAllSparse(std::mem::take(out))))
-                } else {
-                    Ok(None)
-                }
-            }
-            ChunkedExec::Tokens { local, out, unit } => {
-                let dst = (rank + *unit + 1) % world;
-                if let Err(e) = ep.try_send(dst, Packet::Tokens(local.share())) {
-                    return fail(ep, e);
-                }
-                let src = (rank + world - *unit - 1) % world;
-                match ep.try_recv(src).and_then(Packet::try_into_tokens) {
-                    Ok(t) => out[src] = t,
-                    Err(e) => return fail(ep, e),
-                }
-                *unit += 1;
-                if *unit == world - 1 {
-                    out[rank] = std::mem::replace(local, TokenBuf::from(Vec::new()));
-                    Ok(Some(CommResult::GatherTokens(std::mem::take(out))))
-                } else {
-                    Ok(None)
-                }
-            }
-        }
+        let stepped = match self {
+            ChunkedExec::Ring(machine, buf) => machine
+                .step(ep, buf)
+                .map(|()| machine.done().then(|| CommResult::AllReduceDense(std::mem::take(buf)))),
+            ChunkedExec::Dense(m) => m.step(ep).map(|out| out.map(CommResult::AlltoAllDense)),
+            ChunkedExec::Sparse(m) => m.step(ep).map(|out| out.map(CommResult::AlltoAllSparse)),
+            ChunkedExec::Tokens(m) => m.step(ep).map(|out| out.map(CommResult::GatherTokens)),
+        };
+        stepped.or_else(|e| fail(ep, e))
     }
 }
 
@@ -638,6 +534,8 @@ fn comm_thread(ep: &mut Endpoint, rx: &Receiver<Msg>, obs: Obs, chunk_bytes: Opt
     use embrace_dlsim_queue_shim::StablePriorityQueue;
     let mut queue: StablePriorityQueue<Job> = StablePriorityQueue::new();
     let mut stack: Vec<Exec> = Vec::new();
+    // Staging buffers the last finished chunked ring hands the next one.
+    let mut spare: Vec<DenseTensor> = Vec::new();
     if ep.rank() == 0 {
         let mut open = true;
         loop {
@@ -655,13 +553,13 @@ fn comm_thread(ep: &mut Endpoint, rx: &Receiver<Msg>, obs: Obs, chunk_bytes: Opt
                         Some(popped) => popped,
                         None => continue,
                     };
-                    start_job(ep, job, chunk_bytes, &obs, &mut stack)
+                    start_job(ep, job, chunk_bytes, &obs, &mut stack, &mut spare)
                 } else {
                     broadcast_ctrl(ep, &Ctrl::Next);
-                    step_top(ep, &mut stack, &obs)
+                    step_top(ep, &mut stack, &mut spare, &obs)
                 }
             } else if let Some((_, job)) = queue.pop() {
-                start_job(ep, job, chunk_bytes, &obs, &mut stack)
+                start_job(ep, job, chunk_bytes, &obs, &mut stack, &mut spare)
             } else if !open {
                 broadcast_ctrl(ep, &Ctrl::Shutdown);
                 return;
@@ -695,13 +593,14 @@ fn comm_thread(ep: &mut Endpoint, rx: &Receiver<Msg>, obs: Obs, chunk_bytes: Opt
                     fail_all(stack, queue, rx, &CommError::Aborted { origin: 0 });
                     return;
                 }
-                Ok(Ctrl::Run(tag)) => wait_for_job(ep, &mut queue, rx, &tag, &mut local_open)
+                Ok(Ctrl::Run(tag)) => wait_for_job(&mut queue, rx, &tag, &mut local_open)
                     .and_then(|job| execute(ep, job, &obs)),
                 Ok(Ctrl::Start { tag, seg_elems }) => {
-                    wait_for_job(ep, &mut queue, rx, &tag, &mut local_open)
-                        .and_then(|job| begin_chunked(ep, job, seg_elems, &obs, &mut stack))
+                    wait_for_job(&mut queue, rx, &tag, &mut local_open).and_then(|job| {
+                        begin_chunked(ep, job, seg_elems, &obs, &mut stack, &mut spare)
+                    })
                 }
-                Ok(Ctrl::Next) => step_top(ep, &mut stack, &obs),
+                Ok(Ctrl::Next) => step_top(ep, &mut stack, &mut spare, &obs),
                 Err(err) => Err(err),
             };
             if let Err(err) = step {
@@ -739,7 +638,6 @@ fn fail_all(
 /// an unmatched tag is a divergence: a typed `Protocol` failure, not a
 /// panic and not an indefinite block.
 fn wait_for_job(
-    ep: &Endpoint,
     queue: &mut embrace_dlsim_queue_shim::StablePriorityQueue<Job>,
     rx: &Receiver<Msg>,
     tag: &str,
@@ -750,7 +648,6 @@ fn wait_for_job(
             return Ok(job);
         }
         if !*local_open {
-            let _ = ep;
             return Err(CommError::Protocol {
                 expected: "a locally submitted job matching the controller's tag",
                 got: "an orphan tag after local shutdown (divergent enqueue)",
@@ -776,6 +673,7 @@ fn start_job(
     chunk_bytes: Option<usize>,
     obs: &Obs,
     stack: &mut Vec<Exec>,
+    spare: &mut Vec<DenseTensor>,
 ) -> Result<(), CommError> {
     let chunked = chunk_bytes.is_some_and(|cb| {
         ep.world() > 1 && !matches!(job.op, CommOp::Flush) && job.op.payload_bytes() > cb as u64
@@ -784,7 +682,7 @@ fn start_job(
         let cb = chunk_bytes.unwrap_or(DEFAULT_CHUNK_BYTES);
         let seg_elems = (cb / F32_BYTES).max(1);
         broadcast_ctrl(ep, &Ctrl::Start { tag: job.tag.clone(), seg_elems });
-        begin_chunked(ep, job, seg_elems, obs, stack)
+        begin_chunked(ep, job, seg_elems, obs, stack, spare)
     } else {
         broadcast_ctrl(ep, &Ctrl::Run(job.tag.clone()));
         execute(ep, job, obs)
@@ -799,6 +697,7 @@ fn begin_chunked(
     seg_elems: usize,
     obs: &Obs,
     stack: &mut Vec<Exec>,
+    spare: &mut Vec<DenseTensor>,
 ) -> Result<(), CommError> {
     let win = obs.as_ref().map(|o| {
         let g = o.lock();
@@ -811,7 +710,7 @@ fn begin_chunked(
     let Job { priority, tag, op, done, .. } = job;
     let kind = op.kind_str();
     let bytes = op.payload_bytes();
-    let machine = match ChunkedExec::new(op, ep.rank(), ep.world(), seg_elems) {
+    let machine = match ChunkedExec::new(op, ep, seg_elems, spare) {
         Ok(m) => m,
         Err(err) => {
             let _ = done.send(CommResult::Failed(err.clone()));
@@ -826,7 +725,12 @@ fn begin_chunked(
 /// span and — on the op's last unit — its op-level span, timing, and
 /// result. A `Next` with an empty stack is a protocol divergence, typed
 /// rather than panicked.
-fn step_top(ep: &mut Endpoint, stack: &mut Vec<Exec>, obs: &Obs) -> Result<(), CommError> {
+fn step_top(
+    ep: &mut Endpoint,
+    stack: &mut Vec<Exec>,
+    spare: &mut Vec<DenseTensor>,
+    obs: &Obs,
+) -> Result<(), CommError> {
     if stack.is_empty() {
         return Err(CommError::Protocol {
             expected: "an in-progress chunked collective to resume",
@@ -870,6 +774,9 @@ fn step_top(ep: &mut Endpoint, stack: &mut Vec<Exec>, obs: &Obs) -> Result<(), C
             });
         }
         let _ = finished.done.send(result);
+        if let ChunkedExec::Ring(machine, _) = finished.machine {
+            spare.extend(machine.into_spare());
+        }
     }
     Ok(())
 }
@@ -900,13 +807,25 @@ fn execute(ep: &mut Endpoint, job: Job, obs: &Obs) -> Result<(), CommError> {
     }
     let result = match job.op {
         CommOp::AllReduceDense(mut buf) => {
-            ring_allreduce(ep, &mut buf);
-            CommResult::AllReduceDense(buf)
+            try_ring_allreduce(ep, &mut buf).map(|()| CommResult::AllReduceDense(buf))
         }
-        CommOp::AlltoAllDense(parts) => CommResult::AlltoAllDense(alltoall_dense(ep, parts)),
-        CommOp::AlltoAllSparse(parts) => CommResult::AlltoAllSparse(alltoallv_sparse(ep, parts)),
-        CommOp::GatherTokens(tokens) => CommResult::GatherTokens(allgather_tokens(ep, tokens)),
-        CommOp::Flush => CommResult::Flush,
+        CommOp::AlltoAllDense(parts) => {
+            try_alltoall_dense(ep, parts).map(CommResult::AlltoAllDense)
+        }
+        CommOp::AlltoAllSparse(parts) => {
+            try_alltoallv_sparse(ep, parts).map(CommResult::AlltoAllSparse)
+        }
+        CommOp::GatherTokens(tokens) => {
+            try_allgather_tokens(ep, tokens).map(CommResult::GatherTokens)
+        }
+        CommOp::Flush => Ok(CommResult::Flush),
+    };
+    let result = match result {
+        Ok(result) => result,
+        Err(err) => {
+            let _ = job.done.send(CommResult::Failed(err.clone()));
+            return Err(err);
+        }
     };
     if let (Some(o), Some((submitted_s, started_s, tag, kind, priority, bytes))) =
         (obs.as_ref(), timing)
@@ -1466,6 +1385,48 @@ mod abort_contract_tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn peer_crash_inside_a_whole_op_fails_typed_with_the_real_cause() {
+        // The last rank's endpoint tears down at the ring's first send (its
+        // earlier sends are the fingerprint round), on a scheduler that
+        // runs ops whole. Every waiter must see the real cause — the
+        // victim its own injection, survivors the peer they lost or the
+        // abort of whoever noticed first — never a panicked comm thread's
+        // `Aborted { origin: <own rank> }`. The op queued behind fails
+        // typed too (with the same cause, or the closed-channel abort if
+        // it lost the race against the comm thread's exit).
+        for world in 2..=3 {
+            let victim = world - 1;
+            let plan = FaultPlan::new(23).crash_rank_at_op(victim, (world - 1) as u64);
+            let mut scheds: Vec<CommScheduler> =
+                mesh_with_faults(world, &plan, Some(Duration::from_millis(250)))
+                    .into_iter()
+                    .map(CommScheduler::spawn)
+                    .collect();
+            std::thread::scope(|sc| {
+                for (rank, s) in scheds.iter_mut().enumerate() {
+                    sc.spawn(move || {
+                        let ar = s.submit(0, "ar", CommOp::AllReduceDense(vec![1.0; 64]));
+                        let behind = s.submit(5, "behind", CommOp::GatherTokens(vec![7]));
+                        let CommResult::Failed(err) = ar.wait() else {
+                            panic!("world {world} rank {rank}: allreduce survived the crash")
+                        };
+                        let real_cause = match err {
+                            CommError::Injected { rank: r } => r == victim && rank == victim,
+                            CommError::PeerGone { .. } | CommError::Timeout { .. } => true,
+                            CommError::Aborted { origin } => origin != rank,
+                            _ => false,
+                        };
+                        assert!(real_cause, "world {world} rank {rank}: {err:?}");
+                        assert!(matches!(behind.wait(), CommResult::Failed(_)));
+                        let comm = s.handle.take().expect("comm thread handle");
+                        assert!(comm.join().is_ok(), "world {world} rank {rank}: comm panicked");
+                    });
+                }
+            });
+        }
     }
 
     #[test]
