@@ -1,9 +1,10 @@
 //! Vector-clock happens-before analysis of live scheduler traces.
 //!
-//! The graph engine ([`crate::graph`]) proves properties of *plans*; this
-//! module checks what a threaded run *actually did*, from the logs the
-//! `obs`-instrumented scheduler records ([`OpTiming`] per executed op, or
-//! the equivalent op-level spans of a [`SpanSet`]).
+//! The plan verifiers ([`crate::verify`], [`crate::model_check`]) prove
+//! properties of *plans*; this module checks what a threaded run *actually
+//! did*, from the logs the `obs`-instrumented scheduler records
+//! ([`OpTiming`] per executed op, or the equivalent op-level spans of a
+//! [`SpanSet`]).
 //!
 //! Encoding: each rank's communication thread is a process with a vector
 //! clock, and every collective `tag` is a synchronization object. When

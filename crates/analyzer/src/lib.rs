@@ -1,29 +1,29 @@
 //! Static analysis for the EmbRace collective stack.
 //!
-//! Three engines, none of which execute the real transport:
+//! A plan IR, two verifiers of it that each prove what the other cannot,
+//! and a checker of live traces — none of which execute the real
+//! transport:
 //!
 //! * [`plan`] — a per-rank communication-plan IR ([`plan::P2pPlan`] for
 //!   point-to-point send/recv sequences, [`plan::SchedulePlan`] for
 //!   prioritised collective submissions) plus generators: byte-sizing
-//!   folds over `embrace_collectives::schedule` for the data-independent
-//!   collectives, simulations for SSAR and re-form, and the 2D schedule
-//!   from `embrace_core::horizontal`.
-//! * [`verify`] — the static verifier: SPMD multiset/priority
-//!   consistency, send/recv pairing (orphan sends, static deadlocks),
-//!   byte conservation, exact-once partition coverage, and priority
-//!   monotonicity, reported as structured [`verify::Diagnostic`]s with
-//!   rank/op provenance. [`verify::PlanMutation`] seeds single defects
-//!   for testing that each is caught with the right diagnostic kind.
+//!   folds over `embrace_collectives::schedule` (the split allreduce's
+//!   over simulated index sets), the re-form handshake, and the 2D
+//!   schedule from `embrace_core::horizontal`.
+//! * [`verify`] — the static verifier. [`verify::verify_p2p`] checks a
+//!   point-to-point plan at any world size: send/recv pairing (orphan
+//!   sends, static deadlocks, byte conservation per message) and
+//!   deadlock-freedom over unbounded or capacity-bounded links, with
+//!   wait cycles reported by rank and op. Its siblings check SPMD
+//!   multiset/priority consistency, exact-once partition coverage and
+//!   priority monotonicity. Findings are structured
+//!   [`verify::Diagnostic`]s; [`verify::PlanMutation`] seeds single
+//!   defects for testing that each is caught with the right kind.
 //! * [`model_check`] — a deterministic interleaving model checker that
-//!   interprets those same schedules over virtual links and
-//!   exhaustively enumerates message-delivery orders for small worlds,
-//!   proving deadlock-freedom, bitwise determinism, and abort
-//!   termination.
-//! * [`graph`] — wait-for-graph deadlock analysis: the same
-//!   deadlock-freedom and byte-conservation guarantees as enumeration,
-//!   but structural (cycles as SCCs, conservation in closed form) and
-//!   O(ops), so it scales to worlds 64–1024; [`graph::enumerate_p2p`]
-//!   is the explicit-state agreement oracle.
+//!   interprets those same schedules *with their data* over virtual
+//!   links and exhaustively enumerates message-delivery orders for worlds
+//!   2–4, proving what a plan cannot express: bitwise determinism, abort
+//!   termination under a crash, re-form agreement, per-link queue depth.
 //! * [`hb`] — a vector-clock happens-before checker over recorded
 //!   scheduler traces from live threaded runs: determinism violations,
 //!   priority inversions, unordered conflicting accesses.
@@ -33,18 +33,16 @@
 
 #![forbid(unsafe_code)]
 
-pub mod graph;
 pub mod hb;
 pub mod lint;
 pub mod model_check;
 pub mod plan;
 pub mod verify;
 
-pub use graph::{analyze_p2p, byte_conservation, enumerate_p2p, graph_deadlocks, WaitGraph};
 pub use hb::{check_hb, check_op_timings, HbOp};
 pub use model_check::{check, check_collective, CheckConfig, CheckReport, Collective};
 pub use plan::{P2pOp, P2pPlan, PlannedCollective, RecordingEndpoint, SchedulePlan};
 pub use verify::{
     sort_diagnostics, verify_horizontal, verify_p2p, verify_partition, verify_schedule, Diagnostic,
-    DiagnosticKind, PlanMutation,
+    DiagnosticKind, P2pReport, PlanMutation,
 };

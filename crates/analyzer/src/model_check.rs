@@ -33,20 +33,19 @@
 //!   survivor, even when a rank crashes *mid-handshake* (including the
 //!   coordinator, exercising failover).
 //!
-//! The data-independent collectives (barrier, broadcast, ring, allgather,
-//! alltoallv — whole or cut into the chunked scheduler's units) are not
-//! restated here: each rank's virtual program is its
+//! The collectives (barrier, broadcast, ring, allgather, alltoallv — whole
+//! or cut into the chunked scheduler's units — and the split allreduce)
+//! are not restated here: each rank's virtual program is its
 //! `embrace_collectives::schedule` — the definition the live ops execute
-//! — interpreted step by step over virtual links. Only the data-dependent
-//! protocols (SSAR, re-form) keep interpreters of their own. The abort
-//! protocol is the live one (origin broadcasts [`Packet::Abort`]-
-//! equivalents, receivers of an abort do not re-broadcast), and terminal
-//! results are cross-checked against the real threaded implementation in
-//! this crate's tests.
+//! — interpreted step by step over virtual links. Only the re-form
+//! handshake keeps an interpreter of its own. The abort protocol is the
+//! live one (origin broadcasts [`Packet::Abort`]-equivalents, receivers of
+//! an abort do not re-broadcast), and terminal results are cross-checked
+//! against the real threaded implementation in this crate's tests.
 //!
 //! [`Packet::Abort`]: embrace_collectives::Packet::Abort
 
-use embrace_collectives::schedule::{prev_pow2, Payload, Schedule, Step, Traversal};
+use embrace_collectives::schedule::{Payload, Schedule, Step, Traversal};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Which collective algorithm to model-check.
@@ -69,14 +68,10 @@ pub enum Collective {
     /// Alltoallv (dense and sparse share the structure), likewise.
     Alltoallv(Traversal),
     /// The sparse-native split allreduce (SSAR) of
-    /// `ops::sparse_allreduce`: fold-in of non-power-of-two extras,
-    /// recursive-halving reduce-scatter of (index, value) streams with
-    /// on-the-fly duplicate-summing merge, recursive-doubling allgather,
-    /// fold-out. The model carries sorted `(row, f32-bits)` pair streams
-    /// over a fixed [`SSAR_VOCAB`]-row vocabulary; the sparse→dense
-    /// crossover only changes payload *encoding*, never the peer/order
-    /// schedule or the pairwise summation tree, so one virtual program
-    /// covers every crossover setting.
+    /// `ops::sparse_allreduce` over a dense [`SSAR_VOCAB`]-row buffer: the
+    /// sparse→dense crossover only changes payload *encoding*, never the
+    /// peer/order schedule or the pairwise summation tree, so the dense
+    /// run covers every crossover setting.
     SparseAllreduce,
     /// A chunked ring allreduce preempted after `preempt_at` units by a
     /// whole paired allgather (the §5.2 scenario: urgent sparse op
@@ -238,26 +233,18 @@ struct World {
     queues: Vec<Vec<VecDeque<VPacket>>>,
 }
 
-/// What a rank's next instruction is (computed from its pc).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Action {
-    Send(usize),
-    Recv(usize),
-    Finish,
-}
-
-/// Rank `rank`'s program for the data-independent collectives, read off
-/// the shared schedule; `None` for SSAR (arithmetic in [`action`]) and
-/// re-form (its own interpreter).
-fn program(cfg: &CheckConfig, rank: usize) -> Option<Vec<Step>> {
+/// Rank `rank`'s program, read off the shared schedule; empty for re-form
+/// (its own interpreter, [`World::advance_reform`]).
+fn program(cfg: &CheckConfig, rank: usize) -> Vec<Step> {
     let flat = |schedule: Schedule| schedule.units(cfg.world, rank).concat();
     match cfg.collective {
-        Collective::Barrier => Some(flat(Schedule::Barrier)),
-        Collective::Broadcast { root } => Some(flat(Schedule::Broadcast { root })),
-        Collective::RingAllreduce { elems, seg } => Some(flat(Schedule::Ring { elems, seg })),
+        Collective::Barrier => flat(Schedule::Barrier),
+        Collective::Broadcast { root } => flat(Schedule::Broadcast { root }),
+        Collective::RingAllreduce { elems, seg } => flat(Schedule::Ring { elems, seg }),
         Collective::AllgatherTokens(traversal) | Collective::Alltoallv(traversal) => {
-            Some(flat(Schedule::Fanout(traversal)))
+            flat(Schedule::Fanout(traversal))
         }
+        Collective::SparseAllreduce => flat(Schedule::Ssar { vocab: SSAR_VOCAB }),
         // Unit indices align across ranks (every rank runs the same units
         // per ring step), which is what makes a unit-aligned cut coherent.
         Collective::PreemptedRing { elems, seg, preempt_at } => {
@@ -266,141 +253,36 @@ fn program(cfg: &CheckConfig, rank: usize) -> Option<Vec<Step>> {
             let mut prog = units[..k].concat();
             prog.extend(flat(Schedule::Fanout(Traversal::Paired)));
             prog.extend(units[k..].concat());
-            Some(prog)
+            prog
         }
-        Collective::SparseAllreduce | Collective::Reform | Collective::ReformMidway { .. } => None,
+        Collective::Reform | Collective::ReformMidway { .. } => Vec::new(),
     }
 }
 
 /// One configuration plus every rank's schedule program, built once.
 struct Model<'a> {
     cfg: &'a CheckConfig,
-    progs: Vec<Option<Vec<Step>>>,
+    progs: Vec<Vec<Step>>,
 }
-
-// --- Sparse-native split allreduce (SSAR) virtual program ----------------
 
 /// Vocabulary rows of the SSAR model (power of two keeps the halving
 /// midpoints clean; small enough for exhaustive enumeration).
 pub const SSAR_VOCAB: usize = 8;
 
-/// Rank `rank`'s coalesced `(row, f32-bits)` pair stream for the SSAR
-/// model: rank-dependent strides give per-rank index sets that partially
-/// overlap (shared rows exercise the duplicate-summing merge, unique rows
-/// the disjoint path); values are distinct per `(rank, row)`. Public so
-/// tests can replay the identical inputs through the real threaded
-/// collective and compare results bitwise.
+/// Rank `rank`'s gradient for the SSAR model, dense, as f32 bit patterns:
+/// rank-dependent strides give per-rank row sets that partially overlap
+/// (shared rows exercise the summing merge, unique rows the disjoint
+/// path); values are distinct per `(rank, row)` and at least 1.0, and a
+/// row the rank does not hold is `+0.0` (all-zero bits), as the live
+/// collective's dense representation materialises it. Public so tests can
+/// replay the identical inputs through the real threaded collective and
+/// compare results bitwise.
 pub fn ssar_local(rank: usize) -> Vec<u32> {
-    let stride = rank % 3 + 1;
-    (rank % 2..SSAR_VOCAB)
-        .step_by(stride)
-        .flat_map(|i| [i as u32, ((rank * 7 + i) as f32 * 0.25 + 1.0).to_bits()])
-        .collect()
-}
-
-/// One decoded SSAR instruction (`j` is the exchange-distance exponent).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SsarOp {
-    /// Extra rank ships its whole local stream to `rank − p`.
-    FoldSend,
-    /// Extra rank receives the assembled final result from `rank − p`.
-    FoldRecvResult,
-    /// Rank < extra merges the folded stream from `rank + p`.
-    FoldRecvMerge,
-    RsSend(u32),
-    RsRecv(u32),
-    AgSend(u32),
-    AgRecv(u32),
-    /// Rank < extra ships the assembled result to `rank + p`.
-    FoldSendResult,
-    Done,
-}
-
-/// Decode rank `rank`'s pc into its SSAR instruction — the same program
-/// order as `ops::try_sparse_allreduce` and `plan::sparse_allreduce_plan`.
-fn ssar_op(w: usize, rank: usize, pc: usize) -> SsarOp {
-    if w == 1 {
-        return SsarOp::Done;
+    let mut buf = vec![0f32.to_bits(); SSAR_VOCAB];
+    for row in (rank % 2..SSAR_VOCAB).step_by(rank % 3 + 1) {
+        buf[row] = ((rank * 7 + row) as f32 * 0.25 + 1.0).to_bits();
     }
-    let p = prev_pow2(w);
-    let extra = w - p;
-    if rank >= p {
-        return match pc {
-            0 => SsarOp::FoldSend,
-            1 => SsarOp::FoldRecvResult,
-            _ => SsarOp::Done,
-        };
-    }
-    let l = p.trailing_zeros() as usize;
-    let mut pc = pc;
-    if rank < extra {
-        if pc == 0 {
-            return SsarOp::FoldRecvMerge;
-        }
-        pc -= 1;
-    }
-    if pc < 2 * l {
-        let j = (pc / 2) as u32;
-        return if pc.is_multiple_of(2) { SsarOp::RsSend(j) } else { SsarOp::RsRecv(j) };
-    }
-    pc -= 2 * l;
-    if pc < 2 * l {
-        let j = (pc / 2) as u32;
-        return if pc.is_multiple_of(2) { SsarOp::AgSend(j) } else { SsarOp::AgRecv(j) };
-    }
-    pc -= 2 * l;
-    if rank < extra && pc == 0 {
-        return SsarOp::FoldSendResult;
-    }
-    SsarOp::Done
-}
-
-/// The vocabulary range rank `rank` owns after `steps` reduce-scatter
-/// halvings (bit `i` of the rank decides which half survives step `i`).
-fn ssar_range(rank: usize, steps: usize) -> (u32, u32) {
-    let (mut lo, mut hi) = (0u32, SSAR_VOCAB as u32);
-    for i in 0..steps {
-        let mid = lo + (hi - lo) / 2;
-        if rank & (1 << i) == 0 {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    (lo, hi)
-}
-
-/// The pairs of a sorted `(row, bits)` stream whose row lies in `[lo, hi)`.
-fn ssar_pairs_in(buf: &[u32], lo: u32, hi: u32) -> Vec<u32> {
-    buf.chunks(2).filter(|p| p[0] >= lo && p[0] < hi).flatten().copied().collect()
-}
-
-/// Merge two sorted pair streams, summing the f32 payloads of duplicate
-/// rows left-then-right — the model twin of `merge_rowsparse`.
-fn ssar_merge(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let (mut i, mut j) = (0, 0);
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.extend_from_slice(&a[i..i + 2]);
-                i += 2;
-            }
-            std::cmp::Ordering::Greater => {
-                out.extend_from_slice(&b[j..j + 2]);
-                j += 2;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                out.push((f32::from_bits(a[i + 1]) + f32::from_bits(b[j + 1])).to_bits());
-                i += 2;
-                j += 2;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
+    buf
 }
 
 // --- Elastic re-form handshake state machine -----------------------------
@@ -478,27 +360,6 @@ fn reform_normalize(buf: &mut [u32], me: usize, victim: bool) {
     }
 }
 
-fn action(m: &Model, rank: usize, pc: u32) -> Action {
-    if let Some(prog) = &m.progs[rank] {
-        return match prog.get(pc as usize) {
-            None => Action::Finish,
-            Some(Step::Send { to, .. }) => Action::Send(*to),
-            Some(Step::Recv { from, .. }) => Action::Recv(*from),
-        };
-    }
-    let w = m.cfg.world;
-    let p = prev_pow2(w);
-    match ssar_op(w, rank, pc as usize) {
-        SsarOp::Done => Action::Finish,
-        SsarOp::FoldSend => Action::Send(rank - p),
-        SsarOp::FoldRecvResult => Action::Recv(rank - p),
-        SsarOp::FoldRecvMerge => Action::Recv(rank + p),
-        SsarOp::FoldSendResult => Action::Send(rank + p),
-        SsarOp::RsSend(j) | SsarOp::AgSend(j) => Action::Send(rank ^ (1 << j)),
-        SsarOp::RsRecv(j) | SsarOp::AgRecv(j) => Action::Recv(rank ^ (1 << j)),
-    }
-}
-
 /// This rank's initial local payload for the allgather model. Values are
 /// distinct per rank and lengths vary to exercise variable payloads;
 /// public so tests can replay the identical inputs through the real
@@ -526,81 +387,49 @@ pub fn broadcast_payload(world: usize) -> Vec<u32> {
     vec![7, 42, world as u32]
 }
 
-/// The payload of the send at `pc` (computed from current state, since
-/// ring-allreduce payloads depend on received data).
-fn send_payload(m: &Model, rank: usize, st: &RankState) -> VPacket {
-    let pc = st.pc as usize;
-    if let Some(prog) = &m.progs[rank] {
-        let Step::Send { to, payload } = prog[pc] else {
-            unreachable!("send scheduled at {:?}", prog[pc])
-        };
-        return match payload {
-            Payload::Signal => VPacket::Empty,
-            Payload::Message => VPacket::Data(broadcast_payload(m.cfg.world)),
-            Payload::Seg { lo, hi, .. } => VPacket::Data(st.buf[lo..hi].to_vec()),
-            Payload::Block => VPacket::Data(match m.cfg.collective {
-                Collective::Alltoallv(_) => alltoallv_part(rank, to),
-                // Allgather and the preemptor inside PreemptedRing.
-                _ => gather_local(rank),
-            }),
-        };
-    }
-    match ssar_op(m.cfg.world, rank, pc) {
-        // Fold-in, allgather and fold-out ship the whole stream.
-        SsarOp::FoldSend | SsarOp::FoldSendResult | SsarOp::AgSend(_) => {
-            VPacket::Data(st.buf.clone())
+/// What rank `rank` puts on the wire for a send of `payload` to `to`
+/// (computed from current state, since reduction payloads depend on
+/// received data).
+fn send_payload(
+    cfg: &CheckConfig,
+    rank: usize,
+    to: usize,
+    payload: &Payload,
+    st: &RankState,
+) -> VPacket {
+    match payload {
+        Payload::Signal => VPacket::Empty,
+        Payload::Message => VPacket::Data(broadcast_payload(cfg.world)),
+        Payload::Seg { .. } | Payload::Segs { .. } => {
+            VPacket::Data(payload.ranges().flat_map(|r| &st.buf[r]).copied().collect())
         }
-        SsarOp::RsSend(j) => {
-            let (lo, hi) = ssar_range(rank, j as usize);
-            let mid = lo + (hi - lo) / 2;
-            let (slo, shi) = if rank & (1 << j) == 0 { (mid, hi) } else { (lo, mid) };
-            VPacket::Data(ssar_pairs_in(&st.buf, slo, shi))
-        }
-        other => unreachable!("SSAR send scheduled at {other:?}"),
+        Payload::Block => VPacket::Data(match cfg.collective {
+            Collective::Alltoallv(_) => alltoallv_part(rank, to),
+            // Allgather and the preemptor inside PreemptedRing.
+            _ => gather_local(rank),
+        }),
     }
 }
 
-/// Fold a received packet into the rank's state (the recv at `pc`).
-fn handle_recv(m: &Model, rank: usize, st: &mut RankState, from: usize, p: VPacket) {
-    let pc = st.pc as usize;
-    if let Some(prog) = &m.progs[rank] {
-        let Step::Recv { payload, .. } = prog[pc] else {
-            unreachable!("recv scheduled at {:?}", prog[pc])
-        };
-        match (payload, p) {
-            (Payload::Signal, VPacket::Empty) => {}
-            (Payload::Message, VPacket::Data(d)) => st.out = vec![d],
-            (Payload::Seg { lo, hi, reduce }, VPacket::Data(d)) => {
-                let dst = &mut st.buf[lo..hi];
-                if reduce {
-                    // Accumulate bit-exactly as the real reduce does.
-                    for (acc, inc) in dst.iter_mut().zip(&d) {
-                        *acc = (f32::from_bits(*acc) + f32::from_bits(*inc)).to_bits();
-                    }
+/// Fold packet `p`, received from `from` for a receive of `payload`, into
+/// the rank's state.
+fn handle_recv(payload: &Payload, st: &mut RankState, from: usize, p: VPacket) {
+    match (payload, p) {
+        (Payload::Signal, VPacket::Empty) => {}
+        (Payload::Message, VPacket::Data(d)) => st.out = vec![d],
+        (Payload::Seg { reduce, .. } | Payload::Segs { reduce, .. }, VPacket::Data(d)) => {
+            for (i, inc) in payload.ranges().flatten().zip(d) {
+                // Accumulate bit-exactly as the real reduce does.
+                let acc = &mut st.buf[i];
+                *acc = if *reduce {
+                    (f32::from_bits(*acc) + f32::from_bits(inc)).to_bits()
                 } else {
-                    dst.copy_from_slice(&d);
-                }
+                    inc
+                };
             }
-            (Payload::Block, VPacket::Data(d)) => st.out[from] = d,
-            (payload, p) => unreachable!("model protocol violation: {payload:?} received {p:?}"),
         }
-        return;
-    }
-    let VPacket::Data(d) = p else { unreachable!("model protocol violation: SSAR received {p:?}") };
-    match ssar_op(m.cfg.world, rank, pc) {
-        // Fold-out delivers the finished result verbatim.
-        SsarOp::FoldRecvResult => st.buf = d,
-        // Fold-in and allgather merge whole streams (allgather
-        // segments are disjoint, so no sums actually occur there).
-        SsarOp::FoldRecvMerge | SsarOp::AgRecv(_) => st.buf = ssar_merge(&st.buf, &d),
-        SsarOp::RsRecv(j) => {
-            let (lo, hi) = ssar_range(rank, j as usize);
-            let mid = lo + (hi - lo) / 2;
-            let (klo, khi) = if rank & (1 << j) == 0 { (lo, mid) } else { (mid, hi) };
-            let kept = ssar_pairs_in(&st.buf, klo, khi);
-            st.buf = ssar_merge(&kept, &d);
-        }
-        other => unreachable!("SSAR recv scheduled at {other:?}"),
+        (Payload::Block, VPacket::Data(d)) => st.out[from] = d,
+        (payload, p) => unreachable!("model protocol violation: {payload:?} received {p:?}"),
     }
 }
 
@@ -802,8 +631,8 @@ impl World {
             return self.advance_reform(m.cfg, r, recv_budget);
         }
         while self.running(r) {
-            match action(m, r, self.ranks[r].pc) {
-                Action::Finish => {
+            match m.progs[r].get(self.ranks[r].pc as usize) {
+                None => {
                     let outcome = finish_payload(m.cfg, r);
                     if let Some(out) = outcome {
                         self.ranks[r].out = out_merge(std::mem::take(&mut self.ranks[r].out), out);
@@ -811,17 +640,17 @@ impl World {
                     self.finish(r, Ok(()));
                     return;
                 }
-                Action::Send(to) => {
+                Some(&Step::Send { to, ref payload }) => {
                     if !self.running(to) {
                         // Peer's endpoint is gone: typed failure + abort.
                         self.fail(r, VErr::PeerGone { peer: to });
                         return;
                     }
-                    let payload = send_payload(m, r, &self.ranks[r]);
-                    self.queues[to][r].push_back(payload);
+                    let packet = send_payload(m.cfg, r, to, payload, &self.ranks[r]);
+                    self.queues[to][r].push_back(packet);
                     self.ranks[r].pc += 1;
                 }
-                Action::Recv(from) => {
+                Some(&Step::Recv { from, ref payload }) => {
                     if recv_budget == 0 {
                         return; // choice point: wait to be scheduled
                     }
@@ -841,7 +670,7 @@ impl World {
                                     status: Status::Running,
                                 },
                             );
-                            handle_recv(m, r, &mut st, from, p);
+                            handle_recv(payload, &mut st, from, p);
                             st.pc += 1;
                             self.ranks[r] = st;
                             recv_budget -= 1;
@@ -882,8 +711,10 @@ impl World {
                 phase => unreachable!("re-form rank {r} resting at phase {phase}"),
             };
         }
-        match action(m, r, self.ranks[r].pc) {
-            Action::Recv(from) => !self.queues[r][from].is_empty() || !self.running(from),
+        match m.progs[r].get(self.ranks[r].pc as usize) {
+            Some(&Step::Recv { from, .. }) => {
+                !self.queues[r][from].is_empty() || !self.running(from)
+            }
             // After normalisation a running rank always sits at a recv;
             // anything else would be a driver bug.
             other => unreachable!("running rank {r} scheduled at {other:?}"),
@@ -1179,22 +1010,16 @@ mod tests {
             assert!(r.deterministic_success(), "{}", r.summary());
             // Reference: the inputs are small multiples of 0.25, so f32
             // addition is exact and the row sums are order-independent.
-            let mut expect: Vec<Option<f32>> = vec![None; SSAR_VOCAB];
+            let mut expect = vec![0f32; SSAR_VOCAB];
             for rank in 0..world {
-                for p in ssar_local(rank).chunks(2) {
-                    let e = &mut expect[p[0] as usize];
-                    *e = Some(e.unwrap_or(0.0) + f32::from_bits(p[1]));
+                for (sum, bits) in expect.iter_mut().zip(ssar_local(rank)) {
+                    *sum += f32::from_bits(bits);
                 }
             }
-            let pairs: Vec<u32> = expect
-                .iter()
-                .enumerate()
-                .filter_map(|(i, v)| v.map(|v| [i as u32, v.to_bits()]))
-                .flatten()
-                .collect();
+            let expect: Vec<u32> = expect.into_iter().map(f32::to_bits).collect();
             for o in r.unique_outcome().expect("deterministic") {
                 let RankOutcome::Ok { buf, .. } = o else { panic!("rank failed") };
-                assert_eq!(buf, &pairs, "world {world}");
+                assert_eq!(buf, &expect, "world {world}");
             }
         }
     }

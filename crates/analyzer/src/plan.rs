@@ -5,24 +5,24 @@
 //!
 //! * **Point-to-point plans** ([`P2pPlan`]): per rank, the ordered
 //!   send/recv records — peer and byte count — a collective will perform.
-//!   For the data-independent collectives (barrier, broadcast, ring,
-//!   allgather, alltoall) peers and order are not restated here: each
-//!   generator sizes the steps of `embrace_collectives::schedule` — the
-//!   definition the live ops execute — in bytes. A fan-out is planned in
-//!   the traversal that runs it: posted for a whole-op call, paired for
-//!   the chunked scheduler's units (the schedule module records why they
-//!   differ). The data-dependent plans (SSAR, re-form) are simulated
-//!   here and diffed against live wire counters by the cross-validation
-//!   tests.
+//!   Peers and order are not restated here: each generator sizes the
+//!   steps of `embrace_collectives::schedule` — the definition the live
+//!   ops execute — in bytes. A fan-out is planned in the traversal that
+//!   runs it: posted for a whole-op call, paired for the chunked
+//!   scheduler's units (the schedule module records why they differ). The
+//!   split allreduce's sizes depend on the data, so its generator walks
+//!   the schedule's rounds over simulated index sets; only the re-form
+//!   handshake is written out here. Both are diffed against live wire
+//!   counters by the cross-validation tests.
 //! * **Schedule plans** ([`SchedulePlan`]): per rank, the ordered
 //!   collective submissions — tag, kind, priority, payload bytes — either
 //!   built statically from `embrace_core::Priorities::schedule_ops` or
 //!   harvested from a live `CommScheduler`'s [`SubmittedOp`] log.
 //!
 //! `verify` consumes both levels; `model_check` executes the same
-//! collectives under a virtual scheduler.
+//! schedules under a virtual scheduler.
 
-use embrace_collectives::schedule::{prev_pow2, Payload, Schedule, Step, Traversal};
+use embrace_collectives::schedule::{ssar_rounds, Payload, Schedule, Step, Traversal};
 use embrace_collectives::{Comm, CommError, Packet, ReformMsg, SubmittedOp, SEG_HEADER_BYTES};
 use embrace_core::{CommKind, Priorities};
 use embrace_tensor::{column_partition, F32_BYTES, INDEX_BYTES, TOKEN_BYTES};
@@ -89,24 +89,23 @@ fn sized(
     kind: &'static str,
     world: usize,
     schedule: Schedule,
-    bytes: impl Fn(usize, usize, Payload) -> u64,
+    bytes: impl Fn(usize, usize, &Payload) -> u64,
 ) -> P2pPlan {
     let mut plan = P2pPlan::new(kind, world);
     for (rank, ops) in plan.ranks.iter_mut().enumerate() {
         ops.extend(schedule.units(world, rank).into_iter().flatten().map(|step| match step {
-            Step::Send { to, payload } => P2pOp::Send { to, bytes: bytes(rank, to, payload) },
-            Step::Recv { from, payload } => P2pOp::Recv { from, bytes: bytes(from, rank, payload) },
+            Step::Send { to, payload } => P2pOp::Send { to, bytes: bytes(rank, to, &payload) },
+            Step::Recv { from, payload } => {
+                P2pOp::Recv { from, bytes: bytes(from, rank, &payload) }
+            }
         }));
     }
     plan
 }
 
-/// Wire bytes of a ring segment; fan-out blocks never reach a ring plan.
-fn seg_bytes(payload: Payload) -> u64 {
-    match payload {
-        Payload::Seg { lo, hi, .. } => ((hi - lo) * F32_BYTES) as u64,
-        other => unreachable!("ring schedules move segments, not {other:?}"),
-    }
+/// Wire bytes of a ring segment.
+fn seg_bytes(payload: &Payload) -> u64 {
+    payload.ranges().map(|r| (r.len() * F32_BYTES) as u64).sum()
 }
 
 /// Plan of [`embrace_collectives::ops::barrier`]: one empty packet each
@@ -308,27 +307,10 @@ fn ssar_crossed(nnz: usize, lo: u32, hi: u32, crossover: f64) -> bool {
 /// a dense operand keeps the result dense (densification is one-way).
 fn ssar_merge(a: SimSeg, b: SimSeg, crossover: f64) -> SimSeg {
     debug_assert_eq!((a.lo, a.hi), (b.lo, b.hi));
-    let mut set = Vec::with_capacity(a.set.len() + b.set.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.set.len() && j < b.set.len() {
-        match a.set[i].cmp(&b.set[j]) {
-            std::cmp::Ordering::Less => {
-                set.push(a.set[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                set.push(b.set[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                set.push(a.set[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    set.extend_from_slice(&a.set[i..]);
-    set.extend_from_slice(&b.set[j..]);
+    let mut set = a.set;
+    set.extend(b.set);
+    set.sort_unstable();
+    set.dedup();
     let dense = a.dense || b.dense || ssar_crossed(set.len(), a.lo, a.hi, crossover);
     SimSeg { lo: a.lo, hi: a.hi, dense, set }
 }
@@ -343,13 +325,12 @@ fn ssar_split(seg: &SimSeg, mid: u32) -> (SimSeg, SimSeg) {
     )
 }
 
-/// Plan of [`embrace_collectives::ops::sparse_allreduce`] (SSAR): fold-in
-/// of non-power-of-two extras, recursive-halving reduce-scatter,
-/// recursive-doubling allgather, fold-out. `locals[r]` is rank `r`'s raw
+/// Plan of [`embrace_collectives::ops::sparse_allreduce`] (SSAR): the
+/// rounds of `schedule::ssar_rounds`, sized. `locals[r]` is rank `r`'s raw
 /// (possibly duplicated, unsorted) gradient row indices; the generator
-/// coalesces them and simulates the exact per-step index-set unions and
-/// sparse→dense crossover decisions, so every planned byte count equals
-/// the runtime's `Packet::SparseSegs` wire size for the same inputs.
+/// coalesces them and carries the exact index-set unions and sparse→dense
+/// crossover decisions from round to round, so every planned byte count
+/// equals the runtime's `Packet::SparseSegs` wire size for the same inputs.
 pub fn sparse_allreduce_plan(
     world: usize,
     locals: &[Vec<u32>],
@@ -357,14 +338,10 @@ pub fn sparse_allreduce_plan(
     vocab: usize,
     crossover: f64,
 ) -> P2pPlan {
-    assert_eq!(locals.len(), world, "one index list per rank");
+    assert!(world > 0 && locals.len() == world, "one index list per rank");
     assert!(u32::try_from(vocab).is_ok(), "vocab must fit u32");
     let vocab32 = vocab as u32;
-    let mut plan = P2pPlan::new("sparse_allreduce", world);
-    if world == 1 {
-        return plan;
-    }
-    let init: Vec<SimSeg> = locals
+    let mut held: Vec<Vec<SimSeg>> = locals
         .iter()
         .map(|raw| {
             let mut set = raw.clone();
@@ -374,66 +351,50 @@ pub fn sparse_allreduce_plan(
                 assert!(max < vocab32, "row index {max} out of vocab {vocab}");
             }
             let dense = ssar_crossed(set.len(), 0, vocab32, crossover);
-            SimSeg { lo: 0, hi: vocab32, dense, set }
+            vec![SimSeg { lo: 0, hi: vocab32, dense, set }]
         })
         .collect();
-    let p = prev_pow2(world);
-    let extra = world - p;
-
-    // Fold-in: extras ship their whole stream to rank − p.
-    let mut acc: Vec<SimSeg> = init[..p].to_vec();
-    for r in p..world {
-        let bytes = init[r].nbytes(dim);
-        plan.ranks[r].push(P2pOp::Send { to: r - p, bytes });
-        plan.ranks[r - p].push(P2pOp::Recv { from: r, bytes });
-        let folded = std::mem::replace(
-            &mut acc[r - p],
-            SimSeg { lo: 0, hi: vocab32, dense: false, set: Vec::new() },
-        );
-        acc[r - p] = ssar_merge(folded, init[r].clone(), crossover);
-    }
-
-    // Recursive-halving reduce-scatter. Partners at distance d differ only
-    // in bit d, and every consumed bit is below d, so both hold the same
-    // range and split at the same midpoint.
-    let mut d = 1;
-    while d < p {
-        let prev = acc.clone();
-        for r in 0..p {
-            let partner = r ^ d;
-            let mid = prev[r].lo + (prev[r].hi - prev[r].lo) / 2;
-            let (low, high) = ssar_split(&prev[r], mid);
-            let (keep, sent) = if r & d == 0 { (low, high) } else { (high, low) };
-            let (plow, phigh) = ssar_split(&prev[partner], mid);
-            let incoming = if r & d == 0 { plow } else { phigh };
-            plan.ranks[r].push(P2pOp::Send { to: partner, bytes: sent.nbytes(dim) });
-            plan.ranks[r].push(P2pOp::Recv { from: partner, bytes: incoming.nbytes(dim) });
-            acc[r] = ssar_merge(keep, incoming, crossover);
+    let wire = |segs: &[SimSeg]| segs.iter().map(|s| s.nbytes(dim)).sum::<u64>();
+    let mut plan = P2pPlan::new("sparse_allreduce", world);
+    // Every rank has the same number of rounds: step them together.
+    let mut programs: Vec<_> =
+        (0..world).map(|rank| ssar_rounds(world, rank, vocab).into_iter()).collect();
+    while let Some(rounds) = programs.iter_mut().map(Iterator::next).collect::<Option<Vec<_>>>() {
+        // Every rank sends out of what it held entering the round, then
+        // receives what its peer sent in the same round.
+        let sent: Vec<Vec<SimSeg>> = (0..world)
+            .map(|rank| match &rounds[rank] {
+                round if round.send.is_none() => Vec::new(),
+                round if !round.reduce => held[rank].clone(),
+                round => {
+                    let seg = held[rank].pop().expect("a reduce round starts holding one segment");
+                    match round.halving() {
+                        None => vec![seg],
+                        Some((mid, keep_low)) => {
+                            let (low, high) = ssar_split(&seg, mid as u32);
+                            let (keep, sent) = if keep_low { (low, high) } else { (high, low) };
+                            held[rank].push(keep);
+                            vec![sent]
+                        }
+                    }
+                }
+            })
+            .collect();
+        for (rank, round) in rounds.iter().enumerate() {
+            if let Some(msg) = &round.send {
+                plan.ranks[rank].push(P2pOp::Send { to: msg.peer, bytes: wire(&sent[rank]) });
+            }
+            if let Some(msg) = &round.recv {
+                let incoming = &sent[msg.peer];
+                plan.ranks[rank].push(P2pOp::Recv { from: msg.peer, bytes: wire(incoming) });
+                if round.reduce {
+                    let kept = held[rank].pop().expect("a reduce round receives into one segment");
+                    held[rank].push(ssar_merge(kept, incoming[0].clone(), crossover));
+                } else {
+                    held[rank].extend(incoming.iter().cloned());
+                }
+            }
         }
-        d *= 2;
-    }
-
-    // Recursive-doubling allgather: whole accumulated segment lists cross.
-    let mut lists: Vec<Vec<SimSeg>> = acc.into_iter().map(|s| vec![s]).collect();
-    let mut d = 1;
-    while d < p {
-        let prev_bytes: Vec<u64> =
-            lists.iter().map(|l| l.iter().map(|s| s.nbytes(dim)).sum()).collect();
-        let snapshot = lists.clone();
-        for r in 0..p {
-            let partner = r ^ d;
-            plan.ranks[r].push(P2pOp::Send { to: partner, bytes: prev_bytes[r] });
-            plan.ranks[r].push(P2pOp::Recv { from: partner, bytes: prev_bytes[partner] });
-            lists[r].extend(snapshot[partner].iter().cloned());
-        }
-        d *= 2;
-    }
-
-    // Fold-out: assembled result back to the extras.
-    for (r, list) in lists.iter().enumerate().take(extra) {
-        let bytes: u64 = list.iter().map(|s| s.nbytes(dim)).sum();
-        plan.ranks[r].push(P2pOp::Send { to: r + p, bytes });
-        plan.ranks[r + p].push(P2pOp::Recv { from: r, bytes });
     }
     plan
 }
@@ -442,7 +403,7 @@ pub fn sparse_allreduce_plan(
 /// sweeps: a fixed small vocabulary with rank-dependent stride patterns
 /// (rank `r` touches every `(r mod 5 + 2)`-th row starting at `r`), at a
 /// mid-range crossover so both sparse and densified segments appear.
-/// Cheap enough to generate at world 1024 for the wait-graph sweep.
+/// Cheap enough to generate at world 1024 for the scale sweep.
 pub fn sparse_allreduce_demo_plan(world: usize) -> P2pPlan {
     let vocab = 512;
     let locals: Vec<Vec<u32>> = (0..world)
@@ -618,8 +579,8 @@ mod tests {
                         );
                         assert_eq!(chunked.bytes_received(r), whole.bytes_received(r));
                     }
-                    let diags = crate::verify::verify_p2p(&chunked);
-                    assert!(diags.is_empty(), "chunked ring plan clean, got {diags:?}");
+                    let report = crate::verify::verify_p2p(&chunked, None);
+                    assert!(report.clean(), "chunked ring plan clean, got {report:?}");
                 }
             }
         }
@@ -632,7 +593,7 @@ mod tests {
     fn chunked_alltoall_plan_pairs_units_per_link() {
         let bytes = vec![vec![0, 10, 20], vec![30, 0, 40], vec![50, 60, 0]];
         let p = chunked_alltoall_plan("alltoall_dense_chunked", &bytes);
-        assert!(crate::verify::verify_p2p(&p).is_empty(), "chunked alltoall plan clean");
+        assert!(crate::verify::verify_p2p(&p, None).clean(), "chunked alltoall plan clean");
         for (r, row) in bytes.iter().enumerate() {
             // world-1 units, each one send + one recv.
             assert_eq!(p.ranks[r].len(), 4);
@@ -650,7 +611,7 @@ mod tests {
             "allgather_chunked",
             &(0..3).map(|r| vec![(r as u64 + 1) * 8; 3]).collect::<Vec<_>>(),
         );
-        assert!(crate::verify::verify_p2p(&gather).is_empty(), "chunked allgather plan clean");
+        assert!(crate::verify::verify_p2p(&gather, None).clean(), "chunked allgather plan clean");
         assert_eq!(gather.bytes_received(0), 16 + 24);
     }
 
@@ -693,7 +654,7 @@ mod tests {
         let reqs = vec![vec![0, 2, 1], vec![3, 1, 0], vec![2, 2, 4]];
         let dim = 8;
         let p = lookup_plan(&reqs, dim);
-        assert!(crate::verify::verify_p2p(&p).is_empty(), "lookup plan clean");
+        assert!(crate::verify::verify_p2p(&p, None).clean(), "lookup plan clean");
         // Each rank: (world-1) sends + recvs per phase, two phases.
         for ops in &p.ranks {
             assert_eq!(ops.len(), 2 * 2 * 2);
@@ -714,8 +675,8 @@ mod tests {
     fn lookup_demo_plan_scales_clean() {
         for world in [1usize, 2, 3, 4, 8, 16] {
             let p = lookup_demo_plan(world);
-            let diags = crate::verify::verify_p2p(&p);
-            assert!(diags.is_empty(), "world {world}: {diags:?}");
+            let report = crate::verify::verify_p2p(&p, None);
+            assert!(report.clean(), "world {world}: {report:?}");
         }
     }
 
@@ -724,8 +685,8 @@ mod tests {
         assert!(reform_plan(1).ranks[0].is_empty());
         for world in [2usize, 3, 4, 8] {
             let p = reform_plan(world);
-            let diags = crate::verify::verify_p2p(&p);
-            assert!(diags.is_empty(), "world {world}: {diags:?}");
+            let report = crate::verify::verify_p2p(&p, None);
+            assert!(report.clean(), "world {world}: {report:?}");
             // Coordinator: one probe out + one report in + one commit out
             // per peer; members: world-1 probes out, commit + world-1
             // stale reports in.
@@ -749,8 +710,8 @@ mod tests {
                     .collect();
                 let p = sparse_allreduce_plan(world, &locals, 4, 64, crossover);
                 assert_eq!(p.kind, "sparse_allreduce");
-                let diags = crate::verify::verify_p2p(&p);
-                assert!(diags.is_empty(), "world {world} x {crossover}: {diags:?}");
+                let report = crate::verify::verify_p2p(&p, None);
+                assert!(report.clean(), "world {world} x {crossover}: {report:?}");
                 let sent: u64 = (0..world).map(|r| p.bytes_sent(r)).sum();
                 let recv: u64 = (0..world).map(|r| p.bytes_received(r)).sum();
                 assert_eq!(sent, recv, "world {world} x {crossover}");
@@ -800,8 +761,8 @@ mod tests {
     fn sparse_allreduce_demo_plan_scales() {
         for world in [1usize, 2, 3, 4, 8, 16, 64] {
             let p = sparse_allreduce_demo_plan(world);
-            let diags = crate::verify::verify_p2p(&p);
-            assert!(diags.is_empty(), "world {world}: {diags:?}");
+            let report = crate::verify::verify_p2p(&p, None);
+            assert!(report.clean(), "world {world}: {report:?}");
         }
     }
 

@@ -10,8 +10,8 @@
 //! * the scheduled trainer's live submission logs verify SPMD-clean.
 
 use embrace_analyzer::model_check::{
-    self, alltoallv_part, broadcast_payload, check_collective, gather_local, ring_init, Collective,
-    RankOutcome,
+    self, alltoallv_part, broadcast_payload, check_collective, gather_local, ring_init, ssar_local,
+    Collective, RankOutcome, SSAR_VOCAB,
 };
 use embrace_analyzer::plan::{
     allgather_plan, alltoall_plan, barrier_plan, broadcast_plan, ring_allreduce_plan,
@@ -19,8 +19,8 @@ use embrace_analyzer::plan::{
 };
 use embrace_analyzer::verify::mutate_p2p;
 use embrace_analyzer::{
-    analyze_p2p, enumerate_p2p, graph_deadlocks, verify_p2p, verify_schedule, P2pOp, PlanMutation,
-    RecordingEndpoint, SchedulePlan,
+    verify_p2p, verify_schedule, DiagnosticKind, P2pOp, PlanMutation, RecordingEndpoint,
+    SchedulePlan,
 };
 use embrace_collectives::ops::{sparse_allreduce, SsarConfig};
 use embrace_collectives::schedule::Traversal;
@@ -37,7 +37,7 @@ fn assert_counters_match_plan<F>(world: usize, plan: &embrace_analyzer::P2pPlan,
 where
     F: Fn(usize, &mut Endpoint) + Sync,
 {
-    assert!(verify_p2p(plan).is_empty(), "plan for {} must be clean", plan.kind);
+    assert!(verify_p2p(plan, None).clean(), "plan for {} must be clean", plan.kind);
     for endpoints in [embrace_collectives::mesh(world), embrace_collectives::slot_mesh(world)] {
         let counters = run_group_on(endpoints, |rank, ep| {
             let one_sided = ep.is_one_sided();
@@ -139,17 +139,14 @@ fn sparse_allreduce_plan_matches_real_traffic() {
 }
 
 #[test]
-fn mutated_sparse_allreduce_plans_fail_all_three_analyses() {
-    // Seeded single defects on the SSAR plan family: the FIFO pairing
-    // verifier, the wait-for graph, and the greedy enumeration must each
-    // catch DropSend and RetargetSend, and the two deadlock verdicts must
-    // agree with actual execution.
+fn mutated_sparse_allreduce_plans_are_stuck_and_diagnosed() {
+    // Seeded single defects on the SSAR plan family: a dropped or
+    // misdirected send starves its matching receive, so the mutated plan
+    // must be reported as unable to finish, with the starved link named.
     let (vocab, dim) = (24usize, 3usize);
     for world in [2usize, 3, 4, 5] {
         let plan0 = sparse_allreduce_plan(world, &ssar_locals(world, vocab), dim, vocab, 0.5);
-        assert!(verify_p2p(&plan0).is_empty(), "world {world}: baseline plan must be clean");
-        assert!(!graph_deadlocks(&analyze_p2p(&plan0)));
-        assert!(enumerate_p2p(&plan0).deadlock_free());
+        assert!(verify_p2p(&plan0, None).clean(), "world {world}: baseline plan must be clean");
         for rank in 0..world {
             for mutation in [
                 PlanMutation::DropSend { rank, index: 0 },
@@ -159,19 +156,11 @@ fn mutated_sparse_allreduce_plans_fail_all_three_analyses() {
                 if !mutate_p2p(&mut plan, mutation) {
                     continue; // world 2 has no alternative retarget peer
                 }
-                let verdicts = verify_p2p(&plan);
-                assert!(!verdicts.is_empty(), "verifier missed {mutation:?} at world {world}");
-                let graph = analyze_p2p(&plan);
-                assert!(!graph.is_empty(), "wait-graph missed {mutation:?} at world {world}");
-                let exec = enumerate_p2p(&plan);
-                // A dropped or misdirected send starves its matching
-                // receive: the mutated plan must actually deadlock, and
-                // the structural verdict must say the same.
-                assert!(!exec.deadlock_free(), "{mutation:?} at world {world} still completes");
-                assert_eq!(
-                    graph_deadlocks(&graph),
-                    !exec.deadlock_free(),
-                    "graph vs enumeration disagree on {mutation:?} at world {world}"
+                let report = verify_p2p(&plan, None);
+                assert!(report.deadlocks(), "{mutation:?} at world {world} still completes");
+                assert!(
+                    report.diagnostics.iter().any(|d| d.kind == DiagnosticKind::RecvWithoutSend),
+                    "verifier missed {mutation:?} at world {world}: {report:?}"
                 );
             }
         }
@@ -283,6 +272,33 @@ fn model_ring_allreduce_matches_real_results_bitwise() {
         for rank in 0..world {
             let RankOutcome::Ok { buf, .. } = &model[rank] else { panic!("model rank failed") };
             assert_eq!(buf, &real[rank], "world {world} rank {rank} (bitwise)");
+        }
+    }
+}
+
+#[test]
+fn model_sparse_allreduce_matches_real_results_bitwise() {
+    // The model interprets the schedule the live collective executes, on
+    // a dense buffer; the live result — sparse or densified — must hold
+    // the same bits row for row, at every crossover setting.
+    for world in 2..=4 {
+        let report = check_collective(world, Collective::SparseAllreduce);
+        let model = unique_ok(&report);
+        for crossover in [2.0, 0.5, 0.0] {
+            let real = run_group(world, |rank, ep| {
+                // The model's dense input; all-zero bits mark a row not held.
+                let held = (0u32..).zip(ssar_local(rank)).filter(|&(_, bits)| bits != 0);
+                let (rows, values): (Vec<u32>, Vec<f32>) =
+                    held.map(|(row, bits)| (row, f32::from_bits(bits))).unzip();
+                let grad = RowSparse::new(rows, DenseTensor::from_vec(values.len(), 1, values));
+                let cfg = SsarConfig { vocab: SSAR_VOCAB, crossover };
+                let sum = sparse_allreduce(ep, &grad, &cfg).to_dense(SSAR_VOCAB);
+                sum.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+            });
+            for rank in 0..world {
+                let RankOutcome::Ok { buf, .. } = &model[rank] else { panic!("model rank failed") };
+                assert_eq!(buf, &real[rank], "world {world} rank {rank} crossover {crossover}");
+            }
         }
     }
 }

@@ -61,14 +61,16 @@ embrace-sim — simulate one training configuration of the EmbRace reproduction
 
 USAGE:
   embrace-sim [OPTIONS]
-  embrace-sim verify-plan
+  embrace-sim verify-plan [--large] [--out <file>]
   embrace-sim trace [OPTIONS] [--smoke] [--out <file>] [--out-dir <dir>]
   embrace-sim scenarios [--quick] [--out <file>]
   embrace-sim serve [--quick] [--out <file>]
 
 SUBCOMMANDS:
   verify-plan   static comm-plan verification + interleaving model check
-                (collectives, chunked programs, elastic re-form handshake)
+                (collectives, chunked programs, elastic re-form handshake);
+                --large runs the plan checker over every plan family at
+                worlds 64-1024, --out writes its timing table
   trace         export the simulated timeline as Chrome trace_event JSON
                 (open in Perfetto); --smoke sweeps the four method
                 families and validates each export against the makespan

@@ -2,25 +2,21 @@
 //! comm-plan verifier over all four paper model specs, demonstrate the
 //! seeded-mutation detectors, model-check the six collectives (including
 //! the sparse-native split allreduce) plus the elastic re-form handshake
-//! for worlds 2–4, and prove the graph analyzer agrees with both
-//! enumeration oracles.
+//! for worlds 2–4, and hold the plan checker to the model checker's
+//! verdicts and to its by-construction expectations on seeded mutations.
 //!
-//! `--large [--quick] [--out FILE]` switches to the wait-for-graph sweep:
-//! every plan family at worlds 64–1024 (64/256 with `--quick`), proving
-//! deadlock-freedom and byte conservation structurally — in both the
-//! unbounded (channel) mode and the credit mode that models the
-//! one-sided slot transport's `SLOT_CAPACITY`-deep pools — and printing
-//! a per-plan timing table (written to `FILE` for CI artifacts).
+//! `--large [--out FILE]` switches to the scale sweep: every plan family
+//! at worlds 64–1024 through the plan checker, proving pairing, byte
+//! conservation and deadlock-freedom — over both unbounded (channel)
+//! links and the one-sided slot transport's `SLOT_CAPACITY`-deep pools
+//! read as strictly blocking — and printing a per-plan timing table
+//! (written to `FILE` for CI artifacts).
 //!
 //! Exits non-zero (returns `Err`) if any valid plan produces a
-//! diagnostic, any seeded mutation goes undetected, any verdict pair
-//! disagrees, or the model checker finds a deadlock or a
+//! diagnostic, any seeded mutation goes undetected, the two verifiers
+//! disagree, or the model checker finds a deadlock or a
 //! non-deterministic interleaving.
 
-use embrace_analyzer::graph::{
-    analyze_p2p, analyze_p2p_credits, byte_conservation, enumerate_p2p, enumerate_p2p_credits,
-    graph_deadlocks,
-};
 use embrace_analyzer::model_check::{check, CheckConfig, Collective};
 use embrace_analyzer::plan::{
     allgather_plan, alltoall_plan, barrier_plan, broadcast_plan, chunked_alltoall_plan,
@@ -44,10 +40,13 @@ use std::time::Instant;
 const WORLDS: [usize; 3] = [4, 8, 16];
 /// Worlds the model checker explores exhaustively.
 const CHECK_WORLDS: [usize; 3] = [2, 3, 4];
-/// Worlds of the wait-for-graph sweep (`--large`).
+/// Worlds of the scale sweep (`--large`).
 const LARGE_WORLDS: [usize; 5] = [64, 128, 256, 512, 1024];
-/// The `--quick` subset used by CI.
-const QUICK_WORLDS: [usize; 2] = [64, 256];
+
+/// Pairing and deadlock-freedom of a point-to-point plan, unbounded links.
+fn expect_clean_p2p(what: &str, plan: &P2pPlan) -> Result<(), String> {
+    expect_clean(what, &verify_p2p(plan, None).diagnostics)
+}
 
 fn expect_clean(what: &str, diags: &[Diagnostic]) -> Result<(), String> {
     if diags.is_empty() {
@@ -96,97 +95,84 @@ fn verify_model(spec: &ModelSpec, world: usize) -> Result<usize, String> {
     for emb in &spec.embeddings {
         let lookup =
             alltoall_plan("alltoallv_sparse", &lookup_alltoall_bytes(&batch_rows, emb.dim));
-        expect_clean(&format!("{} {} lookup alltoall", spec.name, emb.name), &verify_p2p(&lookup))?;
+        expect_clean_p2p(&format!("{} {} lookup alltoall", spec.name, emb.name), &lookup)?;
         let grads = alltoall_plan("alltoallv_sparse", &grad_alltoall_bytes(&batch_rows, emb.dim));
-        expect_clean(&format!("{} {} grad alltoall", spec.name, emb.name), &verify_p2p(&grads))?;
+        expect_clean_p2p(&format!("{} {} grad alltoall", spec.name, emb.name), &grads)?;
         // Sparse-native split allreduce over the same gradient shape:
         // deterministic per-rank index draws at the batch's row count.
         let locals: Vec<Vec<u32>> = (0..world)
             .map(|r| (0..rows).map(|i| ((r * 7919 + i * 31) % emb.vocab) as u32).collect())
             .collect();
         let ssar = sparse_allreduce_plan(world, &locals, emb.dim, emb.vocab, 0.5);
-        expect_clean(&format!("{} {} sparse allreduce", spec.name, emb.name), &verify_p2p(&ssar))?;
+        expect_clean_p2p(&format!("{} {} sparse allreduce", spec.name, emb.name), &ssar)?;
         // Serving-path lookup RPC over the same table: deterministic
         // skewed request counts (rank/owner-dependent, never uniform).
         let reqs: Vec<Vec<usize>> = (0..world)
             .map(|i| (0..world).map(|j| (i * 13 + j * 7 + rows) % (rows + 1)).collect())
             .collect();
         let serve = lookup_plan(&reqs, emb.dim);
-        expect_clean(&format!("{} {} serving lookup", spec.name, emb.name), &verify_p2p(&serve))?;
+        expect_clean_p2p(&format!("{} {} serving lookup", spec.name, emb.name), &serve)?;
         checked += 4;
     }
     let dense = ring_allreduce_plan(world, spec.block_params);
-    expect_clean(&format!("{} dense ring", spec.name), &verify_p2p(&dense))?;
+    expect_clean_p2p(&format!("{} dense ring", spec.name), &dense)?;
     // Chunked variants of the bulk plans (PR 5 preemptible execution):
     // same byte totals, deadlock-free per-unit programs.
     let seg = spec.block_params.div_ceil(world * 4).max(1);
     let chunked = chunked_ring_allreduce_plan(world, spec.block_params, seg);
-    expect_clean(&format!("{} dense ring (chunked)", spec.name), &verify_p2p(&chunked))?;
+    expect_clean_p2p(&format!("{} dense ring (chunked)", spec.name), &chunked)?;
     if let Some(emb) = spec.embeddings.first() {
         let grads = chunked_alltoall_plan(
             "alltoallv_sparse_chunked",
             &grad_alltoall_bytes(&batch_rows, emb.dim),
         );
-        expect_clean(&format!("{} grad alltoall (chunked)", spec.name), &verify_p2p(&grads))?;
+        expect_clean_p2p(&format!("{} grad alltoall (chunked)", spec.name), &grads)?;
         checked += 1;
     }
     checked += 1;
     let tokens = allgather_plan(world, &vec![(rows * TOKEN_BYTES) as u64; world]);
-    expect_clean(&format!("{} token gather", spec.name), &verify_p2p(&tokens))?;
-    expect_clean(&format!("w={world} barrier"), &verify_p2p(&barrier_plan(world)))?;
-    expect_clean(&format!("w={world} tag broadcast"), &verify_p2p(&broadcast_plan(world, 0, 64)))?;
+    expect_clean_p2p(&format!("{} token gather", spec.name), &tokens)?;
+    expect_clean_p2p(&format!("w={world} barrier"), &barrier_plan(world))?;
+    expect_clean_p2p(&format!("w={world} tag broadcast"), &broadcast_plan(world, 0, 64))?;
     checked += 4;
     Ok(checked)
 }
 
-/// Seed the four canonical mutations and require each to be caught with
+/// Seed the five canonical mutations and require each to be caught with
 /// its distinct diagnostic kind.
 fn demo_mutations() -> Result<(), String> {
     let world = 4;
     let mut caught: Vec<(&str, DiagnosticKind)> = Vec::new();
+    let mut catch = |name: &'static str, kind: DiagnosticKind, found: Vec<Diagnostic>| {
+        if !found.iter().any(|d| d.kind == kind) {
+            return Err(format!("{name} not caught as {kind}: {found:?}"));
+        }
+        caught.push((name, kind));
+        Ok(())
+    };
 
     let mut p = allgather_plan(world, &[8, 16, 24, 32]);
     assert!(mutate_p2p(&mut p, PlanMutation::DropSend { rank: 1, index: 2 }));
-    let d = verify_p2p(&p);
-    let kind = d
-        .iter()
-        .find(|d| d.kind == DiagnosticKind::RecvWithoutSend)
-        .ok_or("dropped send not caught")?
-        .kind;
-    caught.push(("drop-send", kind));
+    catch("drop-send", DiagnosticKind::RecvWithoutSend, verify_p2p(&p, None).diagnostics)?;
 
     let mut p = ring_allreduce_plan(world, 21);
     assert!(mutate_p2p(&mut p, PlanMutation::ShrinkBytes { rank: 2, index: 1 }));
-    let d = verify_p2p(&p);
-    let kind = d
-        .iter()
-        .find(|d| d.kind == DiagnosticKind::ByteMismatch)
-        .ok_or("shrunk bytes not caught")?
-        .kind;
-    caught.push(("shrink-bytes", kind));
+    catch("shrink-bytes", DiagnosticKind::ByteMismatch, verify_p2p(&p, None).diagnostics)?;
 
     let spec = ModelSpec::get(ModelId::Transformer);
     let prios = Priorities::assign(&spec.graph(GpuKind::Rtx3090));
     let mut s = horizontal_schedule_plan(&prios, world);
     assert!(mutate_schedule(&mut s, PlanMutation::SkewPriority { rank: 3, index: 1, delta: 7 }));
-    let d = verify_schedule(&s);
-    let kind = d
-        .iter()
-        .find(|d| d.kind == DiagnosticKind::PrioritySkew)
-        .ok_or("skewed priority not caught")?
-        .kind;
-    caught.push(("skew-priority", kind));
+    catch("skew-priority", DiagnosticKind::PrioritySkew, verify_schedule(&s))?;
 
     let mut shards: Vec<(usize, usize)> =
         row_partition(1000, world).iter().map(|r| (r.start, r.end)).collect();
     assert!(mutate_partition(&mut shards, PlanMutation::DropPartitionRow { rank: 2 }));
-    let d = verify_partition(&shards, 1000);
-    let kind = d
-        .iter()
-        .find(|d| d.kind == DiagnosticKind::PartitionGap)
-        .ok_or("dropped partition row not caught")?
-        .kind;
-    caught.push(("drop-partition-row", kind));
+    catch("drop-partition-row", DiagnosticKind::PartitionGap, verify_partition(&shards, 1000))?;
+
+    let mut p = ring_allreduce_plan(world, 21);
+    assert!(mutate_p2p(&mut p, PlanMutation::HoistRecv));
+    catch("hoist-recv", DiagnosticKind::WaitCycle, verify_p2p(&p, None).diagnostics)?;
 
     println!("  seeded mutations caught:");
     for (name, kind) in &caught {
@@ -269,32 +255,39 @@ fn model_check_reform() -> Result<(), String> {
     Ok(())
 }
 
-/// Every point-to-point plan family the stack executes, at sizes scaled
-/// to `world` (payloads stay modest so the sweep measures analysis, not
-/// plan construction).
-fn plan_families(world: usize) -> Vec<P2pPlan> {
-    let rows = vec![4 + world / 64; world];
-    let dim = 4 * world;
-    vec![
-        barrier_plan(world),
-        broadcast_plan(world, 0, 64),
-        ring_allreduce_plan(world, 4 * world + 1),
-        chunked_ring_allreduce_plan(world, 2 * world + 1, 2),
-        allgather_plan(world, &vec![16; world]),
-        alltoall_plan("alltoall_lookup", &lookup_alltoall_bytes(&rows, dim)),
-        alltoall_plan("alltoallv_grad", &grad_alltoall_bytes(&rows, dim)),
-        chunked_alltoall_plan("alltoall_chunked", &lookup_alltoall_bytes(&rows, dim)),
-        sparse_allreduce_demo_plan(world),
-        lookup_demo_plan(world),
-        reform_plan(world),
-    ]
+/// Every point-to-point plan family the stack executes, as generators at
+/// sizes scaled to `world` (payloads stay modest so the sweep measures
+/// analysis, not plan size). Generated one at a time: a world-1024 plan
+/// is ~100 MB.
+const PLAN_FAMILIES: [fn(usize) -> P2pPlan; 11] = [
+    barrier_plan,
+    |w| broadcast_plan(w, 0, 64),
+    |w| ring_allreduce_plan(w, 4 * w + 1),
+    |w| chunked_ring_allreduce_plan(w, 2 * w + 1, 2),
+    |w| allgather_plan(w, &vec![16; w]),
+    |w| alltoall_plan("alltoall_lookup", &lookup_alltoall_bytes(&sweep_rows(w), 4 * w)),
+    |w| alltoall_plan("alltoallv_grad", &grad_alltoall_bytes(&sweep_rows(w), 4 * w)),
+    |w| chunked_alltoall_plan("alltoall_chunked", &lookup_alltoall_bytes(&sweep_rows(w), 4 * w)),
+    sparse_allreduce_demo_plan,
+    lookup_demo_plan,
+    reform_plan,
+];
+
+fn sweep_rows(world: usize) -> Vec<usize> {
+    vec![4 + world / 64; world]
 }
 
-/// The graph analyzer must agree with both enumeration oracles: the
-/// exhaustive model checker on every collective it can model (worlds
-/// 2–4), and the explicit-state plan executor on every plan family and
-/// every seeded send-dropping mutation.
-fn graph_agreement() -> Result<(), String> {
+fn plan_families(world: usize) -> impl Iterator<Item = P2pPlan> {
+    PLAN_FAMILIES.iter().map(move |family| family(world))
+}
+
+/// Hold the plan checker to what must be true by construction at worlds
+/// 2–4: its deadlock verdict equals the exhaustive model checker's on
+/// every collective both can express; every plan family is clean in both
+/// link modes; a dropped or misrouted send starves its receiver, so the
+/// plan must be stuck with that diagnostic; and hoisting every first
+/// receive above the first send pairs cleanly but must be a wait cycle.
+fn checker_expectations() -> Result<(), String> {
     for world in CHECK_WORLDS {
         let modeled: Vec<(Collective, P2pPlan)> = vec![
             (Collective::Barrier, barrier_plan(world)),
@@ -310,10 +303,9 @@ fn graph_agreement() -> Result<(), String> {
         let modeled_count = modeled.len();
         for (collective, plan) in modeled {
             let report = check(&CheckConfig { world, collective, crash: None });
-            let graph_dead = graph_deadlocks(&analyze_p2p(&plan));
-            if report.deadlock_free() == graph_dead {
+            if report.deadlock_free() == verify_p2p(&plan, None).deadlocks() {
                 return Err(format!(
-                    "w={world} {}: graph verdict disagrees with model checker ({})",
+                    "w={world} {}: plan checker disagrees with model checker ({})",
                     plan.kind,
                     report.summary()
                 ));
@@ -321,147 +313,100 @@ fn graph_agreement() -> Result<(), String> {
         }
         let mut mutations = 0usize;
         for plan0 in plan_families(world) {
-            let diags = analyze_p2p(&plan0);
-            let exec = enumerate_p2p(&plan0);
-            if !diags.is_empty() || !exec.deadlock_free() {
-                return Err(format!("w={world} {}: valid plan not clean: {diags:?}", plan0.kind));
+            for capacity in [None, Some(SLOT_CAPACITY)] {
+                expect_clean(
+                    &format!("w={world} {} over {capacity:?}-deep links", plan0.kind),
+                    &verify_p2p(&plan0, capacity).diagnostics,
+                )?;
             }
-            // The same plan must stay deadlock-free when every link is a
-            // SLOT_CAPACITY-deep pool whose put blocks on credit
-            // exhaustion — the worst case for the one-sided transport
-            // (the real pool falls back to counted rendezvous instead).
-            let cdiags = analyze_p2p_credits(&plan0, SLOT_CAPACITY);
-            let cexec = enumerate_p2p_credits(&plan0, SLOT_CAPACITY);
-            if graph_deadlocks(&cdiags) || !cexec.deadlock_free() {
-                return Err(format!(
-                    "w={world} {}: plan deadlocks under {SLOT_CAPACITY}-credit links \
-                     (graph={}, exec={})",
-                    plan0.kind,
-                    graph_deadlocks(&cdiags),
-                    !cexec.deadlock_free()
-                ));
-            }
-            for rank in 0..world {
-                for (label, m) in [
-                    ("drop-send", PlanMutation::DropSend { rank, index: 0 }),
-                    ("retarget-send", PlanMutation::RetargetSend { rank, index: 0 }),
-                ] {
-                    let mut plan = plan0.clone();
-                    if !mutate_p2p(&mut plan, m) {
-                        continue;
-                    }
-                    let diags = analyze_p2p(&plan);
-                    let exec = enumerate_p2p(&plan);
-                    if graph_deadlocks(&diags) == exec.deadlock_free() {
-                        return Err(format!(
-                            "w={world} {} {label} rank {rank}: graph says deadlock={}, \
-                             enumeration says deadlock={}",
-                            plan.kind,
-                            graph_deadlocks(&diags),
-                            !exec.deadlock_free()
-                        ));
-                    }
-                    if diags.is_empty() {
-                        return Err(format!(
-                            "w={world} {} {label} rank {rank}: mutation went undetected",
-                            plan.kind
-                        ));
-                    }
-                    mutations += 1;
+            let starving = (0..world).flat_map(|rank| {
+                [
+                    PlanMutation::DropSend { rank, index: 0 },
+                    PlanMutation::RetargetSend { rank, index: 0 },
+                ]
+            });
+            for m in starving.chain([PlanMutation::HoistRecv]) {
+                let mut plan = plan0.clone();
+                if !mutate_p2p(&mut plan, m) {
+                    continue;
                 }
+                let report = verify_p2p(&plan, None);
+                let expected = match m {
+                    PlanMutation::HoistRecv => DiagnosticKind::WaitCycle,
+                    _ => DiagnosticKind::RecvWithoutSend,
+                };
+                if !report.deadlocks() || !report.diagnostics.iter().any(|d| d.kind == expected) {
+                    return Err(format!(
+                        "w={world} {} {m:?}: expected a stuck plan and {expected}, got {report:?}",
+                        plan.kind
+                    ));
+                }
+                mutations += 1;
             }
         }
         println!(
-            "  w={world}: graph == model checker on {modeled_count} modeled plans, graph == \
-             enumeration on {mutations} seeded mutations, every family clean under \
-             {SLOT_CAPACITY}-credit links"
+            "  w={world}: plan checker == model checker on {modeled_count} modeled plans, \
+             {mutations} seeded mutations stuck with the expected diagnostic, every family clean \
+             under unbounded and {SLOT_CAPACITY}-credit links"
         );
     }
     Ok(())
 }
 
-/// The `--large` sweep: wait-for-graph analysis + explicit-state
-/// execution of every plan family at large worlds, with a timing table.
-fn large_sweep(quick: bool, out: Option<&str>) -> Result<(), String> {
-    let worlds: &[usize] = if quick { &QUICK_WORLDS } else { &LARGE_WORLDS };
-    let mut table = String::new();
-    table.push_str(&format!(
-        "{:<24} {:>6} {:>10} {:>12} {:>10} {:>10} {:>10}\n",
-        "plan", "world", "ops", "bytes", "graph_ms", "credit_ms", "exec_ms"
-    ));
+/// The `--large` sweep: every plan family at `worlds` through the plan
+/// checker in both link modes, with a timing table.
+fn large_sweep(worlds: &[usize], out: Option<&str>) -> Result<(), String> {
+    let mut table = format!(
+        "{:<24} {:>6} {:>10} {:>12} {:>10} {:>14}\n",
+        "plan", "world", "ops", "bytes", "exec_ms", "credit_exec_ms"
+    );
     let t0 = Instant::now();
     for &world in worlds {
         for plan in plan_families(world) {
             let ops: usize = plan.ranks.iter().map(Vec::len).sum();
-            let tg = Instant::now();
-            let diags = analyze_p2p(&plan);
-            let graph_ms = tg.elapsed().as_secs_f64() * 1e3;
-            if !diags.is_empty() {
-                let lines: Vec<String> = diags.iter().take(5).map(|d| format!("  {d}")).collect();
-                return Err(format!(
-                    "{} w={world}: {} diagnostic(s)\n{}",
-                    plan.kind,
-                    diags.len(),
-                    lines.join("\n")
-                ));
-            }
-            let bytes = byte_conservation(&plan).map_err(|d| format!("{d}"))?;
-            // Credit mode: the same wait-for graph plus the slot
-            // transport's send#k -> recv#(k - SLOT_CAPACITY) back-edges
-            // must stay acyclic, proving a strictly blocking
-            // SLOT_CAPACITY-deep pool cannot deadlock these plans.
-            let tc = Instant::now();
-            let cdiags = analyze_p2p_credits(&plan, SLOT_CAPACITY);
-            let credit_ms = tc.elapsed().as_secs_f64() * 1e3;
-            if graph_deadlocks(&cdiags) {
-                return Err(format!(
-                    "{} w={world}: deadlocks under {SLOT_CAPACITY}-credit links",
-                    plan.kind
-                ));
-            }
-            let te = Instant::now();
-            let exec = enumerate_p2p(&plan);
-            let exec_ms = te.elapsed().as_secs_f64() * 1e3;
-            if !exec.deadlock_free() {
-                return Err(format!(
-                    "{} w={world}: enumeration stuck at {:?} though the graph is acyclic",
-                    plan.kind, exec.stuck
-                ));
+            // Unbounded links, then the slot transport's credit window read
+            // as strictly blocking: a `SLOT_CAPACITY`-deep pool whose put
+            // waits for a free slot must not deadlock these plans either.
+            let mut timed = Vec::new();
+            for capacity in [None, Some(SLOT_CAPACITY)] {
+                let t = Instant::now();
+                let report = verify_p2p(&plan, capacity);
+                timed.push((t.elapsed().as_secs_f64() * 1e3, report.bytes));
+                expect_clean(
+                    &format!("{} w={world} over {capacity:?}-deep links", plan.kind),
+                    &report.diagnostics[..report.diagnostics.len().min(5)],
+                )?;
             }
             table.push_str(&format!(
-                "{:<24} {:>6} {:>10} {:>12} {:>10.1} {:>10.1} {:>10.1}\n",
-                plan.kind, world, ops, bytes, graph_ms, credit_ms, exec_ms
+                "{:<24} {:>6} {:>10} {:>12} {:>10.1} {:>14.1}\n",
+                plan.kind, world, ops, timed[0].1, timed[0].0, timed[1].0
             ));
         }
     }
     let total_s = t0.elapsed().as_secs_f64();
     print!("{table}");
     println!(
-        "verify-plan --large: {} plan families x worlds {worlds:?} deadlock-free (unbounded and \
-         {SLOT_CAPACITY}-credit links) and byte-conserving in {total_s:.1} s",
-        plan_families(2).len()
+        "verify-plan --large: {} plan families x worlds {worlds:?} paired, byte-conserving and \
+         deadlock-free (unbounded and {SLOT_CAPACITY}-credit links) in {total_s:.1} s",
+        PLAN_FAMILIES.len()
     );
     if let Some(path) = out {
-        let mut contents = table;
-        contents.push_str(&format!("total_s {total_s:.3}\n"));
-        std::fs::write(path, contents).map_err(|e| format!("writing {path}: {e}"))?;
+        table.push_str(&format!("total_s {total_s:.3}\n"));
+        std::fs::write(path, table).map_err(|e| format!("writing {path}: {e}"))?;
         println!("timing table written to {path}");
     }
     Ok(())
 }
 
 /// Run the whole `verify-plan` pass; `Err` means a check failed.
-/// Flags: `--large` (graph sweep at worlds 64–1024), `--quick` (worlds
-/// 64/256 only), `--out FILE` (write the `--large` timing table).
-pub fn run(args: impl Iterator<Item = String>) -> Result<(), String> {
+/// Flags: `--large` (scale sweep at worlds 64–1024), `--out FILE` (write
+/// the `--large` timing table).
+pub fn run(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     let mut large = false;
-    let mut quick = false;
     let mut out: Option<String> = None;
-    let mut args = args.peekable();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--large" => large = true,
-            "--quick" => quick = true,
             "--out" => {
                 out = Some(args.next().ok_or("--out needs a file path")?);
             }
@@ -469,7 +414,7 @@ pub fn run(args: impl Iterator<Item = String>) -> Result<(), String> {
         }
     }
     if large {
-        return large_sweep(quick, out.as_deref());
+        return large_sweep(&LARGE_WORLDS, out.as_deref());
     }
     println!("comm-plan verifier: {} models x worlds {WORLDS:?}", ModelId::ALL.len());
     let mut total = 0usize;
@@ -488,8 +433,8 @@ pub fn run(args: impl Iterator<Item = String>) -> Result<(), String> {
     model_check_all()?;
     println!("model checker: elastic re-form handshake, fault-free + dead rank + midway crash");
     model_check_reform()?;
-    println!("wait-for graph: agreement with the model checker and the plan executor");
-    graph_agreement()?;
+    println!("plan checker: agreement with the model checker, seeded mutations, both link modes");
+    checker_expectations()?;
     println!("verify-plan: all checks passed");
     Ok(())
 }
@@ -504,8 +449,8 @@ mod tests {
     }
 
     #[test]
-    fn large_sweep_quick_succeeds() {
-        large_sweep(true, None).expect("quick graph sweep must pass on the clean tree");
+    fn large_sweep_succeeds_at_two_worlds() {
+        large_sweep(&[64, 256], None).expect("scale sweep must pass on the clean tree");
     }
 
     #[test]

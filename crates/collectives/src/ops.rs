@@ -10,10 +10,11 @@
 //! interleaving.
 //!
 //! Who sends what to whom in which order is not decided here: barrier,
-//! broadcast, the ring and the fan-outs execute [`crate::schedule`]. The
-//! ring and the fan-outs are resumable machines ([`RingMachine`],
-//! [`FanoutMachine`]) that the chunked scheduler steps one unit at a
-//! time; the blocking functions below run the same machines to completion.
+//! broadcast, the ring, the fan-outs and the split allreduce execute
+//! [`crate::schedule`]. The ring and the fan-outs are resumable machines
+//! ([`RingMachine`], [`FanoutMachine`]) that the chunked scheduler steps
+//! one unit at a time; the blocking functions below run the same machines
+//! to completion.
 //!
 //! # Failure semantics
 //!
@@ -549,25 +550,11 @@ pub fn sparse_allreduce<C: Comm>(ep: &mut C, grad: &RowSparse, cfg: &SsarConfig)
     finish(try_sparse_allreduce(ep, grad, cfg))
 }
 
-/// Fallible [`sparse_allreduce`].
-///
-/// # Algorithm
-///
-/// Let `p` be the largest power of two `<= world` and `extra = world − p`.
-///
-/// 1. **Fold-in** (`extra > 0`): rank `r >= p` sends its coalesced stream
-///    to `r − p` and waits for the final result; rank `r < extra` merges
-///    the folded stream into its own.
-/// 2. **Recursive-halving reduce-scatter** over the `p`-rank hypercube,
-///    distances `d = 1, 2, …, p/2`: partner `r ^ d`, the current range
-///    `[lo, hi)` splits at its midpoint, the rank with bit `d` clear keeps
-///    the lower half, the other the upper; each sends the half it gives
-///    up and merges the half it receives (duplicate indices summed).
-/// 3. **Recursive-doubling allgather** of the reduced segments: distances
-///    `d = 1, 2, …, p/2` again, exchanging the entire accumulated segment
-///    list (`Arc`-shared sends, zero payload bytes copied).
-/// 4. **Fold-out**: rank `r < extra` forwards the assembled result to
-///    `r + p`.
+/// Fallible [`sparse_allreduce`]: executes [`schedule::ssar_rounds`]
+/// (fold-in, recursive-halving reduce-scatter, recursive-doubling
+/// allgather, fold-out — peers, order and row ranges are defined there) on
+/// index–value segments. Allgather and fold-out sends are `Arc`-shared:
+/// zero payload bytes copied.
 ///
 /// # Determinism
 ///
@@ -577,107 +564,68 @@ pub fn sparse_allreduce<C: Comm>(ep: &mut C, grad: &RowSparse, cfg: &SsarConfig)
 /// across runs and message interleavings — and independent of where (or
 /// whether) the crossover fires, provided no input value is `-0.0` (the
 /// densified representation materialises absent rows as `+0.0`). The
-/// model checker proves this on the mirrored program; the serial
-/// reference is [`sparse_allreduce_oracle`].
+/// model checker proves this on the same schedule; the serial reference
+/// is [`sparse_allreduce_oracle`].
 pub fn try_sparse_allreduce<C: Comm>(
     ep: &mut C,
     grad: &RowSparse,
     cfg: &SsarConfig,
 ) -> Result<SparseReduced, CommError> {
     let _span = recorder::span("sparse_allreduce", "collective");
-    let world = ep.world();
-    let rank = ep.rank();
     assert!(u32::try_from(cfg.vocab).is_ok(), "vocab must fit in u32");
     let vocab = cfg.vocab as u32;
     let local = coalesce(grad);
     if let Some(&max) = local.indices().last() {
         assert!((max as usize) < cfg.vocab, "gradient row {max} out of vocab {}", cfg.vocab);
     }
-    if world == 1 {
-        let body = mk_body(local, 0, vocab, cfg.crossover);
-        return Ok(assemble(vec![SparseSeg { lo: 0, hi: vocab, body }], cfg.vocab));
-    }
-    let p = prev_pow2(world);
-    let extra = world - p;
-
-    if rank >= p {
-        // Fold-in rank: contribute the whole stream, receive the result.
-        let seg = SparseSeg { lo: 0, hi: vocab, body: mk_body(local, 0, vocab, cfg.crossover) };
-        if let Err(e) = ep.try_send(rank - p, Packet::SparseSegs(vec![seg])) {
-            return fail(ep, e);
+    let mut held =
+        vec![SparseSeg { lo: 0, hi: vocab, body: mk_body(local, 0, vocab, cfg.crossover) }];
+    for round in schedule::ssar_rounds(ep.world(), ep.rank(), cfg.vocab) {
+        if let Some(msg) = &round.send {
+            let outgoing = if round.reduce {
+                let seg = held.pop().expect("a reduce round starts holding one segment");
+                match round.halving() {
+                    // Fold-in: the whole stream leaves.
+                    None => vec![seg],
+                    Some((mid, keep_low)) => {
+                        let mid = mid as u32;
+                        let (low, high) = split_body(seg.body, seg.lo, mid, seg.hi);
+                        let low = SparseSeg { lo: seg.lo, hi: mid, body: low };
+                        let high = SparseSeg { lo: mid, hi: seg.hi, body: high };
+                        let (keep, sent) = if keep_low { (low, high) } else { (high, low) };
+                        held.push(keep);
+                        vec![sent]
+                    }
+                }
+            } else {
+                held.iter().map(SparseSeg::share).collect()
+            };
+            if let Err(e) = ep.try_send(msg.peer, Packet::SparseSegs(outgoing)) {
+                return fail(ep, e);
+            }
         }
-        let segs = match ep.try_recv(rank - p).and_then(Packet::try_into_sparse_segs) {
-            Ok(s) => s,
-            Err(e) => return fail(ep, e),
-        };
-        return Ok(assemble(segs, cfg.vocab));
-    }
-
-    let mut body = mk_body(local, 0, vocab, cfg.crossover);
-    if rank < extra {
-        let mut folded = match ep.try_recv(rank + p).and_then(Packet::try_into_sparse_segs) {
-            Ok(s) => s,
-            Err(e) => return fail(ep, e),
-        };
-        debug_assert_eq!(folded.len(), 1, "fold-in carries one full-range segment");
-        let seg = folded.pop().expect("non-empty fold-in message");
-        body = merge_bodies(body, seg.body, 0, vocab, cfg.crossover);
-    }
-
-    // Recursive-halving reduce-scatter.
-    let (mut lo, mut hi) = (0u32, vocab);
-    let mut d = 1;
-    while d < p {
-        let partner = rank ^ d;
-        let mid = lo + (hi - lo) / 2;
-        let (low_half, high_half) = split_body(body, lo, mid, hi);
-        let (keep, sent, keep_lo, keep_hi, sent_lo, sent_hi) = if rank & d == 0 {
-            (low_half, high_half, lo, mid, mid, hi)
-        } else {
-            (high_half, low_half, mid, hi, lo, mid)
-        };
-        let out_seg = SparseSeg { lo: sent_lo, hi: sent_hi, body: sent };
-        if let Err(e) = ep.try_send(partner, Packet::SparseSegs(vec![out_seg])) {
-            return fail(ep, e);
-        }
-        let mut incoming = match ep.try_recv(partner).and_then(Packet::try_into_sparse_segs) {
-            Ok(s) => s,
-            Err(e) => return fail(ep, e),
-        };
-        debug_assert_eq!(incoming.len(), 1, "reduce-scatter carries one half-range segment");
-        let seg = incoming.pop().expect("non-empty reduce-scatter message");
-        debug_assert_eq!((seg.lo, seg.hi), (keep_lo, keep_hi), "partner sent the wrong half");
-        body = merge_bodies(keep, seg.body, keep_lo, keep_hi, cfg.crossover);
-        lo = keep_lo;
-        hi = keep_hi;
-        d *= 2;
-    }
-
-    // Recursive-doubling allgather of the reduced segments.
-    let mut segs = vec![SparseSeg { lo, hi, body }];
-    let mut d = 1;
-    while d < p {
-        let partner = rank ^ d;
-        let outgoing: Vec<SparseSeg> = segs.iter().map(SparseSeg::share).collect();
-        if let Err(e) = ep.try_send(partner, Packet::SparseSegs(outgoing)) {
-            return fail(ep, e);
-        }
-        match ep.try_recv(partner).and_then(Packet::try_into_sparse_segs) {
-            Ok(mut incoming) => segs.append(&mut incoming),
-            Err(e) => return fail(ep, e),
-        }
-        d *= 2;
-    }
-    segs.sort_by_key(|s| s.lo);
-
-    if rank < extra {
-        // Fold-out: forward the assembled result (shared, zero copies).
-        let result: Vec<SparseSeg> = segs.iter().map(SparseSeg::share).collect();
-        if let Err(e) = ep.try_send(rank + p, Packet::SparseSegs(result)) {
-            return fail(ep, e);
+        if let Some(msg) = &round.recv {
+            let mut incoming = match ep.try_recv(msg.peer).and_then(Packet::try_into_sparse_segs) {
+                Ok(segs) => segs,
+                Err(e) => return fail(ep, e),
+            };
+            if round.reduce {
+                debug_assert_eq!(incoming.len(), 1, "a reduce round carries one segment");
+                let seg = incoming.pop().expect("non-empty reduce message");
+                let kept = held.pop().expect("a reduce round receives into one segment");
+                debug_assert_eq!(
+                    (seg.lo, seg.hi),
+                    (kept.lo, kept.hi),
+                    "partner sent the wrong range"
+                );
+                let body = merge_bodies(kept.body, seg.body, kept.lo, kept.hi, cfg.crossover);
+                held.push(SparseSeg { lo: kept.lo, hi: kept.hi, body });
+            } else {
+                held.append(&mut incoming);
+            }
         }
     }
-    Ok(assemble(segs, cfg.vocab))
+    Ok(assemble(held, cfg.vocab))
 }
 
 /// Reference semantics of [`sparse_allreduce`]: serially replay the
