@@ -6,7 +6,7 @@
 //! ([`OpTiming`] per executed op, or the equivalent op-level spans of a
 //! [`SpanSet`]).
 //!
-//! Encoding: each rank's communication thread is a process with a vector
+//! Encoding: each rank's comm scheduler is a process with a vector
 //! clock, and every collective `tag` is a synchronization object. When
 //! rank `r` starts executing `tag` it ticks its own component and joins
 //! its clock *into* the object's clock; when it finishes, it joins the
@@ -17,14 +17,17 @@
 //!
 //! Detections, each a [`Diagnostic`]:
 //!
-//! * **Determinism violation** — the rank-0 controller imposes one global
-//!   execution order on all ranks, so every rank's executed tag sequence
-//!   must be identical ([`DiagnosticKind::DeterminismViolation`]).
+//! * **Determinism violation** — every rank applies the same rule to an
+//!   equal queue (there is no controller; the queue is a function of the
+//!   rank's call sequence, which SPMD ranks share), so every rank's
+//!   executed tag sequence must be identical
+//!   ([`DiagnosticKind::DeterminismViolation`]).
 //! * **Priority inversion** — an op executed while a strictly more urgent
 //!   op was already *globally runnable* (submitted on every rank — a
 //!   collective cannot start before that) and was left waiting
-//!   ([`DiagnosticKind::PriorityInversion`]). A small slack (100 µs)
-//!   absorbs the submit/dequeue handoff race so live runs don't flap.
+//!   ([`DiagnosticKind::PriorityInversion`]). No slack: the scheduler
+//!   chooses on the thread that submits, so an op more urgent than the one
+//!   chosen and submitted before the choice is the one chosen.
 //! * **Unordered conflicting accesses** — two collectives observed in
 //!   opposite completion orders on different ranks whose completion
 //!   clocks are incomparable: a real race on the scheduler's queue /
@@ -38,11 +41,6 @@
 use crate::verify::{sort_diagnostics, Diagnostic, DiagnosticKind};
 use embrace_collectives::OpTiming;
 use embrace_obs::SpanSet;
-
-/// Submit/dequeue handoff slack: an "urgent" op must have been submitted
-/// at least this long before a less urgent op started for the scheduler
-/// to be blamed for running the wrong one.
-const INVERSION_SLACK_S: f64 = 1e-4;
 
 /// One executed collective in a rank's trace, in execution (completion)
 /// order.
@@ -121,8 +119,8 @@ pub fn check_hb(ranks: &[Vec<HbOp>]) -> Vec<Diagnostic> {
         return out;
     }
 
-    // Determinism: every rank must execute the controller's one global
-    // tag order.
+    // Determinism: every rank must execute the one tag order the shared
+    // rule yields.
     for (r, trace) in ranks.iter().enumerate().skip(1) {
         let head = &ranks[0];
         let diverge = (0..trace.len().max(head.len()))
@@ -159,7 +157,7 @@ pub fn check_hb(ranks: &[Vec<HbOp>]) -> Vec<Diagnostic> {
         for (i, ran) in trace.iter().enumerate() {
             for waited in &trace[i + 1..] {
                 let ready = global_ready[waited.tag.as_str()];
-                if waited.priority < ran.priority && ready + INVERSION_SLACK_S < ran.started_s {
+                if waited.priority < ran.priority && ready < ran.started_s {
                     out.push(Diagnostic {
                         kind: DiagnosticKind::PriorityInversion,
                         rank: Some(r),
@@ -342,17 +340,6 @@ mod tests {
             .collect();
         let diags = check_hb(&t);
         assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn handoff_race_within_slack_is_tolerated() {
-        // Urgent op submitted 10 µs before the bulk started: inside the
-        // dequeue handoff window, not an inversion.
-        let t = vec![vec![
-            op("dense/0", 3, 0.0, 0.000_010, 0.01),
-            op("grad/0", -2, 0.000_001, 0.01, 0.02),
-        ]];
-        assert!(check_hb(&t).is_empty());
     }
 
     #[test]

@@ -76,8 +76,10 @@ pub enum Collective {
     /// A chunked ring allreduce preempted after `preempt_at` units by a
     /// whole paired allgather (the §5.2 scenario: urgent sparse op
     /// interleaved mid-tensor into a bulk dense op), then resumed. The
-    /// cut is unit-aligned on every rank, exactly as the controller's
-    /// between-unit preemption point guarantees.
+    /// cut is unit-aligned on every rank, as the scheduler's rule — applied
+    /// before every unit to a queue that is equal on every rank —
+    /// guarantees, and as its start-round fingerprint (units run per
+    /// suspended op) checks.
     PreemptedRing {
         elems: usize,
         seg: usize,

@@ -53,8 +53,8 @@ pub enum DiagnosticKind {
     /// Ranks of a p2p plan wait on each other in a cycle — a deadlock no
     /// interleaving can escape (reported with each rank's blocked op).
     WaitCycle,
-    /// Ranks executed collectives in different orders even though the
-    /// scheduler's controller imposes one global order.
+    /// Ranks executed collectives in different orders even though every
+    /// rank's scheduler applies one rule to an equal queue.
     DeterminismViolation,
     /// Two conflicting scheduler-state accesses completed in opposite
     /// orders on different ranks with no happens-before edge between them.

@@ -37,7 +37,7 @@
 //! local reduce → allgather) at fixed vocabulary and varying gradient
 //! row density — the crossover where the hybrid overtakes the
 //! sparse-native path is the number §4's representation switch is
-//! calibrated against. `density` is 0 for size-sweep and HOL entries.
+//! calibrated against. `density` is 0 for size-sweep entries.
 //!
 //! `bytes` is the per-rank logical payload (the buffer being reduced /
 //! gathered / exchanged); `gb_per_s` is that payload divided by wall time
@@ -260,104 +260,6 @@ fn run_sweep(mode: Mode) -> Vec<Entry> {
     entries
 }
 
-/// Head-of-line-blocking scenario (§5.2's second dimension): one bulk
-/// low-priority dense AllReduce hits the wire, then a stream of tiny
-/// high-priority token gathers arrives behind it. With chunking off the
-/// gathers wait for the whole bulk op; with chunking on they preempt it
-/// between segments. Recorded as `hol_p95_wait_*` entries whose
-/// `ns_per_iter` is the p95 high-priority *queue wait* (not a
-/// throughput), so `gb_per_s` is left 0.
-const HOL_WORLD: usize = 4;
-/// 32 MiB of f32 per rank — large enough that the unchunked AllReduce
-/// occupies the wire for tens of milliseconds.
-const HOL_BULK_ELEMS: usize = 8 << 20;
-const HOL_GATHERS: usize = 24;
-const HOL_GATHER_TOKENS: usize = 64;
-
-fn bench_hol(chunk: Option<usize>) -> Entry {
-    use embrace_collectives::{CommOp, CommResult, CommScheduler};
-    let endpoints = slot_mesh(HOL_WORLD);
-    let mut waits: Vec<f64> = Vec::new();
-    let mut min_bulk_chunks = u32::MAX;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = endpoints
-            .into_iter()
-            .map(|ep| {
-                scope.spawn(move || {
-                    let mut sched = match chunk {
-                        Some(cb) => CommScheduler::spawn_chunked_observed(ep, cb),
-                        None => CommScheduler::spawn_observed(ep),
-                    };
-                    let bulk = sched.submit(
-                        100,
-                        "bulk".to_string(),
-                        CommOp::AllReduceDense(vec![1.0; HOL_BULK_ELEMS]),
-                    );
-                    // Let the bulk op reach the wire before the urgent
-                    // stream starts (the head-of-line condition).
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                    let mut hp = Vec::new();
-                    for k in 0..HOL_GATHERS {
-                        hp.push(sched.submit(
-                            -10,
-                            format!("hp{k}"),
-                            CommOp::GatherTokens(vec![k as u32; HOL_GATHER_TOKENS]),
-                        ));
-                        std::thread::sleep(std::time::Duration::from_micros(100));
-                    }
-                    for t in hp {
-                        assert!(!matches!(t.wait(), CommResult::Failed(_)), "hp gather failed");
-                    }
-                    assert!(!matches!(bulk.wait(), CommResult::Failed(_)), "bulk failed");
-                    assert!(!matches!(sched.flush(), CommResult::Failed(_)), "flush failed");
-                    sched.observation().expect("observed scheduler")
-                })
-            })
-            .collect();
-        for h in handles {
-            let (_spans, timings) = h.join().expect("hol rank panicked");
-            for t in &timings {
-                if t.tag.starts_with("hp") {
-                    waits.push(t.queue_wait());
-                } else if t.tag == "bulk" {
-                    min_bulk_chunks = min_bulk_chunks.min(t.chunks);
-                }
-            }
-        }
-    });
-    if chunk.is_some() {
-        assert!(min_bulk_chunks > 1, "bulk op must split into segments, got {min_bulk_chunks}");
-    }
-    waits.sort_by(f64::total_cmp);
-    let p95 = waits[(waits.len() * 95 / 100).min(waits.len() - 1)];
-    Entry {
-        op: if chunk.is_some() { "hol_p95_wait_chunked" } else { "hol_p95_wait_nochunk" },
-        world: HOL_WORLD,
-        bytes: HOL_BULK_ELEMS * F32_BYTES,
-        density: 0.0,
-        iters: waits.len() as u64,
-        ns_per_iter: (p95 * 1e9) as u64,
-        gb_per_s: 0.0,
-    }
-}
-
-/// Run the head-of-line scenario chunking-off then chunking-on and print
-/// the p95 queue-wait ratio (the acceptance number for PR 5 is ≥5×).
-fn run_hol() -> Vec<Entry> {
-    let mut entries = Vec::new();
-    for chunk in [None, Some(embrace_collectives::DEFAULT_CHUNK_BYTES)] {
-        let e = bench_hol(chunk);
-        println!(
-            "{:<26} world={} {:>9} B  {:>12} ns p95 wait  ({} hp ops)",
-            e.op, e.world, e.bytes, e.ns_per_iter, e.iters
-        );
-        entries.push(e);
-    }
-    let (off, on) = (entries[0].ns_per_iter as f64, entries[1].ns_per_iter.max(1) as f64);
-    println!("head-of-line p95 queue-wait improvement: {:.1}x", off / on);
-    entries
-}
-
 /// Print per-cell deltas of `label` against the stored "before" run.
 fn report_delta(doc: &json::Value, label: &str) {
     let Some(runs) = doc.get("runs").and_then(|r| r.as_arr()) else { return };
@@ -438,7 +340,6 @@ fn main() {
     println!("bench_comm: label={label} mode={} transport=slot", mode.as_str());
     let mut entries = run_sweep(mode);
     entries.extend(run_density_sweep(mode));
-    entries.extend(run_hol());
     let new_run = fmt_run(&label, mode, &entries);
     let doc = merge_into_file(&out, &label, new_run).unwrap_or_else(|e| {
         eprintln!("{e}");

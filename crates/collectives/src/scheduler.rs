@@ -1,59 +1,83 @@
-//! The background communication thread (§5.1) with 2D scheduling (§5.2).
+//! The communication scheduler (§5.1) with 2D scheduling (§5.2), run
+//! cooperatively on the rank thread.
 //!
-//! The prototype "holds a priority queue and a communication thread.
-//! Communications are performed in the communication thread according to
-//! the priority queue." This module reproduces that mechanism on the
-//! functional plane: each worker owns a [`CommScheduler`] whose thread
-//! drains enqueued collective operations in priority order and fulfils a
-//! ticket per operation.
+//! The paper's prototype "holds a priority queue and a communication
+//! thread. Communications are performed in the communication thread
+//! according to the priority queue." Here the queue is the same and the
+//! thread is the caller's: [`CommScheduler::submit`] only enqueues and
+//! never communicates, and every other call — [`Ticket::wait`],
+//! [`CommScheduler::flush`], [`CommScheduler::progress`] (one unit: the
+//! quantum a BP hook hands the comm plane) and `Drop` (drains) — runs
+//! **units** of the queued collectives on the calling thread. On the
+//! in-process mesh a transfer is a pointer hand-off, so a thread of its own
+//! overlapped nothing but the reduce kernel and cost two hand-offs per op;
+//! what asynchrony buys on a real network is reproduced by the DES
+//! (`embrace-simnet`), which keeps modelling the asynchronous thread.
 //!
-//! The *second* dimension of the paper's 2D Communication Scheduling is
-//! tensor partitioning: a chunked scheduler
-//! ([`CommScheduler::spawn_chunked`]) splits large payloads into
-//! fixed-byte segments executed as resumable units, and the rank-0
-//! controller re-consults its priority queue between units. A strictly
-//! more urgent submission preempts the op already on the wire; its
-//! remaining units resume afterwards, and the chunked result is
-//! bitwise-identical to unchunked execution: both run the same
-//! [`crate::ops`] machines over the same [`crate::schedule`], whole ops to
-//! completion and chunked ops one unit at a time.
+//! # Units, priorities and preemption
 //!
-//! Collectives are SPMD: an operation only completes when *every* rank's
-//! thread reaches it. Correctness therefore requires all ranks to enqueue
-//! the same multiset of operations with the same priorities — which the
-//! EmbRace algorithm guarantees (priorities are a pure function of the
-//! model graph) and an always-on cross-rank fingerprint check enforces:
-//! divergent enqueues surface as [`CommResult::Failed`] carrying
-//! [`CommError::Protocol`] instead of deadlocking inside a collective.
-//! The same submissions are recorded in a per-scheduler [`SubmittedOp`]
-//! log that `embrace-analyzer`'s static plan verifier consumes.
+//! An op that runs whole — every op of [`CommScheduler::spawn`], and on a
+//! chunked scheduler ([`CommScheduler::spawn_chunked`]) every op whose
+//! payload fits one segment on every rank — is one unit: the blocking
+//! [`crate::ops`] function. A larger payload is tensor-partitioned, the
+//! second dimension of §5.2: the same [`crate::ops`] machines over the same
+//! [`crate::schedule`], stepped one unit at a time (a `chunk_bytes` ring
+//! segment, or one paired send + receive of a fan-out), so the result is
+//! bitwise-identical to the whole op. Before *every* unit one rule is
+//! applied: if the queue head is strictly more urgent than the op on top of
+//! the execution stack, or the stack is empty, the head is started (pushed)
+//! and runs its first unit; otherwise the top op runs its next unit. A
+//! strictly more urgent submission therefore preempts the op in flight at
+//! its next unit boundary, and the preempted op resumes when it is on top
+//! again.
+//!
+//! # The SPMD contract, and why it needs no controller
+//!
+//! Collectives are SPMD: a unit completes only when every rank runs it.
+//! Nothing here runs concurrently with the caller, so a rank's queue and
+//! stack at its k-th scheduler call are a function of its call sequence
+//! alone; and every op runs as the same number of units on every rank (the
+//! whole-or-partitioned choice is agreed in the op's start round). Hence
+//! ranks that make **the same sequence of `submit` / `progress` / `wait` /
+//! `flush` calls** pick the same unit every time, with no message saying
+//! so. EmbRace guarantees that sequence (priorities and hook points are a
+//! pure function of the model graph), and it is checked where it matters:
+//! every op start allgathers a fingerprint of the whole execution stack —
+//! `(tag, priority, kind, units run)` of the new op and of every suspended
+//! one, plus the segment size — so a divergent enqueue, or a rank that
+//! preempted at a different unit boundary, is [`CommError::Protocol`] on
+//! every rank instead of a deadlock or two segments mistaken for each
+//! other. The same submissions
+//! are recorded in a per-scheduler [`SubmittedOp`] log that
+//! `embrace-analyzer`'s static plan verifier consumes.
 //!
 //! # Abort contract
 //!
-//! Every shutdown path is typed; none panics:
-//! - [`Ticket::wait`] on a ticket the comm thread dropped (fail-fast
-//!   shutdown, divergent enqueue) returns
-//!   `CommResult::Failed(CommError::Aborted)`.
-//! - [`CommScheduler::submit`] / [`CommScheduler::flush`] after the comm
-//!   thread exited return a pre-failed ticket / `Failed(Aborted)`.
-//! - A non-zero rank whose control channel times out fails its pending
-//!   ops with the original [`CommError::Timeout`]; a controller that
-//!   names a tag never submitted locally after a local shutdown yields
-//!   [`CommError::Protocol`]; a clean controller shutdown is an explicit
-//!   control token, never conflated with either.
+//! Every failure is typed; nothing panics and nothing hangs:
+//! - the op whose unit failed, every op suspended under it and every op
+//!   queued behind it resolve to [`CommResult::Failed`] with that unit's
+//!   error — the real cause (`Protocol`, `PeerGone`, `Timeout`, the
+//!   origin's `Aborted`, the victim's own `Injected`);
+//! - the failing rank tells its peers ([`crate::ops`]' abort broadcast) and
+//!   drops its endpoint, so a peer blocked on it sees `Aborted` or
+//!   `PeerGone`, or `Timeout` where the mesh has a deadline;
+//! - [`CommScheduler::submit`] / [`CommScheduler::flush`] after a failure
+//!   return a pre-failed ticket / `Failed(Aborted)`;
+//! - an op only this rank enqueued is started by `Drop`'s drain and fails
+//!   in its start round: `Protocol` against a peer starting another op,
+//!   `PeerGone` against a peer that already left.
 
 use crate::ops::{
     fail, try_allgather_tokens, try_alltoall_dense, try_alltoallv_sparse, try_ring_allreduce,
     FanoutMachine, RingMachine,
 };
 use crate::schedule::Ring;
-use crate::transport::{CommError, Endpoint, Packet};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crate::transport::{CommError, Endpoint};
 use embrace_obs::{ClockDomain, Metrics, SpanSet, TrackId, WallClock};
 use embrace_tensor::{DenseTensor, RowSparse, TokenBuf, F32_BYTES};
-use parking_lot::Mutex;
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
+use std::rc::Rc;
 use std::time::Instant;
 
 /// One communication request.
@@ -105,9 +129,9 @@ pub enum CommResult {
     AlltoAllSparse(Vec<RowSparse>),
     GatherTokens(Vec<TokenBuf>),
     Flush,
-    /// The operation was not executed: the scheduler shut down first —
-    /// divergent enqueues (SPMD fingerprint mismatch), a peer failure, a
-    /// control-channel timeout, or a fail-fast abort. Always a typed
+    /// The operation was not executed, or not to the end: divergent
+    /// enqueues (SPMD fingerprint mismatch), a peer failure, an expired
+    /// deadline, or an earlier failure on this scheduler. Always a typed
     /// [`CommError`]; the scheduler never panics a waiter.
     Failed(CommError),
 }
@@ -127,24 +151,32 @@ pub struct SubmittedOp {
     pub bytes: u64,
 }
 
-/// Ticket redeemable for the operation's result (blocks until the
-/// communication thread has executed it).
+/// Where a finished (or failed) op leaves its result for its [`Ticket`]; a
+/// dropped ticket (fire-and-forget delayed gradients) just leaves it unread.
+type Done = Rc<Cell<Option<CommResult>>>;
+
+/// Ticket redeemable for the operation's result. `!Send`, like the
+/// scheduler it came from: it is redeemed on the thread that submitted.
 pub struct Ticket {
-    rx: Receiver<CommResult>,
-    /// This rank, for the typed abort when the comm thread is gone.
-    rank: usize,
+    core: Rc<RefCell<Core>>,
+    done: Done,
 }
 
 impl Ticket {
-    /// Wait for the operation to complete and take its result — the
-    /// `synchronize()` call of Horovod's API. If the communication thread
-    /// shut down without executing the op (fail-fast abort, divergent
-    /// enqueue), this returns `Failed(CommError::Aborted)` — the abort
-    /// contract — rather than panicking on the dropped channel.
+    /// Take the operation's result, first running units on this thread —
+    /// in priority order, so possibly other ops' — until it is there: the
+    /// `synchronize()` call of Horovod's API. A failed or aborted op
+    /// returns `Failed` with the typed cause; this never panics or hangs
+    /// on a scheduler that shut down.
     pub fn wait(self) -> CommResult {
-        match self.rx.recv() {
-            Ok(result) => result,
-            Err(_) => CommResult::Failed(CommError::Aborted { origin: self.rank }),
+        loop {
+            if let Some(result) = self.done.take() {
+                return result;
+            }
+            let mut core = self.core.borrow_mut();
+            if !core.step() {
+                return CommResult::Failed(CommError::Aborted { origin: core.rank });
+            }
         }
     }
 }
@@ -165,11 +197,11 @@ pub struct OpTiming {
     pub bytes: u64,
     /// When the worker enqueued the op.
     pub submitted_s: f64,
-    /// When the communication thread started executing it.
+    /// When the op was started (taken off the queue).
     pub started_s: f64,
     /// When execution (including the SPMD fingerprint round) finished.
     pub finished_s: f64,
-    /// Resumable segments the op ran as (1 = executed whole).
+    /// Units the op ran as (1 = executed whole).
     pub chunks: u32,
 }
 
@@ -200,7 +232,7 @@ pub fn scheduler_metrics(timings: &[OpTiming]) -> Metrics {
     m
 }
 
-/// Shared between an observed scheduler handle and its comm thread.
+/// What an observed scheduler records.
 struct SchedObs {
     spans: SpanSet,
     track: TrackId,
@@ -208,126 +240,97 @@ struct SchedObs {
     timings: Vec<OpTiming>,
 }
 
-struct Job {
-    priority: i64,
-    tag: String,
-    op: CommOp,
-    done: Sender<CommResult>,
-    /// Submission instant, for queue-wait accounting under observation.
-    submitted_at: Instant,
-}
-
-enum Msg {
-    Submit(Job),
-    Shutdown,
-}
-
 /// Default segment size for [`CommScheduler::spawn_chunked`]: large
-/// enough that per-segment control traffic is noise against the payload,
+/// enough that the per-unit bookkeeping is noise against the payload,
 /// small enough that a 16 MiB dense allreduce yields ~64 preemption
 /// points.
 pub const DEFAULT_CHUNK_BYTES: usize = 256 << 10;
 
-/// Per-worker handle: enqueue operations; a background thread executes
-/// them against this worker's mesh [`Endpoint`] in priority order.
+/// Per-worker handle: enqueue operations and run them, in priority order,
+/// against this worker's mesh [`Endpoint`] — on the calling thread. Build
+/// it on the thread that uses it; like its [`Ticket`]s it is `!Send`.
 pub struct CommScheduler {
-    tx: Sender<Msg>,
-    rank: usize,
-    handle: Option<JoinHandle<()>>,
+    core: Rc<RefCell<Core>>,
     log: Vec<SubmittedOp>,
-    obs: Option<Arc<Mutex<SchedObs>>>,
 }
 
 impl CommScheduler {
-    /// Spawn the communication thread, taking ownership of the endpoint.
-    /// Ops run whole (no partitioning); priorities only reorder *queued*
-    /// ops.
+    /// Take ownership of the endpoint. Ops run whole (no partitioning);
+    /// priorities only reorder *queued* ops.
     pub fn spawn(ep: Endpoint) -> Self {
-        Self::spawn_inner(ep, None, None)
+        Self::new(ep, false, None)
     }
 
-    /// Like [`CommScheduler::spawn`], but the communication thread records
-    /// a wall-clock span per executed op plus an [`OpTiming`] log, both
-    /// harvested with [`CommScheduler::observation`].
+    /// Like [`CommScheduler::spawn`], but records a wall-clock span per
+    /// executed op plus an [`OpTiming`] log, both harvested with
+    /// [`CommScheduler::observation`].
     pub fn spawn_observed(ep: Endpoint) -> Self {
-        let obs = Self::new_obs(&ep);
-        Self::spawn_inner(ep, Some(obs), None)
+        Self::new(ep, true, None)
     }
 
     /// Spawn with tensor partitioning: payloads larger than `chunk_bytes`
     /// run as resumable `chunk_bytes`-sized segments, and a strictly more
-    /// urgent submission preempts the op on the wire between segments —
-    /// the second dimension of §5.2's 2D scheduling. Results are
+    /// urgent submission preempts the op in flight between segments — the
+    /// second dimension of §5.2's 2D scheduling. Results are
     /// bitwise-identical to unchunked execution.
     pub fn spawn_chunked(ep: Endpoint, chunk_bytes: usize) -> Self {
-        assert!(chunk_bytes > 0, "chunk size must be positive");
-        Self::spawn_inner(ep, None, Some(chunk_bytes))
+        Self::new(ep, false, Some(chunk_bytes))
     }
 
     /// [`CommScheduler::spawn_chunked`] with observation: per-op spans and
     /// timings plus one `"chunk"` span per executed segment.
     pub fn spawn_chunked_observed(ep: Endpoint, chunk_bytes: usize) -> Self {
-        assert!(chunk_bytes > 0, "chunk size must be positive");
-        let obs = Self::new_obs(&ep);
-        Self::spawn_inner(ep, Some(obs), Some(chunk_bytes))
+        Self::new(ep, true, Some(chunk_bytes))
     }
 
-    fn new_obs(ep: &Endpoint) -> Arc<Mutex<SchedObs>> {
-        let mut spans = SpanSet::new(ClockDomain::Wall);
-        let track = spans.add_track(&format!("comm-{}", ep.rank()));
-        Arc::new(Mutex::new(SchedObs {
-            spans,
-            track,
-            clock: WallClock::new(),
-            timings: Vec::new(),
-        }))
-    }
-
-    fn spawn_inner(
-        mut ep: Endpoint,
-        obs: Option<Arc<Mutex<SchedObs>>>,
-        chunk_bytes: Option<usize>,
-    ) -> Self {
-        let rank = ep.rank();
-        let (tx, rx) = unbounded::<Msg>();
-        let thread_obs = obs.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("embrace-comm-{rank}"))
-            .spawn(move || comm_thread(&mut ep, &rx, thread_obs, chunk_bytes))
-            .expect("failed to spawn communication thread");
-        CommScheduler { tx, rank, handle: Some(handle), log: Vec::new(), obs }
+    fn new(ep: Endpoint, observed: bool, chunk_bytes: Option<usize>) -> Self {
+        assert!(chunk_bytes != Some(0), "chunk size must be positive");
+        let obs = observed.then(|| {
+            let mut spans = SpanSet::new(ClockDomain::Wall);
+            let track = spans.add_track(&format!("comm-{}", ep.rank()));
+            SchedObs { spans, track, clock: WallClock::new(), timings: Vec::new() }
+        });
+        let core = Core {
+            rank: ep.rank(),
+            ep: Some(ep),
+            chunk_bytes,
+            queue: BTreeMap::new(),
+            seq: 0,
+            stack: Vec::new(),
+            spare: Vec::new(),
+            obs,
+        };
+        CommScheduler { core: Rc::new(RefCell::new(core)), log: Vec::new() }
     }
 
     /// Snapshot the spans and timings recorded so far (observed schedulers
     /// only; `None` for [`CommScheduler::spawn`]). Call after
     /// [`CommScheduler::flush`] for a quiescent view.
     pub fn observation(&self) -> Option<(SpanSet, Vec<OpTiming>)> {
-        self.obs.as_ref().map(|o| {
-            let g = o.lock();
-            (g.spans.clone(), g.timings.clone())
-        })
+        self.core.borrow().obs.as_ref().map(|o| (o.spans.clone(), o.timings.clone()))
     }
 
     /// Enqueue `op` with `priority` (lower = sooner). `tag` names the
     /// operation for cross-rank consistency checking. Returns a ticket.
-    /// If the communication thread has already shut down (fail-fast
-    /// abort), the ticket is pre-failed with [`CommError::Aborted`]
-    /// instead of this call panicking on the closed channel.
+    /// Never communicates. After a failure on this scheduler the ticket is
+    /// pre-failed with [`CommError::Aborted`].
     pub fn submit(&mut self, priority: i64, tag: impl Into<String>, op: CommOp) -> Ticket {
-        let (done, rx) = bounded(1);
-        let tag = tag.into();
-        self.log.push(SubmittedOp {
-            priority,
-            tag: tag.clone(),
-            kind: op.kind_str(),
-            bytes: op.payload_bytes(),
-        });
-        let fallback = done.clone();
-        let job = Job { priority, tag, op, done, submitted_at: Instant::now() };
-        if self.tx.send(Msg::Submit(job)).is_err() {
-            let _ = fallback.send(CommResult::Failed(CommError::Aborted { origin: self.rank }));
+        let (tag, kind, bytes) = (tag.into(), op.kind_str(), op.payload_bytes());
+        self.log.push(SubmittedOp { priority, tag: tag.clone(), kind, bytes });
+        let done = Done::default();
+        let ticket = Ticket { core: self.core.clone(), done: done.clone() };
+        let mut core = self.core.borrow_mut();
+        if core.ep.is_none() {
+            done.set(Some(CommResult::Failed(CommError::Aborted { origin: core.rank })));
+            return ticket;
         }
-        Ticket { rx, rank: self.rank }
+        let (key, machine, at) = ((priority, core.seq), Machine::Whole(op), Instant::now());
+        core.seq += 1;
+        let (units, submitted_at, started_at) = (0, at, at);
+        let job =
+            Job { priority, tag, kind, bytes, done, machine, units, submitted_at, started_at };
+        core.queue.insert(key, job);
+        ticket
     }
 
     /// Every operation submitted so far, in submission order — the raw
@@ -337,9 +340,17 @@ impl CommScheduler {
         &self.log
     }
 
-    /// Block until all previously submitted operations have executed.
+    /// Run one unit — the next segment of the op in flight, or the whole
+    /// of a small one — and say whether there was one to run. Call it
+    /// where compute can spare the comm plane a quantum (a BP hook);
+    /// like every other call, the same number of times on every rank.
+    pub fn progress(&mut self) -> bool {
+        self.core.borrow_mut().step()
+    }
+
+    /// Run until all previously submitted operations have executed.
     /// Returns [`CommResult::Flush`] on success, or `Failed` with the
-    /// typed error if the scheduler shut down before draining.
+    /// typed error if an op failed first.
     pub fn flush(&mut self) -> CommResult {
         // A max-priority fence: everything already queued drains first.
         self.submit(i64::MAX, "flush", CommOp::Flush).wait()
@@ -347,1322 +358,713 @@ impl CommScheduler {
 }
 
 impl Drop for CommScheduler {
+    /// Drain: whatever is still queued runs to completion (dropped tickets
+    /// are fire-and-forget, not cancelled), then the endpoint goes, so a
+    /// peer that expects more from this rank sees `PeerGone`.
     fn drop(&mut self) {
-        let _ = self.tx.send(Msg::Shutdown);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        let mut core = self.core.borrow_mut();
+        while core.step() {}
+        core.ep = None;
     }
 }
 
-// ---------------------------------------------------------------------------
-// Control protocol (rank 0 → all): which op to run next, and how.
-// ---------------------------------------------------------------------------
-
-/// One controller broadcast. Encoded as a short ASCII line packed four
-/// bytes per `u32` token with a byte-length prefix, so the control
-/// channel's transport byte accounting matches the analyzer's plan bytes
-/// (the old encoding burned one token per tag *byte* — 4× inflation).
-#[derive(Debug, PartialEq, Eq)]
-enum Ctrl {
-    /// Execute the named op whole, as a single segment.
-    Run(String),
-    /// Begin chunked execution of the named op; segments of `seg_elems`
-    /// f32s (ring) or whole per-peer blocks (fan-out) are driven by
-    /// `Next`. Carrying the segment size here keeps chunking policy
-    /// controller-local: followers need no configuration.
-    Start { tag: String, seg_elems: usize },
-    /// Run one more segment of the innermost in-progress chunked op.
-    Next,
-    /// Clean controller shutdown.
-    Shutdown,
-}
-
-fn pack_ctrl(ctrl: &Ctrl) -> Vec<u32> {
-    let line = match ctrl {
-        Ctrl::Run(tag) => format!("r{tag}"),
-        Ctrl::Start { tag, seg_elems } => format!("c{seg_elems}:{tag}"),
-        Ctrl::Next => "n".to_string(),
-        Ctrl::Shutdown => "q".to_string(),
-    };
-    let bytes = line.as_bytes();
-    let mut words = Vec::with_capacity(1 + bytes.len().div_ceil(4));
-    words.push(bytes.len() as u32);
-    for group in bytes.chunks(4) {
-        let mut w = [0u8; 4];
-        w[..group.len()].copy_from_slice(group);
-        words.push(u32::from_le_bytes(w));
-    }
-    words
-}
-
-fn unpack_ctrl(words: &[u32]) -> Option<Ctrl> {
-    let (&len, rest) = words.split_first()?;
-    let len = len as usize;
-    if rest.len() != len.div_ceil(4) {
-        return None;
-    }
-    let mut bytes = Vec::with_capacity(rest.len() * 4);
-    for w in rest {
-        bytes.extend_from_slice(&w.to_le_bytes());
-    }
-    bytes.truncate(len);
-    let line = String::from_utf8(bytes).ok()?;
-    let rest = line.get(1..)?;
-    match line.as_bytes().first()? {
-        b'r' => Some(Ctrl::Run(rest.to_string())),
-        b'n' if line.len() == 1 => Some(Ctrl::Next),
-        b'q' if line.len() == 1 => Some(Ctrl::Shutdown),
-        b'c' => {
-            // The segment size is the decimal prefix; the tag is
-            // everything after the first ':' (tags may contain ':').
-            let (seg, tag) = rest.split_once(':')?;
-            Some(Ctrl::Start { tag: tag.to_string(), seg_elems: seg.parse().ok()? })
-        }
-        _ => None,
-    }
-}
-
-fn broadcast_ctrl(ep: &mut Endpoint, ctrl: &Ctrl) {
-    let words: TokenBuf = pack_ctrl(ctrl).into();
-    for dst in 1..ep.world() {
-        // A peer whose comm thread already failed fast is gone; that is
-        // its own typed failure, not a reason to panic here.
-        let _ = ep.try_send(dst, Packet::Tokens(words.share()));
-    }
-}
-
-/// Receive the next control token from the controller. Every failure is
-/// typed and distinguishable: a disconnect is `PeerGone` (the controller
-/// failed fast), an expired deadline is `Timeout` (transient stall), an
-/// abort packet is `Aborted` — and none of them is conflated with a clean
-/// shutdown, which arrives as an explicit [`Ctrl::Shutdown`] token.
-fn recv_ctrl(ep: &mut Endpoint) -> Result<Ctrl, CommError> {
-    let words = ep.try_recv(0)?.try_into_tokens()?;
-    unpack_ctrl(&words).ok_or(CommError::Protocol {
-        expected: "a control token from the controller",
-        got: "malformed control payload",
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Resumable chunked execution.
-// ---------------------------------------------------------------------------
-
-/// A collective in flight, executed one *unit* at a time so the
-/// controller can preempt between units: the [`crate::ops`] machines,
-/// stepped instead of run to completion. Ring units are `seg_elems`-f32
-/// segments; fan-out units are one send plus one receive in
+/// A collective in flight. `Whole` finishes in one unit through the
+/// blocking [`crate::ops`] function ([`crate::schedule::Traversal::Posted`]
+/// for the fan-outs); the others are the same machines stepped one unit at
+/// a time: a `seg_elems`-f32 ring segment, or one send plus one receive in
 /// [`crate::schedule::Traversal::Paired`] order.
-enum ChunkedExec {
+enum Machine {
+    Whole(CommOp),
     Ring(RingMachine, Vec<f32>),
     Dense(FanoutMachine<DenseTensor>),
     Sparse(FanoutMachine<RowSparse>),
     Tokens(FanoutMachine<TokenBuf>),
 }
 
-impl ChunkedExec {
-    fn new(
-        op: CommOp,
-        ep: &Endpoint,
-        seg_elems: usize,
-        spare: &mut Vec<DenseTensor>,
-    ) -> Result<Self, CommError> {
-        match op {
+impl Machine {
+    /// Tensor-partition a whole op (requires `world > 1`; a fence has
+    /// nothing to partition and stays whole).
+    fn partition(&mut self, ep: &Endpoint, seg_elems: usize, spare: &mut Vec<DenseTensor>) {
+        let Machine::Whole(op) = self else { return };
+        *self = match std::mem::replace(op, CommOp::Flush) {
             CommOp::AllReduceDense(buf) => {
                 let ring = Ring::new(ep.world(), ep.rank(), buf.len(), seg_elems);
-                Ok(ChunkedExec::Ring(RingMachine::new(ring, std::mem::take(spare)), buf))
+                Machine::Ring(RingMachine::new(ring, std::mem::take(spare)), buf)
             }
-            CommOp::AlltoAllDense(parts) => Ok(ChunkedExec::Dense(FanoutMachine::new(ep, parts))),
-            CommOp::AlltoAllSparse(parts) => Ok(ChunkedExec::Sparse(FanoutMachine::new(ep, parts))),
+            CommOp::AlltoAllDense(parts) => Machine::Dense(FanoutMachine::new(ep, parts)),
+            CommOp::AlltoAllSparse(parts) => Machine::Sparse(FanoutMachine::new(ep, parts)),
             CommOp::GatherTokens(local) => {
                 let local = TokenBuf::from(local);
                 let parts = (0..ep.world()).map(|_| local.share()).collect();
-                Ok(ChunkedExec::Tokens(FanoutMachine::new(ep, parts)))
+                Machine::Tokens(FanoutMachine::new(ep, parts))
             }
-            CommOp::Flush => Err(CommError::Protocol {
-                expected: "a chunkable collective",
-                got: "chunked start for a flush fence",
-            }),
-        }
+            CommOp::Flush => return,
+        };
     }
 
-    /// Execute one unit. `Ok(None)` means the op yielded (more units
-    /// remain); `Ok(Some(result))` means the last unit just ran.
+    /// Run one unit. `Ok(None)`: more units remain; `Ok(Some(result))`:
+    /// that was the last. An error has been abort-broadcast to the peers.
     fn advance(&mut self, ep: &mut Endpoint) -> Result<Option<CommResult>, CommError> {
         let stepped = match self {
-            ChunkedExec::Ring(machine, buf) => machine
+            Machine::Whole(op) => {
+                return match std::mem::replace(op, CommOp::Flush) {
+                    CommOp::AllReduceDense(mut buf) => {
+                        try_ring_allreduce(ep, &mut buf).map(|()| CommResult::AllReduceDense(buf))
+                    }
+                    CommOp::AlltoAllDense(parts) => {
+                        try_alltoall_dense(ep, parts).map(CommResult::AlltoAllDense)
+                    }
+                    CommOp::AlltoAllSparse(parts) => {
+                        try_alltoallv_sparse(ep, parts).map(CommResult::AlltoAllSparse)
+                    }
+                    CommOp::GatherTokens(tokens) => {
+                        try_allgather_tokens(ep, tokens).map(CommResult::GatherTokens)
+                    }
+                    CommOp::Flush => Ok(CommResult::Flush),
+                }
+                .map(Some)
+            }
+            Machine::Ring(machine, buf) => machine
                 .step(ep, buf)
                 .map(|()| machine.done().then(|| CommResult::AllReduceDense(std::mem::take(buf)))),
-            ChunkedExec::Dense(m) => m.step(ep).map(|out| out.map(CommResult::AlltoAllDense)),
-            ChunkedExec::Sparse(m) => m.step(ep).map(|out| out.map(CommResult::AlltoAllSparse)),
-            ChunkedExec::Tokens(m) => m.step(ep).map(|out| out.map(CommResult::GatherTokens)),
+            Machine::Dense(m) => m.step(ep).map(|out| out.map(CommResult::AlltoAllDense)),
+            Machine::Sparse(m) => m.step(ep).map(|out| out.map(CommResult::AlltoAllSparse)),
+            Machine::Tokens(m) => m.step(ep).map(|out| out.map(CommResult::GatherTokens)),
         };
         stepped.or_else(|e| fail(ep, e))
     }
 }
 
-/// A chunked op suspended (or running) on the preemption stack.
-struct Exec {
+/// A submitted op: queued, then on the execution stack — running (on top)
+/// or suspended at a unit boundary by the more urgent ops above it.
+struct Job {
     priority: i64,
     tag: String,
     kind: &'static str,
     bytes: u64,
-    done: Sender<CommResult>,
-    machine: ChunkedExec,
-    /// Units executed so far (for per-chunk span naming and
-    /// [`OpTiming::chunks`]).
-    chunk_idx: u32,
-    /// `(submitted_s, started_s)` under observation.
-    win: Option<(f64, f64)>,
+    done: Done,
+    /// `Whole` until its start round says otherwise.
+    machine: Machine,
+    /// Units run so far: names the per-chunk spans, becomes
+    /// [`OpTiming::chunks`], and is part of the SPMD fingerprint.
+    units: u32,
+    submitted_at: Instant,
+    /// When it left the queue.
+    started_at: Instant,
 }
 
-// ---------------------------------------------------------------------------
-// The communication thread.
-// ---------------------------------------------------------------------------
-
-type Obs = Option<Arc<Mutex<SchedObs>>>;
-
-/// Rank 0 coordinates execution order (as Horovod's controller does):
-/// it drains its own priority queue and broadcasts each chosen op's
-/// control token; every other rank executes the matching job from its
-/// local queue. This makes the cross-rank collective order deterministic
-/// even when ranks' submissions race. Chunked ops re-enter the decision
-/// loop between units: the controller checks its queue before each
-/// `Ctrl::Next`, so a strictly more urgent op preempts the one in flight.
-fn comm_thread(ep: &mut Endpoint, rx: &Receiver<Msg>, obs: Obs, chunk_bytes: Option<usize>) {
-    use embrace_dlsim_queue_shim::StablePriorityQueue;
-    let mut queue: StablePriorityQueue<Job> = StablePriorityQueue::new();
-    let mut stack: Vec<Exec> = Vec::new();
-    // Staging buffers the last finished chunked ring hands the next one.
-    let mut spare: Vec<DenseTensor> = Vec::new();
-    if ep.rank() == 0 {
-        let mut open = true;
-        loop {
-            while let Ok(msg) = rx.try_recv() {
-                match msg {
-                    Msg::Submit(j) => queue.push(j.priority, j),
-                    Msg::Shutdown => open = false,
-                }
-            }
-            let step = if let Some(top_prio) = stack.last().map(|e| e.priority) {
-                // §5.2's second dimension: between units, a strictly more
-                // urgent submission preempts the op on the wire.
-                if queue.peek_priority().is_some_and(|p| p < top_prio) {
-                    let (_, job) = match queue.pop() {
-                        Some(popped) => popped,
-                        None => continue,
-                    };
-                    start_job(ep, job, chunk_bytes, &obs, &mut stack, &mut spare)
-                } else {
-                    broadcast_ctrl(ep, &Ctrl::Next);
-                    step_top(ep, &mut stack, &mut spare, &obs)
-                }
-            } else if let Some((_, job)) = queue.pop() {
-                start_job(ep, job, chunk_bytes, &obs, &mut stack, &mut spare)
-            } else if !open {
-                broadcast_ctrl(ep, &Ctrl::Shutdown);
-                return;
-            } else {
-                // Idle: block for at least one job, then loop back to
-                // drain the channel so the queue can reorder the pile-up.
-                match rx.recv() {
-                    Ok(Msg::Submit(j)) => queue.push(j.priority, j),
-                    Ok(Msg::Shutdown) | Err(_) => open = false,
-                }
-                continue;
-            };
-            if let Err(err) = step {
-                // Fail fast, but honour the abort contract: every ticket
-                // this thread still holds observes a typed error.
-                fail_all(stack, queue, rx, &err);
-                return;
-            }
-        }
-    } else {
-        // Once this rank's handle shut down, the submission channel can
-        // yield no further jobs: a controller tag with no local match is
-        // then a divergence, not something to block (or panic) on.
-        let mut local_open = true;
-        loop {
-            let step = match recv_ctrl(ep) {
-                Ok(Ctrl::Shutdown) => {
-                    // Clean controller shutdown. Locally queued leftovers
-                    // were never globally scheduled (divergent enqueue);
-                    // fail them instead of leaving waiters hanging.
-                    fail_all(stack, queue, rx, &CommError::Aborted { origin: 0 });
-                    return;
-                }
-                Ok(Ctrl::Run(tag)) => wait_for_job(&mut queue, rx, &tag, &mut local_open)
-                    .and_then(|job| execute(ep, job, &obs)),
-                Ok(Ctrl::Start { tag, seg_elems }) => {
-                    wait_for_job(&mut queue, rx, &tag, &mut local_open).and_then(|job| {
-                        begin_chunked(ep, job, seg_elems, &obs, &mut stack, &mut spare)
-                    })
-                }
-                Ok(Ctrl::Next) => step_top(ep, &mut stack, &mut spare, &obs),
-                Err(err) => Err(err),
-            };
-            if let Err(err) = step {
-                fail_all(stack, queue, rx, &err);
-                return;
-            }
-        }
-    }
-}
-
-/// Fail every pending ticket this thread still holds — suspended chunked
-/// ops, queued jobs, and submissions sitting unread in the channel — with
-/// a typed error. The caller returns immediately afterwards, dropping
-/// `rx`, so *later* submissions observe [`CommError::Aborted`] through
-/// the closed channel instead of a panic.
-fn fail_all(
-    stack: Vec<Exec>,
-    mut queue: embrace_dlsim_queue_shim::StablePriorityQueue<Job>,
-    rx: &Receiver<Msg>,
-    err: &CommError,
-) {
-    for e in stack {
-        let _ = e.done.send(CommResult::Failed(err.clone()));
-    }
-    while let Some((_, j)) = queue.pop() {
-        let _ = j.done.send(CommResult::Failed(err.clone()));
-    }
-    while let Ok(Msg::Submit(j)) = rx.try_recv() {
-        let _ = j.done.send(CommResult::Failed(err.clone()));
-    }
-}
-
-/// Block until the job named by the controller has been submitted
-/// locally. After a local shutdown no further submissions can arrive, so
-/// an unmatched tag is a divergence: a typed `Protocol` failure, not a
-/// panic and not an indefinite block.
-fn wait_for_job(
-    queue: &mut embrace_dlsim_queue_shim::StablePriorityQueue<Job>,
-    rx: &Receiver<Msg>,
-    tag: &str,
-    local_open: &mut bool,
-) -> Result<Job, CommError> {
-    loop {
-        if let Some(job) = queue.take_by_tag(tag) {
-            return Ok(job);
-        }
-        if !*local_open {
-            return Err(CommError::Protocol {
-                expected: "a locally submitted job matching the controller's tag",
-                got: "an orphan tag after local shutdown (divergent enqueue)",
-            });
-        }
-        match rx.recv() {
-            Ok(Msg::Submit(j)) => queue.push(j.priority, j),
-            Ok(Msg::Shutdown) | Err(_) => {
-                *local_open = false;
-                while let Ok(Msg::Submit(j)) = rx.try_recv() {
-                    queue.push(j.priority, j);
-                }
-            }
-        }
-    }
-}
-
-/// Controller-side dispatch: run `job` whole or start it chunked,
-/// broadcasting the matching control token first.
-fn start_job(
-    ep: &mut Endpoint,
-    job: Job,
+/// The scheduler proper, shared by the handle and its tickets.
+struct Core {
+    rank: usize,
+    /// `None` once a unit failed or the handle was dropped: the scheduler
+    /// has shut down and runs nothing more.
+    ep: Option<Endpoint>,
     chunk_bytes: Option<usize>,
-    obs: &Obs,
-    stack: &mut Vec<Exec>,
-    spare: &mut Vec<DenseTensor>,
-) -> Result<(), CommError> {
-    let chunked = chunk_bytes.is_some_and(|cb| {
-        ep.world() > 1 && !matches!(job.op, CommOp::Flush) && job.op.payload_bytes() > cb as u64
-    });
-    if chunked {
-        let cb = chunk_bytes.unwrap_or(DEFAULT_CHUNK_BYTES);
-        let seg_elems = (cb / F32_BYTES).max(1);
-        broadcast_ctrl(ep, &Ctrl::Start { tag: job.tag.clone(), seg_elems });
-        begin_chunked(ep, job, seg_elems, obs, stack, spare)
-    } else {
-        broadcast_ctrl(ep, &Ctrl::Run(job.tag.clone()));
-        execute(ep, job, obs)
-    }
+    /// The stable priority queue: `(priority, submission number)`, least
+    /// first.
+    queue: BTreeMap<(i64, u64), Job>,
+    seq: u64,
+    /// Ops started and not finished, most urgent on top — exactly the span
+    /// nesting.
+    stack: Vec<Job>,
+    /// Staging buffers the last finished chunked ring hands the next one.
+    spare: Vec<DenseTensor>,
+    obs: Option<SchedObs>,
 }
 
-/// Fingerprint-check the op, then push its resumable machine onto the
-/// preemption stack. Units run via [`step_top`].
-fn begin_chunked(
-    ep: &mut Endpoint,
-    job: Job,
-    seg_elems: usize,
-    obs: &Obs,
-    stack: &mut Vec<Exec>,
-    spare: &mut Vec<DenseTensor>,
-) -> Result<(), CommError> {
-    let win = obs.as_ref().map(|o| {
-        let g = o.lock();
-        (g.clock.at(job.submitted_at), g.clock.now())
-    });
-    if let Err(err) = verify_spmd_fingerprint(ep, &job) {
-        let _ = job.done.send(CommResult::Failed(err.clone()));
-        return Err(err);
-    }
-    let Job { priority, tag, op, done, .. } = job;
-    let kind = op.kind_str();
-    let bytes = op.payload_bytes();
-    let machine = match ChunkedExec::new(op, ep, seg_elems, spare) {
-        Ok(m) => m,
-        Err(err) => {
-            let _ = done.send(CommResult::Failed(err.clone()));
-            return Err(err);
+impl Core {
+    /// Run one unit, chosen by the module doc's rule; `false` when there is
+    /// none to run. A failed unit fails everything pending and shuts the
+    /// scheduler down.
+    fn step(&mut self) -> bool {
+        let head = self.queue.first_key_value().map(|(&(priority, _), _)| priority);
+        let start = match (head, self.stack.last()) {
+            (None, None) => return false,
+            (Some(_), None) => true,
+            (Some(head), Some(top)) => head < top.priority,
+            (None, Some(_)) => false,
+        };
+        let Some(mut ep) = self.ep.take() else { return false };
+        let started = if start { self.start(&mut ep) } else { Ok(()) };
+        match started.and_then(|()| self.unit(&mut ep)) {
+            Ok(()) => self.ep = Some(ep),
+            // `ep` drops with this arm: the mesh is poisoned (see `ops`),
+            // and a peer still expecting this rank sees `PeerGone`.
+            Err(err) => {
+                let queued = std::mem::take(&mut self.queue).into_values().map(|j| j.done);
+                for done in self.stack.drain(..).map(|e| e.done).chain(queued) {
+                    done.set(Some(CommResult::Failed(err.clone())));
+                }
+            }
         }
-    };
-    stack.push(Exec { priority, tag, kind, bytes, done, machine, chunk_idx: 0, win });
-    Ok(())
-}
+        true
+    }
 
-/// Run one unit of the innermost in-flight chunked op, recording a chunk
-/// span and — on the op's last unit — its op-level span, timing, and
-/// result. A `Next` with an empty stack is a protocol divergence, typed
-/// rather than panicked.
-fn step_top(
-    ep: &mut Endpoint,
-    stack: &mut Vec<Exec>,
-    spare: &mut Vec<DenseTensor>,
-    obs: &Obs,
-) -> Result<(), CommError> {
-    if stack.is_empty() {
-        return Err(CommError::Protocol {
-            expected: "an in-progress chunked collective to resume",
-            got: "a resume token with an empty execution stack",
-        });
-    }
-    let chunk_start = obs.as_ref().map(|o| o.lock().clock.now());
-    let top = stack.last_mut().expect("stack checked non-empty above");
-    let done = match top.machine.advance(ep) {
-        Ok(d) => d,
-        Err(err) => {
-            let failed = stack.pop().expect("stack checked non-empty above");
-            let _ = failed.done.send(CommResult::Failed(err.clone()));
-            return Err(err);
+    /// Move the queue head onto the stack and run its start round.
+    fn start(&mut self, ep: &mut Endpoint) -> Result<(), CommError> {
+        let (_, mut job) = self.queue.pop_first().expect("step saw a queue head");
+        job.started_at = Instant::now();
+        // On the stack before the round, so that a failed round fails it
+        // with everything else.
+        self.stack.push(job);
+        let seg_bytes = self.chunk_bytes.filter(|_| ep.world() > 1);
+        if let Some(seg_bytes) = start_round(ep, &self.stack, seg_bytes)? {
+            let top = self.stack.last_mut().expect("pushed above");
+            top.machine.partition(ep, (seg_bytes / F32_BYTES).max(1), &mut self.spare);
         }
-    };
-    if let (Some(o), Some(c0)) = (obs.as_ref(), chunk_start) {
-        let mut g = o.lock();
-        let now = g.clock.now();
-        let track = g.track;
-        let name = format!("{}/chunk{}", top.tag, top.chunk_idx);
-        g.spans.record(track, &name, "chunk", c0, now);
+        Ok(())
     }
-    top.chunk_idx += 1;
-    if let Some(result) = done {
-        let finished = stack.pop().expect("stack checked non-empty above");
-        if let (Some(o), Some((submitted_s, started_s))) = (obs.as_ref(), finished.win) {
-            let mut g = o.lock();
-            let finished_s = g.clock.now();
-            let track = g.track;
-            g.spans.record(track, &finished.tag, finished.kind, started_s, finished_s);
-            g.timings.push(OpTiming {
-                tag: finished.tag.clone(),
+
+    /// Run one unit of the op on top of the stack, recording a chunk span
+    /// and — after its last unit — its op span, timing and result.
+    fn unit(&mut self, ep: &mut Endpoint) -> Result<(), CommError> {
+        let top = self.stack.last_mut().expect("step saw an op to run");
+        let chunk_start = Instant::now();
+        let partitioned = !matches!(top.machine, Machine::Whole(_));
+        let result = top.machine.advance(ep)?;
+        if let (Some(o), true) = (self.obs.as_mut(), partitioned) {
+            let name = format!("{}/chunk{}", top.tag, top.units);
+            o.spans.record(o.track, &name, "chunk", o.clock.at(chunk_start), o.clock.now());
+        }
+        top.units += 1;
+        let Some(result) = result else { return Ok(()) };
+        let finished = self.stack.pop().expect("step saw an op to run");
+        if let Some(o) = self.obs.as_mut() {
+            let (started_s, finished_s) = (o.clock.at(finished.started_at), o.clock.now());
+            o.spans.record(o.track, &finished.tag, finished.kind, started_s, finished_s);
+            o.timings.push(OpTiming {
+                tag: finished.tag,
                 kind: finished.kind,
                 priority: finished.priority,
                 bytes: finished.bytes,
-                submitted_s,
+                submitted_s: o.clock.at(finished.submitted_at),
                 started_s,
                 finished_s,
-                chunks: finished.chunk_idx,
+                chunks: finished.units,
             });
         }
-        let _ = finished.done.send(result);
-        if let ChunkedExec::Ring(machine, _) = finished.machine {
-            spare.extend(machine.into_spare());
+        finished.done.set(Some(result));
+        if let Machine::Ring(machine, _) = finished.machine {
+            self.spare.extend(machine.into_spare());
         }
-    }
-    Ok(())
-}
-
-fn execute(ep: &mut Endpoint, job: Job, obs: &Obs) -> Result<(), CommError> {
-    // Cross-rank consistency: all ranks must run the same op, in the same
-    // order, with the same priority. Always on (not just a debug assert):
-    // a divergent enqueue in a release build would otherwise surface as a
-    // silent deadlock inside a collective.
-    // Capture metadata before the op's payload is consumed below. The exec
-    // window includes the fingerprint round: it runs on the same mesh, so
-    // it is genuine wire time attributable to this op. (Ops rejected by the
-    // fingerprint check are not timed — the scheduler is shutting down.)
-    let timing = obs.as_ref().map(|o| {
-        let g = o.lock();
-        (
-            g.clock.at(job.submitted_at),
-            g.clock.now(),
-            job.tag.clone(),
-            job.op.kind_str(),
-            job.priority,
-            job.op.payload_bytes(),
-        )
-    });
-    if let Err(err) = verify_spmd_fingerprint(ep, &job) {
-        let _ = job.done.send(CommResult::Failed(err.clone()));
-        return Err(err);
-    }
-    let result = match job.op {
-        CommOp::AllReduceDense(mut buf) => {
-            try_ring_allreduce(ep, &mut buf).map(|()| CommResult::AllReduceDense(buf))
-        }
-        CommOp::AlltoAllDense(parts) => {
-            try_alltoall_dense(ep, parts).map(CommResult::AlltoAllDense)
-        }
-        CommOp::AlltoAllSparse(parts) => {
-            try_alltoallv_sparse(ep, parts).map(CommResult::AlltoAllSparse)
-        }
-        CommOp::GatherTokens(tokens) => {
-            try_allgather_tokens(ep, tokens).map(CommResult::GatherTokens)
-        }
-        CommOp::Flush => Ok(CommResult::Flush),
-    };
-    let result = match result {
-        Ok(result) => result,
-        Err(err) => {
-            let _ = job.done.send(CommResult::Failed(err.clone()));
-            return Err(err);
-        }
-    };
-    if let (Some(o), Some((submitted_s, started_s, tag, kind, priority, bytes))) =
-        (obs.as_ref(), timing)
-    {
-        let mut g = o.lock();
-        let finished_s = g.clock.now();
-        let track = g.track;
-        g.spans.record(track, &tag, kind, started_s, finished_s);
-        g.timings.push(OpTiming {
-            tag,
-            kind,
-            priority,
-            bytes,
-            submitted_s,
-            started_s,
-            finished_s,
-            chunks: 1,
-        });
-    }
-    // The submitter may have dropped the ticket (fire-and-forget delayed
-    // gradients) — that's fine.
-    let _ = job.done.send(result);
-    Ok(())
-}
-
-/// Fingerprint the `(tag, priority, kind)` triple of the op this rank is
-/// about to run; allgather everyone's and compare. Uses the same mesh, so
-/// it also enforces the ordering it checks. Payload bytes are deliberately
-/// *not* part of the fingerprint: per-rank payload sizes legitimately
-/// differ (variable-length gathers). A peer that died mid-round surfaces
-/// as the typed transport error, not a panic.
-fn verify_spmd_fingerprint(ep: &mut Endpoint, job: &Job) -> Result<(), CommError> {
-    let mut fp = 0xcbf29ce484222325u64; // FNV-1a
-    let mut mix = |byte: u8| {
-        fp ^= byte as u64;
-        fp = fp.wrapping_mul(0x100000001b3);
-    };
-    for b in job.tag.bytes() {
-        mix(b);
-    }
-    for b in job.priority.to_le_bytes() {
-        mix(b);
-    }
-    for b in job.op.kind_str().bytes() {
-        mix(b);
-    }
-    let local = vec![fp as u32, (fp >> 32) as u32];
-    let all = try_allgather_tokens(ep, local.clone())?;
-    if all.iter().all(|v| *v == local) {
         Ok(())
+    }
+}
+
+/// The round every op start begins with: allgather a fingerprint of this
+/// rank's execution stack — `(tag, priority, kind, units run)` of the op
+/// being started (on top) and of every op suspended under it — and of its
+/// segment size, plus whether that op's payload here exceeds a segment;
+/// compare the fingerprints. Always on (not a debug assert): a divergent call
+/// sequence in a release build would otherwise surface as a deadlock inside
+/// a collective, or as one op's segment reduced into another's. It runs on
+/// the same mesh, so it also enforces the ordering it checks. Payload bytes
+/// are deliberately *not* fingerprinted — per-rank sizes legitimately
+/// differ (variable-length gathers) — which is why whole-or-partitioned is
+/// agreed here instead of decided locally: `Ok(Some(seg_bytes))`, on every
+/// rank, if the payload is oversized on any. A peer that died mid-round
+/// surfaces as the typed transport error.
+fn start_round(
+    ep: &mut Endpoint,
+    stack: &[Job],
+    seg_bytes: Option<usize>,
+) -> Result<Option<usize>, CommError> {
+    let mut fp = 0xcbf29ce484222325u64; // FNV-1a
+    let mut mix = |bytes: &[u8]| {
+        for &b in bytes {
+            fp = (fp ^ b as u64).wrapping_mul(0x100000001b3);
+        }
+    };
+    mix(&seg_bytes.unwrap_or(0).to_le_bytes());
+    for e in stack {
+        mix(e.tag.as_bytes());
+        mix(&e.priority.to_le_bytes());
+        mix(e.kind.as_bytes());
+        mix(&e.units.to_le_bytes());
+    }
+    let oversized = stack.last().zip(seg_bytes).is_some_and(|(top, seg)| top.bytes > seg as u64);
+    let local = [fp as u32, (fp >> 32) as u32, oversized as u32];
+    let all = try_allgather_tokens(ep, local.to_vec())?;
+    if all.iter().all(|v| v.len() == local.len() && v[..2] == local[..2]) {
+        Ok(seg_bytes.filter(|_| all.iter().any(|v| v[2] != 0)))
     } else {
         Err(CommError::Protocol {
-            expected: "identical (tag, priority, kind) on every rank",
-            got: "divergent SPMD op fingerprint",
+            expected: "identical (tag, priority, kind, units run) stacks on every rank",
+            got: "divergent SPMD fingerprint",
         })
-    }
-}
-
-/// Minimal internal shim so this crate does not depend on `embrace-dlsim`
-/// (which depends on nothing here, keeping the dependency graph acyclic):
-/// a stable min-priority queue identical in behaviour to
-/// `embrace_dlsim::StablePriorityQueue`.
-mod embrace_dlsim_queue_shim {
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
-
-    struct Entry<T> {
-        key: (i64, u64),
-        item: T,
-    }
-    impl<T> PartialEq for Entry<T> {
-        fn eq(&self, other: &Self) -> bool {
-            self.key == other.key
-        }
-    }
-    impl<T> Eq for Entry<T> {}
-    impl<T> Ord for Entry<T> {
-        fn cmp(&self, other: &Self) -> Ordering {
-            other.key.cmp(&self.key)
-        }
-    }
-    impl<T> PartialOrd for Entry<T> {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    pub struct StablePriorityQueue<T> {
-        heap: BinaryHeap<Entry<T>>,
-        seq: u64,
-    }
-
-    impl<T> StablePriorityQueue<T> {
-        pub fn new() -> Self {
-            StablePriorityQueue { heap: BinaryHeap::new(), seq: 0 }
-        }
-
-        pub fn push(&mut self, priority: i64, item: T) {
-            self.heap.push(Entry { key: (priority, self.seq), item });
-            self.seq += 1;
-        }
-
-        pub fn pop(&mut self) -> Option<(i64, T)> {
-            self.heap.pop().map(|e| (e.key.0, e.item))
-        }
-
-        /// Priority of the next item [`StablePriorityQueue::pop`] would
-        /// return — the controller's preemption check.
-        pub fn peek_priority(&self) -> Option<i64> {
-            self.heap.peek().map(|e| e.key.0)
-        }
-    }
-
-    impl StablePriorityQueue<super::Job> {
-        /// Remove the highest-priority job whose tag matches.
-        pub fn take_by_tag(&mut self, tag: &str) -> Option<super::Job> {
-            let mut rest = Vec::with_capacity(self.heap.len());
-            let mut found = None;
-            while let Some(e) = self.heap.pop() {
-                if found.is_none() && e.item.tag == tag {
-                    found = Some(e.item);
-                } else {
-                    rest.push(e);
-                }
-            }
-            for e in rest {
-                self.heap.push(e);
-            }
-            found
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::mesh;
-    use embrace_tensor::DenseTensor;
+    use crate::transport::{mesh, mesh_with_faults, FaultPlan};
+    use std::time::Duration;
 
-    fn spawn_world(world: usize) -> Vec<CommScheduler> {
-        mesh(world).into_iter().map(CommScheduler::spawn).collect()
-    }
+    type Spawn = fn(Endpoint) -> CommScheduler;
 
-    #[test]
-    fn allreduce_through_comm_threads() {
-        let mut scheds = spawn_world(3);
-        let tickets: Vec<Ticket> = scheds
-            .iter_mut()
-            .enumerate()
-            .map(|(rank, s)| s.submit(0, "ar", CommOp::AllReduceDense(vec![rank as f32, 1.0])))
-            .collect();
-        for t in tickets {
-            match t.wait() {
-                CommResult::AllReduceDense(buf) => assert_eq!(buf, vec![3.0, 3.0]),
-                other => panic!("unexpected result {other:?}"),
-            }
-        }
-    }
+    /// Segment small enough that even modest payloads split: 64 bytes =
+    /// 16 f32 elements per ring segment.
+    const TINY_CHUNK: usize = 64;
 
-    #[test]
-    fn priority_order_respected_when_queued() {
-        // Submit a low-priority then a high-priority op *before* flushing;
-        // completion order is observed through a shared log of gathered
-        // tokens: the high-priority gather must execute first on all ranks.
-        let mut scheds = spawn_world(2);
-        let mut low = Vec::new();
-        let mut high = Vec::new();
-        for (rank, s) in scheds.iter_mut().enumerate() {
-            low.push(s.submit(10, "low", CommOp::GatherTokens(vec![rank as u32])));
-            high.push(s.submit(-1, "high", CommOp::GatherTokens(vec![100 + rank as u32])));
-        }
-        // Both complete; the debug-mode tag verification would panic if
-        // ranks disagreed on execution order.
-        for t in high {
-            assert!(matches!(t.wait(), CommResult::GatherTokens(_)));
-        }
-        for t in low {
-            assert!(matches!(t.wait(), CommResult::GatherTokens(_)));
-        }
-    }
+    /// Whole and chunked, observed and not.
+    const FLAVOURS: [Spawn; 4] = [
+        CommScheduler::spawn,
+        CommScheduler::spawn_observed,
+        |ep| CommScheduler::spawn_chunked(ep, TINY_CHUNK),
+        |ep| CommScheduler::spawn_chunked_observed(ep, TINY_CHUNK),
+    ];
 
-    #[test]
-    fn alltoall_sparse_through_comm_threads() {
-        let mut scheds = spawn_world(2);
-        let mk = |v: f32| RowSparse::new(vec![0], DenseTensor::full(1, 1, v));
-        let tickets: Vec<Ticket> = scheds
-            .iter_mut()
-            .enumerate()
-            .map(|(rank, s)| {
-                let parts = vec![mk(rank as f32), mk(rank as f32 + 10.0)];
-                s.submit(0, "a2a", CommOp::AlltoAllSparse(parts))
-            })
-            .collect();
-        let results: Vec<Vec<RowSparse>> = tickets
-            .into_iter()
-            .map(|t| match t.wait() {
-                CommResult::AlltoAllSparse(r) => r,
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert_eq!(results[0][1].values().as_slice(), &[1.0]); // from rank 1
-        assert_eq!(results[1][0].values().as_slice(), &[10.0]); // from rank 0
-    }
-
-    #[test]
-    fn flush_waits_for_everything() {
-        let mut scheds = spawn_world(2);
-        let mut pending = Vec::new();
-        for (rank, s) in scheds.iter_mut().enumerate() {
-            for k in 0..5 {
-                pending.push(s.submit(
-                    k,
-                    format!("op{k}"),
-                    CommOp::GatherTokens(vec![rank as u32]),
-                ));
-            }
-        }
-        // flush() must only return after all 5 ops ran on both ranks.
+    /// One thread per rank, each building its scheduler on the thread that
+    /// uses it (the contract, and the types are `!Send`); results in rank
+    /// order.
+    fn per_rank<R: Send>(eps: Vec<Endpoint>, f: impl Fn(usize, Endpoint) -> R + Sync) -> Vec<R> {
         std::thread::scope(|sc| {
-            for s in scheds.iter_mut() {
-                sc.spawn(move || s.flush());
+            let f = &f;
+            let ranks: Vec<_> =
+                eps.into_iter().enumerate().map(|(r, ep)| sc.spawn(move || f(r, ep))).collect();
+            ranks.into_iter().map(|h| h.join().expect("rank panicked")).collect()
+        })
+    }
+
+    /// Names of everything an observed scheduler ran, in completion order:
+    /// `tag/chunkN` per unit of a partitioned op, `tag` per finished op.
+    fn unit_order(s: &CommScheduler) -> Vec<String> {
+        let (spans, _) = s.observation().expect("observed");
+        spans.check_well_nested().expect("preemptors nest inside the preempted op's span");
+        spans.spans().iter().map(|sp| sp.name.clone()).collect()
+    }
+
+    fn chunks(tag: &str, units: std::ops::Range<u32>) -> impl Iterator<Item = String> + '_ {
+        units.map(move |u| format!("{tag}/chunk{u}"))
+    }
+
+    fn protocol(result: CommResult) -> bool {
+        matches!(result, CommResult::Failed(CommError::Protocol { .. }))
+    }
+
+    #[test]
+    fn whole_ops_deliver_exact_results() {
+        let world = 3;
+        per_rank(mesh(world), |rank, ep| {
+            let mut s = CommScheduler::spawn(ep);
+            let ar = s.submit(0, "ar", CommOp::AllReduceDense(vec![rank as f32, 1.0]));
+            let dense = (0..world).map(|j| DenseTensor::full(1, 1, (rank * 3 + j) as f32));
+            let a2ad = s.submit(0, "a2ad", CommOp::AlltoAllDense(dense.collect()));
+            let sparse = (0..world)
+                .map(|j| RowSparse::new(vec![0], DenseTensor::full(1, 1, (rank * 3 + j) as f32)));
+            let a2as = s.submit(0, "a2as", CommOp::AlltoAllSparse(sparse.collect()));
+            let CommResult::AllReduceDense(buf) = ar.wait() else { panic!("wrong kind") };
+            assert_eq!(buf, vec![3.0, 3.0]);
+            let CommResult::AlltoAllDense(blocks) = a2ad.wait() else { panic!("wrong kind") };
+            let CommResult::AlltoAllSparse(shards) = a2as.wait() else { panic!("wrong kind") };
+            for src in 0..world {
+                assert_eq!(blocks[src].as_slice(), &[(src * 3 + rank) as f32]);
+                assert_eq!(shards[src].values().as_slice(), &[(src * 3 + rank) as f32]);
             }
         });
-        for t in pending {
-            assert!(matches!(t.wait(), CommResult::GatherTokens(_)));
+        // A world of one short-circuits, chunked or not.
+        for spawn in FLAVOURS {
+            let mut s = spawn(mesh(1).pop().expect("one endpoint"));
+            let t = s.submit(0, "ar", CommOp::AllReduceDense(vec![4.0; 64]));
+            let CommResult::AllReduceDense(buf) = t.wait() else { panic!("wrong kind") };
+            assert_eq!(buf, vec![4.0; 64]);
+            assert!(matches!(s.flush(), CommResult::Flush));
         }
     }
 
     #[test]
-    fn dropped_tickets_are_fine() {
-        // Fire-and-forget (the delayed-gradient pattern): drop the ticket.
-        let mut scheds = spawn_world(2);
-        for (rank, s) in scheds.iter_mut().enumerate() {
+    fn queued_ops_run_in_priority_order_and_submit_never_communicates() {
+        // Ten rounds, later ones more urgent, then a flush: nothing runs
+        // until the flush (a rank alone in `submit` would otherwise block),
+        // and then everything runs most urgent first, ties in submission
+        // order — the same order on every rank.
+        let orders = per_rank(mesh(4), |rank, ep| {
+            let mut s = CommScheduler::spawn_observed(ep);
+            let mut tickets = Vec::new();
+            for round in 0..10u32 {
+                let op = CommOp::GatherTokens(vec![rank as u32, round]);
+                tickets.push(s.submit(10 - i64::from(round / 2), format!("round{round}"), op));
+            }
+            assert!(unit_order(&s).is_empty(), "submit ran something");
+            assert!(matches!(s.flush(), CommResult::Flush));
+            assert!(!s.progress(), "flush left work behind");
+            for (round, t) in tickets.into_iter().enumerate() {
+                let CommResult::GatherTokens(all) = t.wait() else { panic!("gather failed") };
+                let want: Vec<Vec<u32>> = (0..4).map(|r| vec![r, round as u32]).collect();
+                assert_eq!(all, want);
+            }
+            unit_order(&s)
+        });
+        let want: Vec<String> = [8, 9, 6, 7, 4, 5, 2, 3, 0, 1]
+            .iter()
+            .map(|r| format!("round{r}"))
+            .chain(["flush".to_string()])
+            .collect();
+        for order in orders {
+            assert_eq!(order, want);
+        }
+    }
+
+    #[test]
+    fn dropped_tickets_and_dropped_schedulers_drain() {
+        // Fire-and-forget (the delayed-gradient pattern): the op still
+        // runs, at the latest when the scheduler is dropped, and a ticket
+        // may outlive its scheduler.
+        per_rank(mesh(2), |rank, ep| {
+            let mut s = CommScheduler::spawn(ep);
             let _ = s.submit(5, "forgotten", CommOp::GatherTokens(vec![rank as u32]));
-        }
-        std::thread::scope(|sc| {
-            for s in scheds.iter_mut() {
-                sc.spawn(move || s.flush());
-            }
+            let kept = s.submit(6, "kept", CommOp::AllReduceDense(vec![1.0; 4]));
+            drop(s);
+            let CommResult::AllReduceDense(buf) = kept.wait() else { panic!("not drained") };
+            assert_eq!(buf, vec![2.0; 4]);
         });
     }
 
     #[test]
-    fn ctrl_roundtrip() {
-        for ctrl in [
-            Ctrl::Run("ar".into()),
-            Ctrl::Run("tag:with:colons".into()),
-            Ctrl::Start { tag: "bulk".into(), seg_elems: 65536 },
-            Ctrl::Start { tag: "t:odd".into(), seg_elems: 1 },
-            Ctrl::Next,
-            Ctrl::Shutdown,
-        ] {
-            let words = pack_ctrl(&ctrl);
-            assert_eq!(unpack_ctrl(&words), Some(ctrl));
-        }
-        // Packed: 4 tag bytes per token + the length prefix, not 1 per byte.
-        let words = pack_ctrl(&Ctrl::Run("abcdefg".into()));
-        assert_eq!(words.len(), 1 + 2); // len + ceil(8 bytes / 4)
-        assert_eq!(unpack_ctrl(&[]), None);
-        assert_eq!(unpack_ctrl(&[99, 0]), None); // length prefix lies
-        assert_eq!(unpack_ctrl(&pack_ctrl_raw("zboom")), None); // unknown verb
-        assert_eq!(unpack_ctrl(&pack_ctrl_raw("cnotanum:t")), None);
-    }
-
-    fn pack_ctrl_raw(line: &str) -> Vec<u32> {
-        let bytes = line.as_bytes();
-        let mut words = vec![bytes.len() as u32];
-        for group in bytes.chunks(4) {
-            let mut w = [0u8; 4];
-            w[..group.len()].copy_from_slice(group);
-            words.push(u32::from_le_bytes(w));
-        }
-        words
-    }
-}
-
-#[cfg(test)]
-mod more_tests {
-    use super::*;
-    use crate::transport::mesh;
-    use embrace_tensor::DenseTensor;
-
-    #[test]
-    fn alltoall_dense_through_comm_threads() {
-        let mut scheds: Vec<CommScheduler> =
-            mesh(3).into_iter().map(CommScheduler::spawn).collect();
-        let tickets: Vec<Ticket> = scheds
-            .iter_mut()
-            .enumerate()
-            .map(|(rank, s)| {
-                let parts: Vec<DenseTensor> =
-                    (0..3).map(|j| DenseTensor::full(1, 1, (rank * 3 + j) as f32)).collect();
-                s.submit(0, "a2a-dense", CommOp::AlltoAllDense(parts))
-            })
-            .collect();
-        for (j, t) in tickets.into_iter().enumerate() {
-            let CommResult::AlltoAllDense(received) = t.wait() else { panic!("wrong kind") };
-            for (i, block) in received.iter().enumerate() {
-                assert_eq!(block.as_slice()[0], (i * 3 + j) as f32);
-            }
-        }
-    }
-
-    #[test]
-    fn single_rank_scheduler() {
-        let mut s = mesh(1).into_iter().map(CommScheduler::spawn).next().unwrap();
-        let t = s.submit(0, "ar", CommOp::AllReduceDense(vec![4.0]));
-        let CommResult::AllReduceDense(buf) = t.wait() else { panic!("wrong kind") };
-        assert_eq!(buf, vec![4.0]);
-        s.flush();
-    }
-
-    #[test]
-    fn divergent_priorities_fail_fast_with_protocol_error() {
-        // Both ranks submit the same tag but disagree on its priority: the
-        // always-on SPMD fingerprint check must reject the op on every
-        // rank instead of letting the mismatch fester into a deadlock.
-        let mut scheds: Vec<CommScheduler> =
-            mesh(2).into_iter().map(CommScheduler::spawn).collect();
-        let tickets: Vec<Ticket> = scheds
-            .iter_mut()
-            .enumerate()
-            .map(|(rank, s)| {
-                s.submit(rank as i64, "skewed", CommOp::GatherTokens(vec![rank as u32]))
-            })
-            .collect();
-        for t in tickets {
-            match t.wait() {
-                CommResult::Failed(crate::transport::CommError::Protocol { .. }) => {}
-                other => panic!("expected Failed(Protocol), got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn submission_log_records_everything() {
-        let mut scheds: Vec<CommScheduler> =
-            mesh(2).into_iter().map(CommScheduler::spawn).collect();
-        for (rank, s) in scheds.iter_mut().enumerate() {
+    fn submission_log_and_observation_record_everything() {
+        per_rank(mesh(2), |rank, ep| {
+            let mut s = CommScheduler::spawn_observed(ep);
             s.submit(3, "g", CommOp::GatherTokens(vec![rank as u32, 9]));
-            s.submit(-1, "ar", CommOp::AllReduceDense(vec![0.0; 4]));
-        }
-        std::thread::scope(|sc| {
-            for s in scheds.iter_mut() {
-                sc.spawn(move || s.flush());
-            }
-        });
-        for s in &scheds {
-            let log = s.submitted();
-            assert_eq!(log.len(), 3); // two ops + the flush fence
-            assert_eq!(
-                (log[0].tag.as_str(), log[0].kind, log[0].priority),
-                ("g", "gather_tokens", 3)
-            );
-            assert_eq!(log[0].bytes, 2 * embrace_tensor::TOKEN_BYTES as u64);
-            assert_eq!((log[1].tag.as_str(), log[1].kind), ("ar", "allreduce_dense"));
-            assert_eq!(log[1].bytes, 4 * embrace_tensor::F32_BYTES as u64);
-            assert_eq!(log[2].kind, "flush");
-        }
-    }
+            s.submit(-1, "ar", CommOp::AllReduceDense(vec![1.0; 8]));
+            assert!(matches!(s.flush(), CommResult::Flush));
+            let log: Vec<_> = s.submitted().iter().map(|o| (&*o.tag, o.kind, o.priority)).collect();
+            let fence = ("flush", "flush", i64::MAX);
+            assert_eq!(log, [("g", "gather_tokens", 3), ("ar", "allreduce_dense", -1), fence]);
+            assert_eq!(s.submitted()[0].bytes, 2 * embrace_tensor::TOKEN_BYTES as u64);
 
-    #[test]
-    fn observed_scheduler_times_queue_wait_and_transfer() {
-        let mut scheds: Vec<CommScheduler> =
-            mesh(2).into_iter().map(CommScheduler::spawn_observed).collect();
-        let mut tickets = Vec::new();
-        for (rank, s) in scheds.iter_mut().enumerate() {
-            tickets.push(s.submit(1, "g0", CommOp::GatherTokens(vec![rank as u32])));
-            tickets.push(s.submit(0, "ar", CommOp::AllReduceDense(vec![1.0; 8])));
-        }
-        std::thread::scope(|sc| {
-            for s in scheds.iter_mut() {
-                sc.spawn(move || s.flush());
-            }
-        });
-        for t in tickets {
-            assert!(!matches!(t.wait(), CommResult::Failed(_)));
-        }
-        for (rank, s) in scheds.iter().enumerate() {
+            // Two ops + the fence, each spanned once on this rank's track.
             let (spans, timings) = s.observation().expect("spawn_observed records timings");
-            // Two ops + the flush fence, each spanned on this rank's track.
-            assert_eq!(timings.len(), 3);
-            assert_eq!(spans.len(), 3);
+            assert_eq!(unit_order(&s), ["ar", "g", "flush"]);
             assert_eq!(spans.track_name(0), format!("comm-{rank}"));
-            spans.check_well_nested().expect("serial comm-thread spans nest");
             for t in &timings {
                 assert!(t.queue_wait() >= 0.0, "{}: negative queue wait", t.tag);
                 assert!(t.exec_time() >= 0.0, "{}: negative exec time", t.tag);
                 assert_eq!(t.chunks, 1, "{}: unchunked scheduler ran whole ops", t.tag);
             }
-            let ar = timings.iter().find(|t| t.tag == "ar").expect("ar timed");
-            assert_eq!(ar.kind, "allreduce_dense");
-            assert_eq!(ar.bytes, 8 * embrace_tensor::F32_BYTES as u64);
+            assert_eq!((timings[0].kind, timings[0].bytes), ("allreduce_dense", 8 * 4));
             let m = scheduler_metrics(&timings);
             assert_eq!(m.counter("sched.ops_executed"), 3);
             assert_eq!(m.counter("sched.chunks_executed"), 3);
             assert_eq!(m.histogram("sched.exec_s").expect("exec histogram").count(), 3);
-        }
+        });
         // Plain spawn records nothing.
-        let s = mesh(1).into_iter().map(CommScheduler::spawn).next().expect("one scheduler");
+        let s = CommScheduler::spawn(mesh(1).pop().expect("one endpoint"));
         assert!(s.observation().is_none());
     }
 
-    #[test]
-    fn many_interleaved_ops_complete() {
-        let mut scheds: Vec<CommScheduler> =
-            mesh(4).into_iter().map(CommScheduler::spawn).collect();
-        let mut tickets = Vec::new();
-        for round in 0..10i64 {
-            for (rank, s) in scheds.iter_mut().enumerate() {
-                tickets.push(s.submit(
-                    10 - round, // later rounds more urgent: stress reordering
-                    format!("round{round}"),
-                    CommOp::GatherTokens(vec![rank as u32, round as u32]),
-                ));
-            }
-        }
-        let mut completed = 0;
-        for t in tickets {
-            assert!(matches!(t.wait(), CommResult::GatherTokens(_)));
-            completed += 1;
-        }
-        assert_eq!(completed, 40);
+    /// One op of each kind, each (but the fence) large enough to split at
+    /// any segment size up to 96 bytes.
+    fn one_of_each(world: usize, rank: usize) -> Vec<(&'static str, CommOp)> {
+        let v = |j: usize| (rank * world + j) as f32;
+        let sparse = |j| RowSparse::new(vec![j as u32, 9], DenseTensor::full(2, 8, v(j)));
+        vec![
+            (
+                "a2ad",
+                CommOp::AlltoAllDense((0..world).map(|j| DenseTensor::full(4, 8, v(j))).collect()),
+            ),
+            ("a2as", CommOp::AlltoAllSparse((0..world).map(sparse).collect())),
+            ("gt", CommOp::GatherTokens((0..30).map(|k| (rank * 64 + k) as u32).collect())),
+            ("fence", CommOp::Flush),
+        ]
     }
-}
 
-#[cfg(test)]
-mod abort_contract_tests {
-    //! The satellite bugfixes: every shutdown/abort path yields a typed
-    //! [`CommError`] — no panic is reachable from divergent enqueues,
-    //! fail-fast shutdown, or a control-channel timeout.
-    use super::*;
-    use crate::transport::{mesh, mesh_with_faults, FaultPlan};
-    use std::time::Duration;
-
-    /// Divergent enqueue: every rank submits a tag no other rank knows,
-    /// then drops its scheduler. No panic anywhere; every ticket resolves
-    /// to a typed failure (Protocol / PeerGone / Aborted depending on
-    /// which rank noticed first).
-    fn divergent_enqueue_world(world: usize, observed: bool) {
-        let mut scheds: Vec<CommScheduler> = mesh(world)
-            .into_iter()
-            .map(|ep| {
-                if observed {
-                    CommScheduler::spawn_observed(ep)
-                } else {
-                    CommScheduler::spawn(ep)
-                }
-            })
-            .collect();
-        std::thread::scope(|sc| {
-            for (rank, s) in scheds.drain(..).enumerate().rev() {
-                sc.spawn(move || {
-                    let mut s = s;
-                    let t = s.submit(0, format!("only-{rank}"), CommOp::GatherTokens(vec![1]));
-                    drop(s); // fail-fast shutdown while the op is pending
-                    match t.wait() {
-                        CommResult::Failed(err) => {
-                            assert!(
-                                matches!(
-                                    err,
-                                    CommError::Protocol { .. }
-                                        | CommError::PeerGone { .. }
-                                        | CommError::Aborted { .. }
-                                ),
-                                "rank {rank}: unexpected error {err:?}"
-                            );
-                        }
-                        other => panic!("rank {rank}: expected Failed, got {other:?}"),
-                    }
-                });
+    /// A bulk allreduce, `head_start` units of it, then one urgent op of
+    /// every other kind. Per rank: every result (f32s as bit patterns) and
+    /// the completion order.
+    fn run_all_kinds(
+        world: usize,
+        spawn: Spawn,
+        head_start: usize,
+    ) -> Vec<(Vec<String>, Vec<String>)> {
+        per_rank(mesh(world), |rank, ep| {
+            let mut s = spawn(ep);
+            let bulk = (0..257).map(|i| ((rank * 131 + i * 7) as f32) * 0.1).collect();
+            let mut tickets = vec![s.submit(100, "bulk", CommOp::AllReduceDense(bulk))];
+            for _ in 0..head_start {
+                s.progress();
             }
+            for (tag, op) in one_of_each(world, rank) {
+                tickets.push(s.submit(-10, tag, op));
+            }
+            let results = tickets.into_iter().map(|t| match t.wait() {
+                CommResult::AllReduceDense(buf) => {
+                    format!("{:?}", buf.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+                }
+                CommResult::Failed(e) => panic!("world {world} rank {rank}: {e:?}"),
+                moved => format!("{moved:?}"),
+            });
+            let results = results.collect();
+            let (_, timings) = s.observation().expect("observed");
+            (results, timings.into_iter().map(|t| t.tag).collect())
+        })
+    }
+
+    #[test]
+    fn chunked_matches_whole_bitwise_for_every_kind_at_every_head_start() {
+        for world in 1..=4 {
+            let whole = run_all_kinds(world, CommScheduler::spawn_observed, 0);
+            let chunked: [Spawn; 3] = [
+                |ep| CommScheduler::spawn_chunked_observed(ep, 16),
+                |ep| CommScheduler::spawn_chunked_observed(ep, TINY_CHUNK),
+                |ep| CommScheduler::spawn_chunked_observed(ep, 96),
+            ];
+            for (seg, spawn) in chunked.into_iter().enumerate() {
+                for head_start in 0..8 {
+                    let got = run_all_kinds(world, spawn, head_start);
+                    for rank in 0..world {
+                        let at = format!("world {world} seg #{seg} head start {head_start}");
+                        assert_eq!(got[rank].0, whole[rank].0, "{at}: rank {rank} results");
+                        assert_eq!(got[rank].1, got[0].1, "{at}: rank {rank} completion order");
+                    }
+                    // The urgent ops overtake a bulk op that has units left
+                    // (at world 1 it is whole: one unit).
+                    let bulk_at = got[0].1.iter().position(|t| t == "bulk").expect("bulk ran");
+                    let overtaken = world > 1 || head_start == 0;
+                    assert_eq!(bulk_at == 4, overtaken, "world {world}: {:?}", got[0].1);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn urgent_op_lands_exactly_between_two_units_of_the_bulk_op() {
+        // 257 f32 over two ranks in 16-element segments: 9 units per step,
+        // 18 in all. Three units of head start, then a small urgent gather
+        // (whole), then a chunked one.
+        let orders = per_rank(mesh(2), |rank, ep| {
+            let mut s = CommScheduler::spawn_chunked_observed(ep, TINY_CHUNK);
+            let bulk = s.submit(100, "bulk", CommOp::AllReduceDense(vec![(rank + 1) as f32; 257]));
+            assert!((0..3).all(|_| s.progress()));
+            let hp = s.submit(-10, "hp", CommOp::GatherTokens(vec![rank as u32]));
+            let CommResult::GatherTokens(all) = hp.wait() else { panic!("hp failed") };
+            assert_eq!(all, vec![vec![0], vec![1]]);
+            assert!(s.progress(), "bulk resumes");
+            let hp2 = s.submit(-10, "hp2", CommOp::GatherTokens(vec![rank as u32; 17]));
+            let CommResult::AllReduceDense(out) = bulk.wait() else { panic!("bulk failed") };
+            assert!(out.iter().all(|&x| x == 3.0), "bulk result wrong after preemption");
+            assert!(matches!(hp2.wait(), CommResult::GatherTokens(_)));
+            let (_, timings) = s.observation().expect("observed");
+            let chunks: Vec<_> = timings.iter().map(|t| (&*t.tag, t.chunks)).collect();
+            assert_eq!(chunks, [("hp", 1), ("hp2", 1), ("bulk", 18)]);
+            unit_order(&s)
+        });
+        let want: Vec<String> = chunks("bulk", 0..3)
+            .chain(["hp".to_string()])
+            .chain(chunks("bulk", 3..4))
+            .chain(chunks("hp2", 0..1))
+            .chain(["hp2".to_string()])
+            .chain(chunks("bulk", 4..18))
+            .chain(["bulk".to_string()])
+            .collect();
+        for order in orders {
+            assert_eq!(order, want);
+        }
+    }
+
+    #[test]
+    fn three_level_nesting_is_an_exact_order() {
+        // bulk (12 units at world 3) preempted by mid (4 units) preempted
+        // by hp (whole); an equally urgent op does not preempt.
+        let orders = per_rank(mesh(3), |rank, ep| {
+            let mut s = CommScheduler::spawn_chunked_observed(ep, TINY_CHUNK);
+            let bulk = s.submit(100, "bulk", CommOp::AllReduceDense(vec![1.0; 144]));
+            assert!((0..2).all(|_| s.progress()));
+            let mid = s.submit(10, "mid", CommOp::AllReduceDense(vec![2.0; 48]));
+            let tie = s.submit(10, "tie", CommOp::GatherTokens(vec![rank as u32]));
+            assert!((0..2).all(|_| s.progress()));
+            let hp = s.submit(-10, "hp", CommOp::GatherTokens(vec![rank as u32]));
+            let CommResult::AllReduceDense(b) = bulk.wait() else { panic!("bulk failed") };
+            assert!(b.iter().all(|&x| x == 3.0));
+            let CommResult::AllReduceDense(m) = mid.wait() else { panic!("mid failed") };
+            assert!(m.iter().all(|&x| x == 6.0));
+            assert!(matches!(hp.wait(), CommResult::GatherTokens(_)));
+            assert!(matches!(tie.wait(), CommResult::GatherTokens(_)));
+            unit_order(&s)
+        });
+        let want: Vec<String> = chunks("bulk", 0..2)
+            .chain(chunks("mid", 0..2))
+            .chain(["hp".to_string()])
+            .chain(chunks("mid", 2..4))
+            .chain(["mid".to_string(), "tie".to_string()])
+            .chain(chunks("bulk", 2..12))
+            .chain(["bulk".to_string()])
+            .collect();
+        for order in orders {
+            assert_eq!(order, want);
+        }
+    }
+
+    #[test]
+    fn whole_or_partitioned_is_agreed_when_payload_sizes_differ() {
+        // 15 tokens fit a 64-byte segment, 17 do not: the ranks disagree
+        // locally, the start round settles it (partitioned if oversized
+        // anywhere), and every rank runs the same number of units.
+        for (lens, units) in [([15, 15, 15], 1), ([15, 17, 15], 2)] {
+            per_rank(mesh(3), |rank, ep| {
+                let mut s = CommScheduler::spawn_chunked_observed(ep, TINY_CHUNK);
+                let t = s.submit(0, "g", CommOp::GatherTokens(vec![7; lens[rank]]));
+                let CommResult::GatherTokens(all) = t.wait() else { panic!("gather failed") };
+                assert_eq!(all.iter().map(|v| v.len()).collect::<Vec<_>>(), lens);
+                assert_eq!(s.observation().expect("observed").1[0].chunks, units);
+            });
+        }
+    }
+
+    #[test]
+    fn preempting_at_a_different_unit_boundary_is_a_protocol_error_on_every_rank() {
+        // 7 elements over 3 ranks in 1-element segments: chunks of 3, 2, 2,
+        // so some unit moves nothing on some rank. That rank can run it
+        // alone — one `progress()` call more than its peers — with nothing
+        // on the wire to give it away; only the units-run count in the
+        // fingerprint of the next op start does. Without it the urgent op
+        // would run, and the resumed ring would reduce unit k+1's segment
+        // into unit k's range.
+        let world = 3;
+        let ring = |rank| Ring::new(world, rank, 7, 1);
+        let (idle_rank, idle_unit) = (0..world)
+            .flat_map(|r| (0..ring(r).units()).map(move |u| (r, u)))
+            .find(|&(r, u)| ring(r).unit(u).send.is_none() && ring(r).unit(u).recv.is_none())
+            .expect("an uneven ring has an idle unit");
+        per_rank(mesh(world), |rank, ep| {
+            let mut s = CommScheduler::spawn_chunked(ep, F32_BYTES);
+            let bulk = s.submit(100, "bulk", CommOp::AllReduceDense(vec![1.0; 7]));
+            let head_start = idle_unit + usize::from(rank == idle_rank);
+            assert!((0..head_start).all(|_| s.progress()));
+            let hp = s.submit(-10, "hp", CommOp::GatherTokens(vec![rank as u32]));
+            assert!(protocol(hp.wait()), "rank {rank}: urgent op");
+            assert!(protocol(bulk.wait()), "rank {rank}: suspended op");
+        });
+    }
+
+    // --- The abort contract: every ticket typed, nothing panics, nothing
+    // hangs — whole and chunked, observed and not. ---
+
+    #[test]
+    fn divergent_priorities_fail_everything_pending_and_everything_later() {
+        // Same tag, different priority: the start round rejects the op on
+        // every rank; the op queued behind it fails with the same cause;
+        // `submit` and `flush` afterwards are pre-failed `Aborted`.
+        for spawn in FLAVOURS {
+            per_rank(mesh(2), |rank, ep| {
+                let mut s = spawn(ep);
+                let skewed = s.submit(rank as i64, "skewed", CommOp::AllReduceDense(vec![1.0; 64]));
+                let behind = s.submit(50, "behind", CommOp::AllReduceDense(vec![1.0; 64]));
+                assert!(protocol(skewed.wait()), "rank {rank}: divergent op");
+                assert!(protocol(behind.wait()), "rank {rank}: op queued behind the failure");
+                let late = s.submit(0, "late", CommOp::GatherTokens(vec![1])).wait();
+                for after in [late, s.flush()] {
+                    let CommResult::Failed(err) = after else { panic!("ran after a failure") };
+                    assert_eq!(err, CommError::Aborted { origin: rank });
+                }
+                assert!(!s.progress());
+            });
+        }
+    }
+
+    #[test]
+    fn divergent_segment_sizes_are_a_protocol_error() {
+        // The segment size shapes every partitioned op's units and is no
+        // longer sent by anyone, so it is part of the fingerprint.
+        per_rank(mesh(2), |rank, ep| {
+            let mut s = CommScheduler::spawn_chunked(ep, TINY_CHUNK << rank);
+            assert!(protocol(s.submit(0, "ar", CommOp::AllReduceDense(vec![1.0; 64])).wait()));
         });
     }
 
     #[test]
-    fn divergent_enqueue_typed_failures_worlds_2_to_4() {
+    fn divergent_tags_fail_typed_when_the_scheduler_is_dropped() {
+        // Every rank enqueues a tag no other rank knows and drops its
+        // scheduler: the drain starts the op, the start round sees the
+        // other fingerprints, and the ticket resolves `Protocol`.
         for world in 2..=4 {
-            divergent_enqueue_world(world, false);
-            divergent_enqueue_world(world, true);
-        }
-    }
-
-    #[test]
-    fn wait_after_failure_returns_typed_error_for_queued_tickets() {
-        // Ops queued *behind* the op that fails must also resolve typed:
-        // the skewed-priority gather trips the fingerprint check, and the
-        // allreduce queued after it is failed by the shutting-down thread.
-        let mut scheds: Vec<CommScheduler> =
-            mesh(2).into_iter().map(CommScheduler::spawn).collect();
-        let mut first = Vec::new();
-        let mut behind = Vec::new();
-        for (rank, s) in scheds.iter_mut().enumerate() {
-            first.push(s.submit(rank as i64, "skewed", CommOp::GatherTokens(vec![7])));
-            behind.push(s.submit(50, "behind", CommOp::AllReduceDense(vec![1.0; 4])));
-        }
-        for t in first {
-            assert!(matches!(t.wait(), CommResult::Failed(_)));
-        }
-        for t in behind {
-            assert!(matches!(t.wait(), CommResult::Failed(_)));
-        }
-    }
-
-    #[test]
-    fn submit_and_flush_after_shutdown_fail_typed() {
-        // Trip the fail-fast path, then keep using the handle: submit and
-        // flush must return typed aborts, not panic on the closed channel.
-        let mut scheds: Vec<CommScheduler> =
-            mesh(2).into_iter().map(CommScheduler::spawn).collect();
-        let tickets: Vec<Ticket> = scheds
-            .iter_mut()
-            .enumerate()
-            .map(|(rank, s)| s.submit(rank as i64, "skewed", CommOp::GatherTokens(vec![7])))
-            .collect();
-        for t in tickets {
-            assert!(matches!(t.wait(), CommResult::Failed(_)));
-        }
-        for s in scheds.iter_mut() {
-            let late = s.submit(0, "late", CommOp::GatherTokens(vec![1]));
-            assert!(matches!(late.wait(), CommResult::Failed(_)));
-            assert!(matches!(s.flush(), CommResult::Failed(_)));
-        }
-    }
-
-    #[test]
-    fn control_channel_timeout_is_typed_not_conflated_with_shutdown() {
-        // Delay the controller's control channel past the recv deadline:
-        // rank 1 must fail its pending op with the *original* Timeout (or
-        // the follow-on PeerGone if the controller noticed first) — and
-        // never treat the stall as a clean shutdown or panic.
-        let plan = FaultPlan::new(11).delay_link(0, 1, Duration::from_secs(3600));
-        let mut scheds: Vec<CommScheduler> =
-            mesh_with_faults(2, &plan, Some(Duration::from_millis(50)))
-                .into_iter()
-                .map(CommScheduler::spawn)
-                .collect();
-        std::thread::scope(|sc| {
-            for (rank, s) in scheds.drain(..).enumerate().rev() {
-                sc.spawn(move || {
-                    let mut s = s;
-                    let t = s.submit(0, "g", CommOp::GatherTokens(vec![rank as u32]));
-                    let result = t.wait();
-                    match result {
-                        CommResult::Failed(err) => assert!(
-                            matches!(
-                                err,
-                                CommError::Timeout { .. }
-                                    | CommError::PeerGone { .. }
-                                    | CommError::Aborted { .. }
-                            ),
-                            "rank {rank}: unexpected error {err:?}"
-                        ),
-                        other => panic!("rank {rank}: expected Failed, got {other:?}"),
-                    }
+            for spawn in FLAVOURS {
+                per_rank(mesh(world), |rank, ep| {
+                    let mut s = spawn(ep);
+                    let op = CommOp::AllReduceDense(vec![1.0; 4096]);
+                    let t = s.submit(0, format!("only-{rank}"), op);
                     drop(s);
+                    assert!(protocol(t.wait()), "world {world} rank {rank}");
                 });
             }
+        }
+    }
+
+    #[test]
+    fn orphan_op_at_shutdown_fails_typed() {
+        // Rank 1 queues an op rank 0 never heard of, and both shut down.
+        // There is no controller to answer `Aborted` any more: rank 0
+        // drains nothing and leaves, so rank 1's drain finds it gone.
+        let results = per_rank(mesh(2), |rank, ep| {
+            let mut s = CommScheduler::spawn(ep);
+            let orphan =
+                (rank == 1).then(|| s.submit(0, "nobody-else", CommOp::GatherTokens(vec![9])));
+            drop(s);
+            orphan.map(Ticket::wait)
         });
+        assert!(
+            matches!(results[1], Some(CommResult::Failed(CommError::PeerGone { peer: 0 }))),
+            "{:?}",
+            results[1]
+        );
     }
 
     #[test]
-    fn peer_crash_inside_a_whole_op_fails_typed_with_the_real_cause() {
-        // The last rank's endpoint tears down at the ring's first send (its
-        // earlier sends are the fingerprint round), on a scheduler that
-        // runs ops whole. Every waiter must see the real cause — the
-        // victim its own injection, survivors the peer they lost or the
-        // abort of whoever noticed first — never a panicked comm thread's
-        // `Aborted { origin: <own rank> }`. The op queued behind fails
-        // typed too (with the same cause, or the closed-channel abort if
-        // it lost the race against the comm thread's exit).
-        for world in 2..=3 {
-            let victim = world - 1;
-            let plan = FaultPlan::new(23).crash_rank_at_op(victim, (world - 1) as u64);
-            let mut scheds: Vec<CommScheduler> =
-                mesh_with_faults(world, &plan, Some(Duration::from_millis(250)))
-                    .into_iter()
-                    .map(CommScheduler::spawn)
-                    .collect();
-            std::thread::scope(|sc| {
-                for (rank, s) in scheds.iter_mut().enumerate() {
-                    sc.spawn(move || {
-                        let ar = s.submit(0, "ar", CommOp::AllReduceDense(vec![1.0; 64]));
-                        let behind = s.submit(5, "behind", CommOp::GatherTokens(vec![7]));
-                        let CommResult::Failed(err) = ar.wait() else {
-                            panic!("world {world} rank {rank}: allreduce survived the crash")
-                        };
-                        let real_cause = match err {
-                            CommError::Injected { rank: r } => r == victim && rank == victim,
-                            CommError::PeerGone { .. } | CommError::Timeout { .. } => true,
-                            CommError::Aborted { origin } => origin != rank,
-                            _ => false,
-                        };
-                        assert!(real_cause, "world {world} rank {rank}: {err:?}");
-                        assert!(matches!(behind.wait(), CommResult::Failed(_)));
-                        let comm = s.handle.take().expect("comm thread handle");
-                        assert!(comm.join().is_ok(), "world {world} rank {rank}: comm panicked");
-                    });
-                }
+    fn stalled_link_fails_typed_within_the_deadline() {
+        // The link 0 → 1 never delivers and receives give up after 50 ms:
+        // rank 1 times out in the start round and says so; rank 0 sees that
+        // abort (or its own timeout). Nobody waits for the stalled packet.
+        for spawn in FLAVOURS {
+            let plan = FaultPlan::new(11).delay_link(0, 1, Duration::from_secs(3600));
+            let t0 = Instant::now();
+            per_rank(mesh_with_faults(2, &plan, Some(Duration::from_millis(50))), |rank, ep| {
+                let mut s = spawn(ep);
+                let t = s.submit(0, "g", CommOp::GatherTokens(vec![rank as u32; 32]));
+                let CommResult::Failed(err) = t.wait() else { panic!("rank {rank}: survived") };
+                let expected = match err {
+                    CommError::Timeout { peer, .. } => peer == 1 - rank,
+                    CommError::Aborted { origin } => rank == 0 && origin == 1,
+                    _ => false,
+                };
+                assert!(expected, "rank {rank}: {err:?}");
             });
+            assert!(t0.elapsed() < Duration::from_secs(5), "waited out the stalled link");
         }
     }
 
     #[test]
-    fn clean_shutdown_with_unscheduled_local_op_fails_typed() {
-        // Rank 1 queues an op rank 0 never heard of, then both shut down.
-        // The controller drains nothing, broadcasts the shutdown token,
-        // and rank 1's leftover ticket must resolve Failed(Aborted).
-        let mut eps = mesh(2).into_iter();
-        let s0 = CommScheduler::spawn(eps.next().expect("rank 0"));
-        let mut s1 = CommScheduler::spawn(eps.next().expect("rank 1"));
-        let orphan = s1.submit(0, "nobody-else", CommOp::GatherTokens(vec![9]));
-        drop(s0); // clean controller shutdown: empty queue
-        drop(s1);
-        match orphan.wait() {
-            CommResult::Failed(CommError::Aborted { .. }) => {}
-            other => panic!("expected Failed(Aborted), got {other:?}"),
-        }
-    }
-}
-
-#[cfg(test)]
-mod chunked_tests {
-    use super::*;
-    use crate::transport::mesh;
-    use embrace_tensor::DenseTensor;
-
-    /// Chunk small enough that even modest payloads split: 64 bytes =
-    /// 16 f32 elements per ring segment.
-    const TINY_CHUNK: usize = 64;
-
-    fn spawn_chunked_world(world: usize) -> Vec<CommScheduler> {
-        mesh(world).into_iter().map(|ep| CommScheduler::spawn_chunked(ep, TINY_CHUNK)).collect()
-    }
-
-    #[test]
-    fn chunked_allreduce_matches_unchunked_bitwise() {
-        for world in 2..=4 {
-            let payload = |rank: usize| -> Vec<f32> {
-                (0..257).map(|i| ((rank * 131 + i * 7) as f32) * 0.1).collect()
-            };
-            let expect: Vec<f32> = {
-                let mut scheds: Vec<CommScheduler> =
-                    mesh(world).into_iter().map(CommScheduler::spawn).collect();
-                let tickets: Vec<Ticket> = scheds
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(r, s)| s.submit(0, "ar", CommOp::AllReduceDense(payload(r))))
-                    .collect();
-                let mut out = None;
-                for t in tickets {
-                    let CommResult::AllReduceDense(buf) = t.wait() else { panic!("wrong kind") };
-                    out = Some(buf);
-                }
-                out.expect("at least one rank")
-            };
-            let mut scheds = spawn_chunked_world(world);
-            let tickets: Vec<Ticket> = scheds
-                .iter_mut()
-                .enumerate()
-                .map(|(r, s)| s.submit(0, "ar", CommOp::AllReduceDense(payload(r))))
-                .collect();
-            for t in tickets {
-                let CommResult::AllReduceDense(buf) = t.wait() else { panic!("wrong kind") };
-                let got: Vec<u32> = buf.iter().map(|x| x.to_bits()).collect();
-                let want: Vec<u32> = expect.iter().map(|x| x.to_bits()).collect();
-                assert_eq!(got, want, "world {world}: chunked != unchunked");
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_fanout_ops_deliver_exact_blocks() {
-        for world in 2..=4 {
-            let mut scheds = spawn_chunked_world(world);
-            let mut tickets = Vec::new();
-            for (rank, s) in scheds.iter_mut().enumerate() {
-                let dense: Vec<DenseTensor> = (0..world)
-                    .map(|j| DenseTensor::full(4, 4, (rank * world + j) as f32))
-                    .collect();
-                tickets.push(s.submit(0, "a2ad", CommOp::AlltoAllDense(dense)));
-                let sparse: Vec<RowSparse> = (0..world)
-                    .map(|j| {
-                        RowSparse::new(
-                            vec![j as u32],
-                            DenseTensor::full(1, 8, (rank * world + j) as f32),
-                        )
-                    })
-                    .collect();
-                tickets.push(s.submit(1, "a2as", CommOp::AlltoAllSparse(sparse)));
-                tickets.push(s.submit(
-                    2,
-                    "gt",
-                    CommOp::GatherTokens((0..9).map(|k| (rank * 16 + k) as u32).collect()),
-                ));
-            }
-            let per_rank = 3;
-            for (i, t) in tickets.into_iter().enumerate() {
-                let rank = i / per_rank;
-                match t.wait() {
-                    CommResult::AlltoAllDense(blocks) => {
-                        for (src, b) in blocks.iter().enumerate() {
-                            assert_eq!(b.as_slice()[0], (src * world + rank) as f32);
-                            assert_eq!(b.as_slice().len(), 16);
-                        }
-                    }
-                    CommResult::AlltoAllSparse(parts) => {
-                        for (src, p) in parts.iter().enumerate() {
-                            assert_eq!(p.values().as_slice()[0], (src * world + rank) as f32);
-                        }
-                    }
-                    CommResult::GatherTokens(all) => {
-                        for (src, toks) in all.iter().enumerate() {
-                            let want: Vec<u32> = (0..9).map(|k| (src * 16 + k) as u32).collect();
-                            assert_eq!(toks, &want);
-                        }
-                    }
-                    other => panic!("unexpected {other:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn high_priority_op_preempts_bulk_mid_flight() {
-        // A bulk low-priority allreduce big enough to still be on the wire
-        // when small urgent gathers arrive: with chunking they must finish
-        // *before* the bulk op (observed via OpTiming), and the bulk
-        // result must still be exact.
-        let world = 2;
-        let elems = 1 << 20; // 4 MiB per rank
-        let mut scheds: Vec<CommScheduler> = mesh(world)
-            .into_iter()
-            .map(|ep| CommScheduler::spawn_chunked_observed(ep, 16 << 10))
-            .collect();
-        std::thread::scope(|sc| {
-            for (rank, s) in scheds.iter_mut().enumerate() {
-                sc.spawn(move || {
-                    let buf = vec![(rank + 1) as f32; elems];
-                    let bulk = s.submit(100, "bulk", CommOp::AllReduceDense(buf));
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                    let hp = s.submit(-10, "hp", CommOp::GatherTokens(vec![rank as u32]));
-                    let CommResult::GatherTokens(all) = hp.wait() else { panic!("hp failed") };
-                    assert_eq!(all, vec![vec![0], vec![1]]);
-                    let CommResult::AllReduceDense(out) = bulk.wait() else {
-                        panic!("bulk failed")
+    fn peer_crash_inside_an_op_fails_typed_with_the_real_cause() {
+        // The last rank's endpoint tears down at the op's first send (its
+        // earlier sends are the start round), inside a whole op and inside
+        // a partitioned one. Every waiter sees the real cause — the victim
+        // its own injection, a survivor the peer it lost or the abort of
+        // whoever noticed first — never `Aborted { origin: <own rank> }`;
+        // and the op queued behind fails with the same error.
+        for world in 2..=3 {
+            for spawn in FLAVOURS {
+                let victim = world - 1;
+                let plan = FaultPlan::new(23).crash_rank_at_op(victim, (world - 1) as u64);
+                let deadline = Some(Duration::from_millis(250));
+                per_rank(mesh_with_faults(world, &plan, deadline), |rank, ep| {
+                    let mut s = spawn(ep);
+                    let ar = s.submit(0, "ar", CommOp::AllReduceDense(vec![1.0; 64]));
+                    let behind = s.submit(5, "behind", CommOp::GatherTokens(vec![7]));
+                    let CommResult::Failed(err) = ar.wait() else {
+                        panic!("world {world} rank {rank}: allreduce survived the crash")
                     };
-                    assert!(out.iter().all(|&x| x == 3.0), "bulk result wrong after preemption");
-                    s.flush();
+                    let real_cause = match err {
+                        CommError::Injected { rank: r } => r == victim && rank == victim,
+                        CommError::PeerGone { .. } | CommError::Timeout { .. } => rank != victim,
+                        CommError::Aborted { origin } => origin != rank,
+                        _ => false,
+                    };
+                    assert!(real_cause, "world {world} rank {rank}: {err:?}");
+                    let CommResult::Failed(same) = behind.wait() else {
+                        panic!("ran after a failure")
+                    };
+                    assert_eq!(same, err, "world {world} rank {rank}");
                 });
             }
-        });
-        for s in &scheds {
-            let (spans, timings) = s.observation().expect("observed");
-            spans.check_well_nested().expect("preemption nests inside the preempted op's span");
-            let bulk = timings.iter().find(|t| t.tag == "bulk").expect("bulk timed");
-            assert!(bulk.chunks > 1, "bulk ran whole: chunks = {}", bulk.chunks);
-            let hp = timings.iter().find(|t| t.tag == "hp").expect("hp timed");
-            assert!(
-                hp.finished_s < bulk.finished_s,
-                "hp (finished {:.6}s) should preempt bulk (finished {:.6}s)",
-                hp.finished_s,
-                bulk.finished_s
-            );
-        }
-    }
-
-    #[test]
-    fn nested_preemption_three_levels() {
-        // bulk (chunked) preempted by mid (chunked) preempted by hp
-        // (whole): all three must complete with exact results.
-        let world = 2;
-        let mut scheds: Vec<CommScheduler> =
-            mesh(world).into_iter().map(|ep| CommScheduler::spawn_chunked(ep, 4 << 10)).collect();
-        std::thread::scope(|sc| {
-            for (rank, s) in scheds.iter_mut().enumerate() {
-                sc.spawn(move || {
-                    let bulk = s.submit(100, "bulk", CommOp::AllReduceDense(vec![1.0; 1 << 19]));
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                    let mid = s.submit(10, "mid", CommOp::AllReduceDense(vec![2.0; 1 << 17]));
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                    let hp = s.submit(-10, "hp", CommOp::GatherTokens(vec![rank as u32]));
-                    let CommResult::GatherTokens(all) = hp.wait() else { panic!("hp failed") };
-                    assert_eq!(all.len(), 2);
-                    let CommResult::AllReduceDense(m) = mid.wait() else { panic!("mid failed") };
-                    assert!(m.iter().all(|&x| x == 4.0));
-                    let CommResult::AllReduceDense(b) = bulk.wait() else { panic!("bulk failed") };
-                    assert!(b.iter().all(|&x| x == 2.0));
-                });
-            }
-        });
-    }
-
-    #[test]
-    fn chunked_scheduler_passes_whole_op_suite() {
-        // Small ops below the chunk threshold run whole on a chunked
-        // scheduler; everything still completes in priority order.
-        let mut scheds: Vec<CommScheduler> = mesh(3)
-            .into_iter()
-            .map(|ep| CommScheduler::spawn_chunked(ep, DEFAULT_CHUNK_BYTES))
-            .collect();
-        let mut tickets = Vec::new();
-        for (rank, s) in scheds.iter_mut().enumerate() {
-            tickets.push(s.submit(1, "g", CommOp::GatherTokens(vec![rank as u32])));
-            tickets.push(s.submit(0, "ar", CommOp::AllReduceDense(vec![rank as f32; 8])));
-        }
-        std::thread::scope(|sc| {
-            for s in scheds.iter_mut() {
-                sc.spawn(move || s.flush());
-            }
-        });
-        for t in tickets {
-            assert!(!matches!(t.wait(), CommResult::Failed(_)));
-        }
-    }
-
-    #[test]
-    fn divergent_enqueue_on_chunked_scheduler_fails_typed() {
-        // The abort contract holds for chunked ops too: payloads above the
-        // threshold take the Start/Next path, and a divergence still
-        // resolves every ticket with a typed error, no panic.
-        for world in 2..=3 {
-            let mut scheds = spawn_chunked_world(world);
-            std::thread::scope(|sc| {
-                for (rank, s) in scheds.drain(..).enumerate().rev() {
-                    sc.spawn(move || {
-                        let mut s = s;
-                        let t = s.submit(
-                            0,
-                            format!("bulk-{rank}"),
-                            CommOp::AllReduceDense(vec![1.0; 4096]),
-                        );
-                        drop(s);
-                        assert!(matches!(t.wait(), CommResult::Failed(_)));
-                    });
-                }
-            });
         }
     }
 }

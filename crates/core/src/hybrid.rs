@@ -180,7 +180,7 @@ impl ColumnShardedEmbedding {
     /// The local half of the forward pass: look up each destination
     /// rank's batch against my column shard, producing one outgoing dense
     /// block per rank (the payload of AlltoAll #1). Split out so callers
-    /// can route the exchange through a communication thread.
+    /// can route the exchange through the comm scheduler.
     pub fn lookup_parts<T: AsRef<[u32]>>(&self, all_tokens: &[T]) -> Vec<DenseTensor> {
         all_tokens.iter().map(|toks| self.shard.lookup(toks.as_ref())).collect()
     }

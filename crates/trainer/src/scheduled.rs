@@ -1,10 +1,11 @@
 //! The fully-assembled functional EmbRace pipeline (§5.1): backward hooks
-//! dump communication operations into a priority queue drained by a
-//! background communication thread, with 2D-scheduling priorities.
+//! dump communication operations into a priority queue with 2D-scheduling
+//! priorities, and the comm scheduler drains it.
 //!
 //! [`crate::real`] drives the collectives inline; this module routes every
-//! exchange through [`embrace_collectives::CommScheduler`] instead —
-//! the same architecture as the paper's prototype — and must produce
+//! exchange through [`embrace_collectives::CommScheduler`] instead — the
+//! paper's prototype, with the queue drained cooperatively on the rank
+//! thread rather than by a thread of its own — and must produce
 //! *identical* training trajectories (asserted in tests): scheduling
 //! changes performance, never semantics.
 
@@ -16,18 +17,23 @@ use embrace_dlsim::optim::{Adam, Optimizer, UpdatePart};
 use embrace_dlsim::Prefetcher;
 use embrace_models::{BatchGen, ZipfSampler};
 use embrace_obs::SpanSet;
-use embrace_tensor::RowSparse;
+use embrace_tensor::{RowSparse, F32_BYTES};
 
 /// Priority for gathering the next batch's tokens (scheduling metadata —
 /// cheap and needed early, like the prefetch itself).
 const TOKEN_GATHER_PRIORITY: i64 = -4;
 /// Dense-gradient AllReduce priority (single dense block in the toy model).
 const DENSE_PRIORITY: i64 = 0;
-/// Segment size for the chunked comm scheduler. Deliberately tiny (the
-/// toy model's dense weight block is only dim² f32s): the bulk allreduce
-/// must split into multiple resumable segments so higher-priority sparse
-/// ops can preempt it mid-tensor, as in the full-size system.
-const SCHED_CHUNK_BYTES: usize = 2048;
+
+/// Segment size for the chunked comm scheduler: an eighth of the dense
+/// weight block (dim² f32s), at least one f32. Derived from the model so
+/// the bulk allreduce splits into a handful of resumable segments at every
+/// `dim` — enough for the higher-priority sparse ops to preempt it
+/// mid-tensor, as in the full-size system, without drowning a large block
+/// in per-segment overhead.
+fn sched_chunk_bytes(cfg: &ConvergenceConfig) -> usize {
+    (cfg.dim * cfg.dim * F32_BYTES / 8).max(F32_BYTES)
+}
 
 /// Train the toy convergence model with the full scheduled pipeline.
 /// Semantically identical to `train_convergence(TrainMethod::EmbRace, _)`.
@@ -90,16 +96,16 @@ fn worker(
     observe: bool,
 ) -> (Vec<f64>, Vec<SubmittedOp>, Option<RankObservation>) {
     // Chunked submission (§5.2's second dimension): the dense weight
-    // allreduce is the bulk op here, and a small segment size guarantees
-    // it genuinely partitions at toy dimensions, so urgent token gathers
-    // and embedding AlltoAlls preempt it mid-tensor. Chunked execution is
-    // bitwise-identical to unchunked, which the trajectory-equality test
-    // against the inline pipeline (`scheduled_matches_inline_embrace`)
-    // re-proves end to end on every run.
+    // allreduce is the bulk op here, and the segment size guarantees it
+    // genuinely partitions, so the prior-gradient AlltoAll preempts it
+    // mid-tensor. Chunked execution is bitwise-identical to unchunked,
+    // which the trajectory-equality test against the inline pipeline
+    // (`scheduled_matches_inline_embrace`) re-proves end to end on every
+    // run.
     let mut comm = if observe {
-        CommScheduler::spawn_chunked_observed(ep, SCHED_CHUNK_BYTES)
+        CommScheduler::spawn_chunked_observed(ep, sched_chunk_bytes(cfg))
     } else {
-        CommScheduler::spawn_chunked(ep, SCHED_CHUNK_BYTES)
+        CommScheduler::spawn_chunked(ep, sched_chunk_bytes(cfg))
     };
     let (emb_init, w_init, targets) = init_toy_state(cfg);
     let mut emb = ColumnShardedEmbedding::new(&emb_init, rank, cfg.world);
@@ -156,12 +162,15 @@ fn worker(
         // Dense FP/BP.
         let (loss, grad_w, grad_rows) = fwd_bwd_toy(&lookup, &tokens, &w, &targets);
 
-        // Dense plane: hook fires the AllReduce into the queue.
+        // Dense plane: hook fires the AllReduce into the queue and hands
+        // the comm plane one quantum, so the bulk op is genuinely in flight
+        // when the more urgent prior gradients arrive below.
         let t_w = comm.submit(
             DENSE_PRIORITY,
             format!("s{step}/allreduce_w"),
             CommOp::AllReduceDense(grad_w.into_vec()),
         );
+        comm.progress();
 
         // Vertical Sparse Scheduling.
         let CommResult::GatherTokens(next_gathered) = t_next.wait() else { unreachable!() };
@@ -228,12 +237,29 @@ mod tests {
         // integer gather, so compare at that granularity).
         let cfg = ConvergenceConfig { world: 4, steps: 25, ..Default::default() };
         let inline = train_convergence(TrainMethod::EmbRace, &cfg);
-        let scheduled = train_convergence_scheduled(&cfg);
+        let (scheduled, _, observed) = train_convergence_scheduled_observed(&cfg, true);
         for (i, (a, b)) in inline.losses.iter().zip(&scheduled.losses).enumerate() {
             assert!(
                 (a - b).abs() <= 0.004 * cfg.world as f64 + a.abs() * 1e-4,
                 "step {i}: inline {a} vs scheduled {b}"
             );
+        }
+        // ... on a run that did partition and preempt: every step's dense
+        // allreduce ran as several units and was overtaken mid-tensor by
+        // that step's prior gradients.
+        for (rank, (_, timings)) in observed.iter().enumerate() {
+            for step in 0..cfg.steps {
+                let find = |op: &str| {
+                    let tag = format!("s{step}/{op}");
+                    timings.iter().find(|t| t.tag == tag).unwrap_or_else(|| panic!("no {tag}"))
+                };
+                let (bulk, prior) = (find("allreduce_w"), find("prior_grad"));
+                assert!(bulk.chunks > 1, "rank {rank} step {step}: allreduce_w ran whole");
+                assert!(
+                    bulk.started_s < prior.started_s && prior.finished_s < bulk.finished_s,
+                    "rank {rank} step {step}: prior_grad did not preempt allreduce_w"
+                );
+            }
         }
     }
 

@@ -1,6 +1,9 @@
-//! Drive the full §5.1 architecture by hand: a background communication
-//! thread per worker, backward hooks dumping prioritized operations into
-//! its queue, and 2D-scheduling priorities deciding the drain order.
+//! Drive the full §5.1 architecture by hand: a comm scheduler per worker,
+//! backward hooks dumping prioritized operations into its queue, and
+//! 2D-scheduling priorities deciding the drain order. (The paper drains the
+//! queue from a background thread; here the worker's own thread does, each
+//! time it waits on a ticket — same queue, same order, and the name of this
+//! example is the paper's.)
 //!
 //! ```text
 //! cargo run --release --example comm_thread_pipeline
@@ -41,7 +44,8 @@ fn main() {
                     println!("hook-emitted ops in BP order: {queued:?}");
                 }
 
-                // Submit everything; the comm thread reorders by priority.
+                // Submit everything; nothing runs yet, and the queue
+                // reorders by priority.
                 let mut tickets = Vec::new();
                 for (priority, name) in queued {
                     let op = match name {
@@ -60,7 +64,8 @@ fn main() {
                     tickets.push((name, comm.submit(priority, name, op)));
                 }
                 // An urgent lookup-result exchange arrives while the queue
-                // is busy — it jumps ahead of the dense transfers.
+                // is full — waiting on it runs the prior gradients, then
+                // it, ahead of the dense transfers.
                 let data = comm.submit(
                     EMB_DATA_PRIORITY,
                     "emb data",
@@ -88,5 +93,5 @@ fn main() {
             });
         }
     });
-    println!("pipeline OK: hooks -> priority queue -> communication thread");
+    println!("pipeline OK: hooks -> priority queue -> comm scheduler");
 }

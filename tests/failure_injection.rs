@@ -63,7 +63,7 @@ fn sim_rejects_forward_dependencies() {
 #[test]
 fn comm_scheduler_drains_cleanly_on_drop() {
     // Dropping schedulers with work still enqueued must not deadlock:
-    // the coordinator drains its queue before broadcasting shutdown.
+    // every rank's drop drains its queue, in the same order.
     let endpoints = mesh(2);
     std::thread::scope(|s| {
         for (rank, ep) in endpoints.into_iter().enumerate() {

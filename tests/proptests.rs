@@ -181,13 +181,13 @@ proptest! {
 
 /// PR 5: the chunked/preemptible scheduler must be *bitwise* identical to
 /// unchunked execution for every `CommOp` kind, on random worlds, shapes,
-/// chunk sizes, and preemption timings — including bulk ops genuinely
+/// chunk sizes, and preemption points — including bulk ops genuinely
 /// preempted mid-tensor by the urgent stream (tiny chunks force many
-/// resumable segments; the pause lets the bulk op reach the wire first).
+/// resumable segments; the head start puts that many of them on the wire
+/// first).
 mod chunked_scheduler {
     use super::*;
     use embrace_repro::collectives::{mesh, CommOp, CommResult, CommScheduler, Ticket};
-    use std::time::Duration;
 
     /// Canonical bit-encoding of a result: f32 payloads as bit patterns,
     /// framed with lengths so distinct shapes can never collide.
@@ -228,15 +228,16 @@ mod chunked_scheduler {
     }
 
     /// One full SPMD round over all five op kinds: a bulk low-priority
-    /// AllReduce first, a pause, then the high-priority ops that preempt
-    /// it when chunking is on. Returns per-rank result encodings.
+    /// AllReduce first, `head_start` units of it, then the high-priority
+    /// ops that preempt it when chunking is on. Returns per-rank result
+    /// encodings.
     fn run_all_ops(
         world: usize,
         chunk: Option<usize>,
         bulk_len: usize,
         rows: usize,
         dim: usize,
-        pause_us: u64,
+        head_start: usize,
         seed: u64,
     ) -> Vec<Vec<u64>> {
         let eps = mesh(world);
@@ -256,7 +257,9 @@ mod chunked_scheduler {
                             })
                             .collect();
                         let t_bulk = s.submit(100, "bulk", CommOp::AllReduceDense(bulk));
-                        std::thread::sleep(Duration::from_micros(pause_us));
+                        for _ in 0..head_start {
+                            s.progress();
+                        }
                         let dense: Vec<DenseTensor> = (0..world)
                             .map(|j| {
                                 let data =
@@ -308,12 +311,12 @@ mod chunked_scheduler {
             chunk_bytes in 16usize..=96,
             rows in 0usize..=3,
             dim in 1usize..=4,
-            pause_us in 0u64..=800,
+            head_start in 0usize..=40,
             seed in 0u64..1000,
         ) {
             let plain = run_all_ops(world, None, bulk_len, rows, dim, 0, seed);
             let chunked =
-                run_all_ops(world, Some(chunk_bytes), bulk_len, rows, dim, pause_us, seed);
+                run_all_ops(world, Some(chunk_bytes), bulk_len, rows, dim, head_start, seed);
             for rank in 0..world {
                 prop_assert_eq!(&plain[rank], &chunked[rank], "rank {}", rank);
             }

@@ -171,12 +171,13 @@ fn compute_stream_never_overlaps_itself() {
     }
 }
 
-/// PR 5 cross-validation: the threaded `CommScheduler`'s measured
-/// preemptive schedule must match `simnet`'s `CommOrder::Preemptive`
-/// ordering model on the same head-of-line scenario — a bulk low-priority
-/// AllReduce already on the wire, an urgent gather arriving behind it.
-/// Both worlds must agree that (a) the urgent op *completes before* the
-/// bulk op and (b) the bulk op runs as more than one resumable span.
+/// PR 5 cross-validation: the live `CommScheduler`'s preemptive schedule
+/// must match `simnet`'s `CommOrder::Preemptive` ordering model on the
+/// same head-of-line scenario — a bulk low-priority AllReduce already on
+/// the wire, an urgent gather arriving behind it. Both worlds must agree
+/// that (a) the urgent op *completes before* the bulk op and (b) the bulk
+/// op was suspended mid-tensor: it had started, and it ran as more than
+/// one resumable span.
 #[test]
 fn threaded_preemption_matches_simnet_preemptive_order() {
     use embrace_repro::collectives::{mesh, CommOp, CommResult, CommScheduler};
@@ -194,8 +195,10 @@ fn threaded_preemption_matches_simnet_preemptive_order() {
     let des_bulk_spans = des.trace.spans.iter().filter(|s| s.name == "bulk").count();
     assert!(des_bulk_spans > 1, "DES: bulk must be suspended at least once");
 
-    // The same scenario on the real threaded scheduler: a chunk size far
-    // below the bulk payload so preemption points exist mid-tensor.
+    // The same scenario on the real scheduler, one thread per rank: a chunk
+    // size far below the bulk payload so preemption points exist
+    // mid-tensor, and a head start of a tenth of the bulk op's units (the
+    // DES's 1.0 of 10.0) so that it is in flight when the urgent op arrives.
     let world = 2;
     let timings: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = mesh(world)
@@ -204,7 +207,9 @@ fn threaded_preemption_matches_simnet_preemptive_order() {
                 scope.spawn(move || {
                     let mut s = CommScheduler::spawn_chunked_observed(ep, 4 << 10);
                     let bulk = s.submit(100, "bulk", CommOp::AllReduceDense(vec![1.0f32; 1 << 20]));
-                    std::thread::sleep(std::time::Duration::from_millis(2));
+                    for _ in 0..102 {
+                        assert!(s.progress(), "bulk ended during its head start");
+                    }
                     let urgent = s.submit(-10, "urgent", CommOp::GatherTokens(vec![7, 8, 9]));
                     assert!(!matches!(urgent.wait(), CommResult::Failed(_)));
                     assert!(!matches!(bulk.wait(), CommResult::Failed(_)));
@@ -218,12 +223,16 @@ fn threaded_preemption_matches_simnet_preemptive_order() {
         let find = |tag: &str| ts.iter().find(|t| t.tag == tag).expect("timing recorded");
         let (bulk, urgent) = (find("bulk"), find("urgent"));
         assert!(
+            bulk.started_s < urgent.submitted_s,
+            "rank {rank}: bulk was not on the wire when urgent arrived"
+        );
+        assert!(
             urgent.finished_s < bulk.finished_s,
             "rank {rank}: measured order diverges from the DES Preemptive model \
              (urgent {} vs bulk {})",
             urgent.finished_s,
             bulk.finished_s
         );
-        assert!(bulk.chunks > 1, "rank {rank}: bulk ran whole — no preemption points existed");
+        assert_eq!(bulk.chunks, 1024, "rank {rank}: 512 Ki f32 per step in 1 Ki segments, twice");
     }
 }
