@@ -34,6 +34,12 @@
 //!   `embrace_tensor::kernels` (`add_assign` / `scaled_add` / …), so the
 //!   autovectorized fast path and its bitwise-equivalence guarantees are
 //!   shared rather than re-derived per call site.
+//! * **row-mut-loop** — in the embedding-plane crates (`tensor`, `core`,
+//!   `dlsim`, `ps`, `trainer`), no `.row_mut(..)` in the body of a `for` /
+//!   `while` loop: every call runs `DenseTensor`'s copy-on-write check
+//!   (an atomic load and a compare-exchange), which costs more than a
+//!   narrow embedding row's arithmetic. Take `rows_mut()` or
+//!   `as_mut_slice()` once, outside the loop.
 //! * **forbid-unsafe** — every workspace crate root declares
 //!   `#![forbid(unsafe_code)]`.
 //!
@@ -57,6 +63,15 @@ use std::path::{Path, PathBuf};
 /// Crates whose `src/` is subject to the comm-path rules.
 const COMM_PATH_CRATES: &[&str] =
     &["crates/collectives", "crates/core", "crates/trainer", "crates/ps"];
+
+/// Crates whose `src/` holds the embedding plane's row kernels
+/// (`row-mut-loop`).
+const ROW_KERNEL_CRATES: &[&str] =
+    &["crates/tensor", "crates/core", "crates/dlsim", "crates/ps", "crates/trainer"];
+
+/// How far above a `.row_mut(` the loop header may sit for `row-mut-loop`
+/// to connect the two.
+const ROW_MUT_LOOP_WINDOW: usize = 6;
 
 /// One lint violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -548,6 +563,28 @@ pub fn lint_source(rel: &str, src: &str, inv: &VariantInventory) -> Vec<Finding>
         }
     }
 
+    // row-mut-loop: a `.row_mut(` that a `for`/`while` body re-executes
+    // pays the copy-on-write check once per iteration.
+    if ROW_KERNEL_CRATES.iter().any(|c| rel.starts_with(c)) && rel.contains("/src/") {
+        for (i, line) in masked_lines.iter().enumerate() {
+            if in_test.get(i).copied().unwrap_or(false) {
+                continue;
+            }
+            let Some(call) = line.find(".row_mut(") else { continue };
+            let first = i.saturating_sub(ROW_MUT_LOOP_WINDOW);
+            if (first..=i).any(|h| loop_body_reaches(&masked_lines[h..=i], call)) {
+                findings.push(Finding {
+                    rule: "row-mut-loop",
+                    path: rel.to_string(),
+                    line: i + 1,
+                    message: "`.row_mut(..)` inside a loop runs the copy-on-write check every \
+                              iteration: take `rows_mut()`/`as_mut_slice()` once outside the loop"
+                        .to_string(),
+                });
+            }
+        }
+    }
+
     // epoch-raw-send: inside the elastic-membership modules, every packet
     // leaving through the *raw* endpoint (not the epoch-tagging group
     // wrapper) must be a `Reform` handshake or an explicitly `Tagged`
@@ -612,6 +649,37 @@ pub fn lint_source(rel: &str, src: &str, inv: &VariantInventory) -> Vec<Finding>
     }
 
     findings
+}
+
+/// True when `lines[0]` opens a `for`/`while` loop whose body is still
+/// open at column `col` of the last line. A position the header's own
+/// expression holds (`for x in t.row_mut(0)`, evaluated once) is not in
+/// the body.
+fn loop_body_reaches(lines: &[&str], col: usize) -> bool {
+    let head = lines[0].trim_start();
+    let head = head.split_once(": ").filter(|(l, _)| l.starts_with('\'')).map_or(head, |(_, h)| h);
+    if !(head.starts_with("for ") || head.starts_with("while ")) {
+        return false;
+    }
+    let skip = lines[0].len() - head.len();
+    let mut depth = 0usize;
+    let mut entered = false;
+    for (k, line) in lines.iter().enumerate() {
+        let from = if k == 0 { skip } else { 0 };
+        let to = if k + 1 == lines.len() { col } else { line.len() };
+        for c in line[from..to].chars() {
+            match c {
+                '{' => {
+                    depth += 1;
+                    entered = true;
+                }
+                '}' if depth <= 1 => return false,
+                '}' => depth -= 1,
+                _ => {}
+            }
+        }
+    }
+    entered
 }
 
 /// Check that a crate-root file forbids unsafe code.
@@ -872,6 +940,53 @@ mod tests {
                     for (d, s) in dst.iter_mut().zip(src) {\n        *d = *s;\n    }\n}";
         let f = lint_source("crates/collectives/src/ops.rs", copy, &inv());
         assert!(f.iter().all(|f| f.rule != "scalar-reduce"), "{f:?}");
+    }
+
+    #[test]
+    fn row_mut_in_a_loop_body_is_flagged_in_row_kernel_crates_only() {
+        let rule = |rel: &str, src: &str| {
+            lint_source(rel, src, &inv()).iter().filter(|f| f.rule == "row-mut-loop").count()
+        };
+        let looped = "fn gather(out: &mut DenseTensor, src: &DenseTensor, ids: &[u32]) {\n    \
+                      for (dst, &id) in ids.iter().enumerate() {\n        \
+                      out.row_mut(dst).copy_from_slice(src.row(id as usize));\n    }\n}";
+        for krate in ["tensor", "core", "dlsim", "ps", "trainer"] {
+            assert_eq!(rule(&format!("crates/{krate}/src/x.rs"), looped), 1, "{krate}");
+        }
+        // Other crates, and these crates' integration tests, are out of scope.
+        assert_eq!(rule("crates/collectives/src/ops.rs", looped), 0);
+        assert_eq!(rule("crates/tensor/tests/x.rs", looped), 0);
+        // A header spread over several lines, a `while`, a label, a nested block.
+        let spread = "fn f(t: &mut DenseTensor, a: &[u32], b: &[u32]) {\n    \
+                      'rows: for (i, _) in a\n        .iter()\n        .zip(b)\n        .enumerate()\n    \
+                      {\n        if i > 0 {\n            t.row_mut(i)[0] = 1.0;\n        }\n    }\n}";
+        assert_eq!(rule("crates/ps/src/x.rs", spread), 1);
+        let whiled = "fn f(t: &mut DenseTensor) {\n    let mut r = 0;\n    \
+                      while r < t.rows() {\n        t.row_mut(r).fill(0.0);\n        r += 1;\n    }\n}";
+        assert_eq!(rule("crates/dlsim/src/x.rs", whiled), 1);
+        // Clean: a single-row caller, the hoisted accessor, a call after
+        // the loop has closed, a call the header evaluates once, a loop
+        // header further up than the window, and test code.
+        let single =
+            "fn header(t: &mut DenseTensor, step: u64) {\n    t.row_mut(0)[0] = step as f32;\n}";
+        assert_eq!(rule("crates/trainer/src/x.rs", single), 0);
+        let hoisted = "fn f(t: &mut DenseTensor) {\n    for row in t.rows_mut() {\n        \
+                       row.fill(0.0);\n    }\n}";
+        assert_eq!(rule("crates/tensor/src/x.rs", hoisted), 0);
+        let after = "fn f(t: &mut DenseTensor, n: usize) {\n    for _ in 0..n {\n        tick();\n    }\n    \
+                     t.row_mut(0).fill(0.0);\n}";
+        assert_eq!(rule("crates/core/src/x.rs", after), 0);
+        let in_header =
+            "fn f(t: &mut DenseTensor) {\n    for v in t.row_mut(0) {\n        *v = 0.0;\n    }\n}";
+        assert_eq!(rule("crates/core/src/x.rs", in_header), 0);
+        let far = format!(
+            "fn f(t: &mut DenseTensor, n: usize) {{\n    for r in 0..n {{\n{}        \
+             t.row_mut(r).fill(0.0);\n    }}\n}}",
+            "        tick();\n".repeat(ROW_MUT_LOOP_WINDOW)
+        );
+        assert_eq!(rule("crates/core/src/x.rs", &far), 0);
+        let test_only = format!("#[cfg(test)]\nmod tests {{\n{looped}\n}}");
+        assert_eq!(rule("crates/tensor/src/x.rs", &test_only), 0);
     }
 
     #[test]

@@ -533,9 +533,8 @@ fn assemble(mut segs: Vec<SparseSeg>, vocab: usize) -> SparseReduced {
         match seg.body {
             SegBody::Rows(r) => scatter_add_rows(&mut out, 0, &r),
             SegBody::Dense(d) => {
-                for r in 0..d.rows() {
-                    out.row_mut(seg.lo as usize + r).copy_from_slice(d.row(r));
-                }
+                let at = seg.lo as usize * dim;
+                out.as_mut_slice()[at..at + d.len()].copy_from_slice(d.as_slice());
             }
         }
     }
@@ -755,7 +754,7 @@ mod tests {
         // and payload length: one buffer for the whole-op ring, one per
         // segment for a stepped ring starting cold — and nothing at all
         // for a stepped ring handed its predecessor's buffers, which is
-        // how the comm thread runs them.
+        // how the comm scheduler runs them (its `Core::spare`).
         for world in [2, 4, 8] {
             for (seg, handoff) in [(None, false), (Some(64), false), (Some(64), true)] {
                 let calls = 3u64;

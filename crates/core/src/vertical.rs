@@ -7,10 +7,13 @@
 //! on. Those rows become the *prior* gradient (communicated at highest
 //! priority, before the next embedding FP); the rest are *delayed* and
 //! communicated at lowest priority, overlapped with the next iteration.
+//!
+//! The algorithm's seven set operations run as one pass: the batch is
+//! sorted once, each distinct row is summed as it is met and emitted
+//! straight into `G_p` or `G_d` according to a membership test against
+//! `D_next`, which is never sorted (see [`TokenSet`]).
 
-use embrace_tensor::{
-    coalesce, difference, index_select, intersect, unique_sorted, IndexSet, RowSparse,
-};
+use embrace_tensor::{coalesce_split, unique_sorted, IndexSet, RowSparse};
 
 /// Result of Algorithm 1: the prior/delayed gradient split.
 #[derive(Clone, Debug)]
@@ -42,6 +45,44 @@ impl VerticalSplit {
     }
 }
 
+/// Membership in a token list. A bitmap over the list's own id span
+/// when that costs no more than the list itself (`span / 64 ≤ len`: every
+/// embedding batch, whose ids are dense in the vocabulary), else the
+/// sorted list under binary search.
+enum TokenSet {
+    Bits { lo: u32, words: Vec<u64> },
+    Sorted(Vec<u32>),
+}
+
+impl TokenSet {
+    fn of(tokens: &[u32]) -> Self {
+        let lo = tokens.iter().copied().min().unwrap_or(0);
+        let hi = tokens.iter().copied().max().unwrap_or(0);
+        let span = (hi - lo) as usize;
+        if span / 64 > tokens.len() {
+            let mut sorted = tokens.to_vec();
+            sorted.sort_unstable();
+            return TokenSet::Sorted(sorted);
+        }
+        let mut words = vec![0u64; span / 64 + 1];
+        for &t in tokens {
+            let bit = (t - lo) as usize;
+            words[bit / 64] |= 1 << (bit % 64);
+        }
+        TokenSet::Bits { lo, words }
+    }
+
+    fn contains(&self, id: u32) -> bool {
+        match self {
+            TokenSet::Bits { lo, words } => {
+                let Some(bit) = id.checked_sub(*lo) else { return false };
+                words.get(bit as usize / 64).is_some_and(|w| w >> (bit % 64) & 1 == 1)
+            }
+            TokenSet::Sorted(sorted) => sorted.binary_search(&id).is_ok(),
+        }
+    }
+}
+
 /// Algorithm 1 (Vertical Sparse Scheduling).
 ///
 /// * `grad` — the raw (possibly uncoalesced) sparse gradient `G`;
@@ -57,25 +98,29 @@ pub fn vertical_split(
     d_cur_rank: &[u32],
     d_next_gathered: &[u32],
 ) -> VerticalSplit {
-    // Line 2: coalesce duplicate rows.
-    let g_coalesced = coalesce(grad);
-    // Line 3: Du ← UNIQUE(D_cur[n]).
-    let du = unique_sorted(d_cur_rank);
-    // Line 4: i_prior ← Du ∩ D_next.
-    let d_next = unique_sorted(d_next_gathered);
-    let i_prior = intersect(&du, &d_next);
-    // Line 5: i_delayed ← Du \ i_prior.
-    let i_delayed = difference(&du, &i_prior);
-    // Lines 6-7: INDEX_SELECT prior and delayed gradients.
-    let prior = index_select(&g_coalesced, &i_prior);
-    let delayed = index_select(&g_coalesced, &i_delayed);
+    let d_next = TokenSet::of(d_next_gathered);
+    // Line 3: Du ← UNIQUE(D_cur[n]). The usual caller passes the batch the
+    // gradient was taken on, and Du is then the coalesced row ids; a
+    // caller whose token list differs gets Du from that list, and rows
+    // outside it belong to neither part.
+    let du = (d_cur_rank != grad.indices()).then(|| unique_sorted(d_cur_rank));
+    // Lines 2 and 4-7: coalesce, and send each row of Du to G_p when
+    // D_next holds its id (i_prior = Du ∩ D_next), else to G_d.
+    let (prior, delayed) = coalesce_split(grad, |id| match &du {
+        Some(du) if du.binary_search(&id).is_err() => None,
+        _ => Some(d_next.contains(id)),
+    });
+    let (i_prior, i_delayed) = match du {
+        Some(du) => du.into_iter().partition(|&id| d_next.contains(id)),
+        None => (prior.indices().to_vec(), delayed.indices().to_vec()),
+    };
     VerticalSplit { prior, delayed, i_prior, i_delayed }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use embrace_tensor::DenseTensor;
+    use embrace_tensor::{coalesce, intersect, DenseTensor};
 
     /// Gradient whose rows mirror the batch tokens (as an embedding BP
     /// produces): tokens [5,1,5,2], grad value = token id.

@@ -111,8 +111,7 @@ impl Tape {
         assert_eq!(b.rows(), 1, "bias must be a single row");
         assert_eq!(b.cols(), self.nodes[a].value.cols(), "bias width mismatch");
         let mut value = self.nodes[a].value.clone();
-        for r in 0..value.rows() {
-            let dst = value.row_mut(r);
+        for dst in value.rows_mut() {
             for (d, s) in dst.iter_mut().zip(b.row(0)) {
                 *d += s;
             }
@@ -228,11 +227,9 @@ impl Tape {
                     }
                     if self.nodes[bias].requires_grad {
                         let mut db = DenseTensor::zeros(1, grad.cols());
-                        for r in 0..grad.rows() {
-                            let dst = db.row_mut(0);
-                            for (d, s) in dst.iter_mut().zip(grad.row(r)) {
-                                *d += s;
-                            }
+                        let dst = db.as_mut_slice();
+                        for row in grad.row_iter() {
+                            embrace_tensor::kernels::add_assign(dst, row);
                         }
                         self.accumulate(bias, &db);
                     }

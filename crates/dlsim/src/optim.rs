@@ -9,6 +9,7 @@
 //! and the equivalence is proven in this module's tests.
 
 use embrace_tensor::{DenseTensor, RowSparse};
+use std::ops::Range;
 
 /// Which portion of a split sparse gradient an update call carries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -30,6 +31,26 @@ pub trait Optimizer {
     fn step_sparse(&mut self, params: &mut DenseTensor, grad: &RowSparse, part: UpdatePart);
 }
 
+/// A gradient as the element spans it touches: `(span, values)` pairs over
+/// the flat row-major buffers of the parameters and the optimizer state,
+/// which the optimizer borrows mutably **once** per step (that is where a
+/// `DenseTensor` pays its copy-on-write check) and indexes span by span.
+/// A sparse gradient is one span per row it names.
+fn row_spans(grad: &RowSparse, dim: usize) -> impl Iterator<Item = (Range<usize>, &[f32])> {
+    assert_eq!(grad.dim(), dim, "gradient width must match the parameters");
+    let spans = grad.indices().iter().map(move |&r| r as usize * dim..(r as usize + 1) * dim);
+    spans.zip(grad.values().row_iter())
+}
+
+/// A dense gradient is a single span: every element of `params`.
+fn whole_span<'g>(
+    params: &DenseTensor,
+    grad: &'g DenseTensor,
+) -> impl Iterator<Item = (Range<usize>, &'g [f32])> {
+    assert_eq!((params.rows(), params.cols()), (grad.rows(), grad.cols()), "shape mismatch");
+    std::iter::once((0..grad.len(), grad.as_slice()))
+}
+
 /// Plain SGD: `p -= lr * g`. Stateless, trivially element-wise.
 #[derive(Clone, Debug)]
 pub struct Sgd {
@@ -48,9 +69,10 @@ impl Optimizer for Sgd {
     }
 
     fn step_sparse(&mut self, params: &mut DenseTensor, grad: &RowSparse, _part: UpdatePart) {
-        for (i, &row) in grad.indices().iter().enumerate() {
-            let dst = params.row_mut(row as usize);
-            for (p, g) in dst.iter_mut().zip(grad.values().row(i)) {
+        let dim = params.cols();
+        let p = params.as_mut_slice();
+        for (at, g) in row_spans(grad, dim) {
+            for (p, g) in p[at].iter_mut().zip(g) {
                 *p -= self.lr * g;
             }
         }
@@ -72,30 +94,30 @@ impl Adagrad {
         Adagrad { lr, eps: 1e-10, accum: DenseTensor::zeros(rows, cols) }
     }
 
-    fn update_row(&mut self, params: &mut DenseTensor, row: usize, grad_row: &[f32]) {
-        let acc = self.accum.row_mut(row);
-        let dst = params.row_mut(row);
-        for ((p, a), &g) in dst.iter_mut().zip(acc).zip(grad_row) {
-            *a += g * g;
-            *p -= self.lr * g / (a.sqrt() + self.eps);
+    fn apply<'g>(
+        &mut self,
+        params: &mut DenseTensor,
+        grad: impl Iterator<Item = (Range<usize>, &'g [f32])>,
+    ) {
+        assert_eq!(self.accum.cols(), params.cols(), "state width must match the parameters");
+        let (p, a) = (params.as_mut_slice(), self.accum.as_mut_slice());
+        for (at, g) in grad {
+            for ((p, a), &g) in p[at.clone()].iter_mut().zip(&mut a[at]).zip(g) {
+                *a += g * g;
+                *p -= self.lr * g / (a.sqrt() + self.eps);
+            }
         }
     }
 }
 
 impl Optimizer for Adagrad {
     fn step_dense(&mut self, params: &mut DenseTensor, grad: &DenseTensor) {
-        assert_eq!(params.rows(), grad.rows());
-        for r in 0..params.rows() {
-            let g = grad.row(r).to_vec();
-            self.update_row(params, r, &g);
-        }
+        let grad = whole_span(params, grad);
+        self.apply(params, grad);
     }
 
     fn step_sparse(&mut self, params: &mut DenseTensor, grad: &RowSparse, _part: UpdatePart) {
-        for (i, &row) in grad.indices().iter().enumerate() {
-            let g = grad.values().row(i).to_vec();
-            self.update_row(params, row as usize, &g);
-        }
+        self.apply(params, row_spans(grad, params.cols()));
     }
 }
 
@@ -161,46 +183,51 @@ impl Adam {
         }
     }
 
-    fn update_row(&mut self, params: &mut DenseTensor, row: usize, grad_row: &[f32], t: u64) {
+    fn apply<'g>(
+        &mut self,
+        params: &mut DenseTensor,
+        grad: impl Iterator<Item = (Range<usize>, &'g [f32])>,
+        part: UpdatePart,
+    ) {
+        assert_eq!(self.m.cols(), params.cols(), "state width must match the parameters");
+        let t = self.effective_step(part);
         let bc1 = 1.0 - self.beta1.powi(t as i32);
         let bc2 = 1.0 - self.beta2.powi(t as i32);
-        let m = self.m.row_mut(row);
-        let v = self.v.row_mut(row);
-        let dst = params.row_mut(row);
-        for (((p, m), v), &g) in dst.iter_mut().zip(m).zip(v).zip(grad_row) {
-            *m = self.beta1 * *m + (1.0 - self.beta1) * g;
-            *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
-            let m_hat = *m / bc1;
-            let v_hat = *v / bc2;
-            *p -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+        let (p, m, v) = (params.as_mut_slice(), self.m.as_mut_slice(), self.v.as_mut_slice());
+        for (at, g) in grad {
+            let moments = m[at.clone()].iter_mut().zip(&mut v[at.clone()]);
+            for ((p, (m, v)), &g) in p[at].iter_mut().zip(moments).zip(g) {
+                *m = self.beta1 * *m + (1.0 - self.beta1) * g;
+                *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
+                let m_hat = *m / bc1;
+                let v_hat = *v / bc2;
+                *p -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+            }
         }
     }
 }
 
 impl Optimizer for Adam {
     fn step_dense(&mut self, params: &mut DenseTensor, grad: &DenseTensor) {
-        assert_eq!(params.rows(), grad.rows());
-        let t = self.effective_step(UpdatePart::Whole);
-        for r in 0..params.rows() {
-            let g = grad.row(r).to_vec();
-            self.update_row(params, r, &g, t);
-        }
+        let grad = whole_span(params, grad);
+        self.apply(params, grad, UpdatePart::Whole);
     }
 
     fn step_sparse(&mut self, params: &mut DenseTensor, grad: &RowSparse, part: UpdatePart) {
-        let t = self.effective_step(part);
-        for (i, &row) in grad.indices().iter().enumerate() {
-            let g = grad.values().row(i).to_vec();
-            self.update_row(params, row as usize, &g, t);
-        }
+        self.apply(params, row_spans(grad, params.cols()), part);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use embrace_tensor::index_select;
+    use embrace_tensor::coalesce_split;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// The rows of `g` named in `prior`, and the rest.
+    fn split(g: &RowSparse, prior: &[u32]) -> (RowSparse, RowSparse) {
+        coalesce_split(g, |id| Some(prior.contains(&id)))
+    }
 
     fn rand_grad(rows: &[u32], dim: usize, seed: u64) -> RowSparse {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -221,8 +248,7 @@ mod tests {
     #[test]
     fn adagrad_split_equals_whole() {
         let g = rand_grad(&[0, 1, 3, 5], 3, 11);
-        let prior = index_select(&g, &[1, 5]);
-        let delayed = index_select(&g, &[0, 3]);
+        let (prior, delayed) = split(&g, &[1, 5]);
 
         let mut p_whole = DenseTensor::full(6, 3, 0.5);
         let mut p_split = p_whole.clone();
@@ -252,8 +278,7 @@ mod tests {
             }
             let g = rand_grad(&rows, 2, 100 + step);
             let cut = rows.len() / 2;
-            let prior = index_select(&g, &rows[..cut]);
-            let delayed = index_select(&g, &rows[cut..]);
+            let (prior, delayed) = split(&g, &rows[..cut]);
 
             o_whole.step_sparse(&mut p_whole, &g, UpdatePart::Whole);
             o_split.step_sparse(&mut p_split, &prior, UpdatePart::Prior);
@@ -268,8 +293,7 @@ mod tests {
         // Without the modification (two Whole calls), the step counter
         // advances twice and results differ — the problem §5.7 fixes.
         let g = rand_grad(&[0, 1, 2, 3], 2, 5);
-        let prior = index_select(&g, &[0, 1]);
-        let delayed = index_select(&g, &[2, 3]);
+        let (prior, delayed) = split(&g, &[0, 1]);
 
         let mut p_ref = DenseTensor::full(4, 2, 0.3);
         let mut p_bad = p_ref.clone();
@@ -283,6 +307,76 @@ mod tests {
         }
         assert!(o_bad.step_count() > o_ref.step_count());
         assert!(p_ref.max_abs_diff(&p_bad) > 0.0, "naive double update must differ");
+    }
+
+    /// Every optimizer against the per-row definition of its rule — one
+    /// row at a time, Adam's bias corrections recomputed for each row —
+    /// over sparse calls of every [`UpdatePart`] and dense calls: the
+    /// parameters must agree bit for bit after every call.
+    #[test]
+    fn hoisted_loops_match_the_per_row_rules_bitwise() {
+        let (rows, dim, lr) = (12usize, 3usize, 0.05f32);
+        let mut rng = StdRng::seed_from_u64(17);
+        let init = DenseTensor::uniform(rows, dim, 0.5, &mut rng);
+        let mut opts: [Box<dyn Optimizer>; 3] = [
+            Box::new(Sgd::new(lr)),
+            Box::new(Adagrad::new(rows, dim, lr)),
+            Box::new(Adam::new(rows, dim, lr)),
+        ];
+        let mut got = [init.clone(), init.clone(), init.clone()];
+        let mut want = [init.as_slice().to_vec(), init.as_slice().to_vec(), init.into_vec()];
+        let zeros = || vec![0.0f32; rows * dim];
+        let (mut accum, mut m, mut v, mut step) = (zeros(), zeros(), zeros(), 0u64);
+        for call in 0..32 {
+            // A coalesced sparse gradient over a random row subset, or
+            // (every fourth call) a dense one over all rows.
+            let part =
+                [UpdatePart::Prior, UpdatePart::Delayed, UpdatePart::Whole, UpdatePart::Whole]
+                    [call % 4];
+            let ids: Vec<u32> =
+                (0..rows as u32).filter(|_| call % 4 == 3 || rng.gen_bool(0.4)).collect();
+            let grad = rand_grad(&ids, dim, 1000 + call as u64);
+            for (opt, params) in opts.iter_mut().zip(&mut got) {
+                if call % 4 == 3 {
+                    opt.step_dense(params, grad.values());
+                } else {
+                    opt.step_sparse(params, &grad, part);
+                }
+            }
+            let t = match part {
+                UpdatePart::Prior => step + 1,
+                UpdatePart::Whole | UpdatePart::Delayed => {
+                    step += 1;
+                    step
+                }
+            };
+            for (i, &row) in ids.iter().enumerate() {
+                let g = grad.values().row(i).to_vec();
+                let at = row as usize * dim..(row as usize + 1) * dim;
+                for (p, g) in want[0][at.clone()].iter_mut().zip(&g) {
+                    *p -= lr * g;
+                }
+                for ((p, a), &g) in
+                    want[1][at.clone()].iter_mut().zip(&mut accum[at.clone()]).zip(&g)
+                {
+                    *a += g * g;
+                    *p -= lr * g / (a.sqrt() + 1e-10);
+                }
+                let (beta1, beta2) = (0.9f32, 0.999f32);
+                let bc1 = 1.0 - beta1.powi(t as i32);
+                let bc2 = 1.0 - beta2.powi(t as i32);
+                let state = m[at.clone()].iter_mut().zip(&mut v[at.clone()]);
+                for ((p, (m, v)), &g) in want[2][at].iter_mut().zip(state).zip(&g) {
+                    *m = beta1 * *m + (1.0 - beta1) * g;
+                    *v = beta2 * *v + (1.0 - beta2) * g * g;
+                    *p -= lr * (*m / bc1) / ((*v / bc2).sqrt() + 1e-8);
+                }
+            }
+            for (k, (got, want)) in got.iter().zip(&want).enumerate() {
+                let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got.as_slice()), bits(want), "optimizer {k}, call {call}");
+            }
+        }
     }
 
     #[test]

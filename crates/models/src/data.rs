@@ -18,37 +18,83 @@ use std::sync::Arc;
 pub const PAD_TOKEN: u32 = 0;
 
 /// Inverse-CDF sampler over token ids `1..vocab` with Zipf weights
-/// `P(k) ∝ 1/k^s`. The cumulative table is shared between clones so all
-/// workers of a job sample the same corpus distribution cheaply.
+/// `P(k) ∝ 1/k^s`. The tables are shared between clones so all workers of
+/// a job sample the same corpus distribution cheaply: build one sampler
+/// per job and clone it into the workers.
 #[derive(Clone)]
 pub struct ZipfSampler {
-    cum: Arc<Vec<f64>>,
+    table: Arc<ZipfTable>,
+}
+
+/// The cumulative weights, and a guide into them: the weight axis
+/// `[0, total)` cut into as many equal buckets as there are ids, `guide[b]`
+/// being the first index of `cum` whose value exceeds bucket `b`'s lower
+/// edge. A draw `u` then searches `cum[guide[b]..guide[b + 1]]` — one
+/// entry on average — instead of the whole table, whose binary search is
+/// one cache miss per level. (One bucket per id is 4 bytes per id beside
+/// `cum`'s 8; at one bucket per 4 or 32 ids a batch takes 1.2× or 1.5× as
+/// long to draw.)
+struct ZipfTable {
+    cum: Vec<f64>,
+    guide: Vec<u32>,
+    /// Buckets per unit of weight.
+    scale: f64,
+}
+
+impl ZipfTable {
+    /// `cum.partition_point(|&c| c <= u)`, exactly. The bucket `u * scale`
+    /// names is a hint — the product rounds, so `u` may sit an entry
+    /// outside the hinted slice — and the slice is widened until
+    /// `cum[lo - 1] <= u < cum[hi]` holds, which is all the equality needs.
+    fn index_of(&self, u: f64) -> usize {
+        let cum = &self.cum[..];
+        let b = ((u * self.scale) as usize).min(self.guide.len() - 2);
+        let (mut lo, mut hi) = (self.guide[b] as usize, self.guide[b + 1] as usize);
+        while lo > 0 && cum[lo - 1] > u {
+            lo -= 1;
+        }
+        while hi < cum.len() && cum[hi] <= u {
+            hi += 1;
+        }
+        lo + cum[lo..hi].partition_point(|&c| c <= u)
+    }
 }
 
 impl ZipfSampler {
     pub fn new(vocab: usize, s: f64) -> Self {
         assert!(vocab >= 2, "need at least PAD + one real token");
+        assert!(u32::try_from(vocab).is_ok(), "token ids are u32");
         let mut cum = Vec::with_capacity(vocab - 1);
         let mut total = 0.0;
         for k in 1..vocab {
             total += 1.0 / (k as f64).powf(s);
             cum.push(total);
         }
-        ZipfSampler { cum: Arc::new(cum) }
+        let buckets = cum.len();
+        let scale = buckets as f64 / total;
+        let mut guide = Vec::with_capacity(buckets + 1);
+        let mut first = 0;
+        for b in 0..buckets {
+            while first < cum.len() && cum[first] <= b as f64 / scale {
+                first += 1;
+            }
+            guide.push(first as u32);
+        }
+        guide.push(cum.len() as u32);
+        ZipfSampler { table: Arc::new(ZipfTable { cum, guide, scale }) }
     }
 
     /// Number of samplable (non-pad) tokens.
     pub fn support(&self) -> usize {
-        self.cum.len()
+        self.table.cum.len()
     }
 
     /// Draw one token id in `1..=support`.
     pub fn sample<R: Rng>(&self, rng: &mut R) -> u32 {
-        let total = *self.cum.last().unwrap();
+        let total = *self.table.cum.last().unwrap();
         let u = rng.gen_range(0.0..total);
-        // partition_point: first index with cum[i] > u.
-        let idx = self.cum.partition_point(|&c| c <= u);
-        (idx + 1) as u32
+        // First index with cum[i] > u.
+        (self.table.index_of(u) + 1) as u32
     }
 
     /// Draw a serving batch of `n` row ids. Duplicates are expected and
@@ -233,6 +279,62 @@ mod tests {
         assert!(batch.iter().all(|&t| t != PAD_TOKEN));
         let mut rng2 = StdRng::seed_from_u64(9);
         assert_eq!(batch, s.sample_batch(512, &mut rng2), "replay must be deterministic");
+    }
+
+    /// The guided lookup against the plain binary search it replaced, at
+    /// every value where the two could part: each table entry and the
+    /// `f64` on either side of it, zero, and the last value below the
+    /// total.
+    #[test]
+    fn guided_lookup_equals_partition_point_at_every_edge() {
+        for vocab in [2, 3, 50, 1 << 16, 262_144] {
+            for s in [0.9, 1.05, 1.2] {
+                let table = ZipfSampler::new(vocab, s).table;
+                let total = *table.cum.last().unwrap();
+                let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+                let above = |x: f64| f64::from_bits(x.to_bits() + 1);
+                // The guide is a hint: shifted three entries either way it
+                // must cost time, never the answer.
+                let shifted = |by: i64| ZipfTable {
+                    cum: table.cum.clone(),
+                    guide: table
+                        .guide
+                        .iter()
+                        .map(|&g| (g as i64 + by).clamp(0, table.cum.len() as i64) as u32)
+                        .collect(),
+                    scale: table.scale,
+                };
+                for table in [&*table, &shifted(-3), &shifted(3)] {
+                    let edges = table.cum.iter().flat_map(|&c| [below(c), c, above(c)]);
+                    for u in edges.chain([0.0, below(total)]) {
+                        assert_eq!(
+                            table.index_of(u),
+                            table.cum.partition_point(|&c| c <= u),
+                            "vocab {vocab}, s {s}, u {u:e}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// FNV-1a over the first 10⁵ tokens of a batch stream.
+    fn stream_hash(mut gen: BatchGen) -> u64 {
+        let tokens = std::iter::repeat_with(|| gen.next_batch()).flatten().take(100_000);
+        tokens.fold(0xcbf2_9ce4_8422_2325u64, |h, t| {
+            (h ^ u64::from(t)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The token streams every loss curve and serving oracle is built on
+    /// must not move: hashes taken at the commit before `sample` gained
+    /// its guide table (plain `partition_point` over all of `cum`).
+    #[test]
+    fn batch_streams_equal_the_unguided_samplers() {
+        let sparse = BatchGen::new(ZipfSampler::new(262_144, 1.05), 8192, 0.0, 1);
+        assert_eq!(stream_hash(sparse), 12_493_170_593_152_388_238);
+        let padded = BatchGen::new(ZipfSampler::new(50_000, 1.2), 1000, 0.25, 0xE5B_2ACE);
+        assert_eq!(stream_hash(padded), 17_076_571_238_767_546_904);
     }
 
     #[test]

@@ -50,23 +50,58 @@ impl RowOptimizer {
     /// Apply one gradient row `grad` to the parameter row `params`, using
     /// (and updating) the state of local row `local`.
     pub fn update_row(&mut self, local: usize, params: &mut [f32], grad: &[f32]) {
+        let state = match self.kind {
+            OptimizerKind::Sgd { .. } => &mut [],
+            _ => self.state.row_mut(local),
+        };
+        self.kind.apply(params, state, grad);
+    }
+
+    /// Apply `updates` — `(local row, gradient row)` pairs, in order — to
+    /// the rows of `shard`, and return how many there were. One
+    /// copy-on-write check on the shard and one on the state for the
+    /// whole batch, where a loop over [`Self::update_row`] pays both per
+    /// row.
+    pub fn update_rows<'g>(
+        &mut self,
+        shard: &mut DenseTensor,
+        updates: impl IntoIterator<Item = (usize, &'g [f32])>,
+    ) -> u64 {
+        let dim = shard.cols();
+        let (params, state) = (shard.as_mut_slice(), self.state.as_mut_slice());
+        let mut applied = 0;
+        for (local, grad) in updates {
+            let at = local * dim..(local + 1) * dim;
+            let state = match self.kind {
+                OptimizerKind::Sgd { .. } => &mut [],
+                _ => &mut state[at.clone()],
+            };
+            self.kind.apply(&mut params[at], state, grad);
+            applied += 1;
+        }
+        applied
+    }
+}
+
+impl OptimizerKind {
+    /// The rule itself, over one parameter row, that row's state (unused
+    /// by SGD) and its gradient.
+    fn apply(self, params: &mut [f32], state: &mut [f32], grad: &[f32]) {
         debug_assert_eq!(params.len(), grad.len());
-        match self.kind {
+        match self {
             OptimizerKind::Sgd { lr } => {
                 for (p, &g) in params.iter_mut().zip(grad) {
                     *p -= lr * g;
                 }
             }
             OptimizerKind::Momentum { lr, momentum } => {
-                let v = self.state.row_mut(local);
-                for ((p, v), &g) in params.iter_mut().zip(v).zip(grad) {
+                for ((p, v), &g) in params.iter_mut().zip(state).zip(grad) {
                     *v = momentum * *v + g;
                     *p -= lr * *v;
                 }
             }
             OptimizerKind::Adagrad { lr } => {
-                let a = self.state.row_mut(local);
-                for ((p, a), &g) in params.iter_mut().zip(a).zip(grad) {
+                for ((p, a), &g) in params.iter_mut().zip(state).zip(grad) {
                     *a += g * g;
                     *p -= lr * g / (a.sqrt() + ADAGRAD_EPS);
                 }
@@ -105,6 +140,36 @@ mod tests {
         opt.update_row(0, &mut p, &[g]);
         let a = g * g;
         assert_eq!(p[0], -(lr * g / (a.sqrt() + ADAGRAD_EPS)));
+    }
+
+    #[test]
+    fn update_rows_matches_a_loop_of_update_row_bitwise() {
+        let grads = [[0.5f32, -1.5, 2.0], [3.0, 0.25, -0.125], [-2.0, 1.0, 0.75]];
+        // Row 2 twice: the second application must see the first's state.
+        let order = [2usize, 0, 2, 3];
+        for kind in [
+            OptimizerKind::Sgd { lr: 0.1 },
+            OptimizerKind::Momentum { lr: 0.1, momentum: 0.9 },
+            OptimizerKind::Adagrad { lr: 0.1 },
+        ] {
+            let mut one = RowOptimizer::new(kind, 4, 3);
+            let mut batch = RowOptimizer::new(kind, 4, 3);
+            let mut a = DenseTensor::from_vec(4, 3, (0..12).map(|x| x as f32 * 0.3).collect());
+            let mut b = a.clone();
+            for round in 0..3 {
+                for (k, &local) in order.iter().enumerate() {
+                    one.update_row(local, a.row_mut(local), &grads[(k + round) % 3]);
+                }
+                let updates = order
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &local)| (local, &grads[(k + round) % 3][..]));
+                assert_eq!(batch.update_rows(&mut b, updates), 4);
+            }
+            let bits =
+                |t: &DenseTensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a), bits(&b), "{kind:?}");
+        }
     }
 
     #[test]

@@ -128,9 +128,8 @@ impl EmbeddingService {
         let book = PartitionBook::new(cfg.policy, cfg.vocab, world);
         let rows = book.shard_rows(rank);
         let mut shard = DenseTensor::zeros(rows, cfg.dim);
-        for local in 0..rows {
+        for (local, dst) in shard.rows_mut().enumerate() {
             let global = book.global_of(rank, local);
-            let dst = shard.row_mut(local);
             for (c, v) in dst.iter_mut().enumerate() {
                 *v = init(global, c);
             }
@@ -214,13 +213,12 @@ impl EmbeddingService {
         let mut responses: Vec<DenseTensor> = Vec::with_capacity(self.world);
         for batch in &asked {
             let mut resp = DenseTensor::zeros(batch.len(), self.dim);
-            for (i, &id) in batch.as_slice().iter().enumerate() {
+            for (dst, &id) in resp.rows_mut().zip(batch.as_slice()) {
                 let owner = self.book.owner_of(id)?;
                 if owner != self.rank {
                     return abort(ep, PsError::WrongShard { row: id, owner, shard: self.rank });
                 }
-                let local = self.book.local_index(id);
-                resp.row_mut(i).copy_from_slice(self.shard.row(local));
+                dst.copy_from_slice(self.shard.row(self.book.local_index(id)));
             }
             responses.push(resp);
         }
@@ -234,12 +232,11 @@ impl EmbeddingService {
         }
         // Assemble in request order.
         let mut out = DenseTensor::zeros(ids.len(), self.dim);
-        for (i, slot) in slots.iter().enumerate() {
-            let row = match slot {
+        for (dst, slot) in out.rows_mut().zip(&slots) {
+            dst.copy_from_slice(match slot {
                 Slot::Cached(k) => &cached[k * self.dim..(k + 1) * self.dim],
                 Slot::Fetched(dest, pos) => fetched[*dest].row(*pos),
-            };
-            out.row_mut(i).copy_from_slice(row);
+            });
         }
         Ok(out)
     }
@@ -284,43 +281,33 @@ impl EmbeddingService {
                     .collect();
                 let received = try_alltoallv_sparse(ep, parts)?;
                 let summed = coalesce(&RowSparse::concat(&received));
-                for (i, &row) in summed.indices().iter().enumerate() {
-                    let local = self.book.local_index(row);
-                    self.opt.update_row(local, self.shard.row_mut(local), summed.values().row(i));
-                    self.rows_updated += 1;
-                }
+                let rows = summed.indices().iter().map(|&row| self.book.local_index(row));
+                self.rows_updated +=
+                    self.opt.update_rows(&mut self.shard, rows.zip(summed.values().row_iter()));
             }
             PushTransport::SparseAllreduce { crossover } => {
                 let cfg = SsarConfig { vocab: self.book.vocab(), crossover };
                 match try_sparse_allreduce(ep, grad, &cfg)? {
                     SparseReduced::Sparse(summed) => {
-                        for (i, &row) in summed.indices().iter().enumerate() {
-                            if self.book.owner_of(row)? != self.rank {
-                                continue;
+                        let mut owned = Vec::new();
+                        for (&row, g) in summed.indices().iter().zip(summed.values().row_iter()) {
+                            if self.book.owner_of(row)? == self.rank {
+                                owned.push((self.book.local_index(row), g));
                             }
-                            let local = self.book.local_index(row);
-                            self.opt.update_row(
-                                local,
-                                self.shard.row_mut(local),
-                                summed.values().row(i),
-                            );
-                            self.rows_updated += 1;
                         }
+                        self.rows_updated += self.opt.update_rows(&mut self.shard, owned);
                     }
                     SparseReduced::Dense(summed) => {
                         // Row participation is lost after densify: apply
                         // every owned row with a nonzero sum (a true-zero
                         // summed row is indistinguishable from an
                         // untouched one; both are no-ops for SGD/Adagrad).
-                        for local in 0..self.shard.rows() {
-                            let global = self.book.global_of(self.rank, local);
-                            let g = summed.row(global as usize);
-                            if g.iter().all(|&x| x == 0.0) {
-                                continue;
-                            }
-                            self.opt.update_row(local, self.shard.row_mut(local), g);
-                            self.rows_updated += 1;
-                        }
+                        let touched = (0..self.shard.rows())
+                            .map(|local| {
+                                (local, summed.row(self.book.global_of(self.rank, local) as usize))
+                            })
+                            .filter(|(_, g)| g.iter().any(|&x| x != 0.0));
+                        self.rows_updated += self.opt.update_rows(&mut self.shard, touched);
                     }
                 }
             }

@@ -96,11 +96,10 @@ impl ShardedStore {
     /// typed error and no partial result.
     pub fn pull_rows(&self, rows: &[u32]) -> Result<DenseTensor, PsError> {
         let mut out = DenseTensor::zeros(rows.len(), self.dim);
-        for (i, &row) in rows.iter().enumerate() {
+        for (dst, &row) in out.rows_mut().zip(rows) {
             let shard = &self.shards[self.shard_of(row)?];
             let st = shard.state.lock();
-            let local = row as usize - shard.range.start;
-            out.row_mut(i).copy_from_slice(st.table.row(local));
+            dst.copy_from_slice(st.table.row(row as usize - shard.range.start));
         }
         Ok(out)
     }
@@ -146,10 +145,11 @@ impl ShardedStore {
                 let pending = std::mem::take(&mut st.pending);
                 if !pending.is_empty() {
                     let summed = coalesce(&RowSparse::concat(&pending));
-                    let start = shard.range.start;
-                    for (i, &row) in summed.indices().iter().enumerate() {
-                        let dst = st.table.row_mut(row as usize - start);
-                        for (d, g) in dst.iter_mut().zip(summed.values().row(i)) {
+                    let (start, dim) = (shard.range.start, self.dim);
+                    let table = st.table.as_mut_slice();
+                    for (&row, g) in summed.indices().iter().zip(summed.values().row_iter()) {
+                        let local = row as usize - start;
+                        for (d, g) in table[local * dim..(local + 1) * dim].iter_mut().zip(g) {
                             *d -= lr * g;
                         }
                     }

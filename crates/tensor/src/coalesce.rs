@@ -23,9 +23,78 @@ pub fn coalesce(grad: &RowSparse) -> RowSparse {
     if is_coalesced(grad) {
         return grad.share();
     }
-    let mut out = RowSparse::empty(grad.dim());
-    coalesce_into(grad, &mut out);
-    out
+    let mut out = Coalescer::for_rows_of(grad);
+    for (id, row) in sorted_rows(grad) {
+        out.add(id, row);
+    }
+    out.finish()
+}
+
+/// [`coalesce`] and partition in one pass: every distinct row id is
+/// summed exactly as `coalesce` sums it (duplicates in input order) and
+/// `route(id)` — asked once per distinct id, in ascending order — sends
+/// the summed row to the first output (`Some(true)`), the second
+/// (`Some(false)`) or neither (`None`). Both outputs are coalesced.
+pub fn coalesce_split(
+    grad: &RowSparse,
+    mut route: impl FnMut(u32) -> Option<bool>,
+) -> (RowSparse, RowSparse) {
+    let (mut first, mut second) = (Coalescer::for_rows_of(grad), Coalescer::for_rows_of(grad));
+    let mut current = None;
+    for (id, row) in sorted_rows(grad) {
+        let dest = match current {
+            Some((last, dest)) if last == id => dest,
+            _ => route(id),
+        };
+        current = Some((id, dest));
+        match dest {
+            Some(true) => first.add(id, row),
+            Some(false) => second.add(id, row),
+            None => {}
+        }
+    }
+    (first.finish(), second.finish())
+}
+
+/// Builds a coalesced gradient from rows arriving in ascending id order,
+/// summing a row into its predecessor when the id repeats.
+struct Coalescer {
+    dim: usize,
+    indices: Vec<u32>,
+    values: Vec<f32>,
+}
+
+impl Coalescer {
+    /// Sized for the worst case: every row of `grad` distinct.
+    fn for_rows_of(grad: &RowSparse) -> Self {
+        let (rows, dim) = (grad.nnz_rows(), grad.dim());
+        Coalescer { dim, indices: Vec::with_capacity(rows), values: Vec::with_capacity(rows * dim) }
+    }
+
+    #[inline]
+    fn add(&mut self, id: u32, row: &[f32]) {
+        if self.indices.last() == Some(&id) {
+            let start = self.values.len() - self.dim;
+            crate::kernels::add_assign(&mut self.values[start..], row);
+        } else {
+            self.indices.push(id);
+            self.values.extend_from_slice(row);
+        }
+    }
+
+    fn finish(self) -> RowSparse {
+        let rows = self.indices.len();
+        RowSparse::new(self.indices, DenseTensor::from_vec(rows, self.dim, self.values))
+    }
+}
+
+/// `grad`'s rows in ascending id order, duplicates in input order.
+fn sorted_rows(grad: &RowSparse) -> impl Iterator<Item = (u32, &[f32])> {
+    let (ids, values, dim) = (grad.indices(), grad.values().as_slice(), grad.dim());
+    sort_permutation(ids).into_iter().map(move |src| {
+        let src = src as usize;
+        (ids[src], &values[src * dim..(src + 1) * dim])
+    })
 }
 
 /// Stable permutation sorting `ids` ascending: `perm[k]` is the original
@@ -67,28 +136,6 @@ fn sort_permutation(ids: &[u32]) -> Vec<u32> {
         perm.sort_by_key(|&i| ids[i as usize]);
         perm
     }
-}
-
-/// Coalesce `grad` into `out`, reusing `out`'s allocations where possible.
-pub fn coalesce_into(grad: &RowSparse, out: &mut RowSparse) {
-    let dim = grad.dim();
-    let perm = sort_permutation(grad.indices());
-
-    let mut indices: Vec<u32> = Vec::with_capacity(grad.nnz_rows());
-    let mut values: Vec<f32> = Vec::with_capacity(grad.nnz_rows() * dim);
-    for &src in &perm {
-        let row_id = grad.indices()[src as usize];
-        let row = grad.values().row(src as usize);
-        if indices.last() == Some(&row_id) {
-            let start = values.len() - dim;
-            crate::kernels::add_assign(&mut values[start..], row);
-        } else {
-            indices.push(row_id);
-            values.extend_from_slice(row);
-        }
-    }
-    let rows = indices.len();
-    *out = RowSparse::new(indices, DenseTensor::from_vec(rows, dim, values));
 }
 
 #[cfg(test)]

@@ -21,7 +21,11 @@ use std::sync::Arc;
 /// sends cheap. Mutation is copy-on-write: the first mutating call on a
 /// tensor whose buffer is shared materialises a private copy (counted by
 /// [`crate::alloc_counter`]); an exclusively-owned tensor mutates in place
-/// with no allocation, exactly like the plain-`Vec` representation.
+/// with no allocation, exactly like the plain-`Vec` representation. Every
+/// [`DenseTensor::row_mut`] / [`DenseTensor::as_mut_slice`] call performs
+/// that uniqueness check (an atomic load plus a compare-exchange), so a
+/// loop over rows takes [`DenseTensor::rows_mut`] or the slice once,
+/// outside the loop.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DenseTensor {
     rows: usize,
@@ -147,6 +151,19 @@ impl DenseTensor {
         &mut self.data_mut()[r * cols..(r + 1) * cols]
     }
 
+    /// Every row in order, mutably: one copy-on-write check for the whole
+    /// pass instead of one per [`Self::row_mut`] call.
+    pub fn rows_mut(&mut self) -> std::slice::ChunksExactMut<'_, f32> {
+        let cols = self.cols;
+        // A zero-width tensor has no elements: any chunk size yields nothing.
+        self.data_mut().chunks_exact_mut(cols.max(1))
+    }
+
+    /// Every row in order (see [`Self::rows_mut`] for the zero-width case).
+    pub fn row_iter(&self) -> std::slice::ChunksExact<'_, f32> {
+        self.data.chunks_exact(self.cols.max(1))
+    }
+
     /// `self += other`, element-wise.
     pub fn add_assign(&mut self, other: &DenseTensor) {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols), "shape mismatch in add");
@@ -183,8 +200,8 @@ impl DenseTensor {
     /// Copy the rows given by `indices` (in order) into a new tensor.
     pub fn gather_rows(&self, indices: &[u32]) -> DenseTensor {
         let mut out = DenseTensor::zeros(indices.len(), self.cols);
-        for (dst, &src) in indices.iter().enumerate() {
-            out.row_mut(dst).copy_from_slice(self.row(src as usize));
+        for (dst, &src) in out.rows_mut().zip(indices) {
+            dst.copy_from_slice(self.row(src as usize));
         }
         out
     }
@@ -204,8 +221,8 @@ impl DenseTensor {
         assert!(start <= end && end <= self.cols, "column range out of bounds");
         let width = end - start;
         let mut out = DenseTensor::zeros(self.rows, width);
-        for r in 0..self.rows {
-            out.row_mut(r).copy_from_slice(&self.row(r)[start..end]);
+        for (dst, src) in out.rows_mut().zip(self.row_iter()) {
+            dst.copy_from_slice(&src[start..end]);
         }
         out
     }
@@ -214,8 +231,8 @@ impl DenseTensor {
     pub fn set_columns(&mut self, start: usize, block: &DenseTensor) {
         assert_eq!(self.rows, block.rows, "row count mismatch in set_columns");
         assert!(start + block.cols <= self.cols, "column range out of bounds");
-        for r in 0..self.rows {
-            self.row_mut(r)[start..start + block.cols].copy_from_slice(block.row(r));
+        for (dst, src) in self.rows_mut().zip(block.row_iter()) {
+            dst[start..start + block.cols].copy_from_slice(src);
         }
     }
 
@@ -414,6 +431,31 @@ mod tests {
     }
 
     #[test]
+    fn rows_mut_checks_copy_on_write_once_per_pass() {
+        let mut own = DenseTensor::from_vec(3, 2, (0..6).map(|x| x as f32).collect());
+        crate::alloc_counter::reset();
+        for (r, row) in own.rows_mut().enumerate() {
+            row[1] = r as f32;
+        }
+        assert_eq!(crate::alloc_counter::events(), 0, "exclusive storage mutates in place");
+        assert_eq!(own.as_slice(), &[0.0, 0.0, 2.0, 1.0, 4.0, 2.0]);
+
+        let sharer = own.share();
+        crate::alloc_counter::reset();
+        assert_eq!(own.rows_mut().len(), 3);
+        for row in own.rows_mut() {
+            row.fill(9.0);
+        }
+        assert_eq!(crate::alloc_counter::events(), 1, "one copy, made by the first pass");
+        assert_eq!(crate::alloc_counter::bytes(), 6 * crate::F32_BYTES as u64);
+        assert_eq!(sharer.as_slice(), &[0.0, 0.0, 2.0, 1.0, 4.0, 2.0], "sharer untouched");
+        assert_eq!(own.as_slice(), &[9.0; 6]);
+        // Zero-width and zero-row tensors have no rows to hand out.
+        assert_eq!(DenseTensor::zeros(4, 0).rows_mut().len(), 0);
+        assert_eq!(DenseTensor::zeros(0, 4).rows_mut().len(), 0);
+    }
+
+    #[test]
     fn approx_eq_tolerance() {
         let a = DenseTensor::full(1, 2, 1.0);
         let mut b = a.clone();
@@ -427,13 +469,9 @@ impl DenseTensor {
     /// Matrix product `self(n×k) · other(k×m)`.
     pub fn matmul(&self, other: &DenseTensor) -> DenseTensor {
         assert_eq!(self.cols, other.rows, "inner dimensions must agree");
-        let (n, m) = (self.rows, other.cols);
-        let mut out = DenseTensor::zeros(n, m);
-        for i in 0..n {
-            let ar = self.row(i);
-            let or = out.row_mut(i);
-            for (p, &av) in ar.iter().enumerate() {
-                let br = other.row(p);
+        let mut out = DenseTensor::zeros(self.rows, other.cols);
+        for (ar, or) in self.row_iter().zip(out.rows_mut()) {
+            for (&av, br) in ar.iter().zip(other.row_iter()) {
                 for (o, &bv) in or.iter_mut().zip(br) {
                     *o += av * bv;
                 }
@@ -446,13 +484,11 @@ impl DenseTensor {
     /// matmul with respect to its right operand.
     pub fn matmul_tn(&self, other: &DenseTensor) -> DenseTensor {
         assert_eq!(self.rows, other.rows, "leading dimensions must agree");
-        let (k, m) = (self.cols, other.cols);
-        let mut out = DenseTensor::zeros(k, m);
-        for i in 0..self.rows {
-            let ar = self.row(i);
-            let br = other.row(i);
-            for (p, &av) in ar.iter().enumerate() {
-                let or = out.row_mut(p);
+        let m = other.cols;
+        let mut out = DenseTensor::zeros(self.cols, m);
+        let acc = out.as_mut_slice();
+        for (ar, br) in self.row_iter().zip(other.row_iter()) {
+            for (&av, or) in ar.iter().zip(acc.chunks_exact_mut(m.max(1))) {
                 for (o, &bv) in or.iter_mut().zip(br) {
                     *o += av * bv;
                 }
@@ -465,16 +501,12 @@ impl DenseTensor {
     /// a matmul with respect to its left operand.
     pub fn matmul_nt(&self, other: &DenseTensor) -> DenseTensor {
         assert_eq!(self.cols, other.cols, "trailing dimensions must agree");
-        let (n, m, k) = (self.rows, other.rows, self.cols);
-        let mut out = DenseTensor::zeros(n, m);
-        for i in 0..n {
-            let ar = self.row(i);
-            let or = out.row_mut(i);
-            for (j, o) in or.iter_mut().enumerate() {
-                let br = other.row(j);
+        let mut out = DenseTensor::zeros(self.rows, other.rows);
+        for (ar, or) in self.row_iter().zip(out.rows_mut()) {
+            for (o, br) in or.iter_mut().zip(other.row_iter()) {
                 let mut dot = 0.0;
-                for p in 0..k {
-                    dot += ar[p] * br[p];
+                for (&av, &bv) in ar.iter().zip(br) {
+                    dot += av * bv;
                 }
                 *o = dot;
             }
@@ -516,6 +548,42 @@ mod matmul_tests {
         // a·bᵀ via matmul_nt equals a·transpose(b).
         let bt = DenseTensor::from_vec(2, 3, vec![7., 9., 11., 8., 10., 12.]);
         assert!(a().matmul_nt(&bt).approx_eq(&a().matmul(&b()), 1e-6));
+    }
+
+    /// The index-loop definitions the iterator forms must match bit for
+    /// bit (same products, same accumulation order), at the shapes the
+    /// toy trainer runs them: `a(n×k)·b(k×m)`, `aᵀ·c(n×m)`, `a·dᵀ` with
+    /// `d(m×k)`.
+    #[test]
+    fn iterator_matmuls_match_index_loops_bitwise() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (n, k, m) in [(0, 4, 4), (1, 1024, 1024), (8192, 4, 4), (7, 3, 5), (3, 0, 2)] {
+            let mut rng = StdRng::seed_from_u64((n * 31 + k * 7 + m) as u64);
+            let [a, b, c, d] = [(n, k), (k, m), (n, m), (m, k)]
+                .map(|(r, w)| DenseTensor::uniform(r, w, 1.0, &mut rng));
+            let (av, bv, cv, dv) = (a.as_slice(), b.as_slice(), c.as_slice(), d.as_slice());
+            let (mut nn, mut tn, mut nt) =
+                (vec![0.0f32; n * m], vec![0.0f32; k * m], vec![0.0f32; n * m]);
+            for i in 0..n {
+                for p in 0..k {
+                    for j in 0..m {
+                        nn[i * m + j] += av[i * k + p] * bv[p * m + j];
+                        tn[p * m + j] += av[i * k + p] * cv[i * m + j];
+                    }
+                }
+                for j in 0..m {
+                    let mut dot = 0.0;
+                    for p in 0..k {
+                        dot += av[i * k + p] * dv[j * k + p];
+                    }
+                    nt[i * m + j] = dot;
+                }
+            }
+            assert_eq!(bits(a.matmul(&b).as_slice()), bits(&nn), "matmul {n}x{k}x{m}");
+            assert_eq!(bits(a.matmul_tn(&c).as_slice()), bits(&tn), "matmul_tn {n}x{k}x{m}");
+            assert_eq!(bits(a.matmul_nt(&d).as_slice()), bits(&nt), "matmul_nt {n}x{k}x{m}");
+        }
     }
 
     #[test]

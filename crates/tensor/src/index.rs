@@ -1,10 +1,10 @@
-//! Index-set operations used by Vertical Sparse Scheduling (Algorithm 1):
-//! `UNIQUE`, intersection, set difference and `INDEX_SELECT`.
+//! Index-set operations of Vertical Sparse Scheduling (Algorithm 1) that
+//! have a life outside the fused split (`embrace_core::vertical_split`
+//! runs on [`crate::coalesce_split`]): `UNIQUE` and intersection, which
+//! the Table 3 statistics are measured with.
 //!
-//! All functions operate on **sorted, deduplicated** `Vec<u32>` sets
-//! ([`IndexSet`]) so that intersection/difference are linear merges.
-
-use crate::sparse::RowSparse;
+//! Both work on **sorted, deduplicated** `Vec<u32>` sets ([`IndexSet`]),
+//! so intersection is a linear merge.
 
 /// A sorted, duplicate-free set of row indices.
 pub type IndexSet = Vec<u32>;
@@ -37,55 +37,9 @@ pub fn intersect(a: &[u32], b: &[u32]) -> IndexSet {
     out
 }
 
-/// Set difference `a \ b` of two sorted sets (linear merge).
-pub fn difference(a: &[u32], b: &[u32]) -> IndexSet {
-    debug_assert!(a.windows(2).all(|w| w[0] < w[1]));
-    debug_assert!(b.windows(2).all(|w| w[0] < w[1]));
-    let mut out = Vec::with_capacity(a.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() {
-        if j >= b.len() || a[i] < b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else if a[i] > b[j] {
-            j += 1;
-        } else {
-            i += 1;
-            j += 1;
-        }
-    }
-    out
-}
-
-/// `INDEX_SELECT`: extract from a **coalesced** gradient the rows whose ids
-/// appear in the sorted set `select`. Ids in `select` absent from the
-/// gradient are skipped (a next-batch token may have had no gradient locally).
-pub fn index_select(coalesced: &RowSparse, select: &[u32]) -> RowSparse {
-    debug_assert!(
-        coalesced.indices().windows(2).all(|w| w[0] < w[1]),
-        "index_select requires a coalesced gradient"
-    );
-    let keep = intersect(coalesced.indices(), select);
-    if keep.is_empty() {
-        return RowSparse::empty(coalesced.dim());
-    }
-    // Map row ids back to positions in the coalesced gradient.
-    let mut positions = Vec::with_capacity(keep.len());
-    let mut cursor = 0usize;
-    for &id in &keep {
-        while coalesced.indices()[cursor] != id {
-            cursor += 1;
-        }
-        positions.push(cursor as u32);
-    }
-    let values = coalesced.values().gather_rows(&positions);
-    RowSparse::new(keep, values)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dense::DenseTensor;
 
     #[test]
     fn unique_sorts_and_dedups() {
@@ -98,44 +52,5 @@ mod tests {
         assert_eq!(intersect(&[1, 3, 5, 7], &[2, 3, 7, 9]), vec![3, 7]);
         assert_eq!(intersect(&[1, 2], &[]), Vec::<u32>::new());
         assert_eq!(intersect(&[1, 2], &[1, 2]), vec![1, 2]);
-    }
-
-    #[test]
-    fn difference_basic() {
-        assert_eq!(difference(&[1, 3, 5, 7], &[2, 3, 7, 9]), vec![1, 5]);
-        assert_eq!(difference(&[1, 2], &[]), vec![1, 2]);
-        assert_eq!(difference(&[], &[1]), Vec::<u32>::new());
-        assert_eq!(difference(&[1, 2], &[1, 2]), Vec::<u32>::new());
-    }
-
-    #[test]
-    fn intersect_and_difference_partition() {
-        let a = vec![0, 2, 4, 6, 8];
-        let b = vec![1, 2, 3, 4];
-        let inter = intersect(&a, &b);
-        let diff = difference(&a, &b);
-        let mut merged = [inter, diff].concat();
-        merged.sort_unstable();
-        assert_eq!(merged, a);
-    }
-
-    #[test]
-    fn index_select_extracts_rows() {
-        let g = RowSparse::new(
-            vec![1, 4, 9],
-            DenseTensor::from_vec(3, 2, vec![1.0, 1.0, 4.0, 4.0, 9.0, 9.0]),
-        );
-        let s = index_select(&g, &[4, 9, 100]);
-        assert_eq!(s.indices(), &[4, 9]);
-        assert_eq!(s.values().row(0), &[4.0, 4.0]);
-        assert_eq!(s.values().row(1), &[9.0, 9.0]);
-    }
-
-    #[test]
-    fn index_select_empty_selection() {
-        let g = RowSparse::new(vec![1], DenseTensor::zeros(1, 3));
-        let s = index_select(&g, &[]);
-        assert!(s.is_empty());
-        assert_eq!(s.dim(), 3);
     }
 }

@@ -11,14 +11,14 @@
 //!   specialised to whole-row sparsity.
 //!
 //! Everything EmbRace's algorithms do to data — `COALESCE`, `UNIQUE`,
-//! set intersection/difference, `INDEX_SELECT` (Algorithm 1 of the paper),
+//! set intersection, the fused coalesce-and-`INDEX_SELECT` of Algorithm 1,
 //! column-wise partitioning (§4.1.1) — is provided here, independent of any
 //! communication or scheduling machinery.
 //!
 //! # Example
 //!
 //! ```
-//! use embrace_tensor::{coalesce, index_select, unique_sorted, DenseTensor, RowSparse};
+//! use embrace_tensor::{coalesce, coalesce_split, DenseTensor, RowSparse};
 //!
 //! // A raw embedding gradient with a duplicate row (token 7 twice).
 //! let grad = RowSparse::new(
@@ -29,10 +29,11 @@
 //! assert_eq!(c.indices(), &[2, 7]);
 //! assert_eq!(c.values().row(1), &[3.0, 3.0]); // 1 + 2 summed
 //!
-//! // Select the rows the next batch needs.
-//! let wanted = unique_sorted(&[7, 9]);
-//! let prior = index_select(&c, &wanted);
+//! // The same sums, with the rows the next batch needs (7 and 9) apart.
+//! let (prior, delayed) = coalesce_split(&grad, |id| Some([7, 9].contains(&id)));
 //! assert_eq!(prior.indices(), &[7]);
+//! assert_eq!(prior.values().row(0), &[3.0, 3.0]);
+//! assert_eq!(delayed.indices(), &[2]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -49,9 +50,9 @@ pub mod shard;
 pub mod sparse;
 pub mod tokens;
 
-pub use coalesce::{coalesce, coalesce_into, is_coalesced};
+pub use coalesce::{coalesce, coalesce_split, is_coalesced};
 pub use dense::DenseTensor;
-pub use index::{difference, index_select, intersect, unique_sorted, IndexSet};
+pub use index::{intersect, unique_sorted, IndexSet};
 pub use merge::{densify_range, merge_rowsparse, scatter_add_rows};
 pub use shard::{column_partition, owner_of_row, row_partition, ColumnRange, RowRange};
 pub use sparse::RowSparse;

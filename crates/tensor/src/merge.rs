@@ -79,9 +79,11 @@ pub fn merge_rowsparse(parts: &[RowSparse]) -> RowSparse {
 /// Panics when an index falls outside `[base, base + dense.rows())`.
 pub fn scatter_add_rows(dense: &mut DenseTensor, base: u32, sparse: &RowSparse) {
     assert_eq!(dense.cols(), sparse.dim(), "dim mismatch in scatter-add");
-    for (i, &idx) in sparse.indices().iter().enumerate() {
+    let dim = dense.cols();
+    let dst = dense.as_mut_slice();
+    for (&idx, row) in sparse.indices().iter().zip(sparse.values().row_iter()) {
         let local = (idx - base) as usize;
-        crate::kernels::add_assign(dense.row_mut(local), sparse.values().row(i));
+        crate::kernels::add_assign(&mut dst[local * dim..(local + 1) * dim], row);
     }
 }
 

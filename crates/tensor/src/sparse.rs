@@ -112,12 +112,7 @@ impl RowSparse {
     /// the semantics AllReduce sees when a sparse gradient is densified.
     pub fn to_dense(&self, vocab: usize) -> DenseTensor {
         let mut out = DenseTensor::zeros(vocab, self.dim());
-        for (i, &row) in self.indices.iter().enumerate() {
-            let dst = out.row_mut(row as usize);
-            for (d, s) in dst.iter_mut().zip(self.values.row(i)) {
-                *d += s;
-            }
-        }
+        crate::merge::scatter_add_rows(&mut out, 0, self);
         out
     }
 

@@ -25,6 +25,7 @@ use embrace_collectives::{
 };
 use embrace_core::{vertical_split, ColumnShardedEmbedding};
 use embrace_dlsim::optim::{Adam, Optimizer, UpdatePart};
+use embrace_models::ZipfSampler;
 use embrace_tensor::{DenseTensor, RowSparse};
 use std::time::Duration;
 
@@ -98,22 +99,28 @@ impl RankOutcome {
 pub fn run_chaos(cfg: &ChaosConfig) -> Result<Vec<RankOutcome>, GroupError> {
     let train = cfg.train;
     let world = train.world;
+    let sampler = ZipfSampler::new(train.vocab, train.zipf_s);
     run_group_with_deadline(
         world,
         &cfg.plan,
         Some(cfg.recv_deadline),
         cfg.group_deadline,
-        move |rank, ep| chaos_worker(rank, ep, &train),
+        move |rank, ep| chaos_worker(rank, ep, &train, &sampler),
     )
 }
 
-fn chaos_worker(rank: usize, ep: &mut Endpoint, cfg: &ConvergenceConfig) -> RankOutcome {
+fn chaos_worker(
+    rank: usize,
+    ep: &mut Endpoint,
+    cfg: &ConvergenceConfig,
+    sampler: &ZipfSampler,
+) -> RankOutcome {
     let (emb_init, w_init, targets) = init_toy_state(cfg);
     let mut emb = ColumnShardedEmbedding::new(&emb_init, rank, cfg.world);
     let mut w = w_init;
     let mut opt_e = Adam::new(cfg.vocab, emb.shard_dim(), cfg.lr);
     let mut opt_w = Adam::new(cfg.dim, cfg.dim, cfg.lr);
-    let mut stream = batch_stream(cfg, rank);
+    let mut stream = batch_stream(sampler, cfg, rank);
 
     let mut losses = Vec::with_capacity(cfg.steps);
     for step in 0..cfg.steps {

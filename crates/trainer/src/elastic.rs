@@ -41,7 +41,7 @@ use embrace_collectives::{
 use embrace_core::ColumnShardedEmbedding;
 use embrace_dlsim::optim::Adam;
 use embrace_dlsim::Prefetcher;
-use embrace_models::BatchGen;
+use embrace_models::{BatchGen, ZipfSampler};
 use embrace_simnet::{Recovery, RecoveryModel};
 use embrace_tensor::{column_partition, DenseTensor};
 use std::collections::HashMap;
@@ -156,7 +156,13 @@ impl RankState {
     /// a full checkpoint — sharding, moment slices and the fast-forwarded
     /// batch stream are all bitwise what a fresh run at that world would
     /// have after `fs.step` steps.
-    fn from_full(fs: &FullState, rank: usize, world: usize, cfg: &ConvergenceConfig) -> RankState {
+    fn from_full(
+        fs: &FullState,
+        rank: usize,
+        world: usize,
+        cfg: &ConvergenceConfig,
+        sampler: &ZipfSampler,
+    ) -> RankState {
         let (_, _, targets) = init_toy_state(cfg);
         let part = column_partition(cfg.dim, world);
         let r = &part[rank];
@@ -168,7 +174,7 @@ impl RankState {
             fs.step,
         );
         let opt_w = Adam::from_state(cfg.lr, fs.w_m.clone(), fs.w_v.clone(), fs.step);
-        let mut stream = batch_stream(cfg, rank);
+        let mut stream = batch_stream(sampler, cfg, rank);
         for _ in 0..fs.step {
             stream.advance().expect("infinite stream");
         }
@@ -284,6 +290,7 @@ fn elastic_worker(
     ep: &mut Endpoint,
     cfg: &ElasticConfig,
     init: Option<&FullState>,
+    sampler: &ZipfSampler,
 ) -> ElasticRankOutcome {
     let train = &cfg.train;
     let steps = train.steps as u64;
@@ -292,7 +299,7 @@ fn elastic_worker(
         Some(fs) => fs.clone(),
         None => FullState::initial(train),
     };
-    let mut st = RankState::from_full(&base, rank, train.world, train);
+    let mut st = RankState::from_full(&base, rank, train.world, train, sampler);
     let mut losses = base.losses.clone();
     let mut step_secs: Vec<f64> = vec![0.0; losses.len()];
     let mut replicas: HashMap<usize, DenseTensor> = HashMap::new();
@@ -357,7 +364,7 @@ fn elastic_worker(
                         Ok(Recovered::Shrunk(fs)) => {
                             shrinks += 1;
                             let me = Comm::rank(&group);
-                            st = RankState::from_full(&fs, me, group.world(), train);
+                            st = RankState::from_full(&fs, me, group.world(), train, sampler);
                             losses = fs.losses.clone();
                             step_secs.truncate(losses.len());
                             replicas.clear();
@@ -677,15 +684,17 @@ pub fn run_elastic(cfg: &ElasticConfig) -> Result<ElasticReport, ElasticRunError
     let mut plan = cfg.plan.clone();
     let mut init: Option<FullState> = None;
     let mut restarts = 0u32;
+    let sampler = ZipfSampler::new(cfg.train.vocab, cfg.train.zipf_s);
     loop {
         let worker_cfg = cfg.clone();
         let worker_init = init.clone();
+        let sampler = sampler.clone();
         let outcomes = run_group_with_deadline(
             cfg.train.world,
             &plan,
             Some(cfg.recv_deadline),
             cfg.group_deadline,
-            move |rank, ep| elastic_worker(rank, ep, &worker_cfg, worker_init.as_ref()),
+            move |rank, ep| elastic_worker(rank, ep, &worker_cfg, worker_init.as_ref(), &sampler),
         )
         .map_err(ElasticRunError::Watchdog)?;
         if let Some(done) = outcomes.iter().find(|o| o.is_completed()) {
@@ -737,9 +746,10 @@ pub fn run_elastic(cfg: &ElasticConfig) -> Result<ElasticReport, ElasticRunError
 /// bitwise post-shrink comparisons.
 pub fn capture_state_at(cfg: &ConvergenceConfig, at_step: u64) -> FullState {
     let cfg = *cfg;
+    let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
     let states = run_group(cfg.world, move |rank, ep| {
         let base = FullState::initial(&cfg);
-        let mut st = RankState::from_full(&base, rank, cfg.world, &cfg);
+        let mut st = RankState::from_full(&base, rank, cfg.world, &cfg, &sampler);
         let mut losses = Vec::new();
         while st.step < at_step {
             let loss = chaos_step(
@@ -765,8 +775,9 @@ pub fn capture_state_at(cfg: &ConvergenceConfig, at_step: u64) -> FullState {
 pub fn train_from_state(fs: &FullState, world: usize, cfg: &ConvergenceConfig) -> Vec<f64> {
     let cfg = ConvergenceConfig { world, ..*cfg };
     let fs = fs.clone();
+    let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
     let all = run_group(world, move |rank, ep| {
-        let mut st = RankState::from_full(&fs, rank, world, &cfg);
+        let mut st = RankState::from_full(&fs, rank, world, &cfg, &sampler);
         let mut losses = fs.losses.clone();
         while st.step < cfg.steps as u64 {
             let loss = chaos_step(
@@ -798,9 +809,10 @@ fn ops_before_delayed_exchange(cfg: &ConvergenceConfig) -> u64 {
     use embrace_core::vertical_split;
     use embrace_tensor::RowSparse;
     let cfg = *cfg;
+    let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
     let counts = run_group(cfg.world, move |rank, ep| {
         let base = FullState::initial(&cfg);
-        let mut st = RankState::from_full(&base, rank, cfg.world, &cfg);
+        let mut st = RankState::from_full(&base, rank, cfg.world, &cfg, &sampler);
         let mut g = ElasticWorker::new(ep);
         let tokens = st.stream.advance().expect("infinite stream");
         let next_local = st.stream.peek_next().expect("infinite stream").clone();
@@ -824,9 +836,10 @@ fn ops_before_delayed_exchange(cfg: &ConvergenceConfig) -> u64 {
 #[cfg(test)]
 fn ops_per_step(cfg: &ConvergenceConfig) -> u64 {
     let cfg = *cfg;
+    let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
     let counts = run_group(cfg.world, move |rank, ep| {
         let base = FullState::initial(&cfg);
-        let mut st = RankState::from_full(&base, rank, cfg.world, &cfg);
+        let mut st = RankState::from_full(&base, rank, cfg.world, &cfg, &sampler);
         let mut g = ElasticWorker::new(ep);
         let mut replicas = HashMap::new();
         let mut ckpt = FullState::initial(&cfg);

@@ -95,63 +95,6 @@ impl ConvergenceResult {
     }
 }
 
-/// `a(n×k) · b(k×m)`.
-fn matmul(a: &DenseTensor, b: &DenseTensor) -> DenseTensor {
-    assert_eq!(a.cols(), b.rows());
-    let (n, k, m) = (a.rows(), a.cols(), b.cols());
-    let mut out = DenseTensor::zeros(n, m);
-    for i in 0..n {
-        let ar = a.row(i);
-        let or = out.row_mut(i);
-        for (p, &av) in ar.iter().enumerate() {
-            let br = b.row(p);
-            for j in 0..m {
-                or[j] += av * br[j];
-            }
-        }
-        let _ = k;
-    }
-    out
-}
-
-/// `aᵀ(k×n) · b(n×m)` where `a` is `n×k`.
-fn matmul_tn(a: &DenseTensor, b: &DenseTensor) -> DenseTensor {
-    assert_eq!(a.rows(), b.rows());
-    let (n, k, m) = (a.rows(), a.cols(), b.cols());
-    let mut out = DenseTensor::zeros(k, m);
-    for i in 0..n {
-        let ar = a.row(i);
-        let br = b.row(i);
-        for (p, &av) in ar.iter().enumerate().take(k) {
-            let or = out.row_mut(p);
-            for (o, &bv) in or.iter_mut().zip(br).take(m) {
-                *o += av * bv;
-            }
-        }
-    }
-    out
-}
-
-/// `a(n×k) · bᵀ(k×m)` where `b` is `m×k`.
-fn matmul_nt(a: &DenseTensor, b: &DenseTensor) -> DenseTensor {
-    assert_eq!(a.cols(), b.cols());
-    let (n, k, m) = (a.rows(), a.cols(), b.rows());
-    let mut out = DenseTensor::zeros(n, m);
-    for i in 0..n {
-        let ar = a.row(i);
-        let or = out.row_mut(i);
-        for (j, o) in or.iter_mut().enumerate().take(m) {
-            let br = b.row(j);
-            let mut dot = 0.0;
-            for p in 0..k {
-                dot += ar[p] * br[p];
-            }
-            *o = dot;
-        }
-    }
-    out
-}
-
 /// Shared deterministic initial state: embedding, projection, targets.
 pub(crate) fn init_toy_state(cfg: &ConvergenceConfig) -> (DenseTensor, DenseTensor, DenseTensor) {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -170,19 +113,16 @@ pub(crate) fn fwd_bwd_toy(
     w: &DenseTensor,
     targets: &DenseTensor,
 ) -> (f64, DenseTensor, DenseTensor) {
-    let pred = matmul(lookup, w);
-    // Residuals and loss.
-    let mut resid = pred.clone();
-    for (i, &t) in tokens.iter().enumerate() {
-        let ty = targets.row(t as usize);
-        let rr = resid.row_mut(i);
-        for (r, &y) in rr.iter_mut().zip(ty) {
+    // Residuals (the prediction, less each token's target) and loss.
+    let mut resid = lookup.matmul(w);
+    for (rr, &t) in resid.rows_mut().zip(tokens) {
+        for (r, &y) in rr.iter_mut().zip(targets.row(t as usize)) {
             *r -= y;
         }
     }
     let loss = 0.5 * resid.norm_sq() as f64;
-    let grad_w = matmul_tn(lookup, &resid);
-    let grad_emb = matmul_nt(&resid, w);
+    let grad_w = lookup.matmul_tn(&resid);
+    let grad_emb = resid.matmul_nt(w);
     (loss, grad_w, grad_emb)
 }
 
@@ -198,9 +138,10 @@ fn global_loss(ep: &mut Endpoint, local: f64) -> f64 {
 
 /// Train the toy model with `method`; returns the per-step global loss.
 pub fn train_convergence(method: TrainMethod, cfg: &ConvergenceConfig) -> ConvergenceResult {
+    let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
     let losses = run_group(cfg.world, |rank, ep| match method {
-        TrainMethod::HorovodAllGather => train_allgather(rank, ep, cfg),
-        TrainMethod::EmbRace => train_embrace(rank, ep, cfg),
+        TrainMethod::HorovodAllGather => train_allgather(rank, ep, cfg, &sampler),
+        TrainMethod::EmbRace => train_embrace(rank, ep, cfg, &sampler),
     });
     ConvergenceResult { losses: losses.into_iter().next().expect("at least one worker") }
 }
@@ -218,11 +159,12 @@ pub fn train_convergence_observed(
     method: TrainMethod,
     cfg: &ConvergenceConfig,
 ) -> (ConvergenceResult, Vec<SpanSet>) {
+    let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
     let per_rank = run_group(cfg.world, |rank, ep| {
         recorder::install(&format!("rank{rank}"));
         let losses = match method {
-            TrainMethod::HorovodAllGather => train_allgather(rank, ep, cfg),
-            TrainMethod::EmbRace => train_embrace(rank, ep, cfg),
+            TrainMethod::HorovodAllGather => train_allgather(rank, ep, cfg, &sampler),
+            TrainMethod::EmbRace => train_embrace(rank, ep, cfg, &sampler),
         };
         let spans = recorder::take().expect("recorder installed at worker start");
         (losses, spans)
@@ -236,19 +178,30 @@ pub fn train_convergence_observed(
     (ConvergenceResult { losses: losses.expect("at least one worker") }, spans)
 }
 
-pub(crate) fn batch_stream(cfg: &ConvergenceConfig, rank: usize) -> Prefetcher<Vec<u32>, BatchGen> {
-    let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
-    let gen = BatchGen::new(sampler, cfg.tokens_per_batch, 0.0, cfg.seed ^ ((rank as u64) << 32));
-    Prefetcher::new(gen)
+/// Rank `rank`'s token stream. `sampler` is the run's one
+/// `ZipfSampler::new(cfg.vocab, cfg.zipf_s)`, built before the ranks
+/// start: its tables are `vocab`-sized and shared between clones.
+pub(crate) fn batch_stream(
+    sampler: &ZipfSampler,
+    cfg: &ConvergenceConfig,
+    rank: usize,
+) -> Prefetcher<Vec<u32>, BatchGen> {
+    let seed = cfg.seed ^ ((rank as u64) << 32);
+    Prefetcher::new(BatchGen::new(sampler.clone(), cfg.tokens_per_batch, 0.0, seed))
 }
 
-fn train_allgather(rank: usize, ep: &mut Endpoint, cfg: &ConvergenceConfig) -> Vec<f64> {
+fn train_allgather(
+    rank: usize,
+    ep: &mut Endpoint,
+    cfg: &ConvergenceConfig,
+    sampler: &ZipfSampler,
+) -> Vec<f64> {
     let (emb_init, w_init, targets) = init_toy_state(cfg);
     let mut emb = EmbeddingTable::from_table(emb_init);
     let mut w = w_init;
     let mut opt_e = Adam::new(cfg.vocab, cfg.dim, cfg.lr);
     let mut opt_w = Adam::new(cfg.dim, cfg.dim, cfg.lr);
-    let mut stream = batch_stream(cfg, rank);
+    let mut stream = batch_stream(sampler, cfg, rank);
 
     let mut losses = Vec::with_capacity(cfg.steps);
     for step in 0..cfg.steps {
@@ -268,7 +221,12 @@ fn train_allgather(rank: usize, ep: &mut Endpoint, cfg: &ConvergenceConfig) -> V
     losses
 }
 
-fn train_embrace(rank: usize, ep: &mut Endpoint, cfg: &ConvergenceConfig) -> Vec<f64> {
+fn train_embrace(
+    rank: usize,
+    ep: &mut Endpoint,
+    cfg: &ConvergenceConfig,
+    sampler: &ZipfSampler,
+) -> Vec<f64> {
     let (emb_init, w_init, targets) = init_toy_state(cfg);
     let mut emb =
         ColumnShardedEmbedding::new(&emb_init, rank, cfg.world).with_policy(cfg.grad_plane);
@@ -277,7 +235,7 @@ fn train_embrace(rank: usize, ep: &mut Endpoint, cfg: &ConvergenceConfig) -> Vec
     // makes the split update equivalent to the baseline's whole update.
     let mut opt_e = Adam::new(cfg.vocab, emb.shard_dim(), cfg.lr);
     let mut opt_w = Adam::new(cfg.dim, cfg.dim, cfg.lr);
-    let mut stream = batch_stream(cfg, rank);
+    let mut stream = batch_stream(sampler, cfg, rank);
 
     let mut losses = Vec::with_capacity(cfg.steps);
     for step in 0..cfg.steps {

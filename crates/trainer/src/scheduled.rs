@@ -9,13 +9,14 @@
 //! *identical* training trajectories (asserted in tests): scheduling
 //! changes performance, never semantics.
 
-use crate::real::{fwd_bwd_toy, init_toy_state, ConvergenceConfig, ConvergenceResult};
+use crate::real::{
+    batch_stream, fwd_bwd_toy, init_toy_state, ConvergenceConfig, ConvergenceResult,
+};
 use embrace_collectives::{mesh, CommOp, CommResult, CommScheduler, OpTiming, SubmittedOp};
 use embrace_core::horizontal::{DELAYED_GRAD_PRIORITY, EMB_DATA_PRIORITY, PRIOR_GRAD_PRIORITY};
 use embrace_core::{vertical_split, ColumnShardedEmbedding};
 use embrace_dlsim::optim::{Adam, Optimizer, UpdatePart};
-use embrace_dlsim::Prefetcher;
-use embrace_models::{BatchGen, ZipfSampler};
+use embrace_models::ZipfSampler;
 use embrace_obs::SpanSet;
 use embrace_tensor::{RowSparse, F32_BYTES};
 
@@ -70,10 +71,12 @@ pub fn train_convergence_scheduled_observed(
     let mut losses_per_rank: Vec<Option<Vec<f64>>> = (0..cfg.world).map(|_| None).collect();
     let mut logs_per_rank: Vec<Vec<SubmittedOp>> = (0..cfg.world).map(|_| Vec::new()).collect();
     let mut obs_per_rank: Vec<Option<RankObservation>> = (0..cfg.world).map(|_| None).collect();
+    let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for (rank, ep) in endpoints.into_iter().enumerate() {
-            handles.push(scope.spawn(move || (rank, worker(rank, ep, cfg, observe))));
+            let sampler = &sampler;
+            handles.push(scope.spawn(move || (rank, worker(rank, ep, cfg, sampler, observe))));
         }
         for h in handles {
             let (rank, (losses, log, obs)) = h.join().expect("worker panicked");
@@ -93,6 +96,7 @@ fn worker(
     rank: usize,
     ep: embrace_collectives::Endpoint,
     cfg: &ConvergenceConfig,
+    sampler: &ZipfSampler,
     observe: bool,
 ) -> (Vec<f64>, Vec<SubmittedOp>, Option<RankObservation>) {
     // Chunked submission (§5.2's second dimension): the dense weight
@@ -112,13 +116,7 @@ fn worker(
     let mut w = w_init;
     let mut opt_e = Adam::new(cfg.vocab, emb.shard_dim(), cfg.lr);
     let mut opt_w = Adam::new(cfg.dim, cfg.dim, cfg.lr);
-    let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
-    let mut stream = Prefetcher::new(BatchGen::new(
-        sampler,
-        cfg.tokens_per_batch,
-        0.0,
-        cfg.seed ^ ((rank as u64) << 32),
-    ));
+    let mut stream = batch_stream(sampler, cfg, rank);
 
     let mut losses = Vec::with_capacity(cfg.steps);
     // Delayed gradient of the previous step: applied at the top of the

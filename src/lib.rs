@@ -7,7 +7,7 @@
 //! This umbrella crate re-exports the whole workspace:
 //!
 //! * [`tensor`] — dense and row-sparse (COO) tensors, `coalesce`,
-//!   `index_select`, set ops, partition helpers;
+//!   `coalesce_split`, set ops, partition helpers;
 //! * [`simnet`] — cluster topologies, the α–β communication cost model
 //!   (paper Table 2) and the discrete-event step simulator;
 //! * [`collectives`] — real multi-threaded AllReduce / AllGather /

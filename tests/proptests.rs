@@ -8,10 +8,92 @@ use embrace_repro::core::vertical_split;
 use embrace_repro::dlsim::optim::{Adam, Optimizer, UpdatePart};
 use embrace_repro::simnet::{Cluster, CostModel};
 use embrace_repro::tensor::{
-    coalesce, difference, index_select, intersect, is_coalesced, unique_sorted, DenseTensor,
-    RowSparse,
+    coalesce, intersect, is_coalesced, unique_sorted, DenseTensor, IndexSet, RowSparse,
 };
 use proptest::prelude::*;
+
+/// Algorithm 1 as the paper lists it: `COALESCE`, two `UNIQUE`s, an
+/// intersection, a difference and two `INDEX_SELECT`s, each materialising
+/// its result. `vertical_split` fuses them into one pass and must agree
+/// with this composition bit for bit; `difference` and `index_select`
+/// have no other use left and live here.
+mod oracle {
+    use super::{intersect, is_coalesced, unique_sorted, DenseTensor, IndexSet, RowSparse};
+    use std::collections::btree_map::{BTreeMap, Entry};
+
+    /// Set difference `a \ b` of two sorted sets (linear merge).
+    pub fn difference(a: &[u32], b: &[u32]) -> IndexSet {
+        let mut out = Vec::with_capacity(a.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() {
+            if j >= b.len() || a[i] < b[j] {
+                out.push(a[i]);
+                i += 1;
+            } else if a[i] > b[j] {
+                j += 1;
+            } else {
+                i += 1;
+                j += 1;
+            }
+        }
+        out
+    }
+
+    /// `INDEX_SELECT`: the rows of a **coalesced** gradient whose ids
+    /// appear in the sorted set `select`; ids absent from the gradient are
+    /// skipped.
+    pub fn index_select(coalesced: &RowSparse, select: &[u32]) -> RowSparse {
+        assert!(is_coalesced(coalesced), "index_select requires a coalesced gradient");
+        let keep = intersect(coalesced.indices(), select);
+        let positions: Vec<u32> = keep
+            .iter()
+            .map(|id| coalesced.indices().binary_search(id).expect("kept ids are present") as u32)
+            .collect();
+        RowSparse::new(keep, coalesced.values().gather_rows(&positions))
+    }
+
+    /// `COALESCE` by definition, sharing nothing with the library's sort:
+    /// each id's rows summed one element at a time in input order.
+    pub fn coalesce(grad: &RowSparse) -> RowSparse {
+        let mut sums: BTreeMap<u32, Vec<f32>> = BTreeMap::new();
+        for (i, &id) in grad.indices().iter().enumerate() {
+            let row = grad.values().row(i);
+            match sums.entry(id) {
+                Entry::Vacant(e) => drop(e.insert(row.to_vec())),
+                Entry::Occupied(mut e) => {
+                    e.get_mut().iter_mut().zip(row).for_each(|(s, v)| *s += v)
+                }
+            }
+        }
+        let values = sums.values().flatten().copied().collect();
+        RowSparse::new(
+            sums.keys().copied().collect(),
+            DenseTensor::from_vec(sums.len(), grad.dim(), values),
+        )
+    }
+
+    pub fn vertical_split(
+        grad: &RowSparse,
+        d_cur_rank: &[u32],
+        d_next_gathered: &[u32],
+    ) -> (RowSparse, RowSparse, IndexSet, IndexSet) {
+        let g_coalesced = coalesce(grad);
+        let du = unique_sorted(d_cur_rank);
+        let d_next = unique_sorted(d_next_gathered);
+        let i_prior = intersect(&du, &d_next);
+        let i_delayed = difference(&du, &i_prior);
+        let prior = index_select(&g_coalesced, &i_prior);
+        let delayed = index_select(&g_coalesced, &i_delayed);
+        (prior, delayed, i_prior, i_delayed)
+    }
+}
+use oracle::{difference, index_select};
+
+/// Bit patterns of a gradient: `==` on `f32` would let `-0.0 == 0.0` and
+/// a NaN mismatch through.
+fn bits(g: &RowSparse) -> (Vec<u32>, usize, Vec<u32>) {
+    (g.indices().to_vec(), g.dim(), g.values().as_slice().iter().map(|v| v.to_bits()).collect())
+}
 
 /// Strategy: a random row-sparse gradient over `vocab` rows of `dim`.
 fn sparse_grad(vocab: u32, dim: usize, max_rows: usize) -> impl Strategy<Value = RowSparse> {
@@ -22,6 +104,50 @@ fn sparse_grad(vocab: u32, dim: usize, max_rows: usize) -> impl Strategy<Value =
             let n = indices.len();
             RowSparse::new(indices, DenseTensor::from_vec(n, dim, values))
         })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    // The fused split against the seven-pass composition, over duplicates,
+    // empty inputs, a `D_next` empty / equal to the batch / disjoint from
+    // it / overlapping it, a `D_cur` that is not the gradient's index
+    // list, and id spreads on both sides of every regime switch (counting
+    // vs comparison sort at range 4n; bitmap vs sorted `D_next` at span
+    // 64·len).
+    #[test]
+    fn vertical_split_equals_the_seven_pass_composition(
+        rows in prop::collection::vec((0u32..40, prop::collection::vec(-10.0f32..10.0, 3)), 0..60),
+        next in prop::collection::vec(0u32..48, 0..60),
+        next_kind in 0usize..4,
+        other_cur in prop::collection::vec(0u32..44, 0..60),
+        cur_is_batch in 0usize..3,
+        stretch in 0usize..4,
+        dim in 0usize..4,
+    ) {
+        let stretch = [1u32, 50, 1000, 80_000_000][stretch];
+        let ids: Vec<u32> = rows.iter().map(|(i, _)| i * stretch).collect();
+        let values: Vec<f32> = rows.iter().flat_map(|(_, v)| v[..dim].to_vec()).collect();
+        let grad = RowSparse::new(ids.clone(), DenseTensor::from_vec(ids.len(), dim, values));
+        let next: Vec<u32> = match next_kind {
+            0 => Vec::new(),
+            1 => ids.clone(),
+            2 => next.iter().map(|t| t * stretch + 1).collect(),
+            _ => next.iter().map(|t| t * stretch).collect(),
+        };
+        let cur = if cur_is_batch > 0 {
+            ids
+        } else {
+            other_cur.iter().map(|t| t * stretch).collect()
+        };
+        let got = vertical_split(&grad, &cur, &next);
+        let (prior, delayed, i_prior, i_delayed) = oracle::vertical_split(&grad, &cur, &next);
+        prop_assert_eq!(bits(&coalesce(&grad)), bits(&oracle::coalesce(&grad)));
+        prop_assert_eq!(bits(&got.prior), bits(&prior));
+        prop_assert_eq!(bits(&got.delayed), bits(&delayed));
+        prop_assert_eq!(got.i_prior, i_prior);
+        prop_assert_eq!(got.i_delayed, i_delayed);
+    }
 }
 
 proptest! {
