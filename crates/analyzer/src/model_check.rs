@@ -785,11 +785,6 @@ pub struct CheckReport {
     pub interleavings: u128,
     /// Reachable states with running ranks but no enabled step.
     pub deadlock_states: usize,
-    /// Largest per-link queue depth over every reachable state — the
-    /// in-flight bound the one-sided slot transport must cover: when this
-    /// is ≤ `SLOT_CAPACITY`, no schedule of this collective can ever take
-    /// the rendezvous fallback, so steady state is provably pure payload.
-    pub max_link_in_flight: usize,
     /// Distinct terminal results (sorted).
     pub outcomes: Vec<Vec<RankOutcome>>,
 }
@@ -838,8 +833,6 @@ struct Explorer<'a> {
     memo: HashMap<World, u128>,
     terminals: HashSet<Vec<RankOutcome>>,
     deadlocks: usize,
-    /// Deepest any single link's queue has been in any reachable state.
-    max_link_in_flight: usize,
 }
 
 impl Explorer<'_> {
@@ -847,8 +840,6 @@ impl Explorer<'_> {
         if let Some(&p) = self.memo.get(&w) {
             return p;
         }
-        let depth = w.queues.iter().flat_map(|row| row.iter().map(|q| q.len())).max().unwrap_or(0);
-        self.max_link_in_flight = self.max_link_in_flight.max(depth);
         let enabled: Vec<usize> =
             (0..w.ranks.len()).filter(|&r| w.enabled(&self.model, r)).collect();
         let p = if enabled.is_empty() {
@@ -887,13 +878,7 @@ pub fn check(cfg: &CheckConfig) -> CheckReport {
             init.advance(&model, r, 0);
         }
     }
-    let mut ex = Explorer {
-        model,
-        memo: HashMap::new(),
-        terminals: HashSet::new(),
-        deadlocks: 0,
-        max_link_in_flight: 0,
-    };
+    let mut ex = Explorer { model, memo: HashMap::new(), terminals: HashSet::new(), deadlocks: 0 };
     let interleavings = ex.paths(init);
     let mut outcomes: Vec<Vec<RankOutcome>> = ex.terminals.into_iter().collect();
     outcomes.sort();
@@ -904,7 +889,6 @@ pub fn check(cfg: &CheckConfig) -> CheckReport {
         states: ex.memo.len(),
         interleavings,
         deadlock_states: ex.deadlocks,
-        max_link_in_flight: ex.max_link_in_flight,
         outcomes,
     }
 }
@@ -933,27 +917,6 @@ mod tests {
             for c in Collective::all(world) {
                 let r = check_collective(world, c);
                 assert!(r.deterministic_success(), "{}", r.summary());
-            }
-        }
-    }
-
-    #[test]
-    fn link_in_flight_bound_fits_slot_capacity() {
-        // The slot transport's zero-control claim rests on this: no
-        // schedule of any modeled collective ever queues more than
-        // SLOT_CAPACITY packets on one link, so the one-sided put always
-        // finds a registered slot and never pays a rendezvous.
-        for world in 2..=4 {
-            for c in Collective::all(world) {
-                let r = check_collective(world, c);
-                assert!(
-                    r.max_link_in_flight <= embrace_collectives::SLOT_CAPACITY,
-                    "{}: in-flight {} exceeds slot capacity {}",
-                    r.summary(),
-                    r.max_link_in_flight,
-                    embrace_collectives::SLOT_CAPACITY
-                );
-                assert!(r.max_link_in_flight >= 1, "{}: no packet ever queued?", r.summary());
             }
         }
     }

@@ -153,8 +153,8 @@ impl P2pReport {
 
 /// Verify a point-to-point plan: link pairing, and deadlock-freedom over
 /// unbounded links (`capacity: None`) or links on which a send blocks
-/// while `capacity` messages are undelivered (`Some` — the strict reading
-/// of the slot transport's credit window).
+/// while `capacity` messages are undelivered (`Some`; `Some(1)` is the
+/// rendezvous-send reading, the strictest bound).
 ///
 /// One execution decides every interleaving. A plan is a Kahn process
 /// network: each ordered link is a FIFO with one sender and one receiver,
@@ -696,7 +696,6 @@ mod tests {
         chunked_ring_allreduce_plan, grad_alltoall_bytes, lookup_alltoall_bytes, lookup_demo_plan,
         reform_plan, ring_allreduce_plan, sparse_allreduce_demo_plan,
     };
-    use embrace_collectives::SLOT_CAPACITY;
 
     fn kinds(diags: &[Diagnostic]) -> Vec<DiagnosticKind> {
         diags.iter().map(|d| d.kind).collect()
@@ -721,12 +720,12 @@ mod tests {
 
     #[test]
     fn every_plan_family_is_clean_at_every_capacity() {
-        // Unbounded channels, the shipped slot pool read as strictly
-        // blocking, and the two tightest pools: no family ever has more
-        // than one message per link outstanding before it turns to receive.
+        // Unbounded channels and the tightest blocking links: no family
+        // ever has more than one message per link outstanding before it
+        // turns to receive.
         for world in [1usize, 2, 3, 4, 8, 16] {
             for plan in family_plans(world) {
-                for capacity in [None, Some(1), Some(2), Some(SLOT_CAPACITY)] {
+                for capacity in [None, Some(1), Some(2)] {
                     let report = verify_p2p(&plan, capacity);
                     assert!(report.clean(), "{} w={world} {capacity:?}: {report:?}", plan.kind);
                     assert!(!report.deadlocks(), "{} w={world} {capacity:?}", plan.kind);
@@ -746,7 +745,7 @@ mod tests {
         plans.push(barrier_plan(1024));
         for plan in plans {
             let ops: usize = plan.ranks.iter().map(Vec::len).sum();
-            for capacity in [None, Some(1), Some(SLOT_CAPACITY)] {
+            for capacity in [None, Some(1)] {
                 let report = verify_p2p(&plan, capacity);
                 assert!(report.clean(), "{} w={} {capacity:?}", plan.kind, plan.world);
                 assert!(
@@ -908,13 +907,12 @@ mod tests {
     }
 
     #[test]
-    fn deep_pipelining_deadlocks_a_strictly_blocking_pool() {
+    fn deep_pipelining_deadlocks_a_strictly_blocking_link() {
         // A ring step that posts every segment before receiving any: each
         // rank sends S segments to its successor, then drains S from its
-        // predecessor. With fewer credits than segments a *blocking* put
-        // deadlocks the whole ring — exactly why the slot transport's
-        // overflow path falls back to a non-blocking (counted) rendezvous
-        // instead.
+        // predecessor. With fewer credits than segments a *blocking* send
+        // deadlocks the whole ring — exactly why sends on the mesh never
+        // block.
         let world = 4;
         let segments = 24usize;
         let mut plan =
@@ -937,7 +935,7 @@ mod tests {
             assert!(cycle.contains("on 4 ranks"), "{cycle}");
             assert!(cycle.contains(&format!("rank 0 op#{cap} send->1")), "{cycle}");
         }
-        // A pool deep enough for every posted segment restores cleanliness.
+        // A link deep enough for every posted segment restores cleanliness.
         assert!(verify_p2p(&plan, Some(segments)).clean());
         // The *scheduler's* chunked ring interleaves unit sends with unit
         // receives, so it stays within even a tiny credit line.
@@ -986,7 +984,7 @@ mod tests {
         assert_eq!(kinds(&report.diagnostics), vec![DiagnosticKind::OrphanSend]);
         // Nobody waits for an orphan on an unbounded link…
         assert!(!report.deadlocks());
-        // …but its sender does once the link's one slot is taken.
+        // …but its sender does once the link's one credit is taken.
         p.ranks[1].push(P2pOp::Send { to: 0, bytes: 8 });
         assert_eq!(verify_p2p(&p, Some(1)).stuck, vec![(1, 3)]);
     }

@@ -24,42 +24,33 @@ use embrace_analyzer::{
 };
 use embrace_collectives::ops::{sparse_allreduce, SsarConfig};
 use embrace_collectives::schedule::Traversal;
-use embrace_collectives::{run_group, run_group_on, Comm, Endpoint, Packet};
+use embrace_collectives::{run_group, Comm, Endpoint, Packet};
 use embrace_tensor::{DenseTensor, RowSparse, TokenBuf, F32_BYTES, TOKEN_BYTES};
 use embrace_trainer::scheduled::train_convergence_traced;
 
 /// After running `f` on a live mesh, every rank's per-peer (msgs, bytes)
-/// send counters must equal the plan's link traffic — on *both*
-/// transports: the two-sided channel mesh and the one-sided slot mesh
-/// (whose sequence-stamped headers are transport metadata, invisible to
-/// the byte accounting the plans mirror).
+/// send counters must equal the plan's link traffic.
 fn assert_counters_match_plan<F>(world: usize, plan: &embrace_analyzer::P2pPlan, f: F)
 where
     F: Fn(usize, &mut Endpoint) + Sync,
 {
     assert!(verify_p2p(plan, None).clean(), "plan for {} must be clean", plan.kind);
-    for endpoints in [embrace_collectives::mesh(world), embrace_collectives::slot_mesh(world)] {
-        let counters = run_group_on(endpoints, |rank, ep| {
-            let one_sided = ep.is_one_sided();
-            f(rank, ep);
-            let sent = (0..world)
-                .map(|peer| (ep.msgs_sent_to(peer), ep.bytes_sent_to(peer)))
-                .collect::<Vec<_>>();
-            (one_sided, sent)
-        });
-        for (from, (one_sided, sent)) in counters.iter().enumerate() {
-            for (to, &real) in sent.iter().enumerate() {
-                if from == to {
-                    continue;
-                }
-                let (msgs, bytes) = plan.link_traffic(from, to);
-                assert_eq!(
-                    real,
-                    (msgs, bytes),
-                    "{} link {from}->{to} (one_sided={one_sided}): real (msgs, bytes) vs plan",
-                    plan.kind
-                );
+    let counters = run_group(world, |rank, ep| {
+        f(rank, ep);
+        (0..world).map(|peer| (ep.msgs_sent_to(peer), ep.bytes_sent_to(peer))).collect::<Vec<_>>()
+    });
+    for (from, sent) in counters.iter().enumerate() {
+        for (to, &real) in sent.iter().enumerate() {
+            if from == to {
+                continue;
             }
+            let (msgs, bytes) = plan.link_traffic(from, to);
+            assert_eq!(
+                real,
+                (msgs, bytes),
+                "{} link {from}->{to}: real (msgs, bytes) vs plan",
+                plan.kind
+            );
         }
     }
 }

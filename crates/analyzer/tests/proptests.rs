@@ -1,6 +1,6 @@
 //! Property tests for the comm-plan verifier (ISSUE satellite): every
 //! valid randomly-sized plan passes clean — over unbounded links and over
-//! the slot transport's credit window — and each single seeded mutation —
+//! capacity-1 (rendezvous-send) links — and each single seeded mutation —
 //! drop a send, retarget a send, skew a priority, shrink a byte count,
 //! drop a partition row — is rejected with the right diagnostic kind and,
 //! where it starves a receive, the right stuck verdict.
@@ -13,7 +13,6 @@ use embrace_analyzer::verify::{mutate_p2p, mutate_partition, mutate_schedule};
 use embrace_analyzer::{
     verify_p2p, verify_partition, verify_schedule, DiagnosticKind, PlanMutation,
 };
-use embrace_collectives::SLOT_CAPACITY;
 use embrace_core::horizontal::Priorities;
 use embrace_models::{ModelId, ModelSpec};
 use embrace_simnet::GpuKind;
@@ -57,7 +56,7 @@ proptest! {
         sizes in prop::collection::vec(0u64..8192, 16),
     ) {
         let plan = p2p_case(shape, world, elems, &sizes);
-        for capacity in [None, Some(SLOT_CAPACITY)] {
+        for capacity in [None, Some(1)] {
             let report = verify_p2p(&plan, capacity);
             prop_assert!(report.clean(), "shape {shape} world {world} {capacity:?}: {report:?}");
             prop_assert!(!report.deadlocks(), "shape {shape} world {world} {capacity:?}");

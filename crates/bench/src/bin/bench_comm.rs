@@ -8,12 +8,6 @@
 //! bench_comm --compare before after # speedup table from the stored file
 //! ```
 //!
-//! All timed groups run over the **one-sided slot transport**
-//! (`slot_mesh`): pre-registered slot pools with sequence-stamped
-//! headers, so steady-state collectives move payload only — the
-//! two-sided channel rendezvous they replace is what the `before`
-//! trajectory labels measured.
-//!
 //! Each invocation times every (op × world × payload) cell, then merges
 //! the run into the output JSON under its `--label` (replacing a previous
 //! run with the same label, keeping all others) — so the file accumulates
@@ -45,12 +39,12 @@
 //! bandwidth.
 
 use embrace_bench::record::{compare, fmt_run, merge_into_file, Entry, Mode};
-use embrace_collectives::group::run_group_on;
+use embrace_collectives::group::run_group;
 use embrace_collectives::ops::{
     allgather_dense, allgather_sparse, alltoallv_sparse, broadcast, ring_allreduce,
     sparse_allreduce, SsarConfig,
 };
-use embrace_collectives::transport::{slot_mesh, Packet};
+use embrace_collectives::transport::Packet;
 use embrace_obs::json;
 use embrace_tensor::{
     coalesce, merge_rowsparse, row_partition, DenseTensor, RowSparse, F32_BYTES, INDEX_BYTES,
@@ -66,15 +60,13 @@ const SPARSE_DIM: usize = 64;
 /// Time `f` (already holding its inputs) over `iters` iterations inside a
 /// running group; returns the slowest rank's per-iteration nanoseconds.
 /// Every rank runs the same closure, so the max over ranks is the
-/// completion time of the collective, not one rank's early exit. The
-/// group runs over the one-sided slot mesh.
+/// completion time of the collective, not one rank's early exit.
 fn time_group<F>(world: usize, iters: u64, f: F) -> u64
 where
     F: Fn(usize, &mut embrace_collectives::transport::Endpoint) + Sync,
 {
-    let per_rank_ns = run_group_on(slot_mesh(world), |rank, ep| {
-        // Warm-up: populate slot pools and fault-free fast paths.
-        f(rank, ep);
+    let per_rank_ns = run_group(world, |rank, ep| {
+        f(rank, ep); // warm-up
         embrace_collectives::ops::barrier(ep);
         let t0 = Instant::now();
         for _ in 0..iters {
@@ -337,7 +329,7 @@ fn main() {
         }
         return;
     }
-    println!("bench_comm: label={label} mode={} transport=slot", mode.as_str());
+    println!("bench_comm: label={label} mode={}", mode.as_str());
     let mut entries = run_sweep(mode);
     entries.extend(run_density_sweep(mode));
     let new_run = fmt_run(&label, mode, &entries);

@@ -7,10 +7,10 @@
 //!
 //! `--large [--out FILE]` switches to the scale sweep: every plan family
 //! at worlds 64–1024 through the plan checker, proving pairing, byte
-//! conservation and deadlock-freedom — over both unbounded (channel)
-//! links and the one-sided slot transport's `SLOT_CAPACITY`-deep pools
-//! read as strictly blocking — and printing a per-plan timing table
-//! (written to `FILE` for CI artifacts).
+//! conservation and deadlock-freedom — over both unbounded links
+//! (`None`) and capacity-1 links, on which a send blocks until the
+//! previous message was taken (`Some(1)`) — and printing a per-plan
+//! timing table (written to `FILE` for CI artifacts).
 //!
 //! Exits non-zero (returns `Err`) if any valid plan produces a
 //! diagnostic, any seeded mutation goes undetected, the two verifiers
@@ -29,7 +29,6 @@ use embrace_analyzer::{
     verify_horizontal, verify_p2p, verify_partition, verify_schedule, Diagnostic, DiagnosticKind,
     PlanMutation,
 };
-use embrace_collectives::SLOT_CAPACITY;
 use embrace_core::horizontal::Priorities;
 use embrace_models::{ModelId, ModelSpec};
 use embrace_simnet::GpuKind;
@@ -42,6 +41,9 @@ const WORLDS: [usize; 3] = [4, 8, 16];
 const CHECK_WORLDS: [usize; 3] = [2, 3, 4];
 /// Worlds of the scale sweep (`--large`).
 const LARGE_WORLDS: [usize; 5] = [64, 128, 256, 512, 1024];
+/// Link modes every plan family must be clean under: unbounded, and the
+/// strictest bound (a send blocks until the previous message was taken).
+const LINK_MODES: [Option<usize>; 2] = [None, Some(1)];
 
 /// Pairing and deadlock-freedom of a point-to-point plan, unbounded links.
 fn expect_clean_p2p(what: &str, plan: &P2pPlan) -> Result<(), String> {
@@ -188,12 +190,8 @@ fn demo_mutations() -> Result<(), String> {
 
 /// Exhaustively model-check the six collectives plus their three
 /// unit-stepped variants and the preempted ring for worlds 2–4, plus abort termination with a
-/// crashed rank 0. Every fault-free run must also stay within
-/// `SLOT_CAPACITY` in-flight messages per link over all reachable
-/// states, proving the one-sided transport's rendezvous fallback is
-/// unreachable in steady state.
+/// crashed rank 0.
 fn model_check_all() -> Result<(), String> {
-    let mut deepest = 0usize;
     for world in CHECK_WORLDS {
         for c in Collective::all(world).into_iter().chain(Collective::chunked(world)) {
             let r = check(&CheckConfig { world, collective: c, crash: None });
@@ -201,24 +199,12 @@ fn model_check_all() -> Result<(), String> {
             if !r.deterministic_success() {
                 return Err(format!("model check failed: {}", r.summary()));
             }
-            if r.max_link_in_flight > SLOT_CAPACITY {
-                return Err(format!(
-                    "link depth {} exceeds SLOT_CAPACITY {SLOT_CAPACITY}: {}",
-                    r.max_link_in_flight,
-                    r.summary()
-                ));
-            }
-            deepest = deepest.max(r.max_link_in_flight);
             let f = check(&CheckConfig { world, collective: c, crash: Some(0) });
             if !f.deadlock_free() {
                 return Err(format!("abort does not terminate: {}", f.summary()));
             }
         }
     }
-    println!(
-        "  max in-flight per link over all reachable states: {deepest} <= SLOT_CAPACITY \
-         {SLOT_CAPACITY} (slot rendezvous fallback unreachable)"
-    );
     Ok(())
 }
 
@@ -313,9 +299,9 @@ fn checker_expectations() -> Result<(), String> {
         }
         let mut mutations = 0usize;
         for plan0 in plan_families(world) {
-            for capacity in [None, Some(SLOT_CAPACITY)] {
+            for capacity in LINK_MODES {
                 expect_clean(
-                    &format!("w={world} {} over {capacity:?}-deep links", plan0.kind),
+                    &format!("w={world} {} over {capacity:?} links", plan0.kind),
                     &verify_p2p(&plan0, capacity).diagnostics,
                 )?;
             }
@@ -347,7 +333,7 @@ fn checker_expectations() -> Result<(), String> {
         println!(
             "  w={world}: plan checker == model checker on {modeled_count} modeled plans, \
              {mutations} seeded mutations stuck with the expected diagnostic, every family clean \
-             under unbounded and {SLOT_CAPACITY}-credit links"
+             under None and Some(1) links"
         );
     }
     Ok(())
@@ -358,22 +344,19 @@ fn checker_expectations() -> Result<(), String> {
 fn large_sweep(worlds: &[usize], out: Option<&str>) -> Result<(), String> {
     let mut table = format!(
         "{:<24} {:>6} {:>10} {:>12} {:>10} {:>14}\n",
-        "plan", "world", "ops", "bytes", "exec_ms", "credit_exec_ms"
+        "plan", "world", "ops", "bytes", "exec_ms", "cap1_exec_ms"
     );
     let t0 = Instant::now();
     for &world in worlds {
         for plan in plan_families(world) {
             let ops: usize = plan.ranks.iter().map(Vec::len).sum();
-            // Unbounded links, then the slot transport's credit window read
-            // as strictly blocking: a `SLOT_CAPACITY`-deep pool whose put
-            // waits for a free slot must not deadlock these plans either.
             let mut timed = Vec::new();
-            for capacity in [None, Some(SLOT_CAPACITY)] {
+            for capacity in LINK_MODES {
                 let t = Instant::now();
                 let report = verify_p2p(&plan, capacity);
                 timed.push((t.elapsed().as_secs_f64() * 1e3, report.bytes));
                 expect_clean(
-                    &format!("{} w={world} over {capacity:?}-deep links", plan.kind),
+                    &format!("{} w={world} over {capacity:?} links", plan.kind),
                     &report.diagnostics[..report.diagnostics.len().min(5)],
                 )?;
             }
@@ -387,7 +370,7 @@ fn large_sweep(worlds: &[usize], out: Option<&str>) -> Result<(), String> {
     print!("{table}");
     println!(
         "verify-plan --large: {} plan families x worlds {worlds:?} paired, byte-conserving and \
-         deadlock-free (unbounded and {SLOT_CAPACITY}-credit links) in {total_s:.1} s",
+         deadlock-free (None and Some(1) links) in {total_s:.1} s",
         PLAN_FAMILIES.len()
     );
     if let Some(path) = out {

@@ -312,10 +312,6 @@ impl<'a> ElasticWorker<'a> {
             self.members.iter().copied().filter(|m| !members.contains(m)).collect();
         self.epoch = epoch;
         self.members = members;
-        // One-sided transport: the committed epoch re-registers this
-        // rank's slot pools so subsequent headers carry it (a no-op on
-        // channel meshes, which have no registered pools).
-        self.ep.reregister_slots(epoch);
         for q in &mut self.stash {
             q.retain(|m| m.epoch() >= epoch);
         }

@@ -48,10 +48,8 @@ where
     run_group_on(mesh_with_faults(world, plan, deadline), f)
 }
 
-/// [`run_group`] over an explicit, already-constructed mesh — the hook for
-/// running the same rank closure over alternative transports (e.g.
-/// [`crate::transport::slot_mesh`]). Results come back in rank order;
-/// panics in any worker propagate.
+/// [`run_group`] over an explicit, already-constructed mesh. Results come
+/// back in rank order; panics in any worker propagate.
 pub fn run_group_on<R, F>(endpoints: Vec<Endpoint>, f: F) -> Vec<R>
 where
     R: Send,

@@ -57,6 +57,6 @@ pub use scheduler::{
     DEFAULT_CHUNK_BYTES,
 };
 pub use transport::{
-    mesh, mesh_with_faults, slot_mesh, slot_mesh_with_faults, Comm, CommError, Endpoint, FaultPlan,
-    Packet, ReformMsg, RetryPolicy, SegBody, SparseSeg, SEG_HEADER_BYTES, SLOT_CAPACITY,
+    mesh, mesh_with_faults, slot_mesh, Comm, CommError, Endpoint, FaultPlan, Packet, ReformMsg,
+    RetryPolicy, SegBody, SparseSeg, SEG_HEADER_BYTES,
 };

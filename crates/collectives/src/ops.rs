@@ -949,96 +949,6 @@ mod tests {
         assert_eq!(a[0].as_slice(), &[9.0]);
     }
 
-    mod slot_transport {
-        use super::*;
-        use crate::group::run_group_on;
-        use crate::transport::slot_mesh;
-
-        /// The tentpole claim: steady-state ring and sparse allreduce over
-        /// the one-sided transport move *only payload* — zero control
-        /// round-trips on every rank, while the same traffic over channels
-        /// pays one rendezvous per message.
-        #[test]
-        fn steady_state_collectives_pay_zero_control_msgs() {
-            for world in [2, 4, 8] {
-                let out = run_group_on(slot_mesh(world), move |rank, ep| {
-                    let mut buf: Vec<f32> = (0..257).map(|i| (rank * 31 + i) as f32).collect();
-                    for _ in 0..3 {
-                        ring_allreduce(ep, &mut buf);
-                    }
-                    let g = RowSparse::new(
-                        vec![rank as u32, world as u32 + 3],
-                        DenseTensor::full(2, 4, rank as f32 + 0.5),
-                    );
-                    let _ = sparse_allreduce(ep, &g, &SsarConfig { vocab: 64, crossover: 0.5 });
-                    (ep.control_msgs(), ep.msgs_sent())
-                });
-                for (rank, (control, sent)) in out.into_iter().enumerate() {
-                    assert!(sent > 0, "world={world} rank={rank} sent nothing");
-                    assert_eq!(
-                        control, 0,
-                        "world={world} rank={rank}: steady state must be pure payload"
-                    );
-                }
-            }
-        }
-
-        /// Slot and channel transports are interchangeable: bitwise-equal
-        /// ring results, identical message/byte counters.
-        #[test]
-        fn ring_allreduce_matches_channel_transport_bitwise() {
-            for world in [2, 3, 5] {
-                let mk = move |rank: usize| -> Vec<f32> {
-                    (0..97).map(|i| ((rank * 31 + i) as f32).sin()).collect()
-                };
-                let over_channels = run_group(world, move |rank, ep| {
-                    let mut buf = mk(rank);
-                    ring_allreduce(ep, &mut buf);
-                    (buf, ep.msgs_sent(), ep.bytes_sent())
-                });
-                let over_slots = run_group_on(slot_mesh(world), move |rank, ep| {
-                    let mut buf = mk(rank);
-                    ring_allreduce(ep, &mut buf);
-                    (buf, ep.msgs_sent(), ep.bytes_sent())
-                });
-                for (rank, (ch, sl)) in over_channels.iter().zip(&over_slots).enumerate() {
-                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&ch.0), bits(&sl.0), "world={world} rank={rank}");
-                    assert_eq!((ch.1, ch.2), (sl.1, sl.2), "world={world} rank={rank}");
-                }
-            }
-        }
-
-        /// Elastic re-form over slots: a crashed rank is evicted, pools
-        /// re-register under the committed epoch (one control message per
-        /// link), and the survivors' next collective still sums correctly.
-        #[test]
-        fn elastic_reform_reregisters_slot_pools() {
-            use crate::elastic::ElasticWorker;
-            use crate::transport::{slot_mesh_with_faults, FaultPlan};
-            use std::time::Duration;
-            let mesh =
-                slot_mesh_with_faults(3, &FaultPlan::default(), Some(Duration::from_millis(250)));
-            let out = run_group_on(mesh, move |rank, ep| {
-                if rank == 2 {
-                    ep.crash();
-                    return (0, Vec::new());
-                }
-                let mut w = ElasticWorker::new(ep);
-                let mut buf = vec![rank as f32; 8];
-                assert!(try_ring_allreduce(&mut w, &mut buf).is_err());
-                let outcome = w.reform().expect("survivors re-form");
-                assert_eq!(outcome.members, vec![0, 1]);
-                let mut buf = vec![rank as f32 + 1.0; 4];
-                try_ring_allreduce(&mut w, &mut buf).expect("post-reform collective");
-                (w.epoch(), buf)
-            });
-            assert_eq!(out[0].0, 1);
-            assert_eq!(out[0].1, vec![3.0; 4]);
-            assert_eq!(out[1].1, vec![3.0; 4]);
-        }
-    }
-
     mod sparse_allreduce_tests {
         use super::*;
 

@@ -375,9 +375,9 @@ impl Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::group::run_group_on;
+    use crate::group::run_group;
     use crate::ops::{self, FanoutMachine, RingMachine, SsarConfig};
-    use crate::transport::{mesh, slot_mesh, Endpoint, Packet, SEG_HEADER_BYTES};
+    use crate::transport::{Endpoint, Packet, SEG_HEADER_BYTES};
     use embrace_tensor::{DenseTensor, RowSparse, TokenBuf, F32_BYTES, INDEX_BYTES, TOKEN_BYTES};
 
     #[test]
@@ -475,7 +475,7 @@ mod tests {
         }
     }
 
-    /// Run `live` on both transports and require every rank's per-peer
+    /// Run `live` on a mesh and require every rank's per-peer
     /// `(msgs, bytes)` send counters to equal `schedule` sized by
     /// `bytes(src, dst, payload)` — the plan `embrace-analyzer` derives.
     fn assert_wire(
@@ -484,21 +484,19 @@ mod tests {
         bytes: impl Fn(usize, usize, &Payload) -> u64,
         live: impl Fn(usize, &mut Endpoint) + Sync,
     ) {
-        for endpoints in [mesh(world), slot_mesh(world)] {
-            let sent = run_group_on(endpoints, |rank, ep| {
-                live(rank, ep);
-                (0..world).map(|to| (ep.msgs_sent_to(to), ep.bytes_sent_to(to))).collect::<Vec<_>>()
-            });
-            for (rank, sent) in sent.into_iter().enumerate() {
-                let mut planned = vec![(0u64, 0u64); world];
-                for step in schedule.units(world, rank).concat() {
-                    if let Step::Send { to, payload } = step {
-                        planned[to].0 += 1;
-                        planned[to].1 += bytes(rank, to, &payload);
-                    }
+        let sent = run_group(world, |rank, ep| {
+            live(rank, ep);
+            (0..world).map(|to| (ep.msgs_sent_to(to), ep.bytes_sent_to(to))).collect::<Vec<_>>()
+        });
+        for (rank, sent) in sent.into_iter().enumerate() {
+            let mut planned = vec![(0u64, 0u64); world];
+            for step in schedule.units(world, rank).concat() {
+                if let Step::Send { to, payload } = step {
+                    planned[to].0 += 1;
+                    planned[to].1 += bytes(rank, to, &payload);
                 }
-                assert_eq!(sent, planned, "{schedule:?} world {world} rank {rank}");
             }
+            assert_eq!(sent, planned, "{schedule:?} world {world} rank {rank}");
         }
     }
 

@@ -9,8 +9,8 @@ use embrace_collectives::ops::{
     allgather_dense, alltoallv_sparse, broadcast, ring_allreduce, sparse_allreduce,
     sparse_allreduce_oracle, SsarConfig,
 };
-use embrace_collectives::transport::{mesh_with_faults, slot_mesh_with_faults, Packet};
-use embrace_collectives::{run_group, run_group_on, FaultPlan};
+use embrace_collectives::transport::Packet;
+use embrace_collectives::{run_group, run_group_with_faults, FaultPlan};
 use embrace_tensor::{row_partition, DenseTensor, RowSparse};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -86,21 +86,14 @@ fn ssar_local(
     RowSparse::new(indices, DenseTensor::from_vec(n, dim, vals))
 }
 
-/// Run the same per-rank closure over the channel mesh and the one-sided
-/// slot mesh with identical fault plans, returning both result vectors —
-/// the observational-equivalence harness for the slot transport.
-fn on_both_transports<R, F>(
-    world: usize,
-    plan: &embrace_collectives::FaultPlan,
-    f: F,
-) -> (Vec<R>, Vec<R>)
+/// Run the same per-rank closure over a fault-free mesh and over a mesh
+/// with `plan` attached, returning both result vectors.
+fn clean_and_faulted<R, F>(world: usize, plan: &FaultPlan, f: F) -> (Vec<R>, Vec<R>)
 where
     R: Send,
     F: Fn(usize, &mut embrace_collectives::Endpoint) -> R + Sync,
 {
-    let channel = run_group_on(mesh_with_faults(world, plan, None), &f);
-    let slot = run_group_on(slot_mesh_with_faults(world, plan, None), &f);
-    (channel, slot)
+    (run_group(world, &f), run_group_with_faults(world, plan, None, &f))
 }
 
 proptest! {
@@ -201,40 +194,35 @@ proptest! {
     }
 
     #[test]
-    fn slot_transport_is_bitwise_identical_to_channel(
+    fn delayed_links_are_bitwise_identical_to_fault_free(
         world in 2usize..=8,
         len in 0usize..=MAX_LEN,
         rows in 0usize..=4,
         dim in 1usize..=5,
-        // Below 50 = fault-free; otherwise inject store-and-forward delays
-        // on two links, exercising the slot delay worker against the
-        // channel one (delivery order per link is preserved by both).
-        delay_us in 0u64..=400,
+        // Store-and-forward delays on two links: the delay worker keeps
+        // per-link delivery order, so no result may depend on them.
+        delay_us in 50u64..=400,
         vocab in 1usize..=20,
         nnzs in vec(0usize..=SSAR_MAX_NNZ, 8),
         raw_idx in vec(0u32..4096, 8 * SSAR_MAX_NNZ),
         raw_val in vec(-1.0e3f32..1.0e3, 8 * SSAR_MAX_NNZ * 3),
     ) {
-        let plan = if delay_us >= 50 {
-            FaultPlan::new(7)
-                .delay_link(0, 1, Duration::from_micros(delay_us))
-                .delay_link(world - 1, 0, Duration::from_micros(delay_us / 2 + 1))
-        } else {
-            FaultPlan::default()
-        };
+        let plan = FaultPlan::new(7)
+            .delay_link(0, 1, Duration::from_micros(delay_us))
+            .delay_link(world - 1, 0, Duration::from_micros(delay_us / 2 + 1));
 
         // Ring AllReduce.
         let inputs: Vec<Vec<f32>> = (0..world)
             .map(|r| (0..len).map(|i| ((r * 131 + i * 7) % 257) as f32 * 0.5 - 64.0).collect())
             .collect();
-        let (ch, sl) = on_both_transports(world, &plan, |rank, ep| {
+        let (clean, slow) = clean_and_faulted(world, &plan, |rank, ep| {
             let mut buf = inputs[rank].clone();
             ring_allreduce(ep, &mut buf);
             buf
         });
         let bits = |v: &Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for rank in 0..world {
-            prop_assert_eq!(bits(&ch[rank]), bits(&sl[rank]), "ring rank {}", rank);
+            prop_assert_eq!(bits(&clean[rank]), bits(&slow[rank]), "ring rank {}", rank);
         }
 
         // Dense allgather.
@@ -245,10 +233,10 @@ proptest! {
                 DenseTensor::from_vec(rows, dim, data)
             })
             .collect();
-        let (ch, sl) =
-            on_both_transports(world, &plan, |rank, ep| allgather_dense(ep, locals[rank].clone()));
+        let (clean, slow) =
+            clean_and_faulted(world, &plan, |rank, ep| allgather_dense(ep, locals[rank].clone()));
         for rank in 0..world {
-            prop_assert_eq!(&ch[rank], &sl[rank], "allgather rank {}", rank);
+            prop_assert_eq!(&clean[rank], &slow[rank], "allgather rank {}", rank);
         }
 
         // Sparse AlltoAllv.
@@ -264,10 +252,10 @@ proptest! {
                     .collect()
             })
             .collect();
-        let (ch, sl) =
-            on_both_transports(world, &plan, |rank, ep| alltoallv_sparse(ep, parts[rank].clone()));
+        let (clean, slow) =
+            clean_and_faulted(world, &plan, |rank, ep| alltoallv_sparse(ep, parts[rank].clone()));
         for rank in 0..world {
-            prop_assert_eq!(&ch[rank], &sl[rank], "alltoallv rank {}", rank);
+            prop_assert_eq!(&clean[rank], &slow[rank], "alltoallv rank {}", rank);
         }
 
         // Broadcast from rank 0.
@@ -276,7 +264,7 @@ proptest! {
             dim,
             (0..rows * dim).map(|i| i as f32 * 0.25 - 1.0).collect(),
         );
-        let (ch, sl) = on_both_transports(world, &plan, |rank, ep| {
+        let (clean, slow) = clean_and_faulted(world, &plan, |rank, ep| {
             let payload = (rank == 0).then(|| Packet::Dense(root_payload.share()));
             match broadcast(ep, 0, payload) {
                 Packet::Dense(d) => d,
@@ -284,7 +272,7 @@ proptest! {
             }
         });
         for rank in 0..world {
-            prop_assert_eq!(&ch[rank], &sl[rank], "broadcast rank {}", rank);
+            prop_assert_eq!(&clean[rank], &slow[rank], "broadcast rank {}", rank);
         }
 
         // Sparse-native split allreduce (SSAR), crossover mid-range so
@@ -293,15 +281,15 @@ proptest! {
             .map(|r| ssar_local(r, world, vocab, dim.min(3), 0, (&nnzs, &raw_idx, &raw_val)))
             .collect();
         let cfg = SsarConfig { vocab, crossover: 0.5 };
-        let (ch, sl) =
-            on_both_transports(world, &plan, |rank, ep| sparse_allreduce(ep, &grads[rank], &cfg));
+        let (clean, slow) =
+            clean_and_faulted(world, &plan, |rank, ep| sparse_allreduce(ep, &grads[rank], &cfg));
         for rank in 0..world {
             prop_assert_eq!(
-                ch[rank].is_dense(), sl[rank].is_dense(),
+                clean[rank].is_dense(), slow[rank].is_dense(),
                 "ssar representation rank {}", rank
             );
-            let (d_ch, d_sl) = (ch[rank].to_dense(vocab), sl[rank].to_dense(vocab));
-            prop_assert_eq!(bits(&d_ch.as_slice().to_vec()), bits(&d_sl.as_slice().to_vec()),
+            let (d_clean, d_slow) = (clean[rank].to_dense(vocab), slow[rank].to_dense(vocab));
+            prop_assert_eq!(bits(&d_clean.as_slice().to_vec()), bits(&d_slow.as_slice().to_vec()),
                 "ssar rank {}", rank);
         }
     }
