@@ -40,6 +40,13 @@
 //!   (an atomic load and a compare-exchange), which costs more than a
 //!   narrow embedding row's arithmetic. Take `rows_mut()` or
 //!   `as_mut_slice()` once, outside the loop.
+//! * **raw-channel-wait** — under `crates/collectives/src`, no blocking
+//!   `.recv()` / `.recv_timeout(d)` on a channel receiver outside
+//!   `Endpoint::wait` (the one receive path: spin, then park, with the
+//!   counters and the deadline accounting), the link-delay worker and the
+//!   group watchdog's driver loop. A second place that parks on a link is a
+//!   second receive path. (`Endpoint::recv(from)` / `recv_timeout(from, d)`
+//!   take a source rank and are not channel calls.)
 //! * **forbid-unsafe** — every workspace crate root declares
 //!   `#![forbid(unsafe_code)]`.
 //!
@@ -72,6 +79,14 @@ const ROW_KERNEL_CRATES: &[&str] =
 /// How far above a `.row_mut(` the loop header may sit for `row-mut-loop`
 /// to connect the two.
 const ROW_MUT_LOOP_WINDOW: usize = 6;
+
+/// `(file, function)` pairs under `crates/collectives/src` that may block
+/// on a raw channel receiver (`raw-channel-wait`).
+const RAW_WAIT_SITES: &[(&str, &str)] = &[
+    ("transport.rs", "wait"),
+    ("transport.rs", "spawn_delay_worker"),
+    ("group.rs", "run_group_with_deadline"),
+];
 
 /// One lint violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -585,6 +600,29 @@ pub fn lint_source(rel: &str, src: &str, inv: &VariantInventory) -> Vec<Finding>
         }
     }
 
+    // raw-channel-wait: the transport has one function that parks on a
+    // link; anything else in the crate that blocks on a receiver is a
+    // second receive path growing beside it.
+    if let Some(file) = rel.strip_prefix("crates/collectives/src/") {
+        let mut func = "";
+        for (i, line) in masked_lines.iter().enumerate() {
+            func = declared_fn(line).unwrap_or(func);
+            if in_test.get(i).copied().unwrap_or(false) || RAW_WAIT_SITES.contains(&(file, func)) {
+                continue;
+            }
+            if line.contains(".recv()") || one_arg_call(line, ".recv_timeout(") {
+                findings.push(Finding {
+                    rule: "raw-channel-wait",
+                    path: rel.to_string(),
+                    line: i + 1,
+                    message: "blocking receive on a raw channel: go through `Endpoint::try_recv` \
+                              / `recv_timeout`, whose one wait function spins, parks and counts"
+                        .to_string(),
+                });
+            }
+        }
+    }
+
     // epoch-raw-send: inside the elastic-membership modules, every packet
     // leaving through the *raw* endpoint (not the epoch-tagging group
     // wrapper) must be a `Reform` handshake or an explicitly `Tagged`
@@ -649,6 +687,35 @@ pub fn lint_source(rel: &str, src: &str, inv: &VariantInventory) -> Vec<Finding>
     }
 
     findings
+}
+
+/// The name a line declares with `fn`, if it declares one.
+fn declared_fn(line: &str) -> Option<&str> {
+    let at = line.find("fn ")?;
+    if line[..at].chars().next_back().is_some_and(|c| c.is_alphanumeric() || c == '_') {
+        return None;
+    }
+    let name = &line[at + 3..];
+    let end = name.find(|c: char| !(c.is_alphanumeric() || c == '_'))?;
+    (end > 0).then_some(&name[..end])
+}
+
+/// Does `line` call `method` (given as `.name(`) with a single argument? A
+/// top-level comma before the closing parenthesis means more than one; an
+/// argument list that runs past the line counts as one.
+fn one_arg_call(line: &str, method: &str) -> bool {
+    let Some(at) = line.find(method) else { return false };
+    let mut depth = 0usize;
+    for c in line[at + method.len()..].chars() {
+        match c {
+            '(' | '[' | '{' => depth += 1,
+            ')' | ']' | '}' if depth == 0 => return true,
+            ')' | ']' | '}' => depth -= 1,
+            ',' if depth == 0 => return false,
+            _ => {}
+        }
+    }
+    true
 }
 
 /// True when `lines[0]` opens a `for`/`while` loop whose body is still
@@ -987,6 +1054,43 @@ mod tests {
         assert_eq!(rule("crates/core/src/x.rs", &far), 0);
         let test_only = format!("#[cfg(test)]\nmod tests {{\n{looped}\n}}");
         assert_eq!(rule("crates/tensor/src/x.rs", &test_only), 0);
+    }
+
+    #[test]
+    fn raw_channel_waits_are_flagged_outside_the_one_wait_function() {
+        let rule = |rel: &str, src: &str| {
+            lint_source(rel, src, &inv()).iter().filter(|f| f.rule == "raw-channel-wait").count()
+        };
+        let second_path = "impl Endpoint {\n    pub fn try_recv(&self, from: usize) -> Packet {\n        \
+                           self.rx[from].recv()\n    }\n    fn timed(&self, from: usize) {\n        \
+                           let _ = self.rx[from].recv_timeout(self.deadline.min(d));\n    }\n}";
+        assert_eq!(rule("crates/collectives/src/transport.rs", second_path), 2);
+        assert_eq!(rule("crates/collectives/src/ops.rs", second_path), 2);
+        // The rule is about this crate's sources, not its tests or other crates.
+        assert_eq!(rule("crates/collectives/tests/x.rs", second_path), 0);
+        assert_eq!(rule("crates/trainer/src/x.rs", second_path), 0);
+        // The wait function, the delay worker and the watchdog loop may block…
+        let sites = "fn wait(&self, from: usize) {\n    let _ = self.rx[from].recv();\n}\n\
+                     fn spawn_delay_worker(drx: Receiver<Packet>) {\n    \
+                     std::thread::spawn(move || {\n        while let Ok(p) = drx.recv() {}\n    });\n}";
+        assert_eq!(rule("crates/collectives/src/transport.rs", sites), 0);
+        let watchdog = "pub fn run_group_with_deadline<R, F>(d: Duration) {\n    \
+                        match done_rx.recv_timeout(remaining) {}\n}";
+        assert_eq!(rule("crates/collectives/src/group.rs", watchdog), 0);
+        // …but only there: the same names in another file are not exempt,
+        // and the exemption ends with the function.
+        assert_eq!(rule("crates/collectives/src/scheduler.rs", sites), 2);
+        let after =
+            format!("{sites}\nfn other(rx: Receiver<Packet>) {{\n    let _ = rx.recv();\n}}");
+        assert_eq!(rule("crates/collectives/src/transport.rs", &after), 1);
+        // Endpoint calls name a source rank; polling does not block.
+        let endpoint = "fn f(&self, ep: &Endpoint) {\n    \
+                        let p = self.ep.recv_timeout(p, deadline);\n    \
+                        let q = ep.recv(0);\n    let r = self.rx[from].try_recv();\n    \
+                        let s = self.recv_timeout(from, slice.max(a, b));\n}";
+        assert_eq!(rule("crates/collectives/src/elastic.rs", endpoint), 0);
+        let test_only = format!("#[cfg(test)]\nmod tests {{\n{second_path}\n}}");
+        assert_eq!(rule("crates/collectives/src/transport.rs", &test_only), 0);
     }
 
     #[test]

@@ -181,13 +181,13 @@ impl Ticket {
     }
 }
 
-/// Wall-clock timing of one executed operation, from an *observed*
-/// scheduler ([`CommScheduler::spawn_observed`]). All times are seconds
-/// on the scheduler's own [`WallClock`] (anchored at spawn), so
-/// `started_s - submitted_s` is the queue wait and
-/// `finished_s - started_s` the transfer (wire) time — the §5.1
-/// decomposition of where a collective's latency goes. Under a chunked
-/// scheduler the window of a preempted op contains its preemptors.
+/// Wall-clock timing of one executed operation, recorded when
+/// [`SchedOptions::observed`] is set. All times are seconds on the
+/// scheduler's own [`WallClock`] (anchored at construction), so
+/// `started_s - submitted_s` is the queue wait and `finished_s - started_s`
+/// the transfer (wire) time — the §5.1 decomposition of where a collective's
+/// latency goes. Under a chunked scheduler the window of a preempted op
+/// contains its preemptors.
 #[derive(Clone, Debug)]
 pub struct OpTiming {
     pub tag: String,
@@ -254,36 +254,32 @@ pub struct CommScheduler {
     log: Vec<SubmittedOp>,
 }
 
+/// How a scheduler runs its ops. The default: whole, nothing recorded.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SchedOptions {
+    /// Tensor partitioning (§5.2's second dimension): a payload larger than
+    /// this runs as resumable segments of this size, between which a strictly
+    /// more urgent submission preempts it; results are bitwise-identical to
+    /// whole execution. `None`: whole ops, priorities only reorder the queue.
+    pub chunk_bytes: Option<usize>,
+    /// Record a wall-clock span per executed op and per segment plus an
+    /// [`OpTiming`] log, harvested with [`CommScheduler::observation`].
+    pub observed: bool,
+}
+
 impl CommScheduler {
-    /// Take ownership of the endpoint. Ops run whole (no partitioning);
-    /// priorities only reorder *queued* ops.
+    /// [`CommScheduler::new`] with the default options.
     pub fn spawn(ep: Endpoint) -> Self {
-        Self::new(ep, false, None)
+        Self::new(ep, SchedOptions::default())
     }
 
-    /// Like [`CommScheduler::spawn`], but records a wall-clock span per
-    /// executed op plus an [`OpTiming`] log, both harvested with
-    /// [`CommScheduler::observation`].
-    pub fn spawn_observed(ep: Endpoint) -> Self {
-        Self::new(ep, true, None)
-    }
-
-    /// Spawn with tensor partitioning: payloads larger than `chunk_bytes`
-    /// run as resumable `chunk_bytes`-sized segments, and a strictly more
-    /// urgent submission preempts the op in flight between segments — the
-    /// second dimension of §5.2's 2D scheduling. Results are
-    /// bitwise-identical to unchunked execution.
+    /// [`CommScheduler::new`] with `chunk_bytes` set.
     pub fn spawn_chunked(ep: Endpoint, chunk_bytes: usize) -> Self {
-        Self::new(ep, false, Some(chunk_bytes))
+        Self::new(ep, SchedOptions { chunk_bytes: Some(chunk_bytes), observed: false })
     }
 
-    /// [`CommScheduler::spawn_chunked`] with observation: per-op spans and
-    /// timings plus one `"chunk"` span per executed segment.
-    pub fn spawn_chunked_observed(ep: Endpoint, chunk_bytes: usize) -> Self {
-        Self::new(ep, true, Some(chunk_bytes))
-    }
-
-    fn new(ep: Endpoint, observed: bool, chunk_bytes: Option<usize>) -> Self {
+    /// Take ownership of the endpoint and run ops as `opts` says.
+    pub fn new(ep: Endpoint, SchedOptions { chunk_bytes, observed }: SchedOptions) -> Self {
         assert!(chunk_bytes != Some(0), "chunk size must be positive");
         let obs = observed.then(|| {
             let mut spans = SpanSet::new(ClockDomain::Wall);
@@ -303,9 +299,8 @@ impl CommScheduler {
         CommScheduler { core: Rc::new(RefCell::new(core)), log: Vec::new() }
     }
 
-    /// Snapshot the spans and timings recorded so far (observed schedulers
-    /// only; `None` for [`CommScheduler::spawn`]). Call after
-    /// [`CommScheduler::flush`] for a quiescent view.
+    /// Snapshot the spans and timings recorded so far (`None` unless
+    /// observed). Call after [`CommScheduler::flush`] for a quiescent view.
     pub fn observation(&self) -> Option<(SpanSet, Vec<OpTiming>)> {
         self.core.borrow().obs.as_ref().map(|o| (o.spans.clone(), o.timings.clone()))
     }
@@ -603,6 +598,10 @@ mod tests {
 
     type Spawn = fn(Endpoint) -> CommScheduler;
 
+    fn observed(ep: Endpoint, chunk_bytes: Option<usize>) -> CommScheduler {
+        CommScheduler::new(ep, SchedOptions { chunk_bytes, observed: true })
+    }
+
     /// Segment small enough that even modest payloads split: 64 bytes =
     /// 16 f32 elements per ring segment.
     const TINY_CHUNK: usize = 64;
@@ -610,9 +609,9 @@ mod tests {
     /// Whole and chunked, observed and not.
     const FLAVOURS: [Spawn; 4] = [
         CommScheduler::spawn,
-        CommScheduler::spawn_observed,
+        |ep| observed(ep, None),
         |ep| CommScheduler::spawn_chunked(ep, TINY_CHUNK),
-        |ep| CommScheduler::spawn_chunked_observed(ep, TINY_CHUNK),
+        |ep| observed(ep, Some(TINY_CHUNK)),
     ];
 
     /// One thread per rank, each building its scheduler on the thread that
@@ -680,7 +679,7 @@ mod tests {
         // and then everything runs most urgent first, ties in submission
         // order — the same order on every rank.
         let orders = per_rank(mesh(4), |rank, ep| {
-            let mut s = CommScheduler::spawn_observed(ep);
+            let mut s = observed(ep, None);
             let mut tickets = Vec::new();
             for round in 0..10u32 {
                 let op = CommOp::GatherTokens(vec![rank as u32, round]);
@@ -724,7 +723,7 @@ mod tests {
     #[test]
     fn submission_log_and_observation_record_everything() {
         per_rank(mesh(2), |rank, ep| {
-            let mut s = CommScheduler::spawn_observed(ep);
+            let mut s = observed(ep, None);
             s.submit(3, "g", CommOp::GatherTokens(vec![rank as u32, 9]));
             s.submit(-1, "ar", CommOp::AllReduceDense(vec![1.0; 8]));
             assert!(matches!(s.flush(), CommResult::Flush));
@@ -734,7 +733,7 @@ mod tests {
             assert_eq!(s.submitted()[0].bytes, 2 * embrace_tensor::TOKEN_BYTES as u64);
 
             // Two ops + the fence, each spanned once on this rank's track.
-            let (spans, timings) = s.observation().expect("spawn_observed records timings");
+            let (spans, timings) = s.observation().expect("observed");
             assert_eq!(unit_order(&s), ["ar", "g", "flush"]);
             assert_eq!(spans.track_name(0), format!("comm-{rank}"));
             for t in &timings {
@@ -803,11 +802,11 @@ mod tests {
     #[test]
     fn chunked_matches_whole_bitwise_for_every_kind_at_every_head_start() {
         for world in 1..=4 {
-            let whole = run_all_kinds(world, CommScheduler::spawn_observed, 0);
+            let whole = run_all_kinds(world, |ep| observed(ep, None), 0);
             let chunked: [Spawn; 3] = [
-                |ep| CommScheduler::spawn_chunked_observed(ep, 16),
-                |ep| CommScheduler::spawn_chunked_observed(ep, TINY_CHUNK),
-                |ep| CommScheduler::spawn_chunked_observed(ep, 96),
+                |ep| observed(ep, Some(16)),
+                |ep| observed(ep, Some(TINY_CHUNK)),
+                |ep| observed(ep, Some(96)),
             ];
             for (seg, spawn) in chunked.into_iter().enumerate() {
                 for head_start in 0..8 {
@@ -833,7 +832,7 @@ mod tests {
         // 18 in all. Three units of head start, then a small urgent gather
         // (whole), then a chunked one.
         let orders = per_rank(mesh(2), |rank, ep| {
-            let mut s = CommScheduler::spawn_chunked_observed(ep, TINY_CHUNK);
+            let mut s = observed(ep, Some(TINY_CHUNK));
             let bulk = s.submit(100, "bulk", CommOp::AllReduceDense(vec![(rank + 1) as f32; 257]));
             assert!((0..3).all(|_| s.progress()));
             let hp = s.submit(-10, "hp", CommOp::GatherTokens(vec![rank as u32]));
@@ -867,7 +866,7 @@ mod tests {
         // bulk (12 units at world 3) preempted by mid (4 units) preempted
         // by hp (whole); an equally urgent op does not preempt.
         let orders = per_rank(mesh(3), |rank, ep| {
-            let mut s = CommScheduler::spawn_chunked_observed(ep, TINY_CHUNK);
+            let mut s = observed(ep, Some(TINY_CHUNK));
             let bulk = s.submit(100, "bulk", CommOp::AllReduceDense(vec![1.0; 144]));
             assert!((0..2).all(|_| s.progress()));
             let mid = s.submit(10, "mid", CommOp::AllReduceDense(vec![2.0; 48]));
@@ -902,7 +901,7 @@ mod tests {
         // anywhere), and every rank runs the same number of units.
         for (lens, units) in [([15, 15, 15], 1), ([15, 17, 15], 2)] {
             per_rank(mesh(3), |rank, ep| {
-                let mut s = CommScheduler::spawn_chunked_observed(ep, TINY_CHUNK);
+                let mut s = observed(ep, Some(TINY_CHUNK));
                 let t = s.submit(0, "g", CommOp::GatherTokens(vec![7; lens[rank]]));
                 let CommResult::GatherTokens(all) = t.wait() else { panic!("gather failed") };
                 assert_eq!(all.iter().map(|v| v.len()).collect::<Vec<_>>(), lens);

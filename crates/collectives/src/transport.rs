@@ -12,7 +12,7 @@
 //!
 //! * [`Endpoint::try_send`] / [`Endpoint::try_recv`] — fallible
 //!   point-to-point operations; `try_recv` honours the endpoint's
-//!   configured deadline (none by default, i.e. blocking).
+//!   configured deadline (none by default, i.e. it waits indefinitely).
 //! * [`Endpoint::recv_timeout`] — receive with an explicit deadline.
 //! * [`Endpoint::recv_retry`] — bounded retry with multiplicative backoff
 //!   slices over the deadline.
@@ -27,6 +27,15 @@
 //!
 //! The legacy panicking [`Endpoint::send`]/[`Endpoint::recv`] remain as
 //! thin wrappers for code that treats communication failure as fatal.
+//!
+//! # Waiting
+//!
+//! Every receive goes through one private function, `Endpoint::wait`: poll
+//! the link for a bounded budget (`SPIN_BUDGET`), then park on the channel.
+//! Most packets of a lock-step collective are queued already or arrive
+//! within the budget, and taking them costs neither side a futex call;
+//! `transport.recv_spun` / `transport.recv_parked` say how a run's receives
+//! split. A mesh with more ranks than the host has cores never polls.
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use embrace_tensor::{DenseTensor, RowSparse, TokenBuf, TOKEN_BYTES};
@@ -34,7 +43,7 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The transport capability the collective algorithms actually need:
 /// addressed fallible point-to-point send/receive plus the rank/world
@@ -646,9 +655,25 @@ fn spawn_delay_worker(out: Sender<Packet>, delay: Duration) -> Sender<Packet> {
     dtx
 }
 
+/// How long a receive polls its link before it parks: twice what a parked
+/// receive costs. On the reference host that is ~20 µs in a ping-pong (two
+/// hops take ~40 µs with every receive parked, ~1 µs spinning) and 40–60 µs
+/// inside a real step, where the core had time to go idle and the sender
+/// pays the wake (`serve_read`, two receives per rank per step: 0.39 → 0.26
+/// ms). Twice the in-situ figure is the 2-competitive choice — a spin in
+/// vain costs at most the park it failed to save, twice — and the margin
+/// matters: a rank that did park resumes a wake-up late, and a peer whose
+/// budget is shorter than that lateness parks in turn (at 40 µs `serve_read`
+/// is bimodal, at 20 µs nothing is gained; DESIGN §3.5 has the sweep). A
+/// constant, not an option: the input that changes the answer is whether the
+/// peers can all be running, and [`mesh_with_faults`] reads that off the host.
+const SPIN_BUDGET: Duration = Duration::from_micros(80);
+
 /// Per-rank handle onto the mesh. Sending never blocks (channels are
-/// unbounded) unless a link-delay fault is configured; receiving blocks
-/// until the addressed peer has sent, bounded by the configured deadline.
+/// unbounded) unless a link-delay fault is configured; receiving waits
+/// until the addressed peer has sent, bounded by the configured deadline:
+/// it polls the link for up to [`SPIN_BUDGET`], then parks on the channel
+/// (`Endpoint::wait`, the only receive path).
 pub struct Endpoint {
     rank: usize,
     world: usize,
@@ -669,6 +694,14 @@ pub struct Endpoint {
     msgs_recv: Cell<u64>,
     /// Timed-out receive attempts that were retried by [`Endpoint::recv_retry`].
     retries: Cell<u64>,
+    /// Receives satisfied while polling / receives that reached the
+    /// blocking call: where a receive's time went, without a clock.
+    spun: Cell<u64>,
+    parked: Cell<u64>,
+    /// Whether a receive polls before it parks: false when the mesh has
+    /// more ranks than the host has cores, where a spinning receiver would
+    /// burn the time slice its peer needs to send.
+    spin: bool,
     /// Default deadline for `try_recv`; `None` = block forever (the
     /// fault-free fast path).
     deadline: Option<Duration>,
@@ -772,39 +805,56 @@ impl Endpoint {
     }
 
     /// Receive the next packet from `from`, honouring the endpoint's
-    /// configured deadline (blocking when none is set).
+    /// configured deadline (unbounded when none is set).
     pub fn try_recv(&self, from: usize) -> Result<Packet, CommError> {
-        match self.deadline {
-            None => {
-                if self.crashed {
-                    return Err(CommError::Injected { rank: self.rank });
-                }
-                match self.rx[from].recv() {
-                    Ok(p) => {
-                        self.note_recv(&p);
-                        Ok(p)
-                    }
-                    Err(_) => Err(CommError::PeerGone { peer: from }),
-                }
-            }
-            Some(d) => self.recv_timeout(from, d),
-        }
+        self.wait(from, self.deadline)
     }
 
-    /// Receive from `from` with an explicit deadline.
+    /// Receive from `from` with an explicit deadline: `Timeout { waited:
+    /// deadline }` no later than `deadline` plus scheduling slack.
     pub fn recv_timeout(&self, from: usize, deadline: Duration) -> Result<Packet, CommError> {
+        self.wait(from, Some(deadline))
+    }
+
+    /// The one place a receive waits: poll the link for at most
+    /// [`SPIN_BUDGET`], then block exactly as the transport always has. The
+    /// spin is [`Endpoint::poll`], so its error contract is `poll`'s, and
+    /// the time it took counts against `deadline`. An oversubscribed mesh
+    /// (`!self.spin`) goes straight to the blocking call.
+    fn wait(&self, from: usize, deadline: Option<Duration>) -> Result<Packet, CommError> {
         if self.crashed {
             return Err(CommError::Injected { rank: self.rank });
         }
-        match self.rx[from].recv_timeout(deadline) {
-            Ok(p) => {
+        let mut left = deadline;
+        if self.spin {
+            let budget = deadline.map_or(SPIN_BUDGET, |d| d.min(SPIN_BUDGET));
+            let start = Instant::now();
+            loop {
+                if let Some(p) = self.poll(from)? {
+                    self.spun.set(self.spun.get() + 1);
+                    return Ok(p);
+                }
+                if start.elapsed() >= budget {
+                    break;
+                }
+                std::hint::spin_loop();
+            }
+            left = deadline.map(|d| d.saturating_sub(start.elapsed()));
+        }
+        self.parked.set(self.parked.get() + 1);
+        let got = match left {
+            None => self.rx[from].recv().map_err(|_| RecvTimeoutError::Disconnected),
+            Some(d) => self.rx[from].recv_timeout(d),
+        };
+        match (got, deadline) {
+            (Ok(p), _) => {
                 self.note_recv(&p);
                 Ok(p)
             }
-            Err(RecvTimeoutError::Timeout) => {
-                Err(CommError::Timeout { peer: from, waited: deadline })
+            (Err(RecvTimeoutError::Timeout), Some(waited)) => {
+                Err(CommError::Timeout { peer: from, waited })
             }
-            Err(RecvTimeoutError::Disconnected) => Err(CommError::PeerGone { peer: from }),
+            (Err(_), _) => Err(CommError::PeerGone { peer: from }),
         }
     }
 
@@ -932,6 +982,8 @@ impl Endpoint {
         m.inc("transport.bytes_received", self.bytes_recv.get());
         m.inc("transport.msgs_received", self.msgs_recv.get());
         m.inc("transport.recv_retries", self.retries.get());
+        m.inc("transport.recv_spun", self.spun.get());
+        m.inc("transport.recv_parked", self.parked.get());
         m.inc("transport.control_msgs", self.control_msgs());
     }
 }
@@ -951,6 +1003,8 @@ pub fn mesh_with_faults(
     deadline: Option<Duration>,
 ) -> Vec<Endpoint> {
     assert!(world > 0, "mesh needs at least one rank");
+    // Decided once per mesh, from what the host can run at the same time.
+    let spin = std::thread::available_parallelism().is_ok_and(|cores| world <= cores.get());
     // channels[i][j]: i -> j
     let mut senders: Vec<Vec<Option<Sender<Packet>>>> =
         (0..world).map(|_| (0..world).map(|_| None).collect()).collect();
@@ -979,6 +1033,9 @@ pub fn mesh_with_faults(
             bytes_recv: Cell::new(0),
             msgs_recv: Cell::new(0),
             retries: Cell::new(0),
+            spun: Cell::new(0),
+            parked: Cell::new(0),
+            spin,
             deadline,
             faults: plan.link_state_for(rank, world),
             crash_at_step: plan.crash_step(rank),
@@ -1372,6 +1429,127 @@ mod tests {
         // A crashed endpoint answers like `try_recv`, not with a panic.
         b.crash();
         assert_eq!(b.poll(0), Err(CommError::Injected { rank: 1 }));
+    }
+
+    /// A world-2 mesh whose receives spin (or not) whatever the host's
+    /// core count says, so the wait tests mean the same everywhere.
+    fn pair(spin: bool) -> (Endpoint, Endpoint) {
+        let mut eps = mesh(2);
+        eps.iter_mut().for_each(|ep| ep.spin = spin);
+        let b = eps.pop().unwrap();
+        (eps.pop().unwrap(), b)
+    }
+
+    #[test]
+    fn queued_packet_is_taken_spinning_and_a_late_one_after_one_park() {
+        let (mut a, mut b) = pair(true);
+        a.send(1, Packet::Empty);
+        assert_eq!(b.try_recv(0), Ok(Packet::Empty));
+        assert_eq!((b.spun.get(), b.parked.get()), (1, 0));
+        thread::scope(|s| {
+            s.spawn(|| {
+                // Starts the clock only once the receiver is about to wait.
+                assert_eq!(a.recv(1), Packet::Empty);
+                thread::sleep(Duration::from_millis(5));
+                a.send(1, Packet::Tokens(vec![9].into()));
+            });
+            b.send(0, Packet::Empty);
+            assert_eq!(b.recv(0).into_tokens(), vec![9]);
+        });
+        assert_eq!((b.spun.get(), b.parked.get()), (1, 1));
+        let mut m = embrace_obs::Metrics::new();
+        b.export_metrics(&mut m);
+        assert_eq!(m.counter("transport.recv_spun"), 1);
+        assert_eq!(m.counter("transport.recv_parked"), 1);
+        assert_eq!(m.counter("transport.msgs_received"), 2);
+    }
+
+    #[test]
+    fn spinning_reports_failures_exactly_as_blocking_does() {
+        for spin in [true, false] {
+            // An Abort is a packet; a dead peer is PeerGone once drained.
+            let (mut a, b) = pair(spin);
+            a.send(1, Packet::Abort { origin: 0 });
+            drop(a);
+            assert_eq!(b.try_recv(0), Ok(Packet::Abort { origin: 0 }), "spin={spin}");
+            assert_eq!(b.try_recv(0), Err(CommError::PeerGone { peer: 0 }), "spin={spin}");
+            let d = Duration::from_millis(1);
+            assert_eq!(b.recv_timeout(0, d), Err(CommError::PeerGone { peer: 0 }), "spin={spin}");
+            // The spinning endpoint never reached the blocking call.
+            assert_eq!(b.parked.get(), if spin { 0 } else { 3 });
+            // A crashed endpoint answers Injected before it looks at a link.
+            let (_a, mut b) = pair(spin);
+            b.crash();
+            assert_eq!(b.try_recv(0), Err(CommError::Injected { rank: 1 }), "spin={spin}");
+            assert_eq!(b.recv_timeout(0, d), Err(CommError::Injected { rank: 1 }), "spin={spin}");
+        }
+    }
+
+    #[test]
+    fn what_a_peer_does_while_the_receiver_waits_reads_the_same_spun_or_parked() {
+        // Whether it lands in the spin or after the park is up to the OS;
+        // the answer may not depend on it.
+        type Act = fn(Endpoint);
+        let gone = Err(CommError::PeerGone { peer: 0 });
+        let cases: [(Act, Result<Packet, CommError>); 3] = [
+            (drop, gone.clone()),
+            (|mut a| a.crash(), gone),
+            (|mut a| a.send(1, Packet::Abort { origin: 0 }), Ok(Packet::Abort { origin: 0 })),
+        ];
+        for (act, expect) in cases {
+            for spin in [true, false] {
+                let (a, b) = pair(spin);
+                thread::scope(|s| {
+                    s.spawn(move || act(a));
+                    assert_eq!(b.try_recv(0), expect, "spin={spin}");
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn spin_time_counts_against_the_deadline() {
+        let (_a, spinning) = pair(true);
+        let (_c, blocking) = pair(false);
+        let timed = |ep: &Endpoint, d: Duration| {
+            let start = Instant::now();
+            assert_eq!(ep.recv_timeout(0, d), Err(CommError::Timeout { peer: 0, waited: d }));
+            start.elapsed()
+        };
+        // Best of a few tries: one undisturbed attempt is what is bounded.
+        let best = |ep: &Endpoint, d: Duration| (0..8).map(|_| timed(ep, d)).min().unwrap();
+        // A deadline inside the budget is spun out and no longer.
+        let short = SPIN_BUDGET / 4;
+        assert!(best(&spinning, short) < short + SPIN_BUDGET / 2);
+        // A longer one parks for the remainder only. The OS timer's own
+        // overshoot (~90 µs here) is on both sides of the comparison.
+        let long = Duration::from_millis(1);
+        let (t_spin, t_block) = (best(&spinning, long), best(&blocking, long));
+        assert!(t_spin >= long && t_spin < t_block + SPIN_BUDGET / 2, "{t_spin:?} vs {t_block:?}");
+        assert_eq!(spinning.spun.get(), 0);
+        assert_eq!(spinning.parked.get(), 16);
+    }
+
+    #[test]
+    fn oversubscribed_mesh_never_spins() {
+        let cores = thread::available_parallelism().map_or(1, |n| n.get());
+        assert!(mesh(cores).iter().all(|ep| ep.spin));
+        let world = cores + 1;
+        let mut eps = mesh(world);
+        thread::scope(|s| {
+            for ep in &mut eps {
+                s.spawn(move || {
+                    let mut buf = vec![ep.rank() as f32; 3 * world];
+                    crate::ops::ring_allreduce(ep, &mut buf);
+                    assert_eq!(buf[0], (world * (world - 1) / 2) as f32);
+                });
+            }
+        });
+        for ep in &eps {
+            assert_eq!(ep.spun.get(), 0, "rank {} spun on an oversubscribed mesh", ep.rank());
+            assert_eq!(ep.parked.get(), ep.msgs_recv.get());
+            assert!(ep.parked.get() > 0);
+        }
     }
 
     #[test]

@@ -87,13 +87,27 @@ fn ssar_local(
 }
 
 /// Run the same per-rank closure over a fault-free mesh and over a mesh
-/// with `plan` attached, returning both result vectors.
+/// with `plan` attached, returning both result vectors. The two runs split
+/// their receives differently between spinning and parking (a delayed link
+/// outlasts the spin; a world wider than the host never spins), so equal
+/// results are also the proof that the split changes none. The split itself
+/// must be a partition: every packet was taken by exactly one of the two.
 fn clean_and_faulted<R, F>(world: usize, plan: &FaultPlan, f: F) -> (Vec<R>, Vec<R>)
 where
     R: Send,
     F: Fn(usize, &mut embrace_collectives::Endpoint) -> R + Sync,
 {
-    (run_group(world, &f), run_group_with_faults(world, plan, None, &f))
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let accounted = |rank: usize, ep: &mut embrace_collectives::Endpoint| {
+        let out = f(rank, ep);
+        let mut m = embrace_obs::Metrics::new();
+        ep.export_metrics(&mut m);
+        let (spun, parked) = (m.counter("transport.recv_spun"), m.counter("transport.recv_parked"));
+        assert_eq!(spun + parked, m.counter("transport.msgs_received"), "rank {rank}");
+        assert!(world <= cores || spun == 0, "rank {rank} spun {spun}× at world {world}");
+        out
+    };
+    (run_group(world, accounted), run_group_with_faults(world, plan, None, accounted))
 }
 
 proptest! {

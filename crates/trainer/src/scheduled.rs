@@ -12,7 +12,9 @@
 use crate::real::{
     batch_stream, fwd_bwd_toy, init_toy_state, ConvergenceConfig, ConvergenceResult,
 };
-use embrace_collectives::{mesh, CommOp, CommResult, CommScheduler, OpTiming, SubmittedOp};
+use embrace_collectives::{
+    mesh, CommOp, CommResult, CommScheduler, OpTiming, SchedOptions, SubmittedOp,
+};
 use embrace_core::horizontal::{DELAYED_GRAD_PRIORITY, EMB_DATA_PRIORITY, PRIOR_GRAD_PRIORITY};
 use embrace_core::{vertical_split, ColumnShardedEmbedding};
 use embrace_dlsim::optim::{Adam, Optimizer, UpdatePart};
@@ -106,11 +108,8 @@ fn worker(
     // which the trajectory-equality test against the inline pipeline
     // (`scheduled_matches_inline_embrace`) re-proves end to end on every
     // run.
-    let mut comm = if observe {
-        CommScheduler::spawn_chunked_observed(ep, sched_chunk_bytes(cfg))
-    } else {
-        CommScheduler::spawn_chunked(ep, sched_chunk_bytes(cfg))
-    };
+    let opts = SchedOptions { chunk_bytes: Some(sched_chunk_bytes(cfg)), observed: observe };
+    let mut comm = CommScheduler::new(ep, opts);
     let (emb_init, w_init, targets) = init_toy_state(cfg);
     let mut emb = ColumnShardedEmbedding::new(&emb_init, rank, cfg.world);
     let mut w = w_init;

@@ -180,7 +180,7 @@ fn compute_stream_never_overlaps_itself() {
 /// one resumable span.
 #[test]
 fn threaded_preemption_matches_simnet_preemptive_order() {
-    use embrace_repro::collectives::{mesh, CommOp, CommResult, CommScheduler};
+    use embrace_repro::collectives::{mesh, CommOp, CommResult, CommScheduler, SchedOptions};
     use embrace_repro::simnet::{CommOrder, Sim, Task};
 
     // DES model of the scenario.
@@ -205,7 +205,8 @@ fn threaded_preemption_matches_simnet_preemptive_order() {
             .into_iter()
             .map(|ep| {
                 scope.spawn(move || {
-                    let mut s = CommScheduler::spawn_chunked_observed(ep, 4 << 10);
+                    let opts = SchedOptions { chunk_bytes: Some(4 << 10), observed: true };
+                    let mut s = CommScheduler::new(ep, opts);
                     let bulk = s.submit(100, "bulk", CommOp::AllReduceDense(vec![1.0f32; 1 << 20]));
                     for _ in 0..102 {
                         assert!(s.progress(), "bulk ended during its head start");
