@@ -28,12 +28,6 @@
 //!   fan-out sends must use the O(1) `share()` (dense/sparse) instead of
 //!   deep-copying; deliberate deep copies (e.g. `Vec<u32>` token buffers)
 //!   are allowlisted individually.
-//! * **scalar-reduce** — no hand-rolled element-wise `+=` float loops in
-//!   the reduce sites (`ops.rs`, `merge.rs`): every collective reduce
-//!   goes through the explicit-width lane kernels in
-//!   `embrace_tensor::kernels` (`add_assign` / `scaled_add` / …), so the
-//!   autovectorized fast path and its bitwise-equivalence guarantees are
-//!   shared rather than re-derived per call site.
 //! * **row-mut-loop** — in the embedding-plane crates (`tensor`, `core`,
 //!   `dlsim`, `ps`, `trainer`), no `.row_mut(..)` in the body of a `for` /
 //!   `while` loop: every call runs `DenseTensor`'s copy-on-write check
@@ -551,33 +545,6 @@ pub fn lint_source(rel: &str, src: &str, inv: &VariantInventory) -> Vec<Finding>
         }
     }
 
-    // scalar-reduce: a zipped `.iter_mut()` feeding an element-wise `+=`
-    // in a reduce site re-rolls what `embrace_tensor::kernels` provides
-    // as a single autovectorized (and bitwise-specified) kernel.
-    if rel.ends_with("ops.rs") || rel.ends_with("merge.rs") {
-        for (i, line) in masked_lines.iter().enumerate() {
-            if in_test.get(i).copied().unwrap_or(false) {
-                continue;
-            }
-            if !(line.contains(".iter_mut()") && line.contains(".zip(")) {
-                continue;
-            }
-            // The `+=` may sit on the same line or inside the short loop
-            // body that follows (rustfmt keeps these within a few lines).
-            let window = &masked_lines[i..(i + 4).min(masked_lines.len())];
-            if window.iter().any(|l| l.contains("+=")) {
-                findings.push(Finding {
-                    rule: "scalar-reduce",
-                    path: rel.to_string(),
-                    line: i + 1,
-                    message: "element-wise `+=` reduce loop: call the lane kernels in \
-                              `embrace_tensor::kernels` (add_assign / scaled_add) instead"
-                        .to_string(),
-                });
-            }
-        }
-    }
-
     // row-mut-loop: a `.row_mut(` that a `for`/`while` body re-executes
     // pays the copy-on-write check once per iteration.
     if ROW_KERNEL_CRATES.iter().any(|c| rel.starts_with(c)) && rel.contains("/src/") {
@@ -983,30 +950,6 @@ mod tests {
                    let _ = ep.try_send(2, p.clone());\n}";
         let f = lint_source("crates/simnet/src/x.rs", src, &inv());
         assert!(f.iter().all(|f| f.rule != "payload-clone"), "{f:?}");
-    }
-
-    #[test]
-    fn scalar_reduce_flags_zipped_add_loops_in_reduce_sites_only() {
-        // A zipped element-wise `+=` loop — flagged in ops.rs/merge.rs…
-        let src = "fn reduce(dst: &mut [f32], src: &[f32]) {\n    \
-                   for (d, s) in dst.iter_mut().zip(src) {\n        *d += *s;\n    }\n}";
-        let f = lint_source("crates/collectives/src/ops.rs", src, &inv());
-        assert!(f.iter().any(|f| f.rule == "scalar-reduce"), "{f:?}");
-        let f = lint_source("crates/tensor/src/merge.rs", src, &inv());
-        assert!(f.iter().any(|f| f.rule == "scalar-reduce"), "{f:?}");
-        // …but not elsewhere (the kernels module is where such loops live).
-        let f = lint_source("crates/tensor/src/kernels.rs", src, &inv());
-        assert!(f.iter().all(|f| f.rule != "scalar-reduce"), "{f:?}");
-        // Calling the lane kernel is the clean form.
-        let clean = "fn reduce(dst: &mut [f32], src: &[f32]) {\n    \
-                     kernels::add_assign(dst, src);\n}";
-        let f = lint_source("crates/collectives/src/ops.rs", clean, &inv());
-        assert!(f.iter().all(|f| f.rule != "scalar-reduce"), "{f:?}");
-        // A zipped iter_mut that never accumulates (e.g. copy) is fine.
-        let copy = "fn copy(dst: &mut [f32], src: &[f32]) {\n    \
-                    for (d, s) in dst.iter_mut().zip(src) {\n        *d = *s;\n    }\n}";
-        let f = lint_source("crates/collectives/src/ops.rs", copy, &inv());
-        assert!(f.iter().all(|f| f.rule != "scalar-reduce"), "{f:?}");
     }
 
     #[test]

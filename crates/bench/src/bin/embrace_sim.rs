@@ -45,17 +45,6 @@ fn main() {
             }
         }
     }
-    // `embrace_sim serve`: Zipf request replay against the sharded
-    // embedding service (lookup/push latency + cache hit-rate bench).
-    if std::env::args().nth(1).as_deref() == Some("serve") {
-        match embrace_bench::serve_cmd::run(std::env::args().skip(2)) {
-            Ok(()) => return,
-            Err(msg) => {
-                eprintln!("serve FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-    }
     let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(msg) => {

@@ -64,7 +64,6 @@ USAGE:
   embrace-sim verify-plan [--large] [--out <file>]
   embrace-sim trace [OPTIONS] [--smoke] [--out <file>] [--out-dir <dir>]
   embrace-sim scenarios [--quick] [--out <file>]
-  embrace-sim serve [--quick] [--out <file>]
 
 SUBCOMMANDS:
   verify-plan   static comm-plan verification + interleaving model check
@@ -79,11 +78,6 @@ SUBCOMMANDS:
                 p99 step time / recovery cost, price the shrink-vs-restart
                 crossover, compare multi-tenant link sharing; --quick for
                 the CI smoke size, --out to persist the report
-  serve         Zipf request replay against the sharded embedding service:
-                million-row tables at worlds 2/4/8 under concurrent
-                trainer + inference traffic; records lookup/push p50/p99
-                and cache hit rate into BENCH_collectives.json (the
-                serving op family); --quick for the CI smoke size
 
 OPTIONS:
   --model <lm|gnmt8|transformer|bert>   benchmark model        [default: gnmt8]

@@ -1,21 +1,19 @@
-//! Benchmark harness for the EmbRace reproduction.
+//! Paper-reproduction harness for the EmbRace reproduction.
 //!
-//! Two kinds of targets:
+//! One binary per paper table/figure (`src/bin/`): each prints the
+//! regenerated rows/series next to the paper's reported values —
+//! `cargo run --release -p embrace-bench --bin fig7` etc.; the complete
+//! index lives in DESIGN.md §5. Beside them: the `chaos` fault matrix,
+//! the `embrace_sim` driver (simulate / `verify-plan` / `trace` /
+//! `scenarios`) and `bench_comm`, the SSAR density sweep.
 //!
-//! * **Binaries** (`src/bin/`) — one per paper table/figure; each prints
-//!   the regenerated rows/series next to the paper's reported values.
-//!   `cargo run --release -p embrace-bench --bin fig7` etc. The complete
-//!   index lives in DESIGN.md §5.
-//! * **Criterion benches** (`benches/`) — microbenchmarks of the
-//!   substrate itself (real thread collectives, coalescing/Algorithm 1
-//!   throughput, the discrete-event simulator, the cost model sweeps).
+//! Performance is measured in one place, the `benchmark/` crate at the
+//! repo root (BENCHMARK.json); nothing here records or gates timings.
 
 #![forbid(unsafe_code)]
 
 pub mod cli;
-pub mod record;
 pub mod scenarios;
-pub mod serve_cmd;
 pub mod trace_cmd;
 pub mod verify_plan;
 

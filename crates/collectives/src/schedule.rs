@@ -30,7 +30,7 @@ use std::ops::Range;
 /// Largest power of two `<= n` (requires `n >= 1`).
 pub fn prev_pow2(n: usize) -> usize {
     debug_assert!(n >= 1);
-    1 << (usize::BITS - 1 - n.leading_zeros())
+    1 << n.ilog2()
 }
 
 /// Every rank but `me`, ascending.

@@ -19,8 +19,7 @@
 
 use crate::partition::column_payload_matrix;
 use embrace_collectives::ops::{
-    alltoall_dense, alltoallv_sparse, sparse_allreduce, try_alltoall_dense, try_alltoallv_sparse,
-    try_sparse_allreduce, SparseReduced, SsarConfig,
+    try_alltoall_dense, try_alltoallv_sparse, try_sparse_allreduce, SparseReduced, SsarConfig,
 };
 use embrace_collectives::{Comm, CommError};
 use embrace_dlsim::optim::{Optimizer, UpdatePart};
@@ -91,6 +90,15 @@ impl GradPlanePolicy {
     }
 }
 
+/// Unwrap a panicking wrapper's result with the typed [`CommError`]
+/// rendered, as the `embrace_collectives::ops` wrappers do.
+fn finish<T>(result: Result<T, CommError>) -> T {
+    match result {
+        Ok(v) => v,
+        Err(e) => panic!("collective failed: {e}"),
+    }
+}
+
 /// One worker's column shard of an embedding table, with the AlltoAll
 /// forward/backward protocol.
 #[derive(Clone, Debug)]
@@ -154,13 +162,10 @@ impl ColumnShardedEmbedding {
 
     /// Forward: given every rank's batch tokens (`all_tokens[r]`), perform
     /// the local lookups and AlltoAll #1; returns this rank's full-width
-    /// lookup output for its own batch.
+    /// lookup output for its own batch. Panics on a communication failure;
+    /// see [`Self::try_forward`].
     pub fn forward<C: Comm, T: AsRef<[u32]>>(&self, ep: &mut C, all_tokens: &[T]) -> DenseTensor {
-        assert_eq!(all_tokens.len(), ep.world(), "need every rank's tokens");
-        let outgoing = self.lookup_parts(all_tokens);
-        // AlltoAll #1: receive my batch's column blocks from every shard.
-        let received = alltoall_dense(ep, outgoing);
-        Self::assemble_lookup(&received)
+        finish(self.try_forward(ep, all_tokens))
     }
 
     /// Fallible [`Self::forward`]: AlltoAll #1 failures surface as typed
@@ -173,6 +178,7 @@ impl ColumnShardedEmbedding {
     ) -> Result<DenseTensor, CommError> {
         assert_eq!(all_tokens.len(), ep.world(), "need every rank's tokens");
         let outgoing = self.lookup_parts(all_tokens);
+        // AlltoAll #1: receive my batch's column blocks from every shard.
         let received = try_alltoall_dense(ep, outgoing)?;
         Ok(Self::assemble_lookup(&received))
     }
@@ -194,22 +200,15 @@ impl ColumnShardedEmbedding {
     /// Backward: slice `grad_out` (`∂loss/∂lookup`, one row per token of
     /// `my_tokens`) into per-shard column blocks and run AlltoAll #2;
     /// returns the coalesced gradient for *this* worker's shard
-    /// (full-vocab row ids, shard-width values).
+    /// (full-vocab row ids, shard-width values). Panics on a communication
+    /// failure; see [`Self::try_backward`].
     pub fn backward<C: Comm>(
         &self,
         ep: &mut C,
         my_tokens: &[u32],
         grad_out: &DenseTensor,
     ) -> RowSparse {
-        assert_eq!(my_tokens.len(), grad_out.rows(), "one grad row per token");
-        assert_eq!(grad_out.cols(), self.dim_total, "grad must be full width");
-        let outgoing: Vec<RowSparse> = self
-            .ranges
-            .iter()
-            .map(|r| RowSparse::new(my_tokens.to_vec(), grad_out.slice_columns(r.start, r.end)))
-            .collect();
-        let received = alltoallv_sparse(ep, outgoing);
-        coalesce(&RowSparse::concat(&received))
+        finish(self.try_backward(ep, my_tokens, grad_out))
     }
 
     /// Fallible [`Self::backward`].
@@ -233,23 +232,14 @@ impl ColumnShardedEmbedding {
     /// Backward for an already-split gradient part (Vertical Scheduling):
     /// same exchange, but the caller passes per-destination row-sparse
     /// blocks built from `G_p` or `G_d` instead of the raw output grad.
-    /// Dispatches on the installed [`GradPlanePolicy`].
+    /// Panics on a communication failure; see
+    /// [`Self::try_exchange_grad_part`].
     pub fn exchange_grad_part<C: Comm>(&self, ep: &mut C, part: &RowSparse) -> RowSparse {
-        match self.policy.plane {
-            GradPlane::Alltoallv => {
-                let outgoing = self.grad_parts(part);
-                let received = alltoallv_sparse(ep, outgoing);
-                Self::merge_grad_shards(&received)
-            }
-            GradPlane::SparseAllreduce => {
-                assert_eq!(part.dim(), self.dim_total, "part must be full width");
-                let cfg = self.ssar_config();
-                self.slice_reduced(sparse_allreduce(ep, part, &cfg))
-            }
-        }
+        finish(self.try_exchange_grad_part(ep, part))
     }
 
-    /// Fallible [`Self::exchange_grad_part`].
+    /// Fallible [`Self::exchange_grad_part`]. Dispatches on the installed
+    /// [`GradPlanePolicy`].
     pub fn try_exchange_grad_part<C: Comm>(
         &self,
         ep: &mut C,

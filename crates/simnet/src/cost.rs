@@ -57,11 +57,6 @@ pub mod analytic {
         1.0 - (1.0 - delta.clamp(0.0, 1.0)).powf(k)
     }
 
-    fn prev_pow2(n: usize) -> usize {
-        debug_assert!(n >= 1);
-        1 << (usize::BITS - 1 - n.leading_zeros())
-    }
-
     /// Per-step expected wire bytes of the sparse-native split allreduce
     /// (SSAR) over a `vocab × dim` f32 embedding gradient at per-rank
     /// density `delta`, densifying a stream once its accumulated density
@@ -84,7 +79,8 @@ pub mod analytic {
         if world <= 1 {
             return Vec::new();
         }
-        let p = prev_pow2(world);
+        // Largest power of two <= world (world >= 2 here).
+        let p = 1usize << world.ilog2();
         let extra = world - p;
         let l = p.trailing_zeros() as i32;
         // Average contributing streams per surviving rank after fold-in.

@@ -34,13 +34,28 @@ proptest! {
     }
 
     #[test]
-    fn axpy_matches_scalar_arithmetic(a in tensor(2, 3), b in tensor(2, 3), alpha in -5.0f32..5.0) {
+    fn axpy_matches_scalar_arithmetic(
+        a in tensor(2, 3),
+        b in tensor(2, 3),
+        alpha in -5.0f32..5.0,
+        // (dst, fwd) element pairs for the fused ring reduce: lengths
+        // 0..=20 cover empty, shorter than any SIMD width, ragged tails.
+        pairs in prop::collection::vec((-100.0f32..100.0, -100.0f32..100.0), 0..21),
+    ) {
         let mut got = a.clone();
         got.axpy(alpha, &b);
         for i in 0..a.len() {
             let want = a.as_slice()[i] + alpha * b.as_slice()[i];
             prop_assert!((got.as_slice()[i] - want).abs() < 1e-3);
         }
+        // `add_assign_both` is `add_assign` followed by a copy, bit for bit.
+        let (mut dst, mut fwd): (Vec<f32>, Vec<f32>) = pairs.into_iter().unzip();
+        let mut want = dst.clone();
+        crate::kernels::add_assign(&mut want, &fwd);
+        crate::kernels::add_assign_both(&mut dst, &mut fwd);
+        let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(dst.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want.clone());
+        prop_assert_eq!(fwd.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want);
     }
 
     #[test]
@@ -88,40 +103,6 @@ proptest! {
 
         let rows = row_partition(total, parts);
         prop_assert_eq!(rows.iter().map(|r| r.len()).sum::<usize>(), total);
-    }
-
-    #[test]
-    fn lane_kernels_bitwise_match_scalar_fold(
-        // 0..=20 straddles the lane width: exercises empty input, lengths
-        // below LANES (pure remainder), exactly LANES, and ragged tails.
-        len in 0usize..=20,
-        seed_a in prop::collection::vec(-100.0f32..100.0, 24),
-        seed_b in prop::collection::vec(-100.0f32..100.0, 24),
-        alpha in -5.0f32..5.0,
-    ) {
-        use crate::kernels;
-        let src = &seed_b[..len];
-        let mut lane = seed_a[..len].to_vec();
-        let mut scalar = lane.clone();
-        kernels::add_assign(&mut lane, src);
-        kernels::add_assign_scalar(&mut scalar, src);
-        prop_assert_eq!(
-            lane.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-        kernels::scaled_add(&mut lane, alpha, src);
-        kernels::scaled_add_scalar(&mut scalar, alpha, src);
-        prop_assert_eq!(
-            lane.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-        // Fused receive-reduce-forward: both outputs equal the scalar sum.
-        let mut fwd = src.to_vec();
-        kernels::add_assign_scalar(&mut scalar, src);
-        kernels::add_assign_both(&mut lane, &mut fwd);
-        let want: Vec<u32> = scalar.iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(lane.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want.clone());
-        prop_assert_eq!(fwd.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want);
     }
 
     #[test]

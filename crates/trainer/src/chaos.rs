@@ -1,12 +1,12 @@
 //! Chaos harness: the EmbRace hybrid training step under injected faults.
 //!
-//! [`run_chaos`] executes the same step as
-//! [`crate::real::train_convergence`]'s EmbRace path — AllGather of batch
-//! tokens, hybrid AlltoAll forward, dense ring AllReduce, Vertical Sparse
-//! Scheduling with two AlltoAll #2 exchanges — but through the `try_`
-//! collectives over a mesh built from a seeded
-//! [`FaultPlan`](embrace_collectives::FaultPlan), under both a per-receive
-//! deadline and a whole-group watchdog.
+//! [`run_chaos`] runs the step [`crate::real::train_convergence`]'s
+//! EmbRace path runs (`real::embrace_step`: AllGather of batch tokens,
+//! hybrid AlltoAll forward, dense ring AllReduce, Vertical Sparse
+//! Scheduling with two AlltoAll #2 exchanges) over a mesh built from a
+//! seeded [`FaultPlan`](embrace_collectives::FaultPlan), under both a
+//! per-receive deadline and a whole-group watchdog, and reports each
+//! rank's typed error instead of panicking with it.
 //!
 //! The contract every scenario must satisfy (and the chaos tests assert):
 //!
@@ -18,15 +18,11 @@
 //!   detection thresholds, e.g. a small link delay) the per-step losses
 //!   are bitwise identical to the fault-free trainer's.
 
-use crate::real::{batch_stream, fwd_bwd_toy, init_toy_state, ConvergenceConfig};
-use embrace_collectives::ops::{try_allgather_dense, try_allgather_tokens, try_ring_allreduce};
-use embrace_collectives::{
-    run_group_with_deadline, Comm, CommError, Endpoint, FaultPlan, GroupError,
-};
-use embrace_core::{vertical_split, ColumnShardedEmbedding};
-use embrace_dlsim::optim::{Adam, Optimizer, UpdatePart};
+use crate::real::{batch_stream, embrace_step, init_toy_state, ConvergenceConfig};
+use embrace_collectives::{run_group_with_deadline, CommError, Endpoint, FaultPlan, GroupError};
+use embrace_core::ColumnShardedEmbedding;
+use embrace_dlsim::optim::Adam;
 use embrace_models::ZipfSampler;
-use embrace_tensor::{DenseTensor, RowSparse};
 use std::time::Duration;
 
 /// Configuration of one chaos run.
@@ -129,48 +125,12 @@ fn chaos_worker(
         if let Err(error) = ep.begin_step() {
             return RankOutcome::Failed { step, error };
         }
-        match chaos_step(ep, &mut emb, &mut w, &targets, &mut opt_e, &mut opt_w, &mut stream) {
+        match embrace_step(ep, &mut emb, &mut w, &targets, &mut opt_e, &mut opt_w, &mut stream) {
             Ok(loss) => losses.push(loss),
             Err(error) => return RankOutcome::Failed { step, error },
         }
     }
     RankOutcome::Completed { losses }
-}
-
-/// One EmbRace hybrid step — the same operation sequence as the fault-free
-/// trainer, through the fallible collectives. Generic over [`Comm`] so the
-/// elastic trainer can run the identical step through an
-/// [`embrace_collectives::ElasticWorker`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn chaos_step<C: Comm>(
-    ep: &mut C,
-    emb: &mut ColumnShardedEmbedding,
-    w: &mut DenseTensor,
-    targets: &DenseTensor,
-    opt_e: &mut Adam,
-    opt_w: &mut Adam,
-    stream: &mut embrace_dlsim::Prefetcher<Vec<u32>, embrace_models::BatchGen>,
-) -> Result<f64, CommError> {
-    let tokens = stream.advance().expect("infinite stream");
-    let next_local = stream.peek_next().expect("infinite stream").clone();
-    // Hybrid FP: gather all batches, AlltoAll lookup results.
-    let all_tokens = try_allgather_tokens(ep, tokens.clone())?;
-    let lookup = emb.try_forward(ep, &all_tokens)?;
-    let (loss, mut grad_w, grad_rows) = fwd_bwd_toy(&lookup, &tokens, w, targets);
-    try_ring_allreduce(ep, grad_w.as_mut_slice())?;
-    opt_w.step_dense(w, &grad_w);
-    // Vertical Sparse Scheduling: split by next-iteration data.
-    let next_gathered: Vec<u32> = try_allgather_tokens(ep, next_local)?.concat();
-    let raw = RowSparse::new(tokens.clone(), grad_rows);
-    let split = vertical_split(&raw, &tokens, &next_gathered);
-    // AlltoAll #2, prior first, then delayed; Adam advances once.
-    let prior_shard = emb.try_exchange_grad_part(ep, &split.prior)?;
-    emb.apply_grad(&prior_shard, opt_e, UpdatePart::Prior);
-    let delayed_shard = emb.try_exchange_grad_part(ep, &split.delayed)?;
-    emb.apply_grad(&delayed_shard, opt_e, UpdatePart::Delayed);
-    // Global loss: gather every rank's scalar, sum in rank order.
-    let all = try_allgather_dense(ep, DenseTensor::from_vec(1, 1, vec![loss as f32]))?;
-    Ok(all.iter().map(|t| t.as_slice()[0] as f64).sum())
 }
 
 /// The standard seeded fault-scenario matrix the chaos tests (and the

@@ -31,8 +31,7 @@
 //! loss trajectory equals a *fresh fault-free run at the smaller world
 //! started from the same restored state*, bit for bit.
 
-use crate::chaos::chaos_step;
-use crate::real::{batch_stream, init_toy_state, ConvergenceConfig};
+use crate::real::{batch_stream, embrace_step, init_toy_state, ConvergenceConfig};
 use embrace_collectives::ops::{try_allgather_tokens, try_broadcast};
 use embrace_collectives::{
     run_group, run_group_with_deadline, Comm, CommError, ElasticError, ElasticWorker, Endpoint,
@@ -416,7 +415,7 @@ fn run_one_step(
     {
         *last_ckpt = assemble_full_state(group, st, losses, &cfg.train)?;
     }
-    let loss = chaos_step(
+    let loss = embrace_step(
         group,
         &mut st.emb,
         &mut st.w,
@@ -752,7 +751,7 @@ pub fn capture_state_at(cfg: &ConvergenceConfig, at_step: u64) -> FullState {
         let mut st = RankState::from_full(&base, rank, cfg.world, &cfg, &sampler);
         let mut losses = Vec::new();
         while st.step < at_step {
-            let loss = chaos_step(
+            let loss = embrace_step(
                 ep,
                 &mut st.emb,
                 &mut st.w,
@@ -780,7 +779,7 @@ pub fn train_from_state(fs: &FullState, world: usize, cfg: &ConvergenceConfig) -
         let mut st = RankState::from_full(&fs, rank, world, &cfg, &sampler);
         let mut losses = fs.losses.clone();
         while st.step < cfg.steps as u64 {
-            let loss = chaos_step(
+            let loss = embrace_step(
                 ep,
                 &mut st.emb,
                 &mut st.w,
@@ -801,7 +800,7 @@ pub fn train_from_state(fs: &FullState, world: usize, cfg: &ConvergenceConfig) -
 /// Messages each rank sends in one elastic step *before* the delayed
 /// AlltoAll #2 begins — lets tests aim an op-granular crash inside the
 /// second gradient exchange. Runs the real pipeline up to the cut point
-/// (keep in sync with [`crate::chaos::chaos_step`]).
+/// (keep in sync with [`crate::real::embrace_step`]).
 #[cfg(test)]
 fn ops_before_delayed_exchange(cfg: &ConvergenceConfig) -> u64 {
     use crate::real::fwd_bwd_toy;

@@ -10,8 +10,10 @@
 //! must converge identically (both are synchronous with summed gradients).
 
 use embrace_baselines::horovod::{allgather_sparse_grad, allreduce_dense_grad};
-use embrace_collectives::ops::allgather_tokens;
-use embrace_collectives::{run_group, Endpoint};
+use embrace_collectives::ops::{
+    allgather_dense, try_allgather_dense, try_allgather_tokens, try_ring_allreduce,
+};
+use embrace_collectives::{run_group, Comm, CommError, Endpoint};
 use embrace_core::{vertical_split, ColumnShardedEmbedding, GradPlanePolicy};
 use embrace_dlsim::optim::{Adam, Optimizer, UpdatePart};
 use embrace_dlsim::{EmbeddingTable, Prefetcher};
@@ -126,14 +128,43 @@ pub(crate) fn fwd_bwd_toy(
     (loss, grad_w, grad_emb)
 }
 
-/// Sum each worker's scalar loss across the group.
-fn global_loss(ep: &mut Endpoint, local: f64) -> f64 {
-    let mut buf = DenseTensor::from_vec(1, 1, vec![local as f32]);
-    // Cheap exactness: gather all values and sum in rank order so every
-    // rank computes the identical f64 total.
-    let all = embrace_collectives::ops::allgather_dense(ep, buf.clone());
-    buf.fill_zero();
-    all.iter().map(|t| t.as_slice()[0] as f64).sum()
+/// One EmbRace hybrid step on one rank — AllGather of batch tokens, hybrid
+/// AlltoAll forward, dense ring AllReduce, Vertical Sparse Scheduling with
+/// two AlltoAll #2 exchanges — returning the global loss. The one
+/// statement of the step: the convergence trainer, the chaos harness and
+/// the elastic trainer (through an [`embrace_collectives::ElasticWorker`],
+/// hence generic over [`Comm`]) all run this function.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn embrace_step<C: Comm>(
+    ep: &mut C,
+    emb: &mut ColumnShardedEmbedding,
+    w: &mut DenseTensor,
+    targets: &DenseTensor,
+    opt_e: &mut Adam,
+    opt_w: &mut Adam,
+    stream: &mut Prefetcher<Vec<u32>, BatchGen>,
+) -> Result<f64, CommError> {
+    let tokens = stream.advance().expect("infinite stream");
+    let next_local = stream.peek_next().expect("infinite stream").clone();
+    // Hybrid FP: gather all batches, AlltoAll lookup results.
+    let all_tokens = try_allgather_tokens(ep, tokens.clone())?;
+    let lookup = emb.try_forward(ep, &all_tokens)?;
+    let (loss, mut grad_w, grad_rows) = fwd_bwd_toy(&lookup, &tokens, w, targets);
+    try_ring_allreduce(ep, grad_w.as_mut_slice())?;
+    opt_w.step_dense(w, &grad_w);
+    // Vertical Sparse Scheduling: split by next-iteration data.
+    let next_gathered: Vec<u32> = try_allgather_tokens(ep, next_local)?.concat();
+    let raw = RowSparse::new(tokens.clone(), grad_rows);
+    let split = vertical_split(&raw, &tokens, &next_gathered);
+    // AlltoAll #2, prior first, then delayed; Adam advances once.
+    let prior_shard = emb.try_exchange_grad_part(ep, &split.prior)?;
+    emb.apply_grad(&prior_shard, opt_e, UpdatePart::Prior);
+    let delayed_shard = emb.try_exchange_grad_part(ep, &split.delayed)?;
+    emb.apply_grad(&delayed_shard, opt_e, UpdatePart::Delayed);
+    // Global loss: gather every rank's scalar and sum in rank order, so
+    // every rank computes the identical f64 total.
+    let all = try_allgather_dense(ep, DenseTensor::from_vec(1, 1, vec![loss as f32]))?;
+    Ok(all.iter().map(|t| t.as_slice()[0] as f64).sum())
 }
 
 /// Train the toy model with `method`; returns the per-step global loss.
@@ -216,7 +247,9 @@ fn train_allgather(
         let global = allgather_sparse_grad(ep, sparse);
         opt_e.step_sparse(emb.table_mut(), &global, UpdatePart::Whole);
         opt_w.step_dense(&mut w, &grad_w);
-        losses.push(global_loss(ep, loss));
+        // Global loss, summed in rank order as in `embrace_step`.
+        let all = allgather_dense(ep, DenseTensor::from_vec(1, 1, vec![loss as f32]));
+        losses.push(all.iter().map(|t| t.as_slice()[0] as f64).sum());
     }
     losses
 }
@@ -240,24 +273,9 @@ fn train_embrace(
     let mut losses = Vec::with_capacity(cfg.steps);
     for step in 0..cfg.steps {
         let _span = recorder::span(&format!("step{step}"), "train");
-        let tokens = stream.advance().expect("infinite stream");
-        let next_local = stream.peek_next().expect("infinite stream").clone();
-        // Hybrid FP: gather all batches, AlltoAll lookup results.
-        let all_tokens = allgather_tokens(ep, tokens.clone());
-        let lookup = emb.forward(ep, &all_tokens);
-        let (loss, mut grad_w, grad_rows) = fwd_bwd_toy(&lookup, &tokens, &w, &targets);
-        allreduce_dense_grad(ep, &mut grad_w);
-        opt_w.step_dense(&mut w, &grad_w);
-        // Vertical Sparse Scheduling: split by next-iteration data.
-        let next_gathered: Vec<u32> = allgather_tokens(ep, next_local).concat();
-        let raw = RowSparse::new(tokens.clone(), grad_rows);
-        let split = vertical_split(&raw, &tokens, &next_gathered);
-        // AlltoAll #2, prior first, then delayed; Adam advances once.
-        let prior_shard = emb.exchange_grad_part(ep, &split.prior);
-        emb.apply_grad(&prior_shard, &mut opt_e, UpdatePart::Prior);
-        let delayed_shard = emb.exchange_grad_part(ep, &split.delayed);
-        emb.apply_grad(&delayed_shard, &mut opt_e, UpdatePart::Delayed);
-        losses.push(global_loss(ep, loss));
+        let loss =
+            embrace_step(ep, &mut emb, &mut w, &targets, &mut opt_e, &mut opt_w, &mut stream);
+        losses.push(loss.unwrap_or_else(|e| panic!("collective failed: {e}")));
     }
     losses
 }
