@@ -967,7 +967,8 @@ impl Endpoint {
     }
 
     /// Equal to [`Endpoint::msgs_sent`]. The name is frozen by the
-    /// benchmark and goes with [`slot_mesh`] in ROADMAP item 2.
+    /// benchmark and goes with [`slot_mesh`] in the ROADMAP's "Benchmark
+    /// revision 2" item.
     pub fn control_msgs(&self) -> u64 {
         self.msgs_sent
     }
@@ -1048,7 +1049,7 @@ pub fn mesh_with_faults(
 }
 
 /// Alias of [`mesh`]: the name is frozen by the benchmark and is removed
-/// with its next revision (ROADMAP item 2).
+/// with its next revision (the ROADMAP's "Benchmark revision 2" item).
 pub fn slot_mesh(world: usize) -> Vec<Endpoint> {
     mesh(world)
 }

@@ -41,22 +41,42 @@ struct ZipfTable {
     scale: f64,
 }
 
+/// The draw [`ZipfTable::invert`] turns into [`PAD_TOKEN`]; real draws lie
+/// in `[0, total)`.
+const PAD_DRAW: f64 = -1.0;
+
 impl ZipfTable {
-    /// `cum.partition_point(|&c| c <= u)`, exactly. The bucket `u * scale`
-    /// names is a hint — the product rounds, so `u` may sit an entry
-    /// outside the hinted slice — and the slice is widened until
+    /// Token ids for a batch of draws: `cum.partition_point(|&c| c <= u) + 1`
+    /// for each draw `u`, exactly, and PAD for [`PAD_DRAW`]. The bucket
+    /// `u * scale` names is a hint — the product rounds, so `u` may sit an
+    /// entry outside the hinted slice — and the slice is widened until
     /// `cum[lo - 1] <= u < cum[hi]` holds, which is all the equality needs.
-    fn index_of(&self, u: f64) -> usize {
-        let cum = &self.cum[..];
-        let b = ((u * self.scale) as usize).min(self.guide.len() - 2);
-        let (mut lo, mut hi) = (self.guide[b] as usize, self.guide[b + 1] as usize);
-        while lo > 0 && cum[lo - 1] > u {
-            lo -= 1;
-        }
-        while hi < cum.len() && cum[hi] <= u {
-            hi += 1;
-        }
-        lo + cum[lo..hi].partition_point(|&c| c <= u)
+    ///
+    /// Two passes: every draw's guide entries, then every search. The
+    /// guide reads are independent cache misses that overlap when issued
+    /// back to back, instead of each waiting behind the previous draw's
+    /// search branches.
+    fn invert(&self, draws: &[f64]) -> Vec<u32> {
+        let (cum, last) = (&self.cum[..], self.guide.len() - 2);
+        let hints: Vec<(u32, u32)> = draws
+            .iter()
+            .map(|&u| {
+                let b = ((u * self.scale) as usize).min(last);
+                (self.guide[b], self.guide[b + 1])
+            })
+            .collect();
+        let search = |u: f64, (lo, hi): (u32, u32)| {
+            let (mut lo, mut hi) = (lo as usize, hi as usize);
+            while lo > 0 && cum[lo - 1] > u {
+                lo -= 1;
+            }
+            while hi < cum.len() && cum[hi] <= u {
+                hi += 1;
+            }
+            lo + cum[lo..hi].partition_point(|&c| c <= u)
+        };
+        let token = |(&u, hint)| if u == PAD_DRAW { PAD_TOKEN } else { search(u, hint) as u32 + 1 };
+        draws.iter().zip(hints).map(token).collect()
     }
 }
 
@@ -89,12 +109,14 @@ impl ZipfSampler {
         self.table.cum.len()
     }
 
+    /// One uniform draw on the weight axis `[0, total)`.
+    fn draw<R: Rng>(&self, rng: &mut R) -> f64 {
+        rng.gen_range(0.0..*self.table.cum.last().expect("`new` keeps one real token"))
+    }
+
     /// Draw one token id in `1..=support`.
     pub fn sample<R: Rng>(&self, rng: &mut R) -> u32 {
-        let total = *self.table.cum.last().unwrap();
-        let u = rng.gen_range(0.0..total);
-        // First index with cum[i] > u.
-        (self.table.index_of(u) + 1) as u32
+        self.table.invert(&[self.draw(rng)])[0]
     }
 
     /// Draw a serving batch of `n` row ids. Duplicates are expected and
@@ -102,7 +124,8 @@ impl ZipfSampler {
     /// coalescing all happen downstream, so a request replay must present
     /// the raw Zipf stream, never a pre-uniqued one.
     pub fn sample_batch<R: Rng>(&self, n: usize, rng: &mut R) -> Vec<u32> {
-        (0..n).map(|_| self.sample(rng)).collect()
+        let draws: Vec<f64> = (0..n).map(|_| self.draw(rng)).collect();
+        self.table.invert(&draws)
     }
 }
 
@@ -144,17 +167,19 @@ impl BatchGen {
     }
 
     /// Produce the next batch: `tokens_per_batch` positions, each PAD with
-    /// probability `pad_fraction`, otherwise a Zipf draw.
+    /// probability `pad_fraction`, otherwise a Zipf draw. All of the
+    /// batch's draws are taken first, then inverted together.
     pub fn next_batch(&mut self) -> Vec<u32> {
-        (0..self.tokens_per_batch)
+        let draws: Vec<f64> = (0..self.tokens_per_batch)
             .map(|_| {
                 if self.rng.gen_bool(self.pad_fraction) {
-                    PAD_TOKEN
+                    PAD_DRAW
                 } else {
-                    self.sampler.sample(&mut self.rng)
+                    self.sampler.draw(&mut self.rng)
                 }
             })
-            .collect()
+            .collect();
+        self.sampler.table.invert(&draws)
     }
 }
 
@@ -306,10 +331,11 @@ mod tests {
                 };
                 for table in [&*table, &shifted(-3), &shifted(3)] {
                     let edges = table.cum.iter().flat_map(|&c| [below(c), c, above(c)]);
-                    for u in edges.chain([0.0, below(total)]) {
+                    let draws: Vec<f64> = edges.chain([0.0, below(total)]).collect();
+                    for (&u, token) in draws.iter().zip(table.invert(&draws)) {
                         assert_eq!(
-                            table.index_of(u),
-                            table.cum.partition_point(|&c| c <= u),
+                            token as usize,
+                            table.cum.partition_point(|&c| c <= u) + 1,
                             "vocab {vocab}, s {s}, u {u:e}"
                         );
                     }
@@ -319,22 +345,28 @@ mod tests {
     }
 
     /// FNV-1a over the first 10⁵ tokens of a batch stream.
-    fn stream_hash(mut gen: BatchGen) -> u64 {
-        let tokens = std::iter::repeat_with(|| gen.next_batch()).flatten().take(100_000);
+    fn stream_hash(batches: impl Iterator<Item = Vec<u32>>) -> u64 {
+        let tokens = batches.flatten().take(100_000);
         tokens.fold(0xcbf2_9ce4_8422_2325u64, |h, t| {
             (h ^ u64::from(t)).wrapping_mul(0x0000_0100_0000_01b3)
         })
     }
 
     /// The token streams every loss curve and serving oracle is built on
-    /// must not move: hashes taken at the commit before `sample` gained
-    /// its guide table (plain `partition_point` over all of `cum`).
+    /// must not move: the trainer's and the padded stream hashed at the
+    /// commit before `sample` gained its guide table (plain
+    /// `partition_point` over all of `cum`), the serving replay's at the
+    /// commit before draws were inverted a batch at a time.
     #[test]
     fn batch_streams_equal_the_unguided_samplers() {
         let sparse = BatchGen::new(ZipfSampler::new(262_144, 1.05), 8192, 0.0, 1);
         assert_eq!(stream_hash(sparse), 12_493_170_593_152_388_238);
         let padded = BatchGen::new(ZipfSampler::new(50_000, 1.2), 1000, 0.25, 0xE5B_2ACE);
         assert_eq!(stream_hash(padded), 17_076_571_238_767_546_904);
+        let serving = ZipfSampler::new(1 << 20, 1.05);
+        let mut rng = StdRng::seed_from_u64(7);
+        let batches = std::iter::repeat_with(|| serving.sample_batch(512, &mut rng));
+        assert_eq!(stream_hash(batches), 7_978_347_265_427_950_448);
     }
 
     #[test]

@@ -465,15 +465,25 @@ mod tests {
     }
 }
 
+/// The three products share one contract: every output element is
+/// `0.0 + p₀ + p₁ + …`, its products summed in ascending inner index,
+/// whichever loop order computes it — so results are bitwise those of the
+/// plain index loops (`iterator_matmuls_match_index_loops_bitwise`). Each
+/// picks its loop order from the output width `m`: up to [`NARROW`]
+/// columns, output tiles sit in fixed-size accumulators across the whole
+/// inner loop; wider outputs stream their rows.
 impl DenseTensor {
     /// Matrix product `self(n×k) · other(k×m)`.
     pub fn matmul(&self, other: &DenseTensor) -> DenseTensor {
         assert_eq!(self.cols, other.rows, "inner dimensions must agree");
-        let mut out = DenseTensor::zeros(self.rows, other.cols);
-        for (ar, or) in self.row_iter().zip(out.rows_mut()) {
-            for (&av, br) in ar.iter().zip(other.row_iter()) {
-                for (o, &bv) in or.iter_mut().zip(br) {
-                    *o += av * bv;
+        let m = other.cols;
+        let mut out = DenseTensor::zeros(self.rows, m);
+        let b = other.as_slice();
+        if !narrow_product(self, m, |p, j| b[p * m + j], out.data_mut()) {
+            // Wide: row-axpy, bound by reading `other` once per row.
+            for (ar, or) in self.row_iter().zip(out.rows_mut()) {
+                for (&av, br) in ar.iter().zip(other.row_iter()) {
+                    crate::kernels::scaled_add(or, av, br);
                 }
             }
         }
@@ -484,13 +494,33 @@ impl DenseTensor {
     /// matmul with respect to its right operand.
     pub fn matmul_tn(&self, other: &DenseTensor) -> DenseTensor {
         assert_eq!(self.rows, other.rows, "leading dimensions must agree");
-        let m = other.cols;
-        let mut out = DenseTensor::zeros(self.cols, m);
-        let acc = out.as_mut_slice();
-        for (ar, br) in self.row_iter().zip(other.row_iter()) {
-            for (&av, or) in ar.iter().zip(acc.chunks_exact_mut(m.max(1))) {
-                for (o, &bv) in or.iter_mut().zip(br) {
-                    *o += av * bv;
+        let (k, m) = (self.cols, other.cols);
+        let mut rows = self.row_iter().zip(other.row_iter());
+        let mut out = match rows.next() {
+            // Wide: the first row writes `0.0 + a·c` straight into a fresh
+            // buffer, one pass over the output instead of a zero-fill and
+            // an add.
+            Some((a0, c0)) if m > NARROW => {
+                let mut data = Vec::with_capacity(k * m);
+                for &av in a0 {
+                    data.extend(c0.iter().map(|&cv| 0.0 + av * cv));
+                }
+                DenseTensor::fresh(k, m, data)
+            }
+            _ => DenseTensor::zeros(k, m),
+        };
+        let acc = out.data_mut();
+        match m {
+            1 => tn_tiles::<1>(self, other, acc),
+            2 => tn_tiles::<2>(self, other, acc),
+            3 => tn_tiles::<3>(self, other, acc),
+            NARROW => tn_tiles::<NARROW>(self, other, acc),
+            // Wide: every later row axpys into the output rows.
+            _ => {
+                for (ar, cr) in rows {
+                    for (&av, or) in ar.iter().zip(acc.chunks_exact_mut(m)) {
+                        crate::kernels::scaled_add(or, av, cr);
+                    }
                 }
             }
         }
@@ -501,22 +531,130 @@ impl DenseTensor {
     /// a matmul with respect to its left operand.
     pub fn matmul_nt(&self, other: &DenseTensor) -> DenseTensor {
         assert_eq!(self.cols, other.cols, "trailing dimensions must agree");
-        let mut out = DenseTensor::zeros(self.rows, other.rows);
-        for (ar, or) in self.row_iter().zip(out.rows_mut()) {
-            for (o, br) in or.iter_mut().zip(other.row_iter()) {
-                let mut dot = 0.0;
-                for (&av, &bv) in ar.iter().zip(br) {
-                    dot += av * bv;
+        let (k, m) = (self.cols, other.rows);
+        let mut out = DenseTensor::zeros(self.rows, m);
+        let d = other.as_slice();
+        // Narrow: `other` read as its transpose, `otherᵀ[p][j] = d[j][p]`.
+        if !narrow_product(self, m, |p, j| d[j * k + p], out.data_mut()) {
+            // Wide: CHAINS independent dot products at a time, so the adds
+            // of one output do not wait on each other's latency.
+            for (ar, or) in self.row_iter().zip(out.rows_mut()) {
+                let ar = &ar[..k];
+                let mut drows = other.row_iter();
+                let mut groups = or.chunks_exact_mut(CHAINS);
+                for og in &mut groups {
+                    let ds: [&[f32]; CHAINS] =
+                        std::array::from_fn(|_| &drows.next().expect("m rows")[..k]);
+                    let mut acc = [0.0f32; CHAINS];
+                    for (p, &av) in ar.iter().enumerate() {
+                        for (s, dr) in acc.iter_mut().zip(&ds) {
+                            *s += av * dr[p];
+                        }
+                    }
+                    og.copy_from_slice(&acc);
                 }
-                *o = dot;
+                for (o, dr) in groups.into_remainder().iter_mut().zip(drows) {
+                    let mut dot = 0.0;
+                    for (&av, &dv) in ar.iter().zip(dr) {
+                        dot += av * dv;
+                    }
+                    *o = dot;
+                }
             }
         }
         out
     }
 }
 
+/// Widest output whose tiles the products hold in fixed-size accumulators
+/// (one SSE register of `f32`); `matmul_tn` holds `NARROW × NARROW`.
+const NARROW: usize = 4;
+
+/// Rows of the right operand one stack panel of [`panel_product`] holds.
+const PANEL: usize = 64;
+
+/// Output chains a wide `matmul_nt` advances together.
+const CHAINS: usize = 8;
+
+/// `out(n×m) = a(n×k) · B(k×m)` with `B[p][j] = b(p, j)`, through
+/// [`panel_product`] when `m` is narrow. Returns false, with `out`
+/// untouched, when it is not.
+fn narrow_product(
+    a: &DenseTensor,
+    m: usize,
+    b: impl Fn(usize, usize) -> f32,
+    out: &mut [f32],
+) -> bool {
+    match m {
+        1 => panel_product::<1>(a, b, out),
+        2 => panel_product::<2>(a, b, out),
+        3 => panel_product::<3>(a, b, out),
+        NARROW => panel_product::<NARROW>(a, b, out),
+        _ => return false,
+    }
+    true
+}
+
+/// `out(n×M) += a(n×k) · B(k×M)`, `B[p][j] = b(p, j)`: `B` is copied
+/// [`PANEL`] rows at a time onto the stack, and each output row sums a
+/// panel's products in registers. A row carried over to the next panel
+/// round-trips through `out` exactly, so on a zeroed `out` every element
+/// is `0.0 + p₀ + p₁ + …` in ascending `p`.
+fn panel_product<const M: usize>(
+    a: &DenseTensor,
+    b: impl Fn(usize, usize) -> f32,
+    out: &mut [f32],
+) {
+    let k = a.cols;
+    for p0 in (0..k).step_by(PANEL) {
+        let len = PANEL.min(k - p0);
+        let mut panel = [[0.0f32; M]; PANEL];
+        for (p, row) in (p0..).zip(&mut panel[..len]) {
+            for (j, x) in row.iter_mut().enumerate() {
+                *x = b(p, j);
+            }
+        }
+        for (ar, or) in a.row_iter().zip(out.chunks_exact_mut(M)) {
+            let or: &mut [f32; M] = or.try_into().expect("rows of M");
+            let mut acc = *or;
+            for (&av, br) in ar[p0..p0 + len].iter().zip(&panel) {
+                for (s, &bv) in acc.iter_mut().zip(br) {
+                    *s += av * bv;
+                }
+            }
+            *or = acc;
+        }
+    }
+}
+
+/// `out(k×M) = aᵀ · c` for `a` `n×k` and `c` `n×M`: [`NARROW`] output
+/// rows at a time sit in registers across all `n` rows of the operands.
+/// A last block of fewer rows reads `a` zero-padded and stores only its
+/// real rows.
+fn tn_tiles<const M: usize>(a: &DenseTensor, c: &DenseTensor, out: &mut [f32]) {
+    for (p0, block) in (0..).step_by(NARROW).zip(out.chunks_mut(NARROW * M)) {
+        let mut acc = [[0.0f32; M]; NARROW];
+        for (ar, cr) in a.row_iter().zip(c.row_iter()) {
+            let cr: &[f32; M] = cr.try_into().expect("rows of M");
+            let av = ar[p0..].first_chunk::<NARROW>().copied().unwrap_or_else(|| {
+                let mut v = [0.0; NARROW];
+                v[..ar.len() - p0].copy_from_slice(&ar[p0..]);
+                v
+            });
+            for (row, &x) in acc.iter_mut().zip(&av) {
+                for (s, &cv) in row.iter_mut().zip(cr) {
+                    *s += x * cv;
+                }
+            }
+        }
+        for (or, row) in block.chunks_exact_mut(M).zip(&acc) {
+            or.copy_from_slice(row);
+        }
+    }
+}
+
 #[cfg(test)]
-mod matmul_tests {
+pub(crate) mod matmul_tests {
     use super::*;
 
     fn a() -> DenseTensor {
@@ -550,39 +688,97 @@ mod matmul_tests {
         assert!(a().matmul_nt(&bt).approx_eq(&a().matmul(&b()), 1e-6));
     }
 
-    /// The index-loop definitions the iterator forms must match bit for
-    /// bit (same products, same accumulation order), at the shapes the
-    /// toy trainer runs them: `a(n×k)·b(k×m)`, `aᵀ·c(n×m)`, `a·dᵀ` with
-    /// `d(m×k)`.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The three products by definition, as bit patterns: plain index
+    /// loops, every element `0.0 + p₀ + p₁ + …` in ascending inner index.
+    /// For `a(n×k)`, `b(k×m)`, `c(n×m)`, `d(m×k)`: `[a·b, aᵀ·c, a·dᵀ]`.
+    pub(crate) fn index_loop_products(
+        a: &DenseTensor,
+        b: &DenseTensor,
+        c: &DenseTensor,
+        d: &DenseTensor,
+    ) -> [Vec<u32>; 3] {
+        let (n, k, m) = (a.rows(), a.cols(), b.cols());
+        let (av, bv, cv, dv) = (a.as_slice(), b.as_slice(), c.as_slice(), d.as_slice());
+        let (mut nn, mut tn, mut nt) =
+            (vec![0.0f32; n * m], vec![0.0f32; k * m], vec![0.0f32; n * m]);
+        for i in 0..n {
+            for p in 0..k {
+                for j in 0..m {
+                    nn[i * m + j] += av[i * k + p] * bv[p * m + j];
+                    tn[p * m + j] += av[i * k + p] * cv[i * m + j];
+                }
+            }
+            for j in 0..m {
+                let mut dot = 0.0;
+                for p in 0..k {
+                    dot += av[i * k + p] * dv[j * k + p];
+                }
+                nt[i * m + j] = dot;
+            }
+        }
+        [bits(&nn), bits(&tn), bits(&nt)]
+    }
+
+    /// What the kernels return on the same operands, as bit patterns.
+    pub(crate) fn kernel_products(
+        a: &DenseTensor,
+        b: &DenseTensor,
+        c: &DenseTensor,
+        d: &DenseTensor,
+    ) -> [Vec<u32>; 3] {
+        [a.matmul(b), a.matmul_tn(c), a.matmul_nt(d)].map(|t| bits(t.as_slice()))
+    }
+
+    fn assert_products_match(a: &DenseTensor, b: &DenseTensor, c: &DenseTensor, d: &DenseTensor) {
+        let (n, k, m) = (a.rows(), a.cols(), b.cols());
+        let want = index_loop_products(a, b, c, d);
+        let got = kernel_products(a, b, c, d);
+        for ((name, got), want) in ["matmul", "matmul_tn", "matmul_nt"].iter().zip(got).zip(want) {
+            assert_eq!(got, want, "{name} {n}x{k}x{m}");
+        }
+    }
+
+    /// The kernels against the index-loop definitions, bit for bit: the
+    /// toy trainer's shapes, tile remainders on every axis, both sides of
+    /// the narrow/wide width and of a panel, a wide width that is no
+    /// multiple of the chain count — and rows of `-0.0` against positive
+    /// weights, which sum to `+0.0` as `0.0 + (-0.0)` does, where a kernel
+    /// that seeded its accumulator with the first product would give `-0.0`.
     #[test]
     fn iterator_matmuls_match_index_loops_bitwise() {
         use rand::{rngs::StdRng, SeedableRng};
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for (n, k, m) in [(0, 4, 4), (1, 1024, 1024), (8192, 4, 4), (7, 3, 5), (3, 0, 2)] {
+        let shapes = [
+            (0, 4, 4),
+            (1, 1024, 1024),
+            (8192, 4, 4),
+            (7, 3, 5),
+            (3, 0, 2),
+            (5, 3, 7),
+            (9, 17, 13),
+            (3, 2, 1),
+            (6, 5, NARROW),
+            (6, 5, NARROW + 1),
+            (3, PANEL + 3, NARROW),
+            (2, 64, 1030),
+        ];
+        for (n, k, m) in shapes {
             let mut rng = StdRng::seed_from_u64((n * 31 + k * 7 + m) as u64);
             let [a, b, c, d] = [(n, k), (k, m), (n, m), (m, k)]
                 .map(|(r, w)| DenseTensor::uniform(r, w, 1.0, &mut rng));
-            let (av, bv, cv, dv) = (a.as_slice(), b.as_slice(), c.as_slice(), d.as_slice());
-            let (mut nn, mut tn, mut nt) =
-                (vec![0.0f32; n * m], vec![0.0f32; k * m], vec![0.0f32; n * m]);
-            for i in 0..n {
-                for p in 0..k {
-                    for j in 0..m {
-                        nn[i * m + j] += av[i * k + p] * bv[p * m + j];
-                        tn[p * m + j] += av[i * k + p] * cv[i * m + j];
-                    }
-                }
-                for j in 0..m {
-                    let mut dot = 0.0;
-                    for p in 0..k {
-                        dot += av[i * k + p] * dv[j * k + p];
-                    }
-                    nt[i * m + j] = dot;
-                }
+            assert_products_match(&a, &b, &c, &d);
+        }
+        for m in [NARROW, 2 * CHAINS + 1] {
+            let (n, k) = (3, 5);
+            let a = DenseTensor::full(n, k, -0.0);
+            let [b, c, d] = [(k, m), (n, m), (m, k)].map(|(r, w)| DenseTensor::full(r, w, 0.5));
+            assert_products_match(&a, &b, &c, &d);
+            for product in kernel_products(&a, &b, &c, &d) {
+                assert!(product.iter().all(|&x| x == 0.0f32.to_bits()), "-0.0 rows, width {m}");
             }
-            assert_eq!(bits(a.matmul(&b).as_slice()), bits(&nn), "matmul {n}x{k}x{m}");
-            assert_eq!(bits(a.matmul_tn(&c).as_slice()), bits(&tn), "matmul_tn {n}x{k}x{m}");
-            assert_eq!(bits(a.matmul_nt(&d).as_slice()), bits(&nt), "matmul_nt {n}x{k}x{m}");
         }
     }
 

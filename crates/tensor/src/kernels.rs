@@ -61,7 +61,7 @@ pub fn add_assign_both(dst: &mut [f32], fwd: &mut [f32]) {
 
 /// [`add_assign`] under the name the frozen benchmark imports for its
 /// `tensor.add_assign_scalar_gbps` probe; both names now time the same
-/// loop. Retired by ROADMAP item 2(b).
+/// loop. Retired by the ROADMAP's "Benchmark revision 2" item.
 #[inline]
 pub fn add_assign_scalar(dst: &mut [f32], src: &[f32]) {
     add_assign(dst, src);

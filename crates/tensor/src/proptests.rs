@@ -74,6 +74,21 @@ proptest! {
     }
 
     #[test]
+    fn products_equal_index_loops_bitwise(
+        n in 0usize..=20,
+        k in 0usize..=20,
+        m in 0usize..=20,
+        seed in 0u64..1 << 32,
+    ) {
+        use crate::dense::matmul_tests::{index_loop_products, kernel_products};
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let [a, b, c, d] = [(n, k), (k, m), (n, m), (m, k)]
+            .map(|(r, w)| DenseTensor::uniform(r, w, 100.0, &mut rng));
+        prop_assert_eq!(kernel_products(&a, &b, &c, &d), index_loop_products(&a, &b, &c, &d));
+    }
+
+    #[test]
     fn sparse_dense_roundtrip(
         indices in prop::collection::vec(0u32..20, 0..15),
         dim in 1usize..4,

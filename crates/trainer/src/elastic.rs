@@ -1,10 +1,11 @@
 //! Elastic training: survive rank loss by shrinking the group live, or
 //! fall back to checkpoint-restart — chosen by a [`RecoveryPolicy`].
 //!
-//! This is the training-loop half of the elastic-membership tentpole
-//! (ROADMAP item 5). The collectives half — epoch-tagged transport and
-//! the re-form protocol — lives in [`embrace_collectives::ElasticWorker`];
-//! here we make the *model state* survive the membership change:
+//! This is the training-loop half of elastic membership (DESIGN §8,
+//! "Elastic membership & epochs"). The collectives half — epoch-tagged
+//! transport and the re-form protocol — lives in
+//! [`embrace_collectives::ElasticWorker`]; here we make the *model state*
+//! survive the membership change:
 //!
 //! * Every step begins with a local **snapshot** of the rank's column
 //!   shard, its Adam moments and the replicated projection state. The

@@ -342,6 +342,41 @@ mod tests {
         assert!(r.final_loss().is_finite());
     }
 
+    /// FNV-1a over the bits of a loss curve.
+    fn curve_hash(losses: &[f64]) -> u64 {
+        losses.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, l| {
+            (h ^ l.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The EmbRace loss curves at the benchmark's two trainer shapes —
+    /// `train_sparse` (262144 × 4, 8192 tokens, s 1.05) and `train_dense`
+    /// (4096 × 1024, one token, lr 0.001) — at world 2, seed 1, so a
+    /// kernel change that moves one loss bit fails here and not only in a
+    /// benchmark run. Hashes taken at the commit before the products were
+    /// register-tiled.
+    #[test]
+    fn benchmark_shapes_keep_their_loss_bits() {
+        let base = ConvergenceConfig { world: 2, zipf_s: 1.05, seed: 1, ..Default::default() };
+        let sparse =
+            ConvergenceConfig { vocab: 262_144, dim: 4, tokens_per_batch: 8192, steps: 12, ..base };
+        let dense = ConvergenceConfig {
+            vocab: 4096,
+            dim: 1024,
+            tokens_per_batch: 1,
+            steps: 8,
+            lr: 0.001,
+            ..base
+        };
+        for (name, cfg, want) in [
+            ("train_sparse", sparse, 5_224_326_064_428_311_701),
+            ("train_dense", dense, 8_790_206_135_083_350_469),
+        ] {
+            let losses = train_convergence(TrainMethod::EmbRace, &cfg).losses;
+            assert_eq!(curve_hash(&losses), want, "{name}: {losses:?}");
+        }
+    }
+
     #[test]
     fn worlds_of_different_sizes_work() {
         for world in [1, 2, 3] {
