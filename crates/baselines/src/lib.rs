@@ -1,7 +1,9 @@
 //! Baseline distributed-training methods (paper §5.2.3).
 //!
-//! Every method the paper compares against is implemented here against the
-//! same substrate EmbRace uses:
+//! Every method the paper compares against is a [`MethodId`] that the step
+//! simulator (`embrace_trainer::sim`) prices with `embrace_simnet`'s cost
+//! model. The Horovod planes also run functionally on the live
+//! collectives EmbRace uses:
 //!
 //! * **Horovod AllReduce** — sparse tensors densified, everything ring-
 //!   AllReduced, FIFO communication ([`method`], functional ops in
@@ -10,9 +12,11 @@
 //!   AllReduced (Horovod ≥ 0.22 default; the convergence baseline of
 //!   Fig. 11);
 //! * **BytePS** — dense parameter-server push/pull plus ByteScheduler's
-//!   tensor partitioning and priority scheduling ([`bytescheduler`]);
+//!   tensor partitioning and priority scheduling ([`bytescheduler`]; the
+//!   PS itself is cost model only);
 //! * **Parallax** — row-partitioned sparse PS for embeddings + AllReduce
-//!   for dense parameters ([`parallax`], over `embrace-ps`);
+//!   for dense parameters (cost model only: `CostModel::ps` with a
+//!   host-copy penalty);
 //! * **OmniReduce** — block-sparse AllReduce (cost model in
 //!   `embrace_simnet::cost`; appears in Fig. 4 only, matching the paper's
 //!   1-GPU-per-node restriction).
@@ -40,7 +44,6 @@ pub mod bytescheduler;
 pub mod compression;
 pub mod horovod;
 pub mod method;
-pub mod parallax;
 
 pub use bytescheduler::partition_tensor;
 pub use compression::{dequantize_8bit, quantize_8bit, topk_sparsify};

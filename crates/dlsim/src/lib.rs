@@ -8,7 +8,7 @@
 //!   Fig. 5): embeddings and dense blocks in FP order, with the input
 //!   edges that constrain scheduling;
 //! * [`embedding`] — a functional embedding table with sparse backward;
-//! * [`optim`] — SGD, Adagrad and Adam sparse/dense optimizers, including
+//! * [`optim`] — SGD and Adam sparse/dense optimizers, including
 //!   the paper's Adam `step`-state modification (§5.7) that makes the
 //!   two-part (prior/delayed) update equivalent to a single update;
 //! * [`queue`] — the stable priority queue that orders communication
@@ -57,6 +57,6 @@ pub use embedding::EmbeddingTable;
 pub use fusion::{assign_buckets, Bucket};
 pub use graph::{ModelGraph, Module, ModuleKind};
 pub use hooks::HookRegistry;
-pub use optim::{Adagrad, Adam, Optimizer, Sgd, UpdatePart};
+pub use optim::{Adam, Optimizer, Sgd, UpdatePart};
 pub use prefetch::Prefetcher;
 pub use queue::StablePriorityQueue;

@@ -1,14 +1,15 @@
-//! Sparse-capable optimizers: SGD, Adagrad and Adam.
+//! Sparse-capable optimizers: SGD and Adam.
 //!
 //! Vertical Sparse Scheduling (§4.2.2) splits each embedding gradient into
 //! a *prior* and a *delayed* part, so the table is updated twice per step.
-//! SGD and Adagrad are fully element-wise, hence unaffected (§5.7). Adam's
+//! SGD is fully element-wise, hence unaffected (§5.7); so is Adagrad, whose
+//! one definition is `embrace_ps::OptimizerKind::Adagrad`. Adam's
 //! `step` state is *per tensor*, so naively calling it twice advances the
 //! bias correction twice; the paper modifies Adam to advance `step` only
 //! when the delayed part is applied. [`UpdatePart`] selects that behaviour
 //! and the equivalence is proven in this module's tests.
 
-use embrace_tensor::{DenseTensor, RowSparse};
+use embrace_tensor::{kernels, DenseTensor, RowSparse};
 use std::ops::Range;
 
 /// Which portion of a split sparse gradient an update call carries.
@@ -72,52 +73,8 @@ impl Optimizer for Sgd {
         let dim = params.cols();
         let p = params.as_mut_slice();
         for (at, g) in row_spans(grad, dim) {
-            for (p, g) in p[at].iter_mut().zip(g) {
-                *p -= self.lr * g;
-            }
+            kernels::scaled_add(&mut p[at], -self.lr, g);
         }
-    }
-}
-
-/// Adagrad (Duchi et al. 2011): per-element accumulated squared gradients.
-/// Fully element-wise, so split updates are exactly equivalent to whole
-/// updates regardless of `UpdatePart`.
-#[derive(Clone, Debug)]
-pub struct Adagrad {
-    pub lr: f32,
-    pub eps: f32,
-    accum: DenseTensor,
-}
-
-impl Adagrad {
-    pub fn new(rows: usize, cols: usize, lr: f32) -> Self {
-        Adagrad { lr, eps: 1e-10, accum: DenseTensor::zeros(rows, cols) }
-    }
-
-    fn apply<'g>(
-        &mut self,
-        params: &mut DenseTensor,
-        grad: impl Iterator<Item = (Range<usize>, &'g [f32])>,
-    ) {
-        assert_eq!(self.accum.cols(), params.cols(), "state width must match the parameters");
-        let (p, a) = (params.as_mut_slice(), self.accum.as_mut_slice());
-        for (at, g) in grad {
-            for ((p, a), &g) in p[at.clone()].iter_mut().zip(&mut a[at]).zip(g) {
-                *a += g * g;
-                *p -= self.lr * g / (a.sqrt() + self.eps);
-            }
-        }
-    }
-}
-
-impl Optimizer for Adagrad {
-    fn step_dense(&mut self, params: &mut DenseTensor, grad: &DenseTensor) {
-        let grad = whole_span(params, grad);
-        self.apply(params, grad);
-    }
-
-    fn step_sparse(&mut self, params: &mut DenseTensor, grad: &RowSparse, _part: UpdatePart) {
-        self.apply(params, row_spans(grad, params.cols()));
     }
 }
 
@@ -246,22 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn adagrad_split_equals_whole() {
-        let g = rand_grad(&[0, 1, 3, 5], 3, 11);
-        let (prior, delayed) = split(&g, &[1, 5]);
-
-        let mut p_whole = DenseTensor::full(6, 3, 0.5);
-        let mut p_split = p_whole.clone();
-        let mut o_whole = Adagrad::new(6, 3, 0.05);
-        let mut o_split = o_whole.clone();
-
-        o_whole.step_sparse(&mut p_whole, &g, UpdatePart::Whole);
-        o_split.step_sparse(&mut p_split, &prior, UpdatePart::Prior);
-        o_split.step_sparse(&mut p_split, &delayed, UpdatePart::Delayed);
-        assert!(p_whole.approx_eq(&p_split, 0.0), "Adagrad is element-wise: exact match expected");
-    }
-
-    #[test]
     fn adam_modified_split_equals_whole() {
         // The §5.7 claim: with the step-state modification, prior+delayed
         // equals a single whole update — over many steps.
@@ -318,15 +259,12 @@ mod tests {
         let (rows, dim, lr) = (12usize, 3usize, 0.05f32);
         let mut rng = StdRng::seed_from_u64(17);
         let init = DenseTensor::uniform(rows, dim, 0.5, &mut rng);
-        let mut opts: [Box<dyn Optimizer>; 3] = [
-            Box::new(Sgd::new(lr)),
-            Box::new(Adagrad::new(rows, dim, lr)),
-            Box::new(Adam::new(rows, dim, lr)),
-        ];
-        let mut got = [init.clone(), init.clone(), init.clone()];
-        let mut want = [init.as_slice().to_vec(), init.as_slice().to_vec(), init.into_vec()];
+        let mut opts: [Box<dyn Optimizer>; 2] =
+            [Box::new(Sgd::new(lr)), Box::new(Adam::new(rows, dim, lr))];
+        let mut got = [init.clone(), init.clone()];
+        let mut want = [init.as_slice().to_vec(), init.into_vec()];
         let zeros = || vec![0.0f32; rows * dim];
-        let (mut accum, mut m, mut v, mut step) = (zeros(), zeros(), zeros(), 0u64);
+        let (mut m, mut v, mut step) = (zeros(), zeros(), 0u64);
         for call in 0..32 {
             // A coalesced sparse gradient over a random row subset, or
             // (every fourth call) a dense one over all rows.
@@ -356,17 +294,11 @@ mod tests {
                 for (p, g) in want[0][at.clone()].iter_mut().zip(&g) {
                     *p -= lr * g;
                 }
-                for ((p, a), &g) in
-                    want[1][at.clone()].iter_mut().zip(&mut accum[at.clone()]).zip(&g)
-                {
-                    *a += g * g;
-                    *p -= lr * g / (a.sqrt() + 1e-10);
-                }
                 let (beta1, beta2) = (0.9f32, 0.999f32);
                 let bc1 = 1.0 - beta1.powi(t as i32);
                 let bc2 = 1.0 - beta2.powi(t as i32);
                 let state = m[at.clone()].iter_mut().zip(&mut v[at.clone()]);
-                for ((p, (m, v)), &g) in want[2][at].iter_mut().zip(state).zip(&g) {
+                for ((p, (m, v)), &g) in want[1][at].iter_mut().zip(state).zip(&g) {
                     *m = beta1 * *m + (1.0 - beta1) * g;
                     *v = beta2 * *v + (1.0 - beta2) * g * g;
                     *p -= lr * (*m / bc1) / ((*v / bc2).sqrt() + 1e-8);
@@ -408,18 +340,5 @@ mod tests {
         }
         assert!(p.approx_eq(&p2, 0.0), "restored optimizer must continue bit-for-bit");
         assert_eq!(o.step_count(), o2.step_count());
-    }
-
-    #[test]
-    fn adagrad_shrinks_effective_rate() {
-        let mut p = DenseTensor::full(1, 1, 0.0);
-        let mut o = Adagrad::new(1, 1, 1.0);
-        let g = DenseTensor::full(1, 1, 1.0);
-        o.step_dense(&mut p, &g);
-        let first = -p.as_slice()[0];
-        let before = p.as_slice()[0];
-        o.step_dense(&mut p, &g);
-        let second = before - p.as_slice()[0];
-        assert!(second < first, "accumulated squares must damp the step");
     }
 }

@@ -1,38 +1,19 @@
 //! Sharded embedding parameter service for the EmbRace reproduction.
 //!
-//! Two substrates, one table abstraction:
-//!
-//! * [`ShardedStore`] — the in-process synchronous PS skeleton. Two of the
-//!   paper's baselines are PS-based: **BytePS** (dense PS + ByteScheduler)
-//!   and **Parallax** (row-partitioned *sparse* PS for embeddings +
-//!   AllReduce for dense parameters, §5.2.3). Shards are mutex-guarded row
-//!   ranges, workers are threads sharing the store, pushes barrier per
-//!   step. Timing is modelled by `embrace_simnet::cost::CostModel::ps`.
-//! * [`EmbeddingService`] — the sharded serving path: one instance per
-//!   SPMD rank, rows placed by a [`PartitionBook`] (contiguous-range or
-//!   cyclic-hash policies), batched lookup/push RPCs riding the
-//!   collectives layer (`alltoallv_tokens` + `alltoall_dense` for lookups,
-//!   `alltoallv_sparse` or the sparse-native allreduce for gradient
-//!   pushes), per-row optimizer state ([`RowOptimizer`]: Adagrad /
-//!   SGD-momentum) colocated with the shard it updates, and a hot-row LRU
-//!   [`RowCache`] with hit-rate and occupancy metrics exported through
-//!   `embrace-obs`.
+//! [`EmbeddingService`] is the one parameter-server substrate: one
+//! instance per SPMD rank, rows placed by a [`PartitionBook`]
+//! (contiguous-range or cyclic-hash policies), batched lookup/push RPCs
+//! riding the collectives layer (`alltoallv_tokens` + `alltoall_dense` for
+//! lookups, `alltoallv_sparse` or the sparse-native allreduce for gradient
+//! pushes), per-row optimizer state ([`RowOptimizer`]: SGD / Adagrad)
+//! colocated with the shard it updates, and a hot-row LRU [`RowCache`]
+//! with hit-rate and occupancy metrics exported through `embrace-obs`.
+//! The paper's PS baselines (BytePS, Parallax) are priced by
+//! `embrace_simnet::cost::CostModel::ps`, not run on this crate.
 //!
 //! Failures are typed [`PsError`]s throughout — no panicking paths on
 //! missing rows or shard-boundary ids (the comm-path lint rules cover
 //! this crate).
-//!
-//! # Example
-//!
-//! ```
-//! use embrace_ps::ShardedStore;
-//! use embrace_tensor::{DenseTensor, RowSparse};
-//!
-//! let store = ShardedStore::new(DenseTensor::zeros(8, 2), 2, 1);
-//! let grad = RowSparse::new(vec![3], DenseTensor::full(1, 2, 1.0));
-//! store.push_sparse(&grad, 0.5).expect("valid gradient");
-//! assert_eq!(store.pull_rows(&[3]).expect("row in range").row(0), &[-0.5, -0.5]);
-//! ```
 
 #![forbid(unsafe_code)]
 
@@ -41,11 +22,9 @@ pub mod error;
 pub mod optim;
 pub mod partition;
 pub mod service;
-pub mod store;
 
 pub use cache::{CacheStats, RowCache};
 pub use error::PsError;
 pub use optim::{OptimizerKind, RowOptimizer};
 pub use partition::{PartitionBook, PartitionPolicy};
 pub use service::{EmbeddingService, PushTransport, ServiceConfig};
-pub use store::ShardedStore;

@@ -16,7 +16,7 @@
 //!
 //! **Push** partitions a [`RowSparse`] gradient by owning shard and rides
 //! `alltoallv_sparse` (AlltoAll #2); each shard coalesces what it received
-//! — source-rank order, the same summation order a single-shard store
+//! — source-rank order, the same summation order a single-shard service
 //! applies — and updates through its colocated [`RowOptimizer`].
 //! Alternatively a push can ride the sparse-native allreduce
 //! ([`PushTransport::SparseAllreduce`]); every rank then applies its own
@@ -169,14 +169,14 @@ impl EmbeddingService {
     /// rows in request order.
     pub fn try_lookup<C: Comm>(&mut self, ep: &mut C, ids: &[u32]) -> Result<DenseTensor, PsError> {
         let _span = recorder::span("ps_lookup", "serving");
-        self.lookups += 1;
-        self.rows_served += ids.len() as u64;
-        // Validate before any packet moves.
+        // Validate before any packet moves; a rejected lookup serves nothing.
         for &id in ids {
             if id as usize >= self.book.vocab() {
                 return abort(ep, PsError::RowOutOfRange { row: id, vocab: self.book.vocab() });
             }
         }
+        self.lookups += 1;
+        self.rows_served += ids.len() as u64;
         // Plan each position: cache hit, or a deduplicated fetch from the
         // owning shard (self included — the self slot of the AlltoAll).
         let mut slots: Vec<Slot> = Vec::with_capacity(ids.len());
@@ -247,7 +247,6 @@ impl EmbeddingService {
     /// optimizer, then invalidates its hot-row cache.
     pub fn try_push<C: Comm>(&mut self, ep: &mut C, grad: &RowSparse) -> Result<(), PsError> {
         let _span = recorder::span("ps_push", "serving");
-        self.pushes += 1;
         if grad.dim() != self.dim {
             return abort(ep, PsError::DimMismatch { expected: self.dim, got: grad.dim() });
         }
@@ -256,6 +255,7 @@ impl EmbeddingService {
                 return abort(ep, PsError::RowOutOfRange { row, vocab: self.book.vocab() });
             }
         }
+        self.pushes += 1;
         match self.push {
             PushTransport::Alltoallv => {
                 // Partition by owning shard, positions kept in input order
@@ -521,6 +521,30 @@ mod tests {
             "unexpected peer error: {:?}",
             errs[1]
         );
+    }
+
+    #[test]
+    fn rejected_calls_leave_the_serving_counters_alone() {
+        let out = run_group(1, |rank, ep| {
+            let mut svc =
+                EmbeddingService::new(rank, 1, &base_cfg(4, 2, PartitionPolicy::Range), &init);
+            svc.try_lookup(ep, &[1, 2]).expect("lookup");
+            svc.try_push(ep, &RowSparse::new(vec![1], DenseTensor::zeros(1, 2))).expect("push");
+            let snapshot = |svc: &EmbeddingService| {
+                let mut m = Metrics::new();
+                svc.export_metrics(&mut m);
+                ["ps.lookup.batches", "ps.lookup.rows_served", "ps.push.batches"]
+                    .map(|c| m.counter(c))
+            };
+            let before = snapshot(&svc);
+            svc.try_lookup(ep, &[1, 99]).expect_err("row out of range");
+            svc.try_push(ep, &RowSparse::new(vec![0], DenseTensor::zeros(1, 5)))
+                .expect_err("wrong width");
+            svc.try_push(ep, &RowSparse::new(vec![7], DenseTensor::zeros(1, 2)))
+                .expect_err("row out of range");
+            (before, snapshot(&svc))
+        });
+        assert_eq!(out[0], ([1, 2, 1], [1, 2, 1]));
     }
 
     #[test]

@@ -1,21 +1,15 @@
 #![recursion_limit = "1024"] // the 11-parameter proptest! below expands deep
 
-//! Serving-path properties (ISSUE 10 satellite): the sharded embedding
-//! service must be observationally *bitwise* identical to a single-shard
-//! oracle — same lookups, same post-push tables — across partition
-//! policies, worlds 2–8, duplicate-id batches and all three optimizers;
-//! and the shared-memory store must never expose a torn row to concurrent
-//! inference readers.
+//! Serving-path properties: the sharded embedding service must be
+//! observationally *bitwise* identical to a single-shard oracle — same
+//! lookups, same post-push tables — across partition policies, worlds 2–8,
+//! duplicate-id batches and both optimizers.
 
 use embrace_collectives::run_group;
-use embrace_ps::{
-    EmbeddingService, OptimizerKind, PartitionPolicy, PushTransport, ServiceConfig, ShardedStore,
-};
+use embrace_ps::{EmbeddingService, OptimizerKind, PartitionPolicy, PushTransport, ServiceConfig};
 use embrace_tensor::{DenseTensor, RowSparse};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::sync::Arc;
-use std::thread;
 
 const MAX_WORLD: usize = 8;
 const MAX_STEPS: usize = 3;
@@ -116,7 +110,7 @@ proptest! {
         dim in 1usize..=MAX_DIM,
         steps in 1usize..=MAX_STEPS,
         policy_sel in 0u8..2,
-        opt_sel in 0u8..3,
+        opt_sel in 0u8..2,
         cache_rows in 0usize..6,
         raw_lens in vec(0usize..=MAX_BATCH, MAX_STEPS * MAX_WORLD),
         raw_ids in vec(0u32..u32::MAX, MAX_STEPS * MAX_WORLD * MAX_BATCH),
@@ -124,10 +118,10 @@ proptest! {
     ) {
         let policy =
             if policy_sel == 1 { PartitionPolicy::Hash } else { PartitionPolicy::Range };
-        let optimizer = match opt_sel {
-            0 => OptimizerKind::Sgd { lr: 0.3 },
-            1 => OptimizerKind::Adagrad { lr: 0.3 },
-            _ => OptimizerKind::Momentum { lr: 0.3, momentum: 0.9 },
+        let optimizer = if opt_sel == 1 {
+            OptimizerKind::Adagrad { lr: 0.3 }
+        } else {
+            OptimizerKind::Sgd { lr: 0.3 }
         };
         // batches[step][rank]: ids folded into the vocabulary, duplicates
         // kept (the dedup/coalesce paths must both handle them).
@@ -173,55 +167,5 @@ proptest! {
                 world
             );
         }
-    }
-}
-
-/// Concurrent trainer + inference traffic on the shared-memory store:
-/// every push writes rows whose elements are all equal, so any row a
-/// reader ever observes must be internally uniform — a mixed row is a
-/// torn (half-applied) update escaping the shard lock.
-#[test]
-fn concurrent_trainer_and_inference_never_see_torn_rows() {
-    let vocab = 32;
-    let dim = 8;
-    let world = 4;
-    let steps = 50;
-    let store = Arc::new(ShardedStore::new(DenseTensor::zeros(vocab, dim), 4, world));
-
-    thread::scope(|s| {
-        for w in 0..world {
-            let store = Arc::clone(&store);
-            s.spawn(move || {
-                for step in 0..steps {
-                    // Every worker hits the same hot rows plus a private
-                    // one; all elements of a gradient row are equal, so
-                    // the table rows stay uniform step to step.
-                    let ids = vec![0u32, (vocab / 2) as u32, (w + 8) as u32];
-                    let g = DenseTensor::full(ids.len(), dim, (step % 7) as f32 + 1.0);
-                    store.push_sparse(&RowSparse::new(ids, g), 0.01).expect("valid gradient");
-                }
-            });
-        }
-        // Inference readers race the trainers; they are not part of the
-        // push barrier (pulls never block on the step protocol).
-        for r in 0..2u32 {
-            let store = Arc::clone(&store);
-            s.spawn(move || {
-                for _ in 0..300 {
-                    let ids: Vec<u32> = (0..vocab as u32).filter(|i| i % 2 == r % 2).collect();
-                    let rows = store.pull_rows(&ids).expect("rows in range");
-                    for i in 0..rows.rows() {
-                        let row = rows.row(i);
-                        assert!(row.iter().all(|&x| x == row[0]), "torn row observed: {row:?}");
-                    }
-                }
-            });
-        }
-    });
-    // The fully-settled table must itself be uniform per row.
-    let snap = store.snapshot();
-    for i in 0..snap.rows() {
-        let row = snap.row(i);
-        assert!(row.iter().all(|&x| x == row[0]));
     }
 }

@@ -12,7 +12,8 @@
 //!   (paper Table 2) and the discrete-event step simulator;
 //! * [`collectives`] — real multi-threaded AllReduce / AllGather /
 //!   AlltoAll over an in-memory mesh;
-//! * [`ps`] — the sharded parameter-server substrate;
+//! * [`ps`] — the sharded embedding service (collective lookup/push,
+//!   colocated row optimizers, hot-row cache);
 //! * [`dlsim`] — the mini DL framework (module graphs, optimizers with
 //!   the paper's Adam modification, priority queues, prefetcher, hooks);
 //! * [`models`] — LM / GNMT-8 / Transformer / BERT-base specs and
@@ -20,7 +21,7 @@
 //! * [`core`] — EmbRace itself: Sparsity-aware Hybrid Communication and
 //!   2D Communication Scheduling (Algorithm 1);
 //! * [`baselines`] — Horovod AllReduce/AllGather, BytePS(+ByteScheduler),
-//!   Parallax, OmniReduce;
+//!   Parallax, OmniReduce (the PS and OmniReduce planes as cost models);
 //! * [`trainer`] — the end-to-end step simulator and the functional
 //!   convergence trainer;
 //! * [`obs`] — the observability layer: hierarchical spans (wall +

@@ -4,7 +4,7 @@
 //! parameter-server surface goes one better and returns typed errors.
 
 use embrace_repro::collectives::{mesh, run_group, CommOp, CommScheduler};
-use embrace_repro::ps::ShardedStore;
+use embrace_repro::ps::{EmbeddingService, PsError, ServiceConfig};
 use embrace_repro::simnet::{CommOrder, Sim, Task};
 use embrace_repro::tensor::{DenseTensor, RowSparse};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -34,21 +34,33 @@ fn mismatched_alltoall_parts_panic() {
     assert!(result.is_err());
 }
 
+/// A one-rank embedding service over a zero-initialised 4 × 2 table.
+fn zero_service() -> EmbeddingService {
+    EmbeddingService::new(0, 1, &ServiceConfig::minimal(4, 2, 1.0), &|_, _| 0.0)
+}
+
 #[test]
 fn ps_rejects_wrong_gradient_width() {
-    let store = ShardedStore::new(DenseTensor::zeros(4, 2), 2, 1);
-    let bad = RowSparse::new(vec![0], DenseTensor::zeros(1, 5));
-    assert!(store.push_sparse(&bad, 0.1).is_err(), "dim mismatch must error, not corrupt");
-    // The store remains usable afterwards.
-    let good = RowSparse::new(vec![1], DenseTensor::full(1, 2, 1.0));
-    store.push_sparse(&good, 1.0).expect("matching width");
-    assert_eq!(store.pull_rows(&[1]).expect("row in range").row(0), &[-1.0, -1.0]);
+    run_group(1, |_rank, ep| {
+        let mut svc = zero_service();
+        let bad = RowSparse::new(vec![0], DenseTensor::zeros(1, 5));
+        assert_eq!(svc.try_push(ep, &bad), Err(PsError::DimMismatch { expected: 2, got: 5 }));
+        // The service remains usable afterwards.
+        let good = RowSparse::new(vec![1], DenseTensor::full(1, 2, 1.0));
+        svc.try_push(ep, &good).expect("matching width");
+        assert_eq!(svc.try_lookup(ep, &[1]).expect("row in range").row(0), &[-1.0, -1.0]);
+    });
 }
 
 #[test]
 fn ps_rejects_out_of_range_rows() {
-    let store = ShardedStore::new(DenseTensor::zeros(4, 1), 2, 1);
-    assert!(store.pull_rows(&[99]).is_err());
+    run_group(1, |_rank, ep| {
+        let mut svc = zero_service();
+        let err = svc.try_lookup(ep, &[99]).expect_err("row 99 of 4");
+        assert_eq!(err, PsError::RowOutOfRange { row: 99, vocab: 4 });
+        // The service still serves afterwards.
+        assert_eq!(svc.try_lookup(ep, &[3]).expect("row in range").row(0), &[0.0, 0.0]);
+    });
 }
 
 #[test]
