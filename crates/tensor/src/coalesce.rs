@@ -61,6 +61,9 @@ pub fn coalesce_split(
 struct Coalescer {
     dim: usize,
     indices: Vec<u32>,
+    /// Zeroed for the worst case up front, so a new row is copied into
+    /// place (growing the `Vec` a row at a time would be a `memset` call
+    /// per row); [`Self::finish`] cuts it to the rows written.
     values: Vec<f32>,
 }
 
@@ -68,22 +71,23 @@ impl Coalescer {
     /// Sized for the worst case: every row of `grad` distinct.
     fn for_rows_of(grad: &RowSparse) -> Self {
         let (rows, dim) = (grad.nnz_rows(), grad.dim());
-        Coalescer { dim, indices: Vec::with_capacity(rows), values: Vec::with_capacity(rows * dim) }
+        Coalescer { dim, indices: Vec::with_capacity(rows), values: vec![0.0; rows * dim] }
     }
 
     #[inline]
     fn add(&mut self, id: u32, row: &[f32]) {
+        let end = self.indices.len() * self.dim;
         if self.indices.last() == Some(&id) {
-            let start = self.values.len() - self.dim;
-            crate::kernels::add_assign(&mut self.values[start..], row);
+            crate::kernels::add_assign(&mut self.values[end - self.dim..end], row);
         } else {
             self.indices.push(id);
-            self.values.extend_from_slice(row);
+            crate::kernels::copy_row(&mut self.values[end..end + self.dim], row);
         }
     }
 
-    fn finish(self) -> RowSparse {
+    fn finish(mut self) -> RowSparse {
         let rows = self.indices.len();
+        self.values.truncate(rows * self.dim);
         RowSparse::new(self.indices, DenseTensor::from_vec(rows, self.dim, self.values))
     }
 }
@@ -98,45 +102,61 @@ fn sorted_rows(grad: &RowSparse) -> impl Iterator<Item = (u32, &[f32])> {
 }
 
 /// Stable permutation sorting `ids` ascending: `perm[k]` is the original
-/// position of the k-th smallest id, duplicates kept in input order
-/// (deterministic f32 summation order downstream). Uses an O(n + range)
-/// counting/bucket pass when the id range is comparable to the row count —
-/// the common case for embedding batches, whose token ids cluster — and
-/// falls back to a comparison sort for wide, sparse ranges.
-fn sort_permutation(ids: &[u32]) -> Vec<u32> {
+/// position of the k-th smallest id, duplicates kept in input order, so
+/// duplicate rows are summed first to last downstream. A stable sort
+/// permutation is unique, so this is exactly what any stable sort returns.
+///
+/// One LSD radix sort on `id − min`: as many digits as the span's bit
+/// length needs at [`RADIX_BITS`] bits each, split evenly — one pass below
+/// 2¹¹, two up to 2²² (embedding batches: `train_sparse`'s 2¹⁸-row table,
+/// the service's 2²⁰), three over the whole `u32` range. Each pass scatters
+/// positions in their current order, which is what keeps it stable.
+pub(crate) fn sort_permutation(ids: &[u32]) -> Vec<u32> {
     let n = ids.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let (mut min, mut max) = (ids[0], ids[0]);
+    assert!(n <= u32::MAX as usize, "sort_permutation numbers rows as u32");
+    let mut perm: Vec<u32> = (0..n as u32).collect();
+    let (mut min, mut max) = (u32::MAX, 0);
     for &i in ids {
         min = min.min(i);
         max = max.max(i);
     }
-    let range = (max - min) as usize + 1;
-    if range <= 4 * n {
-        // starts[b] = first output slot of bucket b after the prefix sum;
-        // appending positions in input order keeps the permutation stable.
-        let mut starts = vec![0u32; range + 1];
-        for &i in ids {
-            starts[(i - min) as usize + 1] += 1;
+    if min >= max {
+        // Empty, or every id equal: input order is the sorted order.
+        return perm;
+    }
+    let bits = u32::BITS - (max - min).leading_zeros();
+    let passes = bits.div_ceil(RADIX_BITS) as usize;
+    let width = bits.div_ceil(passes as u32);
+    let buckets = 1 << width;
+    let digit =
+        |id: u32, pass: usize| ((id - min) >> (pass as u32 * width)) as usize & (buckets - 1);
+    // Every pass's bucket sizes from one sweep over the ids, then each
+    // pass's run of buckets turned into their start slots.
+    let mut starts = vec![0usize; passes * buckets];
+    for &id in ids {
+        for pass in 0..passes {
+            starts[pass * buckets + digit(id, pass)] += 1;
         }
-        for b in 0..range {
-            starts[b + 1] += starts[b];
+    }
+    let mut next = vec![0u32; n];
+    for (pass, starts) in starts.chunks_exact_mut(buckets).enumerate() {
+        let mut sum = 0;
+        for s in starts.iter_mut() {
+            (*s, sum) = (sum, sum + *s);
         }
-        let mut perm = vec![0u32; n];
-        for (pos, &i) in ids.iter().enumerate() {
-            let slot = &mut starts[(i - min) as usize];
-            perm[*slot as usize] = pos as u32;
+        for &p in &perm {
+            let slot = &mut starts[digit(ids[p as usize], pass)];
+            next[*slot] = p;
             *slot += 1;
         }
-        perm
-    } else {
-        let mut perm: Vec<u32> = (0..n as u32).collect();
-        perm.sort_by_key(|&i| ids[i as usize]);
-        perm
+        std::mem::swap(&mut perm, &mut next);
     }
+    perm
 }
+
+/// Widest digit of [`sort_permutation`]: a pass's 2¹¹ `usize` bucket
+/// counts, 16 KiB, stay in L1.
+const RADIX_BITS: u32 = 11;
 
 #[cfg(test)]
 mod tests {
@@ -198,19 +218,6 @@ mod tests {
         let c = coalesce(&g);
         assert_eq!(crate::alloc_counter::events(), 0, "coalesced input must not be copied");
         assert!(c.values().is_shared() && g.values().is_shared());
-    }
-
-    #[test]
-    fn counting_and_comparison_permutations_agree() {
-        // Narrow range (counting path) vs the same ids shifted far apart
-        // (comparison path): relative order of outputs must be identical.
-        let narrow: Vec<u32> = vec![5, 1, 5, 3, 1, 2, 5, 0, 3];
-        let wide: Vec<u32> = narrow.iter().map(|&i| i * 1_000_000).collect();
-        assert_eq!(sort_permutation(&narrow), sort_permutation(&wide));
-        // Stability: equal ids keep input order.
-        let perm = sort_permutation(&narrow);
-        let ones: Vec<u32> = perm.iter().copied().filter(|&p| narrow[p as usize] == 1).collect();
-        assert_eq!(ones, vec![1, 4]);
     }
 
     #[test]

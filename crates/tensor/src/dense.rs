@@ -4,6 +4,7 @@
 //! element-wise arithmetic, row/column slicing and (de)serialisation into
 //! flat buffers, not a full BLAS.
 
+use crate::kernels::{copy_row, NARROW};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -201,7 +202,7 @@ impl DenseTensor {
     pub fn gather_rows(&self, indices: &[u32]) -> DenseTensor {
         let mut out = DenseTensor::zeros(indices.len(), self.cols);
         for (dst, &src) in out.rows_mut().zip(indices) {
-            dst.copy_from_slice(self.row(src as usize));
+            copy_row(dst, self.row(src as usize));
         }
         out
     }
@@ -222,7 +223,7 @@ impl DenseTensor {
         let width = end - start;
         let mut out = DenseTensor::zeros(self.rows, width);
         for (dst, src) in out.rows_mut().zip(self.row_iter()) {
-            dst.copy_from_slice(&src[start..end]);
+            copy_row(dst, &src[start..end]);
         }
         out
     }
@@ -232,7 +233,7 @@ impl DenseTensor {
         assert_eq!(self.rows, block.rows, "row count mismatch in set_columns");
         assert!(start + block.cols <= self.cols, "column range out of bounds");
         for (dst, src) in self.rows_mut().zip(block.row_iter()) {
-            dst[start..start + block.cols].copy_from_slice(src);
+            copy_row(&mut dst[start..start + block.cols], src);
         }
     }
 
@@ -565,10 +566,6 @@ impl DenseTensor {
         out
     }
 }
-
-/// Widest output whose tiles the products hold in fixed-size accumulators
-/// (one SSE register of `f32`); `matmul_tn` holds `NARROW × NARROW`.
-const NARROW: usize = 4;
 
 /// Rows of the right operand one stack panel of [`panel_product`] holds.
 const PANEL: usize = 64;

@@ -1,22 +1,59 @@
-//! The f32 reduce kernels — the arithmetic hot loop of every collective
-//! reduce step (ring chunks, the SSAR k-way merge, coalesce
-//! duplicate-summing, scatter-add, the dense optimizers' tensor algebra).
+//! The f32 row kernels: the reduce loops every collective reduce step runs
+//! (ring chunks, the SSAR k-way merge, coalesce duplicate-summing,
+//! scatter-add, the dense optimizers' tensor algebra), and `copy_row`,
+//! the one row copy of the tensor row movers (gather, column split and
+//! reassembly, the coalescer and the row-sparse merge).
 //!
-//! Four plain slice loops. Each asserts equal lengths up front, which is
-//! all the autovectoriser needs to drop the bounds checks and emit packed
-//! SIMD: hand-blocking the same loops into `[f32; 8]` chunks measures the
-//! same or slower at every size the workloads run. They are index loops
-//! rather than `iter_mut().zip(..)` because most calls are on rows 2–16
-//! elements wide, where the `zip` form's extra set-up costs `train_sparse`
-//! about 5 % of a step (DESIGN §3.5 has both sets of numbers). No
-//! `unsafe`, no intrinsics, no feature detection, so the crate-wide
-//! `#![forbid(unsafe_code)]` stands.
+//! The reduce kernels are four plain slice loops. Each asserts equal
+//! lengths up front, which is all the autovectoriser needs to drop the
+//! bounds checks and emit packed SIMD: hand-blocking the same loops into
+//! `[f32; 8]` chunks measures the same or slower at every size the
+//! workloads run. They are index loops rather than `iter_mut().zip(..)`
+//! because most calls are on rows 2–16 elements wide, where the `zip`
+//! form's extra set-up costs `train_sparse` about 5 % of a step (DESIGN
+//! §3.5 has both sets of numbers). No `unsafe`, no intrinsics, no feature
+//! detection, so the crate-wide `#![forbid(unsafe_code)]` stands.
 //!
 //! Every element sees one operation on fixed operands in index order, so
 //! results do not depend on how the compiler blocks the loop — that is
 //! what the collectives' bitwise-determinism proofs in the analyzer rest
 //! on. [`add_assign_both`] is the one fused pass: the ring's
 //! receive-reduce-forward step in a single sweep over memory.
+//!
+//! `copy_row` exists because a runtime-length `copy_from_slice` is a
+//! libc `memcpy` call, and the sparse plane copies tens of thousands of
+//! rows 2 or 4 floats wide per step. Up to `NARROW` floats it copies a
+//! `[f32; W]` in registers instead. The reduce kernels get no such width
+//! match: it measured slower end to end (DESIGN §3.5 "Row copies").
+
+/// The width rule of DESIGN §3.5: rows up to `NARROW` floats wide (one SSE
+/// register of `f32`) are handled as fixed-size arrays — copied whole by
+/// [`copy_row`], and held in register tiles by the dense products (whose
+/// `matmul_tn` tile is `NARROW × NARROW`). Wider rows take the general loop.
+pub(crate) const NARROW: usize = 4;
+
+/// `dst.copy_from_slice(src)`, bit for bit. Rows 1 to [`NARROW`] wide are
+/// copied as one `[f32; W]`, wider ones by `copy_from_slice`. Panics on
+/// length mismatch.
+#[inline]
+pub(crate) fn copy_row(dst: &mut [f32], src: &[f32]) {
+    assert_eq!(dst.len(), src.len(), "length mismatch in copy_row");
+    match src.len() {
+        1 => copy_fixed::<1>(dst, src),
+        2 => copy_fixed::<2>(dst, src),
+        3 => copy_fixed::<3>(dst, src),
+        NARROW => copy_fixed::<NARROW>(dst, src),
+        _ => dst.copy_from_slice(src),
+    }
+}
+
+/// [`copy_row`] at a width known at compile time: a register move, no call.
+#[inline(always)]
+fn copy_fixed<const W: usize>(dst: &mut [f32], src: &[f32]) {
+    let src: &[f32; W] = src.try_into().expect("copy_row matched the width");
+    let dst: &mut [f32; W] = dst.try_into().expect("copy_row checked the lengths");
+    *dst = *src;
+}
 
 /// `dst[i] += src[i]`. Panics on length mismatch.
 #[inline]
@@ -97,6 +134,34 @@ mod tests {
             let want: Vec<u32> = expect.iter().map(|v| v.to_bits()).collect();
             assert_eq!(dst.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want, "len {len}");
             assert_eq!(fwd.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want, "len {len}");
+        }
+    }
+
+    /// Every fixed width and the fallback on both sides of it, with the
+    /// bit patterns a float copy could lose: `-0.0` and a NaN payload.
+    #[test]
+    fn copy_row_copies_bits_at_every_width() {
+        for len in 0..=9 {
+            let mut src = data(len, 8);
+            if let Some(x) = src.first_mut() {
+                *x = -0.0;
+            }
+            if let Some(x) = src.get_mut(1) {
+                *x = f32::from_bits(0x7fc0_1234);
+            }
+            let mut dst = vec![1.0; len];
+            copy_row(&mut dst, &src);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&dst), bits(&src), "len {len}");
+        }
+    }
+
+    #[test]
+    fn copy_row_length_mismatch_panics() {
+        // (dst, src) lengths: src at a fixed width, then on the fallback.
+        for (d, s) in [(3, 2), (NARROW + 1, NARROW), (1, 0), (8, 9)] {
+            let copy = || copy_row(&mut vec![0.0; d], &vec![0.0; s]);
+            assert!(std::panic::catch_unwind(copy).is_err(), "{d} <- {s} must panic");
         }
     }
 

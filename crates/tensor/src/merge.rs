@@ -43,7 +43,9 @@ pub fn merge_rowsparse(parts: &[RowSparse]) -> RowSparse {
 
     let upper: usize = live.iter().map(|p| p.nnz_rows()).sum();
     let mut indices: Vec<u32> = Vec::with_capacity(upper);
-    let mut values: Vec<f32> = Vec::with_capacity(upper * dim);
+    // Zeroed for the worst case so each output row is copied into place,
+    // as in the coalescer; cut to the rows produced below.
+    let mut values: Vec<f32> = vec![0.0; upper * dim];
     let mut cursor = vec![0usize; live.len()];
     loop {
         let mut next: Option<u32> = None;
@@ -53,22 +55,24 @@ pub fn merge_rowsparse(parts: &[RowSparse]) -> RowSparse {
             }
         }
         let Some(idx) = next else { break };
+        let at = indices.len() * dim;
         indices.push(idx);
-        let at = values.len();
+        let out = &mut values[at..at + dim];
         let mut first = true;
         for (k, p) in live.iter().enumerate() {
             if p.indices().get(cursor[k]) == Some(&idx) {
                 let row = p.values().row(cursor[k]);
                 if first {
-                    values.extend_from_slice(row);
+                    crate::kernels::copy_row(out, row);
                     first = false;
                 } else {
-                    crate::kernels::add_assign(&mut values[at..], row);
+                    crate::kernels::add_assign(out, row);
                 }
                 cursor[k] += 1;
             }
         }
     }
+    values.truncate(indices.len() * dim);
     alloc_counter::note(indices.len() * INDEX_BYTES + values.len() * F32_BYTES);
     let rows = indices.len();
     RowSparse::new(indices, DenseTensor::from_vec(rows, dim, values))

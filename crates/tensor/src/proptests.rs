@@ -120,6 +120,48 @@ proptest! {
         prop_assert_eq!(rows.iter().map(|r| r.len()).sum::<usize>(), total);
     }
 
+    // The radix permutation is the stable sort's, on batches of up to 3000
+    // ids drawn from a pool of at most 64, so ties are many. Spans: 0
+    // (every id equal), under 2¹¹ (one pass), 2¹⁸ and 2²⁰ (two passes),
+    // and all of `u32` with both 0 and `u32::MAX` present (three passes).
+    #[test]
+    fn sort_permutation_is_the_stable_sort(
+        n in 0usize..=3000,
+        span in 0usize..5,
+        distinct in 1usize..=64,
+        seed in 0u64..1 << 32,
+    ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let base = |rng: &mut StdRng, width: u32| rng.gen_range(0..=u32::MAX - width);
+        let (lo, hi) = match span {
+            0 => {
+                let x = base(&mut rng, 0);
+                (x, x)
+            }
+            1 => {
+                let lo = base(&mut rng, 1 << 11);
+                (lo, lo + rng.gen_range(1u32..1 << 11))
+            }
+            2 | 3 => {
+                let width = if span == 2 { 1 << 18 } else { 1 << 20 };
+                let lo = base(&mut rng, width);
+                (lo, lo + width)
+            }
+            _ => (0, u32::MAX),
+        };
+        let pool: Vec<u32> = (0..distinct).map(|_| rng.gen_range(lo..=hi)).collect();
+        let mut ids: Vec<u32> = (0..n).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
+        if n >= 2 {
+            // Both ends of the span, so the pass count is the span's.
+            ids[rng.gen_range(0..n / 2)] = lo;
+            ids[rng.gen_range(n / 2..n)] = hi;
+        }
+        let mut want: Vec<u32> = (0..n as u32).collect();
+        want.sort_by_key(|&i| ids[i as usize]);
+        prop_assert_eq!(crate::coalesce::sort_permutation(&ids), want);
+    }
+
     #[test]
     fn coalesce_row_count_bounds(
         indices in prop::collection::vec(0u32..10, 0..40),

@@ -112,8 +112,8 @@ proptest! {
     // The fused split against the seven-pass composition, over duplicates,
     // empty inputs, a `D_next` empty / equal to the batch / disjoint from
     // it / overlapping it, a `D_cur` that is not the gradient's index
-    // list, and id spreads on both sides of every regime switch (counting
-    // vs comparison sort at range 4n; bitmap vs sorted `D_next` at span
+    // list, and id spreads on both sides of every regime switch (one, two
+    // and three radix-sort passes; bitmap vs sorted `D_next` at span
     // 64·len).
     #[test]
     fn vertical_split_equals_the_seven_pass_composition(
