@@ -536,10 +536,6 @@ impl Comm for RecordingEndpoint {
     }
 }
 
-/// Scheduler token-gather priority used by the trainer (kept in sync with
-/// `embrace-trainer`; the verifier only needs relative order).
-pub const TOKEN_GATHER_PRIORITY: i64 = -4;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -26,7 +26,7 @@ use embrace_collectives::ops::{sparse_allreduce, SsarConfig};
 use embrace_collectives::schedule::Traversal;
 use embrace_collectives::{run_group, Comm, Endpoint, Packet};
 use embrace_tensor::{DenseTensor, RowSparse, TokenBuf, F32_BYTES, TOKEN_BYTES};
-use embrace_trainer::scheduled::train_convergence_traced;
+use embrace_trainer::train_convergence_scheduled_observed;
 
 /// After running `f` on a live mesh, every rank's per-peer (msgs, bytes)
 /// send counters must equal the plan's link traffic.
@@ -343,7 +343,7 @@ fn traced_trainer_schedule_verifies_spmd_clean() {
     // The live scheduled pipeline's submission logs, fed to the static
     // verifier: SPMD multiset + priority consistency must hold.
     let cfg = embrace_trainer::real::ConvergenceConfig { world: 3, steps: 4, ..Default::default() };
-    let (result, logs) = train_convergence_traced(&cfg);
+    let (result, logs, _) = train_convergence_scheduled_observed(&cfg, false);
     assert_eq!(result.losses.len(), 4);
     assert_eq!(logs.len(), 3);
     for (rank, log) in logs.iter().enumerate() {

@@ -4,15 +4,20 @@
 //! The paper's prototype "holds a priority queue and a communication
 //! thread. Communications are performed in the communication thread
 //! according to the priority queue." Here the queue is the same and the
-//! thread is the caller's: [`CommScheduler::submit`] only enqueues and
-//! never communicates, and every other call — [`Ticket::wait`],
+//! thread is the caller's, and the transport is any [`Comm`]: an owned
+//! [`Endpoint`] (the default), or `&mut` an endpoint or elastic group for
+//! a scheduler scoped to one training step. [`CommScheduler::submit`] only
+//! enqueues and never communicates, and every other call — [`Ticket::wait`],
 //! [`CommScheduler::flush`], [`CommScheduler::progress`] (one unit: the
 //! quantum a BP hook hands the comm plane) and `Drop` (drains) — runs
 //! **units** of the queued collectives on the calling thread. On the
 //! in-process mesh a transfer is a pointer hand-off, so a thread of its own
 //! overlapped nothing but the reduce kernel and cost two hand-offs per op;
 //! what asynchrony buys on a real network is reproduced by the DES
-//! (`embrace-simnet`), which keeps modelling the asynchronous thread.
+//! (`embrace-simnet`), which keeps modelling the asynchronous thread. On a
+//! thread with the `embrace_obs::recorder` installed every unit lies inside
+//! a `collective` span: a whole op's is its [`crate::ops`] function's, a
+//! partitioned op records one per unit.
 //!
 //! # Units, priorities and preemption
 //!
@@ -29,7 +34,8 @@
 //! and runs its first unit; otherwise the top op runs its next unit. A
 //! strictly more urgent submission therefore preempts the op in flight at
 //! its next unit boundary, and the preempted op resumes when it is on top
-//! again.
+//! again. The sparse-native allreduce has no resumable units and always
+//! runs whole.
 //!
 //! # The SPMD contract, and why it needs no controller
 //!
@@ -59,8 +65,9 @@
 //!   error — the real cause (`Protocol`, `PeerGone`, `Timeout`, the
 //!   origin's `Aborted`, the victim's own `Injected`);
 //! - the failing rank tells its peers ([`crate::ops`]' abort broadcast) and
-//!   drops its endpoint, so a peer blocked on it sees `Aborted` or
-//!   `PeerGone`, or `Timeout` where the mesh has a deadline;
+//!   drops its transport — an owned endpoint goes, so a peer blocked on it
+//!   sees `Aborted` or `PeerGone`, or `Timeout` where the mesh has a
+//!   deadline; a borrowed one goes back to its owner;
 //! - [`CommScheduler::submit`] / [`CommScheduler::flush`] after a failure
 //!   return a pre-failed ticket / `Failed(Aborted)`;
 //! - an op only this rank enqueued is started by `Drop`'s drain and fails
@@ -69,11 +76,11 @@
 
 use crate::ops::{
     fail, try_allgather_tokens, try_alltoall_dense, try_alltoallv_sparse, try_ring_allreduce,
-    FanoutMachine, RingMachine,
+    try_sparse_allreduce, FanoutMachine, RingMachine, SparseReduced, SsarConfig,
 };
 use crate::schedule::Ring;
-use crate::transport::{CommError, Endpoint};
-use embrace_obs::{ClockDomain, Metrics, SpanSet, TrackId, WallClock};
+use crate::transport::{Comm, CommError, Endpoint};
+use embrace_obs::{recorder, ClockDomain, Metrics, SpanSet, TrackId, WallClock};
 use embrace_tensor::{DenseTensor, RowSparse, TokenBuf, F32_BYTES};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -89,6 +96,9 @@ pub enum CommOp {
     AlltoAllDense(Vec<embrace_tensor::DenseTensor>),
     /// AlltoAllv of row-sparse shards (one per destination rank).
     AlltoAllSparse(Vec<RowSparse>),
+    /// Sparse-native allreduce (SSAR) of a full-width row-sparse gradient;
+    /// always one unit.
+    SparseAllreduce(RowSparse, SsarConfig),
     /// AllGather of token ids.
     GatherTokens(Vec<u32>),
     /// Fence: completes when everything enqueued before it has run.
@@ -103,6 +113,7 @@ impl CommOp {
             CommOp::AllReduceDense(_) => "allreduce_dense",
             CommOp::AlltoAllDense(_) => "alltoall_dense",
             CommOp::AlltoAllSparse(_) => "alltoallv_sparse",
+            CommOp::SparseAllreduce(..) => "sparse_allreduce",
             CommOp::GatherTokens(_) => "gather_tokens",
             CommOp::Flush => "flush",
         }
@@ -115,9 +126,39 @@ impl CommOp {
             CommOp::AllReduceDense(buf) => (buf.len() * embrace_tensor::F32_BYTES) as u64,
             CommOp::AlltoAllDense(parts) => parts.iter().map(|p| p.nbytes() as u64).sum(),
             CommOp::AlltoAllSparse(parts) => parts.iter().map(|p| p.nbytes() as u64).sum(),
+            CommOp::SparseAllreduce(grad, _) => grad.nbytes() as u64,
             CommOp::GatherTokens(toks) => (toks.len() * embrace_tensor::TOKEN_BYTES) as u64,
             CommOp::Flush => 0,
         }
+    }
+
+    /// Move the op out, leaving a fence behind.
+    fn take(&mut self) -> CommOp {
+        std::mem::replace(self, CommOp::Flush)
+    }
+
+    /// Run the op whole on `ep` through its blocking [`crate::ops`]
+    /// function: one unit, as a scheduler runs an unpartitioned op.
+    pub fn try_run<C: Comm>(self, ep: &mut C) -> Result<CommResult, CommError> {
+        Ok(match self {
+            CommOp::AllReduceDense(mut buf) => {
+                try_ring_allreduce(ep, &mut buf)?;
+                CommResult::AllReduceDense(buf)
+            }
+            CommOp::AlltoAllDense(parts) => {
+                CommResult::AlltoAllDense(try_alltoall_dense(ep, parts)?)
+            }
+            CommOp::AlltoAllSparse(parts) => {
+                CommResult::AlltoAllSparse(try_alltoallv_sparse(ep, parts)?)
+            }
+            CommOp::SparseAllreduce(grad, cfg) => {
+                CommResult::SparseAllreduce(try_sparse_allreduce(ep, &grad, &cfg)?)
+            }
+            CommOp::GatherTokens(tokens) => {
+                CommResult::GatherTokens(try_allgather_tokens(ep, tokens)?)
+            }
+            CommOp::Flush => CommResult::Flush,
+        })
     }
 }
 
@@ -127,6 +168,7 @@ pub enum CommResult {
     AllReduceDense(Vec<f32>),
     AlltoAllDense(Vec<embrace_tensor::DenseTensor>),
     AlltoAllSparse(Vec<RowSparse>),
+    SparseAllreduce(SparseReduced),
     GatherTokens(Vec<TokenBuf>),
     Flush,
     /// The operation was not executed, or not to the end: divergent
@@ -134,6 +176,17 @@ pub enum CommResult {
     /// deadline, or an earlier failure on this scheduler. Always a typed
     /// [`CommError`]; the scheduler never panics a waiter.
     Failed(CommError),
+}
+
+impl CommResult {
+    /// The typed cause of a `Failed` result as `Err`; any other result as
+    /// `Ok`, for `?` at the point a step needs the data.
+    pub fn into_result(self) -> Result<CommResult, CommError> {
+        match self {
+            CommResult::Failed(err) => Err(err),
+            done => Ok(done),
+        }
+    }
 }
 
 /// One record of the submission log: everything the static plan verifier
@@ -157,12 +210,12 @@ type Done = Rc<Cell<Option<CommResult>>>;
 
 /// Ticket redeemable for the operation's result. `!Send`, like the
 /// scheduler it came from: it is redeemed on the thread that submitted.
-pub struct Ticket {
-    core: Rc<RefCell<Core>>,
+pub struct Ticket<C: Comm = Endpoint> {
+    core: Rc<RefCell<Core<C>>>,
     done: Done,
 }
 
-impl Ticket {
+impl<C: Comm> Ticket<C> {
     /// Take the operation's result, first running units on this thread —
     /// in priority order, so possibly other ops' — until it is there: the
     /// `synchronize()` call of Horovod's API. A failed or aborted op
@@ -247,10 +300,11 @@ struct SchedObs {
 pub const DEFAULT_CHUNK_BYTES: usize = 256 << 10;
 
 /// Per-worker handle: enqueue operations and run them, in priority order,
-/// against this worker's mesh [`Endpoint`] — on the calling thread. Build
-/// it on the thread that uses it; like its [`Ticket`]s it is `!Send`.
-pub struct CommScheduler {
-    core: Rc<RefCell<Core>>,
+/// against this worker's transport — by default its mesh [`Endpoint`] — on
+/// the calling thread. Build it on the thread that uses it; like its
+/// [`Ticket`]s it is `!Send`.
+pub struct CommScheduler<C: Comm = Endpoint> {
+    core: Rc<RefCell<Core<C>>>,
     log: Vec<SubmittedOp>,
 }
 
@@ -267,19 +321,19 @@ pub struct SchedOptions {
     pub observed: bool,
 }
 
-impl CommScheduler {
+impl<C: Comm> CommScheduler<C> {
     /// [`CommScheduler::new`] with the default options.
-    pub fn spawn(ep: Endpoint) -> Self {
+    pub fn spawn(ep: C) -> Self {
         Self::new(ep, SchedOptions::default())
     }
 
     /// [`CommScheduler::new`] with `chunk_bytes` set.
-    pub fn spawn_chunked(ep: Endpoint, chunk_bytes: usize) -> Self {
+    pub fn spawn_chunked(ep: C, chunk_bytes: usize) -> Self {
         Self::new(ep, SchedOptions { chunk_bytes: Some(chunk_bytes), observed: false })
     }
 
-    /// Take ownership of the endpoint and run ops as `opts` says.
-    pub fn new(ep: Endpoint, SchedOptions { chunk_bytes, observed }: SchedOptions) -> Self {
+    /// Take ownership of the transport and run ops as `opts` says.
+    pub fn new(ep: C, SchedOptions { chunk_bytes, observed }: SchedOptions) -> Self {
         assert!(chunk_bytes != Some(0), "chunk size must be positive");
         let obs = observed.then(|| {
             let mut spans = SpanSet::new(ClockDomain::Wall);
@@ -309,7 +363,7 @@ impl CommScheduler {
     /// operation for cross-rank consistency checking. Returns a ticket.
     /// Never communicates. After a failure on this scheduler the ticket is
     /// pre-failed with [`CommError::Aborted`].
-    pub fn submit(&mut self, priority: i64, tag: impl Into<String>, op: CommOp) -> Ticket {
+    pub fn submit(&mut self, priority: i64, tag: impl Into<String>, op: CommOp) -> Ticket<C> {
         let (tag, kind, bytes) = (tag.into(), op.kind_str(), op.payload_bytes());
         self.log.push(SubmittedOp { priority, tag: tag.clone(), kind, bytes });
         let done = Done::default();
@@ -352,10 +406,11 @@ impl CommScheduler {
     }
 }
 
-impl Drop for CommScheduler {
+impl<C: Comm> Drop for CommScheduler<C> {
     /// Drain: whatever is still queued runs to completion (dropped tickets
-    /// are fire-and-forget, not cancelled), then the endpoint goes, so a
-    /// peer that expects more from this rank sees `PeerGone`.
+    /// are fire-and-forget, not cancelled), then the transport goes: an
+    /// owned endpoint with it, so a peer that expects more from this rank
+    /// sees `PeerGone`.
     fn drop(&mut self) {
         let mut core = self.core.borrow_mut();
         while core.step() {}
@@ -363,10 +418,10 @@ impl Drop for CommScheduler {
     }
 }
 
-/// A collective in flight. `Whole` finishes in one unit through the
-/// blocking [`crate::ops`] function ([`crate::schedule::Traversal::Posted`]
-/// for the fan-outs); the others are the same machines stepped one unit at
-/// a time: a `seg_elems`-f32 ring segment, or one send plus one receive in
+/// A collective in flight. `Whole` finishes in one unit through
+/// [`CommOp::try_run`] ([`crate::schedule::Traversal::Posted`] for the
+/// fan-outs); the others are the same machines stepped one unit at a time:
+/// a `seg_elems`-f32 ring segment, or one send plus one receive in
 /// [`crate::schedule::Traversal::Paired`] order.
 enum Machine {
     Whole(CommOp),
@@ -378,10 +433,10 @@ enum Machine {
 
 impl Machine {
     /// Tensor-partition a whole op (requires `world > 1`; a fence has
-    /// nothing to partition and stays whole).
-    fn partition(&mut self, ep: &Endpoint, seg_elems: usize, spare: &mut Vec<DenseTensor>) {
+    /// nothing to partition and SSAR no units, so both stay whole).
+    fn partition<C: Comm>(&mut self, ep: &C, seg_elems: usize, spare: &mut Vec<DenseTensor>) {
         let Machine::Whole(op) = self else { return };
-        *self = match std::mem::replace(op, CommOp::Flush) {
+        *self = match op.take() {
             CommOp::AllReduceDense(buf) => {
                 let ring = Ring::new(ep.world(), ep.rank(), buf.len(), seg_elems);
                 Machine::Ring(RingMachine::new(ring, std::mem::take(spare)), buf)
@@ -393,32 +448,27 @@ impl Machine {
                 let parts = (0..ep.world()).map(|_| local.share()).collect();
                 Machine::Tokens(FanoutMachine::new(ep, parts))
             }
-            CommOp::Flush => return,
+            whole @ (CommOp::SparseAllreduce(..) | CommOp::Flush) => Machine::Whole(whole),
         };
+    }
+
+    /// The `collective` span name of a partitioned unit: its op's
+    /// [`crate::ops`] function.
+    fn unit_name(&self) -> &'static str {
+        match self {
+            Machine::Ring(..) => "ring_allreduce",
+            Machine::Dense(_) => "alltoall_dense",
+            Machine::Sparse(_) => "alltoallv_sparse",
+            Machine::Tokens(_) => "allgather_tokens",
+            Machine::Whole(op) => op.kind_str(),
+        }
     }
 
     /// Run one unit. `Ok(None)`: more units remain; `Ok(Some(result))`:
     /// that was the last. An error has been abort-broadcast to the peers.
-    fn advance(&mut self, ep: &mut Endpoint) -> Result<Option<CommResult>, CommError> {
+    fn advance<C: Comm>(&mut self, ep: &mut C) -> Result<Option<CommResult>, CommError> {
         let stepped = match self {
-            Machine::Whole(op) => {
-                return match std::mem::replace(op, CommOp::Flush) {
-                    CommOp::AllReduceDense(mut buf) => {
-                        try_ring_allreduce(ep, &mut buf).map(|()| CommResult::AllReduceDense(buf))
-                    }
-                    CommOp::AlltoAllDense(parts) => {
-                        try_alltoall_dense(ep, parts).map(CommResult::AlltoAllDense)
-                    }
-                    CommOp::AlltoAllSparse(parts) => {
-                        try_alltoallv_sparse(ep, parts).map(CommResult::AlltoAllSparse)
-                    }
-                    CommOp::GatherTokens(tokens) => {
-                        try_allgather_tokens(ep, tokens).map(CommResult::GatherTokens)
-                    }
-                    CommOp::Flush => Ok(CommResult::Flush),
-                }
-                .map(Some)
-            }
+            Machine::Whole(op) => return op.take().try_run(ep).map(Some),
             Machine::Ring(machine, buf) => machine
                 .step(ep, buf)
                 .map(|()| machine.done().then(|| CommResult::AllReduceDense(std::mem::take(buf)))),
@@ -449,11 +499,11 @@ struct Job {
 }
 
 /// The scheduler proper, shared by the handle and its tickets.
-struct Core {
+struct Core<C> {
     rank: usize,
     /// `None` once a unit failed or the handle was dropped: the scheduler
     /// has shut down and runs nothing more.
-    ep: Option<Endpoint>,
+    ep: Option<C>,
     chunk_bytes: Option<usize>,
     /// The stable priority queue: `(priority, submission number)`, least
     /// first.
@@ -467,7 +517,7 @@ struct Core {
     obs: Option<SchedObs>,
 }
 
-impl Core {
+impl<C: Comm> Core<C> {
     /// Run one unit, chosen by the module doc's rule; `false` when there is
     /// none to run. A failed unit fails everything pending and shuts the
     /// scheduler down.
@@ -496,7 +546,7 @@ impl Core {
     }
 
     /// Move the queue head onto the stack and run its start round.
-    fn start(&mut self, ep: &mut Endpoint) -> Result<(), CommError> {
+    fn start(&mut self, ep: &mut C) -> Result<(), CommError> {
         let (_, mut job) = self.queue.pop_first().expect("step saw a queue head");
         job.started_at = Instant::now();
         // On the stack before the round, so that a failed round fails it
@@ -512,11 +562,14 @@ impl Core {
 
     /// Run one unit of the op on top of the stack, recording a chunk span
     /// and — after its last unit — its op span, timing and result.
-    fn unit(&mut self, ep: &mut Endpoint) -> Result<(), CommError> {
+    fn unit(&mut self, ep: &mut C) -> Result<(), CommError> {
         let top = self.stack.last_mut().expect("step saw an op to run");
         let chunk_start = Instant::now();
         let partitioned = !matches!(top.machine, Machine::Whole(_));
-        let result = top.machine.advance(ep)?;
+        let result = {
+            let _span = partitioned.then(|| recorder::span(top.machine.unit_name(), "collective"));
+            top.machine.advance(ep)?
+        };
         if let (Some(o), true) = (self.obs.as_mut(), partitioned) {
             let name = format!("{}/chunk{}", top.tag, top.units);
             o.spans.record(o.track, &name, "chunk", o.clock.at(chunk_start), o.clock.now());
@@ -559,8 +612,8 @@ impl Core {
 /// agreed here instead of decided locally: `Ok(Some(seg_bytes))`, on every
 /// rank, if the payload is oversized on any. A peer that died mid-round
 /// surfaces as the typed transport error.
-fn start_round(
-    ep: &mut Endpoint,
+fn start_round<C: Comm>(
+    ep: &mut C,
     stack: &[Job],
     seg_bytes: Option<usize>,
 ) -> Result<Option<usize>, CommError> {

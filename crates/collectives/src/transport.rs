@@ -63,6 +63,27 @@ pub trait Comm {
     fn try_recv(&mut self, from: usize) -> Result<Packet, CommError>;
 }
 
+/// A borrowed transport is one too: a [`crate::CommScheduler`] scoped to
+/// one step can run over `&mut` the caller's endpoint or elastic group and
+/// hand it back afterwards.
+impl<C: Comm + ?Sized> Comm for &mut C {
+    fn rank(&self) -> usize {
+        (**self).rank()
+    }
+
+    fn world(&self) -> usize {
+        (**self).world()
+    }
+
+    fn try_send(&mut self, to: usize, packet: Packet) -> Result<(), CommError> {
+        (**self).try_send(to, packet)
+    }
+
+    fn try_recv(&mut self, from: usize) -> Result<Packet, CommError> {
+        (**self).try_recv(from)
+    }
+}
+
 impl Comm for Endpoint {
     fn rank(&self) -> usize {
         Endpoint::rank(self)

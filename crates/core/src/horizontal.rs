@@ -12,15 +12,27 @@
 //!   parameters (blocks are communicated whole — the paper deliberately
 //!   avoids tensor partitioning and its startup/bandwidth penalties);
 //! * delayed sparse gradients go last, overlapping the next iteration.
+//!
+//! The constants below are every priority the live EmbRace step
+//! (`embrace_trainer::real`) submits to its comm scheduler.
 
 use embrace_dlsim::graph::ModelGraph;
 
-/// Priority of prior embedding gradients (most urgent).
+/// Priority of the token AllGathers (this batch's and the next one's):
+/// scheduling metadata, cheap and needed before anything else, like the
+/// prefetch itself.
+pub const TOKEN_GATHER_PRIORITY: i64 = -4;
+/// Priority of prior embedding gradients (most urgent gradient).
 pub const PRIOR_GRAD_PRIORITY: i64 = -2;
 /// Priority of the embedding lookup-result AlltoAll.
 pub const EMB_DATA_PRIORITY: i64 = -1;
-/// Priority of delayed embedding gradients (least urgent).
+/// Priority of the first dense block in FP order ([`Priorities::assign`]
+/// numbers the blocks from here); the toy model's one dense gradient.
+pub const DENSE_PRIORITY: i64 = 0;
+/// Priority of delayed embedding gradients (least urgent gradient).
 pub const DELAYED_GRAD_PRIORITY: i64 = i64::MAX / 2;
+/// Priority of the global-loss gather: after every gradient.
+pub const LOSS_PRIORITY: i64 = i64::MAX - 1;
 
 /// The communication operations EmbRace schedules.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -49,7 +61,7 @@ impl Priorities {
     pub fn assign(graph: &ModelGraph) -> Self {
         let mut dense = vec![None; graph.len()];
         let mut embeddings = Vec::new();
-        let mut next = 0i64;
+        let mut next = DENSE_PRIORITY;
         for i in graph.fp_order() {
             if graph.modules[i].is_embedding() {
                 embeddings.push(i);

@@ -16,12 +16,15 @@
 //! With Vertical Sparse Scheduling, step 4 happens twice — once for the
 //! prior rows, once for the delayed rows — and the optimizer is told which
 //! part it is applying ([`UpdatePart`]).
+//!
+//! Each exchange is two local halves around one collective: the embedding
+//! builds the [`CommOp`] (for the gradient, on its [`GradPlane`]) and
+//! finishes that op's [`CommResult`]. A comm scheduler runs the op between
+//! them in the training step; the `try_` methods here run it whole.
 
 use crate::partition::column_payload_matrix;
-use embrace_collectives::ops::{
-    try_alltoall_dense, try_alltoallv_sparse, try_sparse_allreduce, SparseReduced, SsarConfig,
-};
-use embrace_collectives::{Comm, CommError};
+use embrace_collectives::ops::{SparseReduced, SsarConfig};
+use embrace_collectives::{Comm, CommError, CommOp, CommResult};
 use embrace_dlsim::optim::{Optimizer, UpdatePart};
 use embrace_dlsim::EmbeddingTable;
 use embrace_simnet::CostModel;
@@ -177,24 +180,23 @@ impl ColumnShardedEmbedding {
         all_tokens: &[T],
     ) -> Result<DenseTensor, CommError> {
         assert_eq!(all_tokens.len(), ep.world(), "need every rank's tokens");
-        let outgoing = self.lookup_parts(all_tokens);
-        // AlltoAll #1: receive my batch's column blocks from every shard.
-        let received = try_alltoall_dense(ep, outgoing)?;
-        Ok(Self::assemble_lookup(&received))
+        Self::finish_lookup(self.lookup_op(all_tokens).try_run(ep)?)
     }
 
-    /// The local half of the forward pass: look up each destination
-    /// rank's batch against my column shard, producing one outgoing dense
-    /// block per rank (the payload of AlltoAll #1). Split out so callers
-    /// can route the exchange through the comm scheduler.
-    pub fn lookup_parts<T: AsRef<[u32]>>(&self, all_tokens: &[T]) -> Vec<DenseTensor> {
-        all_tokens.iter().map(|toks| self.shard.lookup(toks.as_ref())).collect()
+    /// The local half of the forward pass: AlltoAll #1 of one dense block
+    /// per destination rank, its batch looked up against my column shard.
+    pub fn lookup_op<T: AsRef<[u32]>>(&self, all_tokens: &[T]) -> CommOp {
+        CommOp::AlltoAllDense(all_tokens.iter().map(|t| self.shard.lookup(t.as_ref())).collect())
     }
 
-    /// Reassemble the full-width lookup output from the column blocks
-    /// received in AlltoAll #1 (indexed by source rank == column order).
-    pub fn assemble_lookup(received: &[DenseTensor]) -> DenseTensor {
-        DenseTensor::concat_columns(received)
+    /// This rank's full-width lookup output, reassembled from the column
+    /// blocks AlltoAll #1 delivered (indexed by source rank == column
+    /// order); a failed exchange's typed error otherwise.
+    pub fn finish_lookup(result: CommResult) -> Result<DenseTensor, CommError> {
+        match result.into_result()? {
+            CommResult::AlltoAllDense(blocks) => Ok(DenseTensor::concat_columns(&blocks)),
+            _ => unreachable!("AlltoAll #1 finished with another op's result"),
+        }
     }
 
     /// Backward: slice `grad_out` (`∂loss/∂lookup`, one row per token of
@@ -220,13 +222,11 @@ impl ColumnShardedEmbedding {
     ) -> Result<RowSparse, CommError> {
         assert_eq!(my_tokens.len(), grad_out.rows(), "one grad row per token");
         assert_eq!(grad_out.cols(), self.dim_total, "grad must be full width");
-        let outgoing: Vec<RowSparse> = self
+        let outgoing = self
             .ranges
             .iter()
-            .map(|r| RowSparse::new(my_tokens.to_vec(), grad_out.slice_columns(r.start, r.end)))
-            .collect();
-        let received = try_alltoallv_sparse(ep, outgoing)?;
-        Ok(coalesce(&RowSparse::concat(&received)))
+            .map(|r| RowSparse::new(my_tokens.to_vec(), grad_out.slice_columns(r.start, r.end)));
+        self.finish_grad(CommOp::AlltoAllSparse(outgoing.collect()).try_run(ep)?)
     }
 
     /// Backward for an already-split gradient part (Vertical Scheduling):
@@ -238,29 +238,39 @@ impl ColumnShardedEmbedding {
         finish(self.try_exchange_grad_part(ep, part))
     }
 
-    /// Fallible [`Self::exchange_grad_part`]. Dispatches on the installed
-    /// [`GradPlanePolicy`].
+    /// Fallible [`Self::exchange_grad_part`]: [`Self::grad_op`] run whole,
+    /// then [`Self::finish_grad`].
     pub fn try_exchange_grad_part<C: Comm>(
         &self,
         ep: &mut C,
         part: &RowSparse,
     ) -> Result<RowSparse, CommError> {
-        match self.policy.plane {
-            GradPlane::Alltoallv => {
-                let outgoing = self.grad_parts(part);
-                let received = try_alltoallv_sparse(ep, outgoing)?;
-                Ok(Self::merge_grad_shards(&received))
-            }
-            GradPlane::SparseAllreduce => {
-                assert_eq!(part.dim(), self.dim_total, "part must be full width");
-                let cfg = self.ssar_config();
-                Ok(self.slice_reduced(try_sparse_allreduce(ep, part, &cfg)?))
-            }
-        }
+        self.finish_grad(self.grad_op(part).try_run(ep)?)
     }
 
-    fn ssar_config(&self) -> SsarConfig {
-        SsarConfig { vocab: self.shard.vocab(), crossover: self.policy.crossover }
+    /// The local half of a gradient exchange (AlltoAll #2) of a full-width
+    /// gradient part, on the installed [`GradPlanePolicy`]'s plane: the
+    /// part sliced into one column block per destination shard, or the
+    /// whole part for the sparse-native allreduce.
+    pub fn grad_op(&self, part: &RowSparse) -> CommOp {
+        assert_eq!(part.dim(), self.dim_total, "part must be full width");
+        if self.policy.plane == GradPlane::SparseAllreduce {
+            let cfg = SsarConfig { vocab: self.shard.vocab(), crossover: self.policy.crossover };
+            return CommOp::SparseAllreduce(part.share(), cfg);
+        }
+        let blocks = self.ranges.iter().map(|r| part.slice_columns(r.start, r.end));
+        CommOp::AlltoAllSparse(blocks.collect())
+    }
+
+    /// This shard's coalesced gradient from a [`Self::grad_op`]'s result
+    /// (full-vocab row ids, shard-width values); a failed exchange's typed
+    /// error otherwise.
+    pub fn finish_grad(&self, result: CommResult) -> Result<RowSparse, CommError> {
+        match result.into_result()? {
+            CommResult::AlltoAllSparse(shards) => Ok(coalesce(&RowSparse::concat(&shards))),
+            CommResult::SparseAllreduce(reduced) => Ok(self.slice_reduced(reduced)),
+            _ => unreachable!("AlltoAll #2 finished with another op's result"),
+        }
     }
 
     /// Slice this rank's column range out of a globally-reduced full-width
@@ -281,18 +291,6 @@ impl ColumnShardedEmbedding {
                 RowSparse::new(keep.clone(), d.gather_rows(&keep).slice_columns(r.start, r.end))
             }
         }
-    }
-
-    /// The local half of a gradient exchange: slice a full-width gradient
-    /// part into per-destination column blocks (AlltoAll #2 payload).
-    pub fn grad_parts(&self, part: &RowSparse) -> Vec<RowSparse> {
-        assert_eq!(part.dim(), self.dim_total, "part must be full width");
-        self.ranges.iter().map(|r| part.slice_columns(r.start, r.end)).collect()
-    }
-
-    /// Coalesce the shard-width gradient blocks received in AlltoAll #2.
-    pub fn merge_grad_shards(received: &[RowSparse]) -> RowSparse {
-        coalesce(&RowSparse::concat(received))
     }
 
     /// Apply a shard-width gradient (as returned by [`Self::backward`] or

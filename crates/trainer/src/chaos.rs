@@ -1,12 +1,16 @@
 //! Chaos harness: the EmbRace hybrid training step under injected faults.
 //!
 //! [`run_chaos`] runs the step [`crate::real::train_convergence`]'s
-//! EmbRace path runs (`real::embrace_step`: AllGather of batch tokens,
-//! hybrid AlltoAll forward, dense ring AllReduce, Vertical Sparse
-//! Scheduling with two AlltoAll #2 exchanges) over a mesh built from a
-//! seeded [`FaultPlan`](embrace_collectives::FaultPlan), under both a
-//! per-receive deadline and a whole-group watchdog, and reports each
-//! rank's typed error instead of panicking with it.
+//! EmbRace path runs (`real::RankState::run_step`: AllGather of batch
+//! tokens, hybrid AlltoAll forward, dense ring AllReduce, Vertical Sparse
+//! Scheduling with two AlltoAll #2 exchanges, all through the comm
+//! scheduler) over a mesh built from a seeded
+//! [`FaultPlan`], under both a per-receive
+//! deadline and a whole-group watchdog, and reports each rank's typed
+//! error instead of panicking with it. Each step gets a scheduler of its
+//! own over the rank's endpoint, which stays the harness's between steps
+//! for the crash-at-step check; so a failure also exercises the
+//! scheduler's abort contract.
 //!
 //! The contract every scenario must satisfy (and the chaos tests assert):
 //!
@@ -18,10 +22,10 @@
 //!   detection thresholds, e.g. a small link delay) the per-step losses
 //!   are bitwise identical to the fault-free trainer's.
 
-use crate::real::{batch_stream, embrace_step, init_toy_state, ConvergenceConfig};
-use embrace_collectives::{run_group_with_deadline, CommError, Endpoint, FaultPlan, GroupError};
-use embrace_core::ColumnShardedEmbedding;
-use embrace_dlsim::optim::Adam;
+use crate::real::{sched_options, ConvergenceConfig, RankState};
+use embrace_collectives::{
+    run_group_with_deadline, CommError, CommScheduler, Endpoint, FaultPlan, GroupError,
+};
 use embrace_models::ZipfSampler;
 use std::time::Duration;
 
@@ -111,21 +115,15 @@ fn chaos_worker(
     cfg: &ConvergenceConfig,
     sampler: &ZipfSampler,
 ) -> RankOutcome {
-    let (emb_init, w_init, targets) = init_toy_state(cfg);
-    let mut emb = ColumnShardedEmbedding::new(&emb_init, rank, cfg.world);
-    let mut w = w_init;
-    let mut opt_e = Adam::new(cfg.vocab, emb.shard_dim(), cfg.lr);
-    let mut opt_w = Adam::new(cfg.dim, cfg.dim, cfg.lr);
-    let mut stream = batch_stream(sampler, cfg, rank);
-
+    let mut st = RankState::new(rank, cfg, sampler);
     let mut losses = Vec::with_capacity(cfg.steps);
     for step in 0..cfg.steps {
         // Crash-at-step faults fire here; the endpoint tears itself down
         // so peers observe PeerGone instead of a hang.
-        if let Err(error) = ep.begin_step() {
-            return RankOutcome::Failed { step, error };
-        }
-        match embrace_step(ep, &mut emb, &mut w, &targets, &mut opt_e, &mut opt_w, &mut stream) {
+        let loss = ep.begin_step().and_then(|_| {
+            st.run_step(&mut CommScheduler::new(&mut *ep, sched_options(cfg, false)))
+        });
+        match loss {
             Ok(loss) => losses.push(loss),
             Err(error) => return RankOutcome::Failed { step, error },
         }

@@ -32,16 +32,15 @@
 //! loss trajectory equals a *fresh fault-free run at the smaller world
 //! started from the same restored state*, bit for bit.
 
-use crate::real::{batch_stream, embrace_step, init_toy_state, ConvergenceConfig};
+use crate::real::{batch_stream, init_toy_state, sched_options, ConvergenceConfig, RankState};
 use embrace_collectives::ops::{try_allgather_tokens, try_broadcast};
 use embrace_collectives::{
-    run_group, run_group_with_deadline, Comm, CommError, ElasticError, ElasticWorker, Endpoint,
-    FaultPlan, GroupError, Packet,
+    run_group, run_group_with_deadline, Comm, CommError, CommScheduler, ElasticError,
+    ElasticWorker, Endpoint, FaultPlan, GroupError, Packet,
 };
 use embrace_core::ColumnShardedEmbedding;
 use embrace_dlsim::optim::Adam;
-use embrace_dlsim::Prefetcher;
-use embrace_models::{BatchGen, ZipfSampler};
+use embrace_models::ZipfSampler;
 use embrace_simnet::{Recovery, RecoveryModel};
 use embrace_tensor::{column_partition, DenseTensor};
 use std::collections::HashMap;
@@ -139,18 +138,6 @@ impl FullState {
     }
 }
 
-/// Per-rank live training state.
-struct RankState {
-    emb: ColumnShardedEmbedding,
-    w: DenseTensor,
-    opt_e: Adam,
-    opt_w: Adam,
-    stream: Prefetcher<Vec<u32>, BatchGen>,
-    targets: DenseTensor,
-    /// The next step to run.
-    step: u64,
-}
-
 impl RankState {
     /// Rebuild the state of logical `rank` in a `world`-sized group from
     /// a full checkpoint — sharding, moment slices and the fast-forwarded
@@ -166,7 +153,7 @@ impl RankState {
         let (_, _, targets) = init_toy_state(cfg);
         let part = column_partition(cfg.dim, world);
         let r = &part[rank];
-        let emb = ColumnShardedEmbedding::new(&fs.emb, rank, world);
+        let emb = ColumnShardedEmbedding::new(&fs.emb, rank, world).with_policy(cfg.grad_plane);
         let opt_e = Adam::from_state(
             cfg.lr,
             fs.emb_m.slice_columns(r.start, r.end),
@@ -323,7 +310,6 @@ fn elastic_worker(
             Ok(loss) => {
                 losses.push(loss);
                 step_secs.push(t0.elapsed().as_secs_f64());
-                st.step = s + 1;
             }
             Err(first) => {
                 let mut error = first;
@@ -399,7 +385,8 @@ fn elastic_worker(
 }
 
 /// One elastic step: checkpoint assembly at interval boundaries, the
-/// hybrid EmbRace step, then the end-of-step replica ring exchange.
+/// hybrid EmbRace step on a comm scheduler of its own over the group, then
+/// the end-of-step replica ring exchange.
 fn run_one_step(
     group: &mut ElasticWorker,
     st: &mut RankState,
@@ -416,15 +403,8 @@ fn run_one_step(
     {
         *last_ckpt = assemble_full_state(group, st, losses, &cfg.train)?;
     }
-    let loss = embrace_step(
-        group,
-        &mut st.emb,
-        &mut st.w,
-        &st.targets,
-        &mut st.opt_e,
-        &mut st.opt_w,
-        &mut st.stream,
-    )?;
+    let loss =
+        st.run_step(&mut CommScheduler::new(&mut *group, sched_options(&cfg.train, false)))?;
     exchange_replica(group, st, replicas)?;
     Ok(loss)
 }
@@ -447,8 +427,9 @@ fn exchange_replica(
     let pred = (me + world - 1) % world;
     let pred_phys = group.members()[pred];
     let (m, v, _) = st.opt_e.state();
-    // Post-step state: what a restore at the *next* step boundary needs.
-    let blob = shard_blob(st.emb.shard_table(), m, v, st.step + 1);
+    // Post-step state (the step has advanced `st.step`): what a restore at
+    // the next step boundary needs.
+    let blob = shard_blob(st.emb.shard_table(), m, v, st.step);
     group.try_send(succ, Packet::Dense(blob))?;
     match group.try_recv(pred)? {
         Packet::Dense(t) => {
@@ -751,20 +732,7 @@ pub fn capture_state_at(cfg: &ConvergenceConfig, at_step: u64) -> FullState {
         let base = FullState::initial(&cfg);
         let mut st = RankState::from_full(&base, rank, cfg.world, &cfg, &sampler);
         let mut losses = Vec::new();
-        while st.step < at_step {
-            let loss = embrace_step(
-                ep,
-                &mut st.emb,
-                &mut st.w,
-                &st.targets,
-                &mut st.opt_e,
-                &mut st.opt_w,
-                &mut st.stream,
-            )
-            .expect("fault-free");
-            losses.push(loss);
-            st.step += 1;
-        }
+        train_until(ep, &mut st, at_step, &cfg, &mut losses);
         assemble_full_state(ep, &st, &losses, &cfg).expect("fault-free")
     });
     states.into_iter().next().expect("at least one rank")
@@ -779,56 +747,69 @@ pub fn train_from_state(fs: &FullState, world: usize, cfg: &ConvergenceConfig) -
     let all = run_group(world, move |rank, ep| {
         let mut st = RankState::from_full(&fs, rank, world, &cfg, &sampler);
         let mut losses = fs.losses.clone();
-        while st.step < cfg.steps as u64 {
-            let loss = embrace_step(
-                ep,
-                &mut st.emb,
-                &mut st.w,
-                &st.targets,
-                &mut st.opt_e,
-                &mut st.opt_w,
-                &mut st.stream,
-            )
-            .expect("fault-free");
-            losses.push(loss);
-            st.step += 1;
-        }
+        train_until(ep, &mut st, cfg.steps as u64, &cfg, &mut losses);
         losses
     });
     all.into_iter().next().expect("at least one rank")
 }
 
-/// Messages each rank sends in one elastic step *before* the delayed
-/// AlltoAll #2 begins — lets tests aim an op-granular crash inside the
-/// second gradient exchange. Runs the real pipeline up to the cut point
-/// (keep in sync with [`crate::real::embrace_step`]).
+/// Run `st` fault-free up to step `until` on one comm scheduler, pushing
+/// each step's global loss onto `losses`.
+fn train_until(
+    ep: &mut Endpoint,
+    st: &mut RankState,
+    until: u64,
+    cfg: &ConvergenceConfig,
+    losses: &mut Vec<f64>,
+) {
+    let mut comm = CommScheduler::new(ep, sched_options(cfg, false));
+    while st.step < until {
+        losses.push(st.run_step(&mut comm).expect("fault-free"));
+    }
+}
+
+/// Every packet a transport is asked to send, by kind, in order.
 #[cfg(test)]
-fn ops_before_delayed_exchange(cfg: &ConvergenceConfig) -> u64 {
-    use crate::real::fwd_bwd_toy;
-    use embrace_collectives::ops::try_ring_allreduce;
-    use embrace_core::vertical_split;
-    use embrace_tensor::RowSparse;
+struct SendLog<C> {
+    inner: C,
+    kinds: Vec<&'static str>,
+}
+
+#[cfg(test)]
+impl<C: Comm> Comm for SendLog<C> {
+    fn rank(&self) -> usize {
+        self.inner.rank()
+    }
+
+    fn world(&self) -> usize {
+        self.inner.world()
+    }
+
+    fn try_send(&mut self, to: usize, packet: Packet) -> Result<(), CommError> {
+        self.kinds.push(packet.kind());
+        self.inner.try_send(to, packet)
+    }
+
+    fn try_recv(&mut self, from: usize) -> Result<Packet, CommError> {
+        self.inner.try_recv(from)
+    }
+}
+
+/// The packet kinds rank `rank` sends in the first EmbRace step of an
+/// elastic run, replica exchange excluded.
+#[cfg(test)]
+fn step_sends(cfg: &ConvergenceConfig, rank: usize) -> Vec<&'static str> {
     let cfg = *cfg;
     let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
-    let counts = run_group(cfg.world, move |rank, ep| {
-        let base = FullState::initial(&cfg);
-        let mut st = RankState::from_full(&base, rank, cfg.world, &cfg, &sampler);
-        let mut g = ElasticWorker::new(ep);
-        let tokens = st.stream.advance().expect("infinite stream");
-        let next_local = st.stream.peek_next().expect("infinite stream").clone();
-        let all_tokens = try_allgather_tokens(&mut g, tokens.clone()).expect("fault-free");
-        let lookup = st.emb.try_forward(&mut g, &all_tokens).expect("fault-free");
-        let (_, mut grad_w, grad_rows) = fwd_bwd_toy(&lookup, &tokens, &st.w, &st.targets);
-        try_ring_allreduce(&mut g, grad_w.as_mut_slice()).expect("fault-free");
-        let next_gathered: Vec<u32> =
-            try_allgather_tokens(&mut g, next_local).expect("fault-free").concat();
-        let raw = RowSparse::new(tokens.clone(), grad_rows);
-        let split = vertical_split(&raw, &tokens, &next_gathered);
-        let _ = st.emb.try_exchange_grad_part(&mut g, &split.prior).expect("fault-free");
-        g.endpoint().msgs_sent()
+    let mut logs = run_group(cfg.world, move |rank, ep| {
+        let mut st =
+            RankState::from_full(&FullState::initial(&cfg), rank, cfg.world, &cfg, &sampler);
+        let mut log = SendLog { inner: ElasticWorker::new(ep), kinds: Vec::new() };
+        st.run_step(&mut CommScheduler::new(&mut log, sched_options(&cfg, false)))
+            .expect("fault-free");
+        log.kinds
     });
-    assert!(counts.windows(2).all(|w| w[0] == w[1]), "collectives are send-symmetric");
-    counts[0]
+    logs.swap_remove(rank)
 }
 
 /// Total messages each rank sends in one full elastic step (hybrid step
@@ -909,10 +890,15 @@ mod tests {
     #[test]
     fn shrink_during_second_alltoall_recovers_bitwise() {
         let base = ElasticConfig::quick(FaultPlan::new(0), RecoveryPolicy::Shrink);
-        let before = ops_before_delayed_exchange(&base.train);
         let per_step = ops_per_step(&base.train);
+        // The step's AlltoAll #2 payloads are its sparse packets, the
+        // delayed exchange's (one per peer) the last of them.
+        let sends = step_sends(&base.train, 1);
+        let sparse: Vec<u64> =
+            (0..).zip(&sends).filter(|(_, &kind)| kind == "Sparse").map(|(at, _)| at).collect();
+        let delayed = &sparse[sparse.len() - (base.train.world - 1)..];
         // Rank 1 dies on its second send of step 2's delayed AlltoAll #2.
-        let plan = FaultPlan::new(13).crash_rank_at_op(1, 2 * per_step + before + 1);
+        let plan = FaultPlan::new(13).crash_rank_at_op(1, 2 * per_step + delayed[1]);
         let cfg = ElasticConfig { plan, checkpoint_interval: 0, ..base };
         let report = run_elastic(&cfg).expect("no watchdog");
         assert_eq!(report.restarts, 0);

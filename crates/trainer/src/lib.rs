@@ -9,7 +9,14 @@
 //! * [`real`] — trains a real (small) embedding model through the
 //!   functional collectives with EmbRace's hybrid communication + split
 //!   Adam updates vs the Horovod-AllGather baseline, demonstrating the
-//!   convergence equivalence of Fig. 11.
+//!   convergence equivalence of Fig. 11. Its `RankState::run_step` is the
+//!   one EmbRace step, submitted to the comm scheduler in §5.2's priority
+//!   order; every EmbRace entry point below runs it.
+//! * [`scheduled`] — the same training, handing back each rank's
+//!   submission log and scheduler observation for the plan verifier and
+//!   the happens-before analyzer.
+//! * [`chaos`] / [`elastic`] — the step under injected faults: typed
+//!   per-rank outcomes, and recovery by group shrink or checkpoint restart.
 //! * [`timeline`] — renders the execution timelines of Figs 2/6.
 //! * [`report`] — plain-text table formatting shared by the bench
 //!   binaries.
@@ -36,9 +43,7 @@ pub use real::{
     train_convergence, train_convergence_observed, ConvergenceConfig, ConvergenceResult,
     TrainMethod,
 };
-pub use scheduled::{
-    train_convergence_scheduled, train_convergence_scheduled_observed, train_convergence_traced,
-};
+pub use scheduled::{train_convergence_scheduled, train_convergence_scheduled_observed};
 pub use sim::{simulate, simulate_full, simulate_with_trace, SimConfig, StepMetrics};
 pub use timeline::{chrome_export, ChromeExport};
 pub use translation::train_translation;

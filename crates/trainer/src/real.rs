@@ -8,19 +8,30 @@
 //! comparison EmbRace vs Horovod-AllGather exercises hybrid AlltoAll
 //! communication, Algorithm 1's split updates and the modified Adam, and
 //! must converge identically (both are synchronous with summed gradients).
+//!
+//! `RankState::run_step` is the one statement of the EmbRace step. It
+//! submits every exchange to a [`CommScheduler`] in the paper's priority
+//! order (§5.1–5.2) and waits only where the data is needed. Every EmbRace
+//! entry point runs it: the trainers here and in [`crate::scheduled`], the
+//! chaos harness and the elastic trainer.
 
 use embrace_baselines::horovod::{allgather_sparse_grad, allreduce_dense_grad};
-use embrace_collectives::ops::{
-    allgather_dense, try_allgather_dense, try_allgather_tokens, try_ring_allreduce,
+use embrace_collectives::ops::allgather_dense;
+use embrace_collectives::{
+    run_group, Comm, CommError, CommOp, CommResult, CommScheduler, Endpoint, OpTiming,
+    SchedOptions, SubmittedOp,
 };
-use embrace_collectives::{run_group, Comm, CommError, Endpoint};
+use embrace_core::horizontal::{
+    DELAYED_GRAD_PRIORITY, DENSE_PRIORITY, EMB_DATA_PRIORITY, LOSS_PRIORITY, PRIOR_GRAD_PRIORITY,
+    TOKEN_GATHER_PRIORITY,
+};
 use embrace_core::{vertical_split, ColumnShardedEmbedding, GradPlanePolicy};
 use embrace_dlsim::optim::{Adam, Optimizer, UpdatePart};
 use embrace_dlsim::{EmbeddingTable, Prefetcher};
 use embrace_models::{BatchGen, ZipfSampler};
 use embrace_obs::{recorder, SpanSet};
 use embrace_simnet::{Cluster, CostModel};
-use embrace_tensor::{DenseTensor, RowSparse};
+use embrace_tensor::{DenseTensor, RowSparse, F32_BYTES};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -128,43 +139,107 @@ pub(crate) fn fwd_bwd_toy(
     (loss, grad_w, grad_emb)
 }
 
-/// One EmbRace hybrid step on one rank — AllGather of batch tokens, hybrid
-/// AlltoAll forward, dense ring AllReduce, Vertical Sparse Scheduling with
-/// two AlltoAll #2 exchanges — returning the global loss. The one
-/// statement of the step: the convergence trainer, the chaos harness and
-/// the elastic trainer (through an [`embrace_collectives::ElasticWorker`],
-/// hence generic over [`Comm`]) all run this function.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn embrace_step<C: Comm>(
-    ep: &mut C,
-    emb: &mut ColumnShardedEmbedding,
-    w: &mut DenseTensor,
-    targets: &DenseTensor,
-    opt_e: &mut Adam,
-    opt_w: &mut Adam,
-    stream: &mut Prefetcher<Vec<u32>, BatchGen>,
-) -> Result<f64, CommError> {
-    let tokens = stream.advance().expect("infinite stream");
-    let next_local = stream.peek_next().expect("infinite stream").clone();
-    // Hybrid FP: gather all batches, AlltoAll lookup results.
-    let all_tokens = try_allgather_tokens(ep, tokens.clone())?;
-    let lookup = emb.try_forward(ep, &all_tokens)?;
-    let (loss, mut grad_w, grad_rows) = fwd_bwd_toy(&lookup, &tokens, w, targets);
-    try_ring_allreduce(ep, grad_w.as_mut_slice())?;
-    opt_w.step_dense(w, &grad_w);
-    // Vertical Sparse Scheduling: split by next-iteration data.
-    let next_gathered: Vec<u32> = try_allgather_tokens(ep, next_local)?.concat();
-    let raw = RowSparse::new(tokens.clone(), grad_rows);
-    let split = vertical_split(&raw, &tokens, &next_gathered);
-    // AlltoAll #2, prior first, then delayed; Adam advances once.
-    let prior_shard = emb.try_exchange_grad_part(ep, &split.prior)?;
-    emb.apply_grad(&prior_shard, opt_e, UpdatePart::Prior);
-    let delayed_shard = emb.try_exchange_grad_part(ep, &split.delayed)?;
-    emb.apply_grad(&delayed_shard, opt_e, UpdatePart::Delayed);
-    // Global loss: gather every rank's scalar and sum in rank order, so
-    // every rank computes the identical f64 total.
-    let all = try_allgather_dense(ep, DenseTensor::from_vec(1, 1, vec![loss as f32]))?;
-    Ok(all.iter().map(|t| t.as_slice()[0] as f64).sum())
+/// Segment size of the step's comm scheduler: an eighth of the dense
+/// weight block (dim² f32s), at least one f32. Derived from the model so
+/// the bulk allreduce splits into a handful of resumable segments at every
+/// `dim` — enough for the prior gradients to preempt it mid-tensor (§5.2's
+/// second dimension), without drowning a large block in per-segment
+/// overhead. Chunked execution is bitwise-identical to whole.
+pub(crate) fn sched_options(cfg: &ConvergenceConfig, observed: bool) -> SchedOptions {
+    let chunk_bytes = (cfg.dim * cfg.dim * F32_BYTES / 8).max(F32_BYTES);
+    SchedOptions { chunk_bytes: Some(chunk_bytes), observed }
+}
+
+/// One rank's EmbRace training state: its column shard, the replicated
+/// projection, both optimizers, its batch stream and the next step to run.
+pub(crate) struct RankState {
+    pub(crate) emb: ColumnShardedEmbedding,
+    pub(crate) w: DenseTensor,
+    pub(crate) targets: DenseTensor,
+    pub(crate) opt_e: Adam,
+    pub(crate) opt_w: Adam,
+    pub(crate) stream: Prefetcher<Vec<u32>, BatchGen>,
+    pub(crate) step: u64,
+}
+
+impl RankState {
+    /// Rank `rank`'s state before the first step of a `cfg` run.
+    pub(crate) fn new(rank: usize, cfg: &ConvergenceConfig, sampler: &ZipfSampler) -> Self {
+        let (emb_init, w, targets) = init_toy_state(cfg);
+        let emb =
+            ColumnShardedEmbedding::new(&emb_init, rank, cfg.world).with_policy(cfg.grad_plane);
+        // Adam over the local column shard only; the modified step-state
+        // rule makes the split update equivalent to the baseline's whole
+        // update.
+        let opt_e = Adam::new(cfg.vocab, emb.shard_dim(), cfg.lr);
+        let opt_w = Adam::new(cfg.dim, cfg.dim, cfg.lr);
+        let stream = batch_stream(sampler, cfg, rank);
+        RankState { emb, w, targets, opt_e, opt_w, stream, step: 0 }
+    }
+
+    /// One EmbRace hybrid step — AllGather of batch tokens, hybrid AlltoAll
+    /// forward, dense ring AllReduce, Vertical Sparse Scheduling with two
+    /// AlltoAll #2 exchanges — returning the global loss. Every exchange
+    /// goes through `comm` with its §4.2.1 priority, tagged with the step;
+    /// the step returns with every ticket waited and `comm` empty, so a
+    /// scheduler per step and one per run send the same messages.
+    pub(crate) fn run_step<C: Comm>(
+        &mut self,
+        comm: &mut CommScheduler<C>,
+    ) -> Result<f64, CommError> {
+        let step = self.step;
+        let tag = |op: &str| format!("s{step}/{op}");
+        let tokens = self.stream.advance().expect("infinite stream");
+        let next_local = self.stream.peek_next().expect("infinite stream").clone();
+        // Hybrid FP: gather this batch and the next, AlltoAll #1 the
+        // lookup results.
+        let cur = CommOp::GatherTokens(tokens.clone());
+        let t_cur = comm.submit(TOKEN_GATHER_PRIORITY, tag("tokens_cur"), cur);
+        let next = CommOp::GatherTokens(next_local);
+        let t_next = comm.submit(TOKEN_GATHER_PRIORITY, tag("tokens_next"), next);
+        let CommResult::GatherTokens(all_tokens) = t_cur.wait().into_result()? else {
+            unreachable!("token gather")
+        };
+        let lookup_op = self.emb.lookup_op(&all_tokens);
+        let lookup = comm.submit(EMB_DATA_PRIORITY, tag("emb_data"), lookup_op).wait();
+        let lookup = ColumnShardedEmbedding::finish_lookup(lookup)?;
+        let (loss, grad_w, grad_rows) = fwd_bwd_toy(&lookup, &tokens, &self.w, &self.targets);
+        // Dense plane: the BP hook fires the AllReduce and hands the comm
+        // plane one quantum, so the bulk op is in flight when the more
+        // urgent prior gradients preempt it below.
+        let (rows, cols) = (grad_w.rows(), grad_w.cols());
+        let dense = CommOp::AllReduceDense(grad_w.into_vec());
+        let t_w = comm.submit(DENSE_PRIORITY, tag("allreduce_w"), dense);
+        comm.progress();
+        // Vertical Sparse Scheduling: split by next-iteration data.
+        let CommResult::GatherTokens(next_gathered) = t_next.wait().into_result()? else {
+            unreachable!("token gather")
+        };
+        let raw = RowSparse::new(tokens.clone(), grad_rows);
+        let split = vertical_split(&raw, &tokens, &next_gathered.concat());
+        // AlltoAll #2, prior first, then delayed; Adam advances once.
+        let prior = self.emb.grad_op(&split.prior);
+        let t_prior = comm.submit(PRIOR_GRAD_PRIORITY, tag("prior_grad"), prior);
+        let delayed = self.emb.grad_op(&split.delayed);
+        let t_delayed = comm.submit(DELAYED_GRAD_PRIORITY, tag("delayed_grad"), delayed);
+        let CommResult::AllReduceDense(summed) = t_w.wait().into_result()? else {
+            unreachable!("dense allreduce")
+        };
+        self.opt_w.step_dense(&mut self.w, &DenseTensor::from_vec(rows, cols, summed));
+        let prior = self.emb.finish_grad(t_prior.wait())?;
+        self.emb.apply_grad(&prior, &mut self.opt_e, UpdatePart::Prior);
+        // Global loss: every rank's f32 scalar, gathered bit for bit.
+        let bits = CommOp::GatherTokens(vec![(loss as f32).to_bits()]);
+        let t_loss = comm.submit(LOSS_PRIORITY, tag("loss"), bits);
+        let delayed = self.emb.finish_grad(t_delayed.wait())?;
+        self.emb.apply_grad(&delayed, &mut self.opt_e, UpdatePart::Delayed);
+        let CommResult::GatherTokens(all) = t_loss.wait().into_result()? else {
+            unreachable!("loss gather")
+        };
+        self.step += 1;
+        // Summed in rank order, so every rank computes the identical f64.
+        Ok(all.iter().map(|v| f32::from_bits(v[0]) as f64).sum())
+    }
 }
 
 /// Train the toy model with `method`; returns the per-step global loss.
@@ -172,7 +247,7 @@ pub fn train_convergence(method: TrainMethod, cfg: &ConvergenceConfig) -> Conver
     let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
     let losses = run_group(cfg.world, |rank, ep| match method {
         TrainMethod::HorovodAllGather => train_allgather(rank, ep, cfg, &sampler),
-        TrainMethod::EmbRace => train_embrace(rank, ep, cfg, &sampler),
+        TrainMethod::EmbRace => train_embrace(rank, ep, cfg, &sampler, false).0,
     });
     ConvergenceResult { losses: losses.into_iter().next().expect("at least one worker") }
 }
@@ -195,7 +270,7 @@ pub fn train_convergence_observed(
         recorder::install(&format!("rank{rank}"));
         let losses = match method {
             TrainMethod::HorovodAllGather => train_allgather(rank, ep, cfg, &sampler),
-            TrainMethod::EmbRace => train_embrace(rank, ep, cfg, &sampler),
+            TrainMethod::EmbRace => train_embrace(rank, ep, cfg, &sampler, false).0,
         };
         let spans = recorder::take().expect("recorder installed at worker start");
         (losses, spans)
@@ -247,37 +322,37 @@ fn train_allgather(
         let global = allgather_sparse_grad(ep, sparse);
         opt_e.step_sparse(emb.table_mut(), &global, UpdatePart::Whole);
         opt_w.step_dense(&mut w, &grad_w);
-        // Global loss, summed in rank order as in `embrace_step`.
+        // Global loss, summed in rank order as in the EmbRace step.
         let all = allgather_dense(ep, DenseTensor::from_vec(1, 1, vec![loss as f32]));
         losses.push(all.iter().map(|t| t.as_slice()[0] as f64).sum());
     }
     losses
 }
 
-fn train_embrace(
+/// One rank's recorded observation: its scheduler's wall-clock spans
+/// plus the per-collective [`OpTiming`] log.
+pub type RankObservation = (SpanSet, Vec<OpTiming>);
+
+/// Rank `rank`'s EmbRace run over one comm scheduler for the whole run, so
+/// its ring staging buffers carry over from step to step. Returns the
+/// per-step global losses, the scheduler's submission log and, when
+/// `observed`, its observation.
+pub(crate) fn train_embrace(
     rank: usize,
     ep: &mut Endpoint,
     cfg: &ConvergenceConfig,
     sampler: &ZipfSampler,
-) -> Vec<f64> {
-    let (emb_init, w_init, targets) = init_toy_state(cfg);
-    let mut emb =
-        ColumnShardedEmbedding::new(&emb_init, rank, cfg.world).with_policy(cfg.grad_plane);
-    let mut w = w_init;
-    // Adam over the local column shard only; the modified step-state rule
-    // makes the split update equivalent to the baseline's whole update.
-    let mut opt_e = Adam::new(cfg.vocab, emb.shard_dim(), cfg.lr);
-    let mut opt_w = Adam::new(cfg.dim, cfg.dim, cfg.lr);
-    let mut stream = batch_stream(sampler, cfg, rank);
-
-    let mut losses = Vec::with_capacity(cfg.steps);
-    for step in 0..cfg.steps {
-        let _span = recorder::span(&format!("step{step}"), "train");
-        let loss =
-            embrace_step(ep, &mut emb, &mut w, &targets, &mut opt_e, &mut opt_w, &mut stream);
-        losses.push(loss.unwrap_or_else(|e| panic!("collective failed: {e}")));
-    }
-    losses
+    observed: bool,
+) -> (Vec<f64>, Vec<SubmittedOp>, Option<RankObservation>) {
+    let mut comm = CommScheduler::new(ep, sched_options(cfg, observed));
+    let mut st = RankState::new(rank, cfg, sampler);
+    let losses = (0..cfg.steps)
+        .map(|step| {
+            let _span = recorder::span(&format!("step{step}"), "train");
+            st.run_step(&mut comm).unwrap_or_else(|e| panic!("collective failed: {e}"))
+        })
+        .collect();
+    (losses, comm.submitted().to_vec(), comm.observation())
 }
 
 #[cfg(test)]

@@ -348,6 +348,7 @@ mod chunked_scheduler {
                 }
             }
             CommResult::Flush => out.push(4),
+            CommResult::SparseAllreduce(_) => unreachable!("no sparse allreduce is submitted"),
             CommResult::Failed(e) => panic!("scheduler failed: {e:?}"),
         }
         out

@@ -7,8 +7,8 @@ use embrace_repro::models::ModelId;
 use embrace_repro::obs::SpanSet;
 use embrace_repro::simnet::{Cluster, Res, Trace};
 use embrace_repro::trainer::{
-    simulate_with_trace, train_convergence, train_convergence_observed, ConvergenceConfig,
-    SimConfig, TrainMethod,
+    simulate_with_trace, train_convergence, train_convergence_observed,
+    train_convergence_scheduled_observed, ConvergenceConfig, SimConfig, TrainMethod,
 };
 
 fn trace_for(method: MethodId) -> Trace {
@@ -149,6 +149,20 @@ fn observed_training_is_deterministic_in_losses_and_span_structure() {
             reference,
             "span structure diverged (rank/run index {rank})"
         );
+    }
+
+    // Every unit the step's comm scheduler runs lies inside a `collective`
+    // span directly under its step, partitioned and preempted ops
+    // included: one span per op start round plus one per unit, as the
+    // scheduler's own timing log counts them on the same run.
+    let (_, _, observed) = train_convergence_scheduled_observed(&cfg, true);
+    for (rank, (set, (_, timings))) in spans_a.iter().zip(&observed).enumerate() {
+        let units: u32 = timings.iter().map(|t| 1 + t.chunks).sum();
+        let structure = rankless_structure(set);
+        let spans = structure.iter().filter(|l| l.starts_with("d1|collective|")).count();
+        let all = structure.iter().filter(|l| l.contains("|collective|")).count();
+        assert_eq!((spans, all), (units as usize, spans), "rank {rank}: {structure:?}");
+        assert!(timings.iter().any(|t| t.chunks > 1), "rank {rank}: nothing was partitioned");
     }
 }
 
