@@ -199,7 +199,7 @@ pub fn grad_alltoall_bytes(grad_rows: &[usize], dim_total: usize) -> Vec<Vec<u64
 /// alltoall phases — the deduplicated row-id requests out
 /// (`alltoallv_tokens`, [`TOKEN_BYTES`] per id), then each owner's
 /// embedding rows back (`alltoall_dense`, `dim × F32_BYTES` per row).
-/// `reqs[i][j]` is the number of distinct uncached rows rank `i` requests
+/// `reqs[i][j]` is the number of distinct rows rank `i` requests
 /// from owner `j`; the response matrix is its transpose scaled to row
 /// width. Both phases are [`alltoall_plan`]s, and the byte counts equal
 /// the runtime `Packet::Tokens` / `Packet::Dense` wire sizes

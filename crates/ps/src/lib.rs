@@ -6,8 +6,9 @@
 //! riding the collectives layer (`alltoallv_tokens` + `alltoall_dense` for
 //! lookups, `alltoallv_sparse` or the sparse-native allreduce for gradient
 //! pushes), per-row optimizer state ([`RowOptimizer`]: SGD / Adagrad)
-//! colocated with the shard it updates, and a hot-row LRU [`RowCache`]
-//! with hit-rate and occupancy metrics exported through `embrace-obs`.
+//! colocated with the shard it updates, and serving counters exported
+//! through `embrace-obs`. There is no client-side row cache: a lookup is
+//! planned with one sort and always reads the owners' current rows.
 //! The paper's PS baselines (BytePS, Parallax) are priced by
 //! `embrace_simnet::cost::CostModel::ps`, not run on this crate.
 //!
@@ -17,13 +18,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod error;
 pub mod optim;
 pub mod partition;
 pub mod service;
 
-pub use cache::{CacheStats, RowCache};
 pub use error::PsError;
 pub use optim::{OptimizerKind, RowOptimizer};
 pub use partition::{PartitionBook, PartitionPolicy};

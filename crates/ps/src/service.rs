@@ -9,10 +9,11 @@
 //! **Lookup** is two collectives deep: requests scatter to their owning
 //! shards (`alltoallv_tokens`, the request leg), each shard gathers the
 //! rows it owns, and the responses scatter back (`alltoall_dense` — the
-//! paper's AlltoAll #1 shape). Requested ids are deduplicated per
-//! destination before the wire, and a hot-row [`RowCache`] short-circuits
-//! rows served recently, so a Zipf-skewed batch often shrinks to a
-//! fraction of its raw size.
+//! paper's AlltoAll #1 shape). The request plan is one sort of packed
+//! `(id, position)` keys: each run of equal ids becomes one request entry
+//! to its owner, so a Zipf-skewed batch shrinks to its distinct ids before
+//! the wire. There is no client-side row cache (DGL's `DistEmbedding`
+//! keeps none either); every lookup reads the owners' current rows.
 //!
 //! **Push** partitions a [`RowSparse`] gradient by owning shard and rides
 //! `alltoallv_sparse` (AlltoAll #2); each shard coalesces what it received
@@ -28,7 +29,6 @@
 //! broadcasts an abort so peers fail with [`CommError::Aborted`] instead
 //! of deadlocking.
 
-use crate::cache::{CacheStats, RowCache};
 use crate::error::PsError;
 use crate::optim::{OptimizerKind, RowOptimizer};
 use crate::partition::{PartitionBook, PartitionPolicy};
@@ -40,7 +40,6 @@ use embrace_collectives::{Comm, Packet};
 use embrace_obs::recorder;
 use embrace_obs::Metrics;
 use embrace_tensor::{coalesce, DenseTensor, RowSparse, TokenBuf};
-use std::collections::HashMap;
 
 /// How a push moves gradients to their owning shards.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -63,14 +62,15 @@ pub struct ServiceConfig {
     pub policy: PartitionPolicy,
     /// Update rule colocated with each shard.
     pub optimizer: OptimizerKind,
-    /// Hot-row cache capacity per rank (0 disables caching).
+    /// Accepted and ignored: the service keeps no row cache. The field
+    /// stays so configurations built by field keep compiling.
     pub cache_rows: usize,
     /// Gradient transport of [`EmbeddingService::try_push`].
     pub push: PushTransport,
 }
 
 impl ServiceConfig {
-    /// A plain SGD service with no cache over `vocab × dim`, range-
+    /// A plain SGD service over `vocab × dim`, range-
     /// partitioned — the minimal configuration tests start from.
     pub fn minimal(vocab: usize, dim: usize, lr: f32) -> Self {
         ServiceConfig {
@@ -84,14 +84,6 @@ impl ServiceConfig {
     }
 }
 
-/// Where each position of a lookup batch gets its row from.
-enum Slot {
-    /// Index into the locally-cached row buffer.
-    Cached(usize),
-    /// `(owning shard, position within that shard's request list)`.
-    Fetched(usize, usize),
-}
-
 /// One rank's shard of the sharded embedding service.
 pub struct EmbeddingService {
     book: PartitionBook,
@@ -101,13 +93,15 @@ pub struct EmbeddingService {
     /// The parameter rows this rank owns (`book.shard_rows(rank) × dim`).
     shard: DenseTensor,
     opt: RowOptimizer,
-    cache: RowCache,
     push: PushTransport,
+    /// Owner-side scratch: the local indices of one asked batch, reused
+    /// across lookups.
+    local: Vec<u32>,
     lookups: u64,
     pushes: u64,
-    /// Rows returned to lookup callers (before dedup/caching).
+    /// Rows returned to lookup callers (before dedup).
     rows_served: u64,
-    /// Rows actually moved through the AlltoAll (after dedup and cache).
+    /// Rows actually moved through the AlltoAll (the distinct ids).
     rows_fetched: u64,
     /// Gradient rows applied to this shard.
     rows_updated: u64,
@@ -141,8 +135,8 @@ impl EmbeddingService {
             dim: cfg.dim,
             shard,
             opt: RowOptimizer::new(cfg.optimizer, rows, cfg.dim),
-            cache: RowCache::new(cfg.cache_rows),
             push: cfg.push,
+            local: Vec::new(),
             lookups: 0,
             pushes: 0,
             rows_served: 0,
@@ -160,83 +154,73 @@ impl EmbeddingService {
         &self.shard
     }
 
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
     /// Collective lookup: every rank calls with its own `ids` (any order,
     /// duplicates fine, empty fine) and receives the `ids.len() × dim`
     /// rows in request order.
     pub fn try_lookup<C: Comm>(&mut self, ep: &mut C, ids: &[u32]) -> Result<DenseTensor, PsError> {
         let _span = recorder::span("ps_lookup", "serving");
-        // Validate before any packet moves; a rejected lookup serves nothing.
-        for &id in ids {
-            if id as usize >= self.book.vocab() {
-                return abort(ep, PsError::RowOutOfRange { row: id, vocab: self.book.vocab() });
+        let plan = recorder::span("ps_lookup_plan", "serving");
+        assert!(ids.len() <= u32::MAX as usize, "a lookup numbers its positions as u32");
+        // Validate before any packet moves (a rejected lookup serves
+        // nothing), packing `(id << 32 | position)` keys in the same pass.
+        let vocab = self.book.vocab();
+        let mut keys: Vec<u64> = Vec::with_capacity(ids.len());
+        for (pos, &id) in ids.iter().enumerate() {
+            if id as usize >= vocab {
+                return abort(ep, PsError::RowOutOfRange { row: id, vocab });
             }
+            keys.push(u64::from(id) << 32 | pos as u64);
         }
         self.lookups += 1;
         self.rows_served += ids.len() as u64;
-        // Plan each position: cache hit, or a deduplicated fetch from the
-        // owning shard (self included — the self slot of the AlltoAll).
-        let mut slots: Vec<Slot> = Vec::with_capacity(ids.len());
-        let mut planned: HashMap<u32, (usize, usize)> = HashMap::new();
-        let mut cached: Vec<f32> = Vec::new();
-        let mut cached_ids: HashMap<u32, usize> = HashMap::new();
+        // One sort groups equal ids: each run is one request entry to its
+        // owner (self included — the self slot of the AlltoAll), and every
+        // position of the run reads that entry's `(owner, entry)` slot.
+        keys.sort_unstable();
         let mut reqs: Vec<Vec<u32>> = vec![Vec::new(); self.world];
-        for &id in ids {
-            if let Some(&(dest, pos)) = planned.get(&id) {
-                slots.push(Slot::Fetched(dest, pos));
-                continue;
+        let mut slots: Vec<(usize, usize)> = vec![(0, 0); ids.len()];
+        let (mut prev, mut slot) = (None, (0, 0));
+        for key in keys {
+            let id = (key >> 32) as u32;
+            if prev != Some(id) {
+                let dest = self.book.owner_of(id)?;
+                reqs[dest].push(id);
+                (prev, slot) = (Some(id), (dest, reqs[dest].len() - 1));
             }
-            if let Some(&k) = cached_ids.get(&id) {
-                slots.push(Slot::Cached(k));
-                continue;
-            }
-            if let Some(vals) = self.cache.get(id) {
-                let k = cached.len() / self.dim;
-                cached.extend_from_slice(vals);
-                cached_ids.insert(id, k);
-                slots.push(Slot::Cached(k));
-                continue;
-            }
-            let dest = self.book.owner_of(id)?;
-            reqs[dest].push(id);
-            let pos = reqs[dest].len() - 1;
-            planned.insert(id, (dest, pos));
-            slots.push(Slot::Fetched(dest, pos));
+            slots[key as u32 as usize] = slot;
         }
+        let distinct: usize = reqs.iter().map(Vec::len).sum();
+        drop(plan);
         // Round 1: scatter row-id requests to their owning shards.
-        let outgoing: Vec<TokenBuf> = reqs.iter().map(|r| TokenBuf::from(r.clone())).collect();
-        let asked = try_alltoallv_tokens(ep, outgoing)?;
-        // Serve: gather the rows each peer asked this shard for.
+        let request = recorder::span("ps_lookup_request", "serving");
+        let asked = try_alltoallv_tokens(ep, reqs.into_iter().map(TokenBuf::from).collect())?;
+        drop(request);
+        // Serve: check every asked id is ours, then gather the rows each
+        // peer asked for in one call.
+        let serve = recorder::span("ps_lookup_serve", "serving");
         let mut responses: Vec<DenseTensor> = Vec::with_capacity(self.world);
         for batch in &asked {
-            let mut resp = DenseTensor::zeros(batch.len(), self.dim);
-            for (dst, &id) in resp.rows_mut().zip(batch.as_slice()) {
+            self.local.clear();
+            for &id in batch.as_slice() {
                 let owner = self.book.owner_of(id)?;
                 if owner != self.rank {
                     return abort(ep, PsError::WrongShard { row: id, owner, shard: self.rank });
                 }
-                dst.copy_from_slice(self.shard.row(self.book.local_index(id)));
+                self.local.push(self.book.local_index(id) as u32);
             }
-            responses.push(resp);
+            responses.push(self.shard.gather_rows(&self.local));
         }
+        drop(serve);
         // Round 2: scatter the served rows back to the requesting ranks.
+        let response = recorder::span("ps_lookup_response", "serving");
         let fetched = try_alltoall_dense(ep, responses)?;
-        for (dest, req) in reqs.iter().enumerate() {
-            self.rows_fetched += req.len() as u64;
-            for (pos, &id) in req.iter().enumerate() {
-                self.cache.insert(id, fetched[dest].row(pos));
-            }
-        }
+        drop(response);
+        self.rows_fetched += distinct as u64;
         // Assemble in request order.
+        let _assemble = recorder::span("ps_lookup_assemble", "serving");
         let mut out = DenseTensor::zeros(ids.len(), self.dim);
-        for (dst, slot) in out.rows_mut().zip(&slots) {
-            dst.copy_from_slice(match slot {
-                Slot::Cached(k) => &cached[k * self.dim..(k + 1) * self.dim],
-                Slot::Fetched(dest, pos) => fetched[*dest].row(*pos),
-            });
+        for (dst, &(dest, pos)) in out.rows_mut().zip(&slots) {
+            dst.copy_from_slice(fetched[dest].row(pos));
         }
         Ok(out)
     }
@@ -244,7 +228,7 @@ impl EmbeddingService {
     /// Collective push: every rank contributes its own `RowSparse`
     /// gradient (global row ids; empty fine); each shard applies the sum
     /// of all contributions to the rows it owns through its colocated
-    /// optimizer, then invalidates its hot-row cache.
+    /// optimizer.
     pub fn try_push<C: Comm>(&mut self, ep: &mut C, grad: &RowSparse) -> Result<(), PsError> {
         let _span = recorder::span("ps_push", "serving");
         if grad.dim() != self.dim {
@@ -262,6 +246,7 @@ impl EmbeddingService {
                 // so the destination's coalesce sums in (source rank,
                 // source position) order — the same order a single-shard
                 // store would see.
+                let partition = recorder::span("ps_push_partition", "serving");
                 let mut per_shard: Vec<(Vec<u32>, Vec<u32>)> =
                     vec![(Vec::new(), Vec::new()); self.world];
                 for (pos, &row) in grad.indices().iter().enumerate() {
@@ -279,15 +264,25 @@ impl EmbeddingService {
                         }
                     })
                     .collect();
+                drop(partition);
+                let exchange = recorder::span("ps_push_exchange", "serving");
                 let received = try_alltoallv_sparse(ep, parts)?;
+                drop(exchange);
+                let coalescing = recorder::span("ps_push_coalesce", "serving");
                 let summed = coalesce(&RowSparse::concat(&received));
+                drop(coalescing);
+                let _apply = recorder::span("ps_push_apply", "serving");
                 let rows = summed.indices().iter().map(|&row| self.book.local_index(row));
                 self.rows_updated +=
                     self.opt.update_rows(&mut self.shard, rows.zip(summed.values().row_iter()));
             }
             PushTransport::SparseAllreduce { crossover } => {
                 let cfg = SsarConfig { vocab: self.book.vocab(), crossover };
-                match try_sparse_allreduce(ep, grad, &cfg)? {
+                let exchange = recorder::span("ps_push_exchange", "serving");
+                let reduced = try_sparse_allreduce(ep, grad, &cfg)?;
+                drop(exchange);
+                let _apply = recorder::span("ps_push_apply", "serving");
+                match reduced {
                     SparseReduced::Sparse(summed) => {
                         let mut owned = Vec::new();
                         for (&row, g) in summed.indices().iter().zip(summed.values().row_iter()) {
@@ -312,29 +307,18 @@ impl EmbeddingService {
                 }
             }
         }
-        self.cache.invalidate_all();
         Ok(())
     }
 
-    /// Export serving counters and cache health into `m` (registry names
+    /// Export serving counters into `m` (registry names
     /// under `ps.*`). Call on a fresh registry or merge downstream — the
     /// counters are lifetime totals, not deltas.
     pub fn export_metrics(&self, m: &mut Metrics) {
-        let s = self.cache.stats();
         m.inc("ps.lookup.batches", self.lookups);
         m.inc("ps.lookup.rows_served", self.rows_served);
         m.inc("ps.lookup.rows_fetched", self.rows_fetched);
         m.inc("ps.push.batches", self.pushes);
         m.inc("ps.push.rows_updated", self.rows_updated);
-        m.inc("ps.cache.hits", s.hits);
-        m.inc("ps.cache.misses", s.misses);
-        m.inc("ps.cache.evictions", s.evictions);
-        m.inc("ps.cache.invalidations", s.invalidations);
-        m.set_gauge("ps.cache.hit_rate", s.hit_rate());
-        m.set_gauge(
-            "ps.cache.occupancy",
-            if s.capacity == 0 { 0.0 } else { s.occupancy as f64 / s.capacity as f64 },
-        );
     }
 }
 
@@ -390,30 +374,71 @@ mod tests {
     }
 
     #[test]
-    fn repeat_lookup_is_served_from_cache() {
-        let stats = run_group(2, |rank, ep| {
-            let cfg = ServiceConfig { cache_rows: 8, ..base_cfg(16, 2, PartitionPolicy::Hash) };
+    fn rows_come_back_in_request_order() {
+        let outs = run_group(2, |rank, ep| {
+            let cfg = base_cfg(16, 2, PartitionPolicy::Range);
             let mut svc = EmbeddingService::new(rank, 2, &cfg, &init);
-            let ids = [1u32, 2, 3, 1];
-            let a = svc.try_lookup(ep, &ids).expect("first lookup");
-            let b = svc.try_lookup(ep, &ids).expect("second lookup");
-            assert_eq!(a, b, "cache must be value-transparent");
-            svc.cache_stats()
+            // Descending, interleaved across both shards, duplicates apart.
+            let ids = vec![15u32, 9, 3, 15, 0, 8, 7, 3];
+            let out = svc.try_lookup(ep, &ids).expect("lookup in range");
+            (ids, out)
         });
-        for s in stats {
-            // First pass misses the three unique rows (the duplicate is
-            // deduplicated before the cache); second pass hits all three.
-            assert_eq!((s.hits, s.misses), (3, 3));
-            assert_eq!(s.occupancy, 3);
-            assert!((s.hit_rate() - 0.5).abs() < 1e-12);
+        for (ids, out) in outs {
+            let want: Vec<f32> = ids.iter().flat_map(|&id| [init(id, 0), init(id, 1)]).collect();
+            assert_eq!(out.as_slice(), &want[..]);
         }
     }
 
     #[test]
-    fn push_invalidates_cached_rows() {
+    fn each_lookup_fetches_exactly_the_distinct_ids() {
+        let fetched = run_group(2, |rank, ep| {
+            let cfg = ServiceConfig { cache_rows: 8, ..base_cfg(16, 2, PartitionPolicy::Hash) };
+            let mut svc = EmbeddingService::new(rank, 2, &cfg, &init);
+            // Eight positions, four distinct ids over both shards.
+            let ids = [5u32, 1, 5, 5, 2, 1, 6, 5];
+            let counters = |svc: &EmbeddingService| {
+                let mut m = Metrics::new();
+                svc.export_metrics(&mut m);
+                ["ps.lookup.batches", "ps.lookup.rows_served", "ps.lookup.rows_fetched"]
+                    .map(|c| m.counter(c))
+            };
+            let a = svc.try_lookup(ep, &ids).expect("first lookup");
+            let first = counters(&svc);
+            let b = svc.try_lookup(ep, &ids).expect("second lookup");
+            assert_eq!(a, b);
+            (first, counters(&svc))
+        });
+        for counters in fetched {
+            assert_eq!(counters, ([1, 8, 4], [2, 16, 8]));
+        }
+    }
+
+    #[test]
+    fn partition_book_disagreement_aborts_the_group() {
+        let errs = run_group(2, |rank, ep| {
+            // Rank 0 places rows by range, rank 1 by hash: id 4 is rank
+            // 0's under hash but rank 1's under range.
+            let policy = if rank == 0 { PartitionPolicy::Range } else { PartitionPolicy::Hash };
+            let mut svc = EmbeddingService::new(rank, 2, &base_cfg(8, 1, policy), &init);
+            let ids = if rank == 0 { vec![] } else { vec![4u32] };
+            svc.try_lookup(ep, &ids).expect_err("both ranks must fail")
+        });
+        assert_eq!(errs[0], PsError::WrongShard { row: 4, owner: 1, shard: 0 });
+        assert!(
+            matches!(
+                errs[1],
+                PsError::Comm(CommError::Aborted { origin: 0 })
+                    | PsError::Comm(CommError::PeerGone { peer: 0 })
+            ),
+            "unexpected peer error: {:?}",
+            errs[1]
+        );
+    }
+
+    #[test]
+    fn lookup_after_push_reads_the_updated_row() {
         run_group(2, |rank, ep| {
             let cfg = ServiceConfig {
-                cache_rows: 8,
                 optimizer: OptimizerKind::Sgd { lr: 1.0 },
                 ..base_cfg(8, 1, PartitionPolicy::Range)
             };
@@ -423,8 +448,7 @@ mod tests {
             let grad = RowSparse::new(vec![3], DenseTensor::full(1, 1, 1.0));
             svc.try_push(ep, &grad).expect("push");
             let after = svc.try_lookup(ep, &[3]).expect("lookup after push");
-            // Both ranks pushed g=1 at lr=1: row 3 is now -2. A stale
-            // cache would still say 0.
+            // Both ranks pushed g=1 at lr=1: row 3 is now -2.
             assert_eq!(after.row(0), &[-2.0]);
         });
     }
@@ -545,25 +569,5 @@ mod tests {
             (before, snapshot(&svc))
         });
         assert_eq!(out[0], ([1, 2, 1], [1, 2, 1]));
-    }
-
-    #[test]
-    fn metrics_export_reports_serving_counters() {
-        let metrics = run_group(2, |rank, ep| {
-            let cfg = ServiceConfig { cache_rows: 4, ..base_cfg(8, 1, PartitionPolicy::Range) };
-            let mut svc = EmbeddingService::new(rank, 2, &cfg, &init);
-            svc.try_lookup(ep, &[0, 1]).expect("lookup");
-            svc.try_lookup(ep, &[0, 1]).expect("lookup");
-            let mut m = Metrics::new();
-            svc.export_metrics(&mut m);
-            m
-        });
-        for m in metrics {
-            assert_eq!(m.counter("ps.lookup.batches"), 2);
-            assert_eq!(m.counter("ps.lookup.rows_served"), 4);
-            assert_eq!(m.counter("ps.lookup.rows_fetched"), 2);
-            assert_eq!(m.counter("ps.cache.hits"), 2);
-            assert_eq!(m.gauge("ps.cache.hit_rate"), Some(0.5));
-        }
     }
 }

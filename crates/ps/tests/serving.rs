@@ -3,11 +3,15 @@
 //! Serving-path properties: the sharded embedding service must be
 //! observationally *bitwise* identical to a single-shard oracle — same
 //! lookups, same post-push tables — across partition policies, worlds 2–8,
-//! duplicate-id batches and both optimizers.
+//! duplicate-id batches and both optimizers. Two oracles: a world-1
+//! service, and a service-free replay that shares none of the service's
+//! plan / assemble code.
 
 use embrace_collectives::run_group;
-use embrace_ps::{EmbeddingService, OptimizerKind, PartitionPolicy, PushTransport, ServiceConfig};
-use embrace_tensor::{DenseTensor, RowSparse};
+use embrace_ps::{
+    EmbeddingService, OptimizerKind, PartitionPolicy, PushTransport, RowOptimizer, ServiceConfig,
+};
+use embrace_tensor::{coalesce, DenseTensor, RowSparse};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -97,12 +101,55 @@ fn run_oracle(
     out.pop().expect("one rank")
 }
 
+/// The service-free oracle: the whole table materialised from `init`,
+/// lookups as plain row reads, and every step's pushes — all ranks', in
+/// rank order — through `coalesce` and `RowOptimizer::update_rows`.
+fn run_replay(
+    world: usize,
+    cfg: ServiceConfig,
+    batches: &[Vec<Vec<u32>>],
+    vals: &[Vec<Vec<f32>>],
+) -> Vec<Trajectory> {
+    let mut table = DenseTensor::zeros(cfg.vocab, cfg.dim);
+    for (row, dst) in table.rows_mut().enumerate() {
+        for (c, v) in dst.iter_mut().enumerate() {
+            *v = init(row as u32, c);
+        }
+    }
+    let mut opt = RowOptimizer::new(cfg.optimizer, cfg.vocab, cfg.dim);
+    let read = |table: &DenseTensor, ids: &[u32]| -> Vec<f32> {
+        ids.iter().flat_map(|&id| table.row(id as usize).to_vec()).collect()
+    };
+    let mut trajs: Vec<Trajectory> = vec![Vec::new(); world];
+    for (step_ids, step_vals) in batches.iter().zip(vals) {
+        for (traj, ids) in trajs.iter_mut().zip(step_ids) {
+            traj.push(read(&table, ids));
+        }
+        let parts: Vec<RowSparse> = step_ids
+            .iter()
+            .zip(step_vals)
+            .map(|(ids, v)| {
+                RowSparse::new(ids.clone(), DenseTensor::from_vec(ids.len(), cfg.dim, v.clone()))
+            })
+            .collect();
+        let summed = coalesce(&RowSparse::concat(&parts));
+        let rows = summed.indices().iter().map(|&row| row as usize);
+        opt.update_rows(&mut table, rows.zip(summed.values().row_iter()));
+    }
+    for (rank, traj) in trajs.iter_mut().enumerate() {
+        let all: Vec<u32> = batches.iter().flat_map(|s| s[rank].iter().copied()).collect();
+        traj.push(read(&table, &all));
+    }
+    trajs
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     // Sharded lookup→update→lookup round-trips are bitwise identical to
-    // the single-shard oracle for every partition policy, world 2–8,
-    // optimizer, and duplicate-heavy batch mix.
+    // both single-shard oracles (the world-1 service and the service-free
+    // replay) for every partition policy, world 2–8, optimizer, and
+    // duplicate-heavy batch mix.
     #[test]
     fn sharded_service_is_bitwise_the_single_shard_oracle(
         world in 2usize..=MAX_WORLD,
@@ -152,16 +199,25 @@ proptest! {
             cache_rows,
             push: PushTransport::Alltoallv,
         };
-        // The oracle runs uncached; the sharded side runs with whatever
-        // cache the case drew — the cache must be value-transparent.
+        // `cache_rows` is accepted and ignored: the oracles run with 0,
+        // the sharded side with whatever the case drew.
         let oracle_cfg = ServiceConfig { cache_rows: 0, ..cfg };
         let sharded = run_sharded(world, cfg, &batches, &vals);
         let oracle = run_oracle(world, oracle_cfg, &batches, &vals);
+        let replay = run_replay(world, oracle_cfg, &batches, &vals);
         for rank in 0..world {
             prop_assert_eq!(
                 &sharded[rank],
                 &oracle[rank],
-                "trajectory diverged at rank {} ({:?}, world {})",
+                "trajectory diverged from the world-1 service at rank {} ({:?}, world {})",
+                rank,
+                policy,
+                world
+            );
+            prop_assert_eq!(
+                &sharded[rank],
+                &replay[rank],
+                "trajectory diverged from the service-free replay at rank {} ({:?}, world {})",
                 rank,
                 policy,
                 world

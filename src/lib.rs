@@ -13,7 +13,7 @@
 //! * [`collectives`] — real multi-threaded AllReduce / AllGather /
 //!   AlltoAll over an in-memory mesh;
 //! * [`ps`] — the sharded embedding service (collective lookup/push,
-//!   colocated row optimizers, hot-row cache);
+//!   colocated row optimizers);
 //! * [`dlsim`] — the mini DL framework (module graphs, optimizers with
 //!   the paper's Adam modification, priority queues, prefetcher, hooks);
 //! * [`models`] — LM / GNMT-8 / Transformer / BERT-base specs and
