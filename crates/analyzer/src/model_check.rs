@@ -45,7 +45,7 @@
 //!
 //! [`Packet::Abort`]: embrace_collectives::Packet::Abort
 
-use embrace_collectives::schedule::{Payload, Schedule, Step, Traversal};
+use embrace_collectives::schedule::{Payload, RingPart, Schedule, Step, Traversal};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Which collective algorithm to model-check.
@@ -242,7 +242,9 @@ fn program(cfg: &CheckConfig, rank: usize) -> Vec<Step> {
     match cfg.collective {
         Collective::Barrier => flat(Schedule::Barrier),
         Collective::Broadcast { root } => flat(Schedule::Broadcast { root }),
-        Collective::RingAllreduce { elems, seg } => flat(Schedule::Ring { elems, seg }),
+        Collective::RingAllreduce { elems, seg } => {
+            flat(Schedule::Ring { elems, seg, part: RingPart::AllReduce })
+        }
         Collective::AllgatherTokens(traversal) | Collective::Alltoallv(traversal) => {
             flat(Schedule::Fanout(traversal))
         }
@@ -250,7 +252,8 @@ fn program(cfg: &CheckConfig, rank: usize) -> Vec<Step> {
         // Unit indices align across ranks (every rank runs the same units
         // per ring step), which is what makes a unit-aligned cut coherent.
         Collective::PreemptedRing { elems, seg, preempt_at } => {
-            let units = Schedule::Ring { elems, seg }.units(cfg.world, rank);
+            let units =
+                Schedule::Ring { elems, seg, part: RingPart::AllReduce }.units(cfg.world, rank);
             let k = preempt_at.min(units.len());
             let mut prog = units[..k].concat();
             prog.extend(flat(Schedule::Fanout(Traversal::Paired)));

@@ -22,7 +22,7 @@
 //! `verify` consumes both levels; `model_check` executes the same
 //! schedules under a virtual scheduler.
 
-use embrace_collectives::schedule::{ssar_rounds, Payload, Schedule, Step, Traversal};
+use embrace_collectives::schedule::{ssar_rounds, Payload, RingPart, Schedule, Step, Traversal};
 use embrace_collectives::{Comm, CommError, Packet, ReformMsg, SubmittedOp, SEG_HEADER_BYTES};
 use embrace_core::{CommKind, Priorities};
 use embrace_tensor::{column_partition, F32_BYTES, INDEX_BYTES, TOKEN_BYTES};
@@ -123,7 +123,7 @@ pub fn broadcast_plan(world: usize, root: usize, bytes: u64) -> P2pPlan {
 /// Plan of [`embrace_collectives::ops::ring_allreduce`] over a buffer of
 /// `elems` f32 values: one segment per ring step.
 pub fn ring_allreduce_plan(world: usize, elems: usize) -> P2pPlan {
-    let whole = Schedule::Ring { elems, seg: usize::MAX };
+    let whole = Schedule::Ring { elems, seg: usize::MAX, part: RingPart::AllReduce };
     sized("ring_allreduce", world, whole, |_, _, p| seg_bytes(p))
 }
 
@@ -131,8 +131,23 @@ pub fn ring_allreduce_plan(world: usize, elems: usize) -> P2pPlan {
 /// `"ring_allreduce_chunked"`): the same ring cut into `seg_elems`-element
 /// units. Total bytes equal [`ring_allreduce_plan`]'s for the same `elems`.
 pub fn chunked_ring_allreduce_plan(world: usize, elems: usize, seg_elems: usize) -> P2pPlan {
-    let ring = Schedule::Ring { elems, seg: seg_elems };
+    let ring = Schedule::Ring { elems, seg: seg_elems, part: RingPart::AllReduce };
     sized("ring_allreduce_chunked", world, ring, |_, _, p| seg_bytes(p))
+}
+
+/// Plan of one phase of the ring in `seg_elems`-element units
+/// (`usize::MAX`: one per step), as the sharded dense update runs them:
+/// the reduce-scatter of the gradient (kind `"ring_reduce_scatter"`) or the
+/// all-gather of the updated weights (kind `"ring_allgather"`). The two
+/// phases of one `elems` are [`chunked_ring_allreduce_plan`]'s records, cut
+/// at the phase boundary.
+pub fn ring_phase_plan(world: usize, elems: usize, seg_elems: usize, part: RingPart) -> P2pPlan {
+    let kind = match part {
+        RingPart::AllReduce => return chunked_ring_allreduce_plan(world, elems, seg_elems),
+        RingPart::ReduceScatter => "ring_reduce_scatter",
+        RingPart::AllGather => "ring_allgather",
+    };
+    sized(kind, world, Schedule::Ring { elems, seg: seg_elems, part }, |_, _, p| seg_bytes(p))
 }
 
 /// Plan of the whole-op allgather family (`allgather_dense`,
@@ -456,17 +471,24 @@ impl SchedulePlan {
     }
 }
 
-/// Stable tag and scheduler kind of a horizontal-schedule operation.
-fn comm_kind_planned(kind: CommKind, priority: i64) -> PlannedCollective {
-    let (tag, op_kind) = match kind {
-        CommKind::DenseBlock(m) => (format!("dense_block/{m}"), "allreduce_dense"),
-        CommKind::EmbData(m) => (format!("emb_data/{m}"), "alltoall_dense"),
-        CommKind::PriorGrad(m) => (format!("prior_grad/{m}"), "alltoallv_sparse"),
-        CommKind::DelayedGrad(m) => (format!("delayed_grad/{m}"), "alltoallv_sparse"),
+/// Stable tags and scheduler kinds of a horizontal-schedule operation. A
+/// dense block's exchange is two ops, as the live step submits it: the
+/// reduce-scatter of its gradient and, after the sharded update, the
+/// all-gather of its weights, both at the block's priority.
+fn comm_kind_planned(kind: CommKind, priority: i64) -> Vec<PlannedCollective> {
+    let ops = match kind {
+        CommKind::DenseBlock(m) => vec![
+            (format!("dense_block/{m}/reduce_scatter"), "reduce_scatter_dense"),
+            (format!("dense_block/{m}/allgather"), "allgather_dense"),
+        ],
+        CommKind::EmbData(m) => vec![(format!("emb_data/{m}"), "alltoall_dense")],
+        CommKind::PriorGrad(m) => vec![(format!("prior_grad/{m}"), "alltoallv_sparse")],
+        CommKind::DelayedGrad(m) => vec![(format!("delayed_grad/{m}"), "alltoallv_sparse")],
     };
     // Payload bytes are model-dependent; the horizontal plan checks
     // ordering and SPMD shape, so they are recorded as 0 here.
-    PlannedCollective { tag, kind: op_kind, priority, bytes: 0 }
+    let planned = |(tag, kind)| PlannedCollective { tag, kind, priority, bytes: 0 };
+    ops.into_iter().map(planned).collect()
 }
 
 /// Build the static SPMD schedule plan of one training step from the
@@ -474,7 +496,7 @@ fn comm_kind_planned(kind: CommKind, priority: i64) -> PlannedCollective {
 /// the same priorities (the EmbRace guarantee the verifier then checks).
 pub fn horizontal_schedule_plan(priorities: &Priorities, world: usize) -> SchedulePlan {
     let ops: Vec<PlannedCollective> =
-        priorities.schedule_ops().into_iter().map(|(k, p)| comm_kind_planned(k, p)).collect();
+        priorities.schedule_ops().into_iter().flat_map(|(k, p)| comm_kind_planned(k, p)).collect();
     SchedulePlan { world, ranks: vec![ops; world] }
 }
 

@@ -15,7 +15,7 @@ use embrace_analyzer::model_check::{
 };
 use embrace_analyzer::plan::{
     allgather_plan, alltoall_plan, barrier_plan, broadcast_plan, ring_allreduce_plan,
-    sparse_allreduce_plan,
+    ring_phase_plan, sparse_allreduce_plan,
 };
 use embrace_analyzer::verify::mutate_p2p;
 use embrace_analyzer::{
@@ -23,7 +23,7 @@ use embrace_analyzer::{
     SchedulePlan,
 };
 use embrace_collectives::ops::{sparse_allreduce, SsarConfig};
-use embrace_collectives::schedule::Traversal;
+use embrace_collectives::schedule::{RingPart, Traversal};
 use embrace_collectives::{run_group, Comm, Endpoint, Packet};
 use embrace_tensor::{DenseTensor, RowSparse, TokenBuf, F32_BYTES, TOKEN_BYTES};
 use embrace_trainer::train_convergence_scheduled_observed;
@@ -79,6 +79,15 @@ fn whole_op_plans_match_real_traffic() {
                 let mut buf: Vec<f32> = (0..elems).map(|i| (rank + i) as f32).collect();
                 embrace_collectives::ops::ring_allreduce(ep, &mut buf);
             });
+            // Its two phases, as the sharded dense update runs them.
+            for part in [RingPart::ReduceScatter, RingPart::AllGather] {
+                let plan = ring_phase_plan(world, elems, usize::MAX, part);
+                assert_counters_match_plan(world, &plan, move |rank, ep| {
+                    let mut buf: Vec<f32> = (0..elems).map(|i| (rank + i) as f32).collect();
+                    embrace_collectives::ops::try_ring_part(ep, &mut buf, part)
+                        .expect("fault-free");
+                });
+            }
         }
 
         let locals: Vec<Vec<u32>> = (0..world).map(gather_local).collect();
@@ -348,6 +357,12 @@ fn traced_trainer_schedule_verifies_spmd_clean() {
     assert_eq!(logs.len(), 3);
     for (rank, log) in logs.iter().enumerate() {
         assert!(!log.is_empty(), "rank {rank} submitted nothing");
+        // The dense plane is the ring's two phases around the sharded
+        // update, one of each per step, and never the whole allreduce.
+        let count = |kind: &str| log.iter().filter(|op| op.kind == kind).count();
+        assert_eq!(count("reduce_scatter_dense"), cfg.steps, "rank {rank}");
+        assert_eq!(count("allgather_dense"), cfg.steps, "rank {rank}");
+        assert_eq!(count("allreduce_dense"), 0, "rank {rank}");
     }
     let plan = SchedulePlan::from_logs(&logs);
     let diags = verify_schedule(&plan);

@@ -22,13 +22,14 @@ use embrace_analyzer::plan::{
     allgather_plan, alltoall_plan, barrier_plan, broadcast_plan, chunked_alltoall_plan,
     chunked_ring_allreduce_plan, grad_alltoall_bytes, horizontal_schedule_plan,
     lookup_alltoall_bytes, lookup_demo_plan, lookup_plan, reform_plan, ring_allreduce_plan,
-    sparse_allreduce_demo_plan, sparse_allreduce_plan, P2pPlan,
+    ring_phase_plan, sparse_allreduce_demo_plan, sparse_allreduce_plan, P2pPlan,
 };
 use embrace_analyzer::verify::{mutate_p2p, mutate_partition, mutate_schedule};
 use embrace_analyzer::{
     verify_horizontal, verify_p2p, verify_partition, verify_schedule, Diagnostic, DiagnosticKind,
     PlanMutation,
 };
+use embrace_collectives::schedule::RingPart;
 use embrace_core::horizontal::Priorities;
 use embrace_models::{ModelId, ModelSpec};
 use embrace_simnet::GpuKind;
@@ -123,6 +124,13 @@ fn verify_model(spec: &ModelSpec, world: usize) -> Result<usize, String> {
     let seg = spec.block_params.div_ceil(world * 4).max(1);
     let chunked = chunked_ring_allreduce_plan(world, spec.block_params, seg);
     expect_clean_p2p(&format!("{} dense ring (chunked)", spec.name), &chunked)?;
+    // The dense plane as the step runs it around the sharded update: the
+    // gradient's reduce-scatter, then the weights' all-gather.
+    for part in [RingPart::ReduceScatter, RingPart::AllGather] {
+        let phase = ring_phase_plan(world, spec.block_params, seg, part);
+        expect_clean_p2p(&format!("{} dense {}", spec.name, phase.kind), &phase)?;
+        checked += 1;
+    }
     if let Some(emb) = spec.embeddings.first() {
         let grads = chunked_alltoall_plan(
             "alltoallv_sparse_chunked",

@@ -8,8 +8,9 @@
 //! separately by `embrace-simnet`'s cost model.
 //!
 //! Provided primitives (§2.2 of the paper):
-//! * [`ops::ring_allreduce`] — bandwidth-optimal ring AllReduce (the dense
-//!   gradient plane),
+//! * [`ops::ring_allreduce`] — bandwidth-optimal ring AllReduce, and its
+//!   reduce-scatter and all-gather phases alone ([`ops::try_ring_part`]:
+//!   the dense plane, gradient in and updated weights out),
 //! * [`ops::allgather_sparse`] — AllGather of COO row-sparse gradients
 //!   (Horovod ≥ 0.22 sparse path),
 //! * [`ops::alltoall_dense`] / [`ops::alltoallv_sparse`] — the AlltoAll

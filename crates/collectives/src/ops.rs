@@ -44,7 +44,7 @@
 //! fault produces no disconnection edge, so a blocking receive would wait
 //! forever where a deadline turns it into [`CommError::Timeout`].
 
-use crate::schedule::{self, prev_pow2, Ring};
+use crate::schedule::{self, prev_pow2, Ring, RingPart};
 use crate::transport::{Comm, CommError, Packet, SegBody, SparseSeg};
 use embrace_obs::recorder;
 use embrace_tensor::{
@@ -131,8 +131,9 @@ pub fn try_broadcast<C: Comm>(
     }
 }
 
-/// A ring allreduce in flight, executed one [`schedule::RingUnit`] at a
-/// time. Errors come back raw; the caller owns the abort broadcast.
+/// A ring allreduce, or one of its phases, in flight, executed one
+/// [`schedule::RingUnit`] at a time over the units [`Ring::part`] names.
+/// Errors come back raw; the caller owns the abort broadcast.
 ///
 /// # Receive-fuse-forward
 ///
@@ -140,12 +141,13 @@ pub fn try_broadcast<C: Comm>(
 /// the next step sends (see [`Ring`]), so the received tensor — updated in
 /// place by the fused [`kernels::add_assign_both`] reduce during
 /// reduce-scatter, forwarded verbatim during allgather — *is* that unit's
-/// outgoing packet. Only step 0 stages from `buf`; every other step
-/// touches each element once.
+/// outgoing packet. Only the first step a machine runs stages from `buf` —
+/// step 0, or for an all-gather on its own step N−1, whose packets no
+/// reduce-scatter holds; every other step touches each element once.
 ///
 /// # Allocation discipline
 ///
-/// Step 0 stages each segment it sends into a buffer of its own; from
+/// The first step stages each segment it sends into a buffer of its own; from
 /// then on each received buffer — whose sole owner we now are — is held
 /// until its unit comes round again and goes back out. A machine
 /// therefore needs at most [`Ring::per_step`] staging buffers (one for
@@ -157,17 +159,21 @@ pub fn try_broadcast<C: Comm>(
 /// [`embrace_tensor::alloc_counter`].
 pub(crate) struct RingMachine {
     ring: Ring,
+    part: RingPart,
     unit: usize,
+    /// One past the last unit to run.
+    end: usize,
     /// `held[i]`: the buffer received by segment `i` of the previous step.
     held: Vec<Option<DenseTensor>>,
-    /// Staging buffers for step 0, used before allocating.
+    /// Staging buffers for the first step, used before allocating.
     spare: Vec<DenseTensor>,
 }
 
 impl RingMachine {
-    pub(crate) fn new(ring: Ring, spare: Vec<DenseTensor>) -> Self {
+    pub(crate) fn new(ring: Ring, part: RingPart, spare: Vec<DenseTensor>) -> Self {
         let held = (0..ring.per_step()).map(|_| None).collect();
-        RingMachine { ring, unit: 0, held, spare }
+        let units = ring.part(part);
+        RingMachine { ring, part, unit: units.start, end: units.end, held, spare }
     }
 
     /// Every buffer this machine still owns, for the next ring to stage into.
@@ -176,7 +182,11 @@ impl RingMachine {
     }
 
     pub(crate) fn done(&self) -> bool {
-        self.unit == self.ring.units()
+        self.unit == self.end
+    }
+
+    pub(crate) fn part(&self) -> RingPart {
+        self.part
     }
 
     pub(crate) fn step<C: Comm>(&mut self, ep: &mut C, buf: &mut [f32]) -> Result<(), CommError> {
@@ -222,8 +232,33 @@ pub fn ring_allreduce<C: Comm>(ep: &mut C, buf: &mut [f32]) {
 /// step, run to completion. On `Err` the contents of `buf` are
 /// unspecified (the reduction was interrupted part-way).
 pub fn try_ring_allreduce<C: Comm>(ep: &mut C, buf: &mut [f32]) -> Result<(), CommError> {
-    let _span = recorder::span("ring_allreduce", "collective");
-    let mut machine = RingMachine::new(Ring::whole(ep.world(), ep.rank(), buf.len()), Vec::new());
+    try_ring_part(ep, buf, RingPart::AllReduce)
+}
+
+/// The `collective` span name of a ring op: its function here.
+pub(crate) fn ring_name(part: RingPart) -> &'static str {
+    match part {
+        RingPart::AllReduce => "ring_allreduce",
+        RingPart::ReduceScatter => "ring_reduce_scatter",
+        RingPart::AllGather => "ring_allgather",
+    }
+}
+
+/// `part` of the ring in place, one segment per step; the allreduce is
+/// [`try_ring_allreduce`]. After [`RingPart::ReduceScatter`] this rank's
+/// [`Ring::owned`] range of `buf` holds the element-wise sum over all
+/// ranks, bitwise what the allreduce leaves there, and the rest is
+/// partially reduced; after [`RingPart::AllGather`] every rank's `buf`
+/// holds, in each rank's [`Ring::owned`] range, that rank's values. On
+/// `Err` the contents of `buf` are unspecified.
+pub fn try_ring_part<C: Comm>(
+    ep: &mut C,
+    buf: &mut [f32],
+    part: RingPart,
+) -> Result<(), CommError> {
+    let _span = recorder::span(ring_name(part), "collective");
+    let ring = Ring::whole(ep.world(), ep.rank(), buf.len());
+    let mut machine = RingMachine::new(ring, part, Vec::new());
     while !machine.done() {
         if let Err(e) = machine.step(ep, buf) {
             return fail(ep, e);
@@ -731,64 +766,127 @@ mod tests {
         }
     }
 
-    /// Drive a [`RingMachine`] over `seg`-element units to completion,
-    /// staging into `spare` first and leaving its buffers there after.
+    /// Drive a [`RingMachine`] running `part` over `seg`-element units to
+    /// completion, staging into `spare` first and leaving its buffers there
+    /// after.
     fn stepped_ring(
         ep: &mut crate::Endpoint,
         buf: &mut [f32],
+        part: RingPart,
         seg: usize,
         spare: &mut Vec<DenseTensor>,
     ) {
         let ring = Ring::new(ep.world(), ep.rank(), buf.len(), seg);
-        let mut m = RingMachine::new(ring, std::mem::take(spare));
+        let mut m = RingMachine::new(ring, part, std::mem::take(spare));
         while !m.done() {
             m.step(ep, buf).expect("fault-free mesh");
         }
         *spare = m.into_spare();
     }
 
+    /// Run `part` of the ring on `buf`: whole (`seg` `None`) through its
+    /// blocking function, else stepped in `seg`-element units.
+    fn run_part(
+        ep: &mut crate::Endpoint,
+        buf: &mut [f32],
+        part: RingPart,
+        seg: Option<usize>,
+        spare: &mut Vec<DenseTensor>,
+    ) {
+        match seg {
+            Some(seg) => stepped_ring(ep, buf, part, seg, spare),
+            None => try_ring_part(ep, buf, part).expect("fault-free mesh"),
+        }
+    }
+
     #[test]
     fn ring_steady_state_allocates_per_call_not_per_step() {
         // Received buffers circulate, so a call allocates only what its
-        // step-0 sends stage into, independent of world size, step count
-        // and payload length: one buffer for the whole-op ring, one per
-        // segment for a stepped ring starting cold — and nothing at all
-        // for a stepped ring handed its predecessor's buffers, which is
-        // how the comm scheduler runs them (its `Core::spare`).
+        // first step's sends stage into, independent of world size, step
+        // count and payload length: one buffer for the whole-op ring, one
+        // per segment for a stepped ring starting cold — and nothing at all
+        // for a stepped ring handed its predecessor's buffers, which is how
+        // the comm scheduler runs them (its `Core::spare`). A call here is
+        // the allreduce, or its reduce-scatter then its all-gather: each
+        // phase stages once, and the all-gather stages into what the
+        // reduce-scatter received.
+        const PARTS: [&[RingPart]; 2] =
+            [&[RingPart::AllReduce], &[RingPart::ReduceScatter, RingPart::AllGather]];
         for world in [2, 4, 8] {
-            for (seg, handoff) in [(None, false), (Some(64), false), (Some(64), true)] {
-                let calls = 3u64;
-                let counts = run_group(world, move |rank, ep| {
-                    let mut buf = vec![rank as f32; 4096];
-                    let mut spare = Vec::new();
-                    let mut run = |ep: &mut crate::Endpoint, buf: &mut [f32]| match seg {
-                        None => ring_allreduce(ep, buf),
-                        Some(seg) => {
-                            stepped_ring(ep, buf, seg, &mut spare);
-                            if !handoff {
-                                spare.clear();
+            for parts in PARTS {
+                for (seg, handoff) in [(None, false), (Some(64), false), (Some(64), true)] {
+                    let calls = 3u64;
+                    let counts = run_group(world, move |rank, ep| {
+                        let mut buf = vec![rank as f32; 4096];
+                        let mut spare = Vec::new();
+                        let mut run = |ep: &mut crate::Endpoint, buf: &mut [f32]| {
+                            for &part in parts {
+                                run_part(ep, buf, part, seg, &mut spare);
+                                if !handoff {
+                                    spare.clear();
+                                }
                             }
+                        };
+                        run(ep, &mut buf); // warm-up outside the window
+                        barrier(ep);
+                        embrace_tensor::alloc_counter::reset();
+                        for _ in 0..calls {
+                            run(ep, &mut buf);
                         }
+                        embrace_tensor::alloc_counter::events()
+                    });
+                    let per_part = match (seg, handoff) {
+                        (None, _) => 1,
+                        (Some(seg), false) => (4096 / world).div_ceil(seg) as u64,
+                        (Some(_), true) => 0,
                     };
-                    run(ep, &mut buf); // warm-up outside the window
-                    barrier(ep);
-                    embrace_tensor::alloc_counter::reset();
-                    for _ in 0..calls {
-                        run(ep, &mut buf);
+                    for (rank, events) in counts.into_iter().enumerate() {
+                        assert_eq!(
+                            events,
+                            calls * per_part * parts.len() as u64,
+                            "world={world} {parts:?} seg={seg:?} handoff={handoff} rank={rank}"
+                        );
                     }
-                    embrace_tensor::alloc_counter::events()
-                });
-                let per_call = match (seg, handoff) {
-                    (None, _) => 1,
-                    (Some(seg), false) => (4096 / world).div_ceil(seg) as u64,
-                    (Some(_), true) => 0,
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ring_phases_around_an_owner_transform_equal_allreduce_then_transform() {
+        // Reduce-scatter, `f` on the owned chunk only, all-gather: every
+        // rank must hold, bit for bit, what the allreduce followed by `f`
+        // on every element gives — whole and at every segmentation, for
+        // empty buffers, buffers shorter than the world and several
+        // segments per chunk.
+        let f = |x: f32| 3.0 * x + 1.0;
+        for world in 1..=5 {
+            for len in [0, 1, world - 1, world + 1, 7, 64, 257] {
+                let mk = move |rank: usize| -> Vec<f32> {
+                    (0..len).map(|i| ((rank * 31 + i) as f32).sin()).collect()
                 };
-                for (rank, events) in counts.into_iter().enumerate() {
-                    assert_eq!(
-                        events,
-                        calls * per_call,
-                        "world={world} seg={seg:?} handoff={handoff} rank={rank}"
-                    );
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let max_chunk = len.div_ceil(world).max(1);
+                for seg in [None, Some(1), Some(3), Some(max_chunk), Some(len + 1)] {
+                    let out = run_group(world, move |rank, ep| {
+                        let mut want = mk(rank);
+                        let mut spare = Vec::new();
+                        run_part(ep, &mut want, RingPart::AllReduce, seg, &mut spare);
+                        want.iter_mut().for_each(|x| *x = f(*x));
+                        let mut got = mk(rank);
+                        run_part(ep, &mut got, RingPart::ReduceScatter, seg, &mut spare);
+                        let owned = Ring::whole(world, rank, len).owned();
+                        got[owned].iter_mut().for_each(|x| *x = f(*x));
+                        run_part(ep, &mut got, RingPart::AllGather, seg, &mut spare);
+                        (want, got)
+                    });
+                    for (rank, (want, got)) in out.iter().enumerate() {
+                        assert_eq!(
+                            bits(got),
+                            bits(want),
+                            "world={world} len={len} seg={seg:?} rank={rank}"
+                        );
+                    }
                 }
             }
         }
@@ -820,7 +918,13 @@ mod tests {
                         let mut buf = mk(rank);
                         match seg {
                             None => ring_allreduce(ep, &mut buf),
-                            Some(seg) => stepped_ring(ep, &mut buf, seg, &mut Vec::new()),
+                            Some(seg) => stepped_ring(
+                                ep,
+                                &mut buf,
+                                RingPart::AllReduce,
+                                seg,
+                                &mut Vec::new(),
+                            ),
                         }
                         buf
                     });

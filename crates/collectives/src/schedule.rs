@@ -64,6 +64,18 @@ pub struct RingUnit {
     pub reduce: bool,
 }
 
+/// Which units of a [`Ring`] a collective runs: all of them, or one of the
+/// allreduce's two phases.
+#[derive(Clone, Copy, Debug, Hash, PartialEq, Eq)]
+pub enum RingPart {
+    /// Reduce-scatter, then all-gather: the sum everywhere.
+    AllReduce,
+    /// The first N−1 steps: afterwards [`Ring::owned`] holds the sum.
+    ReduceScatter,
+    /// The last N−1 steps: every rank's [`Ring::owned`] chunk to every rank.
+    AllGather,
+}
+
 /// Ring allreduce of `elems` f32s (Patarasuk & Yuan): 2·(N−1) steps, step
 /// `t` sending chunk `(rank − t) mod N` of [`row_partition`] and receiving
 /// chunk `(rank − t − 1) mod N` — so what a step receives is what the next
@@ -73,6 +85,12 @@ pub struct RingUnit {
 /// of every link. Segment 0 of a step always exists (empty for an empty
 /// chunk); later segments only where the chunk reaches them. `seg` at or
 /// above the largest chunk is therefore exactly the whole-op ring.
+///
+/// The phases split at step N−1 ([`Ring::part`]). The last reduce-scatter
+/// step receives chunk `(rank + 1) mod N` — [`Ring::owned`] — completing its
+/// sum, and the first all-gather step sends it on; so a reduce-scatter, a
+/// transform of the owned chunk, and an all-gather of the result equal the
+/// allreduce followed by the transform, bit for bit.
 #[derive(Clone, Debug)]
 pub struct Ring {
     world: usize,
@@ -116,6 +134,23 @@ impl Ring {
     /// Total units; zero for a single-rank world.
     pub fn units(&self) -> usize {
         2 * (self.world - 1) * self.per_step
+    }
+
+    /// The units `part` runs: all of them, or the steps of one phase.
+    pub fn part(&self, part: RingPart) -> Range<usize> {
+        let half = (self.world - 1) * self.per_step;
+        match part {
+            RingPart::AllReduce => 0..self.units(),
+            RingPart::ReduceScatter => 0..half,
+            RingPart::AllGather => half..self.units(),
+        }
+    }
+
+    /// The chunk of [`row_partition`] this rank's reduce-scatter leaves
+    /// fully reduced and its all-gather sends first: chunk `(rank + 1) mod N`.
+    pub fn owned(&self) -> Range<usize> {
+        let c = self.chunks[(self.rank + 1) % self.world];
+        c.start..c.end
     }
 
     pub fn unit(&self, u: usize) -> RingUnit {
@@ -308,7 +343,7 @@ pub enum Step {
 pub enum Schedule {
     Barrier,
     Broadcast { root: usize },
-    Ring { elems: usize, seg: usize },
+    Ring { elems: usize, seg: usize, part: RingPart },
     Fanout(Traversal),
     Ssar { vocab: usize },
 }
@@ -335,9 +370,9 @@ impl Schedule {
             Schedule::Broadcast { root } => {
                 vec![vec![Step::Recv { from: root, payload: Payload::Message }]]
             }
-            Schedule::Ring { elems, seg: seg_elems } => {
+            Schedule::Ring { elems, seg: seg_elems, part } => {
                 let ring = Ring::new(world, rank, elems, seg_elems);
-                (0..ring.units())
+                ring.part(part)
                     .map(|u| {
                         let RingUnit { send, recv, reduce } = ring.unit(u);
                         let seg = |r: Range<usize>| Payload::Seg { lo: r.start, hi: r.end, reduce };
@@ -525,33 +560,36 @@ mod tests {
             );
 
             // Fewer elements than ranks (empty chunks) and uneven chunks;
-            // the whole op, then the stepped machine at every cut.
+            // the allreduce and each of its phases, whole, then the stepped
+            // machine at every cut.
             for elems in [world.saturating_sub(1), 2 * world + 3] {
                 let input = |rank: usize| (0..elems).map(|i| (rank + i) as f32).collect::<Vec<_>>();
-                let whole = Schedule::Ring { elems, seg: usize::MAX };
-                assert_wire(
-                    world,
-                    whole,
-                    |_, _, p| seg_bytes(p, 0, F32_BYTES),
-                    |rank, ep| {
-                        ops::ring_allreduce(ep, &mut input(rank));
-                    },
-                );
-                for seg in [1, 3, elems.div_ceil(world).max(1), elems + 1] {
-                    let cut = Schedule::Ring { elems, seg };
+                for part in [RingPart::AllReduce, RingPart::ReduceScatter, RingPart::AllGather] {
+                    let whole = Schedule::Ring { elems, seg: usize::MAX, part };
                     assert_wire(
                         world,
-                        cut,
+                        whole,
                         |_, _, p| seg_bytes(p, 0, F32_BYTES),
                         |rank, ep| {
-                            let mut buf = input(rank);
-                            let ring = Ring::new(world, rank, elems, seg);
-                            let mut m = RingMachine::new(ring, Vec::new());
-                            while !m.done() {
-                                m.step(ep, &mut buf).expect("fault-free mesh");
-                            }
+                            ops::try_ring_part(ep, &mut input(rank), part).expect("fault-free mesh")
                         },
                     );
+                    for seg in [1, 3, elems.div_ceil(world).max(1), elems + 1] {
+                        let cut = Schedule::Ring { elems, seg, part };
+                        assert_wire(
+                            world,
+                            cut,
+                            |_, _, p| seg_bytes(p, 0, F32_BYTES),
+                            |rank, ep| {
+                                let mut buf = input(rank);
+                                let ring = Ring::new(world, rank, elems, seg);
+                                let mut m = RingMachine::new(ring, part, Vec::new());
+                                while !m.done() {
+                                    m.step(ep, &mut buf).expect("fault-free mesh");
+                                }
+                            },
+                        );
+                    }
                 }
             }
 

@@ -75,10 +75,11 @@
 //!   `PeerGone` against a peer that already left.
 
 use crate::ops::{
-    fail, try_allgather_tokens, try_alltoall_dense, try_alltoallv_sparse, try_ring_allreduce,
-    try_sparse_allreduce, FanoutMachine, RingMachine, SparseReduced, SsarConfig,
+    fail, ring_name, try_allgather_tokens, try_alltoall_dense, try_alltoallv_sparse,
+    try_ring_allreduce, try_ring_part, try_sparse_allreduce, FanoutMachine, RingMachine,
+    SparseReduced, SsarConfig,
 };
-use crate::schedule::Ring;
+use crate::schedule::{Ring, RingPart};
 use crate::transport::{Comm, CommError, Endpoint};
 use embrace_obs::{recorder, ClockDomain, Metrics, SpanSet, TrackId, WallClock};
 use embrace_tensor::{DenseTensor, RowSparse, TokenBuf, F32_BYTES};
@@ -91,6 +92,12 @@ use std::time::Instant;
 pub enum CommOp {
     /// In-place sum-AllReduce of a dense buffer.
     AllReduceDense(Vec<f32>),
+    /// The allreduce's reduce-scatter phase: the result holds the sum in
+    /// this rank's [`Ring::owned`] range of the buffer.
+    ReduceScatterDense(Vec<f32>),
+    /// The allreduce's all-gather phase on a buffer of its own: the result
+    /// holds every rank's [`Ring::owned`] range of its buffer.
+    AllGatherDense(Vec<f32>),
     /// AlltoAll of dense blocks (one per destination rank) — EmbRace's
     /// lookup-result redistribution.
     AlltoAllDense(Vec<embrace_tensor::DenseTensor>),
@@ -111,6 +118,8 @@ impl CommOp {
     pub fn kind_str(&self) -> &'static str {
         match self {
             CommOp::AllReduceDense(_) => "allreduce_dense",
+            CommOp::ReduceScatterDense(_) => "reduce_scatter_dense",
+            CommOp::AllGatherDense(_) => "allgather_dense",
             CommOp::AlltoAllDense(_) => "alltoall_dense",
             CommOp::AlltoAllSparse(_) => "alltoallv_sparse",
             CommOp::SparseAllreduce(..) => "sparse_allreduce",
@@ -123,7 +132,9 @@ impl CommOp {
     /// per-rank value may legitimately differ across ranks for gathers).
     pub fn payload_bytes(&self) -> u64 {
         match self {
-            CommOp::AllReduceDense(buf) => (buf.len() * embrace_tensor::F32_BYTES) as u64,
+            CommOp::AllReduceDense(buf)
+            | CommOp::ReduceScatterDense(buf)
+            | CommOp::AllGatherDense(buf) => (buf.len() * embrace_tensor::F32_BYTES) as u64,
             CommOp::AlltoAllDense(parts) => parts.iter().map(|p| p.nbytes() as u64).sum(),
             CommOp::AlltoAllSparse(parts) => parts.iter().map(|p| p.nbytes() as u64).sum(),
             CommOp::SparseAllreduce(grad, _) => grad.nbytes() as u64,
@@ -144,6 +155,14 @@ impl CommOp {
             CommOp::AllReduceDense(mut buf) => {
                 try_ring_allreduce(ep, &mut buf)?;
                 CommResult::AllReduceDense(buf)
+            }
+            CommOp::ReduceScatterDense(mut buf) => {
+                try_ring_part(ep, &mut buf, RingPart::ReduceScatter)?;
+                CommResult::ReduceScatterDense(buf)
+            }
+            CommOp::AllGatherDense(mut buf) => {
+                try_ring_part(ep, &mut buf, RingPart::AllGather)?;
+                CommResult::AllGatherDense(buf)
             }
             CommOp::AlltoAllDense(parts) => {
                 CommResult::AlltoAllDense(try_alltoall_dense(ep, parts)?)
@@ -166,6 +185,8 @@ impl CommOp {
 #[derive(Debug)]
 pub enum CommResult {
     AllReduceDense(Vec<f32>),
+    ReduceScatterDense(Vec<f32>),
+    AllGatherDense(Vec<f32>),
     AlltoAllDense(Vec<embrace_tensor::DenseTensor>),
     AlltoAllSparse(Vec<RowSparse>),
     SparseAllreduce(SparseReduced),
@@ -436,11 +457,14 @@ impl Machine {
     /// nothing to partition and SSAR no units, so both stay whole).
     fn partition<C: Comm>(&mut self, ep: &C, seg_elems: usize, spare: &mut Vec<DenseTensor>) {
         let Machine::Whole(op) = self else { return };
+        let mut ring = |part, buf: Vec<f32>| {
+            let ring = Ring::new(ep.world(), ep.rank(), buf.len(), seg_elems);
+            Machine::Ring(RingMachine::new(ring, part, std::mem::take(spare)), buf)
+        };
         *self = match op.take() {
-            CommOp::AllReduceDense(buf) => {
-                let ring = Ring::new(ep.world(), ep.rank(), buf.len(), seg_elems);
-                Machine::Ring(RingMachine::new(ring, std::mem::take(spare)), buf)
-            }
+            CommOp::AllReduceDense(buf) => ring(RingPart::AllReduce, buf),
+            CommOp::ReduceScatterDense(buf) => ring(RingPart::ReduceScatter, buf),
+            CommOp::AllGatherDense(buf) => ring(RingPart::AllGather, buf),
             CommOp::AlltoAllDense(parts) => Machine::Dense(FanoutMachine::new(ep, parts)),
             CommOp::AlltoAllSparse(parts) => Machine::Sparse(FanoutMachine::new(ep, parts)),
             CommOp::GatherTokens(local) => {
@@ -456,7 +480,7 @@ impl Machine {
     /// [`crate::ops`] function.
     fn unit_name(&self) -> &'static str {
         match self {
-            Machine::Ring(..) => "ring_allreduce",
+            Machine::Ring(machine, _) => ring_name(machine.part()),
             Machine::Dense(_) => "alltoall_dense",
             Machine::Sparse(_) => "alltoallv_sparse",
             Machine::Tokens(_) => "allgather_tokens",
@@ -469,9 +493,16 @@ impl Machine {
     fn advance<C: Comm>(&mut self, ep: &mut C) -> Result<Option<CommResult>, CommError> {
         let stepped = match self {
             Machine::Whole(op) => return op.take().try_run(ep).map(Some),
-            Machine::Ring(machine, buf) => machine
-                .step(ep, buf)
-                .map(|()| machine.done().then(|| CommResult::AllReduceDense(std::mem::take(buf)))),
+            Machine::Ring(machine, buf) => machine.step(ep, buf).map(|()| {
+                machine.done().then(|| {
+                    let buf = std::mem::take(buf);
+                    match machine.part() {
+                        RingPart::AllReduce => CommResult::AllReduceDense(buf),
+                        RingPart::ReduceScatter => CommResult::ReduceScatterDense(buf),
+                        RingPart::AllGather => CommResult::AllGatherDense(buf),
+                    }
+                })
+            }),
             Machine::Dense(m) => m.step(ep).map(|out| out.map(CommResult::AlltoAllDense)),
             Machine::Sparse(m) => m.step(ep).map(|out| out.map(CommResult::AlltoAllSparse)),
             Machine::Tokens(m) => m.step(ep).map(|out| out.map(CommResult::GatherTokens)),
@@ -722,6 +753,31 @@ mod tests {
             let CommResult::AllReduceDense(buf) = t.wait() else { panic!("wrong kind") };
             assert_eq!(buf, vec![4.0; 64]);
             assert!(matches!(s.flush(), CommResult::Flush));
+        }
+    }
+
+    #[test]
+    fn ring_phase_ops_around_an_owner_update_equal_the_allreduce() {
+        // The ops' path through the queue, whole and chunked: reduce-scatter,
+        // an update of the owned range, all-gather — as the allreduce and
+        // the same update everywhere.
+        let (world, len) = (3, 101);
+        for spawn in FLAVOURS {
+            per_rank(mesh(world), |rank, ep| {
+                let mut s = spawn(ep);
+                let input: Vec<f32> = (0..len).map(|i| ((rank * 7 + i) as f32).cos()).collect();
+                let ar = s.submit(0, "ar", CommOp::AllReduceDense(input.clone()));
+                let CommResult::AllReduceDense(mut want) = ar.wait() else { panic!("wrong kind") };
+                want.iter_mut().for_each(|x| *x *= 0.5);
+                let rs = s.submit(0, "rs", CommOp::ReduceScatterDense(input));
+                let CommResult::ReduceScatterDense(mut got) = rs.wait() else {
+                    panic!("wrong kind")
+                };
+                got[Ring::whole(world, rank, len).owned()].iter_mut().for_each(|x| *x *= 0.5);
+                let ag = s.submit(0, "ag", CommOp::AllGatherDense(got));
+                let CommResult::AllGatherDense(got) = ag.wait() else { panic!("wrong kind") };
+                assert_eq!(got, want, "rank {rank}");
+            });
         }
     }
 

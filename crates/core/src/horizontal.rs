@@ -29,6 +29,10 @@ pub const EMB_DATA_PRIORITY: i64 = -1;
 /// Priority of the first dense block in FP order ([`Priorities::assign`]
 /// numbers the blocks from here); the toy model's one dense gradient.
 pub const DENSE_PRIORITY: i64 = 0;
+/// Priority of the dense weights' all-gather after the sharded update: the
+/// block's own, since its next FP waits on the weights as this step waited
+/// on their gradient — ahead of the delayed gradients and the loss.
+pub const DENSE_GATHER_PRIORITY: i64 = DENSE_PRIORITY;
 /// Priority of delayed embedding gradients (least urgent gradient).
 pub const DELAYED_GRAD_PRIORITY: i64 = i64::MAX / 2;
 /// Priority of the global-loss gather: after every gradient.

@@ -117,13 +117,20 @@ impl ColumnShardedEmbedding {
     /// Carve worker `rank`'s shard out of the full `vocab × dim` table.
     /// Every worker must construct from the same `full` table.
     pub fn new(full: &DenseTensor, rank: usize, world: usize) -> Self {
-        let ranges = column_partition(full.cols(), world);
-        let r = ranges[rank];
+        let r = column_partition(full.cols(), world)[rank];
+        Self::from_shard(full.slice_columns(r.start, r.end), rank, world, full.cols())
+    }
+
+    /// Worker `rank`'s shard, already cut: column range `rank` of a
+    /// `dim_total`-wide table split over `world` workers.
+    pub fn from_shard(shard: DenseTensor, rank: usize, world: usize, dim_total: usize) -> Self {
+        let ranges = column_partition(dim_total, world);
+        assert_eq!(shard.cols(), ranges[rank].width(), "shard width must match its column range");
         ColumnShardedEmbedding {
-            shard: EmbeddingTable::from_table(full.slice_columns(r.start, r.end)),
+            shard: EmbeddingTable::from_table(shard),
             ranges,
             rank,
-            dim_total: full.cols(),
+            dim_total,
             policy: GradPlanePolicy::default(),
         }
     }

@@ -140,17 +140,28 @@ impl Adam {
         }
     }
 
+    /// One dense step of a span of a larger tensor whose moments this
+    /// optimizer holds for that span alone (`params.len()` elements each).
+    /// The rule is element-wise, so the span comes out bitwise as a whole-
+    /// tensor [`Optimizer::step_dense`] would leave it: a tensor updated
+    /// span by span, each span by its own optimizer, is the tensor updated
+    /// whole.
+    pub fn step_span(&mut self, params: &mut [f32], grad: &[f32]) {
+        assert_eq!(params.len(), grad.len(), "gradient length must match the span");
+        assert_eq!(params.len(), self.m.len(), "state length must match the span");
+        self.apply(params, std::iter::once((0..grad.len(), grad)), UpdatePart::Whole);
+    }
+
     fn apply<'g>(
         &mut self,
-        params: &mut DenseTensor,
+        p: &mut [f32],
         grad: impl Iterator<Item = (Range<usize>, &'g [f32])>,
         part: UpdatePart,
     ) {
-        assert_eq!(self.m.cols(), params.cols(), "state width must match the parameters");
         let t = self.effective_step(part);
         let bc1 = 1.0 - self.beta1.powi(t as i32);
         let bc2 = 1.0 - self.beta2.powi(t as i32);
-        let (p, m, v) = (params.as_mut_slice(), self.m.as_mut_slice(), self.v.as_mut_slice());
+        let (m, v) = (self.m.as_mut_slice(), self.v.as_mut_slice());
         for (at, g) in grad {
             let moments = m[at.clone()].iter_mut().zip(&mut v[at.clone()]);
             for ((p, (m, v)), &g) in p[at].iter_mut().zip(moments).zip(g) {
@@ -166,12 +177,15 @@ impl Adam {
 
 impl Optimizer for Adam {
     fn step_dense(&mut self, params: &mut DenseTensor, grad: &DenseTensor) {
+        assert_eq!(self.m.cols(), params.cols(), "state width must match the parameters");
         let grad = whole_span(params, grad);
-        self.apply(params, grad, UpdatePart::Whole);
+        self.apply(params.as_mut_slice(), grad, UpdatePart::Whole);
     }
 
     fn step_sparse(&mut self, params: &mut DenseTensor, grad: &RowSparse, part: UpdatePart) {
-        self.apply(params, row_spans(grad, params.cols()), part);
+        assert_eq!(self.m.cols(), params.cols(), "state width must match the parameters");
+        let grad = row_spans(grad, params.cols());
+        self.apply(params.as_mut_slice(), grad, part);
     }
 }
 
@@ -308,6 +322,28 @@ mod tests {
                 let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(got.as_slice()), bits(want), "optimizer {k}, call {call}");
             }
+        }
+    }
+
+    #[test]
+    fn adam_span_by_span_equals_whole_bitwise() {
+        // Three spans, uneven and one empty, each with its own optimizer,
+        // against one whole-tensor optimizer over many steps.
+        let (rows, cols) = (5, 7);
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut whole = DenseTensor::uniform(rows, cols, 0.5, &mut rng);
+        let mut spans = whole.as_slice().to_vec();
+        let cuts = [0..9, 9..9, 9..rows * cols];
+        let mut o_whole = Adam::new(rows, cols, 0.02);
+        let mut o_spans: Vec<Adam> = cuts.iter().map(|c| Adam::new(1, c.len(), 0.02)).collect();
+        for step in 0..12 {
+            let g = DenseTensor::uniform(rows, cols, 1.0 + step as f32, &mut rng);
+            o_whole.step_dense(&mut whole, &g);
+            for (opt, cut) in o_spans.iter_mut().zip(&cuts) {
+                opt.step_span(&mut spans[cut.clone()], &g.as_slice()[cut.clone()]);
+            }
+            let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&spans), bits(whole.as_slice()), "step {step}");
         }
     }
 

@@ -100,22 +100,17 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<Vec<RankOutcome>, GroupError> {
     let train = cfg.train;
     let world = train.world;
     let sampler = ZipfSampler::new(train.vocab, train.zipf_s);
+    let states = RankState::initial(&train, &sampler);
     run_group_with_deadline(
         world,
         &cfg.plan,
         Some(cfg.recv_deadline),
         cfg.group_deadline,
-        move |rank, ep| chaos_worker(rank, ep, &train, &sampler),
+        move |rank, ep| chaos_worker(ep, &train, states.take(rank)),
     )
 }
 
-fn chaos_worker(
-    rank: usize,
-    ep: &mut Endpoint,
-    cfg: &ConvergenceConfig,
-    sampler: &ZipfSampler,
-) -> RankOutcome {
-    let mut st = RankState::new(rank, cfg, sampler);
+fn chaos_worker(ep: &mut Endpoint, cfg: &ConvergenceConfig, mut st: RankState) -> RankOutcome {
     let mut losses = Vec::with_capacity(cfg.steps);
     for step in 0..cfg.steps {
         // Crash-at-step faults fire here; the endpoint tears itself down

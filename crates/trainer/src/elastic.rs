@@ -7,12 +7,14 @@
 //! [`embrace_collectives::ElasticWorker`]; here we make the *model state*
 //! survive the membership change:
 //!
-//! * Every step begins with a local **snapshot** of the rank's column
-//!   shard, its Adam moments and the replicated projection state. The
-//!   last two snapshots are kept, because survivors can disagree by at
+//! * Every step begins with a local **snapshot** of the rank's slot — its
+//!   column shard with the shard's Adam moments, and the Adam moments of
+//!   the projection chunk it owns (only the owner updates a chunk, so only
+//!   the owner's moments are current) — and of the replicated projection.
+//!   The last two snapshots are kept, because survivors can disagree by at
 //!   most one step on where a failure landed.
 //! * Every step ends with a **replica ring exchange**: each rank ships
-//!   its post-step shard state to its logical successor. The replica is
+//!   its post-step slot to its logical successor. The replica is
 //!   overwritten only on a successful receive, so it always holds a
 //!   begin-of-step state consistent with what the restore will need.
 //! * On a failed collective the survivors [`ElasticWorker::reform`],
@@ -21,18 +23,22 @@
 //!   **shrink** — every pre-crash shard slot is broadcast by its holder
 //!   (the owner if it survived, else the ring successor holding the
 //!   replica), the full table is reassembled by column concatenation and
-//!   re-sharded for the smaller world — or return
+//!   the projection's moments chunk by chunk from their owners, and both
+//!   are re-sharded for the smaller world, whose ranks own other chunks —
+//!   or return
 //!   [`ElasticRankOutcome::NeedsRestart`] so the driver relaunches the
 //!   full group from the last checkpoint.
 //!
-//! Everything is rebuilt bitwise-exactly: Adam moments are column-sliced
-//! from the reassembled full moments, batch streams are reseeded by the
+//! Everything is rebuilt bitwise-exactly: Adam moments are sliced from the
+//! reassembled full moments, batch streams are reseeded by the
 //! new logical rank and fast-forwarded, and the loss history is truncated
 //! to the restore step. The headline test asserts that the post-shrink
 //! loss trajectory equals a *fresh fault-free run at the smaller world
 //! started from the same restored state*, bit for bit.
 
-use crate::real::{batch_stream, init_toy_state, sched_options, ConvergenceConfig, RankState};
+use crate::real::{
+    batch_stream, init_toy_state, owned_w, sched_options, ConvergenceConfig, RankState,
+};
 use embrace_collectives::ops::{try_allgather_tokens, try_broadcast};
 use embrace_collectives::{
     run_group, run_group_with_deadline, Comm, CommError, CommScheduler, ElasticError,
@@ -45,6 +51,7 @@ use embrace_simnet::{Recovery, RecoveryModel};
 use embrace_tensor::{column_partition, DenseTensor};
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// How the surviving group reacts to losing a rank.
@@ -124,8 +131,14 @@ pub struct FullState {
 impl FullState {
     /// The deterministic step-0 state every run starts from.
     pub fn initial(cfg: &ConvergenceConfig) -> FullState {
-        let (emb, w, _) = init_toy_state(cfg);
-        FullState {
+        FullState::initial_and_targets(cfg).0
+    }
+
+    /// [`FullState::initial`] and the targets of the same draw, which every
+    /// rank of a run shares.
+    fn initial_and_targets(cfg: &ConvergenceConfig) -> (FullState, DenseTensor) {
+        let (emb, w, targets) = init_toy_state(cfg);
+        let initial = FullState {
             step: 0,
             emb_m: DenseTensor::zeros(cfg.vocab, cfg.dim),
             emb_v: DenseTensor::zeros(cfg.vocab, cfg.dim),
@@ -134,25 +147,30 @@ impl FullState {
             emb,
             w,
             losses: Vec::new(),
-        }
+        };
+        (initial, targets)
     }
+}
+
+/// `t`'s elements in `span`, as one row.
+fn span_of(t: &DenseTensor, span: Range<usize>) -> DenseTensor {
+    DenseTensor::from_vec(1, span.len(), t.as_slice()[span].to_vec())
 }
 
 impl RankState {
     /// Rebuild the state of logical `rank` in a `world`-sized group from
-    /// a full checkpoint — sharding, moment slices and the fast-forwarded
-    /// batch stream are all bitwise what a fresh run at that world would
-    /// have after `fs.step` steps.
+    /// a full checkpoint and the run's shared `targets` — sharding, moment
+    /// slices and the fast-forwarded batch stream are all bitwise what a
+    /// fresh run at that world would have after `fs.step` steps.
     fn from_full(
         fs: &FullState,
         rank: usize,
         world: usize,
         cfg: &ConvergenceConfig,
         sampler: &ZipfSampler,
+        targets: &DenseTensor,
     ) -> RankState {
-        let (_, _, targets) = init_toy_state(cfg);
-        let part = column_partition(cfg.dim, world);
-        let r = &part[rank];
+        let r = column_partition(cfg.dim, world)[rank];
         let emb = ColumnShardedEmbedding::new(&fs.emb, rank, world).with_policy(cfg.grad_plane);
         let opt_e = Adam::from_state(
             cfg.lr,
@@ -160,12 +178,111 @@ impl RankState {
             fs.emb_v.slice_columns(r.start, r.end),
             fs.step,
         );
-        let opt_w = Adam::from_state(cfg.lr, fs.w_m.clone(), fs.w_v.clone(), fs.step);
+        let w_owned = owned_w(cfg.dim, rank, world);
+        let (w_m, w_v) = (span_of(&fs.w_m, w_owned.clone()), span_of(&fs.w_v, w_owned.clone()));
+        let opt_w = Adam::from_state(cfg.lr, w_m, w_v, fs.step);
         let mut stream = batch_stream(sampler, cfg, rank);
         for _ in 0..fs.step {
             stream.advance().expect("infinite stream");
         }
-        RankState { emb, w: fs.w.clone(), opt_e, opt_w, stream, targets, step: fs.step }
+        let (w, targets) = (fs.w.clone(), targets.share());
+        RankState { emb, w, w_owned, opt_e, opt_w, stream, targets, step: fs.step }
+    }
+}
+
+/// What one rank alone holds of the training state: its column shard of
+/// the table with the shard's Adam moments, and the Adam moments of the
+/// projection chunk it owns ([`owned_w`]).
+#[derive(Clone)]
+struct Slot {
+    table: DenseTensor,
+    m: DenseTensor,
+    v: DenseTensor,
+    w_m: DenseTensor,
+    w_v: DenseTensor,
+}
+
+impl Slot {
+    fn of(st: &RankState) -> Slot {
+        let (m, v, _) = st.opt_e.state();
+        let (w_m, w_v, _) = st.opt_w.state();
+        let table = st.emb.shard_table().clone();
+        Slot { table, m: m.clone(), v: v.clone(), w_m: w_m.clone(), w_v: w_v.clone() }
+    }
+
+    /// Logical rank `slot`'s part of `fs` in a `world`-sized group.
+    fn of_full(fs: &FullState, slot: usize, world: usize, cfg: &ConvergenceConfig) -> Slot {
+        let r = column_partition(cfg.dim, world)[slot];
+        let w_owned = owned_w(cfg.dim, slot, world);
+        Slot {
+            table: fs.emb.slice_columns(r.start, r.end),
+            m: fs.emb_m.slice_columns(r.start, r.end),
+            v: fs.emb_v.slice_columns(r.start, r.end),
+            w_m: span_of(&fs.w_m, w_owned.clone()),
+            w_v: span_of(&fs.w_v, w_owned),
+        }
+    }
+
+    /// Wire format: the five tensors flat in one row, then the step (steps
+    /// stay far below 2^24, so the f32 round-trip is exact).
+    fn blob(&self, step: u64) -> DenseTensor {
+        let parts = [&self.table, &self.m, &self.v, &self.w_m, &self.w_v];
+        let mut data = Vec::with_capacity(parts.iter().map(|t| t.len()).sum::<usize>() + 1);
+        for t in parts {
+            data.extend_from_slice(t.as_slice());
+        }
+        data.push(step as f32);
+        DenseTensor::from_vec(1, data.len(), data)
+    }
+
+    /// Inverse of [`Slot::blob`] for logical rank `slot` of a `world`-sized
+    /// group; `None` when the length or the step does not match what the
+    /// restore needs.
+    fn parse(
+        t: &DenseTensor,
+        slot: usize,
+        world: usize,
+        cfg: &ConvergenceConfig,
+        want_step: u64,
+    ) -> Option<Slot> {
+        let cols = column_partition(cfg.dim, world)[slot].width();
+        let (table, w) = (cfg.vocab * cols, owned_w(cfg.dim, slot, world).len());
+        let (step, data) = t.as_slice().split_last()?;
+        if data.len() != 3 * table + 2 * w || *step as u64 != want_step {
+            return None;
+        }
+        let (tables, ws) = data.split_at(3 * table);
+        let block = |i: usize| {
+            DenseTensor::from_vec(cfg.vocab, cols, tables[i * table..][..table].to_vec())
+        };
+        let row = |i: usize| DenseTensor::from_vec(1, w, ws[i * w..][..w].to_vec());
+        Some(Slot { table: block(0), m: block(1), v: block(2), w_m: row(0), w_v: row(1) })
+    }
+}
+
+/// The full state at `step` from every slot of a group, in logical-rank
+/// order, and the replicated projection: the table by column
+/// concatenation, the projection's moments chunk by chunk from the slots
+/// owning them.
+fn assemble(step: u64, slots: &[Slot], w: DenseTensor, losses: &[f64]) -> FullState {
+    let world = slots.len();
+    let cat = |part: fn(&Slot) -> &DenseTensor| {
+        DenseTensor::concat_columns(&slots.iter().map(|s| part(s).share()).collect::<Vec<_>>())
+    };
+    // Chunk `c` of the ring's partition is owned by slot `c − 1 mod N`.
+    let chunks = |part: fn(&Slot) -> &DenseTensor| {
+        let owners = (0..world).map(|c| part(&slots[(c + world - 1) % world]).as_slice());
+        DenseTensor::from_vec(w.rows(), w.cols(), owners.flatten().copied().collect())
+    };
+    FullState {
+        step,
+        emb: cat(|s| &s.table),
+        emb_m: cat(|s| &s.m),
+        emb_v: cat(|s| &s.v),
+        w_m: chunks(|s| &s.w_m),
+        w_v: chunks(|s| &s.w_v),
+        w,
+        losses: losses.to_vec(),
     }
 }
 
@@ -173,67 +290,18 @@ impl RankState {
 #[derive(Clone)]
 struct Snapshot {
     step: u64,
-    emb_shard: DenseTensor,
-    emb_m: DenseTensor,
-    emb_v: DenseTensor,
+    slot: Slot,
     w: DenseTensor,
-    w_m: DenseTensor,
-    w_v: DenseTensor,
 }
 
 impl Snapshot {
     fn of(st: &RankState) -> Snapshot {
-        let (m, v, _) = st.opt_e.state();
-        let (wm, wv, _) = st.opt_w.state();
-        Snapshot {
-            step: st.step,
-            emb_shard: st.emb.shard_table().clone(),
-            emb_m: m.clone(),
-            emb_v: v.clone(),
-            w: st.w.clone(),
-            w_m: wm.clone(),
-            w_v: wv.clone(),
-        }
+        Snapshot { step: st.step, slot: Slot::of(st), w: st.w.clone() }
     }
 
     fn blob(&self) -> DenseTensor {
-        shard_blob(&self.emb_shard, &self.emb_m, &self.emb_v, self.step)
+        self.slot.blob(self.step)
     }
-}
-
-/// Wire format of one column-shard state: `[table; m; v; header]` stacked
-/// by rows, the single header row carrying the step in element 0 (steps
-/// stay far below 2^24, so the f32 round-trip is exact).
-fn shard_blob(table: &DenseTensor, m: &DenseTensor, v: &DenseTensor, step: u64) -> DenseTensor {
-    let sd = table.cols();
-    let mut hdr = DenseTensor::zeros(1, sd);
-    hdr.row_mut(0)[0] = step as f32;
-    DenseTensor::concat_rows(&[table.clone(), m.clone(), v.clone(), hdr])
-}
-
-fn rows_range(t: &DenseTensor, a: usize, b: usize) -> DenseTensor {
-    let mut data = Vec::with_capacity((b - a) * t.cols());
-    for r in a..b {
-        data.extend_from_slice(t.row(r));
-    }
-    DenseTensor::from_vec(b - a, t.cols(), data)
-}
-
-/// Inverse of [`shard_blob`]; `None` when the shape or the step header
-/// does not match what the restore needs.
-fn parse_blob(
-    t: &DenseTensor,
-    vocab: usize,
-    want_step: u64,
-) -> Option<(DenseTensor, DenseTensor, DenseTensor)> {
-    if t.rows() != 3 * vocab + 1 || t.row(3 * vocab)[0] as u64 != want_step {
-        return None;
-    }
-    Some((
-        rows_range(t, 0, vocab),
-        rows_range(t, vocab, 2 * vocab),
-        rows_range(t, 2 * vocab, 3 * vocab),
-    ))
 }
 
 /// What one physical rank got out of an elastic launch attempt.
@@ -272,21 +340,26 @@ impl ElasticRankOutcome {
 /// livelock; each round normally removes at least one member).
 const MAX_RECOVERY_ROUNDS: u32 = 8;
 
+/// What every rank of an elastic launch starts from: the state to resume,
+/// the run's batch sampler and its read-only targets — built once per run.
+struct Launch {
+    base: FullState,
+    sampler: ZipfSampler,
+    targets: DenseTensor,
+}
+
 fn elastic_worker(
     rank: usize,
     ep: &mut Endpoint,
     cfg: &ElasticConfig,
-    init: Option<&FullState>,
-    sampler: &ZipfSampler,
+    launch: &Launch,
 ) -> ElasticRankOutcome {
     let train = &cfg.train;
     let steps = train.steps as u64;
     let mut group = ElasticWorker::new(ep);
-    let base = match init {
-        Some(fs) => fs.clone(),
-        None => FullState::initial(train),
-    };
-    let mut st = RankState::from_full(&base, rank, train.world, train, sampler);
+    let Launch { base, sampler, targets } = launch;
+    let base = base.clone();
+    let mut st = RankState::from_full(&base, rank, train.world, train, sampler, targets);
     let mut losses = base.losses.clone();
     let mut step_secs: Vec<f64> = vec![0.0; losses.len()];
     let mut replicas: HashMap<usize, DenseTensor> = HashMap::new();
@@ -350,7 +423,8 @@ fn elastic_worker(
                         Ok(Recovered::Shrunk(fs)) => {
                             shrinks += 1;
                             let me = Comm::rank(&group);
-                            st = RankState::from_full(&fs, me, group.world(), train, sampler);
+                            let world = group.world();
+                            st = RankState::from_full(&fs, me, world, train, sampler, targets);
                             losses = fs.losses.clone();
                             step_secs.truncate(losses.len());
                             replicas.clear();
@@ -426,10 +500,9 @@ fn exchange_replica(
     let succ = (me + 1) % world;
     let pred = (me + world - 1) % world;
     let pred_phys = group.members()[pred];
-    let (m, v, _) = st.opt_e.state();
     // Post-step state (the step has advanced `st.step`): what a restore at
     // the next step boundary needs.
-    let blob = shard_blob(st.emb.shard_table(), m, v, st.step);
+    let blob = Slot::of(st).blob(st.step);
     group.try_send(succ, Packet::Dense(blob))?;
     match group.try_recv(pred)? {
         Packet::Dense(t) => {
@@ -457,19 +530,11 @@ fn seed_replica(
     let members = group.members();
     let me = members.binary_search(&group.phys_rank()).expect("member");
     let pred = (me + world - 1) % world;
-    let part = column_partition(cfg.dim, world);
-    let r = &part[pred];
-    let blob = shard_blob(
-        &fs.emb.slice_columns(r.start, r.end),
-        &fs.emb_m.slice_columns(r.start, r.end),
-        &fs.emb_v.slice_columns(r.start, r.end),
-        fs.step,
-    );
-    replicas.insert(members[pred], blob);
+    replicas.insert(members[pred], Slot::of_full(fs, pred, world, cfg).blob(fs.step));
 }
 
 /// Collectively assemble the complete training state at the current step:
-/// every member broadcasts its shard blob, everyone concatenates columns.
+/// every member broadcasts its slot, everyone reassembles the slots.
 fn assemble_full_state<C: Comm>(
     group: &mut C,
     st: &RankState,
@@ -478,11 +543,8 @@ fn assemble_full_state<C: Comm>(
 ) -> Result<FullState, CommError> {
     let me = group.rank();
     let world = group.world();
-    let (m, v, _) = st.opt_e.state();
-    let my_blob = shard_blob(st.emb.shard_table(), m, v, st.step);
-    let mut tables = Vec::with_capacity(world);
-    let mut ms = Vec::with_capacity(world);
-    let mut vs = Vec::with_capacity(world);
+    let my_blob = Slot::of(st).blob(st.step);
+    let mut slots = Vec::with_capacity(world);
     for root in 0..world {
         let payload = (root == me).then(|| Packet::Dense(my_blob.share()));
         let t = match try_broadcast(group, root, payload)? {
@@ -491,23 +553,11 @@ fn assemble_full_state<C: Comm>(
                 return Err(CommError::Protocol { expected: "Dense", got: other.kind() });
             }
         };
-        let (tb, mb, vb) = parse_blob(&t, cfg.vocab, st.step)
-            .ok_or(CommError::Protocol { expected: "shard blob", got: "Dense" })?;
-        tables.push(tb);
-        ms.push(mb);
-        vs.push(vb);
+        let slot = Slot::parse(&t, root, world, cfg, st.step)
+            .ok_or(CommError::Protocol { expected: "slot blob", got: "Dense" })?;
+        slots.push(slot);
     }
-    let (wm, wv, _) = st.opt_w.state();
-    Ok(FullState {
-        step: st.step,
-        emb: DenseTensor::concat_columns(&tables),
-        emb_m: DenseTensor::concat_columns(&ms),
-        emb_v: DenseTensor::concat_columns(&vs),
-        w: st.w.clone(),
-        w_m: wm.clone(),
-        w_v: wv.clone(),
-        losses: losses.to_vec(),
-    })
+    Ok(assemble(st.step, &slots, st.w.clone(), losses))
 }
 
 enum Recovered {
@@ -557,14 +607,13 @@ fn recover(
     // the restart verdict together.
     let me = group.phys_rank();
     let new_members = group.members().to_vec();
-    let mut tables = Vec::with_capacity(old_members.len());
-    let mut ms = Vec::with_capacity(old_members.len());
-    let mut vs = Vec::with_capacity(old_members.len());
+    let old_world = old_members.len();
+    let mut slots = Vec::with_capacity(old_world);
     for (slot, &owner) in old_members.iter().enumerate() {
         let holder = if new_members.contains(&owner) {
             owner
         } else {
-            let succ = old_members[(slot + 1) % old_members.len()];
+            let succ = old_members[(slot + 1) % old_world];
             if !new_members.contains(&succ) {
                 // The shard and its replica died together: in-group
                 // recovery is impossible. Every survivor computes this
@@ -584,34 +633,23 @@ fn recover(
             };
             blob.map(Packet::Dense).unwrap_or(Packet::Empty)
         });
-        match try_broadcast(group, root, payload)? {
-            Packet::Dense(t) => match parse_blob(&t, train.vocab, s_min) {
-                Some((tb, mb, vb)) => {
-                    tables.push(tb);
-                    ms.push(mb);
-                    vs.push(vb);
-                }
-                None => return Ok(Recovered::Restart { at_step: last_ckpt_step }),
-            },
-            _ => return Ok(Recovered::Restart { at_step: last_ckpt_step }),
+        let parsed = match try_broadcast(group, root, payload)? {
+            Packet::Dense(t) => Slot::parse(&t, slot, old_world, train, s_min),
+            _ => None,
+        };
+        match parsed {
+            Some(parsed) => slots.push(parsed),
+            None => return Ok(Recovered::Restart { at_step: last_ckpt_step }),
         }
     }
-    // The projection plane is replicated; restore it from the local
+    // The projection itself is replicated; restore it from the local
     // snapshot at the agreed step (always present — see above).
     let own = [snap_cur, snap_prev]
         .into_iter()
         .find_map(|s| s.as_ref().filter(|s| s.step == s_min))
         .ok_or(CommError::Protocol { expected: "snapshot at agreed step", got: "none" })?;
-    Ok(Recovered::Shrunk(Box::new(FullState {
-        step: s_min,
-        emb: DenseTensor::concat_columns(&tables),
-        emb_m: DenseTensor::concat_columns(&ms),
-        emb_v: DenseTensor::concat_columns(&vs),
-        w: own.w.clone(),
-        w_m: own.w_m.clone(),
-        w_v: own.w_v.clone(),
-        losses: losses[..s_min as usize].to_vec(),
-    })))
+    let losses = &losses[..s_min as usize];
+    Ok(Recovered::Shrunk(Box::new(assemble(s_min, &slots, own.w.clone(), losses))))
 }
 
 /// Result of a whole elastic run (possibly spanning several restarts).
@@ -663,19 +701,19 @@ impl std::error::Error for ElasticRunError {}
 /// as the replaced hardware would not re-fail the same way).
 pub fn run_elastic(cfg: &ElasticConfig) -> Result<ElasticReport, ElasticRunError> {
     let mut plan = cfg.plan.clone();
-    let mut init: Option<FullState> = None;
+    let (mut init, targets) = FullState::initial_and_targets(&cfg.train);
     let mut restarts = 0u32;
     let sampler = ZipfSampler::new(cfg.train.vocab, cfg.train.zipf_s);
     loop {
         let worker_cfg = cfg.clone();
-        let worker_init = init.clone();
-        let sampler = sampler.clone();
+        let launch =
+            Launch { base: init.clone(), sampler: sampler.clone(), targets: targets.share() };
         let outcomes = run_group_with_deadline(
             cfg.train.world,
             &plan,
             Some(cfg.recv_deadline),
             cfg.group_deadline,
-            move |rank, ep| elastic_worker(rank, ep, &worker_cfg, worker_init.as_ref(), &sampler),
+            move |rank, ep| elastic_worker(rank, ep, &worker_cfg, &launch),
         )
         .map_err(ElasticRunError::Watchdog)?;
         if let Some(done) = outcomes.iter().find(|o| o.is_completed()) {
@@ -715,7 +753,7 @@ pub fn run_elastic(cfg: &ElasticConfig) -> Result<ElasticReport, ElasticRunError
                         plan = plan.clone().clear_crash(*rank);
                     }
                 }
-                init = Some(*ckpt);
+                init = *ckpt;
             }
             None => return Err(ElasticRunError::NoSurvivors { outcomes }),
         }
@@ -728,9 +766,9 @@ pub fn run_elastic(cfg: &ElasticConfig) -> Result<ElasticReport, ElasticRunError
 pub fn capture_state_at(cfg: &ConvergenceConfig, at_step: u64) -> FullState {
     let cfg = *cfg;
     let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
+    let (base, targets) = FullState::initial_and_targets(&cfg);
     let states = run_group(cfg.world, move |rank, ep| {
-        let base = FullState::initial(&cfg);
-        let mut st = RankState::from_full(&base, rank, cfg.world, &cfg, &sampler);
+        let mut st = RankState::from_full(&base, rank, cfg.world, &cfg, &sampler, &targets);
         let mut losses = Vec::new();
         train_until(ep, &mut st, at_step, &cfg, &mut losses);
         assemble_full_state(ep, &st, &losses, &cfg).expect("fault-free")
@@ -744,8 +782,9 @@ pub fn train_from_state(fs: &FullState, world: usize, cfg: &ConvergenceConfig) -
     let cfg = ConvergenceConfig { world, ..*cfg };
     let fs = fs.clone();
     let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
+    let (_, _, targets) = init_toy_state(&cfg);
     let all = run_group(world, move |rank, ep| {
-        let mut st = RankState::from_full(&fs, rank, world, &cfg, &sampler);
+        let mut st = RankState::from_full(&fs, rank, world, &cfg, &sampler, &targets);
         let mut losses = fs.losses.clone();
         train_until(ep, &mut st, cfg.steps as u64, &cfg, &mut losses);
         losses
@@ -768,46 +807,22 @@ fn train_until(
     }
 }
 
-/// Every packet a transport is asked to send, by kind, in order.
-#[cfg(test)]
-struct SendLog<C> {
-    inner: C,
-    kinds: Vec<&'static str>,
-}
-
-#[cfg(test)]
-impl<C: Comm> Comm for SendLog<C> {
-    fn rank(&self) -> usize {
-        self.inner.rank()
-    }
-
-    fn world(&self) -> usize {
-        self.inner.world()
-    }
-
-    fn try_send(&mut self, to: usize, packet: Packet) -> Result<(), CommError> {
-        self.kinds.push(packet.kind());
-        self.inner.try_send(to, packet)
-    }
-
-    fn try_recv(&mut self, from: usize) -> Result<Packet, CommError> {
-        self.inner.try_recv(from)
-    }
-}
-
 /// The packet kinds rank `rank` sends in the first EmbRace step of an
 /// elastic run, replica exchange excluded.
+#[cfg(test)]
+use crate::real::SendLog;
+
 #[cfg(test)]
 fn step_sends(cfg: &ConvergenceConfig, rank: usize) -> Vec<&'static str> {
     let cfg = *cfg;
     let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
+    let (base, targets) = FullState::initial_and_targets(&cfg);
     let mut logs = run_group(cfg.world, move |rank, ep| {
-        let mut st =
-            RankState::from_full(&FullState::initial(&cfg), rank, cfg.world, &cfg, &sampler);
-        let mut log = SendLog { inner: ElasticWorker::new(ep), kinds: Vec::new() };
+        let mut st = RankState::from_full(&base, rank, cfg.world, &cfg, &sampler, &targets);
+        let mut log = SendLog::new(ElasticWorker::new(ep));
         st.run_step(&mut CommScheduler::new(&mut log, sched_options(&cfg, false)))
             .expect("fault-free");
-        log.kinds
+        log.sent.into_iter().map(|(kind, _)| kind).collect::<Vec<_>>()
     });
     logs.swap_remove(rank)
 }
@@ -818,12 +833,12 @@ fn step_sends(cfg: &ConvergenceConfig, rank: usize) -> Vec<&'static str> {
 fn ops_per_step(cfg: &ConvergenceConfig) -> u64 {
     let cfg = *cfg;
     let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
+    let (base, targets) = FullState::initial_and_targets(&cfg);
     let counts = run_group(cfg.world, move |rank, ep| {
-        let base = FullState::initial(&cfg);
-        let mut st = RankState::from_full(&base, rank, cfg.world, &cfg, &sampler);
+        let mut st = RankState::from_full(&base, rank, cfg.world, &cfg, &sampler, &targets);
         let mut g = ElasticWorker::new(ep);
         let mut replicas = HashMap::new();
-        let mut ckpt = FullState::initial(&cfg);
+        let mut ckpt = base.clone();
         let ecfg = ElasticConfig {
             checkpoint_interval: 0,
             ..ElasticConfig::quick(FaultPlan::new(0), RecoveryPolicy::Shrink)

@@ -17,13 +17,14 @@
 
 use embrace_baselines::horovod::{allgather_sparse_grad, allreduce_dense_grad};
 use embrace_collectives::ops::allgather_dense;
+use embrace_collectives::schedule::Ring;
 use embrace_collectives::{
     run_group, Comm, CommError, CommOp, CommResult, CommScheduler, Endpoint, OpTiming,
     SchedOptions, SubmittedOp,
 };
 use embrace_core::horizontal::{
-    DELAYED_GRAD_PRIORITY, DENSE_PRIORITY, EMB_DATA_PRIORITY, LOSS_PRIORITY, PRIOR_GRAD_PRIORITY,
-    TOKEN_GATHER_PRIORITY,
+    DELAYED_GRAD_PRIORITY, DENSE_GATHER_PRIORITY, DENSE_PRIORITY, EMB_DATA_PRIORITY, LOSS_PRIORITY,
+    PRIOR_GRAD_PRIORITY, TOKEN_GATHER_PRIORITY,
 };
 use embrace_core::{vertical_split, ColumnShardedEmbedding, GradPlanePolicy};
 use embrace_dlsim::optim::{Adam, Optimizer, UpdatePart};
@@ -31,9 +32,11 @@ use embrace_dlsim::{EmbeddingTable, Prefetcher};
 use embrace_models::{BatchGen, ZipfSampler};
 use embrace_obs::{recorder, SpanSet};
 use embrace_simnet::{Cluster, CostModel};
-use embrace_tensor::{DenseTensor, RowSparse, F32_BYTES};
+use embrace_tensor::{column_partition, DenseTensor, RowSparse, F32_BYTES};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::ops::Range;
+use std::sync::Mutex;
 
 /// Which training method drives the embedding plane.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -110,11 +113,31 @@ impl ConvergenceResult {
 
 /// Shared deterministic initial state: embedding, projection, targets.
 pub(crate) fn init_toy_state(cfg: &ConvergenceConfig) -> (DenseTensor, DenseTensor, DenseTensor) {
+    let (mut table, w, targets) = init_toy_shards(cfg, 1);
+    (table.pop().expect("one shard"), w, targets)
+}
+
+/// [`init_toy_state`] with the embedding table drawn straight into its
+/// `world` column shards: the same draws in the same order, so the shards
+/// are bitwise the full table's columns, and no full table is ever built.
+pub(crate) fn init_toy_shards(
+    cfg: &ConvergenceConfig,
+    world: usize,
+) -> (Vec<DenseTensor>, DenseTensor, DenseTensor) {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let emb = DenseTensor::uniform(cfg.vocab, cfg.dim, 0.3, &mut rng);
+    let parts = column_partition(cfg.dim, world);
+    let mut shards: Vec<Vec<f32>> =
+        parts.iter().map(|p| Vec::with_capacity(cfg.vocab * p.width())).collect();
+    for _ in 0..cfg.vocab {
+        for (shard, p) in shards.iter_mut().zip(&parts) {
+            shard.extend((0..p.width()).map(|_| rng.gen_range(-0.3..=0.3f32)));
+        }
+    }
+    let table = shards.into_iter().zip(&parts);
+    let table = table.map(|(s, p)| DenseTensor::from_vec(cfg.vocab, p.width(), s)).collect();
     let w = DenseTensor::uniform(cfg.dim, cfg.dim, 0.3, &mut rng);
     let targets = DenseTensor::uniform(cfg.vocab, cfg.dim, 1.0, &mut rng);
-    (emb, w, targets)
+    (table, w, targets)
 }
 
 /// Forward + backward of the toy model on one batch.
@@ -141,7 +164,7 @@ pub(crate) fn fwd_bwd_toy(
 
 /// Segment size of the step's comm scheduler: an eighth of the dense
 /// weight block (dim² f32s), at least one f32. Derived from the model so
-/// the bulk allreduce splits into a handful of resumable segments at every
+/// the dense ring's phases split into a handful of resumable segments at every
 /// `dim` — enough for the prior gradients to preempt it mid-tensor (§5.2's
 /// second dimension), without drowning a large block in per-segment
 /// overhead. Chunked execution is bitwise-identical to whole.
@@ -150,11 +173,22 @@ pub(crate) fn sched_options(cfg: &ConvergenceConfig, observed: bool) -> SchedOpt
     SchedOptions { chunk_bytes: Some(chunk_bytes), observed }
 }
 
+/// The elements of the flat `dim × dim` projection whose update rank
+/// `rank` of `world` owns: the chunk its ring reduce-scatter leaves
+/// reduced, [`Ring::owned`].
+pub(crate) fn owned_w(dim: usize, rank: usize, world: usize) -> Range<usize> {
+    Ring::whole(world, rank, dim * dim).owned()
+}
+
 /// One rank's EmbRace training state: its column shard, the replicated
-/// projection, both optimizers, its batch stream and the next step to run.
+/// projection, both optimizers — the projection's over the chunk it owns
+/// only — its batch stream and the next step to run.
 pub(crate) struct RankState {
     pub(crate) emb: ColumnShardedEmbedding,
     pub(crate) w: DenseTensor,
+    /// Elements of `w` this rank updates ([`owned_w`]); `opt_w` holds the
+    /// moments of these and no others.
+    pub(crate) w_owned: Range<usize>,
     pub(crate) targets: DenseTensor,
     pub(crate) opt_e: Adam,
     pub(crate) opt_w: Adam,
@@ -163,23 +197,34 @@ pub(crate) struct RankState {
 }
 
 impl RankState {
-    /// Rank `rank`'s state before the first step of a `cfg` run.
-    pub(crate) fn new(rank: usize, cfg: &ConvergenceConfig, sampler: &ZipfSampler) -> Self {
-        let (emb_init, w, targets) = init_toy_state(cfg);
-        let emb =
-            ColumnShardedEmbedding::new(&emb_init, rank, cfg.world).with_policy(cfg.grad_plane);
-        // Adam over the local column shard only; the modified step-state
-        // rule makes the split update equivalent to the baseline's whole
-        // update.
-        let opt_e = Adam::new(cfg.vocab, emb.shard_dim(), cfg.lr);
-        let opt_w = Adam::new(cfg.dim, cfg.dim, cfg.lr);
-        let stream = batch_stream(sampler, cfg, rank);
-        RankState { emb, w, targets, opt_e, opt_w, stream, step: 0 }
+    /// Every rank's state before the first step of a `cfg` run, from one
+    /// draw of the initial state: each rank gets its column shard of the
+    /// table, drawn in place (no full table exists), and all ranks share
+    /// the read-only targets and start from the same projection.
+    pub(crate) fn initial(cfg: &ConvergenceConfig, sampler: &ZipfSampler) -> PerRank<RankState> {
+        let (shards, w, targets) = init_toy_shards(cfg, cfg.world);
+        let states = shards.into_iter().enumerate().map(|(rank, shard)| {
+            let emb = ColumnShardedEmbedding::from_shard(shard, rank, cfg.world, cfg.dim)
+                .with_policy(cfg.grad_plane);
+            let w_owned = owned_w(cfg.dim, rank, cfg.world);
+            // Adam over the local column shard only; the modified step-state
+            // rule makes the split update equivalent to the baseline's whole
+            // update.
+            let opt_e = Adam::new(cfg.vocab, emb.shard_dim(), cfg.lr);
+            let opt_w = Adam::new(1, w_owned.len(), cfg.lr);
+            let stream = batch_stream(sampler, cfg, rank);
+            let (w, targets) = (w.share(), targets.share());
+            RankState { emb, w, w_owned, targets, opt_e, opt_w, stream, step: 0 }
+        });
+        PerRank::new(states.collect())
     }
 
     /// One EmbRace hybrid step — AllGather of batch tokens, hybrid AlltoAll
-    /// forward, dense ring AllReduce, Vertical Sparse Scheduling with two
-    /// AlltoAll #2 exchanges — returning the global loss. Every exchange
+    /// forward, the dense plane, Vertical Sparse Scheduling with two
+    /// AlltoAll #2 exchanges — returning the global loss. The dense plane
+    /// is the ring allreduce cut at its phase boundary around a sharded
+    /// update: the reduce-scatter of W's gradient, Adam on the chunk this
+    /// rank owns, and the all-gather of the updated weights. Every exchange
     /// goes through `comm` with its §4.2.1 priority, tagged with the step;
     /// the step returns with every ticket waited and `comm` empty, so a
     /// scheduler per step and one per run send the same messages.
@@ -204,12 +249,11 @@ impl RankState {
         let lookup = comm.submit(EMB_DATA_PRIORITY, tag("emb_data"), lookup_op).wait();
         let lookup = ColumnShardedEmbedding::finish_lookup(lookup)?;
         let (loss, grad_w, grad_rows) = fwd_bwd_toy(&lookup, &tokens, &self.w, &self.targets);
-        // Dense plane: the BP hook fires the AllReduce and hands the comm
-        // plane one quantum, so the bulk op is in flight when the more
+        // Dense plane: the BP hook fires the reduce-scatter and hands the
+        // comm plane one quantum, so the bulk op is in flight when the more
         // urgent prior gradients preempt it below.
-        let (rows, cols) = (grad_w.rows(), grad_w.cols());
-        let dense = CommOp::AllReduceDense(grad_w.into_vec());
-        let t_w = comm.submit(DENSE_PRIORITY, tag("allreduce_w"), dense);
+        let dense = CommOp::ReduceScatterDense(grad_w.into_vec());
+        let t_w = comm.submit(DENSE_PRIORITY, tag("reduce_scatter_w"), dense);
         comm.progress();
         // Vertical Sparse Scheduling: split by next-iteration data.
         let CommResult::GatherTokens(next_gathered) = t_next.wait().into_result()? else {
@@ -222,10 +266,17 @@ impl RankState {
         let t_prior = comm.submit(PRIOR_GRAD_PRIORITY, tag("prior_grad"), prior);
         let delayed = self.emb.grad_op(&split.delayed);
         let t_delayed = comm.submit(DELAYED_GRAD_PRIORITY, tag("delayed_grad"), delayed);
-        let CommResult::AllReduceDense(summed) = t_w.wait().into_result()? else {
-            unreachable!("dense allreduce")
+        // The owned chunk of the gradient is summed: update those weights,
+        // then ship them to every rank in W's own buffer.
+        let CommResult::ReduceScatterDense(summed) = t_w.wait().into_result()? else {
+            unreachable!("dense reduce-scatter")
         };
-        self.opt_w.step_dense(&mut self.w, &DenseTensor::from_vec(rows, cols, summed));
+        let (rows, cols) = (self.w.rows(), self.w.cols());
+        let mut w = std::mem::replace(&mut self.w, DenseTensor::zeros(0, 0)).into_vec();
+        let owned = self.w_owned.clone();
+        self.opt_w.step_span(&mut w[owned.clone()], &summed[owned]);
+        let gather = CommOp::AllGatherDense(w);
+        let t_gather = comm.submit(DENSE_GATHER_PRIORITY, tag("allgather_w"), gather);
         let prior = self.emb.finish_grad(t_prior.wait())?;
         self.emb.apply_grad(&prior, &mut self.opt_e, UpdatePart::Prior);
         // Global loss: every rank's f32 scalar, gathered bit for bit.
@@ -236,6 +287,10 @@ impl RankState {
         let CommResult::GatherTokens(all) = t_loss.wait().into_result()? else {
             unreachable!("loss gather")
         };
+        let CommResult::AllGatherDense(w) = t_gather.wait().into_result()? else {
+            unreachable!("dense all-gather")
+        };
+        self.w = DenseTensor::from_vec(rows, cols, w);
         self.step += 1;
         // Summed in rank order, so every rank computes the identical f64.
         Ok(all.iter().map(|v| f32::from_bits(v[0]) as f64).sum())
@@ -245,10 +300,15 @@ impl RankState {
 /// Train the toy model with `method`; returns the per-step global loss.
 pub fn train_convergence(method: TrainMethod, cfg: &ConvergenceConfig) -> ConvergenceResult {
     let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
-    let losses = run_group(cfg.world, |rank, ep| match method {
-        TrainMethod::HorovodAllGather => train_allgather(rank, ep, cfg, &sampler),
-        TrainMethod::EmbRace => train_embrace(rank, ep, cfg, &sampler, false).0,
-    });
+    let losses = match method {
+        TrainMethod::HorovodAllGather => {
+            run_group(cfg.world, |rank, ep| train_allgather(rank, ep, cfg, &sampler))
+        }
+        TrainMethod::EmbRace => {
+            let states = RankState::initial(cfg, &sampler);
+            run_group(cfg.world, |rank, ep| train_embrace(ep, cfg, states.take(rank), false).0)
+        }
+    };
     ConvergenceResult { losses: losses.into_iter().next().expect("at least one worker") }
 }
 
@@ -266,11 +326,12 @@ pub fn train_convergence_observed(
     cfg: &ConvergenceConfig,
 ) -> (ConvergenceResult, Vec<SpanSet>) {
     let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
+    let states = (method == TrainMethod::EmbRace).then(|| RankState::initial(cfg, &sampler));
     let per_rank = run_group(cfg.world, |rank, ep| {
         recorder::install(&format!("rank{rank}"));
-        let losses = match method {
-            TrainMethod::HorovodAllGather => train_allgather(rank, ep, cfg, &sampler),
-            TrainMethod::EmbRace => train_embrace(rank, ep, cfg, &sampler, false).0,
+        let losses = match &states {
+            None => train_allgather(rank, ep, cfg, &sampler),
+            Some(states) => train_embrace(ep, cfg, states.take(rank), false).0,
         };
         let spans = recorder::take().expect("recorder installed at worker start");
         (losses, spans)
@@ -333,19 +394,32 @@ fn train_allgather(
 /// plus the per-collective [`OpTiming`] log.
 pub type RankObservation = (SpanSet, Vec<OpTiming>);
 
-/// Rank `rank`'s EmbRace run over one comm scheduler for the whole run, so
-/// its ring staging buffers carry over from step to step. Returns the
-/// per-step global losses, the scheduler's submission log and, when
+/// Values built once per run for the ranks of a group: rank `r` takes
+/// element `r`, once, on its own thread.
+pub(crate) struct PerRank<T>(Vec<Mutex<Option<T>>>);
+
+impl<T> PerRank<T> {
+    pub(crate) fn new(items: Vec<T>) -> Self {
+        PerRank(items.into_iter().map(|t| Mutex::new(Some(t))).collect())
+    }
+
+    pub(crate) fn take(&self, rank: usize) -> T {
+        let slot = self.0[rank].lock().expect("no rank panics holding its slot").take();
+        slot.unwrap_or_else(|| panic!("rank {rank} took its value twice"))
+    }
+}
+
+/// One rank's EmbRace run from `st` over one comm scheduler for the whole
+/// run, so its ring staging buffers carry over from step to step. Returns
+/// the per-step global losses, the scheduler's submission log and, when
 /// `observed`, its observation.
 pub(crate) fn train_embrace(
-    rank: usize,
     ep: &mut Endpoint,
     cfg: &ConvergenceConfig,
-    sampler: &ZipfSampler,
+    mut st: RankState,
     observed: bool,
 ) -> (Vec<f64>, Vec<SubmittedOp>, Option<RankObservation>) {
     let mut comm = CommScheduler::new(ep, sched_options(cfg, observed));
-    let mut st = RankState::new(rank, cfg, sampler);
     let losses = (0..cfg.steps)
         .map(|step| {
             let _span = recorder::span(&format!("step{step}"), "train");
@@ -355,9 +429,90 @@ pub(crate) fn train_embrace(
     (losses, comm.submitted().to_vec(), comm.observation())
 }
 
+/// Every packet a transport is asked to send — kind and wire bytes — in
+/// order.
+#[cfg(test)]
+pub(crate) struct SendLog<C> {
+    inner: C,
+    pub(crate) sent: Vec<(&'static str, usize)>,
+}
+
+#[cfg(test)]
+impl<C: Comm> SendLog<C> {
+    pub(crate) fn new(inner: C) -> Self {
+        SendLog { inner, sent: Vec::new() }
+    }
+}
+
+#[cfg(test)]
+impl<C: Comm> Comm for SendLog<C> {
+    fn rank(&self) -> usize {
+        self.inner.rank()
+    }
+
+    fn world(&self) -> usize {
+        self.inner.world()
+    }
+
+    fn try_send(
+        &mut self,
+        to: usize,
+        packet: embrace_collectives::Packet,
+    ) -> Result<(), CommError> {
+        self.sent.push((packet.kind(), packet.nbytes()));
+        self.inner.try_send(to, packet)
+    }
+
+    fn try_recv(&mut self, from: usize) -> Result<embrace_collectives::Packet, CommError> {
+        self.inner.try_recv(from)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use embrace_tensor::TOKEN_BYTES;
+
+    #[test]
+    fn shards_drawn_in_place_are_the_full_tables_columns() {
+        let cfg = ConvergenceConfig { vocab: 13, dim: 7, ..Default::default() };
+        let (table, w, targets) = init_toy_state(&cfg);
+        for world in 1..=4 {
+            let (shards, w2, targets2) = init_toy_shards(&cfg, world);
+            assert_eq!(DenseTensor::concat_columns(&shards), table, "world {world}");
+            assert_eq!((w2, targets2), (w.clone(), targets.clone()), "world {world}");
+        }
+    }
+
+    #[test]
+    fn dense_plane_moves_the_allreduce_bytes_with_one_more_start_round() {
+        // Sharding the update changes no byte the ring moves: a step's
+        // dense data messages, less AlltoAll #1's lookup blocks, carry
+        // 2·(N−1)/N of W per rank, as the allreduce's did. Each op's start
+        // round (a 3-word token gather) is the only added traffic: eight
+        // ops per step — the two halves of the dense plane where the
+        // allreduce was one.
+        let cfg = ConvergenceConfig { world: 4, steps: 1, ..Default::default() };
+        let (n, len) = (cfg.world, cfg.dim * cfg.dim);
+        assert_eq!(len % n, 0, "equal chunks keep the expected bytes exact");
+        let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
+        let states = RankState::initial(&cfg, &sampler);
+        let logs = run_group(n, |rank, ep| {
+            let mut log = SendLog::new(ep);
+            let mut st = states.take(rank);
+            st.run_step(&mut CommScheduler::new(&mut log, sched_options(&cfg, false)))
+                .expect("fault-free");
+            log.sent
+        });
+        let shards = column_partition(cfg.dim, n);
+        for (rank, sent) in logs.iter().enumerate() {
+            let dense: usize = sent.iter().filter(|(k, _)| *k == "Dense").map(|(_, b)| b).sum();
+            let lookup = (n - 1) * cfg.tokens_per_batch * shards[rank].width() * F32_BYTES;
+            assert_eq!(dense - lookup, 2 * (n - 1) * len / n * F32_BYTES, "rank {rank}");
+            let starts = sent.iter().filter(|&&(k, b)| k == "Tokens" && b == 3 * TOKEN_BYTES);
+            assert_eq!(starts.count(), 8 * (n - 1), "rank {rank}");
+        }
+    }
 
     #[test]
     fn both_methods_learn() {
@@ -450,6 +605,42 @@ mod tests {
             let losses = train_convergence(TrainMethod::EmbRace, &cfg).losses;
             assert_eq!(curve_hash(&losses), want, "{name}: {losses:?}");
         }
+    }
+
+    /// The same pin at worlds 1, 3 and 4 — the default shape, and the
+    /// `train_dense` shape for three steps — where the ring's chunk
+    /// ownership rotates with the rank: a dense update applied to the
+    /// wrong chunk moves bits here even when world 2 agrees. Hashes taken
+    /// at the commit before the dense update was sharded.
+    #[test]
+    fn other_worlds_keep_their_loss_bits() {
+        let dense = ConvergenceConfig {
+            vocab: 4096,
+            dim: 1024,
+            tokens_per_batch: 1,
+            steps: 3,
+            lr: 0.001,
+            zipf_s: 1.05,
+            seed: 1,
+            ..Default::default()
+        };
+        let mut got = Vec::new();
+        for world in [1, 3, 4] {
+            for (name, cfg) in [("default", ConvergenceConfig::default()), ("train_dense", dense)] {
+                let cfg = ConvergenceConfig { world, ..cfg };
+                let losses = train_convergence(TrainMethod::EmbRace, &cfg).losses;
+                got.push((world, name, curve_hash(&losses)));
+            }
+        }
+        let want = [
+            (1, "default", 1_346_755_885_073_325_125),
+            (1, "train_dense", 12_190_693_736_674_439_095),
+            (3, "default", 10_833_823_071_781_411_909),
+            (3, "train_dense", 12_035_152_240_689_754_039),
+            (4, "default", 15_586_026_831_662_701_637),
+            (4, "train_dense", 8_327_059_131_757_178_807),
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! `observe` set the wall-clock spans and [`embrace_collectives::OpTiming`]
 //! logs its happens-before analyzer checks.
 
-use crate::real::{train_embrace, ConvergenceConfig, ConvergenceResult, RankObservation};
+use crate::real::{
+    train_embrace, ConvergenceConfig, ConvergenceResult, RankObservation, RankState,
+};
 use embrace_collectives::{run_group, SubmittedOp};
 use embrace_models::ZipfSampler;
 
@@ -31,7 +33,9 @@ pub fn train_convergence_scheduled_observed(
     observe: bool,
 ) -> (ConvergenceResult, Vec<Vec<SubmittedOp>>, Vec<RankObservation>) {
     let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
-    let per_rank = run_group(cfg.world, |rank, ep| train_embrace(rank, ep, cfg, &sampler, observe));
+    let states = RankState::initial(cfg, &sampler);
+    let per_rank =
+        run_group(cfg.world, |rank, ep| train_embrace(ep, cfg, states.take(rank), observe));
     let mut losses = None;
     let (mut logs, mut observations) = (Vec::new(), Vec::new());
     for (l, log, obs) in per_rank {
@@ -62,7 +66,7 @@ mod tests {
             let (scheduled, _, observed) = train_convergence_scheduled_observed(&cfg, true);
             assert_eq!(inline.losses, scheduled.losses, "{:?}", cfg.grad_plane);
             // ... on a run that did partition and preempt: every step's
-            // dense allreduce ran as several units and was overtaken
+            // dense reduce-scatter ran as several units and was overtaken
             // mid-tensor by that step's prior gradients.
             for (rank, (_, timings)) in observed.iter().enumerate() {
                 for step in 0..cfg.steps {
@@ -70,11 +74,11 @@ mod tests {
                         let tag = format!("s{step}/{op}");
                         timings.iter().find(|t| t.tag == tag).unwrap_or_else(|| panic!("no {tag}"))
                     };
-                    let (bulk, prior) = (find("allreduce_w"), find("prior_grad"));
-                    assert!(bulk.chunks > 1, "rank {rank} step {step}: allreduce_w ran whole");
+                    let (bulk, prior) = (find("reduce_scatter_w"), find("prior_grad"));
+                    assert!(bulk.chunks > 1, "rank {rank} step {step}: reduce_scatter_w ran whole");
                     assert!(
                         bulk.started_s < prior.started_s && prior.finished_s < bulk.finished_s,
-                        "rank {rank} step {step}: prior_grad did not preempt allreduce_w"
+                        "rank {rank} step {step}: prior_grad did not preempt reduce_scatter_w"
                     );
                 }
             }

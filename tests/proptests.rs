@@ -348,13 +348,17 @@ mod chunked_scheduler {
                 }
             }
             CommResult::Flush => out.push(4),
+            CommResult::ReduceScatterDense(v) | CommResult::AllGatherDense(v) => {
+                out.push(5);
+                out.extend(v.iter().map(|x| u64::from(x.to_bits())));
+            }
             CommResult::SparseAllreduce(_) => unreachable!("no sparse allreduce is submitted"),
             CommResult::Failed(e) => panic!("scheduler failed: {e:?}"),
         }
         out
     }
 
-    /// One full SPMD round over all five op kinds: a bulk low-priority
+    /// One full SPMD round over all seven op kinds: a bulk low-priority
     /// AllReduce first, `head_start` units of it, then the high-priority
     /// ops that preempt it when chunking is on. Returns per-rank result
     /// encodings.
@@ -383,7 +387,7 @@ mod chunked_scheduler {
                                 ((seed as usize + rank * 131 + i * 7) % 509) as f32 * 0.25 - 63.0
                             })
                             .collect();
-                        let t_bulk = s.submit(100, "bulk", CommOp::AllReduceDense(bulk));
+                        let t_bulk = s.submit(100, "bulk", CommOp::AllReduceDense(bulk.clone()));
                         for _ in 0..head_start {
                             s.progress();
                         }
@@ -412,6 +416,8 @@ mod chunked_scheduler {
                             s.submit(-10, "hp_a2ad", CommOp::AlltoAllDense(dense)),
                             s.submit(-10, "hp_a2as", CommOp::AlltoAllSparse(sparse)),
                             s.submit(-10, "hp_flush", CommOp::Flush),
+                            s.submit(-10, "hp_rs", CommOp::ReduceScatterDense(bulk.clone())),
+                            s.submit(-10, "hp_ag", CommOp::AllGatherDense(bulk)),
                         ];
                         let mut bits = Vec::new();
                         for t in hp {
