@@ -1,9 +1,10 @@
 //! Figure 11: convergence of EmbRace vs Horovod AllGather.
 //!
 //! The paper traces (a) PPL-vs-steps for LM and (b) BLEU-vs-epochs for
-//! GNMT-8, showing both methods converge identically. Here two real
+//! GNMT-8, showing both methods converge identically. Here three real
 //! (small) models train end-to-end through the functional collectives on
-//! 8 worker threads:
+//! 8 worker threads, each through the one scheduled EmbRace step and the
+//! one AllGather baseline:
 //!
 //! * an LM-proxy — one embedding table + dense projection (Fig. 11a
 //!   analog, loss plays the role of PPL);

@@ -20,7 +20,8 @@
 //! Each exchange is two local halves around one collective: the embedding
 //! builds the [`CommOp`] (for the gradient, on its [`GradPlane`]) and
 //! finishes that op's [`CommResult`]. A comm scheduler runs the op between
-//! them in the training step; the `try_` methods here run it whole.
+//! them in the training step; [`ColumnShardedEmbedding::forward`] and
+//! [`ColumnShardedEmbedding::exchange_grad_part`] run it whole.
 
 use crate::partition::column_payload_matrix;
 use embrace_collectives::ops::{SparseReduced, SsarConfig};
@@ -172,22 +173,10 @@ impl ColumnShardedEmbedding {
 
     /// Forward: given every rank's batch tokens (`all_tokens[r]`), perform
     /// the local lookups and AlltoAll #1; returns this rank's full-width
-    /// lookup output for its own batch. Panics on a communication failure;
-    /// see [`Self::try_forward`].
+    /// lookup output for its own batch. Panics on a communication failure.
     pub fn forward<C: Comm, T: AsRef<[u32]>>(&self, ep: &mut C, all_tokens: &[T]) -> DenseTensor {
-        finish(self.try_forward(ep, all_tokens))
-    }
-
-    /// Fallible [`Self::forward`]: AlltoAll #1 failures surface as typed
-    /// [`CommError`]s instead of panics (see `embrace_collectives::ops`
-    /// for the abort/poisoning contract).
-    pub fn try_forward<C: Comm, T: AsRef<[u32]>>(
-        &self,
-        ep: &mut C,
-        all_tokens: &[T],
-    ) -> Result<DenseTensor, CommError> {
         assert_eq!(all_tokens.len(), ep.world(), "need every rank's tokens");
-        Self::finish_lookup(self.lookup_op(all_tokens).try_run(ep)?)
+        finish(self.lookup_op(all_tokens).try_run(ep).and_then(Self::finish_lookup))
     }
 
     /// The local half of the forward pass: AlltoAll #1 of one dense block
@@ -206,53 +195,13 @@ impl ColumnShardedEmbedding {
         }
     }
 
-    /// Backward: slice `grad_out` (`∂loss/∂lookup`, one row per token of
-    /// `my_tokens`) into per-shard column blocks and run AlltoAll #2;
-    /// returns the coalesced gradient for *this* worker's shard
-    /// (full-vocab row ids, shard-width values). Panics on a communication
-    /// failure; see [`Self::try_backward`].
-    pub fn backward<C: Comm>(
-        &self,
-        ep: &mut C,
-        my_tokens: &[u32],
-        grad_out: &DenseTensor,
-    ) -> RowSparse {
-        finish(self.try_backward(ep, my_tokens, grad_out))
-    }
-
-    /// Fallible [`Self::backward`].
-    pub fn try_backward<C: Comm>(
-        &self,
-        ep: &mut C,
-        my_tokens: &[u32],
-        grad_out: &DenseTensor,
-    ) -> Result<RowSparse, CommError> {
-        assert_eq!(my_tokens.len(), grad_out.rows(), "one grad row per token");
-        assert_eq!(grad_out.cols(), self.dim_total, "grad must be full width");
-        let outgoing = self
-            .ranges
-            .iter()
-            .map(|r| RowSparse::new(my_tokens.to_vec(), grad_out.slice_columns(r.start, r.end)));
-        self.finish_grad(CommOp::AlltoAllSparse(outgoing.collect()).try_run(ep)?)
-    }
-
-    /// Backward for an already-split gradient part (Vertical Scheduling):
-    /// same exchange, but the caller passes per-destination row-sparse
-    /// blocks built from `G_p` or `G_d` instead of the raw output grad.
-    /// Panics on a communication failure; see
-    /// [`Self::try_exchange_grad_part`].
+    /// Exchange a full-width gradient part (AlltoAll #2, on the installed
+    /// [`GradPlanePolicy`]'s plane) and return the coalesced gradient for
+    /// *this* worker's shard (full-vocab row ids, shard-width values): the
+    /// raw output gradient, or Vertical Scheduling's `G_p` or `G_d`. Panics
+    /// on a communication failure.
     pub fn exchange_grad_part<C: Comm>(&self, ep: &mut C, part: &RowSparse) -> RowSparse {
-        finish(self.try_exchange_grad_part(ep, part))
-    }
-
-    /// Fallible [`Self::exchange_grad_part`]: [`Self::grad_op`] run whole,
-    /// then [`Self::finish_grad`].
-    pub fn try_exchange_grad_part<C: Comm>(
-        &self,
-        ep: &mut C,
-        part: &RowSparse,
-    ) -> Result<RowSparse, CommError> {
-        self.finish_grad(self.grad_op(part).try_run(ep)?)
+        finish(self.grad_op(part).try_run(ep).and_then(|r| self.finish_grad(r)))
     }
 
     /// The local half of a gradient exchange (AlltoAll #2) of a full-width
@@ -300,8 +249,9 @@ impl ColumnShardedEmbedding {
         }
     }
 
-    /// Apply a shard-width gradient (as returned by [`Self::backward`] or
-    /// [`Self::exchange_grad_part`]) to the local shard.
+    /// Apply a shard-width gradient (as returned by
+    /// [`Self::exchange_grad_part`] or [`Self::finish_grad`]) to the local
+    /// shard.
     pub fn apply_grad(&mut self, grad: &RowSparse, opt: &mut dyn Optimizer, part: UpdatePart) {
         assert_eq!(grad.dim(), self.shard_dim(), "gradient width must match shard");
         opt.step_sparse(self.shard.table_mut(), grad, part);
@@ -373,7 +323,7 @@ mod tests {
             let mut emb = ColumnShardedEmbedding::new(&full2, rank, world);
             let my = &batches2[rank];
             let grad_out = DenseTensor::full(my.len(), dim, 1.0);
-            let shard_grad = emb.backward(ep, my, &grad_out);
+            let shard_grad = emb.exchange_grad_part(ep, &RowSparse::new(my.clone(), grad_out));
             let mut opt = Sgd::new(lr);
             emb.apply_grad(&shard_grad, &mut opt, UpdatePart::Whole);
             emb
@@ -405,7 +355,7 @@ mod tests {
             let split = vertical_split(&raw, my, &next);
             let prior = emb.exchange_grad_part(ep, &split.prior);
             let delayed = emb.exchange_grad_part(ep, &split.delayed);
-            let whole = emb.backward(ep, my, &grad_out);
+            let whole = emb.exchange_grad_part(ep, &raw);
             (prior, delayed, whole)
         });
         for (prior, delayed, whole) in got {

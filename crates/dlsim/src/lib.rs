@@ -11,8 +11,6 @@
 //! * [`optim`] — SGD and Adam sparse/dense optimizers, including
 //!   the paper's Adam `step`-state modification (§5.7) that makes the
 //!   two-part (prior/delayed) update equivalent to a single update;
-//! * [`queue`] — the stable priority queue that orders communication
-//!   operations (§2.3, §4.2.1);
 //! * [`prefetch`] — the next-batch prefetcher Vertical Sparse Scheduling
 //!   relies on to know `D_next` (§4.2.2);
 //! * [`hooks`] — a backward-hook registry mirroring the
@@ -22,7 +20,6 @@
 //!
 //! ```
 //! use embrace_dlsim::autograd::Tape;
-//! use embrace_dlsim::StablePriorityQueue;
 //! use embrace_tensor::DenseTensor;
 //!
 //! // Differentiate ½‖x·W‖² with the tape.
@@ -33,12 +30,6 @@
 //! let loss = tape.mse_loss(y, &DenseTensor::zeros(1, 1));
 //! tape.backward(loss);
 //! assert_eq!(tape.grad(x).as_slice(), &[21.0, 28.0]); // (x·W)·Wᵀ
-//!
-//! // The communication priority queue drains most-urgent-first.
-//! let mut q = StablePriorityQueue::new();
-//! q.push(5, "delayed");
-//! q.push(-2, "prior");
-//! assert_eq!(q.pop().unwrap().1, "prior");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -50,7 +41,6 @@ pub mod graph;
 pub mod hooks;
 pub mod optim;
 pub mod prefetch;
-pub mod queue;
 
 pub use autograd::{NodeId, Tape};
 pub use embedding::EmbeddingTable;
@@ -59,4 +49,3 @@ pub use graph::{ModelGraph, Module, ModuleKind};
 pub use hooks::HookRegistry;
 pub use optim::{Adam, Optimizer, Sgd, UpdatePart};
 pub use prefetch::Prefetcher;
-pub use queue::StablePriorityQueue;

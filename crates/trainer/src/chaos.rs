@@ -22,7 +22,7 @@
 //!   detection thresholds, e.g. a small link delay) the per-step losses
 //!   are bitwise identical to the fault-free trainer's.
 
-use crate::real::{sched_options, ConvergenceConfig, RankState};
+use crate::real::{ConvergenceConfig, RankState};
 use embrace_collectives::{
     run_group_with_deadline, CommError, CommScheduler, Endpoint, FaultPlan, GroupError,
 };
@@ -115,9 +115,9 @@ fn chaos_worker(ep: &mut Endpoint, cfg: &ConvergenceConfig, mut st: RankState) -
     for step in 0..cfg.steps {
         // Crash-at-step faults fire here; the endpoint tears itself down
         // so peers observe PeerGone instead of a hang.
-        let loss = ep.begin_step().and_then(|_| {
-            st.run_step(&mut CommScheduler::new(&mut *ep, sched_options(cfg, false)))
-        });
+        let loss = ep
+            .begin_step()
+            .and_then(|_| st.run_step(&mut CommScheduler::new(&mut *ep, st.sched_options(false))));
         match loss {
             Ok(loss) => losses.push(loss),
             Err(error) => return RankOutcome::Failed { step, error },

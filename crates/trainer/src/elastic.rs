@@ -36,9 +36,7 @@
 //! loss trajectory equals a *fresh fault-free run at the smaller world
 //! started from the same restored state*, bit for bit.
 
-use crate::real::{
-    batch_stream, init_toy_state, owned_w, sched_options, ConvergenceConfig, RankState,
-};
+use crate::real::{batch_stream, owned, ConvergenceConfig, Model, RankState, Toy};
 use embrace_collectives::ops::{try_allgather_tokens, try_broadcast};
 use embrace_collectives::{
     run_group, run_group_with_deadline, Comm, CommError, CommScheduler, ElasticError,
@@ -131,13 +129,14 @@ pub struct FullState {
 impl FullState {
     /// The deterministic step-0 state every run starts from.
     pub fn initial(cfg: &ConvergenceConfig) -> FullState {
-        FullState::initial_and_targets(cfg).0
+        FullState::initial_and_model(cfg).0
     }
 
-    /// [`FullState::initial`] and the targets of the same draw, which every
-    /// rank of a run shares.
-    fn initial_and_targets(cfg: &ConvergenceConfig) -> (FullState, DenseTensor) {
-        let (emb, w, targets) = init_toy_state(cfg);
+    /// [`FullState::initial`] and the model (its targets) of the same
+    /// draw, which every rank of a run shares.
+    fn initial_and_model(cfg: &ConvergenceConfig) -> (FullState, Toy) {
+        let (mut emb, w, model) = Toy::init(cfg, 1);
+        let emb = emb.pop().expect("one shard");
         let initial = FullState {
             step: 0,
             emb_m: DenseTensor::zeros(cfg.vocab, cfg.dim),
@@ -148,7 +147,7 @@ impl FullState {
             w,
             losses: Vec::new(),
         };
-        (initial, targets)
+        (initial, model)
     }
 }
 
@@ -159,7 +158,7 @@ fn span_of(t: &DenseTensor, span: Range<usize>) -> DenseTensor {
 
 impl RankState {
     /// Rebuild the state of logical `rank` in a `world`-sized group from
-    /// a full checkpoint and the run's shared `targets` — sharding, moment
+    /// a full checkpoint and the run's shared `model` — sharding, moment
     /// slices and the fast-forwarded batch stream are all bitwise what a
     /// fresh run at that world would have after `fs.step` steps.
     fn from_full(
@@ -168,7 +167,7 @@ impl RankState {
         world: usize,
         cfg: &ConvergenceConfig,
         sampler: &ZipfSampler,
-        targets: &DenseTensor,
+        model: &Toy,
     ) -> RankState {
         let r = column_partition(cfg.dim, world)[rank];
         let emb = ColumnShardedEmbedding::new(&fs.emb, rank, world).with_policy(cfg.grad_plane);
@@ -178,21 +177,22 @@ impl RankState {
             fs.emb_v.slice_columns(r.start, r.end),
             fs.step,
         );
-        let w_owned = owned_w(cfg.dim, rank, world);
-        let (w_m, w_v) = (span_of(&fs.w_m, w_owned.clone()), span_of(&fs.w_v, w_owned.clone()));
-        let opt_w = Adam::from_state(cfg.lr, w_m, w_v, fs.step);
+        let dense_owned = owned(fs.w.len(), rank, world);
+        let w_m = span_of(&fs.w_m, dense_owned.clone());
+        let w_v = span_of(&fs.w_v, dense_owned.clone());
+        let opt_dense = Adam::from_state(cfg.lr, w_m, w_v, fs.step);
         let mut stream = batch_stream(sampler, cfg, rank);
         for _ in 0..fs.step {
             stream.advance().expect("infinite stream");
         }
-        let (w, targets) = (fs.w.clone(), targets.share());
-        RankState { emb, w, w_owned, opt_e, opt_w, stream, targets, step: fs.step }
+        let (dense, model) = (fs.w.clone(), model.clone());
+        RankState { emb, dense, dense_owned, model, opt_e, opt_dense, stream, step: fs.step }
     }
 }
 
 /// What one rank alone holds of the training state: its column shard of
 /// the table with the shard's Adam moments, and the Adam moments of the
-/// projection chunk it owns ([`owned_w`]).
+/// projection chunk it owns ([`owned`]).
 #[derive(Clone)]
 struct Slot {
     table: DenseTensor,
@@ -205,7 +205,7 @@ struct Slot {
 impl Slot {
     fn of(st: &RankState) -> Slot {
         let (m, v, _) = st.opt_e.state();
-        let (w_m, w_v, _) = st.opt_w.state();
+        let (w_m, w_v, _) = st.opt_dense.state();
         let table = st.emb.shard_table().clone();
         Slot { table, m: m.clone(), v: v.clone(), w_m: w_m.clone(), w_v: w_v.clone() }
     }
@@ -213,7 +213,7 @@ impl Slot {
     /// Logical rank `slot`'s part of `fs` in a `world`-sized group.
     fn of_full(fs: &FullState, slot: usize, world: usize, cfg: &ConvergenceConfig) -> Slot {
         let r = column_partition(cfg.dim, world)[slot];
-        let w_owned = owned_w(cfg.dim, slot, world);
+        let w_owned = owned(fs.w.len(), slot, world);
         Slot {
             table: fs.emb.slice_columns(r.start, r.end),
             m: fs.emb_m.slice_columns(r.start, r.end),
@@ -246,7 +246,7 @@ impl Slot {
         want_step: u64,
     ) -> Option<Slot> {
         let cols = column_partition(cfg.dim, world)[slot].width();
-        let (table, w) = (cfg.vocab * cols, owned_w(cfg.dim, slot, world).len());
+        let (table, w) = (cfg.vocab * cols, owned(cfg.dim * cfg.dim, slot, world).len());
         let (step, data) = t.as_slice().split_last()?;
         if data.len() != 3 * table + 2 * w || *step as u64 != want_step {
             return None;
@@ -296,7 +296,7 @@ struct Snapshot {
 
 impl Snapshot {
     fn of(st: &RankState) -> Snapshot {
-        Snapshot { step: st.step, slot: Slot::of(st), w: st.w.clone() }
+        Snapshot { step: st.step, slot: Slot::of(st), w: st.dense.clone() }
     }
 
     fn blob(&self) -> DenseTensor {
@@ -345,7 +345,7 @@ const MAX_RECOVERY_ROUNDS: u32 = 8;
 struct Launch {
     base: FullState,
     sampler: ZipfSampler,
-    targets: DenseTensor,
+    model: Toy,
 }
 
 fn elastic_worker(
@@ -357,9 +357,9 @@ fn elastic_worker(
     let train = &cfg.train;
     let steps = train.steps as u64;
     let mut group = ElasticWorker::new(ep);
-    let Launch { base, sampler, targets } = launch;
+    let Launch { base, sampler, model } = launch;
     let base = base.clone();
-    let mut st = RankState::from_full(&base, rank, train.world, train, sampler, targets);
+    let mut st = RankState::from_full(&base, rank, train.world, train, sampler, model);
     let mut losses = base.losses.clone();
     let mut step_secs: Vec<f64> = vec![0.0; losses.len()];
     let mut replicas: HashMap<usize, DenseTensor> = HashMap::new();
@@ -424,7 +424,7 @@ fn elastic_worker(
                             shrinks += 1;
                             let me = Comm::rank(&group);
                             let world = group.world();
-                            st = RankState::from_full(&fs, me, world, train, sampler, targets);
+                            st = RankState::from_full(&fs, me, world, train, sampler, model);
                             losses = fs.losses.clone();
                             step_secs.truncate(losses.len());
                             replicas.clear();
@@ -477,8 +477,7 @@ fn run_one_step(
     {
         *last_ckpt = assemble_full_state(group, st, losses, &cfg.train)?;
     }
-    let loss =
-        st.run_step(&mut CommScheduler::new(&mut *group, sched_options(&cfg.train, false)))?;
+    let loss = st.run_step(&mut CommScheduler::new(&mut *group, st.sched_options(false)))?;
     exchange_replica(group, st, replicas)?;
     Ok(loss)
 }
@@ -557,7 +556,7 @@ fn assemble_full_state<C: Comm>(
             .ok_or(CommError::Protocol { expected: "slot blob", got: "Dense" })?;
         slots.push(slot);
     }
-    Ok(assemble(st.step, &slots, st.w.clone(), losses))
+    Ok(assemble(st.step, &slots, st.dense.clone(), losses))
 }
 
 enum Recovered {
@@ -701,13 +700,12 @@ impl std::error::Error for ElasticRunError {}
 /// as the replaced hardware would not re-fail the same way).
 pub fn run_elastic(cfg: &ElasticConfig) -> Result<ElasticReport, ElasticRunError> {
     let mut plan = cfg.plan.clone();
-    let (mut init, targets) = FullState::initial_and_targets(&cfg.train);
+    let (mut init, model) = FullState::initial_and_model(&cfg.train);
     let mut restarts = 0u32;
     let sampler = ZipfSampler::new(cfg.train.vocab, cfg.train.zipf_s);
     loop {
         let worker_cfg = cfg.clone();
-        let launch =
-            Launch { base: init.clone(), sampler: sampler.clone(), targets: targets.share() };
+        let launch = Launch { base: init.clone(), sampler: sampler.clone(), model: model.clone() };
         let outcomes = run_group_with_deadline(
             cfg.train.world,
             &plan,
@@ -766,11 +764,11 @@ pub fn run_elastic(cfg: &ElasticConfig) -> Result<ElasticReport, ElasticRunError
 pub fn capture_state_at(cfg: &ConvergenceConfig, at_step: u64) -> FullState {
     let cfg = *cfg;
     let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
-    let (base, targets) = FullState::initial_and_targets(&cfg);
+    let (base, model) = FullState::initial_and_model(&cfg);
     let states = run_group(cfg.world, move |rank, ep| {
-        let mut st = RankState::from_full(&base, rank, cfg.world, &cfg, &sampler, &targets);
+        let mut st = RankState::from_full(&base, rank, cfg.world, &cfg, &sampler, &model);
         let mut losses = Vec::new();
-        train_until(ep, &mut st, at_step, &cfg, &mut losses);
+        train_until(ep, &mut st, at_step, &mut losses);
         assemble_full_state(ep, &st, &losses, &cfg).expect("fault-free")
     });
     states.into_iter().next().expect("at least one rank")
@@ -782,11 +780,11 @@ pub fn train_from_state(fs: &FullState, world: usize, cfg: &ConvergenceConfig) -
     let cfg = ConvergenceConfig { world, ..*cfg };
     let fs = fs.clone();
     let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
-    let (_, _, targets) = init_toy_state(&cfg);
+    let (_, _, model) = Toy::init(&cfg, 1);
     let all = run_group(world, move |rank, ep| {
-        let mut st = RankState::from_full(&fs, rank, world, &cfg, &sampler, &targets);
+        let mut st = RankState::from_full(&fs, rank, world, &cfg, &sampler, &model);
         let mut losses = fs.losses.clone();
-        train_until(ep, &mut st, cfg.steps as u64, &cfg, &mut losses);
+        train_until(ep, &mut st, cfg.steps as u64, &mut losses);
         losses
     });
     all.into_iter().next().expect("at least one rank")
@@ -794,14 +792,8 @@ pub fn train_from_state(fs: &FullState, world: usize, cfg: &ConvergenceConfig) -
 
 /// Run `st` fault-free up to step `until` on one comm scheduler, pushing
 /// each step's global loss onto `losses`.
-fn train_until(
-    ep: &mut Endpoint,
-    st: &mut RankState,
-    until: u64,
-    cfg: &ConvergenceConfig,
-    losses: &mut Vec<f64>,
-) {
-    let mut comm = CommScheduler::new(ep, sched_options(cfg, false));
+fn train_until(ep: &mut Endpoint, st: &mut RankState, until: u64, losses: &mut Vec<f64>) {
+    let mut comm = CommScheduler::new(ep, st.sched_options(false));
     while st.step < until {
         losses.push(st.run_step(&mut comm).expect("fault-free"));
     }
@@ -816,11 +808,11 @@ use crate::real::SendLog;
 fn step_sends(cfg: &ConvergenceConfig, rank: usize) -> Vec<&'static str> {
     let cfg = *cfg;
     let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
-    let (base, targets) = FullState::initial_and_targets(&cfg);
+    let (base, model) = FullState::initial_and_model(&cfg);
     let mut logs = run_group(cfg.world, move |rank, ep| {
-        let mut st = RankState::from_full(&base, rank, cfg.world, &cfg, &sampler, &targets);
+        let mut st = RankState::from_full(&base, rank, cfg.world, &cfg, &sampler, &model);
         let mut log = SendLog::new(ElasticWorker::new(ep));
-        st.run_step(&mut CommScheduler::new(&mut log, sched_options(&cfg, false)))
+        st.run_step(&mut CommScheduler::new(&mut log, st.sched_options(false)))
             .expect("fault-free");
         log.sent.into_iter().map(|(kind, _)| kind).collect::<Vec<_>>()
     });
@@ -833,9 +825,9 @@ fn step_sends(cfg: &ConvergenceConfig, rank: usize) -> Vec<&'static str> {
 fn ops_per_step(cfg: &ConvergenceConfig) -> u64 {
     let cfg = *cfg;
     let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
-    let (base, targets) = FullState::initial_and_targets(&cfg);
+    let (base, model) = FullState::initial_and_model(&cfg);
     let counts = run_group(cfg.world, move |rank, ep| {
-        let mut st = RankState::from_full(&base, rank, cfg.world, &cfg, &sampler, &targets);
+        let mut st = RankState::from_full(&base, rank, cfg.world, &cfg, &sampler, &model);
         let mut g = ElasticWorker::new(ep);
         let mut replicas = HashMap::new();
         let mut ckpt = base.clone();

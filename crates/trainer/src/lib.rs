@@ -11,8 +11,12 @@
 //!   Adam updates vs the Horovod-AllGather baseline, demonstrating the
 //!   convergence equivalence of Fig. 11. Its `RankState::run_step` is the
 //!   one EmbRace step, submitted to the comm scheduler in §5.2's priority
-//!   order; every EmbRace entry point below runs it.
-//! * [`scheduled`] — the same training, handing back each rank's
+//!   order, and `train_allgather` the one baseline; both are generic over
+//!   the model, and every entry point below runs them.
+//! * [`lstm`] / [`translation`] — Fig. 11's unrolled-LSTM LM and
+//!   encoder/decoder translation proxy: only their initial state, batch
+//!   expansion and forward/backward, as models of that step.
+//! * [`scheduled`] — the toy's EmbRace training, handing back each rank's
 //!   submission log and scheduler observation for the plan verifier and
 //!   the happens-before analyzer.
 //! * [`chaos`] / [`elastic`] — the step under injected faults: typed
@@ -43,7 +47,7 @@ pub use real::{
     train_convergence, train_convergence_observed, ConvergenceConfig, ConvergenceResult,
     TrainMethod,
 };
-pub use scheduled::{train_convergence_scheduled, train_convergence_scheduled_observed};
+pub use scheduled::train_convergence_scheduled_observed;
 pub use sim::{simulate, simulate_full, simulate_with_trace, SimConfig, StepMetrics};
 pub use timeline::{chrome_export, ChromeExport};
 pub use translation::train_translation;

@@ -4,71 +4,43 @@
 //! A single LSTM layer is unrolled over `SEQ_LEN` timesteps on the
 //! autograd tape; each position's hidden state predicts the target vector
 //! of the *next* token (the regression analog of next-token prediction,
-//! so the loss plays the role of PPL). Every timestep contributes one
-//! embedding lookup, so the per-step sparse gradient is the *uncoalesced
-//! concatenation over timesteps* — precisely the duplicate-heavy gradient
-//! Algorithm 1's coalescing was designed for.
+//! so the loss plays the role of PPL). The first
+//! `tokens_per_batch / (SEQ_LEN + 1)` tokens of a drawn batch each head a
+//! sequence, and a successor grammar supplies the rest. The step looks up
+//! every timestep's tokens at once, timestep-major, so the sparse
+//! gradient is the *uncoalesced concatenation over timesteps* — precisely
+//! the duplicate-heavy gradient Algorithm 1's coalescing was designed for.
 //!
-//! Trained with EmbRace's hybrid plane vs Horovod AllGather, the loss
-//! curves must coincide.
+//! `Lstm` is a `Model` of the one EmbRace step and the one AllGather
+//! baseline in [`crate::real`]; trained both ways, the loss curves must
+//! coincide.
 
-use crate::real::{ConvergenceConfig, ConvergenceResult, TrainMethod};
-use embrace_baselines::horovod::{allgather_sparse_grad, allreduce_dense_grad};
-use embrace_collectives::ops::allgather_tokens;
-use embrace_collectives::{run_group, Endpoint};
-use embrace_core::{vertical_split, ColumnShardedEmbedding};
-use embrace_dlsim::autograd::{NodeId, Tape};
-use embrace_dlsim::optim::{Adam, Optimizer, UpdatePart};
-use embrace_dlsim::{EmbeddingTable, Prefetcher};
-use embrace_models::{BatchGen, ZipfSampler};
-use embrace_tensor::{coalesce, DenseTensor, RowSparse};
+use crate::real::{
+    flat_grad, leaves, train, uniform_block, uniform_shards, ConvergenceConfig, ConvergenceResult,
+    Model, TrainMethod,
+};
+use embrace_dlsim::autograd::Tape;
+use embrace_tensor::DenseTensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Unroll length (tokens per sequence; position `t` predicts `t+1`).
 const SEQ_LEN: usize = 4;
 
-struct LstmParams {
-    wx: DenseTensor,    // dim × 4·dim
-    wh: DenseTensor,    // dim × 4·dim
-    bias: DenseTensor,  // 1 × 4·dim
-    w_out: DenseTensor, // dim × dim
+/// The dense block's parameters as `(rows, cols, init scale)`, in block
+/// order: `Wx` and `Wh` (`d × 4d`), the gate bias (`1 × 4d`) and `W_out`
+/// (`d × d`).
+fn params(d: usize) -> [(usize, usize, f32); 4] {
+    [(d, 4 * d, 0.3), (d, 4 * d, 0.3), (1, 4 * d, 0.1), (d, d, 0.3)]
 }
 
-struct LstmOpts {
-    wx: Adam,
-    wh: Adam,
-    bias: Adam,
-    w_out: Adam,
-}
-
-fn init_lstm_state(cfg: &ConvergenceConfig) -> (DenseTensor, LstmParams, DenseTensor) {
-    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(1234));
-    let d = cfg.dim;
-    let table = DenseTensor::uniform(cfg.vocab, d, 0.3, &mut rng);
-    let params = LstmParams {
-        wx: DenseTensor::uniform(d, 4 * d, 0.3, &mut rng),
-        wh: DenseTensor::uniform(d, 4 * d, 0.3, &mut rng),
-        bias: DenseTensor::uniform(1, 4 * d, 0.1, &mut rng),
-        w_out: DenseTensor::uniform(d, d, 0.3, &mut rng),
-    };
-    let targets = DenseTensor::uniform(cfg.vocab, d, 1.0, &mut rng);
-    (table, params, targets)
-}
-
-fn lstm_opts(cfg: &ConvergenceConfig) -> LstmOpts {
-    let d = cfg.dim;
-    LstmOpts {
-        wx: Adam::new(d, 4 * d, cfg.lr),
-        wh: Adam::new(d, 4 * d, cfg.lr),
-        bias: Adam::new(1, 4 * d, cfg.lr),
-        w_out: Adam::new(d, d, cfg.lr),
-    }
-}
-
-/// Number of sequences per batch for a config.
-fn seqs_per_batch(cfg: &ConvergenceConfig) -> usize {
-    (cfg.tokens_per_batch / (SEQ_LEN + 1)).max(1)
+/// The LSTM LM's read-only data.
+#[derive(Clone)]
+pub(crate) struct Lstm {
+    /// Each token's target vector (`vocab × dim`).
+    targets: DenseTensor,
+    /// Sequences per batch.
+    seqs: usize,
 }
 
 /// Deterministic token-successor function: the synthetic "grammar". A
@@ -79,215 +51,91 @@ fn successor(token: u32, vocab: usize) -> u32 {
     ((token as u64 * 31 + 17) % (vocab as u64 - 1)) as u32 + 1
 }
 
-/// Expand per-sequence head tokens into `(inputs[t], next_tokens[t])` per
-/// timestep via the successor grammar.
-fn reshape_batch(heads: &[u32], seqs: usize, vocab: usize) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
-    let mut inputs: Vec<Vec<u32>> = (0..SEQ_LEN).map(|_| Vec::with_capacity(seqs)).collect();
-    let mut nexts: Vec<Vec<u32>> = (0..SEQ_LEN).map(|_| Vec::with_capacity(seqs)).collect();
-    for &head in heads.iter().take(seqs) {
-        let mut tok = head;
-        for t in 0..SEQ_LEN {
-            let next = successor(tok, vocab);
-            inputs[t].push(tok);
-            nexts[t].push(next);
-            tok = next;
+impl Model for Lstm {
+    fn init(cfg: &ConvergenceConfig, world: usize) -> (Vec<DenseTensor>, DenseTensor, Lstm) {
+        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(1234));
+        let table = uniform_shards(cfg.vocab, cfg.dim, world, 0.3, &mut rng);
+        let dense = uniform_block(&params(cfg.dim), &mut rng);
+        let targets = DenseTensor::uniform(cfg.vocab, cfg.dim, 1.0, &mut rng);
+        let seqs = (cfg.tokens_per_batch / (SEQ_LEN + 1)).max(1);
+        (table, dense, Lstm { targets, seqs })
+    }
+
+    /// `SEQ_LEN` blocks of `seqs` tokens, block `t` timestep `t`'s inputs:
+    /// the batch's first `seqs` tokens, then each block the successors of
+    /// the one before.
+    fn expand(&self, mut batch: Vec<u32>) -> Vec<u32> {
+        batch.truncate(self.seqs);
+        for i in 0..(SEQ_LEN - 1) * self.seqs {
+            batch.push(successor(batch[i], self.targets.rows()));
         }
+        batch
     }
-    (inputs, nexts)
-}
 
-struct StepOut {
-    loss: f64,
-    grad_wx: DenseTensor,
-    grad_wh: DenseTensor,
-    grad_bias: DenseTensor,
-    grad_w_out: DenseTensor,
-    /// Uncoalesced embedding gradient over all timesteps.
-    emb_grad: RowSparse,
-}
-
-/// Unrolled forward/backward: `lookups[t]` is the (seqs × dim) embedding
-/// output for timestep `t`'s tokens.
-fn step_tape(
-    lookups: Vec<DenseTensor>,
-    inputs: &[Vec<u32>],
-    nexts: &[Vec<u32>],
-    params: &LstmParams,
-    targets: &DenseTensor,
-) -> StepOut {
-    let d = params.w_out.rows();
-    let seqs = lookups[0].rows();
-    let mut tape = Tape::new();
-    let wx = tape.leaf(params.wx.clone(), true);
-    let wh = tape.leaf(params.wh.clone(), true);
-    let bias = tape.leaf(params.bias.clone(), true);
-    let w_out = tape.leaf(params.w_out.clone(), true);
-
-    let mut h = tape.leaf(DenseTensor::zeros(seqs, d), false);
-    let mut c = tape.leaf(DenseTensor::zeros(seqs, d), false);
-    let mut x_nodes: Vec<NodeId> = Vec::with_capacity(SEQ_LEN);
-    let mut total_loss: Option<NodeId> = None;
-
-    for (t, lookup) in lookups.into_iter().enumerate() {
-        let x = tape.leaf(lookup, true);
-        x_nodes.push(x);
-        // Gates = x·Wx + h·Wh + bias.
-        let gx = tape.matmul(x, wx);
-        let gh = tape.matmul(h, wh);
-        let gsum = tape.add(gx, gh);
-        let gates = tape.add_bias(gsum, bias);
-        let i = tape.slice_cols(gates, 0, d);
-        let i = tape.sigmoid(i);
-        let f = tape.slice_cols(gates, d, 2 * d);
-        let f = tape.sigmoid(f);
-        let o = tape.slice_cols(gates, 2 * d, 3 * d);
-        let o = tape.sigmoid(o);
-        let g = tape.slice_cols(gates, 3 * d, 4 * d);
-        let g = tape.tanh(g);
-        let fc = tape.mul(f, c);
-        let ig = tape.mul(i, g);
-        c = tape.add(fc, ig);
-        let ct = tape.tanh(c);
-        h = tape.mul(o, ct);
-        // Predict the next token's target vector.
-        let y = tape.matmul(h, w_out);
-        let target = targets.gather_rows(&nexts[t]);
-        let l = tape.mse_loss(y, &target);
-        total_loss = Some(match total_loss {
-            None => l,
-            Some(acc) => tape.add(acc, l),
-        });
+    fn fwd_bwd(
+        &self,
+        lookup: &DenseTensor,
+        tokens: &[u32],
+        dense: &DenseTensor,
+    ) -> (f64, DenseTensor, DenseTensor) {
+        let (d, seqs) = (lookup.cols(), self.seqs);
+        let mut tape = Tape::new();
+        let [wx, wh, bias, w_out] = leaves(&mut tape, dense, params(d));
+        let mut h = tape.leaf(DenseTensor::zeros(seqs, d), false);
+        let mut c = tape.leaf(DenseTensor::zeros(seqs, d), false);
+        let mut x_nodes = Vec::with_capacity(SEQ_LEN);
+        let mut total_loss = None;
+        for (t, inputs) in tokens.chunks(seqs).enumerate() {
+            let x = tape.leaf(lookup.slice_rows(t * seqs, (t + 1) * seqs), true);
+            x_nodes.push(x);
+            // Gates = x·Wx + h·Wh + bias.
+            let gx = tape.matmul(x, wx);
+            let gh = tape.matmul(h, wh);
+            let gsum = tape.add(gx, gh);
+            let gates = tape.add_bias(gsum, bias);
+            let i = tape.slice_cols(gates, 0, d);
+            let i = tape.sigmoid(i);
+            let f = tape.slice_cols(gates, d, 2 * d);
+            let f = tape.sigmoid(f);
+            let o = tape.slice_cols(gates, 2 * d, 3 * d);
+            let o = tape.sigmoid(o);
+            let g = tape.slice_cols(gates, 3 * d, 4 * d);
+            let g = tape.tanh(g);
+            let fc = tape.mul(f, c);
+            let ig = tape.mul(i, g);
+            c = tape.add(fc, ig);
+            let ct = tape.tanh(c);
+            h = tape.mul(o, ct);
+            // Predict the next token's target vector.
+            let y = tape.matmul(h, w_out);
+            let next: Vec<u32> =
+                inputs.iter().map(|&tok| successor(tok, self.targets.rows())).collect();
+            let l = tape.mse_loss(y, &self.targets.gather_rows(&next));
+            total_loss = Some(match total_loss {
+                None => l,
+                Some(acc) => tape.add(acc, l),
+            });
+        }
+        let loss = total_loss.expect("SEQ_LEN > 0");
+        tape.backward(loss);
+        // The timesteps' lookup gradients stacked in token order: one
+        // uncoalesced sparse gradient (tokens repeat across timesteps —
+        // coalescing's raison d'être).
+        let grad_rows: Vec<DenseTensor> = x_nodes.iter().map(|&x| tape.grad(x).clone()).collect();
+        let grad_dense = flat_grad(&tape, &[wx, wh, bias, w_out]);
+        (tape.scalar(loss) as f64, grad_dense, DenseTensor::concat_rows(&grad_rows))
     }
-    let loss_node = total_loss.expect("SEQ_LEN > 0");
-    tape.backward(loss_node);
-
-    // Stack per-timestep lookup gradients into one uncoalesced sparse
-    // gradient (tokens repeat across timesteps — coalescing's raison
-    // d'être).
-    let mut indices = Vec::with_capacity(SEQ_LEN * seqs);
-    let mut blocks = Vec::with_capacity(SEQ_LEN);
-    for (t, &x) in x_nodes.iter().enumerate() {
-        indices.extend_from_slice(&inputs[t]);
-        blocks.push(tape.grad(x).clone());
-    }
-    let emb_grad = RowSparse::new(indices, DenseTensor::concat_rows(&blocks));
-
-    StepOut {
-        loss: tape.scalar(loss_node) as f64,
-        grad_wx: tape.grad(wx).clone(),
-        grad_wh: tape.grad(wh).clone(),
-        grad_bias: tape.grad(bias).clone(),
-        grad_w_out: tape.grad(w_out).clone(),
-        emb_grad,
-    }
-}
-
-fn apply_dense(ep: &mut Endpoint, params: &mut LstmParams, opts: &mut LstmOpts, out: &StepOut) {
-    let mut gx = out.grad_wx.clone();
-    let mut gh = out.grad_wh.clone();
-    let mut gb = out.grad_bias.clone();
-    let mut go = out.grad_w_out.clone();
-    allreduce_dense_grad(ep, &mut gx);
-    allreduce_dense_grad(ep, &mut gh);
-    allreduce_dense_grad(ep, &mut gb);
-    allreduce_dense_grad(ep, &mut go);
-    opts.wx.step_dense(&mut params.wx, &gx);
-    opts.wh.step_dense(&mut params.wh, &gh);
-    opts.bias.step_dense(&mut params.bias, &gb);
-    opts.w_out.step_dense(&mut params.w_out, &go);
-}
-
-fn global_loss(ep: &mut Endpoint, local: f64) -> f64 {
-    let all = embrace_collectives::ops::allgather_dense(
-        ep,
-        DenseTensor::from_vec(1, 1, vec![local as f32]),
-    );
-    all.iter().map(|t| t.as_slice()[0] as f64).sum()
 }
 
 /// Train the LSTM LM; returns the per-step global loss curve.
 pub fn train_lstm_lm(method: TrainMethod, cfg: &ConvergenceConfig) -> ConvergenceResult {
-    let losses = run_group(cfg.world, |rank, ep| match method {
-        TrainMethod::HorovodAllGather => worker_allgather(rank, ep, cfg),
-        TrainMethod::EmbRace => worker_embrace(rank, ep, cfg),
-    });
-    ConvergenceResult { losses: losses.into_iter().next().expect("at least one worker") }
-}
-
-fn stream(cfg: &ConvergenceConfig, rank: usize) -> Prefetcher<Vec<u32>, BatchGen> {
-    let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
-    // One Zipf head token per sequence; the grammar supplies the rest.
-    let heads = seqs_per_batch(cfg);
-    Prefetcher::new(BatchGen::new(sampler, heads, 0.0, cfg.seed ^ ((rank as u64) << 32) ^ 0x5757))
-}
-
-fn worker_allgather(rank: usize, ep: &mut Endpoint, cfg: &ConvergenceConfig) -> Vec<f64> {
-    let (table, mut params, targets) = init_lstm_state(cfg);
-    let mut emb = EmbeddingTable::from_table(table);
-    let mut opt_e = Adam::new(cfg.vocab, cfg.dim, cfg.lr);
-    let mut opts = lstm_opts(cfg);
-    let mut stream = stream(cfg, rank);
-    let seqs = seqs_per_batch(cfg);
-
-    let mut losses = Vec::with_capacity(cfg.steps);
-    for _ in 0..cfg.steps {
-        let batch = stream.advance().expect("infinite");
-        let (inputs, nexts) = reshape_batch(&batch, seqs, cfg.vocab);
-        let lookups: Vec<DenseTensor> = inputs.iter().map(|toks| emb.lookup(toks)).collect();
-        let out = step_tape(lookups, &inputs, &nexts, &params, &targets);
-        apply_dense(ep, &mut params, &mut opts, &out);
-        let global = allgather_sparse_grad(ep, out.emb_grad.clone());
-        opt_e.step_sparse(emb.table_mut(), &global, UpdatePart::Whole);
-        losses.push(global_loss(ep, out.loss));
-    }
-    losses
-}
-
-fn worker_embrace(rank: usize, ep: &mut Endpoint, cfg: &ConvergenceConfig) -> Vec<f64> {
-    let (table, mut params, targets) = init_lstm_state(cfg);
-    let mut emb = ColumnShardedEmbedding::new(&table, rank, cfg.world);
-    let mut opt_e = Adam::new(cfg.vocab, emb.shard_dim(), cfg.lr);
-    let mut opts = lstm_opts(cfg);
-    let mut stream = stream(cfg, rank);
-    let seqs = seqs_per_batch(cfg);
-
-    let mut losses = Vec::with_capacity(cfg.steps);
-    for _ in 0..cfg.steps {
-        let batch = stream.advance().expect("infinite");
-        let next_heads = stream.peek_next().expect("infinite").clone();
-        let (inputs, nexts) = reshape_batch(&batch, seqs, cfg.vocab);
-        // D_next is the *expanded* next batch (all its positions).
-        let (next_inputs, _) = reshape_batch(&next_heads, seqs, cfg.vocab);
-        let next_batch: Vec<u32> = next_inputs.concat();
-
-        // Hybrid FP: one gather + forward per timestep (the per-timestep
-        // lookups are exactly the embedding FPs of the unrolled graph).
-        let mut lookups = Vec::with_capacity(SEQ_LEN);
-        for toks in &inputs {
-            let all = allgather_tokens(ep, toks.clone());
-            lookups.push(emb.forward(ep, &all));
-        }
-        let out = step_tape(lookups, &inputs, &nexts, &params, &targets);
-        apply_dense(ep, &mut params, &mut opts, &out);
-
-        // Algorithm 1 on the concatenated (duplicate-heavy) gradient.
-        let coalesced = coalesce(&out.emb_grad);
-        let my_tokens: Vec<u32> = inputs.concat();
-        let next_gathered: Vec<u32> = allgather_tokens(ep, next_batch).concat();
-        let split = vertical_split(&coalesced, &my_tokens, &next_gathered);
-        let prior = emb.exchange_grad_part(ep, &split.prior);
-        emb.apply_grad(&prior, &mut opt_e, UpdatePart::Prior);
-        let delayed = emb.exchange_grad_part(ep, &split.delayed);
-        emb.apply_grad(&delayed, &mut opt_e, UpdatePart::Delayed);
-
-        losses.push(global_loss(ep, out.loss));
-    }
-    losses
+    train::<Lstm>(method, cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use embrace_tensor::{coalesce, RowSparse};
 
     fn cfg() -> ConvergenceConfig {
         ConvergenceConfig {
@@ -312,45 +160,28 @@ mod tests {
     }
 
     #[test]
-    fn embrace_lstm_matches_allgather() {
-        let cfg = cfg();
-        let base = train_lstm_lm(TrainMethod::HorovodAllGather, &cfg);
-        let embrace = train_lstm_lm(TrainMethod::EmbRace, &cfg);
-        let rel = base.max_curve_diff(&embrace) / base.losses[0].max(1.0);
-        assert!(rel < 1e-3, "curves diverge: {rel}");
-    }
-
-    #[test]
     fn timestep_gradients_have_duplicates_to_coalesce() {
         // The whole point of testing with an RNN: the concatenated
         // gradient carries each sequence token once per *occurrence*.
-        let cfg = cfg();
-        let (table, params, targets) = init_lstm_state(&cfg);
-        let emb = EmbeddingTable::from_table(table);
-        let seqs = seqs_per_batch(&cfg);
-        let mut s = stream(&cfg, 0);
-        let batch = s.advance().unwrap();
-        let (inputs, nexts) = reshape_batch(&batch, seqs, cfg.vocab);
-        let lookups: Vec<DenseTensor> = inputs.iter().map(|t| emb.lookup(t)).collect();
-        let out = step_tape(lookups, &inputs, &nexts, &params, &targets);
-        assert_eq!(out.emb_grad.nnz_rows(), SEQ_LEN * seqs);
-        let coalesced = coalesce(&out.emb_grad);
-        assert!(coalesced.nnz_rows() < out.emb_grad.nnz_rows(), "Zipf batch must repeat tokens");
+        let (mut table, dense, lstm) = Lstm::init(&cfg(), 1);
+        let heads = vec![1, 5, 1, 2, 9, 1, 5, 3, 1, 2, 7, 1];
+        let tokens = lstm.expand(heads);
+        let lookup = table.pop().unwrap().gather_rows(&tokens);
+        let (_, grad_dense, grad_rows) = lstm.fwd_bwd(&lookup, &tokens, &dense);
+        assert_eq!(grad_dense.len(), dense.len());
+        let grad = RowSparse::new(tokens, grad_rows);
+        assert_eq!(grad.nnz_rows(), SEQ_LEN * lstm.seqs);
+        assert!(coalesce(&grad).nnz_rows() < grad.nnz_rows(), "Zipf batch must repeat tokens");
     }
 
     #[test]
-    fn reshape_follows_the_grammar() {
-        let heads = vec![3u32, 7];
-        let (inputs, nexts) = reshape_batch(&heads, 2, 100);
-        assert_eq!(inputs.len(), SEQ_LEN);
-        assert_eq!(inputs[0], heads);
-        for t in 0..SEQ_LEN {
-            for s in 0..2 {
-                assert_eq!(nexts[t][s], successor(inputs[t][s], 100));
-                if t + 1 < SEQ_LEN {
-                    assert_eq!(inputs[t + 1][s], nexts[t][s]);
-                }
-            }
+    fn expansion_follows_the_grammar() {
+        let lstm = Lstm { targets: DenseTensor::zeros(100, 1), seqs: 2 };
+        let tokens = lstm.expand(vec![3, 7, 50]);
+        assert_eq!(tokens.len(), SEQ_LEN * 2);
+        assert_eq!(tokens[..2], [3, 7]);
+        for (t, next) in tokens.iter().zip(&tokens[2..]) {
+            assert_eq!(*next, successor(*t, 100));
         }
         // Successor stays inside the vocabulary and off the PAD token.
         for tok in 0..100u32 {

@@ -12,8 +12,11 @@
 //! `RankState::run_step` is the one statement of the EmbRace step. It
 //! submits every exchange to a [`CommScheduler`] in the paper's priority
 //! order (§5.1–5.2) and waits only where the data is needed. Every EmbRace
-//! entry point runs it: the trainers here and in [`crate::scheduled`], the
-//! chaos harness and the elastic trainer.
+//! entry point runs it: the trainers here, in [`crate::lstm`],
+//! [`crate::translation`] and [`crate::scheduled`], the chaos harness and
+//! the elastic trainer. The step and the one AllGather baseline,
+//! `train_allgather`, are generic over a `Model`: the toy here (`Toy`,
+//! the default), and Fig. 11's LSTM and translation proxies.
 
 use embrace_baselines::horovod::{allgather_sparse_grad, allreduce_dense_grad};
 use embrace_collectives::ops::allgather_dense;
@@ -28,7 +31,7 @@ use embrace_core::horizontal::{
 };
 use embrace_core::{vertical_split, ColumnShardedEmbedding, GradPlanePolicy};
 use embrace_dlsim::optim::{Adam, Optimizer, UpdatePart};
-use embrace_dlsim::{EmbeddingTable, Prefetcher};
+use embrace_dlsim::{EmbeddingTable, NodeId, Prefetcher, Tape};
 use embrace_models::{BatchGen, ZipfSampler};
 use embrace_obs::{recorder, SpanSet};
 use embrace_simnet::{Cluster, CostModel};
@@ -111,131 +114,204 @@ impl ConvergenceResult {
     }
 }
 
-/// Shared deterministic initial state: embedding, projection, targets.
-pub(crate) fn init_toy_state(cfg: &ConvergenceConfig) -> (DenseTensor, DenseTensor, DenseTensor) {
-    let (mut table, w, targets) = init_toy_shards(cfg, 1);
-    (table.pop().expect("one shard"), w, targets)
+/// What the one EmbRace step ([`RankState::run_step`]) and the one
+/// AllGather baseline need of a model: an embedding table feeding dense
+/// parameters, trained on per-rank token batches. Each Fig. 11 model
+/// implements it; everything else about a step is the same for all.
+pub(crate) trait Model: Clone + Send + Sync {
+    /// Draw the run's initial state once: the embedding table as `world`
+    /// column shards (drawn in place, so no full table is built for
+    /// `world > 1`), every dense parameter in one block, and the model's
+    /// read-only data.
+    fn init(cfg: &ConvergenceConfig, world: usize) -> (Vec<DenseTensor>, DenseTensor, Self);
+
+    /// The table rows the step looks up for one drawn batch.
+    fn expand(&self, batch: Vec<u32>) -> Vec<u32> {
+        batch
+    }
+
+    /// Forward + backward on `lookup`, the full-width rows of `tokens`.
+    /// Returns `(loss, grad_dense, grad_emb_rows)`: the dense block's
+    /// gradient in its shape, and the uncoalesced embedding gradient, one
+    /// row per token of `tokens`.
+    fn fwd_bwd(
+        &self,
+        lookup: &DenseTensor,
+        tokens: &[u32],
+        dense: &DenseTensor,
+    ) -> (f64, DenseTensor, DenseTensor);
 }
 
-/// [`init_toy_state`] with the embedding table drawn straight into its
-/// `world` column shards: the same draws in the same order, so the shards
-/// are bitwise the full table's columns, and no full table is ever built.
-pub(crate) fn init_toy_shards(
-    cfg: &ConvergenceConfig,
+/// A `rows × dim` table drawn from `[-scale, scale]` in row-major order,
+/// straight into its `world` column shards: [`DenseTensor::uniform`]'s
+/// draws in the same order, so the shards are bitwise that table's
+/// columns.
+pub(crate) fn uniform_shards(
+    rows: usize,
+    dim: usize,
     world: usize,
-) -> (Vec<DenseTensor>, DenseTensor, DenseTensor) {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let parts = column_partition(cfg.dim, world);
+    scale: f32,
+    rng: &mut StdRng,
+) -> Vec<DenseTensor> {
+    let parts = column_partition(dim, world);
     let mut shards: Vec<Vec<f32>> =
-        parts.iter().map(|p| Vec::with_capacity(cfg.vocab * p.width())).collect();
-    for _ in 0..cfg.vocab {
+        parts.iter().map(|p| Vec::with_capacity(rows * p.width())).collect();
+    for _ in 0..rows {
         for (shard, p) in shards.iter_mut().zip(&parts) {
-            shard.extend((0..p.width()).map(|_| rng.gen_range(-0.3..=0.3f32)));
+            shard.extend((0..p.width()).map(|_| rng.gen_range(-scale..=scale)));
         }
     }
     let table = shards.into_iter().zip(&parts);
-    let table = table.map(|(s, p)| DenseTensor::from_vec(cfg.vocab, p.width(), s)).collect();
-    let w = DenseTensor::uniform(cfg.dim, cfg.dim, 0.3, &mut rng);
-    let targets = DenseTensor::uniform(cfg.vocab, cfg.dim, 1.0, &mut rng);
-    (table, w, targets)
+    table.map(|(s, p)| DenseTensor::from_vec(rows, p.width(), s)).collect()
 }
 
-/// Forward + backward of the toy model on one batch.
-/// Returns `(loss, grad_w, grad_emb_rows)` where `grad_emb_rows` pairs
-/// with `tokens` as an uncoalesced sparse gradient of `E`.
-pub(crate) fn fwd_bwd_toy(
-    lookup: &DenseTensor,
-    tokens: &[u32],
-    w: &DenseTensor,
-    targets: &DenseTensor,
-) -> (f64, DenseTensor, DenseTensor) {
-    // Residuals (the prediction, less each token's target) and loss.
-    let mut resid = lookup.matmul(w);
-    for (rr, &t) in resid.rows_mut().zip(tokens) {
-        for (r, &y) in rr.iter_mut().zip(targets.row(t as usize)) {
-            *r -= y;
-        }
+/// Dense parameters of the given `(rows, cols, scale)` shapes, each
+/// drawn from `[-scale, scale]` as [`DenseTensor::uniform`] would, one
+/// after another into one flat block.
+pub(crate) fn uniform_block(params: &[(usize, usize, f32)], rng: &mut StdRng) -> DenseTensor {
+    let mut block = Vec::new();
+    for &(rows, cols, scale) in params {
+        block.extend((0..rows * cols).map(|_| rng.gen_range(-scale..=scale)));
     }
-    let loss = 0.5 * resid.norm_sq() as f64;
-    let grad_w = lookup.matmul_tn(&resid);
-    let grad_emb = resid.matmul_nt(w);
-    (loss, grad_w, grad_emb)
+    DenseTensor::from_vec(1, block.len(), block)
 }
 
-/// Segment size of the step's comm scheduler: an eighth of the dense
-/// weight block (dim² f32s), at least one f32. Derived from the model so
-/// the dense ring's phases split into a handful of resumable segments at every
-/// `dim` — enough for the prior gradients to preempt it mid-tensor (§5.2's
-/// second dimension), without drowning a large block in per-segment
-/// overhead. Chunked execution is bitwise-identical to whole.
-pub(crate) fn sched_options(cfg: &ConvergenceConfig, observed: bool) -> SchedOptions {
-    let chunk_bytes = (cfg.dim * cfg.dim * F32_BYTES / 8).max(F32_BYTES);
-    SchedOptions { chunk_bytes: Some(chunk_bytes), observed }
+/// The parameters of a [`uniform_block`] of `params`, each a leaf of
+/// `tape` in its own shape.
+pub(crate) fn leaves<const N: usize>(
+    tape: &mut Tape,
+    block: &DenseTensor,
+    params: [(usize, usize, f32); N],
+) -> [NodeId; N] {
+    let mut at = 0;
+    params.map(|(rows, cols, _)| {
+        let value = block.as_slice()[at..at + rows * cols].to_vec();
+        at += rows * cols;
+        tape.leaf(DenseTensor::from_vec(rows, cols, value), true)
+    })
 }
 
-/// The elements of the flat `dim × dim` projection whose update rank
-/// `rank` of `world` owns: the chunk its ring reduce-scatter leaves
-/// reduced, [`Ring::owned`].
-pub(crate) fn owned_w(dim: usize, rank: usize, world: usize) -> Range<usize> {
-    Ring::whole(world, rank, dim * dim).owned()
+/// The gradients of `leaves`, flat and in order: the block's gradient.
+pub(crate) fn flat_grad(tape: &Tape, leaves: &[NodeId]) -> DenseTensor {
+    let grad: Vec<f32> = leaves.iter().flat_map(|&n| tape.grad(n).as_slice()).copied().collect();
+    DenseTensor::from_vec(1, grad.len(), grad)
+}
+
+/// The toy model: `loss = ½‖E[t]·W − y_t‖²` with fixed per-token targets
+/// `y`. Its dense block is the `dim × dim` projection `W`.
+#[derive(Clone)]
+pub(crate) struct Toy {
+    targets: DenseTensor,
+}
+
+impl Model for Toy {
+    fn init(cfg: &ConvergenceConfig, world: usize) -> (Vec<DenseTensor>, DenseTensor, Toy) {
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let table = uniform_shards(cfg.vocab, cfg.dim, world, 0.3, &mut rng);
+        let w = DenseTensor::uniform(cfg.dim, cfg.dim, 0.3, &mut rng);
+        let targets = DenseTensor::uniform(cfg.vocab, cfg.dim, 1.0, &mut rng);
+        (table, w, Toy { targets })
+    }
+
+    fn fwd_bwd(
+        &self,
+        lookup: &DenseTensor,
+        tokens: &[u32],
+        w: &DenseTensor,
+    ) -> (f64, DenseTensor, DenseTensor) {
+        // Residuals (the prediction, less each token's target) and loss.
+        let mut resid = lookup.matmul(w);
+        for (rr, &t) in resid.rows_mut().zip(tokens) {
+            for (r, &y) in rr.iter_mut().zip(self.targets.row(t as usize)) {
+                *r -= y;
+            }
+        }
+        let loss = 0.5 * resid.norm_sq() as f64;
+        let grad_w = lookup.matmul_tn(&resid);
+        let grad_emb = resid.matmul_nt(w);
+        (loss, grad_w, grad_emb)
+    }
 }
 
 /// One rank's EmbRace training state: its column shard, the replicated
-/// projection, both optimizers — the projection's over the chunk it owns
-/// only — its batch stream and the next step to run.
-pub(crate) struct RankState {
+/// dense block, both optimizers — the dense block's over the chunk it
+/// owns only — the model's read-only data, its batch stream and the next
+/// step to run.
+pub(crate) struct RankState<M = Toy> {
     pub(crate) emb: ColumnShardedEmbedding,
-    pub(crate) w: DenseTensor,
-    /// Elements of `w` this rank updates ([`owned_w`]); `opt_w` holds the
+    pub(crate) dense: DenseTensor,
+    /// Elements of `dense` this rank updates: the chunk its ring
+    /// reduce-scatter leaves summed ([`owned`]); `opt_dense` holds the
     /// moments of these and no others.
-    pub(crate) w_owned: Range<usize>,
-    pub(crate) targets: DenseTensor,
+    pub(crate) dense_owned: Range<usize>,
+    pub(crate) model: M,
     pub(crate) opt_e: Adam,
-    pub(crate) opt_w: Adam,
+    pub(crate) opt_dense: Adam,
     pub(crate) stream: Prefetcher<Vec<u32>, BatchGen>,
     pub(crate) step: u64,
 }
 
-impl RankState {
+/// The elements of a flat `len`-element dense block whose update rank
+/// `rank` of `world` owns: the chunk its ring reduce-scatter leaves
+/// reduced, [`Ring::owned`].
+pub(crate) fn owned(len: usize, rank: usize, world: usize) -> Range<usize> {
+    Ring::whole(world, rank, len).owned()
+}
+
+impl<M: Model> RankState<M> {
     /// Every rank's state before the first step of a `cfg` run, from one
     /// draw of the initial state: each rank gets its column shard of the
     /// table, drawn in place (no full table exists), and all ranks share
-    /// the read-only targets and start from the same projection.
-    pub(crate) fn initial(cfg: &ConvergenceConfig, sampler: &ZipfSampler) -> PerRank<RankState> {
-        let (shards, w, targets) = init_toy_shards(cfg, cfg.world);
+    /// the model's read-only data and start from the same dense block.
+    pub(crate) fn initial(cfg: &ConvergenceConfig, sampler: &ZipfSampler) -> PerRank<Self> {
+        let (shards, dense, model) = M::init(cfg, cfg.world);
         let states = shards.into_iter().enumerate().map(|(rank, shard)| {
+            let vocab = shard.rows();
             let emb = ColumnShardedEmbedding::from_shard(shard, rank, cfg.world, cfg.dim)
                 .with_policy(cfg.grad_plane);
-            let w_owned = owned_w(cfg.dim, rank, cfg.world);
+            let dense_owned = owned(dense.len(), rank, cfg.world);
             // Adam over the local column shard only; the modified step-state
             // rule makes the split update equivalent to the baseline's whole
             // update.
-            let opt_e = Adam::new(cfg.vocab, emb.shard_dim(), cfg.lr);
-            let opt_w = Adam::new(1, w_owned.len(), cfg.lr);
+            let opt_e = Adam::new(vocab, emb.shard_dim(), cfg.lr);
+            let opt_dense = Adam::new(1, dense_owned.len(), cfg.lr);
             let stream = batch_stream(sampler, cfg, rank);
-            let (w, targets) = (w.share(), targets.share());
-            RankState { emb, w, w_owned, targets, opt_e, opt_w, stream, step: 0 }
+            let (dense, model) = (dense.share(), model.clone());
+            RankState { emb, dense, dense_owned, model, opt_e, opt_dense, stream, step: 0 }
         });
         PerRank::new(states.collect())
+    }
+
+    /// Segment size of the step's comm scheduler: an eighth of the dense
+    /// block, at least one f32. Derived from the model so the dense ring's
+    /// phases split into a handful of resumable segments at every size —
+    /// enough for the prior gradients to preempt it mid-tensor (§5.2's
+    /// second dimension), without drowning a large block in per-segment
+    /// overhead. Chunked execution is bitwise-identical to whole.
+    pub(crate) fn sched_options(&self, observed: bool) -> SchedOptions {
+        let chunk_bytes = (self.dense.len() * F32_BYTES / 8).max(F32_BYTES);
+        SchedOptions { chunk_bytes: Some(chunk_bytes), observed }
     }
 
     /// One EmbRace hybrid step — AllGather of batch tokens, hybrid AlltoAll
     /// forward, the dense plane, Vertical Sparse Scheduling with two
     /// AlltoAll #2 exchanges — returning the global loss. The dense plane
     /// is the ring allreduce cut at its phase boundary around a sharded
-    /// update: the reduce-scatter of W's gradient, Adam on the chunk this
-    /// rank owns, and the all-gather of the updated weights. Every exchange
-    /// goes through `comm` with its §4.2.1 priority, tagged with the step;
-    /// the step returns with every ticket waited and `comm` empty, so a
-    /// scheduler per step and one per run send the same messages.
+    /// update: the reduce-scatter of the dense block's gradient, Adam on the
+    /// chunk this rank owns, and the all-gather of the updated block. Every
+    /// exchange goes through `comm` with its §4.2.1 priority, tagged with
+    /// the step; the step returns with every ticket waited and `comm`
+    /// empty, so a scheduler per step and one per run send the same
+    /// messages.
     pub(crate) fn run_step<C: Comm>(
         &mut self,
         comm: &mut CommScheduler<C>,
     ) -> Result<f64, CommError> {
         let step = self.step;
         let tag = |op: &str| format!("s{step}/{op}");
-        let tokens = self.stream.advance().expect("infinite stream");
+        let tokens = self.model.expand(self.stream.advance().expect("infinite stream"));
         let next_local = self.stream.peek_next().expect("infinite stream").clone();
+        let next_local = self.model.expand(next_local);
         // Hybrid FP: gather this batch and the next, AlltoAll #1 the
         // lookup results.
         let cur = CommOp::GatherTokens(tokens.clone());
@@ -248,11 +324,11 @@ impl RankState {
         let lookup_op = self.emb.lookup_op(&all_tokens);
         let lookup = comm.submit(EMB_DATA_PRIORITY, tag("emb_data"), lookup_op).wait();
         let lookup = ColumnShardedEmbedding::finish_lookup(lookup)?;
-        let (loss, grad_w, grad_rows) = fwd_bwd_toy(&lookup, &tokens, &self.w, &self.targets);
+        let (loss, grad_dense, grad_rows) = self.model.fwd_bwd(&lookup, &tokens, &self.dense);
         // Dense plane: the BP hook fires the reduce-scatter and hands the
         // comm plane one quantum, so the bulk op is in flight when the more
         // urgent prior gradients preempt it below.
-        let dense = CommOp::ReduceScatterDense(grad_w.into_vec());
+        let dense = CommOp::ReduceScatterDense(grad_dense.into_vec());
         let t_w = comm.submit(DENSE_PRIORITY, tag("reduce_scatter_w"), dense);
         comm.progress();
         // Vertical Sparse Scheduling: split by next-iteration data.
@@ -266,16 +342,16 @@ impl RankState {
         let t_prior = comm.submit(PRIOR_GRAD_PRIORITY, tag("prior_grad"), prior);
         let delayed = self.emb.grad_op(&split.delayed);
         let t_delayed = comm.submit(DELAYED_GRAD_PRIORITY, tag("delayed_grad"), delayed);
-        // The owned chunk of the gradient is summed: update those weights,
-        // then ship them to every rank in W's own buffer.
+        // The owned chunk of the gradient is summed: update those elements,
+        // then ship them to every rank in the block's own buffer.
         let CommResult::ReduceScatterDense(summed) = t_w.wait().into_result()? else {
             unreachable!("dense reduce-scatter")
         };
-        let (rows, cols) = (self.w.rows(), self.w.cols());
-        let mut w = std::mem::replace(&mut self.w, DenseTensor::zeros(0, 0)).into_vec();
-        let owned = self.w_owned.clone();
-        self.opt_w.step_span(&mut w[owned.clone()], &summed[owned]);
-        let gather = CommOp::AllGatherDense(w);
+        let (rows, cols) = (self.dense.rows(), self.dense.cols());
+        let mut dense = std::mem::replace(&mut self.dense, DenseTensor::zeros(0, 0)).into_vec();
+        let owned = self.dense_owned.clone();
+        self.opt_dense.step_span(&mut dense[owned.clone()], &summed[owned]);
+        let gather = CommOp::AllGatherDense(dense);
         let t_gather = comm.submit(DENSE_GATHER_PRIORITY, tag("allgather_w"), gather);
         let prior = self.emb.finish_grad(t_prior.wait())?;
         self.emb.apply_grad(&prior, &mut self.opt_e, UpdatePart::Prior);
@@ -287,29 +363,61 @@ impl RankState {
         let CommResult::GatherTokens(all) = t_loss.wait().into_result()? else {
             unreachable!("loss gather")
         };
-        let CommResult::AllGatherDense(w) = t_gather.wait().into_result()? else {
+        let CommResult::AllGatherDense(dense) = t_gather.wait().into_result()? else {
             unreachable!("dense all-gather")
         };
-        self.w = DenseTensor::from_vec(rows, cols, w);
+        self.dense = DenseTensor::from_vec(rows, cols, dense);
         self.step += 1;
         // Summed in rank order, so every rank computes the identical f64.
         Ok(all.iter().map(|v| f32::from_bits(v[0]) as f64).sum())
     }
 }
 
+/// A run's initial state, drawn once before its ranks start.
+enum Start<M> {
+    /// The whole table, the dense block and the model: every rank starts
+    /// from a replica.
+    AllGather((DenseTensor, DenseTensor, M)),
+    EmbRace(PerRank<RankState<M>>),
+}
+
+impl<M: Model> Start<M> {
+    fn draw(method: TrainMethod, cfg: &ConvergenceConfig, sampler: &ZipfSampler) -> Self {
+        match method {
+            TrainMethod::HorovodAllGather => {
+                let (mut table, dense, model) = M::init(cfg, 1);
+                Start::AllGather((table.pop().expect("one shard"), dense, model))
+            }
+            TrainMethod::EmbRace => Start::EmbRace(RankState::initial(cfg, sampler)),
+        }
+    }
+
+    /// Rank `rank`'s run from this state: its per-step global losses.
+    fn run(
+        &self,
+        rank: usize,
+        ep: &mut Endpoint,
+        cfg: &ConvergenceConfig,
+        sampler: &ZipfSampler,
+    ) -> Vec<f64> {
+        match self {
+            Start::AllGather(init) => train_allgather(rank, ep, cfg, sampler, init),
+            Start::EmbRace(states) => train_embrace(ep, cfg, states.take(rank), false).0,
+        }
+    }
+}
+
+/// Train model `M` with `method`; returns the per-step global loss.
+pub(crate) fn train<M: Model>(method: TrainMethod, cfg: &ConvergenceConfig) -> ConvergenceResult {
+    let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
+    let start = Start::<M>::draw(method, cfg, &sampler);
+    let losses = run_group(cfg.world, |rank, ep| start.run(rank, ep, cfg, &sampler));
+    ConvergenceResult { losses: losses.into_iter().next().expect("at least one worker") }
+}
+
 /// Train the toy model with `method`; returns the per-step global loss.
 pub fn train_convergence(method: TrainMethod, cfg: &ConvergenceConfig) -> ConvergenceResult {
-    let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
-    let losses = match method {
-        TrainMethod::HorovodAllGather => {
-            run_group(cfg.world, |rank, ep| train_allgather(rank, ep, cfg, &sampler))
-        }
-        TrainMethod::EmbRace => {
-            let states = RankState::initial(cfg, &sampler);
-            run_group(cfg.world, |rank, ep| train_embrace(ep, cfg, states.take(rank), false).0)
-        }
-    };
-    ConvergenceResult { losses: losses.into_iter().next().expect("at least one worker") }
+    train::<Toy>(method, cfg)
 }
 
 /// Like [`train_convergence`], but with the observability recorder
@@ -326,13 +434,10 @@ pub fn train_convergence_observed(
     cfg: &ConvergenceConfig,
 ) -> (ConvergenceResult, Vec<SpanSet>) {
     let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
-    let states = (method == TrainMethod::EmbRace).then(|| RankState::initial(cfg, &sampler));
+    let start = Start::<Toy>::draw(method, cfg, &sampler);
     let per_rank = run_group(cfg.world, |rank, ep| {
         recorder::install(&format!("rank{rank}"));
-        let losses = match &states {
-            None => train_allgather(rank, ep, cfg, &sampler),
-            Some(states) => train_embrace(ep, cfg, states.take(rank), false).0,
-        };
+        let losses = start.run(rank, ep, cfg, &sampler);
         let spans = recorder::take().expect("recorder installed at worker start");
         (losses, spans)
     });
@@ -357,32 +462,33 @@ pub(crate) fn batch_stream(
     Prefetcher::new(BatchGen::new(sampler.clone(), cfg.tokens_per_batch, 0.0, seed))
 }
 
-fn train_allgather(
+/// Rank `rank`'s Horovod-AllGather run of `M` from a replica of `init`:
+/// the dense gradient ring-allreduced, the sparse one all-gathered,
+/// coalesced and applied whole.
+fn train_allgather<M: Model>(
     rank: usize,
     ep: &mut Endpoint,
     cfg: &ConvergenceConfig,
     sampler: &ZipfSampler,
+    init: &(DenseTensor, DenseTensor, M),
 ) -> Vec<f64> {
-    let (emb_init, w_init, targets) = init_toy_state(cfg);
-    let mut emb = EmbeddingTable::from_table(emb_init);
-    let mut w = w_init;
-    let mut opt_e = Adam::new(cfg.vocab, cfg.dim, cfg.lr);
-    let mut opt_w = Adam::new(cfg.dim, cfg.dim, cfg.lr);
+    let (table, dense, model) = init;
+    let mut emb = EmbeddingTable::from_table(table.share());
+    let mut dense = dense.share();
+    let mut opt_e = Adam::new(table.rows(), table.cols(), cfg.lr);
+    let mut opt_dense = Adam::new(dense.rows(), dense.cols(), cfg.lr);
     let mut stream = batch_stream(sampler, cfg, rank);
 
     let mut losses = Vec::with_capacity(cfg.steps);
     for step in 0..cfg.steps {
         let _span = recorder::span(&format!("step{step}"), "train");
-        let tokens = stream.advance().expect("infinite stream");
+        let tokens = model.expand(stream.advance().expect("infinite stream"));
         let lookup = emb.lookup(&tokens);
-        let (loss, mut grad_w, grad_rows) = fwd_bwd_toy(&lookup, &tokens, &w, &targets);
-        // Dense plane: ring AllReduce.
-        allreduce_dense_grad(ep, &mut grad_w);
-        // Sparse plane: AllGather the COO gradient, coalesce, apply whole.
-        let sparse = RowSparse::new(tokens.clone(), grad_rows);
-        let global = allgather_sparse_grad(ep, sparse);
+        let (loss, mut grad_dense, grad_rows) = model.fwd_bwd(&lookup, &tokens, &dense);
+        allreduce_dense_grad(ep, &mut grad_dense);
+        let global = allgather_sparse_grad(ep, RowSparse::new(tokens, grad_rows));
         opt_e.step_sparse(emb.table_mut(), &global, UpdatePart::Whole);
-        opt_w.step_dense(&mut w, &grad_w);
+        opt_dense.step_dense(&mut dense, &grad_dense);
         // Global loss, summed in rank order as in the EmbRace step.
         let all = allgather_dense(ep, DenseTensor::from_vec(1, 1, vec![loss as f32]));
         losses.push(all.iter().map(|t| t.as_slice()[0] as f64).sum());
@@ -413,13 +519,13 @@ impl<T> PerRank<T> {
 /// run, so its ring staging buffers carry over from step to step. Returns
 /// the per-step global losses, the scheduler's submission log and, when
 /// `observed`, its observation.
-pub(crate) fn train_embrace(
+pub(crate) fn train_embrace<M: Model>(
     ep: &mut Endpoint,
     cfg: &ConvergenceConfig,
-    mut st: RankState,
+    mut st: RankState<M>,
     observed: bool,
 ) -> (Vec<f64>, Vec<SubmittedOp>, Option<RankObservation>) {
-    let mut comm = CommScheduler::new(ep, sched_options(cfg, observed));
+    let mut comm = CommScheduler::new(ep, st.sched_options(observed));
     let losses = (0..cfg.steps)
         .map(|step| {
             let _span = recorder::span(&format!("step{step}"), "train");
@@ -471,16 +577,16 @@ impl<C: Comm> Comm for SendLog<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lstm::Lstm;
+    use crate::translation::Translation;
     use embrace_tensor::TOKEN_BYTES;
 
     #[test]
     fn shards_drawn_in_place_are_the_full_tables_columns() {
-        let cfg = ConvergenceConfig { vocab: 13, dim: 7, ..Default::default() };
-        let (table, w, targets) = init_toy_state(&cfg);
+        let table = DenseTensor::uniform(13, 7, 0.3, &mut StdRng::seed_from_u64(5));
         for world in 1..=4 {
-            let (shards, w2, targets2) = init_toy_shards(&cfg, world);
+            let shards = uniform_shards(13, 7, world, 0.3, &mut StdRng::seed_from_u64(5));
             assert_eq!(DenseTensor::concat_columns(&shards), table, "world {world}");
-            assert_eq!((w2, targets2), (w.clone(), targets.clone()), "world {world}");
         }
     }
 
@@ -499,8 +605,8 @@ mod tests {
         let states = RankState::initial(&cfg, &sampler);
         let logs = run_group(n, |rank, ep| {
             let mut log = SendLog::new(ep);
-            let mut st = states.take(rank);
-            st.run_step(&mut CommScheduler::new(&mut log, sched_options(&cfg, false)))
+            let mut st: RankState = states.take(rank);
+            st.run_step(&mut CommScheduler::new(&mut log, st.sched_options(false)))
                 .expect("fault-free");
             log.sent
         });
@@ -526,23 +632,71 @@ mod tests {
         }
     }
 
-    #[test]
-    fn embrace_converges_like_allgather() {
-        // The Fig. 11 claim: same convergence as the synchronous baseline.
-        let cfg = ConvergenceConfig::default();
-        let base = train_convergence(TrainMethod::HorovodAllGather, &cfg);
-        let embrace = train_convergence(TrainMethod::EmbRace, &cfg);
-        let scale = base.losses[0].abs().max(1.0);
-        let diff = base.max_curve_diff(&embrace) / scale;
-        assert!(diff < 1e-3, "curves diverge: relative diff {diff}");
+    type Trainer = fn(TrainMethod, &ConvergenceConfig) -> ConvergenceResult;
+
+    /// The three Fig. 11 models, each at a small shape of its own.
+    fn models() -> [(&'static str, Trainer, ConvergenceConfig); 3] {
+        let base = ConvergenceConfig { steps: 30, ..Default::default() };
+        let lstm = ConvergenceConfig {
+            vocab: 120,
+            dim: 8,
+            tokens_per_batch: 60,
+            lr: 0.06,
+            seed: 33,
+            ..base
+        };
+        let translation = ConvergenceConfig {
+            vocab: 150,
+            dim: 12,
+            tokens_per_batch: 48,
+            lr: 0.03,
+            seed: 21,
+            ..base
+        };
+        [
+            ("toy", train::<Toy>, base),
+            ("lstm", train::<Lstm>, lstm),
+            ("translation", train::<Translation>, translation),
+        ]
     }
 
     #[test]
-    fn deterministic_given_seed() {
-        let cfg = ConvergenceConfig { steps: 10, ..Default::default() };
-        let a = train_convergence(TrainMethod::EmbRace, &cfg);
-        let b = train_convergence(TrainMethod::EmbRace, &cfg);
-        assert_eq!(a.losses, b.losses);
+    fn every_model_converges_like_allgather_and_repeats() {
+        // The Fig. 11 claim — same convergence as the synchronous
+        // baseline — for every model at every world, bit for bit
+        // repeatable. At world 3 the LSTM's 608-element dense block
+        // (2·8·32 + 32 + 8·8) splits into unequal ring chunks.
+        for (name, train, cfg) in models() {
+            for world in 1..=4 {
+                let cfg = ConvergenceConfig { world, ..cfg };
+                let base = train(TrainMethod::HorovodAllGather, &cfg);
+                let embrace = train(TrainMethod::EmbRace, &cfg);
+                let diff = base.max_curve_diff(&embrace) / base.losses[0].abs().max(1.0);
+                assert!(diff < 1e-3, "{name} world {world}: relative diff {diff}");
+                let again = train(TrainMethod::EmbRace, &cfg);
+                assert_eq!(again.losses, embrace.losses, "{name} world {world}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_model_submits_the_same_step() {
+        // One step, one submission log: each op's kind and priority are
+        // the toy's for every model.
+        fn log<M: Model>(cfg: &ConvergenceConfig) -> Vec<Vec<(&'static str, i64)>> {
+            let cfg = ConvergenceConfig { world: 3, steps: 1, ..*cfg };
+            let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
+            let states = RankState::<M>::initial(&cfg, &sampler);
+            run_group(cfg.world, |rank, ep| {
+                let (_, log, _) = train_embrace(ep, &cfg, states.take(rank), false);
+                log.iter().map(|op| (op.kind, op.priority)).collect()
+            })
+        }
+        let [(_, _, toy), (_, _, lstm), (_, _, translation)] = models();
+        let want = log::<Toy>(&toy);
+        assert_eq!(want[0].len(), 8, "{want:?}");
+        assert_eq!(log::<Lstm>(&lstm), want);
+        assert_eq!(log::<Translation>(&translation), want);
     }
 
     #[test]

@@ -3,37 +3,33 @@
 //! 2D-scheduling priorities, and the comm scheduler drains it.
 //!
 //! There is one step, `real::RankState::run_step`, and it always runs
-//! through a [`embrace_collectives::CommScheduler`]; these entry
-//! points run the same training as `train_convergence(TrainMethod::EmbRace,
-//! _)` and also hand back what the schedulers recorded: every rank's
+//! through a [`embrace_collectives::CommScheduler`]; this entry
+//! point runs the same training as `train_convergence(TrainMethod::EmbRace,
+//! _)` and also hands back what the schedulers recorded: every rank's
 //! submission log for `embrace_analyzer`'s static plan verifier, and with
 //! `observe` set the wall-clock spans and [`embrace_collectives::OpTiming`]
 //! logs its happens-before analyzer checks.
 
 use crate::real::{
-    train_embrace, ConvergenceConfig, ConvergenceResult, RankObservation, RankState,
+    train_embrace, ConvergenceConfig, ConvergenceResult, RankObservation, RankState, Toy,
 };
 use embrace_collectives::{run_group, SubmittedOp};
 use embrace_models::ZipfSampler;
 
-/// Train the toy convergence model with the full scheduled pipeline:
-/// `train_convergence(TrainMethod::EmbRace, _)`, bit for bit.
-pub fn train_convergence_scheduled(cfg: &ConvergenceConfig) -> ConvergenceResult {
-    train_convergence_scheduled_observed(cfg, false).0
-}
-
-/// Like [`train_convergence_scheduled`], but also returns every rank's
-/// submission log (in submission order) and, when `observe` is set, every
-/// rank's scheduler spans and [`embrace_collectives::OpTiming`] log, so the
-/// happens-before analyzer — `embrace_analyzer::hb` — can check a *live*
-/// threaded run for determinism violations, priority inversions, and
-/// unordered conflicting accesses.
+/// Train the toy convergence model with the full scheduled pipeline —
+/// `train_convergence(TrainMethod::EmbRace, _)`, bit for bit — and also
+/// return every rank's submission log (in submission order) and, when
+/// `observe` is set, every rank's scheduler spans and
+/// [`embrace_collectives::OpTiming`] log, so the happens-before analyzer —
+/// `embrace_analyzer::hb` — can check a *live* threaded run for
+/// determinism violations, priority inversions, and unordered conflicting
+/// accesses.
 pub fn train_convergence_scheduled_observed(
     cfg: &ConvergenceConfig,
     observe: bool,
 ) -> (ConvergenceResult, Vec<Vec<SubmittedOp>>, Vec<RankObservation>) {
     let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
-    let states = RankState::initial(cfg, &sampler);
+    let states = RankState::<Toy>::initial(cfg, &sampler);
     let per_rank =
         run_group(cfg.world, |rank, ep| train_embrace(ep, cfg, states.take(rank), observe));
     let mut losses = None;

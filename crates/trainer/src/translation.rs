@@ -10,238 +10,104 @@
 //! dec_tokens → E_dec → ·W_dec → tanh ┘
 //! ```
 //!
-//! Trained two ways — EmbRace (both tables column-sharded, AlltoAll,
-//! per-table Algorithm 1 splits, modified Adam) and Horovod AllGather
-//! (replicated tables) — the loss curves must coincide, reproducing the
-//! Fig. 11b claim for the multi-embedding case.
+//! Both tables are row ranges of one column-sharded table: the encoder's
+//! rows are `[0, vocab)`, the decoder's `[vocab, 2·vocab)`. Each batch a
+//! rank draws is a sentence pair: its first half holds the encoder
+//! tokens, its second half the decoder tokens, which the expansion shifts
+//! by `vocab` into the decoder's rows (an odd batch's last token goes
+//! unused). One token gather, one AlltoAll #1 and one prior/delayed pair
+//! of AlltoAll #2 exchanges then serve both tables; the rows are
+//! disjoint, so per row the split, the sum and Adam are those of two
+//! tables exchanged apart.
+//!
+//! `Translation` is a `Model` of the one EmbRace step and the one
+//! AllGather baseline in [`crate::real`]; trained both ways, the loss
+//! curves must coincide, reproducing the Fig. 11b claim for the
+//! multi-embedding case.
 
-use embrace_baselines::horovod::{allgather_sparse_grad, allreduce_dense_grad};
-use embrace_collectives::ops::allgather_tokens;
-use embrace_collectives::{run_group, Endpoint};
-use embrace_core::{vertical_split, ColumnShardedEmbedding};
+use crate::real::{
+    flat_grad, leaves, train, uniform_block, uniform_shards, ConvergenceConfig, ConvergenceResult,
+    Model, TrainMethod,
+};
 use embrace_dlsim::autograd::Tape;
-use embrace_dlsim::optim::{Adam, Optimizer, UpdatePart};
-use embrace_dlsim::{EmbeddingTable, Prefetcher};
-use embrace_models::{BatchGen, ZipfSampler};
-use embrace_tensor::{DenseTensor, RowSparse};
+use embrace_tensor::DenseTensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::real::{ConvergenceConfig, ConvergenceResult, TrainMethod};
-
-/// Dense parameters of the micro-translation model.
-struct DenseParams {
-    w_enc: DenseTensor,
-    w_dec: DenseTensor,
-    w_out: DenseTensor,
+/// The dense block's parameters as `(rows, cols, init scale)`, in block
+/// order: `W_enc`, `W_dec` and `W_out`, each `d × d`.
+fn params(d: usize) -> [(usize, usize, f32); 3] {
+    [(d, d, 0.3); 3]
 }
 
-struct DenseOpts {
-    w_enc: Adam,
-    w_dec: Adam,
-    w_out: Adam,
+/// The translation model's read-only data: each decoder token's target
+/// vector (`vocab × dim`).
+#[derive(Clone)]
+pub(crate) struct Translation {
+    targets: DenseTensor,
 }
 
-fn init_translation_state(
-    cfg: &ConvergenceConfig,
-) -> (DenseTensor, DenseTensor, DenseParams, DenseTensor) {
-    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(77));
-    let e_enc = DenseTensor::uniform(cfg.vocab, cfg.dim, 0.3, &mut rng);
-    let e_dec = DenseTensor::uniform(cfg.vocab, cfg.dim, 0.3, &mut rng);
-    let params = DenseParams {
-        w_enc: DenseTensor::uniform(cfg.dim, cfg.dim, 0.3, &mut rng),
-        w_dec: DenseTensor::uniform(cfg.dim, cfg.dim, 0.3, &mut rng),
-        w_out: DenseTensor::uniform(cfg.dim, cfg.dim, 0.3, &mut rng),
-    };
-    let targets = DenseTensor::uniform(cfg.vocab, cfg.dim, 1.0, &mut rng);
-    (e_enc, e_dec, params, targets)
-}
-
-fn dense_opts(cfg: &ConvergenceConfig) -> DenseOpts {
-    DenseOpts {
-        w_enc: Adam::new(cfg.dim, cfg.dim, cfg.lr),
-        w_dec: Adam::new(cfg.dim, cfg.dim, cfg.lr),
-        w_out: Adam::new(cfg.dim, cfg.dim, cfg.lr),
+impl Model for Translation {
+    fn init(cfg: &ConvergenceConfig, world: usize) -> (Vec<DenseTensor>, DenseTensor, Translation) {
+        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(77));
+        let table = uniform_shards(2 * cfg.vocab, cfg.dim, world, 0.3, &mut rng);
+        let dense = uniform_block(&params(cfg.dim), &mut rng);
+        let targets = DenseTensor::uniform(cfg.vocab, cfg.dim, 1.0, &mut rng);
+        (table, dense, Translation { targets })
     }
-}
 
-/// One tape forward/backward. Returns
-/// `(loss, grad_w_enc, grad_w_dec, grad_w_out, grad_enc_lookup, grad_dec_lookup)`.
-#[allow(clippy::type_complexity)]
-fn step_tape(
-    enc_lookup: DenseTensor,
-    dec_lookup: DenseTensor,
-    dec_tokens: &[u32],
-    params: &DenseParams,
-    targets: &DenseTensor,
-) -> (f64, DenseTensor, DenseTensor, DenseTensor, DenseTensor, DenseTensor) {
-    let mut tape = Tape::new();
-    let enc_in = tape.leaf(enc_lookup, true);
-    let dec_in = tape.leaf(dec_lookup, true);
-    let w_enc = tape.leaf(params.w_enc.clone(), true);
-    let w_dec = tape.leaf(params.w_dec.clone(), true);
-    let w_out = tape.leaf(params.w_out.clone(), true);
+    /// The batch's first half as encoder rows, its second half shifted
+    /// into the decoder's.
+    fn expand(&self, mut batch: Vec<u32>) -> Vec<u32> {
+        let pairs = batch.len() / 2;
+        batch.truncate(2 * pairs);
+        for t in &mut batch[pairs..] {
+            *t += self.targets.rows() as u32;
+        }
+        batch
+    }
 
-    let he = tape.matmul(enc_in, w_enc);
-    let he = tape.tanh(he);
-    let hd = tape.matmul(dec_in, w_dec);
-    let hd = tape.tanh(hd);
-    let h = tape.add(he, hd);
-    let y = tape.matmul(h, w_out);
-    let target = targets.gather_rows(dec_tokens);
-    let loss = tape.mse_loss(y, &target);
-    tape.backward(loss);
+    fn fwd_bwd(
+        &self,
+        lookup: &DenseTensor,
+        tokens: &[u32],
+        dense: &DenseTensor,
+    ) -> (f64, DenseTensor, DenseTensor) {
+        let pairs = tokens.len() / 2;
+        let mut tape = Tape::new();
+        let enc_in = tape.leaf(lookup.slice_rows(0, pairs), true);
+        let dec_in = tape.leaf(lookup.slice_rows(pairs, 2 * pairs), true);
+        let [w_enc, w_dec, w_out] = leaves(&mut tape, dense, params(lookup.cols()));
 
-    (
-        tape.scalar(loss) as f64,
-        tape.grad(w_enc).clone(),
-        tape.grad(w_dec).clone(),
-        tape.grad(w_out).clone(),
-        tape.grad(enc_in).clone(),
-        tape.grad(dec_in).clone(),
-    )
-}
+        let he = tape.matmul(enc_in, w_enc);
+        let he = tape.tanh(he);
+        let hd = tape.matmul(dec_in, w_dec);
+        let hd = tape.tanh(hd);
+        let h = tape.add(he, hd);
+        let y = tape.matmul(h, w_out);
+        let vocab = self.targets.rows() as u32;
+        let dec_tokens: Vec<u32> = tokens[pairs..].iter().map(|&t| t - vocab).collect();
+        let loss = tape.mse_loss(y, &self.targets.gather_rows(&dec_tokens));
+        tape.backward(loss);
 
-/// Per-rank batch streams for the encoder and decoder sides (different
-/// sub-corpora, same batch length).
-fn streams(
-    cfg: &ConvergenceConfig,
-    rank: usize,
-) -> (Prefetcher<Vec<u32>, BatchGen>, Prefetcher<Vec<u32>, BatchGen>) {
-    let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
-    let enc =
-        BatchGen::new(sampler.clone(), cfg.tokens_per_batch, 0.0, cfg.seed ^ ((rank as u64) << 32));
-    let dec = BatchGen::new(
-        sampler,
-        cfg.tokens_per_batch,
-        0.0,
-        cfg.seed ^ ((rank as u64) << 32) ^ 0xDEC0,
-    );
-    (Prefetcher::new(enc), Prefetcher::new(dec))
-}
-
-fn global_loss(ep: &mut Endpoint, local: f64) -> f64 {
-    let all = embrace_collectives::ops::allgather_dense(
-        ep,
-        DenseTensor::from_vec(1, 1, vec![local as f32]),
-    );
-    all.iter().map(|t| t.as_slice()[0] as f64).sum()
+        let grad_rows = [tape.grad(enc_in).clone(), tape.grad(dec_in).clone()];
+        let grad_dense = flat_grad(&tape, &[w_enc, w_dec, w_out]);
+        (tape.scalar(loss) as f64, grad_dense, DenseTensor::concat_rows(&grad_rows))
+    }
 }
 
 /// Train the translation micro-model; per-step global loss curve.
 pub fn train_translation(method: TrainMethod, cfg: &ConvergenceConfig) -> ConvergenceResult {
-    let losses = run_group(cfg.world, |rank, ep| match method {
-        TrainMethod::HorovodAllGather => worker_allgather(rank, ep, cfg),
-        TrainMethod::EmbRace => worker_embrace(rank, ep, cfg),
-    });
-    ConvergenceResult { losses: losses.into_iter().next().expect("at least one worker") }
-}
-
-fn apply_dense(
-    ep: &mut Endpoint,
-    params: &mut DenseParams,
-    opts: &mut DenseOpts,
-    grads: (DenseTensor, DenseTensor, DenseTensor),
-) {
-    let (mut ge, mut gd, mut go) = grads;
-    allreduce_dense_grad(ep, &mut ge);
-    allreduce_dense_grad(ep, &mut gd);
-    allreduce_dense_grad(ep, &mut go);
-    opts.w_enc.step_dense(&mut params.w_enc, &ge);
-    opts.w_dec.step_dense(&mut params.w_dec, &gd);
-    opts.w_out.step_dense(&mut params.w_out, &go);
-}
-
-fn worker_allgather(rank: usize, ep: &mut Endpoint, cfg: &ConvergenceConfig) -> Vec<f64> {
-    let (e_enc, e_dec, mut params, targets) = init_translation_state(cfg);
-    let mut enc_table = EmbeddingTable::from_table(e_enc);
-    let mut dec_table = EmbeddingTable::from_table(e_dec);
-    let mut opt_enc = Adam::new(cfg.vocab, cfg.dim, cfg.lr);
-    let mut opt_dec = Adam::new(cfg.vocab, cfg.dim, cfg.lr);
-    let mut opts = dense_opts(cfg);
-    let (mut enc_stream, mut dec_stream) = streams(cfg, rank);
-
-    let mut losses = Vec::with_capacity(cfg.steps);
-    for _ in 0..cfg.steps {
-        let enc_tokens = enc_stream.advance().expect("infinite");
-        let dec_tokens = dec_stream.advance().expect("infinite");
-        let (loss, ge, gd, go, g_enc_rows, g_dec_rows) = step_tape(
-            enc_table.lookup(&enc_tokens),
-            dec_table.lookup(&dec_tokens),
-            &dec_tokens,
-            &params,
-            &targets,
-        );
-        apply_dense(ep, &mut params, &mut opts, (ge, gd, go));
-        let g_enc = allgather_sparse_grad(ep, RowSparse::new(enc_tokens, g_enc_rows));
-        opt_enc.step_sparse(enc_table.table_mut(), &g_enc, UpdatePart::Whole);
-        let g_dec = allgather_sparse_grad(ep, RowSparse::new(dec_tokens, g_dec_rows));
-        opt_dec.step_sparse(dec_table.table_mut(), &g_dec, UpdatePart::Whole);
-        losses.push(global_loss(ep, loss));
-    }
-    losses
-}
-
-fn worker_embrace(rank: usize, ep: &mut Endpoint, cfg: &ConvergenceConfig) -> Vec<f64> {
-    let (e_enc, e_dec, mut params, targets) = init_translation_state(cfg);
-    let mut enc_emb = ColumnShardedEmbedding::new(&e_enc, rank, cfg.world);
-    let mut dec_emb = ColumnShardedEmbedding::new(&e_dec, rank, cfg.world);
-    let mut opt_enc = Adam::new(cfg.vocab, enc_emb.shard_dim(), cfg.lr);
-    let mut opt_dec = Adam::new(cfg.vocab, dec_emb.shard_dim(), cfg.lr);
-    let mut opts = dense_opts(cfg);
-    let (mut enc_stream, mut dec_stream) = streams(cfg, rank);
-
-    let mut losses = Vec::with_capacity(cfg.steps);
-    for _ in 0..cfg.steps {
-        let enc_tokens = enc_stream.advance().expect("infinite");
-        let dec_tokens = dec_stream.advance().expect("infinite");
-        let enc_next = enc_stream.peek_next().expect("infinite").clone();
-        let dec_next = dec_stream.peek_next().expect("infinite").clone();
-
-        // Hybrid FP for both tables.
-        let all_enc = allgather_tokens(ep, enc_tokens.clone());
-        let enc_lookup = enc_emb.forward(ep, &all_enc);
-        let all_dec = allgather_tokens(ep, dec_tokens.clone());
-        let dec_lookup = dec_emb.forward(ep, &all_dec);
-
-        let (loss, ge, gd, go, g_enc_rows, g_dec_rows) =
-            step_tape(enc_lookup, dec_lookup, &dec_tokens, &params, &targets);
-        apply_dense(ep, &mut params, &mut opts, (ge, gd, go));
-
-        // Per-table vertical split and split-Adam updates.
-        let next_enc_gathered: Vec<u32> = allgather_tokens(ep, enc_next).concat();
-        let split = vertical_split(
-            &RowSparse::new(enc_tokens.clone(), g_enc_rows),
-            &enc_tokens,
-            &next_enc_gathered,
-        );
-        let prior = enc_emb.exchange_grad_part(ep, &split.prior);
-        enc_emb.apply_grad(&prior, &mut opt_enc, UpdatePart::Prior);
-        let delayed = enc_emb.exchange_grad_part(ep, &split.delayed);
-        enc_emb.apply_grad(&delayed, &mut opt_enc, UpdatePart::Delayed);
-
-        let next_dec_gathered: Vec<u32> = allgather_tokens(ep, dec_next).concat();
-        let split = vertical_split(
-            &RowSparse::new(dec_tokens.clone(), g_dec_rows),
-            &dec_tokens,
-            &next_dec_gathered,
-        );
-        let prior = dec_emb.exchange_grad_part(ep, &split.prior);
-        dec_emb.apply_grad(&prior, &mut opt_dec, UpdatePart::Prior);
-        let delayed = dec_emb.exchange_grad_part(ep, &split.delayed);
-        dec_emb.apply_grad(&delayed, &mut opt_dec, UpdatePart::Delayed);
-
-        losses.push(global_loss(ep, loss));
-    }
-    losses
+    train::<Translation>(method, cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn cfg() -> ConvergenceConfig {
-        ConvergenceConfig {
+    #[test]
+    fn translation_model_learns() {
+        let cfg = ConvergenceConfig {
             world: 4,
             vocab: 150,
             dim: 12,
@@ -251,32 +117,16 @@ mod tests {
             zipf_s: 0.9,
             seed: 21,
             ..Default::default()
-        }
-    }
-
-    #[test]
-    fn translation_model_learns() {
-        let r = train_translation(TrainMethod::HorovodAllGather, &cfg());
+        };
+        let r = train_translation(TrainMethod::HorovodAllGather, &cfg);
         let early: f64 = r.losses[..5].iter().sum();
         let late: f64 = r.losses[35..].iter().sum();
         assert!(late < early * 0.6, "early {early} late {late}");
     }
 
     #[test]
-    fn embrace_translation_matches_allgather() {
-        // Fig. 11b: the translation model converges identically.
-        let cfg = cfg();
-        let base = train_translation(TrainMethod::HorovodAllGather, &cfg);
-        let embrace = train_translation(TrainMethod::EmbRace, &cfg);
-        let rel = base.max_curve_diff(&embrace) / base.losses[0].max(1.0);
-        assert!(rel < 1e-3, "curves diverge: {rel}");
-    }
-
-    #[test]
-    fn deterministic() {
-        let cfg = ConvergenceConfig { steps: 6, ..cfg() };
-        let a = train_translation(TrainMethod::EmbRace, &cfg);
-        let b = train_translation(TrainMethod::EmbRace, &cfg);
-        assert_eq!(a.losses, b.losses);
+    fn decoder_tokens_are_the_second_half_shifted() {
+        let model = Translation { targets: DenseTensor::zeros(10, 1) };
+        assert_eq!(model.expand(vec![1, 2, 3, 4, 5]), [1, 2, 13, 14]);
     }
 }

@@ -67,7 +67,7 @@ fn main() {
             assert_eq!(lookup.rows(), toks.len());
             // Backward with an all-ones output gradient.
             let grad_out = DenseTensor::full(toks.len(), DIM, 1.0);
-            let shard_grad = emb.backward(ep, &toks, &grad_out);
+            let shard_grad = emb.exchange_grad_part(ep, &RowSparse::new(toks, grad_out));
             let mut opt = Sgd::new(lr);
             emb.apply_grad(&shard_grad, &mut opt, UpdatePart::Whole);
             bytes_moved = ep.bytes_sent();

@@ -110,7 +110,7 @@ fn world_size_does_not_change_the_math() {
                 let all_tokens = allgather_tokens(ep, mine.clone());
                 let lookup = emb.forward(ep, &all_tokens);
                 let raw = grad_for(&lookup, &mine);
-                let shard_grad = emb.backward(ep, &mine, raw.values());
+                let shard_grad = emb.exchange_grad_part(ep, &raw);
                 emb.apply_grad(&shard_grad, &mut opt, UpdatePart::Whole);
             }
             emb
