@@ -1,246 +1,11 @@
-//! Failure events in the discrete-event engine, and a recovery cost model.
+//! A recovery cost model for losing a rank.
 //!
-//! The transport layer injects faults into *real* communication
-//! ([`embrace-collectives`]'s `FaultPlan`); this module injects the same
-//! fault shapes into *simulated time*, so the price of a failure — work
-//! lost, detection latency, recovery strategy — can be studied at cluster
-//! scales the in-process mesh cannot reach.
-//!
-//! Two pieces:
-//!
-//! * [`MultiSim::run_with_faults`] — executes the step DAG under a list of
-//!   [`FaultEvent`]s. A crashed worker kills its running task and never
-//!   schedules another; when the DAG can make no further progress (a
-//!   collective barrier waits on the dead worker forever), the job aborts
-//!   `detect_timeout` later — the simulated analogue of survivors
-//!   observing `PeerGone`/`Timeout` on the real transport.
-//! * [`RecoveryModel`] — prices the two standard responses to losing a
-//!   rank: **checkpoint/restart** (pay a rollback to the last checkpoint
-//!   plus restart overhead, keep full throughput) versus **group shrink**
-//!   (pay a one-off re-form, then run every remaining step slower on
-//!   fewer workers).
-
-use crate::event::Res;
-use crate::multiworker::{MultiSim, MwKind};
-use crate::trace::{Span, Trace};
-
-/// A fault injected into simulated time.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum FaultEvent {
-    /// Worker `worker` dies at time `at`: its running task is killed and
-    /// it never schedules another.
-    WorkerCrash { worker: usize, at: f64 },
-    /// From time `at` on, every collective that *starts* takes
-    /// `factor`× its nominal duration (congestion, flaky NIC, failover to
-    /// a slower path). Later events override earlier ones.
-    LinkDegrade { at: f64, factor: f64 },
-    /// Persistent straggler: from time `at` on, every *compute* task
-    /// worker `worker` starts takes `factor`× its nominal duration — the
-    /// simulated-time twin of the threaded transport's
-    /// `FaultPlan::straggle_rank`. Later events override earlier ones.
-    WorkerStraggle { worker: usize, at: f64, factor: f64 },
-    /// Flaky link: collectives that start inside `[at, until)` take
-    /// `factor`× their nominal duration, after which the link heals and
-    /// timing reverts — the simulated-time twin of the threaded
-    /// transport's `FaultPlan::flaky_link`. Composes multiplicatively
-    /// with [`FaultEvent::LinkDegrade`].
-    LinkFlaky { at: f64, until: f64, factor: f64 },
-}
-
-impl FaultEvent {
-    fn at(&self) -> f64 {
-        match *self {
-            FaultEvent::WorkerCrash { at, .. }
-            | FaultEvent::LinkDegrade { at, .. }
-            | FaultEvent::WorkerStraggle { at, .. }
-            | FaultEvent::LinkFlaky { at, .. } => at,
-        }
-    }
-}
-
-/// Outcome of [`MultiSim::run_with_faults`].
-#[derive(Clone, Debug)]
-pub struct FaultOutcome {
-    /// Tasks that ran to completion.
-    pub completed: usize,
-    /// Tasks in the DAG.
-    pub total: usize,
-    /// `Some(t)` if the job aborted at time `t` (stall detected
-    /// `detect_timeout` after the last possible progress); `None` if every
-    /// task completed.
-    pub aborted_at: Option<f64>,
-    /// End of the run: last span end, or the abort time.
-    pub makespan: f64,
-    /// Spans of the tasks that completed (killed tasks leave no span).
-    pub trace: Trace,
-}
-
-impl FaultOutcome {
-    pub fn is_clean(&self) -> bool {
-        self.aborted_at.is_none() && self.completed == self.total
-    }
-}
-
-impl MultiSim {
-    /// Execute the DAG under injected faults. Semantics:
-    ///
-    /// * scheduling is identical to [`MultiSim::run`] until a fault fires;
-    /// * a [`FaultEvent::WorkerCrash`] kills the worker's running task
-    ///   (no span is recorded for it) and removes the worker from service;
-    /// * a [`FaultEvent::LinkDegrade`] scales the duration of collectives
-    ///   that start after it;
-    /// * when no task is running and none can become ready (dependencies
-    ///   died with a crashed worker), survivors are deemed to detect the
-    ///   failure `detect_timeout` after the stall and the job aborts.
-    ///
-    /// With an empty fault list this reproduces [`MultiSim::run`] exactly.
-    pub fn run_with_faults(&self, events: &[FaultEvent], detect_timeout: f64) -> FaultOutcome {
-        let n = self.tasks.len();
-        let mut pending: Vec<FaultEvent> = events.to_vec();
-        pending.sort_by(|a, b| a.at().total_cmp(&b.at()));
-        let mut pending = std::collections::VecDeque::from(pending);
-
-        let mut indegree: Vec<usize> = self.tasks.iter().map(|t| t.deps.len()).collect();
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (id, t) in self.tasks.iter().enumerate() {
-            for &d in &t.deps {
-                succs[d].push(id);
-            }
-        }
-
-        let mut ready_w: Vec<Vec<usize>> = vec![Vec::new(); self.workers];
-        let mut ready_net: std::collections::VecDeque<usize> = Default::default();
-        let push_ready =
-            |id: usize, rw: &mut Vec<Vec<usize>>, rn: &mut std::collections::VecDeque<usize>| {
-                match self.tasks[id].kind {
-                    MwKind::Compute(w) => {
-                        let pos = rw[w].partition_point(|&x| x < id);
-                        rw[w].insert(pos, id);
-                    }
-                    MwKind::Collective => rn.push_back(id),
-                }
-            };
-        for (id, &deg) in indegree.iter().enumerate() {
-            if deg == 0 {
-                push_ready(id, &mut ready_w, &mut ready_net);
-            }
-        }
-
-        let mut now = 0.0_f64;
-        let mut crashed = vec![false; self.workers];
-        let mut degrade = 1.0_f64;
-        let mut straggle = vec![1.0_f64; self.workers];
-        // Active flaky window, if any: (until, factor).
-        let mut flaky: Option<(f64, f64)> = None;
-        // One running slot per worker + one for the network: (end, id, start).
-        let mut running: Vec<Option<(f64, usize, f64)>> = vec![None; self.workers + 1];
-        let net = self.workers;
-        let mut spans: Vec<Span> = Vec::new();
-        let mut done = 0usize;
-
-        loop {
-            // Apply fault events due at or before `now`.
-            while pending.front().is_some_and(|e| e.at() <= now) {
-                match pending.pop_front().unwrap() {
-                    FaultEvent::WorkerCrash { worker, .. } => {
-                        assert!(worker < self.workers, "crashing unknown worker {worker}");
-                        crashed[worker] = true;
-                        running[worker] = None; // running task killed, no span
-                        ready_w[worker].clear();
-                    }
-                    FaultEvent::LinkDegrade { factor, .. } => degrade = factor,
-                    FaultEvent::WorkerStraggle { worker, factor, .. } => {
-                        assert!(worker < self.workers, "straggling unknown worker {worker}");
-                        straggle[worker] = factor;
-                    }
-                    FaultEvent::LinkFlaky { until, factor, .. } => flaky = Some((until, factor)),
-                }
-            }
-
-            // Fill free slots (crashed workers excluded).
-            for w in 0..self.workers {
-                if !crashed[w] && running[w].is_none() {
-                    if let Some(&id) = ready_w[w].first() {
-                        ready_w[w].remove(0);
-                        running[w] = Some((now + self.tasks[id].dur * straggle[w], id, now));
-                    }
-                }
-            }
-            if running[net].is_none() {
-                if let Some(id) = ready_net.pop_front() {
-                    let mut scale = degrade;
-                    if let Some((until, factor)) = flaky {
-                        if now < until {
-                            scale *= factor;
-                        }
-                    }
-                    running[net] = Some((now + self.tasks[id].dur * scale, id, now));
-                }
-            }
-
-            // Next event: earliest task completion or fault firing.
-            let next_end =
-                running.iter().flatten().map(|&(e, _, _)| e).fold(f64::INFINITY, f64::min);
-            let next_fault = pending.front().map_or(f64::INFINITY, |e| e.at());
-            if !next_end.is_finite() && done == n {
-                break; // all tasks completed; any later fault is moot
-            }
-            if !next_end.is_finite() && !next_fault.is_finite() {
-                // Nothing running, nothing can become ready. Tasks stranded
-                // on the crashed worker itself are merely *lost*; a task
-                // stranded on a surviving worker or the network means
-                // survivors are blocked on the dead rank — that is the
-                // failure they detect `detect_timeout` later.
-                let mut finished = vec![false; n];
-                for s in &spans {
-                    finished[s.task] = true;
-                }
-                let survivor_stuck = self.tasks.iter().enumerate().any(|(id, t)| {
-                    !finished[id] && !matches!(t.kind, MwKind::Compute(w) if crashed[w])
-                });
-                if !survivor_stuck {
-                    break; // clean finish for every surviving resource
-                }
-                let makespan = now + detect_timeout;
-                return FaultOutcome {
-                    completed: done,
-                    total: n,
-                    aborted_at: Some(makespan),
-                    makespan,
-                    trace: Trace { spans },
-                };
-            }
-            now = next_end.min(next_fault);
-
-            for (slot, r) in running.iter_mut().enumerate() {
-                if let Some((end, id, start)) = *r {
-                    if end <= now {
-                        let t = &self.tasks[id];
-                        let res = if slot == net { Res::Comm } else { Res::Compute };
-                        spans.push(Span { task: id, name: t.name.clone(), res, start, end });
-                        done += 1;
-                        for &s in &succs[id] {
-                            indegree[s] -= 1;
-                            if indegree[s] == 0 {
-                                push_ready(s, &mut ready_w, &mut ready_net);
-                            }
-                        }
-                        *r = None;
-                    }
-                }
-            }
-        }
-
-        let makespan = spans.iter().map(|s| s.end).fold(0.0, f64::max);
-        FaultOutcome {
-            completed: done,
-            total: n,
-            aborted_at: None,
-            makespan,
-            trace: Trace { spans },
-        }
-    }
-}
+//! [`RecoveryModel`] prices the two standard responses to a crashed
+//! worker: **checkpoint/restart** (pay a rollback to the last checkpoint
+//! plus restart overhead, keep full throughput) versus **group shrink**
+//! (pay a one-off re-form, then run every remaining step slower on fewer
+//! workers). The elastic trainer and `embrace_sim scenarios` use it to
+//! price crashes measured on the live threaded transport.
 
 /// Which recovery strategy to take after losing a rank.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -384,93 +149,9 @@ impl RecoveryModel {
     }
 }
 
-/// One synchronous data-parallel step (as [`crate::synchronous_step`])
-/// with worker `crash_worker` dying at `crash_at`; survivors detect the
-/// failure `detect_timeout` after the DAG stalls.
-pub fn synchronous_step_with_crash(
-    compute_scale: &[f64],
-    bp: f64,
-    comm: f64,
-    fp: f64,
-    crash_worker: usize,
-    crash_at: f64,
-    detect_timeout: f64,
-) -> FaultOutcome {
-    use crate::multiworker::MwTask;
-    let workers = compute_scale.len();
-    let mut sim = MultiSim::new(workers);
-    let mut bp_ids = Vec::with_capacity(workers);
-    for (w, &scale) in compute_scale.iter().enumerate() {
-        bp_ids.push(sim.add(MwTask::compute(w, format!("w{w}/bp"), bp * scale)));
-    }
-    let coll = sim.add(MwTask::collective("allreduce", comm).after(bp_ids));
-    for (w, &scale) in compute_scale.iter().enumerate() {
-        sim.add(MwTask::compute(w, format!("w{w}/fp"), fp * scale).after([coll]));
-    }
-    sim.run_with_faults(
-        &[FaultEvent::WorkerCrash { worker: crash_worker, at: crash_at }],
-        detect_timeout,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multiworker::{synchronous_step, MwTask};
-
-    #[test]
-    fn empty_fault_list_matches_plain_run() {
-        let clean = synchronous_step(&[1.0, 1.2, 1.0], 2.0, 1.0, 1.0);
-        let mut sim = MultiSim::new(3);
-        let mut bp = Vec::new();
-        for (w, s) in [1.0, 1.2, 1.0].iter().enumerate() {
-            bp.push(sim.add(MwTask::compute(w, format!("w{w}/bp"), 2.0 * s)));
-        }
-        let c = sim.add(MwTask::collective("allreduce", 1.0).after(bp));
-        for (w, s) in [1.0f64, 1.2, 1.0].iter().enumerate() {
-            sim.add(MwTask::compute(w, format!("w{w}/fp"), *s).after([c]));
-        }
-        let faulty = sim.run_with_faults(&[], 10.0);
-        assert!(faulty.is_clean());
-        assert!((faulty.makespan - clean.makespan).abs() < 1e-12);
-        assert_eq!(faulty.trace.spans.len(), clean.trace.spans.len());
-    }
-
-    #[test]
-    fn crash_before_barrier_aborts_after_detect_timeout() {
-        // bp takes 2s; worker 1 dies at t=1 mid-bp. Survivors finish bp at
-        // t=2, the collective never becomes ready, stall detected, abort
-        // at 2 + detect.
-        let out = synchronous_step_with_crash(&[1.0; 4], 2.0, 1.0, 1.0, 1, 1.0, 5.0);
-        assert_eq!(out.aborted_at, Some(7.0));
-        assert!((out.makespan - 7.0).abs() < 1e-12);
-        // 3 surviving bp tasks completed, nothing else.
-        assert_eq!(out.completed, 3);
-        assert_eq!(out.total, 4 + 1 + 4);
-    }
-
-    #[test]
-    fn crash_after_last_dependency_still_completes_rest() {
-        // Worker 3 dies after its bp finished and after the collective's
-        // dependencies are satisfied: the collective and the other
-        // workers' fp still run; only w3/fp is lost.
-        let out = synchronous_step_with_crash(&[1.0; 4], 2.0, 1.0, 1.0, 3, 2.5, 5.0);
-        assert_eq!(out.aborted_at, None, "{out:?}");
-        assert_eq!(out.completed, out.total - 1);
-        assert!((out.makespan - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn link_degradation_slows_collectives_started_after_it() {
-        let mut sim = MultiSim::new(1);
-        sim.add(MwTask::collective("early", 1.0));
-        sim.add(MwTask::collective("late", 1.0));
-        // Degrade fires at t=0.5: "early" (started at 0) is unaffected,
-        // "late" (starts at 1.0) takes 3x.
-        let out = sim.run_with_faults(&[FaultEvent::LinkDegrade { at: 0.5, factor: 3.0 }], 10.0);
-        assert!(out.is_clean());
-        assert!((out.makespan - 4.0).abs() < 1e-12, "{}", out.makespan);
-    }
 
     #[test]
     fn recovery_model_prefers_shrink_near_the_end() {
@@ -490,62 +171,6 @@ mod tests {
         // Shrink runs remaining steps at 4/3 the step time.
         let shrink = m.group_shrink_cost(100);
         assert!((shrink - (5.0 + 100.0 * 2.0 * (4.0 / 3.0))).abs() < 1e-9);
-    }
-
-    #[test]
-    fn crash_at_time_zero_kills_everything_downstream() {
-        let out = synchronous_step_with_crash(&[1.0, 1.0], 1.0, 1.0, 1.0, 0, 0.0, 2.0);
-        // Worker 1's bp completes at t=1; stall; abort at 3.
-        assert_eq!(out.completed, 1);
-        assert_eq!(out.aborted_at, Some(3.0));
-    }
-
-    #[test]
-    fn worker_straggle_slows_only_that_workers_compute() {
-        // Two workers, bp 2s each, then a 1s collective. Worker 1
-        // straggles 3x from t=0: its bp takes 6s, the barrier waits for
-        // it, makespan = 6 + 1.
-        let mut sim = MultiSim::new(2);
-        let mut bp = Vec::new();
-        for w in 0..2 {
-            bp.push(sim.add(MwTask::compute(w, format!("w{w}/bp"), 2.0)));
-        }
-        sim.add(MwTask::collective("allreduce", 1.0).after(bp));
-        let out = sim.run_with_faults(
-            &[FaultEvent::WorkerStraggle { worker: 1, at: 0.0, factor: 3.0 }],
-            10.0,
-        );
-        assert!(out.is_clean());
-        assert!((out.makespan - 7.0).abs() < 1e-12, "{}", out.makespan);
-    }
-
-    #[test]
-    fn straggle_is_persistent_across_steps() {
-        // Two chained compute tasks on the straggler keep paying the
-        // factor — unlike a one-shot delay.
-        let mut sim = MultiSim::new(1);
-        let a = sim.add(MwTask::compute(0, "s0", 1.0));
-        sim.add(MwTask::compute(0, "s1", 1.0).after([a]));
-        let out = sim.run_with_faults(
-            &[FaultEvent::WorkerStraggle { worker: 0, at: 0.0, factor: 2.0 }],
-            5.0,
-        );
-        assert!((out.makespan - 4.0).abs() < 1e-12, "{}", out.makespan);
-    }
-
-    #[test]
-    fn flaky_link_degrades_inside_window_then_heals() {
-        // Three back-to-back 1s collectives; flaky window [0.5, 1.5) at
-        // 4x. "c0" starts at 0 (clean, ends 1), "c1" starts at 1 (inside
-        // the window: 4s, ends 5), "c2" starts at 5 (healed, ends 6).
-        let mut sim = MultiSim::new(1);
-        let c0 = sim.add(MwTask::collective("c0", 1.0));
-        let c1 = sim.add(MwTask::collective("c1", 1.0).after([c0]));
-        sim.add(MwTask::collective("c2", 1.0).after([c1]));
-        let out = sim
-            .run_with_faults(&[FaultEvent::LinkFlaky { at: 0.5, until: 1.5, factor: 4.0 }], 10.0);
-        assert!(out.is_clean());
-        assert!((out.makespan - 6.0).abs() < 1e-12, "{}", out.makespan);
     }
 
     #[test]
@@ -580,35 +205,5 @@ mod tests {
         assert!((m.checkpoint_restart_cost(0, 1100) - m.group_shrink_cost(1100)).abs() < 1e-9);
         assert_eq!(m.cheaper(0, 1100), Recovery::GroupShrink);
         assert_eq!(m.cheaper(0, 1101), Recovery::CheckpointRestart);
-    }
-
-    #[test]
-    fn two_tenants_share_links_by_priority() {
-        use crate::event::{CommOrder, Res, Sim, Task};
-        // Job A (latency-critical, priority 0) and job B (batch,
-        // priority 5) each issue two collectives at t=0 over the shared
-        // network. Under Priority ordering all of A's traffic drains
-        // before B's; under FIFO they interleave in submission order.
-        let build = |order: CommOrder| {
-            let mut sim = Sim::new(order);
-            sim.add(Task::comm("b/0", 2.0, 5));
-            sim.add(Task::comm("a/0", 1.0, 0));
-            sim.add(Task::comm("b/1", 2.0, 5));
-            sim.add(Task::comm("a/1", 1.0, 0));
-            sim.run()
-        };
-        let end_of = |r: &crate::event::SimResult, name: &str| {
-            r.trace.spans.iter().find(|s| s.name == name).unwrap().end
-        };
-        let prio = build(CommOrder::Priority);
-        assert_eq!(prio.occupancy(Res::Comm), 1.0);
-        // Tenant A's last collective finishes before tenant B's first.
-        assert!((end_of(&prio, "a/1") - 2.0).abs() < 1e-12, "{prio:?}");
-        assert!(end_of(&prio, "b/0") >= 4.0 - 1e-12);
-        let fifo = build(CommOrder::Fifo);
-        // FIFO makes A wait behind B's first transfer.
-        assert!(end_of(&fifo, "a/0") >= 3.0 - 1e-12, "{fifo:?}");
-        // Total makespan is work-conserving either way.
-        assert!((prio.makespan - fifo.makespan).abs() < 1e-12);
     }
 }

@@ -3,15 +3,18 @@
 //! The paper's quantitative results are functions of *time*: collective
 //! latencies under an α–β (startup-latency / bandwidth) model, and training
 //! step timelines produced by scheduling compute and communication tasks on
-//! a GPU stream and a network stream. This crate provides:
+//! GPU streams and a shared network stream. This crate provides:
 //!
 //! * [`topology`] — cluster shapes (nodes × GPUs/node, GPU kind, link
 //!   bandwidths) mirroring the paper's RTX3090 and RTX2080 testbeds;
 //! * [`cost`] — analytic communication-cost functions for AlltoAll,
 //!   ring-AllReduce, AllGather, Parameter Server and OmniReduce (paper
 //!   Table 2 plus the effective-bandwidth refinement of §4.1.2);
-//! * [`event`] — a discrete-event engine executing a DAG of compute and
-//!   communication tasks with FIFO or priority-queue network scheduling;
+//! * [`event`] — the discrete-event engine: a DAG of compute tasks on
+//!   per-worker streams and collectives on one shared network, drained
+//!   FIFO, by priority, or preemptively;
+//! * [`failure`] — the checkpoint/restart vs group-shrink recovery cost
+//!   model;
 //! * [`trace`] — timeline spans and an ASCII Gantt renderer (paper Figs 2/6).
 //!
 //! # Example
@@ -37,16 +40,11 @@
 pub mod cost;
 pub mod event;
 pub mod failure;
-pub mod multiworker;
 pub mod topology;
 pub mod trace;
 
 pub use cost::{CollectiveKind, CostModel};
-pub use event::{CommOrder, QueueSample, Res, Sim, SimResult, Task, TaskId};
-pub use failure::{
-    synchronous_step_with_crash, FaultEvent, FaultOutcome, Recovery, RecoveryModel,
-    RecoveryModelError,
-};
-pub use multiworker::{synchronous_step, MultiSim, MwKind, MwResult, MwTask, MwTaskId};
+pub use event::{synchronous_step, CommOrder, QueueSample, Res, Sim, SimResult, Task, TaskId};
+pub use failure::{Recovery, RecoveryModel, RecoveryModelError};
 pub use topology::{Cluster, GpuKind, NetworkParams};
 pub use trace::{Span, Trace};

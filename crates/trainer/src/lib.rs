@@ -48,6 +48,6 @@ pub use real::{
     TrainMethod,
 };
 pub use scheduled::train_convergence_scheduled_observed;
-pub use sim::{simulate, simulate_full, simulate_with_trace, SimConfig, StepMetrics};
+pub use sim::{simulate, simulate_full, SimConfig, StepMetrics};
 pub use timeline::{chrome_export, ChromeExport};
 pub use translation::train_translation;

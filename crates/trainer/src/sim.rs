@@ -146,14 +146,7 @@ fn cached_stats(cfg: &SimConfig) -> GradStats {
 
 /// Simulate one configuration and return its steady-state metrics.
 pub fn simulate(cfg: &SimConfig) -> StepMetrics {
-    simulate_with_trace(cfg).0
-}
-
-/// Like [`simulate`], but also return the full discrete-event trace
-/// (per-task execution spans) for timeline rendering and inspection.
-pub fn simulate_with_trace(cfg: &SimConfig) -> (StepMetrics, embrace_simnet::Trace) {
-    let (m, r) = simulate_full(cfg);
-    (m, r.trace)
+    simulate_full(cfg).0
 }
 
 /// Like [`simulate`], but return the complete [`SimResult`] — trace spans

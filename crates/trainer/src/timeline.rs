@@ -5,7 +5,7 @@
 //! (Fig. 6b) and full 2D Communication Scheduling (Fig. 6c) — all over
 //! Sparsity-aware Hybrid Communication, as in the paper's figure.
 
-use crate::sim::{simulate, simulate_full, simulate_with_trace, SimConfig};
+use crate::sim::{simulate, simulate_full, SimConfig};
 use embrace_baselines::MethodId;
 use embrace_models::ModelId;
 use embrace_simnet::{Cluster, Trace};
@@ -47,7 +47,7 @@ pub fn render_step_gantt(
 ) -> String {
     let mut cfg = SimConfig::new(method, model, cluster);
     cfg.steps = 5;
-    let (_, trace) = simulate_with_trace(&cfg);
+    let trace = simulate_full(&cfg).1.trace;
     // Window on one steady step: from the first FP of step 3 to the first
     // FP of step 4.
     let from = trace.first_start("s3/").unwrap_or(0.0);

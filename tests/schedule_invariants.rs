@@ -7,14 +7,14 @@ use embrace_repro::models::ModelId;
 use embrace_repro::obs::SpanSet;
 use embrace_repro::simnet::{Cluster, Res, Trace};
 use embrace_repro::trainer::{
-    simulate_with_trace, train_convergence, train_convergence_observed,
+    simulate_full, train_convergence, train_convergence_observed,
     train_convergence_scheduled_observed, ConvergenceConfig, SimConfig, TrainMethod,
 };
 
 fn trace_for(method: MethodId) -> Trace {
     let mut cfg = SimConfig::new(method, ModelId::Gnmt8, Cluster::rtx3090(16));
     cfg.steps = 5;
-    simulate_with_trace(&cfg).1
+    simulate_full(&cfg).1.trace
 }
 
 /// End of the last span whose name contains `pat`; panics if absent.
