@@ -59,7 +59,7 @@ pub struct HbOp {
 
 /// Convert per-rank [`OpTiming`] logs (from `CommScheduler::observation`)
 /// into happens-before traces.
-pub fn from_timings(logs: &[Vec<OpTiming>]) -> Vec<Vec<HbOp>> {
+fn from_timings(logs: &[Vec<OpTiming>]) -> Vec<Vec<HbOp>> {
     logs.iter()
         .map(|log| {
             log.iter()

@@ -7,7 +7,7 @@
 //!   are typed [`CommError`]s and must propagate, not panic. Invariants
 //!   may use `.expect("why this cannot fail")`.
 //! * **comm-expect** — same scope: no `.expect(..)` directly on the
-//!   result of a communication call (a `try_*` collective, `recv_retry`,
+//!   result of a communication call (a `try_*` collective,
 //!   `recv_timeout`, or a ticket `.wait()`), which would replace the
 //!   typed error with an opaque panic message; either propagate the
 //!   error or panic with it rendered.
@@ -17,7 +17,7 @@
 //!   could be consumed by a stale-epoch peer as current traffic.
 //! * **comm-infallible** — no calls to the legacy infallible
 //!   `ep.send(..)` / `ep.recv(..)` endpoint methods outside tests; real
-//!   comm paths use `try_send` / `try_recv` / `recv_retry`.
+//!   comm paths use `try_send` / `try_recv` / `recv_timeout`.
 //! * **packet-match** — every non-test `match` with `Packet::` arms
 //!   handles all `Packet` variants or carries a catch-all arm, so adding
 //!   a packet kind cannot silently fall through.
@@ -43,6 +43,14 @@
 //!   take a source rank and are not channel calls.)
 //! * **forbid-unsafe** — every workspace crate root declares
 //!   `#![forbid(unsafe_code)]`.
+//! * **unread-pub** — every bare-`pub` `fn` / `struct` / `enum` / `trait`
+//!   / `type` / `const` / `static` in non-test code under `crates/*/src`
+//!   is named by some other `.rs` file under `crates/`, `src/`, `tests/`,
+//!   `examples/` or `benchmark/src` (so the names the frozen benchmark
+//!   imports count as read). A crate root's `pub use` is not a reader; a
+//!   type named in the signature or a `pub` field of a read item is read.
+//!   An item nothing else reads is made private, deleted, or moved under
+//!   `#[cfg(test)]`.
 //!
 //! Findings can be suppressed via an allowlist file (`lint-allow.txt` at
 //! the workspace root): each line is `rule path-substring line-substring`
@@ -58,6 +66,7 @@
 //!
 //! [`CommError`]: embrace_collectives::CommError
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -102,16 +111,16 @@ impl fmt::Display for Finding {
 /// One allowlist entry: suppresses findings whose rule matches and whose
 /// path / flagged line contain the given substrings.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AllowEntry {
-    pub rule: String,
-    pub path_substr: String,
-    pub line_substr: String,
+struct AllowEntry {
+    rule: String,
+    path_substr: String,
+    line_substr: String,
 }
 
 /// Parse `lint-allow.txt` content: `rule path-substring line-substring`
 /// per line, `#` comments, blank lines ignored. The line-substring is
 /// the remainder of the line so it may contain spaces.
-pub fn parse_allowlist(text: &str) -> Vec<AllowEntry> {
+fn parse_allowlist(text: &str) -> Vec<AllowEntry> {
     text.lines()
         .map(str::trim)
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
@@ -150,7 +159,7 @@ impl LintReport {
 /// Handles nested block comments and the lifetime-vs-char-literal
 /// ambiguity (a `'` not closed within a short escape window is treated
 /// as a lifetime).
-pub fn mask_comments_and_strings(src: &str) -> String {
+fn mask_comments_and_strings(src: &str) -> String {
     let b = src.as_bytes();
     let mut out = Vec::with_capacity(b.len());
     let mut i = 0;
@@ -234,7 +243,7 @@ pub fn mask_comments_and_strings(src: &str) -> String {
 /// Per-line flags: is this line inside a `#[cfg(test)]`-gated item?
 /// Tracks the brace region of the item following each `#[cfg(test)]`
 /// attribute (works on comment/string-masked source).
-pub fn test_region_lines(masked: &str) -> Vec<bool> {
+fn test_region_lines(masked: &str) -> Vec<bool> {
     let lines: Vec<&str> = masked.lines().collect();
     let mut in_test = vec![false; lines.len()];
     let mut idx = 0;
@@ -271,7 +280,7 @@ pub fn test_region_lines(masked: &str) -> Vec<bool> {
 
 /// Extract the variant names of `pub enum <name>` from (unmasked)
 /// source. Returns `None` if the enum is not found.
-pub fn enum_variants(src: &str, name: &str) -> Option<Vec<String>> {
+fn enum_variants(src: &str, name: &str) -> Option<Vec<String>> {
     let masked = mask_comments_and_strings(src);
     let needle = format!("pub enum {name} ");
     let start = masked.find(&needle).or_else(|| {
@@ -448,14 +457,14 @@ fn has_catch_all(body: &str) -> bool {
 
 /// Inventory of enum variants that exhaustiveness rules check against.
 #[derive(Clone, Debug)]
-pub struct VariantInventory {
-    pub packet: Vec<String>,
-    pub comm_op: Vec<String>,
+struct VariantInventory {
+    packet: Vec<String>,
+    comm_op: Vec<String>,
 }
 
 impl VariantInventory {
     /// Extract from the workspace sources under `root`.
-    pub fn from_workspace(root: &Path) -> Result<VariantInventory, String> {
+    fn from_workspace(root: &Path) -> Result<VariantInventory, String> {
         let transport = std::fs::read_to_string(root.join("crates/collectives/src/transport.rs"))
             .map_err(|e| format!("read transport.rs: {e}"))?;
         let scheduler = std::fs::read_to_string(root.join("crates/collectives/src/scheduler.rs"))
@@ -473,7 +482,7 @@ impl VariantInventory {
 
 /// Lint a single file's source. `rel` is the workspace-relative path
 /// (used for rule scoping and reporting).
-pub fn lint_source(rel: &str, src: &str, inv: &VariantInventory) -> Vec<Finding> {
+fn lint_source(rel: &str, src: &str, inv: &VariantInventory) -> Vec<Finding> {
     let mut findings = Vec::new();
     let masked = mask_comments_and_strings(src);
     let in_test = test_region_lines(&masked);
@@ -485,7 +494,7 @@ pub fn lint_source(rel: &str, src: &str, inv: &VariantInventory) -> Vec<Finding>
     if comm_path {
         // Heuristic for "this line performs a communication call": the
         // fallible-collective prefix or one of the blocking primitives.
-        const COMM_CALL_HINTS: &[&str] = &["try_", "recv_retry(", "recv_timeout(", ".wait()"];
+        const COMM_CALL_HINTS: &[&str] = &["try_", "recv_timeout(", ".wait()"];
         for (i, line) in masked_lines.iter().enumerate() {
             if in_test.get(i).copied().unwrap_or(false) {
                 continue;
@@ -516,7 +525,7 @@ pub fn lint_source(rel: &str, src: &str, inv: &VariantInventory) -> Vec<Finding>
                     path: rel.to_string(),
                     line: i + 1,
                     message: "infallible endpoint send/recv outside tests: use try_send/try_recv \
-                              or recv_retry"
+                              or recv_timeout"
                         .to_string(),
                 });
             }
@@ -716,6 +725,156 @@ fn loop_body_reaches(lines: &[&str], col: usize) -> bool {
     entered
 }
 
+/// Item keywords `unread-pub` checks.
+const PUB_ITEM_KINDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const", "static"];
+
+/// The `(kind, name)` a masked line declares with a bare `pub`, if it
+/// declares an item `unread-pub` checks (`pub const fn f` is a `fn`).
+fn pub_item(line: &str) -> Option<(&str, &str)> {
+    let words: Vec<&str> = line.trim_start().strip_prefix("pub ")?.split_whitespace().collect();
+    let qualifier = |w: &str| matches!(w, "const" | "async" | "unsafe");
+    let mut k = 0;
+    while words.get(k).is_some_and(|w| qualifier(w))
+        && words.get(k + 1).is_some_and(|w| qualifier(w) || *w == "fn")
+    {
+        k += 1;
+    }
+    let kind = *PUB_ITEM_KINDS.iter().find(|&&kind| words.get(k) == Some(&kind))?;
+    let next = words.get(k + 1)?;
+    let end = next.find(|c: char| !(c.is_alphanumeric() || c == '_')).unwrap_or(next.len());
+    (end > 0).then_some((kind, &next[..end]))
+}
+
+/// The part of an item that a reader of the item also reads, from its
+/// declaration at `lines[0]`: a fn's signature, a const's or static's
+/// type, an alias's target, a struct's `pub` fields, an enum's variants, a
+/// trait's body.
+fn item_signature(kind: &str, lines: &[&str]) -> String {
+    let mut sig = String::new();
+    let (mut depth, mut nest) = (0usize, 0usize);
+    for line in lines {
+        let keep = !(kind == "struct" && depth == 1 && !line.trim_start().starts_with("pub "));
+        for c in line.chars() {
+            match c {
+                '(' | '[' => nest += 1,
+                ')' | ']' => nest = nest.saturating_sub(1),
+                '{' if matches!(kind, "struct" | "enum" | "trait") => depth += 1,
+                '}' if depth > 0 => {
+                    depth -= 1;
+                    if depth == 0 {
+                        return sig;
+                    }
+                }
+                '{' if depth == 0 => return sig,
+                ';' if depth == 0 && nest == 0 => return sig,
+                '=' if depth == 0 && matches!(kind, "const" | "static") => return sig,
+                _ => {}
+            }
+            if keep {
+                sig.push(c);
+            }
+        }
+        sig.push('\n');
+    }
+    sig
+}
+
+fn identifiers(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !(c.is_alphanumeric() || c == '_')).filter(|w| !w.is_empty())
+}
+
+/// Blank the `pub use` statements of a masked crate root: a re-export is
+/// not a reader.
+fn strip_reexports(masked: &str) -> String {
+    let mut out = String::with_capacity(masked.len());
+    let mut in_use = false;
+    for line in masked.lines() {
+        in_use |= line.trim_start().starts_with("pub use ");
+        if !in_use {
+            out.push_str(line);
+        }
+        out.push('\n');
+        in_use &= !line.contains(';');
+    }
+    out
+}
+
+/// `unread-pub`: a bare-`pub` item in non-test code under `crates/*/src`
+/// that no other file of `files` names. A name in a crate root's `pub use`
+/// does not read an item; a name in the signature of a read item does.
+fn unread_pub(files: &[(String, String)]) -> Vec<Finding> {
+    struct Item {
+        file: usize,
+        line: usize,
+        name: String,
+        signature: String,
+    }
+    let mut items = Vec::new();
+    let mut namers: HashMap<String, Vec<usize>> = HashMap::new();
+    for (file, (rel, src)) in files.iter().enumerate() {
+        let mut masked = mask_comments_and_strings(src);
+        let crate_root = rel == "src/lib.rs"
+            || (crate_source(rel)
+                && rel.split('/').count() == 4
+                && (rel.ends_with("/lib.rs") || rel.ends_with("/main.rs")));
+        if crate_root {
+            masked = strip_reexports(&masked);
+        }
+        let mut seen = HashSet::new();
+        for word in identifiers(&masked).filter(|w| seen.insert(*w)) {
+            namers.entry(word.to_string()).or_default().push(file);
+        }
+        if !crate_source(rel) {
+            continue;
+        }
+        let in_test = test_region_lines(&masked);
+        let lines: Vec<&str> = masked.lines().collect();
+        for (i, line) in lines.iter().enumerate() {
+            if in_test.get(i).copied().unwrap_or(false) {
+                continue;
+            }
+            if let Some((kind, name)) = pub_item(line) {
+                let signature = item_signature(kind, &lines[i..]);
+                items.push(Item { file, line: i + 1, name: name.to_string(), signature });
+            }
+        }
+    }
+    let mut read: Vec<bool> = items
+        .iter()
+        .map(|it| namers.get(&it.name).is_some_and(|fs| fs.iter().any(|&f| f != it.file)))
+        .collect();
+    let mut by_name: HashMap<&str, Vec<usize>> = HashMap::new();
+    for (k, it) in items.iter().enumerate() {
+        by_name.entry(it.name.as_str()).or_default().push(k);
+    }
+    let mut work: Vec<usize> = (0..items.len()).filter(|&k| read[k]).collect();
+    while let Some(k) = work.pop() {
+        for word in identifiers(&items[k].signature) {
+            for &j in by_name.get(word).into_iter().flatten() {
+                if !read[j] {
+                    read[j] = true;
+                    work.push(j);
+                }
+            }
+        }
+    }
+    items
+        .iter()
+        .zip(read)
+        .filter(|(_, read)| !read)
+        .map(|(it, _)| Finding {
+            rule: "unread-pub",
+            path: files[it.file].0.clone(),
+            line: it.line,
+            message: format!(
+                "`pub` item `{}` is named by no other file: make it private or \
+                 `pub(crate)`, delete it, or move it under `#[cfg(test)]`",
+                it.name
+            ),
+        })
+        .collect()
+}
+
 /// Check that a crate-root file forbids unsafe code.
 fn lint_crate_root(rel: &str, src: &str) -> Option<Finding> {
     if src.contains("#![forbid(unsafe_code)]") {
@@ -764,6 +923,22 @@ fn crate_roots(root: &Path) -> Vec<PathBuf> {
     roots
 }
 
+/// Directories under the workspace root whose `.rs` files can read a `pub`
+/// item (`unread-pub`). `benchmark/src` is here so the names the frozen
+/// benchmark imports count as read.
+const READER_DIRS: &[&str] = &["crates", "src", "tests", "examples", "benchmark/src"];
+
+/// Is `rel` under `crates/*/src`?
+fn crate_source(rel: &str) -> bool {
+    rel.starts_with("crates/") && rel.split('/').nth(2) == Some("src")
+}
+
+/// Is `rel` a source file the per-file rules check: `crates/*/src/**` or
+/// the workspace lib under `src/`?
+fn linted_source(rel: &str) -> bool {
+    rel.starts_with("src/") || crate_source(rel)
+}
+
 /// Run the full lint pass over the workspace at `root`, applying the
 /// allowlist (if `lint-allow.txt` exists at `root`).
 pub fn run_lint(root: &Path) -> Result<LintReport, String> {
@@ -772,41 +947,56 @@ pub fn run_lint(root: &Path) -> Result<LintReport, String> {
         Ok(text) => parse_allowlist(&text),
         Err(_) => Vec::new(),
     };
-
-    let mut files = Vec::new();
-    let Ok(entries) = std::fs::read_dir(root.join("crates")) else {
+    if !root.join("crates").is_dir() {
         return Err(format!("no crates/ directory under {}", root.display()));
-    };
-    let mut members: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
-    members.sort();
-    for m in members {
-        collect_rs_files(&m.join("src"), &mut files);
     }
-    collect_rs_files(&root.join("src"), &mut files);
+    let read_all = |paths: Vec<PathBuf>| -> Vec<(String, String)> {
+        paths
+            .iter()
+            .filter_map(|p| {
+                let src = std::fs::read_to_string(p).ok()?;
+                let rel = p.strip_prefix(root).unwrap_or(p).to_string_lossy().replace('\\', "/");
+                Some((rel, src))
+            })
+            .collect()
+    };
+    let mut paths = Vec::new();
+    for dir in READER_DIRS {
+        collect_rs_files(&root.join(dir), &mut paths);
+    }
+    Ok(lint_files(&read_all(paths), &read_all(crate_roots(root)), &inv, &allow))
+}
 
+/// The lint pass over in-memory `(workspace-relative path, source)` pairs:
+/// the per-file rules over [`linted_source`] files, `unread-pub` over all
+/// of `files`, `forbid-unsafe` over `roots`, then the allowlist.
+fn lint_files(
+    files: &[(String, String)],
+    roots: &[(String, String)],
+    inv: &VariantInventory,
+    allow: &[AllowEntry],
+) -> LintReport {
+    let mut raw = Vec::new();
+    let mut scanned = 0usize;
+    for (rel, src) in files.iter().filter(|(rel, _)| linted_source(rel)) {
+        scanned += 1;
+        raw.extend(lint_source(rel, src, inv));
+    }
+    raw.extend(unread_pub(files));
     let mut findings = Vec::new();
     let mut suppressed = 0usize;
-    let mut scanned = 0usize;
-    for path in &files {
-        let Ok(src) = std::fs::read_to_string(path) else { continue };
-        scanned += 1;
-        let rel = path.strip_prefix(root).unwrap_or(path).to_string_lossy().replace('\\', "/");
-        let lines: Vec<&str> = src.lines().collect();
-        for f in lint_source(&rel, &src, &inv) {
-            let flagged = lines.get(f.line - 1).copied().unwrap_or("");
-            if allow.iter().any(|e| allowed(e, &f, flagged)) {
-                suppressed += 1;
-            } else {
-                findings.push(f);
-            }
+    for f in raw {
+        let src = files.iter().find(|(rel, _)| *rel == f.path).map_or("", |(_, s)| s.as_str());
+        let flagged = src.lines().nth(f.line - 1).unwrap_or("");
+        if allow.iter().any(|e| allowed(e, &f, flagged)) {
+            suppressed += 1;
+        } else {
+            findings.push(f);
         }
     }
-
-    for path in crate_roots(root) {
-        let Ok(src) = std::fs::read_to_string(&path) else { continue };
+    for (rel, src) in roots {
         scanned += 1;
-        let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy().replace('\\', "/");
-        if let Some(f) = lint_crate_root(&rel, &src) {
+        if let Some(f) = lint_crate_root(rel, src) {
             if allow.iter().any(|e| allowed(e, &f, "")) {
                 suppressed += 1;
             } else {
@@ -814,8 +1004,7 @@ pub fn run_lint(root: &Path) -> Result<LintReport, String> {
             }
         }
     }
-
-    Ok(LintReport { files_scanned: scanned, findings, suppressed })
+    LintReport { files_scanned: scanned, findings, suppressed }
 }
 
 #[cfg(test)]
@@ -870,7 +1059,7 @@ mod tests {
     fn expect_on_comm_results_is_flagged_but_invariant_expects_are_not() {
         let src = "fn a(ep: &mut E) {\n    \
                    try_barrier(ep).expect(\"collective failed\");\n    \
-                   let p = ep.recv_retry(1).expect(\"peer\");\n    \
+                   let p = ep.recv_timeout(1, d).expect(\"peer\");\n    \
                    let v = ticket.wait().expect(\"done\");\n    \
                    let x = map.get(&k).expect(\"key inserted above\");\n}";
         let f = lint_source("crates/collectives/src/x.rs", src, &inv());
@@ -1070,6 +1259,101 @@ mod tests {
         assert!(
             lint_crate_root("crates/x/src/lib.rs", "#![forbid(unsafe_code)]\nfn a() {}").is_none()
         );
+    }
+
+    fn files(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
+        pairs.iter().map(|(rel, src)| (rel.to_string(), src.to_string())).collect()
+    }
+
+    fn unread(pairs: &[(&str, &str)]) -> Vec<(String, usize)> {
+        unread_pub(&files(pairs)).into_iter().map(|f| (f.path, f.line)).collect()
+    }
+
+    /// A crate file declaring `lonely` (read only by its own test) and
+    /// `used` (read by the crate root's code).
+    const DECL: (&str, &str) = (
+        "crates/x/src/a.rs",
+        "pub struct Used;\n\npub fn lonely() -> u32 {\n    7\n}\n\
+         pub(crate) fn narrowed() {}\n\
+         #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        super::lonely();\n    }\n}\n",
+    );
+    const ROOT: (&str, &str) =
+        ("crates/x/src/lib.rs", "pub mod a;\nfn root() -> a::Used {\n    a::Used\n}\n");
+
+    #[test]
+    fn unread_pub_flags_an_unread_fn_at_its_line() {
+        assert_eq!(unread(&[DECL, ROOT]), vec![("crates/x/src/a.rs".to_string(), 3)]);
+        let f = unread_pub(&files(&[DECL, ROOT]));
+        assert_eq!(f[0].rule, "unread-pub");
+        assert!(f[0].message.contains("`lonely`"), "{}", f[0].message);
+        // Every item kind, `pub const fn` included; `pub(crate)` and
+        // fields are out of scope.
+        let kinds = "pub const fn f() {}\npub struct S {\n    pub field: u8,\n}\n\
+                     pub enum E {}\npub trait T {}\npub type A = u8;\n\
+                     pub const C: u8 = 1;\npub static G: u8 = 2;\n";
+        let lines: Vec<usize> =
+            unread(&[("crates/x/src/k.rs", kinds)]).into_iter().map(|(_, l)| l).collect();
+        assert_eq!(lines, vec![1, 2, 5, 6, 7, 8, 9]);
+    }
+
+    #[test]
+    fn unread_pub_readers_in_benchmark_and_integration_tests_count() {
+        for reader in ["benchmark/src/main.rs", "crates/x/tests/it.rs", "examples/demo.rs"] {
+            let user = (reader, "fn main() {\n    embrace_x::a::lonely();\n}\n");
+            assert_eq!(unread(&[DECL, ROOT, user]), vec![], "{reader}");
+        }
+        // A mention in a comment or a string is not a reader.
+        let masked = ("tests/it.rs", "// lonely\nconst S: &str = \"lonely\";\n");
+        assert_eq!(unread(&[DECL, ROOT, masked]).len(), 1);
+    }
+
+    #[test]
+    fn unread_pub_crate_root_reexports_are_not_readers() {
+        let reexport = (
+            "crates/x/src/lib.rs",
+            "pub mod a;\npub use a::{\n    lonely,\n    Used,\n};\nfn root() -> Used {\n    Used\n}\n",
+        );
+        assert_eq!(unread(&[DECL, reexport]), vec![("crates/x/src/a.rs".to_string(), 3)]);
+        // Only a crate root's re-exports are discounted: a module's reads.
+        let module = ("crates/x/src/b.rs", "pub use crate::a::lonely;\n");
+        assert_eq!(unread(&[DECL, ROOT, module]), vec![]);
+    }
+
+    #[test]
+    fn unread_pub_types_in_a_read_signature_are_read() {
+        let decl = (
+            "crates/x/src/s.rs",
+            "pub struct Opts {\n    pub policy: Policy,\n    hidden: Hidden,\n}\n\
+             pub enum Policy {\n    Fixed(Knob),\n}\npub struct Knob;\npub struct Hidden;\n\
+             pub fn run(\n    o: &Opts,\n    xs: [u8; 4],\n) -> Outcome {\n    todo!()\n}\n\
+             pub struct Outcome;\npub fn unused(o: Orphan) {}\npub struct Orphan;\n",
+        );
+        let user = ("src/lib.rs", "fn go() {\n    embrace_x::s::run();\n}\n");
+        let lines: Vec<usize> = unread(&[decl, user]).into_iter().map(|(_, l)| l).collect();
+        // `Hidden` sits in a private field and `Orphan` only in an unread
+        // fn's signature; everything `run` exposes is read.
+        assert_eq!(lines, vec![9, 17, 18]);
+    }
+
+    #[test]
+    fn unread_pub_ignores_items_under_cfg_test() {
+        let src = "#[cfg(test)]\npub fn reference() {}\n\n#[cfg(test)]\nmod tests {\n    \
+                   pub struct Fixture;\n}\n";
+        assert_eq!(unread(&[("crates/x/src/a.rs", src)]), vec![]);
+    }
+
+    #[test]
+    fn unread_pub_allowlist_line_suppresses_the_finding() {
+        let ws = files(&[DECL, ROOT]);
+        let report = lint_files(&ws, &[], &inv(), &[]);
+        assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+        let allow = parse_allowlist("unread-pub crates/x/src/a.rs pub fn lonely(\n");
+        let report = lint_files(&ws, &[], &inv(), &allow);
+        assert!(report.clean(), "{:?}", report.findings);
+        assert_eq!(report.suppressed, 1);
+        // A line substring that does not match leaves it standing.
+        let allow = parse_allowlist("unread-pub crates/x/src/a.rs pub fn other(\n");
+        assert_eq!(lint_files(&ws, &[], &inv(), &allow).findings.len(), 1);
     }
 
     #[test]

@@ -127,7 +127,7 @@ impl Collective {
     }
 
     /// Is this one of the elastic re-form handshake programs?
-    pub fn is_reform(&self) -> bool {
+    fn is_reform(&self) -> bool {
         matches!(self, Collective::Reform | Collective::ReformMidway { .. })
     }
 

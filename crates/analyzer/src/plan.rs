@@ -60,7 +60,8 @@ impl P2pPlan {
     }
 
     /// Total bytes rank `r` plans to receive.
-    pub fn bytes_received(&self, r: usize) -> u64 {
+    #[cfg(test)]
+    fn bytes_received(&self, r: usize) -> u64 {
         self.ranks[r]
             .iter()
             .map(|op| if let P2pOp::Recv { bytes, .. } = op { *bytes } else { 0 })
@@ -530,10 +531,6 @@ impl RecordingEndpoint {
     /// The point-to-point trace recorded so far.
     pub fn trace(&self) -> &[P2pOp] {
         &self.trace
-    }
-
-    pub fn into_trace(self) -> Vec<P2pOp> {
-        self.trace
     }
 }
 

@@ -21,30 +21,25 @@
 //!   `embrace_simnet::cost`; appears in Fig. 4 only, matching the paper's
 //!   1-GPU-per-node restriction).
 //!
+//! §6's gradient-compression comparators (DGC top-k, QSGD 8-bit) are not
+//! methods here: the `ablation_compression` binary prices them by their
+//! byte counts alone.
+//!
 //! # Example
 //!
 //! ```
 //! use embrace_baselines::bytescheduler::partition_tensor;
-//! use embrace_baselines::compression::{dequantize_8bit, quantize_8bit};
-//! use embrace_tensor::DenseTensor;
 //!
 //! // ByteScheduler chunks a 10 MB tensor into 4 MB credits.
 //! let chunks = partition_tensor(10e6, 4e6);
 //! assert_eq!(chunks.len(), 3);
-//!
-//! // QSGD-style quantization bounds the per-element error by scale/2.
-//! let g = DenseTensor::from_vec(1, 2, vec![1.0, -0.5]);
-//! let q = quantize_8bit(&g);
-//! assert!(dequantize_8bit(&q).max_abs_diff(&g) <= q.scale / 2.0 + 1e-6);
 //! ```
 
 #![forbid(unsafe_code)]
 
 pub mod bytescheduler;
-pub mod compression;
 pub mod horovod;
 pub mod method;
 
 pub use bytescheduler::partition_tensor;
-pub use compression::{dequantize_8bit, quantize_8bit, topk_sparsify};
 pub use method::MethodId;

@@ -66,16 +66,6 @@ impl MethodId {
             _ => CommOrder::Fifo,
         }
     }
-
-    /// Whether embedding gradients travel in dense format (full table).
-    pub fn sparse_as_dense(&self) -> bool {
-        matches!(self, MethodId::HorovodAllReduce | MethodId::BytePs)
-    }
-
-    /// Whether the method uses a parameter server.
-    pub fn uses_ps(&self) -> bool {
-        matches!(self, MethodId::BytePs | MethodId::Parallax)
-    }
 }
 
 #[cfg(test)]
@@ -95,11 +85,6 @@ mod tests {
 
     #[test]
     fn properties_match_paper() {
-        assert!(MethodId::HorovodAllReduce.sparse_as_dense());
-        assert!(MethodId::BytePs.sparse_as_dense(), "BytePS treats sparse as dense (§5.2.3)");
-        assert!(!MethodId::HorovodAllGather.sparse_as_dense());
-        assert!(!MethodId::Parallax.sparse_as_dense());
-        assert!(MethodId::Parallax.uses_ps());
         assert_eq!(MethodId::EmbRace.comm_order(), CommOrder::Priority);
         assert_eq!(MethodId::HorovodAllGather.comm_order(), CommOrder::Fifo);
         assert_eq!(MethodId::EmbRaceNoSched.comm_order(), CommOrder::Fifo);

@@ -11,9 +11,9 @@
 //!   (DGC-style, lossy in general),
 //! * EmbRace's AlltoAll of the exact non-zero rows (lossless).
 
-use embrace_baselines::compression::topk_nbytes;
 use embrace_models::{grad_stats, ModelSpec};
 use embrace_simnet::{Cluster, CostModel, GpuKind};
+use embrace_tensor::F32_BYTES;
 use embrace_trainer::report::table;
 
 fn main() {
@@ -27,8 +27,9 @@ fn main() {
         let dense_bytes = spec.embedding_mib() * mib;
         let quant_bytes = dense_bytes / 4.0;
         // DGC keeps the same number of elements the sparse gradient holds.
+        // Each kept element is an f32 value plus its u32 index.
         let k = (st.rows_coalesced * spec.dim() as f64) as usize;
-        let topk_bytes = topk_nbytes(k) as f64;
+        let topk_bytes = (k * (F32_BYTES + 4)) as f64;
         let exact_bytes = st.coalesced_mib() * mib;
 
         let t_dense = cm.ring_allreduce(dense_bytes);

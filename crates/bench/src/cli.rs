@@ -56,7 +56,7 @@ impl CliArgs {
 }
 
 /// The `--help` text.
-pub const USAGE: &str = "\
+const USAGE: &str = "\
 embrace-sim — simulate one training configuration of the EmbRace reproduction
 
 USAGE:

@@ -31,17 +31,17 @@ const SMOKE_METHODS: [MethodId; 4] =
 
 /// Parsed `trace` arguments: the shared simulator flags plus the
 /// trace-specific output controls.
-pub struct TraceArgs {
-    pub smoke: bool,
-    pub check_hb: bool,
-    pub out: Option<PathBuf>,
-    pub out_dir: PathBuf,
-    pub cli: CliArgs,
+struct TraceArgs {
+    smoke: bool,
+    check_hb: bool,
+    out: Option<PathBuf>,
+    out_dir: PathBuf,
+    cli: CliArgs,
 }
 
 /// Split off `trace`-specific flags, delegating the rest to the shared
 /// CLI parser.
-pub fn parse_trace_args<I: IntoIterator<Item = String>>(argv: I) -> Result<TraceArgs, String> {
+fn parse_trace_args<I: IntoIterator<Item = String>>(argv: I) -> Result<TraceArgs, String> {
     let mut smoke = false;
     let mut check_hb = false;
     let mut out = None;
@@ -67,7 +67,7 @@ pub fn parse_trace_args<I: IntoIterator<Item = String>>(argv: I) -> Result<Trace
 /// Validate an exported trace: parse the JSON back and check that the
 /// latest `X`-event end reconciles with the DES makespan to within 1%.
 /// Returns `(n_events, relative_error)`.
-pub fn validate_export(exp: &ChromeExport) -> Result<(usize, f64), String> {
+fn validate_export(exp: &ChromeExport) -> Result<(usize, f64), String> {
     let v = embrace_obs::json::parse(&exp.json).map_err(|e| format!("invalid JSON: {e}"))?;
     let events =
         v.get("traceEvents").and_then(|e| e.as_arr()).ok_or("missing traceEvents array")?;
@@ -123,7 +123,7 @@ fn report(label: &str, path: &Path, exp: &ChromeExport, n_events: usize, rel: f6
 /// logical-vs-copied byte counters. The DES timeline itself has no real
 /// transport, so this is how `trace` surfaces the zero-copy payload
 /// discipline next to the simulated numbers.
-pub fn transport_copy_probe(world: usize) -> (u64, u64, f64) {
+fn transport_copy_probe(world: usize) -> (u64, u64, f64) {
     use embrace_collectives::{ops, run_group, Packet};
     let local = embrace_tensor::DenseTensor::full(64, 64, 1.0);
     let counters = run_group(world, |rank, ep| {
@@ -152,7 +152,7 @@ fn report_copy_probe(world: usize) {
 /// rank's recorded `OpTiming` log through the vector-clock
 /// happens-before analyzer. Any diagnostic — determinism violation,
 /// priority inversion, unordered conflicting access — fails the command.
-pub fn check_hb_probe(world: usize, steps: usize) -> Result<(usize, usize), String> {
+fn check_hb_probe(world: usize, steps: usize) -> Result<(usize, usize), String> {
     use embrace_analyzer::hb;
     use embrace_trainer::{train_convergence_scheduled_observed, ConvergenceConfig};
     let cfg = ConvergenceConfig { world, steps, ..Default::default() };

@@ -1,7 +1,7 @@
 //! Elastic group membership over the threaded mesh.
 //!
 //! [`ElasticWorker`] wraps an [`Endpoint`] and implements [`Comm`] for a
-//! *logical* group that can shrink and grow while the underlying physical
+//! *logical* group that can shrink while the underlying physical
 //! mesh stays put. Membership is a sorted set of physical ranks plus a
 //! monotonically increasing **epoch**; every payload the worker sends is
 //! wrapped in [`Packet::Tagged`] with the current epoch, so the receiving
@@ -10,7 +10,7 @@
 //!
 //! * tag == our epoch → deliver the inner packet;
 //! * tag < our epoch → a straggling packet from before a re-form;
-//!   silently dropped (counted in [`ElasticWorker::stale_dropped`]);
+//!   silently dropped;
 //! * tag > our epoch → *we* are the stale one — the group re-formed
 //!   without us — surfaced as [`CommError::StaleEpoch`].
 //!
@@ -36,8 +36,7 @@
 //!    Non-coordinators wait for the commit, dropping stale traffic; if
 //!    the coordinator itself dies mid-re-form, they remove it from the
 //!    candidate set and run another round (failover). A survivor whose
-//!    commit does not name it is **evicted** ([`ElasticError::Evicted`])
-//!    and parks.
+//!    commit does not name it is **evicted** ([`ElasticError::Evicted`]).
 //!
 //! Re-form messages are deliberately *untagged* so the handshake can
 //! cross the epoch boundary; `Report`s carry the sender's epoch so
@@ -50,17 +49,6 @@
 //! another re-form; full regression to a single group is the training
 //! loop's checkpoint-restart fallback. The model checker covers the
 //! crash-*before*-commit window (see `embrace-analyzer`).
-//!
-//! # Grow
-//!
-//! Growth is cooperative, at an agreed step boundary (the SLURM-style
-//! "node coming back" case): remaining members call
-//! [`ElasticWorker::depart`] when a rank [`ElasticWorker::leave`]s, and
-//! later [`ElasticWorker::admit`] to re-add it while the parked rank
-//! calls [`ElasticWorker::rejoin`]. Crashed ranks can never rejoin — their
-//! channels are gone — re-admission is only for parked (voluntarily
-//! departed or evicted-but-alive) ranks; getting a *crashed* rank back
-//! requires the training loop's full checkpoint-restart path.
 
 use crate::transport::{Comm, CommError, Endpoint, Packet, ReformMsg};
 use std::collections::VecDeque;
@@ -75,7 +63,7 @@ const REFORM_DEADLINE: Duration = Duration::from_secs(1);
 #[derive(Clone, Debug, PartialEq)]
 pub enum ElasticError {
     /// The group committed a membership at `epoch` that excludes this
-    /// rank: it must park (and may later [`ElasticWorker::rejoin`]).
+    /// rank.
     Evicted { epoch: u64 },
     /// A transport failure the re-form protocol could not route around
     /// (e.g. this rank's own injected crash).
@@ -127,11 +115,6 @@ pub struct ElasticWorker<'a> {
     /// collective was mid-flight; `reform` consults these before reading
     /// the channel.
     stash: Vec<VecDeque<ReformMsg>>,
-    /// Packets from older epochs silently discarded so far.
-    stale_dropped: u64,
-    /// True after [`ElasticWorker::leave`] / eviction: the rank holds its
-    /// endpoint but is not a group member.
-    parked: bool,
 }
 
 impl<'a> ElasticWorker<'a> {
@@ -144,8 +127,6 @@ impl<'a> ElasticWorker<'a> {
             epoch: 0,
             members: (0..world).collect(),
             stash: (0..world).map(|_| VecDeque::new()).collect(),
-            stale_dropped: 0,
-            parked: false,
         }
     }
 
@@ -162,16 +143,6 @@ impl<'a> ElasticWorker<'a> {
     /// This worker's physical rank (stable across re-forms).
     pub fn phys_rank(&self) -> usize {
         self.ep.rank()
-    }
-
-    /// Packets from older epochs this worker has silently dropped.
-    pub fn stale_dropped(&self) -> u64 {
-        self.stale_dropped
-    }
-
-    /// True when this rank is parked (left or evicted, endpoint intact).
-    pub fn is_parked(&self) -> bool {
-        self.parked
     }
 
     /// Delegate to [`Endpoint::begin_step`] (fires crash-at-step faults).
@@ -239,7 +210,6 @@ impl<'a> ElasticWorker<'a> {
             match self.await_commit(coord)? {
                 Some((epoch, members)) => {
                     if !members.contains(&me) {
-                        self.parked = true;
                         self.members = members;
                         return Err(ElasticError::Evicted { epoch });
                     }
@@ -260,7 +230,7 @@ impl<'a> ElasticWorker<'a> {
         while let Some(msg) = self.stash[p].pop_front() {
             match msg {
                 ReformMsg::Report { epoch, .. } if epoch >= self.epoch => return Ok(true),
-                _ => self.stale_dropped += 1,
+                _ => {}
             }
         }
         let deadline = self.recv_deadline();
@@ -270,7 +240,7 @@ impl<'a> ElasticWorker<'a> {
                     return Ok(true)
                 }
                 // Stale reform leftovers and dead-collective payloads.
-                Ok(_) => self.stale_dropped += 1,
+                Ok(_) => {}
                 Err(CommError::Timeout { .. }) | Err(CommError::PeerGone { .. }) => {
                     return Ok(false)
                 }
@@ -287,7 +257,7 @@ impl<'a> ElasticWorker<'a> {
                 ReformMsg::Commit { epoch, members } if epoch > self.epoch => {
                     return Ok(Some((epoch, members)))
                 }
-                _ => self.stale_dropped += 1,
+                _ => {}
             }
         }
         let deadline = self.recv_deadline();
@@ -298,7 +268,7 @@ impl<'a> ElasticWorker<'a> {
                 }
                 // The coordinator's own probe, stale reform leftovers, and
                 // dead-collective payloads.
-                Ok(_) => self.stale_dropped += 1,
+                Ok(_) => {}
                 Err(CommError::Timeout { .. }) | Err(CommError::PeerGone { .. }) => {
                     return Ok(None)
                 }
@@ -322,70 +292,6 @@ impl<'a> ElasticWorker<'a> {
             world: self.members.len(),
             removed,
         }
-    }
-
-    /// Voluntarily leave the group at an agreed step boundary: the worker
-    /// parks (endpoint intact) while the remaining members call
-    /// [`ElasticWorker::depart`]. Mirrors the group's epoch bump so stale
-    /// filtering stays consistent for a later [`ElasticWorker::rejoin`].
-    pub fn leave(&mut self) {
-        let me = self.ep.rank();
-        self.members.retain(|&m| m != me);
-        self.epoch += 1;
-        self.parked = true;
-    }
-
-    /// Record the agreed departure of parked rank `phys` (each remaining
-    /// member calls this at the same step boundary). Purely local: the
-    /// boundary is part of the schedule, so no handshake is needed.
-    pub fn depart(&mut self, phys: usize) {
-        assert_ne!(phys, self.ep.rank(), "use leave() to remove yourself");
-        self.members.retain(|&m| m != phys);
-        self.epoch += 1;
-    }
-
-    /// Re-admit parked rank `phys` at an agreed step boundary (each
-    /// current member calls this). The pre-admission coordinator (minimum
-    /// current member) sends the parked rank its commit; everyone bumps
-    /// the epoch and inserts the member locally.
-    pub fn admit(&mut self, phys: usize) -> Result<ReformOutcome, ElasticError> {
-        assert!(!self.parked, "a parked rank cannot admit");
-        let me = self.ep.rank();
-        let coord = *self.members.iter().min().expect("group is never empty");
-        let mut members = self.members.clone();
-        if !members.contains(&phys) {
-            members.push(phys);
-            members.sort_unstable();
-        }
-        let next = self.epoch + 1;
-        if me == coord {
-            let commit = ReformMsg::Commit { epoch: next, members: members.clone() };
-            self.ep.try_send(phys, Packet::Reform(commit)).map_err(ElasticError::Comm)?;
-        }
-        Ok(self.adopt(next, members))
-    }
-
-    /// Parked-rank side of [`ElasticWorker::admit`]: wait for a commit
-    /// naming us, scanning the remembered members coordinator-first so a
-    /// coordinator that died while we were parked does not strand us.
-    pub fn rejoin(&mut self) -> Result<ReformOutcome, ElasticError> {
-        assert!(self.parked, "rejoin is only valid on a parked rank");
-        let me = self.ep.rank();
-        let remembered = self.members.clone();
-        for &m in &remembered {
-            match self.await_commit(m)? {
-                Some((epoch, members)) if members.contains(&me) => {
-                    self.parked = false;
-                    return Ok(self.adopt(epoch, members));
-                }
-                Some((epoch, _)) => return Err(ElasticError::Evicted { epoch }),
-                None => continue,
-            }
-        }
-        Err(ElasticError::Comm(CommError::Timeout {
-            peer: remembered.first().copied().unwrap_or(me),
-            waited: self.recv_deadline(),
-        }))
     }
 }
 
@@ -417,14 +323,12 @@ impl Comm for ElasticWorker<'_> {
                         return Ok(*inner);
                     }
                     if epoch < self.epoch {
-                        self.stale_dropped += 1;
                         continue;
                     }
                     return Err(CommError::StaleEpoch { ours: self.epoch, theirs: epoch });
                 }
                 Packet::Reform(msg) => {
                     if msg.epoch() < self.epoch {
-                        self.stale_dropped += 1;
                         continue;
                     }
                     // A peer has started a re-form; surface it as an abort
@@ -471,7 +375,6 @@ mod tests {
         a_ep.try_send(1, Packet::Tagged { epoch: 1, inner: Box::new(Packet::Empty) }).unwrap();
         a_ep.try_send(1, Packet::Tagged { epoch: 2, inner: Box::new(Packet::Empty) }).unwrap();
         assert_eq!(b.try_recv(0).unwrap(), Packet::Empty);
-        assert_eq!(b.stale_dropped(), 1);
         // Newer-epoch packet: the receiver itself is stale.
         a_ep.try_send(1, Packet::Tagged { epoch: 7, inner: Box::new(Packet::Empty) }).unwrap();
         assert_eq!(b.try_recv(0), Err(CommError::StaleEpoch { ours: 2, theirs: 7 }));
@@ -601,62 +504,5 @@ mod tests {
                 assert!(buf.iter().all(|&v| v == 7.0), "rank {rank}: {buf:?}");
             }
         }
-    }
-
-    #[test]
-    fn grow_then_shrink_in_one_run() {
-        let mut eps = mesh_with_faults(3, &FaultPlan::default(), Some(DL));
-        let c = eps.pop().unwrap();
-        let b = eps.pop().unwrap();
-        let a = eps.pop().unwrap();
-        let stay = |mut ep: Endpoint| {
-            move || {
-                let mut w = ElasticWorker::new(&mut ep);
-                let mut buf = vec![1.0f32; 6];
-                try_ring_allreduce(&mut w, &mut buf).unwrap();
-                assert_eq!(buf[0], 3.0);
-                // Agreed boundary: rank 2 leaves.
-                w.depart(2);
-                let mut buf = vec![1.0f32; 6];
-                try_ring_allreduce(&mut w, &mut buf).unwrap();
-                assert_eq!(buf[0], 2.0);
-                assert_eq!((w.epoch(), w.world()), (1, 2));
-                // Agreed boundary: rank 2 comes back.
-                let out = w.admit(2).unwrap();
-                assert_eq!(out.members, vec![0, 1, 2]);
-                let mut buf = vec![1.0f32; 6];
-                try_ring_allreduce(&mut w, &mut buf).unwrap();
-                assert_eq!(buf[0], 3.0);
-                assert_eq!((w.epoch(), w.world()), (2, 3));
-            }
-        };
-        let parked = |mut ep: Endpoint| {
-            move || {
-                let mut w = ElasticWorker::new(&mut ep);
-                let mut buf = vec![1.0f32; 6];
-                try_ring_allreduce(&mut w, &mut buf).unwrap();
-                w.leave();
-                assert!(w.is_parked());
-                let out = w.rejoin().unwrap();
-                assert_eq!(
-                    out,
-                    ReformOutcome {
-                        epoch: 2,
-                        members: vec![0, 1, 2],
-                        rank: 2,
-                        world: 3,
-                        removed: vec![],
-                    }
-                );
-                let mut buf = vec![1.0f32; 6];
-                try_ring_allreduce(&mut w, &mut buf).unwrap();
-                assert_eq!(buf[0], 3.0);
-            }
-        };
-        thread::scope(|s| {
-            s.spawn(stay(a));
-            s.spawn(stay(b));
-            s.spawn(parked(c));
-        });
     }
 }

@@ -54,10 +54,10 @@ pub use group::{
     run_group, run_group_on, run_group_with_deadline, run_group_with_faults, GroupError,
 };
 pub use scheduler::{
-    scheduler_metrics, CommOp, CommResult, CommScheduler, OpTiming, SchedOptions, SubmittedOp,
-    Ticket, DEFAULT_CHUNK_BYTES,
+    CommOp, CommResult, CommScheduler, OpTiming, SchedOptions, SubmittedOp, Ticket,
+    DEFAULT_CHUNK_BYTES,
 };
 pub use transport::{
     mesh, mesh_with_faults, slot_mesh, Comm, CommError, Endpoint, FaultPlan, Packet, ReformMsg,
-    RetryPolicy, SegBody, SparseSeg, SEG_HEADER_BYTES,
+    SegBody, SparseSeg, SEG_HEADER_BYTES,
 };

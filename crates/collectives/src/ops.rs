@@ -12,7 +12,7 @@
 //! Who sends what to whom in which order is not decided here: barrier,
 //! broadcast, the ring, the fan-outs and the split allreduce execute
 //! [`crate::schedule`]. The ring and the fan-outs are resumable machines
-//! ([`RingMachine`], [`FanoutMachine`]) that the chunked scheduler steps
+//! (`RingMachine`, `FanoutMachine`) that the chunked scheduler steps
 //! one unit at a time; the blocking functions below run the same machines
 //! to completion.
 //!
@@ -228,7 +228,7 @@ pub fn ring_allreduce<C: Comm>(ep: &mut C, buf: &mut [f32]) {
     finish(try_ring_allreduce(ep, buf));
 }
 
-/// Fallible [`ring_allreduce`]: a [`RingMachine`] with one segment per
+/// Fallible [`ring_allreduce`]: a `RingMachine` with one segment per
 /// step, run to completion. On `Err` the contents of `buf` are
 /// unspecified (the reduction was interrupted part-way).
 pub fn try_ring_allreduce<C: Comm>(ep: &mut C, buf: &mut [f32]) -> Result<(), CommError> {
@@ -371,7 +371,7 @@ pub fn allgather_dense<C: Comm>(ep: &mut C, local: DenseTensor) -> Vec<DenseTens
 }
 
 /// Fallible [`allgather_dense`].
-pub fn try_allgather_dense<C: Comm>(
+fn try_allgather_dense<C: Comm>(
     ep: &mut C,
     local: DenseTensor,
 ) -> Result<Vec<DenseTensor>, CommError> {
@@ -389,7 +389,7 @@ pub fn allgather_sparse<C: Comm>(ep: &mut C, local: RowSparse) -> Vec<RowSparse>
 }
 
 /// Fallible [`allgather_sparse`].
-pub fn try_allgather_sparse<C: Comm>(
+fn try_allgather_sparse<C: Comm>(
     ep: &mut C,
     local: RowSparse,
 ) -> Result<Vec<RowSparse>, CommError> {

@@ -81,7 +81,7 @@ use crate::ops::{
 };
 use crate::schedule::{Ring, RingPart};
 use crate::transport::{Comm, CommError, Endpoint};
-use embrace_obs::{recorder, ClockDomain, Metrics, SpanSet, TrackId, WallClock};
+use embrace_obs::{recorder, ClockDomain, SpanSet, TrackId, WallClock};
 use embrace_tensor::{DenseTensor, RowSparse, TokenBuf, F32_BYTES};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -115,7 +115,7 @@ pub enum CommOp {
 impl CommOp {
     /// Short name of the operation kind — part of the cross-rank SPMD
     /// fingerprint and of [`SubmittedOp`] records.
-    pub fn kind_str(&self) -> &'static str {
+    fn kind_str(&self) -> &'static str {
         match self {
             CommOp::AllReduceDense(_) => "allreduce_dense",
             CommOp::ReduceScatterDense(_) => "reduce_scatter_dense",
@@ -130,7 +130,7 @@ impl CommOp {
 
     /// Wire bytes of this rank's outgoing payload (plan accounting; the
     /// per-rank value may legitimately differ across ranks for gathers).
-    pub fn payload_bytes(&self) -> u64 {
+    fn payload_bytes(&self) -> u64 {
         match self {
             CommOp::AllReduceDense(buf)
             | CommOp::ReduceScatterDense(buf)
@@ -219,7 +219,7 @@ pub struct SubmittedOp {
     pub priority: i64,
     /// Cross-rank consistency tag.
     pub tag: String,
-    /// Operation kind (see [`CommOp::kind_str`]).
+    /// Operation kind (`allreduce_dense`, `gather_tokens`, …).
     pub kind: &'static str,
     /// Outgoing payload bytes on this rank.
     pub bytes: u64,
@@ -289,21 +289,6 @@ impl OpTiming {
     pub fn exec_time(&self) -> f64 {
         self.finished_s - self.started_s
     }
-}
-
-/// Fold a timing log into an [`embrace_obs::Metrics`] registry:
-/// `sched.queue_wait_s` / `sched.exec_s` histograms plus op/byte/chunk
-/// counters. Mergeable across ranks.
-pub fn scheduler_metrics(timings: &[OpTiming]) -> Metrics {
-    let mut m = Metrics::new();
-    for t in timings {
-        m.inc("sched.ops_executed", 1);
-        m.inc("sched.bytes_submitted", t.bytes);
-        m.inc("sched.chunks_executed", t.chunks as u64);
-        m.observe("sched.queue_wait_s", t.queue_wait());
-        m.observe("sched.exec_s", t.exec_time());
-    }
-    m
 }
 
 /// What an observed scheduler records.
@@ -851,10 +836,6 @@ mod tests {
                 assert_eq!(t.chunks, 1, "{}: unchunked scheduler ran whole ops", t.tag);
             }
             assert_eq!((timings[0].kind, timings[0].bytes), ("allreduce_dense", 8 * 4));
-            let m = scheduler_metrics(&timings);
-            assert_eq!(m.counter("sched.ops_executed"), 3);
-            assert_eq!(m.counter("sched.chunks_executed"), 3);
-            assert_eq!(m.histogram("sched.exec_s").expect("exec histogram").count(), 3);
         });
         // Plain spawn records nothing.
         let s = CommScheduler::spawn(mesh(1).pop().expect("one endpoint"));

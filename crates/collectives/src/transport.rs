@@ -14,8 +14,6 @@
 //!   point-to-point operations; `try_recv` honours the endpoint's
 //!   configured deadline (none by default, i.e. it waits indefinitely).
 //! * [`Endpoint::recv_timeout`] — receive with an explicit deadline.
-//! * [`Endpoint::recv_retry`] — bounded retry with multiplicative backoff
-//!   slices over the deadline.
 //! * [`Endpoint::crash`] — tears the endpoint down mid-run: its channels
 //!   disconnect, so peers observe [`CommError::PeerGone`] (or a timeout)
 //!   instead of hanging forever.
@@ -392,25 +390,6 @@ impl fmt::Display for CommError {
 
 impl std::error::Error for CommError {}
 
-/// Bounded receive retry: the deadline is consumed in `attempts` slices,
-/// each `backoff`× longer than the previous — the first slice returns fast
-/// when the peer is merely slow, the later ones absorb injected jitter.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Number of receive attempts before giving up.
-    pub attempts: u32,
-    /// Duration of the first attempt's wait slice.
-    pub base: Duration,
-    /// Multiplier applied to the slice after each failed attempt.
-    pub backoff: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { attempts: 4, base: Duration::from_millis(25), backoff: 2 }
-    }
-}
-
 /// A deterministic, seeded schedule of faults to inject into a mesh.
 ///
 /// Three fault shapes (composable; all addressed by rank):
@@ -596,13 +575,13 @@ impl FaultPlan {
     }
 
     /// The step at which `rank` is scheduled to crash, if any.
-    pub fn crash_step(&self, rank: usize) -> Option<u64> {
+    fn crash_step(&self, rank: usize) -> Option<u64> {
         self.crashes.get(&rank).copied()
     }
 
     /// The send index at which `rank` is scheduled to crash mid-collective,
     /// if any (see [`FaultPlan::crash_rank_at_op`]).
-    pub fn crash_op(&self, rank: usize) -> Option<u64> {
+    fn crash_op(&self, rank: usize) -> Option<u64> {
         self.crashes_at_op.get(&rank).copied()
     }
 
@@ -693,7 +672,7 @@ const SPIN_BUDGET: Duration = Duration::from_micros(80);
 /// Per-rank handle onto the mesh. Sending never blocks (channels are
 /// unbounded) unless a link-delay fault is configured; receiving waits
 /// until the addressed peer has sent, bounded by the configured deadline:
-/// it polls the link for up to [`SPIN_BUDGET`], then parks on the channel
+/// it polls the link for up to `SPIN_BUDGET`, then parks on the channel
 /// (`Endpoint::wait`, the only receive path).
 pub struct Endpoint {
     rank: usize,
@@ -713,8 +692,6 @@ pub struct Endpoint {
     /// shared), so interior mutability is safe here.
     bytes_recv: Cell<u64>,
     msgs_recv: Cell<u64>,
-    /// Timed-out receive attempts that were retried by [`Endpoint::recv_retry`].
-    retries: Cell<u64>,
     /// Receives satisfied while polling / receives that reached the
     /// blocking call: where a receive's time went, without a clock.
     spun: Cell<u64>,
@@ -879,33 +856,10 @@ impl Endpoint {
         }
     }
 
-    /// Receive from `from` under a bounded retry/backoff policy: up to
-    /// `policy.attempts` waits of multiplicatively growing length. Total
-    /// wait is bounded by the sum of those slices.
-    pub fn recv_retry(&self, from: usize, policy: &RetryPolicy) -> Result<Packet, CommError> {
-        assert!(policy.attempts > 0, "retry policy needs at least one attempt");
-        let mut slice = policy.base;
-        let mut waited = Duration::ZERO;
-        for attempt in 0..policy.attempts {
-            match self.recv_timeout(from, slice) {
-                Err(CommError::Timeout { .. }) if attempt + 1 < policy.attempts => {
-                    self.retries.set(self.retries.get() + 1);
-                    waited += slice;
-                    slice *= policy.backoff;
-                }
-                Err(CommError::Timeout { peer, waited: w }) => {
-                    return Err(CommError::Timeout { peer, waited: waited + w })
-                }
-                other => return other,
-            }
-        }
-        unreachable!("loop always returns on the last attempt")
-    }
-
     /// Take a packet already queued from `from` without blocking:
     /// `Ok(None)` when the link is merely empty, [`CommError::PeerGone`]
     /// once the peer is gone and its queued packets have drained.
-    pub fn poll(&self, from: usize) -> Result<Option<Packet>, CommError> {
+    fn poll(&self, from: usize) -> Result<Option<Packet>, CommError> {
         if self.crashed {
             return Err(CommError::Injected { rank: self.rank });
         }
@@ -982,9 +936,10 @@ impl Endpoint {
         self.sent_per_peer[peer].1
     }
 
-    /// Timed-out receive attempts that [`Endpoint::recv_retry`] retried.
+    /// Always 0: no receive path retries. The name is frozen by the
+    /// benchmark and goes in the ROADMAP's "Benchmark revision 2" item.
     pub fn recv_retries(&self) -> u64 {
-        self.retries.get()
+        0
     }
 
     /// Equal to [`Endpoint::msgs_sent`]. The name is frozen by the
@@ -1003,7 +958,6 @@ impl Endpoint {
         m.inc("transport.msgs_sent", self.msgs_sent);
         m.inc("transport.bytes_received", self.bytes_recv.get());
         m.inc("transport.msgs_received", self.msgs_recv.get());
-        m.inc("transport.recv_retries", self.retries.get());
         m.inc("transport.recv_spun", self.spun.get());
         m.inc("transport.recv_parked", self.parked.get());
         m.inc("transport.control_msgs", self.control_msgs());
@@ -1054,7 +1008,6 @@ pub fn mesh_with_faults(
             sent_per_peer: vec![(0, 0); world],
             bytes_recv: Cell::new(0),
             msgs_recv: Cell::new(0),
-            retries: Cell::new(0),
             spun: Cell::new(0),
             parked: Cell::new(0),
             spin,
@@ -1270,10 +1223,8 @@ mod tests {
                     b.recv_timeout(0, Duration::from_millis(5)),
                     Err(CommError::Timeout { .. })
                 ));
-                // ...but a retry policy with enough total budget succeeds.
-                let policy =
-                    RetryPolicy { attempts: 5, base: Duration::from_millis(10), backoff: 2 };
-                assert_eq!(b.recv_retry(0, &policy).unwrap(), Packet::Empty);
+                // ...but a deadline past the delay delivers the packet.
+                assert_eq!(b.recv_timeout(0, Duration::from_secs(2)).unwrap(), Packet::Empty);
             });
         });
     }
@@ -1289,19 +1240,6 @@ mod tests {
         }
         for k in 0..20u32 {
             assert_eq!(b.try_recv(0).unwrap().into_tokens(), vec![k]);
-        }
-    }
-
-    #[test]
-    fn retry_policy_deadline_accumulates() {
-        let policy = RetryPolicy { attempts: 3, base: Duration::from_millis(10), backoff: 2 };
-        let eps = mesh(2);
-        let err = eps[0].recv_retry(1, &policy).unwrap_err();
-        match err {
-            CommError::Timeout { peer: 1, waited } => {
-                assert!(waited >= Duration::from_millis(70), "waited {waited:?}")
-            }
-            other => panic!("unexpected {other:?}"),
         }
     }
 

@@ -15,6 +15,13 @@
 //!
 //! The constants below are every priority the live EmbRace step
 //! (`embrace_trainer::real`) submits to its comm scheduler.
+//!
+//! "Communicated whole" and [`CommKind::DenseBlock`]'s one AllReduce per
+//! block are the model the DES (`embrace_trainer::sim`) and the schedule
+//! verifier price and check. The live step does not run it: its dense
+//! plane is a reduce-scatter, Adam on the owned chunk, then an all-gather
+//! ([`DENSE_PRIORITY`], [`DENSE_GATHER_PRIORITY`]). Stating the step once
+//! for all three is the ROADMAP's "One plan of the step" item.
 
 use embrace_dlsim::graph::ModelGraph;
 
@@ -41,7 +48,9 @@ pub const LOSS_PRIORITY: i64 = i64::MAX - 1;
 /// The communication operations EmbRace schedules.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CommKind {
-    /// AllReduce of one dense block's gradients (block index).
+    /// AllReduce of one dense block's gradients (block index), as the
+    /// DES and the verifier model it; the live step runs reduce-scatter →
+    /// sharded Adam → all-gather instead (see the module docs).
     DenseBlock(usize),
     /// AlltoAll of one embedding's lookup results (embedding module index).
     EmbData(usize),
@@ -75,11 +84,6 @@ impl Priorities {
             }
         }
         Priorities { dense, embeddings }
-    }
-
-    /// Embedding module indices in FP order.
-    pub fn embedding_modules(&self) -> &[usize] {
-        &self.embeddings
     }
 
     /// The full horizontal schedule of one training step: every
@@ -116,11 +120,6 @@ impl Priorities {
             CommKind::DenseBlock(m) => self.dense[m].expect("module is not a dense block"),
         }
     }
-
-    /// Number of prioritised dense blocks.
-    pub fn n_dense(&self) -> usize {
-        self.dense.iter().filter(|d| d.is_some()).count()
-    }
 }
 
 #[cfg(test)]
@@ -139,7 +138,6 @@ mod tests {
         assert_eq!(p.of(CommKind::DenseBlock(2)), 1);
         assert_eq!(p.of(CommKind::DenseBlock(4)), 2);
         assert_eq!(p.of(CommKind::DenseBlock(5)), 3);
-        assert_eq!(p.n_dense(), 4);
     }
 
     #[test]
@@ -164,7 +162,6 @@ mod tests {
         assert!(ops.windows(2).all(|w| w[0].1 <= w[1].1), "ascending priorities");
         assert!(matches!(ops[0].0, CommKind::PriorGrad(_)));
         assert!(matches!(ops.last().unwrap().0, CommKind::DelayedGrad(_)));
-        assert_eq!(p.embedding_modules(), &[0, 3]);
     }
 
     #[test]

@@ -10,15 +10,6 @@
 
 use embrace_tensor::{column_partition, owner_of_row, row_partition, F32_BYTES, INDEX_BYTES};
 
-/// How an embedding table is split across workers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PartitionStrategy {
-    /// Split vector dimensions; every shard holds the full vocabulary.
-    ColumnWise,
-    /// Split vocabulary rows; each shard holds whole vectors of its words.
-    RowWise,
-}
-
 /// Per-pair gradient-AlltoAll payload bytes under **column-wise**
 /// partitioning: worker `i` sends each worker `j` its batch rows restricted
 /// to `j`'s column range — identical volume to every `j` (up to rounding).

@@ -11,7 +11,7 @@
 //! The algorithm's seven set operations run as one pass: the batch is
 //! sorted once, each distinct row is summed as it is met and emitted
 //! straight into `G_p` or `G_d` according to a membership test against
-//! `D_next`, which is never sorted (see [`TokenSet`]).
+//! `D_next`, which is never sorted (see `TokenSet`).
 
 use embrace_tensor::{coalesce_split, unique_sorted, IndexSet, RowSparse};
 
@@ -34,14 +34,6 @@ impl VerticalSplit {
     /// Rows in the coalesced gradient (prior + delayed).
     pub fn total_rows(&self) -> usize {
         self.prior.nnz_rows() + self.delayed.nnz_rows()
-    }
-
-    /// Fraction of coalesced rows that are prior.
-    pub fn prior_fraction(&self) -> f64 {
-        if self.total_rows() == 0 {
-            return 0.0;
-        }
-        self.prior.nnz_rows() as f64 / self.total_rows() as f64
     }
 }
 
@@ -166,7 +158,6 @@ mod tests {
         let split = vertical_split(&g, &d_cur, &[]);
         assert!(split.prior.is_empty());
         assert_eq!(split.delayed.nnz_rows(), 3);
-        assert_eq!(split.prior_fraction(), 0.0);
     }
 
     #[test]
@@ -175,7 +166,6 @@ mod tests {
         let split = vertical_split(&g, &d_cur, &d_cur);
         assert!(split.delayed.is_empty());
         assert_eq!(split.prior.nnz_rows(), 3);
-        assert_eq!(split.prior_fraction(), 1.0);
     }
 
     #[test]

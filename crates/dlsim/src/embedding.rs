@@ -1,10 +1,11 @@
 //! A functional embedding table with sparse backward.
 //!
-//! `lookup` gathers rows for a token batch (FP); `grad_from_output`
-//! scatters the output gradient back to the touched rows, yielding the
-//! row-sparse COO gradient that is the object of the whole paper.
+//! `lookup` gathers rows for a token batch (FP). Its backward is the
+//! output gradient keyed by the same tokens, `RowSparse::new(tokens,
+//! d_out)`: the uncoalesced row-sparse COO gradient that is the object of
+//! the whole paper, which the trainers build directly.
 
-use embrace_tensor::{DenseTensor, RowSparse};
+use embrace_tensor::DenseTensor;
 use rand::Rng;
 
 /// A `vocab × dim` embedding table.
@@ -44,27 +45,11 @@ impl EmbeddingTable {
     pub fn lookup(&self, tokens: &[u32]) -> DenseTensor {
         self.table.gather_rows(tokens)
     }
-
-    /// Backward pass: given `d(loss)/d(lookup output)` (one row per token),
-    /// produce the uncoalesced row-sparse gradient of the table — the same
-    /// thing PyTorch's `Embedding(sparse=True)` emits.
-    pub fn grad_from_output(&self, tokens: &[u32], grad_out: &DenseTensor) -> RowSparse {
-        assert_eq!(tokens.len(), grad_out.rows(), "one gradient row per token");
-        assert_eq!(grad_out.cols(), self.dim(), "gradient dim mismatch");
-        RowSparse::new(tokens.to_vec(), grad_out.clone())
-    }
-
-    /// Column shard `[start, end)` of this table as an independent table
-    /// (EmbRace's column-wise model parallelism, §4.1.1).
-    pub fn column_shard(&self, start: usize, end: usize) -> EmbeddingTable {
-        EmbeddingTable { table: self.table.slice_columns(start, end) }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use embrace_tensor::coalesce;
     use rand::{rngs::StdRng, SeedableRng};
 
     fn table() -> EmbeddingTable {
@@ -82,40 +67,11 @@ mod tests {
     }
 
     #[test]
-    fn backward_is_uncoalesced_coo() {
-        let e = table();
-        let tokens = [3u32, 1, 3];
-        let grad_out = DenseTensor::full(3, 2, 1.0);
-        let g = e.grad_from_output(&tokens, &grad_out);
-        assert_eq!(g.indices(), &tokens);
-        let c = coalesce(&g);
-        assert_eq!(c.indices(), &[1, 3]);
-        assert_eq!(c.values().row(1), &[2.0, 2.0]); // token 3 twice
-    }
-
-    #[test]
-    fn column_shards_partition_lookup() {
-        let e = table();
-        let left = e.column_shard(0, 1);
-        let right = e.column_shard(1, 2);
-        let tokens = [2u32, 0];
-        let full = e.lookup(&tokens);
-        let stitched = DenseTensor::concat_columns(&[left.lookup(&tokens), right.lookup(&tokens)]);
-        assert_eq!(full, stitched);
-    }
-
-    #[test]
     fn random_init_in_range() {
         let mut rng = StdRng::seed_from_u64(1);
         let e = EmbeddingTable::new(10, 4, 0.5, &mut rng);
         assert_eq!(e.vocab(), 10);
         assert_eq!(e.dim(), 4);
         assert!(e.table().as_slice().iter().all(|&x| (-0.5..=0.5).contains(&x)));
-    }
-
-    #[test]
-    #[should_panic(expected = "one gradient row per token")]
-    fn mismatched_grad_rows_panic() {
-        table().grad_from_output(&[1, 2], &DenseTensor::zeros(3, 2));
     }
 }

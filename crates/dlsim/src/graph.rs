@@ -44,7 +44,7 @@ impl Module {
     }
 
     /// Dense wire size of this module's parameters/gradients in bytes.
-    pub fn param_bytes(&self) -> usize {
+    fn param_bytes(&self) -> usize {
         self.params() * embrace_tensor::F32_BYTES
     }
 }

@@ -12,9 +12,12 @@
 //!   the paper's Adam `step`-state modification (§5.7) that makes the
 //!   two-part (prior/delayed) update equivalent to a single update;
 //! * [`prefetch`] — the next-batch prefetcher Vertical Sparse Scheduling
-//!   relies on to know `D_next` (§4.2.2);
-//! * [`hooks`] — a backward-hook registry mirroring the
-//!   `register_hook` mechanism the prototype uses (§5.1).
+//!   relies on to know `D_next` (§4.2.2).
+//!
+//! The prototype's backward hooks, which push each block's communication
+//! into a priority queue (§5.1), have no counterpart here: the trainer's
+//! step submits every op to the comm scheduler directly, with the
+//! priorities `embrace_core::horizontal` states.
 //!
 //! # Example
 //!
@@ -38,7 +41,6 @@ pub mod autograd;
 pub mod embedding;
 pub mod fusion;
 pub mod graph;
-pub mod hooks;
 pub mod optim;
 pub mod prefetch;
 
@@ -46,6 +48,5 @@ pub use autograd::{NodeId, Tape};
 pub use embedding::EmbeddingTable;
 pub use fusion::{assign_buckets, Bucket};
 pub use graph::{ModelGraph, Module, ModuleKind};
-pub use hooks::HookRegistry;
 pub use optim::{Adam, Optimizer, Sgd, UpdatePart};
 pub use prefetch::Prefetcher;

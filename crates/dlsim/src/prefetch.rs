@@ -29,11 +29,6 @@ impl<T, I: Iterator<Item = T>> Prefetcher<T, I> {
         self.next = self.inner.next();
         cur
     }
-
-    /// True when no batches remain.
-    pub fn is_exhausted(&self) -> bool {
-        self.next.is_none()
-    }
 }
 
 impl<T, I: Iterator<Item = T>> Iterator for Prefetcher<T, I> {
@@ -61,9 +56,8 @@ mod tests {
     #[test]
     fn exhaustion() {
         let mut p = Prefetcher::new(std::iter::once(9));
-        assert!(!p.is_exhausted());
+        assert_eq!(p.peek_next(), Some(&9));
         assert_eq!(p.advance(), Some(9));
-        assert!(p.is_exhausted());
         assert_eq!(p.peek_next(), None);
         assert_eq!(p.advance(), None);
     }
@@ -78,7 +72,7 @@ mod tests {
     #[test]
     fn empty_stream() {
         let mut p = Prefetcher::new(std::iter::empty::<u32>());
-        assert!(p.is_exhausted());
+        assert_eq!(p.peek_next(), None);
         assert_eq!(p.advance(), None);
     }
 }

@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// Token id reserved for padding (§4.2.2: "the same value will be padded").
-pub const PAD_TOKEN: u32 = 0;
+const PAD_TOKEN: u32 = 0;
 
 /// Inverse-CDF sampler over token ids `1..vocab` with Zipf weights
 /// `P(k) ∝ 1/k^s`. The tables are shared between clones so all workers of
@@ -102,11 +102,6 @@ impl ZipfSampler {
         }
         guide.push(cum.len() as u32);
         ZipfSampler { table: Arc::new(ZipfTable { cum, guide, scale }) }
-    }
-
-    /// Number of samplable (non-pad) tokens.
-    pub fn support(&self) -> usize {
-        self.table.cum.len()
     }
 
     /// One uniform draw on the weight axis `[0, total)`.
@@ -219,14 +214,17 @@ impl GradStats {
     pub fn prior_mib(&self) -> f64 {
         self.rows_prior * self.row_bytes as f64 / Self::MIB
     }
+}
 
+#[cfg(test)]
+impl GradStats {
     /// Fraction of rows surviving coalescing.
-    pub fn coalesce_ratio(&self) -> f64 {
+    fn coalesce_ratio(&self) -> f64 {
         self.rows_coalesced / self.rows_original
     }
 
     /// Fraction of coalesced rows that are prior (needed by next batch).
-    pub fn prior_ratio(&self) -> f64 {
+    fn prior_ratio(&self) -> f64 {
         self.rows_prior / self.rows_coalesced
     }
 }

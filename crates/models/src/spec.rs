@@ -193,7 +193,7 @@ impl ModelSpec {
     }
 
     /// Number of dense blocks.
-    pub fn n_blocks(&self) -> usize {
+    fn n_blocks(&self) -> usize {
         self.enc_blocks + self.dec_blocks
     }
 
@@ -224,7 +224,7 @@ impl ModelSpec {
     }
 
     /// Total dense parameters (MiB).
-    pub fn dense_mib(&self) -> f64 {
+    fn dense_mib(&self) -> f64 {
         (self.n_blocks() * self.block_params * F32_BYTES) as f64 / MIB
     }
 
@@ -248,7 +248,8 @@ impl ModelSpec {
     /// Per-batch embedding-gradient density α: gradient rows over total
     /// table rows. §4.1.2 quotes the complements ("average sparsity"):
     /// 99.7% / 89.7% / 86.6% / 59.7% for the paper's batch sizes.
-    pub fn batch_density(&self, gpu: GpuKind) -> f64 {
+    #[cfg(test)]
+    fn batch_density(&self, gpu: GpuKind) -> f64 {
         let total_rows: usize = self.embeddings.iter().map(|e| e.vocab).sum();
         self.rows_per_batch(gpu) as f64 / total_rows as f64
     }
@@ -260,7 +261,7 @@ impl ModelSpec {
     /// uniform-block observation). With `cpu_embeddings`, embedding
     /// compute is additionally scaled by `cpu_emb_penalty_2080` —
     /// the host-memory table path of replicated methods on 8 GB GPUs.
-    pub fn graph_for(&self, gpu: GpuKind, cpu_embeddings: bool) -> ModelGraph {
+    fn graph_for(&self, gpu: GpuKind, cpu_embeddings: bool) -> ModelGraph {
         let total = self.compute_time(gpu);
         let (fp_total, bp_total) = (total / 3.0, total * 2.0 / 3.0);
         let cpu_factor =

@@ -11,12 +11,11 @@
 //!   simulator's f64-second clock. Well-nestedness per track is a checked
 //!   invariant, and [`SpanSet::structure`] gives a timing-free view used
 //!   by determinism tests.
-//! * [`Metrics`] — counters, gauges and log-scale histograms
-//!   (p50/p95/p99) in a mergeable registry.
+//! * [`Metrics`] — counters and log-scale histograms (any quantile) in a
+//!   mergeable registry.
 //! * [`chrome`] — Chrome `trace_event` JSON export (load in Perfetto or
 //!   `chrome://tracing`), plus counter series for e.g. per-priority DES
 //!   queue depth.
-//! * [`summary`] — a plain-text roll-up table for terminal output.
 //! * [`json`] — a minimal JSON parser so trace output can be validated
 //!   and round-tripped without external crates.
 //! * [`recorder`] — a thread-local recorder + RAII guard so hot paths
@@ -31,7 +30,6 @@ pub mod json;
 pub mod metrics;
 pub mod recorder;
 pub mod span;
-pub mod summary;
 
 pub use chrome::{chrome_trace, CounterSeries};
 pub use clock::{ClockDomain, WallClock};

@@ -1,7 +1,7 @@
-//! Metric registry: counters, gauges and log-scale histograms.
+//! Metric registry: counters and log-scale histograms.
 //!
 //! All maps are `BTreeMap`s so iteration (and therefore every exported
-//! summary) is deterministic. [`Metrics::merge`] combines registries
+//! export) is deterministic. [`Metrics::merge`] combines registries
 //! from different ranks/threads; counter merges use wrapping addition so
 //! the operation is exactly associative and commutative, which the
 //! property tests assert.
@@ -126,14 +126,6 @@ impl LogHistogram {
         self.max()
     }
 
-    pub fn p50(&self) -> f64 {
-        self.quantile(0.50)
-    }
-
-    pub fn p95(&self) -> f64 {
-        self.quantile(0.95)
-    }
-
     pub fn p99(&self) -> f64 {
         self.quantile(0.99)
     }
@@ -157,11 +149,10 @@ impl Default for LogHistogram {
     }
 }
 
-/// A registry of named counters, gauges and histograms.
+/// A registry of named counters and histograms.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Metrics {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
     hists: BTreeMap<String, LogHistogram>,
 }
 
@@ -181,14 +172,6 @@ impl Metrics {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    pub fn set_gauge(&mut self, name: &str, v: f64) {
-        self.gauges.insert(name.to_string(), v);
-    }
-
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
     /// Record `v` into histogram `name` (created on first use).
     pub fn observe(&mut self, name: &str, v: f64) {
         self.hists.entry(name.to_string()).or_default().observe(v);
@@ -202,27 +185,16 @@ impl Metrics {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &LogHistogram)> {
-        self.hists.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.hists.is_empty()
+        self.counters.is_empty() && self.hists.is_empty()
     }
 
-    /// Merge `other` into `self`: counters add (wrapping), gauges take
-    /// `other`'s value (last-writer-wins), histograms merge bucketwise.
+    /// Merge `other` into `self`: counters add (wrapping), histograms
+    /// merge bucketwise.
     pub fn merge(&mut self, other: &Metrics) {
         for (k, v) in &other.counters {
             let c = self.counters.entry(k.clone()).or_insert(0);
             *c = c.wrapping_add(*v);
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
         }
         for (k, h) in &other.hists {
             self.hists.entry(k.clone()).or_default().merge(h);
@@ -255,13 +227,13 @@ mod tests {
             h.observe(i as f64 * 1e-3); // 1ms..100ms
         }
         assert_eq!(h.count(), 100);
-        let p50 = h.p50();
+        let p50 = h.quantile(0.5);
         let p99 = h.p99();
         // Log buckets are ~19% wide; the quantile must land near the
         // true order statistic.
         assert!((0.04..=0.07).contains(&p50), "p50 {p50}");
         assert!((0.09..=0.12).contains(&p99), "p99 {p99}");
-        assert!(p50 <= h.p95() && h.p95() <= p99);
+        assert!(p50 <= h.quantile(0.95) && h.quantile(0.95) <= p99);
         assert!((h.mean() - 0.0505).abs() < 1e-9);
     }
 
@@ -292,16 +264,6 @@ mod tests {
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.min(), 0.0);
         assert_eq!(h.max(), 0.0);
-    }
-
-    #[test]
-    fn gauges_last_writer_wins_on_merge() {
-        let mut a = Metrics::new();
-        a.set_gauge("occupancy", 0.5);
-        let mut b = Metrics::new();
-        b.set_gauge("occupancy", 0.75);
-        a.merge(&b);
-        assert_eq!(a.gauge("occupancy"), Some(0.75));
     }
 
     #[test]

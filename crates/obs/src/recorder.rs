@@ -39,11 +39,6 @@ pub fn take() -> Option<SpanSet> {
     RECORDER.with(|r| r.borrow_mut().take()).map(|rec| rec.set)
 }
 
-/// Is a recorder installed on this thread?
-pub fn active() -> bool {
-    RECORDER.with(|r| r.borrow().is_some())
-}
-
 /// RAII guard closing the span opened by [`span`] when dropped.
 /// `armed` remembers whether a recorder existed at open time, so a
 /// guard created before `take()` does not close spans of a recorder
@@ -92,7 +87,7 @@ mod tests {
 
     #[test]
     fn no_recorder_means_noop() {
-        assert!(!active());
+        assert!(take().is_none());
         {
             let _g = span("unrecorded", "x");
         }
@@ -107,7 +102,7 @@ mod tests {
             let _inner = span("allreduce", "collective");
         }
         let set = take().expect("recorder installed");
-        assert!(!active());
+        assert!(take().is_none());
         set.check_well_nested().expect("nested");
         assert_eq!(
             set.structure(),
@@ -119,7 +114,7 @@ mod tests {
     fn threads_are_independent() {
         install("main-thread");
         let handle = std::thread::spawn(|| {
-            assert!(!active());
+            assert!(take().is_none());
             install("child");
             let _g = span("child-op", "x");
             drop(_g);

@@ -20,8 +20,8 @@ pub type TrackId = usize;
 pub struct SpanRec {
     pub track: TrackId,
     pub name: String,
-    /// Category — coarse grouping used for trace colouring and summary
-    /// roll-ups (e.g. `"fp"`, `"bp"`, `"collective"`).
+    /// Category — coarse grouping used for trace colouring (e.g. `"fp"`,
+    /// `"bp"`, `"collective"`).
     pub cat: String,
     /// Start time, in the owning set's clock domain (seconds).
     pub start: f64,
@@ -128,11 +128,6 @@ impl SpanSet {
     /// Latest end time over all spans (0.0 if empty).
     pub fn max_end(&self) -> f64 {
         self.spans.iter().map(|s| s.end).filter(|e| e.is_finite()).fold(0.0, f64::max)
-    }
-
-    /// Sum of durations of spans on `track` (closed spans only).
-    pub fn track_total(&self, track: TrackId) -> f64 {
-        self.spans.iter().filter(|s| s.track == track && s.end.is_finite()).map(SpanRec::dur).sum()
     }
 
     /// Check the well-nesting invariant: on every track, all spans are
@@ -252,15 +247,6 @@ mod tests {
         b.record(tb, "allreduce", "collective", 5.0, 9.0);
         assert_eq!(a.structure(), b.structure());
         assert_eq!(a.structure(), vec!["r0|d0|collective|allreduce".to_string()]);
-    }
-
-    #[test]
-    fn track_total_sums_durations() {
-        let mut set = SpanSet::new(ClockDomain::Virtual);
-        let t = set.add_track("net");
-        set.record(t, "a", "c", 0.0, 1.5);
-        set.record(t, "b", "c", 2.0, 2.25);
-        assert!((set.track_total(t) - 1.75).abs() < 1e-12);
     }
 
     #[test]

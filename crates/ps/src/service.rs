@@ -26,7 +26,8 @@
 //! All lookups and pushes are *collective*: every rank of the group must
 //! call them together, like the collectives they ride. Input validation
 //! happens before any packet moves, and a rank that rejects its input
-//! broadcasts an abort so peers fail with [`CommError::Aborted`] instead
+//! broadcasts an abort so peers fail with
+//! [`CommError::Aborted`](embrace_collectives::CommError::Aborted) instead
 //! of deadlocking.
 
 use crate::error::PsError;

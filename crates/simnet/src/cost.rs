@@ -45,15 +45,15 @@ pub mod analytic {
     /// `embrace-tensor`'s `INDEX_BYTES`/`F32_BYTES` and
     /// `embrace-collectives`' `SEG_HEADER_BYTES` (simnet deliberately
     /// depends on neither crate).
-    pub const SSAR_INDEX_BYTES: f64 = 8.0;
+    const SSAR_INDEX_BYTES: f64 = 8.0;
     pub const SSAR_F32_BYTES: f64 = 4.0;
-    pub const SSAR_SEG_HEADER_BYTES: f64 = 8.0;
+    const SSAR_SEG_HEADER_BYTES: f64 = 8.0;
 
     /// Expected density of the union of `k` independent per-rank row
     /// draws, each at density `delta`: `1 − (1−δ)^k`. Fractional `k` is
     /// meaningful — per-step stream counts are averaged over ranks when
     /// the world is not a power of two.
-    pub fn union_density(delta: f64, k: f64) -> f64 {
+    pub(crate) fn union_density(delta: f64, k: f64) -> f64 {
         1.0 - (1.0 - delta.clamp(0.0, 1.0)).powf(k)
     }
 
@@ -335,38 +335,6 @@ impl CostModel {
         2.0 * self.beta() + intra + 2.0 * nodes * msg / self.eff(bw, msg)
     }
 
-    /// Hierarchical AllReduce (BlueConnect-style, related work §6):
-    /// intra-node reduce-scatter, inter-node ring over one GPU per node,
-    /// then intra-node all-gather. On multi-node clusters this shortens
-    /// the latency chain from `2(N−1)` steps to `2(w−1) + 2(n−1)` while
-    /// moving the same bytes, so it wins when β dominates (many small
-    /// tensors) and roughly ties on bandwidth-bound transfers.
-    pub fn hierarchical_allreduce(&self, dense_bytes: f64) -> f64 {
-        let w = self.cluster.gpus_per_node as f64;
-        let nodes = self.cluster.nodes as f64;
-        if self.cluster.world() <= 1 {
-            return 0.0;
-        }
-        if self.cluster.nodes == 1 {
-            return self.ring_allreduce(dense_bytes);
-        }
-        // Intra phase: reduce-scatter + all-gather over w local GPUs.
-        let intra_unit = dense_bytes / w.max(1.0);
-        let intra = if w > 1.0 {
-            2.0 * (w - 1.0)
-                * (self.beta() + intra_unit / self.eff(self.cluster.net.intra_bw, intra_unit))
-        } else {
-            0.0
-        };
-        // Inter phase: ring over n node leaders on 1/w of the data each.
-        let inter_bytes = dense_bytes / w.max(1.0);
-        let inter_unit = inter_bytes / nodes;
-        let inter = 2.0
-            * (nodes - 1.0)
-            * (self.beta() + inter_unit / self.eff(self.cluster.net.inter_bw, inter_unit));
-        intra + inter
-    }
-
     /// Sparse-native split allreduce (SSAR) of a `vocab × dim` f32
     /// embedding gradient at per-rank density `delta`, densifying once
     /// the accumulated stream density crosses `crossover`. The recursive
@@ -602,25 +570,6 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_allreduce_beats_flat_ring_on_latency() {
-        // Many small tensors: the shorter latency chain wins.
-        let model = CostModel::new(Cluster::rtx3090(16));
-        let small = 256.0 * 1024.0;
-        assert!(model.hierarchical_allreduce(small) < model.ring_allreduce(small));
-        // Large tensors: same order of magnitude (bandwidth-bound).
-        let big = 500e6;
-        let h = model.hierarchical_allreduce(big);
-        let r = model.ring_allreduce(big);
-        assert!(h < r * 1.5 && h > r * 0.3, "h={h} r={r}");
-    }
-
-    #[test]
-    fn hierarchical_allreduce_degenerates_on_one_node() {
-        let model = CostModel::new(Cluster::rtx3090(4));
-        assert_eq!(model.hierarchical_allreduce(1e6), model.ring_allreduce(1e6));
-    }
-
-    #[test]
     fn union_density_is_exact_and_monotone() {
         assert!((analytic::union_density(0.3, 1.0) - 0.3).abs() < 1e-12);
         // Two independent draws: 1 − (1−δ)² = 2δ − δ².
@@ -692,7 +641,6 @@ mod tests {
         assert_eq!(model.alltoall(1e6), 0.0);
         assert_eq!(model.ring_allreduce(1e6), 0.0);
         assert_eq!(model.allgather(1e6), 0.0);
-        assert_eq!(model.hierarchical_allreduce(1e6), 0.0);
         assert_eq!(model.sparse_allreduce(0.1, 1e6, 64.0, 0.5), 0.0);
     }
 }

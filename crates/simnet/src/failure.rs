@@ -42,8 +42,7 @@ pub enum RecoveryModelError {
     /// `shrink_slowdown < 1` claims the job runs *faster* after losing a
     /// rank, which silently makes shrink win every comparison.
     SlowdownBelowOne { got: f64 },
-    /// `checkpoint_interval == 0` makes the steady-state checkpoint tax
-    /// infinite (division by zero).
+    /// `checkpoint_interval == 0` leaves no checkpoint to restart from.
     ZeroCheckpointInterval,
 }
 
@@ -74,42 +73,6 @@ impl RecoveryModel {
         Ok(())
     }
 
-    /// A model whose shrink slowdown comes from pure data-parallel
-    /// arithmetic: losing one of `workers` ranks leaves `workers − 1`
-    /// ranks doing the same total work, so each step slows by
-    /// `workers / (workers − 1)`.
-    pub fn data_parallel(
-        step_time: f64,
-        checkpoint_write: f64,
-        checkpoint_interval: u64,
-        restart_overhead: f64,
-        shrink_overhead: f64,
-        workers: usize,
-    ) -> Self {
-        assert!(workers > 1, "cannot shrink a single-worker group");
-        RecoveryModel {
-            step_time,
-            checkpoint_write,
-            checkpoint_interval,
-            restart_overhead,
-            shrink_overhead,
-            shrink_slowdown: workers as f64 / (workers - 1) as f64,
-        }
-    }
-
-    /// Steady-state checkpointing tax added to every step. Panics on an
-    /// invalid model — use [`RecoveryModel::try_checkpoint_overhead_per_step`]
-    /// to handle it.
-    pub fn checkpoint_overhead_per_step(&self) -> f64 {
-        self.try_checkpoint_overhead_per_step().expect("invalid recovery model")
-    }
-
-    /// Fallible [`RecoveryModel::checkpoint_overhead_per_step`].
-    pub fn try_checkpoint_overhead_per_step(&self) -> Result<f64, RecoveryModelError> {
-        self.validate()?;
-        Ok(self.checkpoint_write / self.checkpoint_interval as f64)
-    }
-
     /// Total time to finish the job via checkpoint/restart, given the
     /// crash happened `steps_since_checkpoint` steps after the last
     /// checkpoint with `remaining_steps` still to run. Lost steps are
@@ -130,14 +93,13 @@ impl RecoveryModel {
 
     /// The cheaper strategy for this crash point (ties go to shrink,
     /// which also preserves the job's memory footprint headroom). Panics
-    /// on an invalid model — use [`RecoveryModel::try_cheaper`] to
-    /// handle it.
+    /// on a model [`RecoveryModel::validate`] rejects.
     pub fn cheaper(&self, steps_since_checkpoint: u64, remaining_steps: u64) -> Recovery {
         self.try_cheaper(steps_since_checkpoint, remaining_steps).expect("invalid recovery model")
     }
 
     /// Fallible [`RecoveryModel::cheaper`].
-    pub fn try_cheaper(
+    fn try_cheaper(
         &self,
         steps_since_checkpoint: u64,
         remaining_steps: u64,
@@ -153,19 +115,41 @@ impl RecoveryModel {
 mod tests {
     use super::*;
 
+    /// A model whose shrink slowdown comes from pure data-parallel
+    /// arithmetic: losing one of `workers` ranks leaves `workers − 1`
+    /// ranks doing the same total work, so each step slows by
+    /// `workers / (workers − 1)`.
+    fn data_parallel(
+        step_time: f64,
+        checkpoint_write: f64,
+        checkpoint_interval: u64,
+        restart_overhead: f64,
+        shrink_overhead: f64,
+        workers: usize,
+    ) -> RecoveryModel {
+        assert!(workers > 1, "cannot shrink a single-worker group");
+        RecoveryModel {
+            step_time,
+            checkpoint_write,
+            checkpoint_interval,
+            restart_overhead,
+            shrink_overhead,
+            shrink_slowdown: workers as f64 / (workers - 1) as f64,
+        }
+    }
+
     #[test]
     fn recovery_model_prefers_shrink_near_the_end() {
         // Expensive restart, mild slowdown: with few steps left, shrink
         // wins; with a whole job left and a fresh checkpoint, restart wins.
-        let m = RecoveryModel::data_parallel(1.0, 5.0, 100, 120.0, 10.0, 16);
+        let m = data_parallel(1.0, 5.0, 100, 120.0, 10.0, 16);
         assert_eq!(m.cheaper(99, 10), Recovery::GroupShrink);
         assert_eq!(m.cheaper(0, 10_000), Recovery::CheckpointRestart);
     }
 
     #[test]
     fn recovery_costs_are_consistent() {
-        let m = RecoveryModel::data_parallel(2.0, 4.0, 50, 60.0, 5.0, 4);
-        assert!((m.checkpoint_overhead_per_step() - 0.08).abs() < 1e-12);
+        let m = data_parallel(2.0, 4.0, 50, 60.0, 5.0, 4);
         // Restart re-runs lost steps at full speed.
         assert!((m.checkpoint_restart_cost(10, 100) - (60.0 + 110.0 * 2.0)).abs() < 1e-12);
         // Shrink runs remaining steps at 4/3 the step time.
@@ -175,16 +159,13 @@ mod tests {
 
     #[test]
     fn recovery_model_rejects_nonsense_parameters() {
-        let mut m = RecoveryModel::data_parallel(1.0, 5.0, 100, 120.0, 10.0, 16);
+        let mut m = data_parallel(1.0, 5.0, 100, 120.0, 10.0, 16);
         assert_eq!(m.validate(), Ok(()));
         m.shrink_slowdown = 0.5;
         assert_eq!(m.try_cheaper(0, 10), Err(RecoveryModelError::SlowdownBelowOne { got: 0.5 }));
         m.shrink_slowdown = 1.1;
         m.checkpoint_interval = 0;
-        assert_eq!(
-            m.try_checkpoint_overhead_per_step(),
-            Err(RecoveryModelError::ZeroCheckpointInterval)
-        );
+        assert_eq!(m.validate(), Err(RecoveryModelError::ZeroCheckpointInterval));
     }
 
     #[test]

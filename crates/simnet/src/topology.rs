@@ -61,7 +61,7 @@ impl NetworkParams {
     /// 100 Gbps InfiniBand + PCIe 3.0 intra-node links, the RTX2080 testbed.
     /// The paper notes this cluster has slower RAM and lower intra-node
     /// bandwidth (§5.3), which we reflect in `intra_bw`.
-    pub fn infiniband_pcie3() -> Self {
+    fn infiniband_pcie3() -> Self {
         NetworkParams {
             inter_bw: 11.0e9,
             intra_bw: 9.0e9,
@@ -141,13 +141,13 @@ impl Cluster {
     }
 
     /// Node index hosting `rank`.
-    pub fn node_of(&self, rank: usize) -> usize {
+    fn node_of(&self, rank: usize) -> usize {
         assert!(rank < self.world(), "rank {rank} out of range");
         rank / self.gpus_per_node
     }
 
     /// Whether two ranks share a node (and therefore use the intra link).
-    pub fn same_node(&self, a: usize, b: usize) -> bool {
+    fn same_node(&self, a: usize, b: usize) -> bool {
         self.node_of(a) == self.node_of(b)
     }
 
@@ -158,16 +158,6 @@ impl Cluster {
             self.net.intra_bw
         } else {
             self.net.inter_bw / self.gpus_per_node as f64
-        }
-    }
-
-    /// The slowest point-to-point bandwidth any collective over the full
-    /// cluster must traverse — the `B` of the paper's Table 2 analysis.
-    pub fn bottleneck_bw(&self) -> f64 {
-        if self.nodes == 1 {
-            self.net.intra_bw
-        } else {
-            f64::min(self.net.intra_bw, self.net.inter_bw / self.gpus_per_node as f64)
         }
     }
 
@@ -220,12 +210,8 @@ mod tests {
         let c = Cluster::rtx3090(16);
         assert_eq!(c.link_bw(0, 1), c.net.intra_bw);
         assert_eq!(c.link_bw(0, 4), c.net.inter_bw / 4.0);
-        // Single-node cluster bottleneck is the intra link.
-        assert_eq!(Cluster::rtx3090(4).bottleneck_bw(), c.net.intra_bw);
-        // Multi-node bottleneck is the shared NIC.
-        assert_eq!(c.bottleneck_bw(), c.net.inter_bw / 4.0);
         // Fig. 4b: one GPU per node gets the whole NIC.
-        assert_eq!(Cluster::fig4b().bottleneck_bw(), Cluster::fig4b().net.inter_bw);
+        assert_eq!(Cluster::fig4b().link_bw(0, 1), Cluster::fig4b().net.inter_bw);
     }
 
     #[test]

@@ -118,7 +118,7 @@ impl Trace {
 
     /// Render both streams as a two-row ASCII Gantt chart, `width`
     /// characters wide. Each span is drawn with a letter derived from its
-    /// name (see [`Self::span_char`]); idle time is `.`.
+    /// name (see `span_char`); idle time is `.`.
     pub fn render_ascii(&self, width: usize) -> String {
         let makespan = self.spans.iter().map(|s| s.end).fold(0.0, f64::max);
         if makespan <= 0.0 || width == 0 {

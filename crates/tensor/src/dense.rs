@@ -182,12 +182,6 @@ impl DenseTensor {
         crate::kernels::scale(self.data_mut(), alpha);
     }
 
-    /// Set every element to zero without reallocating (unless shared, in
-    /// which case copy-on-write materialises a private buffer first).
-    pub fn fill_zero(&mut self) {
-        self.data_mut().fill(0.0);
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
@@ -470,7 +464,7 @@ mod tests {
 /// `0.0 + p₀ + p₁ + …`, its products summed in ascending inner index,
 /// whichever loop order computes it — so results are bitwise those of the
 /// plain index loops (`iterator_matmuls_match_index_loops_bitwise`). Each
-/// picks its loop order from the output width `m`: up to [`NARROW`]
+/// picks its loop order from the output width `m`: up to `NARROW`
 /// columns, output tiles sit in fixed-size accumulators across the whole
 /// inner loop; wider outputs stream their rows.
 impl DenseTensor {

@@ -6,14 +6,14 @@
 //! `nn.Embedding(sparse=True)` and what Horovod's AllGather path transmits.
 
 use crate::dense::DenseTensor;
-use crate::{F32_BYTES, INDEX_BYTES};
+use crate::INDEX_BYTES;
 use std::sync::Arc;
 
 /// A row-sparse view of a `vocab × dim` matrix: `indices[i]` names the
 /// vocabulary row stored in `values.row(i)`.
 ///
 /// Indices may contain duplicates (e.g. a word appearing twice in a batch
-/// contributes two gradient rows) until [`crate::coalesce`] merges them.
+/// contributes two gradient rows) until [`crate::coalesce()`] merges them.
 ///
 /// Like [`DenseTensor`], both components are `Arc`-shared: [`Clone`] /
 /// [`RowSparse::share`] are O(1), and mutation of the value block is
@@ -61,10 +61,6 @@ impl RowSparse {
         &self.values
     }
 
-    pub fn values_mut(&mut self) -> &mut DenseTensor {
-        &mut self.values
-    }
-
     /// Number of stored (possibly duplicate) rows.
     pub fn nnz_rows(&self) -> usize {
         self.indices.len()
@@ -84,28 +80,12 @@ impl RowSparse {
         self.indices.len() * INDEX_BYTES + self.values.nbytes()
     }
 
-    /// Wire size if this gradient were transmitted densely as the whole
-    /// `vocab × dim` table.
-    pub fn dense_nbytes(&self, vocab: usize) -> usize {
-        vocab * self.dim() * F32_BYTES
-    }
-
     /// Fraction of the dense table actually carried (paper's α, by rows).
     pub fn density(&self, vocab: usize) -> f64 {
         if vocab == 0 {
             return 0.0;
         }
         self.indices.len() as f64 / vocab as f64
-    }
-
-    /// Decompose into `(indices, values)`. Free when this handle owns its
-    /// indices exclusively; copies them (counted) when shared.
-    pub fn into_parts(self) -> (Vec<u32>, DenseTensor) {
-        let indices = Arc::try_unwrap(self.indices).unwrap_or_else(|shared| {
-            crate::alloc_counter::note(shared.len() * std::mem::size_of::<u32>());
-            (*shared).clone()
-        });
-        (indices, self.values)
     }
 
     /// Materialise as a dense `vocab × dim` matrix, summing duplicate rows —
@@ -205,6 +185,7 @@ impl RowSparse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::F32_BYTES;
 
     fn sample() -> RowSparse {
         // rows 3 and 1 of a vocab-4, dim-2 table; row 3 appears twice.
@@ -218,7 +199,6 @@ mod tests {
     fn nbytes_counts_indices_and_values() {
         let s = sample();
         assert_eq!(s.nbytes(), 3 * INDEX_BYTES + 6 * F32_BYTES);
-        assert_eq!(s.dense_nbytes(4), 4 * 2 * F32_BYTES);
     }
 
     #[test]

@@ -39,8 +39,8 @@
 use crate::real::{batch_stream, owned, ConvergenceConfig, Model, RankState, Toy};
 use embrace_collectives::ops::{try_allgather_tokens, try_broadcast};
 use embrace_collectives::{
-    run_group, run_group_with_deadline, Comm, CommError, CommScheduler, ElasticError,
-    ElasticWorker, Endpoint, FaultPlan, GroupError, Packet,
+    run_group_with_deadline, Comm, CommError, CommScheduler, ElasticError, ElasticWorker, Endpoint,
+    FaultPlan, GroupError, Packet,
 };
 use embrace_core::ColumnShardedEmbedding;
 use embrace_dlsim::optim::Adam;
@@ -128,12 +128,13 @@ pub struct FullState {
 
 impl FullState {
     /// The deterministic step-0 state every run starts from.
-    pub fn initial(cfg: &ConvergenceConfig) -> FullState {
+    #[cfg(test)]
+    fn initial(cfg: &ConvergenceConfig) -> FullState {
         FullState::initial_and_model(cfg).0
     }
 
-    /// [`FullState::initial`] and the model (its targets) of the same
-    /// draw, which every rank of a run shares.
+    /// The deterministic step-0 state every run starts from, and the model
+    /// (its targets) of the same draw, which every rank of a run shares.
     fn initial_and_model(cfg: &ConvergenceConfig) -> (FullState, Toy) {
         let (mut emb, w, model) = Toy::init(cfg, 1);
         let emb = emb.pop().expect("one shard");
@@ -761,7 +762,8 @@ pub fn run_elastic(cfg: &ElasticConfig) -> Result<ElasticReport, ElasticRunError
 /// Run `at_step` fault-free steps at the configured world and return the
 /// complete training state reached — the reference restore point for the
 /// bitwise post-shrink comparisons.
-pub fn capture_state_at(cfg: &ConvergenceConfig, at_step: u64) -> FullState {
+#[cfg(test)]
+fn capture_state_at(cfg: &ConvergenceConfig, at_step: u64) -> FullState {
     let cfg = *cfg;
     let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
     let (base, model) = FullState::initial_and_model(&cfg);
@@ -776,7 +778,8 @@ pub fn capture_state_at(cfg: &ConvergenceConfig, at_step: u64) -> FullState {
 
 /// Continue training fault-free from `fs` at `world` ranks; returns the
 /// complete loss history (the state's prefix plus one entry per step run).
-pub fn train_from_state(fs: &FullState, world: usize, cfg: &ConvergenceConfig) -> Vec<f64> {
+#[cfg(test)]
+fn train_from_state(fs: &FullState, world: usize, cfg: &ConvergenceConfig) -> Vec<f64> {
     let cfg = ConvergenceConfig { world, ..*cfg };
     let fs = fs.clone();
     let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
@@ -792,6 +795,7 @@ pub fn train_from_state(fs: &FullState, world: usize, cfg: &ConvergenceConfig) -
 
 /// Run `st` fault-free up to step `until` on one comm scheduler, pushing
 /// each step's global loss onto `losses`.
+#[cfg(test)]
 fn train_until(ep: &mut Endpoint, st: &mut RankState, until: u64, losses: &mut Vec<f64>) {
     let mut comm = CommScheduler::new(ep, st.sched_options(false));
     while st.step < until {
@@ -803,6 +807,8 @@ fn train_until(ep: &mut Endpoint, st: &mut RankState, until: u64, losses: &mut V
 /// elastic run, replica exchange excluded.
 #[cfg(test)]
 use crate::real::SendLog;
+#[cfg(test)]
+use embrace_collectives::run_group;
 
 #[cfg(test)]
 fn step_sends(cfg: &ConvergenceConfig, rank: usize) -> Vec<&'static str> {

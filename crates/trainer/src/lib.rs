@@ -39,8 +39,8 @@ pub mod translation;
 
 pub use chaos::{run_chaos, standard_scenarios, ChaosConfig, RankOutcome};
 pub use elastic::{
-    capture_state_at, run_elastic, train_from_state, ElasticConfig, ElasticRankOutcome,
-    ElasticReport, ElasticRunError, FullState, RecoveryPolicy,
+    run_elastic, ElasticConfig, ElasticRankOutcome, ElasticReport, ElasticRunError, FullState,
+    RecoveryPolicy,
 };
 pub use lstm::train_lstm_lm;
 pub use real::{

@@ -34,7 +34,6 @@ use embrace_dlsim::optim::{Adam, Optimizer, UpdatePart};
 use embrace_dlsim::{EmbeddingTable, NodeId, Prefetcher, Tape};
 use embrace_models::{BatchGen, ZipfSampler};
 use embrace_obs::{recorder, SpanSet};
-use embrace_simnet::{Cluster, CostModel};
 use embrace_tensor::{column_partition, DenseTensor, RowSparse, F32_BYTES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -81,19 +80,6 @@ impl Default for ConvergenceConfig {
             seed: 7,
             grad_plane: GradPlanePolicy::default(),
         }
-    }
-}
-
-impl ConvergenceConfig {
-    /// Resolve [`Self::grad_plane`] from the simnet cost crossover on the
-    /// paper's RTX3090 testbed at this config's world/batch shape: the
-    /// gradient plane rides the sparse-native allreduce whenever the cost
-    /// model prices it under the column-block AlltoAllv.
-    pub fn with_cost_tuned_plane(mut self) -> Self {
-        let model = CostModel::new(Cluster::rtx3090(self.world));
-        self.grad_plane =
-            GradPlanePolicy::from_cost(&model, self.vocab, self.dim, self.tokens_per_batch);
-        self
     }
 }
 
@@ -715,15 +701,6 @@ mod tests {
         let scale = hybrid.losses[0].abs().max(1.0);
         let diff = hybrid.max_curve_diff(&ssar) / scale;
         assert!(diff < 1e-3, "planes diverge: relative diff {diff}");
-    }
-
-    #[test]
-    fn cost_tuned_plane_is_deterministic_and_trains() {
-        let cfg = ConvergenceConfig::default().with_cost_tuned_plane();
-        let again = ConvergenceConfig::default().with_cost_tuned_plane();
-        assert_eq!(cfg.grad_plane, again.grad_plane, "resolution must be rank-invariant");
-        let r = train_convergence(TrainMethod::EmbRace, &ConvergenceConfig { steps: 4, ..cfg });
-        assert!(r.final_loss().is_finite());
     }
 
     /// FNV-1a over the bits of a loss curve.

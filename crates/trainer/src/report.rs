@@ -36,19 +36,6 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// `1234567.8` → `"1.23 M"` style human formatting for throughputs.
-pub fn si(value: f64) -> String {
-    if value >= 1e9 {
-        format!("{:.2} G", value / 1e9)
-    } else if value >= 1e6 {
-        format!("{:.2} M", value / 1e6)
-    } else if value >= 1e3 {
-        format!("{:.1} k", value / 1e3)
-    } else {
-        format!("{value:.1}")
-    }
-}
-
 /// Seconds → milliseconds with 2 decimals.
 pub fn ms(seconds: f64) -> String {
     format!("{:.2}", seconds * 1e3)
@@ -69,14 +56,6 @@ mod tests {
         assert!(lines[0].starts_with("name"));
         assert!(lines[1].starts_with("------"));
         assert!(lines[3].starts_with("longer"));
-    }
-
-    #[test]
-    fn si_formats() {
-        assert_eq!(si(1.5e9), "1.50 G");
-        assert_eq!(si(2.5e6), "2.50 M");
-        assert_eq!(si(1234.0), "1.2 k");
-        assert_eq!(si(12.0), "12.0");
     }
 
     #[test]

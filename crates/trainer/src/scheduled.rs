@@ -1,6 +1,8 @@
-//! The scheduled pipeline's harness (§5.1): the EmbRace step's backward
-//! hooks dump communication operations into a priority queue with
-//! 2D-scheduling priorities, and the comm scheduler drains it.
+//! The scheduled pipeline's harness (§5.1). The paper's prototype has
+//! backward hooks dump communication operations into a priority queue;
+//! here the EmbRace step submits each operation straight to the comm
+//! scheduler with its 2D-scheduling priority, and the scheduler drains
+//! its queue in priority order.
 //!
 //! There is one step, `real::RankState::run_step`, and it always runs
 //! through a [`embrace_collectives::CommScheduler`]; this entry

@@ -90,8 +90,6 @@ pub struct StepMetrics {
 struct StepSizes {
     /// Dense bytes per block (uniform blocks).
     block_bytes: f64,
-    /// Number of dense blocks.
-    n_blocks: usize,
     /// Dense bytes of each embedding table (for sparse-as-dense methods).
     emb_dense_bytes: Vec<f64>,
     /// Per-table per-rank sparse gradient bytes (raw / coalesced / prior).
@@ -112,7 +110,6 @@ fn step_sizes(spec: &ModelSpec, cfg: &SimConfig, stats: &GradStats) -> StepSizes
     let rows = spec.rows_per_batch(cfg.cluster.gpu) as f64;
     StepSizes {
         block_bytes: (spec.block_params * F32_BYTES) as f64,
-        n_blocks: spec.n_blocks(),
         emb_dense_bytes: spec.embeddings.iter().map(|e| e.bytes() as f64).collect(),
         grad_original: stats.original_mib() * mib / n_tables,
         grad_coalesced: stats.coalesced_mib() * mib / n_tables,
@@ -491,7 +488,7 @@ pub fn simulate_full(cfg: &SimConfig) -> (StepMetrics, SimResult) {
     }
 
     let result = sim.run();
-    let metrics = metrics_from(&result, &markers, &graph, &sizes, world, sizes.n_blocks);
+    let metrics = metrics_from(&result, &markers, &graph, &sizes, world);
     (metrics, result)
 }
 
@@ -507,7 +504,6 @@ fn metrics_from(
     graph: &embrace_dlsim::graph::ModelGraph,
     sizes: &StepSizes,
     world: f64,
-    _n_blocks: usize,
 ) -> StepMetrics {
     // Steady state: average step duration between the 2nd and last marker.
     let ends: Vec<f64> = markers

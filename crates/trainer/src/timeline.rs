@@ -12,15 +12,15 @@ use embrace_simnet::{Cluster, Trace};
 
 /// One scheme's rendered timeline plus its steady step time.
 #[derive(Clone, Debug)]
-pub struct SchemeTimeline {
-    pub label: &'static str,
-    pub step_time: f64,
-    pub stall: f64,
+struct SchemeTimeline {
+    label: &'static str,
+    step_time: f64,
+    stall: f64,
 }
 
 /// Compare the three scheduling schemes of Fig. 6. Returns them in the
 /// paper's order: default, horizontal, 2D.
-pub fn fig6_comparison(model: ModelId, cluster: Cluster) -> Vec<SchemeTimeline> {
+fn fig6_comparison(model: ModelId, cluster: Cluster) -> Vec<SchemeTimeline> {
     let schemes = [
         ("Default (FIFO) scheduling", MethodId::EmbRaceNoSched),
         ("Block-level Horizontal Scheduling", MethodId::EmbRaceHorizontal),
