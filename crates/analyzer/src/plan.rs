@@ -25,7 +25,7 @@
 use embrace_collectives::schedule::{ssar_rounds, Payload, RingPart, Schedule, Step, Traversal};
 use embrace_collectives::{Comm, CommError, Packet, ReformMsg, SubmittedOp, SEG_HEADER_BYTES};
 use embrace_core::{CommKind, Priorities};
-use embrace_tensor::{column_partition, F32_BYTES, INDEX_BYTES, TOKEN_BYTES};
+use embrace_tensor::{column_partition, F32_BYTES, INDEX_BYTES};
 
 /// One point-to-point record in a rank's plan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -208,41 +208,6 @@ pub fn grad_alltoall_bytes(grad_rows: &[usize], dim_total: usize) -> Vec<Vec<u64
                 .collect()
         })
         .collect()
-}
-
-/// Plan of the sharded-embedding-service lookup RPC
-/// (`embrace_ps::EmbeddingService::try_lookup`): two back-to-back
-/// alltoall phases — the deduplicated row-id requests out
-/// (`alltoallv_tokens`, [`TOKEN_BYTES`] per id), then each owner's
-/// embedding rows back (`alltoall_dense`, `dim × F32_BYTES` per row).
-/// `reqs[i][j]` is the number of distinct rows rank `i` requests
-/// from owner `j`; the response matrix is its transpose scaled to row
-/// width. Both phases are [`alltoall_plan`]s, and the byte counts equal
-/// the runtime `Packet::Tokens` / `Packet::Dense` wire sizes
-/// (cross-validated by the `recording` tests).
-pub fn lookup_plan(reqs: &[Vec<usize>], dim: usize) -> P2pPlan {
-    let world = reqs.len();
-    assert!(reqs.iter().all(|row| row.len() == world), "square request matrix");
-    let id_bytes: Vec<Vec<u64>> =
-        reqs.iter().map(|row| row.iter().map(|&n| (n * TOKEN_BYTES) as u64).collect()).collect();
-    let row_bytes: Vec<Vec<u64>> = (0..world)
-        .map(|j| (0..world).map(|i| (reqs[i][j] * dim * F32_BYTES) as u64).collect())
-        .collect();
-    let mut plan = alltoall_plan("lookup", &id_bytes);
-    let response = alltoall_plan("lookup", &row_bytes);
-    for (ops, resp) in plan.ranks.iter_mut().zip(response.ranks) {
-        ops.extend(resp);
-    }
-    plan
-}
-
-/// Deterministic demo instance of the lookup plan for the verification
-/// sweeps: rank `i`'s request count to owner `j` varies with both ends
-/// (`(3i + 5j) mod 7 + 1`), so no two links carry equal volume.
-pub fn lookup_demo_plan(world: usize) -> P2pPlan {
-    let reqs: Vec<Vec<usize>> =
-        (0..world).map(|i| (0..world).map(|j| (3 * i + 5 * j) % 7 + 1).collect()).collect();
-    lookup_plan(&reqs, 16)
 }
 
 /// Plan of the fault-free elastic re-form handshake
@@ -558,6 +523,7 @@ impl Comm for RecordingEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use embrace_tensor::TOKEN_BYTES;
 
     #[test]
     fn barrier_plan_shape() {
@@ -662,37 +628,6 @@ mod tests {
         // rank 0 shard is 4 cols wide; to rank 1 it sends 5 rows × 4 cols.
         assert_eq!(m[0][1], (5 * 4 * F32_BYTES) as u64);
         assert_eq!(m[1][0], (2 * 4 * F32_BYTES) as u64);
-    }
-
-    #[test]
-    fn lookup_plan_is_two_transposed_phases() {
-        let reqs = vec![vec![0, 2, 1], vec![3, 1, 0], vec![2, 2, 4]];
-        let dim = 8;
-        let p = lookup_plan(&reqs, dim);
-        assert!(crate::verify::verify_p2p(&p, None).clean(), "lookup plan clean");
-        // Each rank: (world-1) sends + recvs per phase, two phases.
-        for ops in &p.ranks {
-            assert_eq!(ops.len(), 2 * 2 * 2);
-        }
-        // Request link 0→1 carries 2 ids; response link 1→0 carries the
-        // matching 2 rows.
-        let id = TOKEN_BYTES as u64;
-        let row = (dim * F32_BYTES) as u64;
-        assert_eq!(p.link_traffic(0, 1), (2, 2 * id + 3 * row));
-        assert_eq!(p.link_traffic(1, 0), (2, 3 * id + 2 * row));
-        // Bytes conserve globally across both phases.
-        let sent: u64 = (0..3).map(|r| p.bytes_sent(r)).sum();
-        let recv: u64 = (0..3).map(|r| p.bytes_received(r)).sum();
-        assert_eq!(sent, recv);
-    }
-
-    #[test]
-    fn lookup_demo_plan_scales_clean() {
-        for world in [1usize, 2, 3, 4, 8, 16] {
-            let p = lookup_demo_plan(world);
-            let report = crate::verify::verify_p2p(&p, None);
-            assert!(report.clean(), "world {world}: {report:?}");
-        }
     }
 
     #[test]

@@ -693,8 +693,8 @@ mod tests {
     use crate::model_check::{check_collective, Collective};
     use crate::plan::{
         allgather_plan, alltoall_plan, barrier_plan, broadcast_plan, chunked_alltoall_plan,
-        chunked_ring_allreduce_plan, grad_alltoall_bytes, lookup_alltoall_bytes, lookup_demo_plan,
-        reform_plan, ring_allreduce_plan, sparse_allreduce_demo_plan,
+        chunked_ring_allreduce_plan, grad_alltoall_bytes, lookup_alltoall_bytes, reform_plan,
+        ring_allreduce_plan, sparse_allreduce_demo_plan,
     };
 
     fn kinds(diags: &[Diagnostic]) -> Vec<DiagnosticKind> {
@@ -713,7 +713,6 @@ mod tests {
             alltoall_plan("alltoallv_grad", &grad_alltoall_bytes(&rows, 8 * world)),
             chunked_alltoall_plan("alltoall_chunked", &lookup_alltoall_bytes(&rows, 8 * world)),
             sparse_allreduce_demo_plan(world),
-            lookup_demo_plan(world),
             reform_plan(world),
         ]
     }

@@ -21,8 +21,8 @@ use embrace_analyzer::model_check::{check, CheckConfig, Collective};
 use embrace_analyzer::plan::{
     allgather_plan, alltoall_plan, barrier_plan, broadcast_plan, chunked_alltoall_plan,
     chunked_ring_allreduce_plan, grad_alltoall_bytes, horizontal_schedule_plan,
-    lookup_alltoall_bytes, lookup_demo_plan, lookup_plan, reform_plan, ring_allreduce_plan,
-    ring_phase_plan, sparse_allreduce_demo_plan, sparse_allreduce_plan, P2pPlan,
+    lookup_alltoall_bytes, reform_plan, ring_allreduce_plan, ring_phase_plan,
+    sparse_allreduce_demo_plan, sparse_allreduce_plan, P2pPlan,
 };
 use embrace_analyzer::verify::{mutate_p2p, mutate_partition, mutate_schedule};
 use embrace_analyzer::{
@@ -108,14 +108,7 @@ fn verify_model(spec: &ModelSpec, world: usize) -> Result<usize, String> {
             .collect();
         let ssar = sparse_allreduce_plan(world, &locals, emb.dim, emb.vocab, 0.5);
         expect_clean_p2p(&format!("{} {} sparse allreduce", spec.name, emb.name), &ssar)?;
-        // Serving-path lookup RPC over the same table: deterministic
-        // skewed request counts (rank/owner-dependent, never uniform).
-        let reqs: Vec<Vec<usize>> = (0..world)
-            .map(|i| (0..world).map(|j| (i * 13 + j * 7 + rows) % (rows + 1)).collect())
-            .collect();
-        let serve = lookup_plan(&reqs, emb.dim);
-        expect_clean_p2p(&format!("{} {} serving lookup", spec.name, emb.name), &serve)?;
-        checked += 4;
+        checked += 3;
     }
     let dense = ring_allreduce_plan(world, spec.block_params);
     expect_clean_p2p(&format!("{} dense ring", spec.name), &dense)?;
@@ -253,7 +246,7 @@ fn model_check_reform() -> Result<(), String> {
 /// sizes scaled to `world` (payloads stay modest so the sweep measures
 /// analysis, not plan size). Generated one at a time: a world-1024 plan
 /// is ~100 MB.
-const PLAN_FAMILIES: [fn(usize) -> P2pPlan; 11] = [
+const PLAN_FAMILIES: [fn(usize) -> P2pPlan; 10] = [
     barrier_plan,
     |w| broadcast_plan(w, 0, 64),
     |w| ring_allreduce_plan(w, 4 * w + 1),
@@ -263,7 +256,6 @@ const PLAN_FAMILIES: [fn(usize) -> P2pPlan; 11] = [
     |w| alltoall_plan("alltoallv_grad", &grad_alltoall_bytes(&sweep_rows(w), 4 * w)),
     |w| chunked_alltoall_plan("alltoall_chunked", &lookup_alltoall_bytes(&sweep_rows(w), 4 * w)),
     sparse_allreduce_demo_plan,
-    lookup_demo_plan,
     reform_plan,
 ];
 

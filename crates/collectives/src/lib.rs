@@ -16,7 +16,9 @@
 //! * [`ops::alltoall_dense`] / [`ops::alltoallv_sparse`] — the AlltoAll
 //!   exchanges EmbRace uses for embedding lookup results and gradients,
 //! * [`ops::allgather_tokens`], [`ops::broadcast`], [`ops::barrier`] —
-//!   support plumbing (token gathering feeds Algorithm 1's `D_cur`).
+//!   support plumbing (token gathering feeds Algorithm 1's `D_cur`),
+//! * [`ops::try_allgather_regions`] — the one-time exchange of
+//!   [`Region`] handles behind the embedding service's one-sided reads.
 //!
 //! # Example
 //!
@@ -59,5 +61,5 @@ pub use scheduler::{
 };
 pub use transport::{
     mesh, mesh_with_faults, slot_mesh, Comm, CommError, Endpoint, FaultPlan, Packet, ReformMsg,
-    SegBody, SparseSeg, SEG_HEADER_BYTES,
+    Region, SegBody, SparseSeg, SEG_HEADER_BYTES,
 };

@@ -45,7 +45,7 @@
 //! forever where a deadline turns it into [`CommError::Timeout`].
 
 use crate::schedule::{self, prev_pow2, Ring, RingPart};
-use crate::transport::{Comm, CommError, Packet, SegBody, SparseSeg};
+use crate::transport::{Comm, CommError, Packet, Region, SegBody, SparseSeg};
 use embrace_obs::recorder;
 use embrace_tensor::{
     coalesce, densify_range, kernels, merge_rowsparse, scatter_add_rows, DenseTensor, RowSparse,
@@ -267,7 +267,7 @@ pub fn try_ring_part<C: Comm>(
     Ok(())
 }
 
-/// A fan-out payload: the three wire types share one exchange body.
+/// A fan-out payload: the wire types share one exchange body.
 pub(crate) trait Block: Sized {
     fn into_packet(self) -> Packet;
     fn try_from_packet(packet: Packet) -> Result<Self, CommError>;
@@ -297,6 +297,15 @@ impl Block for TokenBuf {
     }
     fn try_from_packet(packet: Packet) -> Result<Self, CommError> {
         packet.try_into_tokens()
+    }
+}
+
+impl Block for Region {
+    fn into_packet(self) -> Packet {
+        Packet::Region(self)
+    }
+    fn try_from_packet(packet: Packet) -> Result<Self, CommError> {
+        packet.try_into_region()
     }
 }
 
@@ -411,17 +420,22 @@ pub fn try_allgather_tokens<C: Comm>(
     fanout(ep, "allgather_tokens", (0..ep.world()).map(|_| local.share()).collect())
 }
 
+/// AllGather of registered regions: every rank receives every rank's
+/// [`Region`] handle, in rank order (own included). Only handles move;
+/// this is how a group registers its shards for one-sided reads.
+pub fn try_allgather_regions<C: Comm>(ep: &mut C, local: Region) -> Result<Vec<Region>, CommError> {
+    fanout(ep, "allgather_regions", (0..ep.world()).map(|_| local.clone()).collect())
+}
+
 /// AlltoAllv of token batches: `parts[j]` goes to rank `j`; returns the
 /// batches received, indexed by source rank (own batch kept in place,
-/// zero-copy via the `TokenBuf` handle). This is the request leg of the
-/// sharded embedding service's lookup RPC: each rank scatters the row ids
-/// it needs to the shards that own them.
+/// zero-copy via the `TokenBuf` handle).
 pub fn alltoallv_tokens<C: Comm>(ep: &mut C, parts: Vec<TokenBuf>) -> Vec<TokenBuf> {
     finish(try_alltoallv_tokens(ep, parts))
 }
 
 /// Fallible [`alltoallv_tokens`].
-pub fn try_alltoallv_tokens<C: Comm>(
+fn try_alltoallv_tokens<C: Comm>(
     ep: &mut C,
     parts: Vec<TokenBuf>,
 ) -> Result<Vec<TokenBuf>, CommError> {

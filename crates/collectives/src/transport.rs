@@ -40,7 +40,7 @@ use embrace_tensor::{DenseTensor, RowSparse, TokenBuf, TOKEN_BYTES};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// The transport capability the collective algorithms actually need:
@@ -133,6 +133,35 @@ pub enum Packet {
     /// threshold. Both bodies are `Arc`-backed, so forwarding a received
     /// segment copies no payload bytes.
     SparseSegs(Vec<SparseSeg>),
+    /// A registered memory region (see [`Region`]): sent once per peer
+    /// when a group sets up one-sided reads.
+    Region(Region),
+}
+
+/// A registered memory region: the shared handle of one rank's table
+/// shard plus the owner's description of its row placement (`book`,
+/// encoded by the owner and opaque to the transport). The handle *is* the
+/// shard, not a copy: a peer that received it reads rows straight from
+/// the owner's memory, and it is the owner's protocol that decides when
+/// such reads may happen.
+#[derive(Clone)]
+pub struct Region {
+    pub rows: Arc<RwLock<DenseTensor>>,
+    pub book: TokenBuf,
+}
+
+/// Two regions are equal when they are the same memory under the same book.
+impl PartialEq for Region {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.rows, &other.rows) && self.book == other.book
+    }
+}
+
+/// The address, not the rows: a shard can be millions of rows.
+impl fmt::Debug for Region {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Region({:p}, book {:?})", Arc::as_ptr(&self.rows), self.book)
+    }
 }
 
 /// A half-open vocabulary row range `[lo, hi)` of a sparse allreduce,
@@ -235,6 +264,9 @@ impl Packet {
             Packet::Tagged { inner, .. } => 8 + inner.nbytes(),
             Packet::Reform(m) => m.nbytes(),
             Packet::SparseSegs(segs) => segs.iter().map(SparseSeg::nbytes).sum(),
+            // An (address, key) pair, as an RDMA registration ships, and
+            // the book.
+            Packet::Region(r) => 16 + r.book.nbytes(),
         }
     }
 
@@ -267,6 +299,7 @@ impl Packet {
             Packet::Tagged { inner, .. } => inner.copied_nbytes(),
             // Control messages are always materialised.
             Packet::Reform(m) => m.nbytes(),
+            Packet::Region(_) => self.nbytes(),
             Packet::SparseSegs(segs) => segs.iter().map(SparseSeg::copied_nbytes).sum(),
         }
     }
@@ -282,6 +315,7 @@ impl Packet {
             Packet::Tagged { .. } => "Tagged",
             Packet::Reform(_) => "Reform",
             Packet::SparseSegs(_) => "SparseSegs",
+            Packet::Region(_) => "Region",
         }
     }
 
@@ -322,6 +356,14 @@ impl Packet {
         match self {
             Packet::SparseSegs(segs) => Ok(segs),
             other => Err(other.mismatch("SparseSegs")),
+        }
+    }
+
+    /// See [`Packet::try_into_dense`].
+    pub fn try_into_region(self) -> Result<Region, CommError> {
+        match self {
+            Packet::Region(r) => Ok(r),
+            other => Err(other.mismatch("Region")),
         }
     }
 

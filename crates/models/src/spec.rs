@@ -258,17 +258,16 @@ impl ModelSpec {
     /// times calibrated for `gpu`. FP is budgeted 1/3 of step compute and
     /// BP 2/3 (the usual 1:2 ratio); embeddings take `emb_compute_share`
     /// of the total, dense blocks share the rest evenly (§4.2.1's
-    /// uniform-block observation). With `cpu_embeddings`, embedding
-    /// compute is additionally scaled by `cpu_emb_penalty_2080` —
-    /// the host-memory table path of replicated methods on 8 GB GPUs.
-    fn graph_for(&self, gpu: GpuKind, cpu_embeddings: bool) -> ModelGraph {
+    /// uniform-block observation). Embeddings are GPU-resident; the
+    /// host-memory table path of replicated methods on 8 GB GPUs
+    /// (`cpu_emb_penalty_2080`) is overhead the step simulator adds
+    /// around the embedding kernels, not compute in this graph.
+    pub fn graph(&self, gpu: GpuKind) -> ModelGraph {
         let total = self.compute_time(gpu);
         let (fp_total, bp_total) = (total / 3.0, total * 2.0 / 3.0);
-        let cpu_factor =
-            if cpu_embeddings && gpu == GpuKind::Rtx2080 { self.cpu_emb_penalty_2080 } else { 1.0 };
         let emb_share = self.emb_compute_share / self.embeddings.len() as f64;
-        let emb_fp = fp_total * emb_share * cpu_factor;
-        let emb_bp = bp_total * emb_share * cpu_factor;
+        let emb_fp = fp_total * emb_share;
+        let emb_bp = bp_total * emb_share;
         let blocks = self.n_blocks() as f64;
         let blk_fp = fp_total * (1.0 - self.emb_compute_share) / blocks;
         let blk_bp = bp_total * (1.0 - self.emb_compute_share) / blocks;
@@ -311,11 +310,6 @@ impl ModelSpec {
             }
             g
         }
-    }
-
-    /// Module graph with GPU-resident embeddings (EmbRace and PS methods).
-    pub fn graph(&self, gpu: GpuKind) -> ModelGraph {
-        self.graph_for(gpu, false)
     }
 }
 
@@ -395,9 +389,6 @@ mod tests {
                     s.name,
                     s.compute_time(gpu)
                 );
-                // CPU-embedding variant is never faster.
-                let cpu = s.graph_for(gpu, true);
-                assert!(cpu.compute_time() >= t * 0.999);
             }
         }
     }

@@ -26,16 +26,12 @@ pub enum PsError {
         /// The width the caller supplied.
         got: usize,
     },
-    /// A peer asked this shard for a row it does not own — the partition
-    /// books of the group disagree (a deployment bug, not a data race).
-    WrongShard {
-        /// The row a peer requested here.
-        row: u32,
-        /// The shard that actually owns it under this rank's book.
-        owner: usize,
-        /// This rank's shard id.
-        shard: usize,
-    },
+    /// The group's partition books disagree (a deployment bug, not a data
+    /// race): `rank`'s book, received at registration, is not this rank's.
+    BookMismatch { rank: usize },
+    /// A shard's region was in use where the serving protocol's fences
+    /// rule that out: a protocol bug, reported instead of waited out.
+    RegionBusy { shard: usize },
     /// The underlying collective failed; the group is poisoned and must
     /// be rebuilt before further serving traffic (see `embrace-collectives`'
     /// abort-broadcast contract).
@@ -51,9 +47,10 @@ impl fmt::Display for PsError {
             PsError::DimMismatch { expected, got } => {
                 write!(f, "embedding dim mismatch: table has {expected} columns, caller sent {got}")
             }
-            PsError::WrongShard { row, owner, shard } => {
-                write!(f, "row {row} belongs to shard {owner}, not this shard {shard}")
+            PsError::BookMismatch { rank } => {
+                write!(f, "rank {rank}'s partition book differs from this rank's")
             }
+            PsError::RegionBusy { shard } => write!(f, "shard {shard}'s region is in use"),
             PsError::Comm(e) => write!(f, "communication failure: {e}"),
         }
     }

@@ -2,13 +2,14 @@
 //!
 //! [`EmbeddingService`] is the one parameter-server substrate: one
 //! instance per SPMD rank, rows placed by a [`PartitionBook`]
-//! (contiguous-range or cyclic-hash policies), batched lookup/push RPCs
-//! riding the collectives layer (`alltoallv_tokens` + `alltoall_dense` for
-//! lookups, `alltoallv_sparse` or the sparse-native allreduce for gradient
-//! pushes), per-row optimizer state ([`RowOptimizer`]: SGD / Adagrad)
-//! colocated with the shard it updates, and serving counters exported
-//! through `embrace-obs`. There is no client-side row cache: a lookup is
-//! planned with one sort and always reads the owners' current rows.
+//! (contiguous-range or cyclic-hash policies), lookups that read rows
+//! one-sidedly from the owners' shard regions behind one barrier (the
+//! regions registered once through the collectives layer), gradient
+//! pushes over `alltoallv_sparse` or the sparse-native allreduce,
+//! per-row optimizer state ([`RowOptimizer`]: SGD / Adagrad) colocated
+//! with the shard it updates, and serving counters exported through
+//! `embrace-obs`. There is no client-side row cache: every lookup reads
+//! the owners' current rows.
 //! The paper's PS baselines (BytePS, Parallax) are priced by
 //! `embrace_simnet::cost::CostModel::ps`, not run on this crate.
 //!

@@ -60,11 +60,14 @@ impl PartitionBook {
         self.shards
     }
 
-    /// The shard owning global row `row`.
-    pub fn owner_of(&self, row: u32) -> Result<usize, PsError> {
+    /// The shard owning global row `row` and the row's position inside
+    /// that shard's local table, in one pass of the placement arithmetic:
+    /// the per-row step of every lookup.
+    pub fn locate(&self, row: u32) -> Result<(usize, usize), PsError> {
         if row as usize >= self.vocab {
             return Err(PsError::RowOutOfRange { row, vocab: self.vocab });
         }
+        let r = row as usize;
         Ok(match self.policy {
             PartitionPolicy::Range => {
                 // row_partition gives the first `vocab % shards` ranges one
@@ -72,28 +75,23 @@ impl PartitionBook {
                 let base = self.vocab / self.shards;
                 let extra = self.vocab % self.shards;
                 let boundary = extra * (base + 1);
-                let r = row as usize;
-                if r < boundary {
-                    r / (base + 1)
-                } else {
-                    extra + (r - boundary) / base
-                }
+                let owner =
+                    if r < boundary { r / (base + 1) } else { extra + (r - boundary) / base };
+                (owner, r - self.ranges[owner].start)
             }
-            PartitionPolicy::Hash => row as usize % self.shards,
+            PartitionPolicy::Hash => (r % self.shards, r / self.shards),
         })
+    }
+
+    /// The shard owning global row `row`.
+    pub fn owner_of(&self, row: u32) -> Result<usize, PsError> {
+        self.locate(row).map(|(owner, _)| owner)
     }
 
     /// Position of `row` inside its owning shard's local table. The caller
     /// must have validated `row` (e.g. via [`PartitionBook::owner_of`]).
     pub fn local_index(&self, row: u32) -> usize {
-        debug_assert!((row as usize) < self.vocab);
-        match self.policy {
-            PartitionPolicy::Range => {
-                let owner = self.owner_of(row).expect("caller validated the row");
-                row as usize - self.ranges[owner].start
-            }
-            PartitionPolicy::Hash => row as usize / self.shards,
-        }
+        self.locate(row).expect("caller validated the row").1
     }
 
     /// Number of rows shard `shard` owns.

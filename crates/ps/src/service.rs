@@ -1,4 +1,4 @@
-//! The sharded embedding service: batched lookup/push RPCs over collectives.
+//! The sharded embedding service: one-sided lookups, collective pushes.
 //!
 //! One `EmbeddingService` instance runs per rank of an SPMD group; rank
 //! `r` *is* shard `r` (server and worker colocated, the DGL
@@ -6,13 +6,18 @@
 //! one place — each rank holds only the rows its [`PartitionBook`] assigns
 //! it, plus the per-row optimizer state for exactly those rows.
 //!
-//! **Lookup** is two collectives deep: requests scatter to their owning
-//! shards (`alltoallv_tokens`, the request leg), each shard gathers the
-//! rows it owns, and the responses scatter back (`alltoall_dense` — the
-//! paper's AlltoAll #1 shape). The request plan is one sort of packed
-//! `(id, position)` keys: each run of equal ids becomes one request entry
-//! to its owner, so a Zipf-skewed batch shrinks to its distinct ids before
-//! the wire. There is no client-side row cache (DGL's `DistEmbedding`
+//! **Registration.** Each rank keeps its shard in a region (a shared
+//! `RwLock` handle). At the first service call every rank receives every
+//! region once, through the transport (one `try_allgather_regions`),
+//! together with each owner's partition book; a book that differs from
+//! this rank's fails every rank with [`PsError::BookMismatch`] before any
+//! row is read. Regions are not a second transport: they are registered
+//! through it, and read only between the fences below.
+//!
+//! **Lookup** is one barrier deep: validate the ids, pass `try_barrier`,
+//! then copy each row, in request order, straight from its owner's region
+//! (own shard included). No owner takes part and nothing is sorted or
+//! deduplicated. There is no client-side row cache (DGL's `DistEmbedding`
 //! keeps none either); every lookup reads the owners' current rows.
 //!
 //! **Push** partitions a [`RowSparse`] gradient by owning shard and rides
@@ -21,7 +26,15 @@
 //! applies — and updates through its colocated [`RowOptimizer`].
 //! Alternatively a push can ride the sparse-native allreduce
 //! ([`PushTransport::SparseAllreduce`]); every rank then applies its own
-//! slice of the reduced gradient, bitwise the SSAR oracle.
+//! slice of the reduced gradient, bitwise the SSAR oracle. Either way the
+//! owner applies under its region's write side.
+//!
+//! **Fence.** A lookup's barrier is the fence: a rank enters it only after
+//! its previous push has applied, so every read sees every earlier push;
+//! and a rank sends its next push part only after its reads are done,
+//! while an owner applies only after receiving every rank's part, so no
+//! write overlaps a read. Region access therefore never waits: it takes
+//! `try_read` / `try_write`, and contention is [`PsError::RegionBusy`].
 //!
 //! All lookups and pushes are *collective*: every rank of the group must
 //! call them together, like the collectives they ride. Input validation
@@ -34,13 +47,14 @@ use crate::error::PsError;
 use crate::optim::{OptimizerKind, RowOptimizer};
 use crate::partition::{PartitionBook, PartitionPolicy};
 use embrace_collectives::ops::{
-    try_alltoall_dense, try_alltoallv_sparse, try_alltoallv_tokens, try_sparse_allreduce,
-    SparseReduced, SsarConfig,
+    try_allgather_regions, try_alltoallv_sparse, try_barrier, try_sparse_allreduce, SparseReduced,
+    SsarConfig,
 };
-use embrace_collectives::{Comm, Packet};
+use embrace_collectives::{Comm, Packet, Region};
 use embrace_obs::recorder;
 use embrace_obs::Metrics;
 use embrace_tensor::{coalesce, DenseTensor, RowSparse, TokenBuf};
+use std::sync::{Arc, RwLock, RwLockWriteGuard};
 
 /// How a push moves gradients to their owning shards.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -89,20 +103,20 @@ impl ServiceConfig {
 pub struct EmbeddingService {
     book: PartitionBook,
     rank: usize,
-    world: usize,
     dim: usize,
-    /// The parameter rows this rank owns (`book.shard_rows(rank) × dim`).
-    shard: DenseTensor,
+    /// The parameter rows this rank owns (`book.shard_rows(rank) × dim`),
+    /// as the region peers read.
+    shard: Arc<RwLock<DenseTensor>>,
+    /// Every rank's region in rank order (own included): empty until the
+    /// first service call registers them.
+    regions: Vec<Arc<RwLock<DenseTensor>>>,
     opt: RowOptimizer,
     push: PushTransport,
-    /// Owner-side scratch: the local indices of one asked batch, reused
-    /// across lookups.
-    local: Vec<u32>,
     lookups: u64,
     pushes: u64,
-    /// Rows returned to lookup callers (before dedup).
+    /// Rows returned to lookup callers.
     rows_served: u64,
-    /// Rows actually moved through the AlltoAll (the distinct ids).
+    /// Rows of those copied from a peer's region.
     rows_fetched: u64,
     /// Gradient rows applied to this shard.
     rows_updated: u64,
@@ -132,12 +146,11 @@ impl EmbeddingService {
         EmbeddingService {
             book,
             rank,
-            world,
             dim: cfg.dim,
-            shard,
+            shard: Arc::new(RwLock::new(shard)),
+            regions: Vec::new(),
             opt: RowOptimizer::new(cfg.optimizer, rows, cfg.dim),
             push: cfg.push,
-            local: Vec::new(),
             lookups: 0,
             pushes: 0,
             rows_served: 0,
@@ -150,9 +163,25 @@ impl EmbeddingService {
         &self.book
     }
 
-    /// The rows this rank owns (test/inspection helper).
-    pub fn shard_table(&self) -> &DenseTensor {
-        &self.shard
+    /// Registration: on this service's first call every rank receives
+    /// every region and book. Every rank compares every book with its own,
+    /// so a disagreement fails the whole group, typed, before any read.
+    fn register<C: Comm>(&mut self, ep: &mut C) -> Result<(), PsError> {
+        if !self.regions.is_empty() {
+            return Ok(());
+        }
+        let book = TokenBuf::from(vec![
+            self.book.policy() as u32,
+            self.book.vocab() as u32,
+            self.book.shards() as u32,
+        ]);
+        let local = Region { rows: Arc::clone(&self.shard), book: book.share() };
+        let regions = try_allgather_regions(ep, local)?;
+        if let Some(rank) = regions.iter().position(|r| r.book != book) {
+            return Err(PsError::BookMismatch { rank });
+        }
+        self.regions = regions.into_iter().map(|r| r.rows).collect();
+        Ok(())
     }
 
     /// Collective lookup: every rank calls with its own `ids` (any order,
@@ -160,68 +189,26 @@ impl EmbeddingService {
     /// rows in request order.
     pub fn try_lookup<C: Comm>(&mut self, ep: &mut C, ids: &[u32]) -> Result<DenseTensor, PsError> {
         let _span = recorder::span("ps_lookup", "serving");
-        let plan = recorder::span("ps_lookup_plan", "serving");
-        assert!(ids.len() <= u32::MAX as usize, "a lookup numbers its positions as u32");
-        // Validate before any packet moves (a rejected lookup serves
-        // nothing), packing `(id << 32 | position)` keys in the same pass.
+        // Validate before any packet moves (a rejected lookup reads nothing).
         let vocab = self.book.vocab();
-        let mut keys: Vec<u64> = Vec::with_capacity(ids.len());
-        for (pos, &id) in ids.iter().enumerate() {
-            if id as usize >= vocab {
-                return abort(ep, PsError::RowOutOfRange { row: id, vocab });
-            }
-            keys.push(u64::from(id) << 32 | pos as u64);
+        if let Some(&row) = ids.iter().find(|&&id| id as usize >= vocab) {
+            return abort(ep, PsError::RowOutOfRange { row, vocab });
         }
         self.lookups += 1;
         self.rows_served += ids.len() as u64;
-        // One sort groups equal ids: each run is one request entry to its
-        // owner (self included — the self slot of the AlltoAll), and every
-        // position of the run reads that entry's `(owner, entry)` slot.
-        keys.sort_unstable();
-        let mut reqs: Vec<Vec<u32>> = vec![Vec::new(); self.world];
-        let mut slots: Vec<(usize, usize)> = vec![(0, 0); ids.len()];
-        let (mut prev, mut slot) = (None, (0, 0));
-        for key in keys {
-            let id = (key >> 32) as u32;
-            if prev != Some(id) {
-                let dest = self.book.owner_of(id)?;
-                reqs[dest].push(id);
-                (prev, slot) = (Some(id), (dest, reqs[dest].len() - 1));
-            }
-            slots[key as u32 as usize] = slot;
+        self.register(ep)?;
+        // The fence: every rank's previous push has applied.
+        try_barrier(ep)?;
+        let _read = recorder::span("ps_lookup_read", "serving");
+        let mut shards = Vec::with_capacity(self.regions.len());
+        for (shard, region) in self.regions.iter().enumerate() {
+            shards.push(region.try_read().map_err(|_| PsError::RegionBusy { shard })?);
         }
-        let distinct: usize = reqs.iter().map(Vec::len).sum();
-        drop(plan);
-        // Round 1: scatter row-id requests to their owning shards.
-        let request = recorder::span("ps_lookup_request", "serving");
-        let asked = try_alltoallv_tokens(ep, reqs.into_iter().map(TokenBuf::from).collect())?;
-        drop(request);
-        // Serve: check every asked id is ours, then gather the rows each
-        // peer asked for in one call.
-        let serve = recorder::span("ps_lookup_serve", "serving");
-        let mut responses: Vec<DenseTensor> = Vec::with_capacity(self.world);
-        for batch in &asked {
-            self.local.clear();
-            for &id in batch.as_slice() {
-                let owner = self.book.owner_of(id)?;
-                if owner != self.rank {
-                    return abort(ep, PsError::WrongShard { row: id, owner, shard: self.rank });
-                }
-                self.local.push(self.book.local_index(id) as u32);
-            }
-            responses.push(self.shard.gather_rows(&self.local));
-        }
-        drop(serve);
-        // Round 2: scatter the served rows back to the requesting ranks.
-        let response = recorder::span("ps_lookup_response", "serving");
-        let fetched = try_alltoall_dense(ep, responses)?;
-        drop(response);
-        self.rows_fetched += distinct as u64;
-        // Assemble in request order.
-        let _assemble = recorder::span("ps_lookup_assemble", "serving");
         let mut out = DenseTensor::zeros(ids.len(), self.dim);
-        for (dst, &(dest, pos)) in out.rows_mut().zip(&slots) {
-            dst.copy_from_slice(fetched[dest].row(pos));
+        for (dst, &id) in out.rows_mut().zip(ids) {
+            let (owner, local) = self.book.locate(id)?;
+            dst.copy_from_slice(shards[owner].row(local));
+            self.rows_fetched += u64::from(owner != self.rank);
         }
         Ok(out)
     }
@@ -241,6 +228,7 @@ impl EmbeddingService {
             }
         }
         self.pushes += 1;
+        self.register(ep)?;
         match self.push {
             PushTransport::Alltoallv => {
                 // Partition by owning shard, positions kept in input order
@@ -249,7 +237,7 @@ impl EmbeddingService {
                 // store would see.
                 let partition = recorder::span("ps_push_partition", "serving");
                 let mut per_shard: Vec<(Vec<u32>, Vec<u32>)> =
-                    vec![(Vec::new(), Vec::new()); self.world];
+                    vec![(Vec::new(), Vec::new()); self.book.shards()];
                 for (pos, &row) in grad.indices().iter().enumerate() {
                     let dest = self.book.owner_of(row)?;
                     per_shard[dest].0.push(pos as u32);
@@ -274,8 +262,9 @@ impl EmbeddingService {
                 drop(coalescing);
                 let _apply = recorder::span("ps_push_apply", "serving");
                 let rows = summed.indices().iter().map(|&row| self.book.local_index(row));
+                let mut shard = write(&self.shard, self.rank)?;
                 self.rows_updated +=
-                    self.opt.update_rows(&mut self.shard, rows.zip(summed.values().row_iter()));
+                    self.opt.update_rows(&mut shard, rows.zip(summed.values().row_iter()));
             }
             PushTransport::SparseAllreduce { crossover } => {
                 let cfg = SsarConfig { vocab: self.book.vocab(), crossover };
@@ -283,6 +272,7 @@ impl EmbeddingService {
                 let reduced = try_sparse_allreduce(ep, grad, &cfg)?;
                 drop(exchange);
                 let _apply = recorder::span("ps_push_apply", "serving");
+                let mut shard = write(&self.shard, self.rank)?;
                 match reduced {
                     SparseReduced::Sparse(summed) => {
                         let mut owned = Vec::new();
@@ -291,19 +281,19 @@ impl EmbeddingService {
                                 owned.push((self.book.local_index(row), g));
                             }
                         }
-                        self.rows_updated += self.opt.update_rows(&mut self.shard, owned);
+                        self.rows_updated += self.opt.update_rows(&mut shard, owned);
                     }
                     SparseReduced::Dense(summed) => {
                         // Row participation is lost after densify: apply
                         // every owned row with a nonzero sum (a true-zero
                         // summed row is indistinguishable from an
                         // untouched one; both are no-ops for SGD/Adagrad).
-                        let touched = (0..self.shard.rows())
+                        let touched = (0..shard.rows())
                             .map(|local| {
                                 (local, summed.row(self.book.global_of(self.rank, local) as usize))
                             })
                             .filter(|(_, g)| g.iter().any(|&x| x != 0.0));
-                        self.rows_updated += self.opt.update_rows(&mut self.shard, touched);
+                        self.rows_updated += self.opt.update_rows(&mut shard, touched);
                     }
                 }
             }
@@ -321,6 +311,15 @@ impl EmbeddingService {
         m.inc("ps.push.batches", self.pushes);
         m.inc("ps.push.rows_updated", self.rows_updated);
     }
+}
+
+/// The owner's write side of its region. The fence keeps every peer's
+/// reads out of an apply, so contention is an error, never a wait.
+fn write(
+    region: &RwLock<DenseTensor>,
+    shard: usize,
+) -> Result<RwLockWriteGuard<'_, DenseTensor>, PsError> {
+    region.try_write().map_err(|_| PsError::RegionBusy { shard })
 }
 
 /// Best-effort abort broadcast for locally-detected input errors, then the
@@ -341,7 +340,18 @@ fn abort<T, C: Comm>(ep: &mut C, err: PsError) -> Result<T, PsError> {
 mod tests {
     use super::*;
     use embrace_collectives::ops::sparse_allreduce_oracle;
-    use embrace_collectives::{run_group, CommError};
+    use embrace_collectives::{run_group, run_group_with_faults, CommError, FaultPlan};
+    use std::time::Duration;
+
+    impl EmbeddingService {
+        /// A handle on the rows this rank owns.
+        fn shard_table(&self) -> DenseTensor {
+            match self.shard.try_read() {
+                Ok(shard) => shard.share(),
+                Err(e) => panic!("only the owner writes its region: {e}"),
+            }
+        }
+    }
 
     fn init(row: u32, col: usize) -> f32 {
         row as f32 * 10.0 + col as f32
@@ -391,11 +401,12 @@ mod tests {
     }
 
     #[test]
-    fn each_lookup_fetches_exactly_the_distinct_ids() {
+    fn rows_fetched_counts_the_rows_read_from_peers() {
         let fetched = run_group(2, |rank, ep| {
             let cfg = ServiceConfig { cache_rows: 8, ..base_cfg(16, 2, PartitionPolicy::Hash) };
             let mut svc = EmbeddingService::new(rank, 2, &cfg, &init);
-            // Eight positions, four distinct ids over both shards.
+            // Eight positions, four distinct ids: 2 and 6 on shard 0,
+            // 1 and 5 (six positions) on shard 1. Nothing is deduplicated.
             let ids = [5u32, 1, 5, 5, 2, 1, 6, 5];
             let counters = |svc: &EmbeddingService| {
                 let mut m = Metrics::new();
@@ -409,9 +420,8 @@ mod tests {
             assert_eq!(a, b);
             (first, counters(&svc))
         });
-        for counters in fetched {
-            assert_eq!(counters, ([1, 8, 4], [2, 16, 8]));
-        }
+        assert_eq!(fetched[0], ([1, 8, 6], [2, 16, 12]));
+        assert_eq!(fetched[1], ([1, 8, 2], [2, 16, 4]));
     }
 
     #[test]
@@ -424,16 +434,37 @@ mod tests {
             let ids = if rank == 0 { vec![] } else { vec![4u32] };
             svc.try_lookup(ep, &ids).expect_err("both ranks must fail")
         });
-        assert_eq!(errs[0], PsError::WrongShard { row: 4, owner: 1, shard: 0 });
-        assert!(
-            matches!(
-                errs[1],
-                PsError::Comm(CommError::Aborted { origin: 0 })
-                    | PsError::Comm(CommError::PeerGone { peer: 0 })
-            ),
-            "unexpected peer error: {:?}",
-            errs[1]
-        );
+        // Registration hands every rank every book: each rank finds the
+        // other's, and fails typed, before any row is read.
+        assert_eq!(errs, [PsError::BookMismatch { rank: 1 }, PsError::BookMismatch { rank: 0 }]);
+    }
+
+    /// The barrier fences a lookup's reads after every earlier push: with
+    /// each peer's push part to the owner of row 0 held up on the wire,
+    /// the owner applies late, and a peer that reached its next lookup
+    /// early must still read the pushed row.
+    #[test]
+    fn lookup_waits_for_a_late_push_apply() {
+        for world in [2usize, 3] {
+            let mut plan = FaultPlan::new(1);
+            for peer in 1..world {
+                plan = plan.delay_link(peer, 0, Duration::from_millis(20));
+            }
+            let rows =
+                run_group_with_faults(world, &plan, Some(Duration::from_secs(10)), |rank, ep| {
+                    let cfg = ServiceConfig {
+                        optimizer: OptimizerKind::Sgd { lr: 1.0 },
+                        ..base_cfg(4 * world, 1, PartitionPolicy::Range)
+                    };
+                    let mut svc = EmbeddingService::new(rank, world, &cfg, &|_, _| 0.0);
+                    svc.try_lookup(ep, &[0]).expect("first lookup registers");
+                    let grad = RowSparse::new(vec![0], DenseTensor::full(1, 1, 1.0));
+                    svc.try_push(ep, &grad).expect("push");
+                    svc.try_lookup(ep, &[0]).expect("lookup after push").row(0)[0]
+                });
+            // Every rank pushed g=1 at lr=1 to row 0, owned by rank 0.
+            assert_eq!(rows, vec![-(world as f32); world], "world {world}");
+        }
     }
 
     #[test]

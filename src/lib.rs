@@ -12,8 +12,8 @@
 //!   (paper Table 2) and the discrete-event step simulator;
 //! * [`collectives`] — real multi-threaded AllReduce / AllGather /
 //!   AlltoAll over an in-memory mesh;
-//! * [`ps`] — the sharded embedding service (collective lookup/push,
-//!   colocated row optimizers);
+//! * [`ps`] — the sharded embedding service (one-sided lookups,
+//!   collective pushes, colocated row optimizers);
 //! * [`dlsim`] — the mini DL framework (module graphs, optimizers with
 //!   the paper's Adam modification, priority queues, prefetcher, hooks);
 //! * [`models`] — LM / GNMT-8 / Transformer / BERT-base specs and
