@@ -9,7 +9,7 @@
 //!   prioritised collective submissions) plus generators: byte-sizing
 //!   folds over `embrace_collectives::schedule` (the split allreduce's
 //!   over simulated index sets), the re-form handshake, and the 2D
-//!   schedule from `embrace_core::horizontal`.
+//!   schedule plan of `embrace_core::horizontal`'s step plan.
 //! * [`verify`] — the static verifier. [`verify::verify_p2p`] checks a
 //!   point-to-point plan at any world size: send/recv pairing (orphan
 //!   sends, static deadlocks, byte conservation per message) and

@@ -16,15 +16,15 @@
 //!   counters by the cross-validation tests.
 //! * **Schedule plans** ([`SchedulePlan`]): per rank, the ordered
 //!   collective submissions — tag, kind, priority, payload bytes — either
-//!   built statically from `embrace_core::Priorities::schedule_ops` or
-//!   harvested from a live `CommScheduler`'s [`SubmittedOp`] log.
+//!   built from the step plan of `embrace_core::horizontal` or harvested
+//!   from a live `CommScheduler`'s [`SubmittedOp`] log.
 //!
 //! `verify` consumes both levels; `model_check` executes the same
 //! schedules under a virtual scheduler.
 
 use embrace_collectives::schedule::{ssar_rounds, Payload, RingPart, Schedule, Step, Traversal};
 use embrace_collectives::{Comm, CommError, Packet, ReformMsg, SubmittedOp, SEG_HEADER_BYTES};
-use embrace_core::{CommKind, Priorities};
+use embrace_core::horizontal::{PlanOp, StepPlan};
 use embrace_tensor::{column_partition, F32_BYTES, INDEX_BYTES};
 
 /// One point-to-point record in a rank's plan.
@@ -415,6 +415,18 @@ pub struct SchedulePlan {
 }
 
 impl SchedulePlan {
+    /// The SPMD schedule plan of one step: every rank submits `plan`'s ops
+    /// in its order, with their tags, kinds, priorities and bytes.
+    pub fn from_plan(plan: &StepPlan, world: usize) -> Self {
+        let planned = |op: &PlanOp| PlannedCollective {
+            tag: op.tag.clone(),
+            kind: op.kind.name(),
+            priority: op.priority,
+            bytes: op.bytes as u64,
+        };
+        SchedulePlan { world, ranks: vec![plan.ops.iter().map(planned).collect(); world] }
+    }
+
     /// Harvest a schedule plan from live `CommScheduler` submission logs
     /// (one log per rank, via `CommScheduler::submitted`).
     pub fn from_logs(logs: &[Vec<SubmittedOp>]) -> Self {
@@ -435,35 +447,6 @@ impl SchedulePlan {
                 .collect(),
         }
     }
-}
-
-/// Stable tags and scheduler kinds of a horizontal-schedule operation. A
-/// dense block's exchange is two ops, as the live step submits it: the
-/// reduce-scatter of its gradient and, after the sharded update, the
-/// all-gather of its weights, both at the block's priority.
-fn comm_kind_planned(kind: CommKind, priority: i64) -> Vec<PlannedCollective> {
-    let ops = match kind {
-        CommKind::DenseBlock(m) => vec![
-            (format!("dense_block/{m}/reduce_scatter"), "reduce_scatter_dense"),
-            (format!("dense_block/{m}/allgather"), "allgather_dense"),
-        ],
-        CommKind::EmbData(m) => vec![(format!("emb_data/{m}"), "alltoall_dense")],
-        CommKind::PriorGrad(m) => vec![(format!("prior_grad/{m}"), "alltoallv_sparse")],
-        CommKind::DelayedGrad(m) => vec![(format!("delayed_grad/{m}"), "alltoallv_sparse")],
-    };
-    // Payload bytes are model-dependent; the horizontal plan checks
-    // ordering and SPMD shape, so they are recorded as 0 here.
-    let planned = |(tag, kind)| PlannedCollective { tag, kind, priority, bytes: 0 };
-    ops.into_iter().map(planned).collect()
-}
-
-/// Build the static SPMD schedule plan of one training step from the
-/// horizontal priority assignment: every rank submits the same ops with
-/// the same priorities (the EmbRace guarantee the verifier then checks).
-pub fn horizontal_schedule_plan(priorities: &Priorities, world: usize) -> SchedulePlan {
-    let ops: Vec<PlannedCollective> =
-        priorities.schedule_ops().into_iter().flat_map(|(k, p)| comm_kind_planned(k, p)).collect();
-    SchedulePlan { world, ranks: vec![ops; world] }
 }
 
 /// A [`Comm`] endpoint that performs no communication but records the

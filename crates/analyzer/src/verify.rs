@@ -19,12 +19,15 @@
 //! * **exact-once partition coverage** — a sharding of `0..domain` covers
 //!   every index exactly once ([`DiagnosticKind::PartitionGap`] /
 //!   [`DiagnosticKind::PartitionOverlap`]);
-//! * **priority monotonicity** — the horizontal schedule orders prior
-//!   gradients before embedding data before dense blocks (in FP order)
-//!   before delayed gradients ([`DiagnosticKind::PriorityInversion`]).
+//! * **priority monotonicity** — a step plan's priorities order its ops by
+//!   the forward pass each one feeds: the embedding FPs (token gathers,
+//!   prior gradients) before this step's dense FPs (embedding data) before
+//!   the next step's (dense units, in FP order) before the FP two steps
+//!   out (delayed gradients) ([`DiagnosticKind::PriorityInversion`]).
 
 use crate::plan::{P2pOp, P2pPlan, SchedulePlan};
-use embrace_core::CommKind;
+use embrace_core::horizontal::{Phase, PlanOp, StepPlan};
+use embrace_dlsim::graph::ModelGraph;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
@@ -461,38 +464,34 @@ pub fn verify_schedule(plan: &SchedulePlan) -> Vec<Diagnostic> {
     out
 }
 
-/// Verify §4.2.1 priority monotonicity of a horizontal schedule (as
-/// produced by `Priorities::schedule_ops`): prior gradients before
-/// embedding data before dense blocks (ascending in FP order) before
-/// delayed gradients.
-pub fn verify_horizontal(ops: &[(CommKind, i64)]) -> Vec<Diagnostic> {
-    // Class rank: the coarse §4.2.1 tier of an op.
-    fn tier(k: CommKind) -> u8 {
-        match k {
-            CommKind::PriorGrad(_) => 0,
-            CommKind::EmbData(_) => 1,
-            CommKind::DenseBlock(_) => 2,
-            CommKind::DelayedGrad(_) => 3,
-        }
-    }
+/// Verify §4.2.1 priority monotonicity of a step plan of `graph`. Each op
+/// is ranked by the forward pass it feeds, read off its gates (a ring
+/// phase feeds what the op after its sharded update feeds): a FP two steps
+/// out last, then the dense FPs after the embedding FPs, this step's
+/// before the next step's, and in FP order. A higher-ranked op must not
+/// have a lower priority. Ops that feed no FP (the next batch's tokens,
+/// the loss) are not ranked.
+pub fn verify_horizontal(plan: &StepPlan, graph: &ModelGraph) -> Vec<Diagnostic> {
+    let feeds = |op: &PlanOp| {
+        let updated =
+            |p: Phase| matches!(p, Phase::Update(_)) && op.unblocks.iter().any(|g| g.0 == p);
+        let after_update = plan.ops.iter().filter(|o| updated(o.after)).flat_map(|o| &o.unblocks);
+        op.unblocks.iter().chain(after_update).find_map(|&(p, k)| match p {
+            Phase::Fp(m) => Some((k == 2, !graph.modules[m].is_embedding(), k, m)),
+            _ => None,
+        })
+    };
+    let mut ranked: Vec<_> =
+        plan.ops.iter().filter_map(|op| Some((op.priority, feeds(op)?, op.tag.as_str()))).collect();
+    ranked.sort();
     let mut out = Vec::new();
-    let mut sorted = ops.to_vec();
-    sorted.sort_by_key(|&(_, p)| p);
-    for w in sorted.windows(2) {
-        let ((ka, pa), (kb, pb)) = (w[0], w[1]);
-        let inverted = match (tier(ka), tier(kb)) {
-            (ta, tb) if ta > tb => true,
-            // Dense blocks must additionally ascend in FP/block order.
-            (2, 2) => {
-                matches!((ka, kb), (CommKind::DenseBlock(a), CommKind::DenseBlock(b)) if a > b)
-            }
-            _ => false,
-        };
-        if inverted {
+    for w in ranked.windows(2) {
+        let ((pa, ra, a), (pb, rb, b)) = (w[0], w[1]);
+        if pa < pb && ra > rb {
             out.push(diag(
                 DiagnosticKind::PriorityInversion,
                 None,
-                format!("{ka:?} (prio {pa}) vs {kb:?} (prio {pb})"),
+                format!("{a} (prio {pa}) vs {b} (prio {pb})"),
                 "horizontal schedule violates §4.2.1 ordering".into(),
             ));
         }
@@ -997,22 +996,25 @@ mod tests {
         assert!(!report.deadlocks(), "a mis-sized message still arrives");
     }
 
+    /// The translation graph of Fig. 5 (2 + 2 blocks) and its step plan.
+    fn translation_step() -> (ModelGraph, StepPlan) {
+        use embrace_core::horizontal::{GradRows, OpKind, StepShapes};
+        let graph = ModelGraph::translation((10, 4), (10, 4), 2, 2, 8, 0.1, 0.1, 0.1, 0.1);
+        let shapes = StepShapes {
+            world: 3,
+            tokens: 6.0,
+            shard_width: 2.0,
+            grad_exchange: (OpKind::AlltoAllSparse, 24.0),
+            grad: GradRows::Split { coalesced: 5.0, prior: 2.0 },
+            fusion: 0.0,
+        };
+        let plan = StepPlan::embrace(&graph, &shapes);
+        (graph, plan)
+    }
+
     #[test]
     fn skewed_priority_is_detected() {
-        use crate::plan::horizontal_schedule_plan;
-        let graph = embrace_dlsim::graph::ModelGraph::translation(
-            (10, 4),
-            (10, 4),
-            2,
-            2,
-            8,
-            0.1,
-            0.1,
-            0.1,
-            0.1,
-        );
-        let pri = embrace_core::Priorities::assign(&graph);
-        let mut plan = horizontal_schedule_plan(&pri, 3);
+        let mut plan = crate::plan::SchedulePlan::from_plan(&translation_step().1, 3);
         assert!(verify_schedule(&plan).is_empty());
         assert!(mutate_schedule(
             &mut plan,
@@ -1071,20 +1073,24 @@ mod tests {
 
     #[test]
     fn horizontal_monotonicity() {
-        use embrace_core::CommKind::*;
-        let good = vec![
-            (PriorGrad(0), -2),
-            (EmbData(0), -1),
-            (DenseBlock(1), 0),
-            (DenseBlock(2), 1),
-            (DelayedGrad(0), 100),
-        ];
-        assert!(verify_horizontal(&good).is_empty());
+        let (graph, plan) = translation_step();
+        assert!(verify_horizontal(&plan, &graph).is_empty());
+        let reprioritised = |pick: &dyn Fn(&str) -> Option<i64>| {
+            let mut bad = plan.clone();
+            for op in &mut bad.ops {
+                op.priority = pick(&op.tag).unwrap_or(op.priority);
+            }
+            kinds(&verify_horizontal(&bad, &graph))
+        };
         // Delayed gradients jumping ahead of dense blocks is an inversion.
-        let bad = vec![(DenseBlock(1), 5), (DelayedGrad(0), 0)];
-        assert_eq!(kinds(&verify_horizontal(&bad)), vec![DiagnosticKind::PriorityInversion]);
+        let delayed_first = |tag: &str| tag.starts_with("delayed_grad").then_some(0);
+        assert_eq!(reprioritised(&delayed_first), vec![DiagnosticKind::PriorityInversion]);
         // Dense blocks out of FP order is an inversion too.
-        let bad2 = vec![(DenseBlock(2), 0), (DenseBlock(1), 1)];
-        assert_eq!(kinds(&verify_horizontal(&bad2)), vec![DiagnosticKind::PriorityInversion]);
+        let swapped = |tag: &str| match tag.split_once('/') {
+            Some((_, "enc_blk0")) => Some(1),
+            Some((_, "enc_blk1")) => Some(0),
+            _ => None,
+        };
+        assert_eq!(reprioritised(&swapped), vec![DiagnosticKind::PriorityInversion]);
     }
 }

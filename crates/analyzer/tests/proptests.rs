@@ -6,17 +6,18 @@
 //! where it starves a receive, the right stuck verdict.
 
 use embrace_analyzer::plan::{
-    allgather_plan, alltoall_plan, barrier_plan, broadcast_plan, horizontal_schedule_plan,
-    ring_allreduce_plan,
+    allgather_plan, alltoall_plan, barrier_plan, broadcast_plan, ring_allreduce_plan,
 };
 use embrace_analyzer::verify::{mutate_p2p, mutate_partition, mutate_schedule};
+use embrace_analyzer::SchedulePlan;
 use embrace_analyzer::{
     verify_p2p, verify_partition, verify_schedule, DiagnosticKind, PlanMutation,
 };
-use embrace_core::horizontal::Priorities;
-use embrace_models::{ModelId, ModelSpec};
-use embrace_simnet::GpuKind;
+use embrace_baselines::MethodId;
+use embrace_models::ModelId;
+use embrace_simnet::Cluster;
 use embrace_tensor::row_partition;
+use embrace_trainer::sim::{step_plan, SimConfig};
 use proptest::prelude::*;
 
 fn kinds(diags: &[embrace_analyzer::Diagnostic]) -> Vec<DiagnosticKind> {
@@ -41,8 +42,8 @@ fn p2p_case(shape: usize, world: usize, elems: usize, sizes: &[u64]) -> embrace_
 
 fn schedule_case(model: usize, world: usize) -> embrace_analyzer::SchedulePlan {
     let id = ModelId::ALL[model % ModelId::ALL.len()];
-    let graph = ModelSpec::get(id).graph(GpuKind::Rtx3090);
-    horizontal_schedule_plan(&Priorities::assign(&graph), world)
+    let cfg = SimConfig::new(MethodId::EmbRace, id, Cluster::rtx3090(world));
+    SchedulePlan::from_plan(&step_plan(&cfg), world)
 }
 
 proptest! {

@@ -19,8 +19,9 @@ fn main() {
         println!();
     }
     println!("One steady GNMT-8 step under each scheme (f/b = FP/BP kernels, v =");
-    println!("vertical scheduling, a = dense AllReduce, e = embedding data, p/d =");
-    println!("prior/delayed gradients, g = whole-gradient AlltoAll, . = idle):\n");
+    println!("vertical scheduling, r/a = dense reduce-scatter/all-gather, e = embedding");
+    println!("data, p/d = prior/delayed gradients, g = whole-gradient AlltoAll, l = loss");
+    println!("gather, . = idle):\n");
     for (label, method) in [
         ("Fig. 6a  default FIFO", MethodId::EmbRaceNoSched),
         ("Fig. 6b  horizontal", MethodId::EmbRaceHorizontal),

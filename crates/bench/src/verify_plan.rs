@@ -20,20 +20,22 @@
 use embrace_analyzer::model_check::{check, CheckConfig, Collective};
 use embrace_analyzer::plan::{
     allgather_plan, alltoall_plan, barrier_plan, broadcast_plan, chunked_alltoall_plan,
-    chunked_ring_allreduce_plan, grad_alltoall_bytes, horizontal_schedule_plan,
-    lookup_alltoall_bytes, reform_plan, ring_allreduce_plan, ring_phase_plan,
-    sparse_allreduce_demo_plan, sparse_allreduce_plan, P2pPlan,
+    chunked_ring_allreduce_plan, grad_alltoall_bytes, lookup_alltoall_bytes, reform_plan,
+    ring_allreduce_plan, ring_phase_plan, sparse_allreduce_demo_plan, sparse_allreduce_plan,
+    P2pPlan, SchedulePlan,
 };
 use embrace_analyzer::verify::{mutate_p2p, mutate_partition, mutate_schedule};
 use embrace_analyzer::{
     verify_horizontal, verify_p2p, verify_partition, verify_schedule, Diagnostic, DiagnosticKind,
     PlanMutation,
 };
+use embrace_baselines::MethodId;
 use embrace_collectives::schedule::RingPart;
-use embrace_core::horizontal::Priorities;
+use embrace_core::horizontal::StepPlan;
 use embrace_models::{ModelId, ModelSpec};
-use embrace_simnet::GpuKind;
+use embrace_simnet::{Cluster, GpuKind};
 use embrace_tensor::{column_partition, row_partition, TOKEN_BYTES};
+use embrace_trainer::sim::{step_plan, SimConfig};
 use std::time::Instant;
 
 /// Worlds the plan verifier sweeps.
@@ -60,19 +62,21 @@ fn expect_clean(what: &str, diags: &[Diagnostic]) -> Result<(), String> {
     }
 }
 
+/// The EmbRace step plan of `model` on `world` RTX3090s.
+fn embrace_step(model: ModelId, world: usize) -> StepPlan {
+    step_plan(&SimConfig::new(MethodId::EmbRace, model, Cluster::rtx3090(world)))
+}
+
 /// Statically verify every plan the stack would execute for `spec`.
 fn verify_model(spec: &ModelSpec, world: usize) -> Result<usize, String> {
     let mut checked = 0usize;
-    let graph = spec.graph(GpuKind::Rtx3090);
-    let prios = Priorities::assign(&graph);
-
-    // 2D-schedule invariants: SPMD consistency and §4.2.1 monotonicity.
-    let schedule = horizontal_schedule_plan(&prios, world);
+    // 2D-schedule invariants of the step the DES prices: SPMD consistency
+    // and §4.2.1 monotonicity.
+    let step = embrace_step(spec.id, world);
+    let schedule = SchedulePlan::from_plan(&step, world);
     expect_clean(&format!("{} w={world} schedule", spec.name), &verify_schedule(&schedule))?;
-    expect_clean(
-        &format!("{} horizontal order", spec.name),
-        &verify_horizontal(&prios.schedule_ops()),
-    )?;
+    let graph = spec.graph(GpuKind::Rtx3090);
+    expect_clean(&format!("{} horizontal order", spec.name), &verify_horizontal(&step, &graph))?;
     checked += 2;
 
     // Exact-once sharding of every embedding table, both axes.
@@ -162,9 +166,7 @@ fn demo_mutations() -> Result<(), String> {
     assert!(mutate_p2p(&mut p, PlanMutation::ShrinkBytes { rank: 2, index: 1 }));
     catch("shrink-bytes", DiagnosticKind::ByteMismatch, verify_p2p(&p, None).diagnostics)?;
 
-    let spec = ModelSpec::get(ModelId::Transformer);
-    let prios = Priorities::assign(&spec.graph(GpuKind::Rtx3090));
-    let mut s = horizontal_schedule_plan(&prios, world);
+    let mut s = SchedulePlan::from_plan(&embrace_step(ModelId::Transformer, world), world);
     assert!(mutate_schedule(&mut s, PlanMutation::SkewPriority { rank: 3, index: 1, delta: 7 }));
     catch("skew-priority", DiagnosticKind::PrioritySkew, verify_schedule(&s))?;
 

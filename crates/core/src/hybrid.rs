@@ -23,13 +23,16 @@
 //! them in the training step; [`ColumnShardedEmbedding::forward`] and
 //! [`ColumnShardedEmbedding::exchange_grad_part`] run it whole.
 
+use crate::horizontal::{GradRows, OpKind, StepShapes};
 use crate::partition::column_payload_matrix;
 use embrace_collectives::ops::{SparseReduced, SsarConfig};
 use embrace_collectives::{Comm, CommError, CommOp, CommResult};
 use embrace_dlsim::optim::{Optimizer, UpdatePart};
 use embrace_dlsim::EmbeddingTable;
 use embrace_simnet::CostModel;
-use embrace_tensor::{coalesce, column_partition, ColumnRange, DenseTensor, RowSparse};
+use embrace_tensor::{
+    coalesce, column_partition, ColumnRange, DenseTensor, RowSparse, F32_BYTES, INDEX_BYTES,
+};
 
 /// Which collective carries a gradient exchange (AlltoAll #2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -216,6 +219,26 @@ impl ColumnShardedEmbedding {
         }
         let blocks = self.ranges.iter().map(|r| part.slice_columns(r.start, r.end));
         CommOp::AlltoAllSparse(blocks.collect())
+    }
+
+    /// What one step moves for this shard: `tokens` ids looked up in it and
+    /// `grad`'s gradient rows exchanged on the installed plane, one column
+    /// slice and its row index per destination shard, or the full-width row
+    /// and its index once.
+    pub fn step_shapes(&self, tokens: usize, grad: GradRows) -> StepShapes {
+        let (values, world) = (self.dim_total * F32_BYTES, self.ranges.len());
+        let (kind, row_bytes) = match self.policy.plane {
+            GradPlane::Alltoallv => (OpKind::AlltoAllSparse, values + world * INDEX_BYTES),
+            GradPlane::SparseAllreduce => (OpKind::SparseAllreduce, values + INDEX_BYTES),
+        };
+        StepShapes {
+            world,
+            tokens: tokens as f64,
+            shard_width: self.shard_dim() as f64,
+            grad_exchange: (kind, row_bytes as f64),
+            grad,
+            fusion: 0.0,
+        }
     }
 
     /// This shard's coalesced gradient from a [`Self::grad_op`]'s result

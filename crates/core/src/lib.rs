@@ -38,9 +38,6 @@ pub mod hybrid;
 pub mod partition;
 pub mod vertical;
 
-pub use horizontal::{
-    CommKind, Priorities, DELAYED_GRAD_PRIORITY, EMB_DATA_PRIORITY, PRIOR_GRAD_PRIORITY,
-};
 pub use hybrid::{ColumnShardedEmbedding, GradPlane, GradPlanePolicy};
 pub use partition::{column_payload_matrix, row_payload_matrix};
 pub use vertical::{vertical_split, VerticalSplit};

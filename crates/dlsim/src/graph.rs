@@ -129,6 +129,18 @@ impl ModelGraph {
         order
     }
 
+    /// The live trainers' model: an untimed `(vocab, dim)` embedding
+    /// feeding one dense block of `params` parameters.
+    pub fn one_block(emb: (usize, usize), params: usize) -> Self {
+        let mut g = ModelGraph::new();
+        let kind = ModuleKind::Embedding { vocab: emb.0, dim: emb.1 };
+        let e =
+            g.add(Module { name: "emb".into(), kind, inputs: vec![], fp_time: 0.0, bp_time: 0.0 });
+        let kind = ModuleKind::Dense { params };
+        g.add(Module { name: "dense".into(), kind, inputs: vec![e], fp_time: 0.0, bp_time: 0.0 });
+        g
+    }
+
     /// Build the translation-model shape of Fig. 5:
     /// EncEmbedding → k encoder blocks → DecEmbedding → m decoder blocks,
     /// where the first decoder block also consumes the last encoder block.

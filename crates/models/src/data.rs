@@ -417,32 +417,6 @@ mod tests {
 }
 
 #[cfg(test)]
-mod calibration_probe {
-    use super::*;
-    use crate::spec::ModelId;
-
-    /// Not an assertion — prints measured Table 3 ratios for tuning.
-    /// Run with: cargo test -p embrace-models probe -- --ignored --nocapture
-    #[test]
-    #[ignore]
-    fn probe_table3() {
-        for id in ModelId::ALL {
-            let spec = ModelSpec::get(id);
-            let st = grad_stats(&spec, GpuKind::Rtx3090, 8, 10, 42);
-            println!(
-                "{:<12} orig {:6.1} MiB  coal {:6.1} MiB ({:.3})  prior {:6.1} MiB ({:.3})",
-                spec.name,
-                st.original_mib(),
-                st.coalesced_mib(),
-                st.coalesce_ratio(),
-                st.prior_mib(),
-                st.prior_ratio()
-            );
-        }
-    }
-}
-
-#[cfg(test)]
 mod table3_calibration {
     use super::*;
     use crate::spec::ModelId;

@@ -217,19 +217,15 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: expect \uXXXX low half.
-                                if self.bytes[self.pos + 1..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    let code =
-                                        0x10000 + ((hi - 0xD800) << 10) + (lo.wrapping_sub(0xDC00));
-                                    char::from_u32(code)
-                                } else {
-                                    None
-                                }
+                            let lo = if (0xD800..0xDC00).contains(&hi) {
+                                self.low_surrogate()
                             } else {
-                                char::from_u32(hi)
+                                None
+                            };
+                            let c = match lo {
+                                Some(lo) => char::from_u32(0x10000 + ((hi - 0xD800) << 10) + lo),
+                                // A lone surrogate has no scalar value.
+                                None => char::from_u32(hi),
                             };
                             out.push(c.unwrap_or('\u{FFFD}'));
                         }
@@ -238,16 +234,31 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing
-                    // at char boundaries is safe via chars()).
+                    // Copy the run of plain bytes up to the next quote or
+                    // escape. Both are ASCII, so the run ends on a char
+                    // boundary of the `&str` input.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().ok_or("empty")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run =
+                        rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+                    out.push_str(std::str::from_utf8(&rest[..run]).map_err(|e| e.to_string())?);
+                    self.pos += run;
                 }
             }
         }
+    }
+
+    /// After a high-surrogate escape (cursor on its last hex digit): take
+    /// a following `\uXXXX` that is a low surrogate and return its offset
+    /// from 0xDC00, or leave the input as it is and return `None`.
+    fn low_surrogate(&mut self) -> Option<u32> {
+        let next = self.bytes.get(self.pos + 1..self.pos + 7)?;
+        let hex = next.strip_prefix(b"\\u")?;
+        let lo = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
+        if !(0xDC00..0xE000).contains(&lo) {
+            return None;
+        }
+        self.pos += 6;
+        Some(lo - 0xDC00)
     }
 
     /// Read exactly 4 hex digits following `\u` (cursor on the 'u').
@@ -317,6 +328,30 @@ mod tests {
         assert_eq!(parse(r#""Aé""#).expect("ok"), Value::Str("Aé".to_string()));
         // Surrogate pair for 😀 (U+1F600).
         assert_eq!(parse(r#""😀""#).expect("ok"), Value::Str("😀".to_string()));
+    }
+
+    #[test]
+    fn multi_byte_text_around_escapes() {
+        let doc = "\"é→\\n😀\\u00e9x\\\"ü\"";
+        assert_eq!(parse(doc).expect("ok"), Value::Str("é→\n😀éx\"ü".to_string()));
+        let long = "ж".repeat(10_000);
+        assert_eq!(parse(&format!("\"{long}\"")).expect("ok"), Value::Str(long));
+    }
+
+    #[test]
+    fn surrogate_escapes() {
+        // A pair: U+1F600.
+        assert_eq!(parse(r#""\ud83d\ude00""#).expect("ok"), Value::Str("😀".to_string()));
+        // A high surrogate followed by an escape that is not a low one:
+        // U+FFFD for the lone half, then the second escape's character.
+        assert_eq!(parse(r#""\uD83D\u0041""#).expect("ok"), Value::Str("\u{FFFD}A".to_string()));
+        assert_eq!(
+            parse(r#""\uD83D\uD83D\uDE00""#).expect("ok"),
+            Value::Str("\u{FFFD}😀".to_string())
+        );
+        // Lone halves, and a high one at the end of the string.
+        assert_eq!(parse(r#""\uDE00x""#).expect("ok"), Value::Str("\u{FFFD}x".to_string()));
+        assert_eq!(parse(r#""x\uD83D""#).expect("ok"), Value::Str("x\u{FFFD}".to_string()));
     }
 
     #[test]

@@ -25,11 +25,9 @@ use embrace_collectives::{
     run_group, Comm, CommError, CommOp, CommResult, CommScheduler, Endpoint, OpTiming,
     SchedOptions, SubmittedOp,
 };
-use embrace_core::horizontal::{
-    DELAYED_GRAD_PRIORITY, DENSE_GATHER_PRIORITY, DENSE_PRIORITY, EMB_DATA_PRIORITY, LOSS_PRIORITY,
-    PRIOR_GRAD_PRIORITY, TOKEN_GATHER_PRIORITY,
-};
+use embrace_core::horizontal::{GradRows, StepPlan};
 use embrace_core::{vertical_split, ColumnShardedEmbedding, GradPlanePolicy};
+use embrace_dlsim::graph::ModelGraph;
 use embrace_dlsim::optim::{Adam, Optimizer, UpdatePart};
 use embrace_dlsim::{EmbeddingTable, NodeId, Prefetcher, Tape};
 use embrace_models::{BatchGen, ZipfSampler};
@@ -279,43 +277,55 @@ impl<M: Model> RankState<M> {
         SchedOptions { chunk_bytes: Some(chunk_bytes), observed }
     }
 
+    /// This rank's step plan: the model as one embedding feeding one dense
+    /// block, `tokens` ids looked up per step, and `grad`'s split.
+    pub(crate) fn plan(&self, tokens: usize, grad: GradRows) -> StepPlan {
+        let graph =
+            ModelGraph::one_block((self.emb.vocab(), self.emb.dim_total()), self.dense.len());
+        StepPlan::embrace(&graph, &self.emb.step_shapes(tokens, grad))
+    }
+
     /// One EmbRace hybrid step — AllGather of batch tokens, hybrid AlltoAll
     /// forward, the dense plane, Vertical Sparse Scheduling with two
     /// AlltoAll #2 exchanges — returning the global loss. The dense plane
     /// is the ring allreduce cut at its phase boundary around a sharded
     /// update: the reduce-scatter of the dense block's gradient, Adam on the
     /// chunk this rank owns, and the all-gather of the updated block. Every
-    /// exchange goes through `comm` with its §4.2.1 priority, tagged with
-    /// the step; the step returns with every ticket waited and `comm`
-    /// empty, so a scheduler per step and one per run send the same
+    /// exchange goes through `comm` in the order of [`Self::plan`], with its
+    /// tag (prefixed by the step) and priority, and the step waits only
+    /// where the data is needed. It returns with every ticket waited and
+    /// `comm` empty, so a scheduler per step and one per run send the same
     /// messages.
     pub(crate) fn run_step<C: Comm>(
         &mut self,
         comm: &mut CommScheduler<C>,
     ) -> Result<f64, CommError> {
         let step = self.step;
-        let tag = |op: &str| format!("s{step}/{op}");
         let tokens = self.model.expand(self.stream.advance().expect("infinite stream"));
         let next_local = self.stream.peek_next().expect("infinite stream").clone();
         let next_local = self.model.expand(next_local);
+        // The split's sizes are this step's data: the step reads the plan's
+        // tags and priorities only.
+        let plan = self.plan(tokens.len(), GradRows::Split { coalesced: 0.0, prior: 0.0 });
+        let mut planned = plan.ops.iter();
+        let mut submit = |comm: &mut CommScheduler<C>, op| {
+            let p = planned.next().expect("the step submits the plan's ops");
+            comm.submit(p.priority, format!("s{step}/{}", p.tag), op)
+        };
         // Hybrid FP: gather this batch and the next, AlltoAll #1 the
         // lookup results.
-        let cur = CommOp::GatherTokens(tokens.clone());
-        let t_cur = comm.submit(TOKEN_GATHER_PRIORITY, tag("tokens_cur"), cur);
-        let next = CommOp::GatherTokens(next_local);
-        let t_next = comm.submit(TOKEN_GATHER_PRIORITY, tag("tokens_next"), next);
+        let t_cur = submit(comm, CommOp::GatherTokens(tokens.clone()));
+        let t_next = submit(comm, CommOp::GatherTokens(next_local));
         let CommResult::GatherTokens(all_tokens) = t_cur.wait().into_result()? else {
             unreachable!("token gather")
         };
-        let lookup_op = self.emb.lookup_op(&all_tokens);
-        let lookup = comm.submit(EMB_DATA_PRIORITY, tag("emb_data"), lookup_op).wait();
+        let lookup = submit(comm, self.emb.lookup_op(&all_tokens)).wait();
         let lookup = ColumnShardedEmbedding::finish_lookup(lookup)?;
         let (loss, grad_dense, grad_rows) = self.model.fwd_bwd(&lookup, &tokens, &self.dense);
         // Dense plane: the BP hook fires the reduce-scatter and hands the
         // comm plane one quantum, so the bulk op is in flight when the more
         // urgent prior gradients preempt it below.
-        let dense = CommOp::ReduceScatterDense(grad_dense.into_vec());
-        let t_w = comm.submit(DENSE_PRIORITY, tag("reduce_scatter_w"), dense);
+        let t_w = submit(comm, CommOp::ReduceScatterDense(grad_dense.into_vec()));
         comm.progress();
         // Vertical Sparse Scheduling: split by next-iteration data.
         let CommResult::GatherTokens(next_gathered) = t_next.wait().into_result()? else {
@@ -324,10 +334,8 @@ impl<M: Model> RankState<M> {
         let raw = RowSparse::new(tokens.clone(), grad_rows);
         let split = vertical_split(&raw, &tokens, &next_gathered.concat());
         // AlltoAll #2, prior first, then delayed; Adam advances once.
-        let prior = self.emb.grad_op(&split.prior);
-        let t_prior = comm.submit(PRIOR_GRAD_PRIORITY, tag("prior_grad"), prior);
-        let delayed = self.emb.grad_op(&split.delayed);
-        let t_delayed = comm.submit(DELAYED_GRAD_PRIORITY, tag("delayed_grad"), delayed);
+        let t_prior = submit(comm, self.emb.grad_op(&split.prior));
+        let t_delayed = submit(comm, self.emb.grad_op(&split.delayed));
         // The owned chunk of the gradient is summed: update those elements,
         // then ship them to every rank in the block's own buffer.
         let CommResult::ReduceScatterDense(summed) = t_w.wait().into_result()? else {
@@ -337,13 +345,12 @@ impl<M: Model> RankState<M> {
         let mut dense = std::mem::replace(&mut self.dense, DenseTensor::zeros(0, 0)).into_vec();
         let owned = self.dense_owned.clone();
         self.opt_dense.step_span(&mut dense[owned.clone()], &summed[owned]);
-        let gather = CommOp::AllGatherDense(dense);
-        let t_gather = comm.submit(DENSE_GATHER_PRIORITY, tag("allgather_w"), gather);
+        let t_gather = submit(comm, CommOp::AllGatherDense(dense));
         let prior = self.emb.finish_grad(t_prior.wait())?;
         self.emb.apply_grad(&prior, &mut self.opt_e, UpdatePart::Prior);
         // Global loss: every rank's f32 scalar, gathered bit for bit.
-        let bits = CommOp::GatherTokens(vec![(loss as f32).to_bits()]);
-        let t_loss = comm.submit(LOSS_PRIORITY, tag("loss"), bits);
+        let t_loss = submit(comm, CommOp::GatherTokens(vec![(loss as f32).to_bits()]));
+        debug_assert!(planned.next().is_none(), "the step submits every op of its plan");
         let delayed = self.emb.finish_grad(t_delayed.wait())?;
         self.emb.apply_grad(&delayed, &mut self.opt_e, UpdatePart::Delayed);
         let CommResult::GatherTokens(all) = t_loss.wait().into_result()? else {

@@ -47,8 +47,49 @@ pub fn train_convergence_scheduled_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::real::{train_convergence, TrainMethod};
-    use embrace_core::{GradPlane, GradPlanePolicy};
+    use crate::real::{batch_stream, train_convergence, TrainMethod};
+    use embrace_core::horizontal::GradRows;
+    use embrace_core::{vertical_split, GradPlane, GradPlanePolicy};
+    use embrace_tensor::{DenseTensor, RowSparse};
+
+    #[test]
+    fn every_step_submits_the_toy_plan() {
+        // The live step at world 2, step by step, against the toy's plan:
+        // kinds, tags, priorities, order and bytes, the split's sizes from
+        // that step's batches and the next ones.
+        let cfg = ConvergenceConfig { world: 2, steps: 4, ..Default::default() };
+        let (_, logs, _) = train_convergence_scheduled_observed(&cfg, false);
+        let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
+        let states = RankState::<Toy>::initial(&cfg, &sampler);
+        let mut streams: Vec<_> = (0..cfg.world).map(|r| batch_stream(&sampler, &cfg, r)).collect();
+        let batches: Vec<Vec<Vec<u32>>> = (0..=cfg.steps)
+            .map(|_| streams.iter_mut().map(|s| s.advance().expect("infinite stream")).collect())
+            .collect();
+        for (rank, log) in logs.iter().enumerate() {
+            let st = states.take(rank);
+            let mut submitted = log.iter();
+            for step in 0..cfg.steps {
+                let tokens = &batches[step][rank];
+                let grad =
+                    RowSparse::new(tokens.clone(), DenseTensor::zeros(tokens.len(), cfg.dim));
+                let split = vertical_split(&grad, tokens, &batches[step + 1].concat());
+                let (prior, delayed) =
+                    (split.prior.nnz_rows() as f64, split.delayed.nnz_rows() as f64);
+                let plan =
+                    st.plan(tokens.len(), GradRows::Split { coalesced: prior + delayed, prior });
+                for op in &plan.ops {
+                    let want = SubmittedOp {
+                        priority: op.priority,
+                        tag: format!("s{step}/{}", op.tag),
+                        kind: op.kind.name(),
+                        bytes: op.bytes as u64,
+                    };
+                    assert_eq!(submitted.next(), Some(&want), "rank {rank} step {step}");
+                }
+            }
+            assert_eq!(submitted.next(), None, "rank {rank}");
+        }
+    }
 
     #[test]
     fn scheduled_matches_inline_embrace() {

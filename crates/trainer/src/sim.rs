@@ -1,19 +1,26 @@
 //! The per-method training-step simulator.
 //!
-//! For each method we build a K-step task DAG over two streams (GPU
-//! compute, network) and run it through `embrace_simnet::Sim`. The DAG
-//! encodes exactly the dependency structure of the paper's Fig. 5/6: BP in
-//! reverse FP order, wait-free gradient communication fired per module,
-//! the next step's FP gated on the arrival of that module's parameters,
-//! and (for EmbRace) the hoisted embedding FP, the lookup-result AlltoAll
-//! and the prior/delayed gradient split of Algorithm 1.
+//! Every method's step is a [`StepPlan`]. EmbRace and its Fig. 9
+//! ablations run `core::horizontal`'s plan, the one the live step submits;
+//! each baseline's plan holds its own exchanges. [`simulate_full`] lowers
+//! K steps of the plan to a task DAG over two streams (GPU compute,
+//! network) and runs it through `embrace_simnet::Sim`. The DAG encodes the
+//! dependency structure of the paper's Fig. 5/6: FP in (for horizontal
+//! scheduling, hoisted) program order, BP in reverse, and each op after
+//! the phase it waits on and ahead of the phases it unblocks. So a
+//! module's next FP waits on the arrival of its parameters, and a delayed
+//! gradient gates the FP two steps later (Algorithm 1).
 
 use embrace_baselines::bytescheduler::{partition_tensor, DEFAULT_CHUNK_BYTES};
 use embrace_baselines::MethodId;
-use embrace_core::horizontal::{CommKind, Priorities, DELAYED_GRAD_PRIORITY, PRIOR_GRAD_PRIORITY};
+use embrace_core::horizontal::{
+    dense_units, suffix, GradRows, OpKind, Phase, PlanOp, StepPlan, StepShapes,
+};
+use embrace_dlsim::graph::ModelGraph;
 use embrace_models::{grad_stats, GradStats, ModelId, ModelSpec};
 use embrace_simnet::{Cluster, CostModel, Sim, SimResult, Task, TaskId};
 use embrace_tensor::F32_BYTES;
+use std::collections::HashMap;
 
 /// BytePS moves tensors through host shared memory; the paper observes its
 /// performance is bound by (slow) RAM on both testbeds (§5.3). Multiplier
@@ -86,40 +93,6 @@ pub struct StepMetrics {
     pub tokens_per_sec: f64,
 }
 
-/// Sizes and volumes one step of a given configuration moves around.
-struct StepSizes {
-    /// Dense bytes per block (uniform blocks).
-    block_bytes: f64,
-    /// Dense bytes of each embedding table (for sparse-as-dense methods).
-    emb_dense_bytes: Vec<f64>,
-    /// Per-table per-rank sparse gradient bytes (raw / coalesced / prior).
-    grad_original: f64,
-    grad_coalesced: f64,
-    grad_prior: f64,
-    /// Per-rank AlltoAll #1 payload: this rank's batch lookup results.
-    emb_data_bytes: f64,
-    /// Coalesced gradient rows per batch (vertical-compute cost driver).
-    rows_coalesced: f64,
-    /// Useful tokens per worker batch (non-padding).
-    tokens_per_batch: f64,
-}
-
-fn step_sizes(spec: &ModelSpec, cfg: &SimConfig, stats: &GradStats) -> StepSizes {
-    let n_tables = spec.embeddings.len() as f64;
-    let mib = 1024.0 * 1024.0;
-    let rows = spec.rows_per_batch(cfg.cluster.gpu) as f64;
-    StepSizes {
-        block_bytes: (spec.block_params * F32_BYTES) as f64,
-        emb_dense_bytes: spec.embeddings.iter().map(|e| e.bytes() as f64).collect(),
-        grad_original: stats.original_mib() * mib / n_tables,
-        grad_coalesced: stats.coalesced_mib() * mib / n_tables,
-        grad_prior: stats.prior_mib() * mib / n_tables,
-        emb_data_bytes: rows * spec.dim() as f64 * F32_BYTES as f64,
-        rows_coalesced: stats.rows_coalesced,
-        tokens_per_batch: rows * (1.0 - spec.pad_fraction),
-    }
-}
-
 /// Workload statistics for the gradient volumes, memoised per
 /// (model, gpu, world, seed): the Zipf averages are stable across calls
 /// and resampling them dominates the simulator's own cost.
@@ -141,6 +114,103 @@ fn cached_stats(cfg: &SimConfig) -> GradStats {
     st
 }
 
+/// The step plan the DES prices for `cfg`.
+pub fn step_plan(cfg: &SimConfig) -> StepPlan {
+    let spec = ModelSpec::get(cfg.model);
+    plan(cfg, &spec, &spec.graph(cfg.cluster.gpu), &cached_stats(cfg))
+}
+
+/// One rank's step under `cfg.method`, from the averaged gradient volumes
+/// in `stats` (counted over all of the model's tables).
+fn plan(cfg: &SimConfig, spec: &ModelSpec, graph: &ModelGraph, stats: &GradStats) -> StepPlan {
+    let tables = spec.embeddings.len() as f64;
+    let row_bytes = stats.row_bytes as f64;
+    let fusion = cfg.fusion_bucket.unwrap_or(0.0);
+    let grad = match cfg.method {
+        MethodId::EmbRace => GradRows::Split {
+            coalesced: stats.rows_coalesced / tables,
+            prior: stats.rows_prior / tables,
+        },
+        // Hybrid communication only: the raw (uncoalesced) gradient in one
+        // AlltoAll, as coalescing belongs to Vertical Sparse Scheduling
+        // (§4.2.2). FIFO without hoisting (Fig. 6a), or at the urgent
+        // priority of the horizontal schedule (Fig. 6b).
+        MethodId::EmbRaceNoSched | MethodId::EmbRaceHorizontal => {
+            GradRows::Whole(stats.rows_original / tables)
+        }
+        baseline => return baseline_plan(baseline, graph, stats, fusion),
+    };
+    let world = cfg.cluster.world();
+    let shapes = StepShapes {
+        world,
+        tokens: spec.rows_per_batch(cfg.cluster.gpu) as f64,
+        shard_width: spec.dim() as f64 / world as f64,
+        grad_exchange: (OpKind::AlltoAllSparse, row_bytes),
+        grad,
+        fusion,
+    };
+    StepPlan::embrace(graph, &shapes)
+}
+
+/// A baseline's step: each module's exchange after its BP, gating its next
+/// FP. BytePS keeps its own ByteScheduler chunking instead of fusion.
+fn baseline_plan(method: MethodId, graph: &ModelGraph, stats: &GradStats, fusion: f64) -> StepPlan {
+    use OpKind::*;
+    let (embeddings, dense) = (graph.embeddings(), graph.dense_blocks());
+    let grad = |rows: f64| rows / embeddings.len() as f64 * stats.row_bytes as f64;
+    let bytes = |m: usize| (graph.modules[m].params() * F32_BYTES) as f64;
+    let mut plan = StepPlan { ops: Vec::new() };
+    let mut exchange = |kind, op: &str, m: usize, several: usize, priority, bytes| {
+        let tag = op.to_string() + &suffix(&graph.modules[m].name, several);
+        plan.push(kind, tag, priority, bytes, Phase::Bp(m), [(Phase::Fp(m), 1)]);
+    };
+    // ByteScheduler's chunks, with FP-order priority: embeddings are
+    // needed first, so their chunks get the lowest values.
+    let chunks = |m: usize| partition_tensor(bytes(m), DEFAULT_CHUNK_BYTES).into_iter().enumerate();
+    let n = embeddings.len();
+    for &e in &embeddings {
+        match method {
+            MethodId::HorovodAllReduce => {
+                exchange(AllReduceDense, "emb_allreduce", e, n, 0, bytes(e))
+            }
+            // Horovod's PyTorch sparse path coalesces before gathering, so
+            // the coalesced size travels.
+            MethodId::HorovodAllGather => {
+                exchange(AllGatherSparse, "emb_allgather", e, n, 0, grad(stats.rows_coalesced))
+            }
+            // The densified embedding through the PS.
+            MethodId::BytePs => {
+                for (c, chunk) in chunks(e) {
+                    exchange(PsHierarchical, &format!("ps_emb{c}"), e, n, e as i64, chunk)
+                }
+            }
+            // Push: the raw gradient as the framework emits it (duplicates
+            // included); pull: the unique rows of the batch. `ps` charges
+            // both directions, so pass the average one-way volume.
+            MethodId::Parallax => {
+                let one_way = 0.5 * (grad(stats.rows_original) + grad(stats.rows_coalesced));
+                exchange(Ps, "ps_sparse", e, n, 0, one_way)
+            }
+            embrace => unreachable!("{} is not a baseline", embrace.name()),
+        }
+    }
+    if method == MethodId::BytePs {
+        for &m in &dense {
+            for (c, chunk) in chunks(m) {
+                exchange(PsHierarchical, &format!("ps_blk{c}"), m, dense.len(), m as i64, chunk);
+            }
+        }
+        return plan;
+    }
+    // A dense unit flushes when its last-produced gradient is ready.
+    for (suffix, unit) in dense_units(graph, fusion) {
+        let (tag, after) = (format!("allreduce{suffix}"), Phase::Bp(unit.ready_after()));
+        let fps = unit.modules.iter().map(|&m| (Phase::Fp(m), 1));
+        plan.push(AllReduceDense, tag, 0, unit.bytes, after, fps);
+    }
+    plan
+}
+
 /// Simulate one configuration and return its steady-state metrics.
 pub fn simulate(cfg: &SimConfig) -> StepMetrics {
     simulate_full(cfg).0
@@ -151,7 +221,19 @@ pub fn simulate(cfg: &SimConfig) -> StepMetrics {
 /// that the observability exporters consume.
 pub fn simulate_full(cfg: &SimConfig) -> (StepMetrics, SimResult) {
     let spec = ModelSpec::get(cfg.model);
+    let graph = spec.graph(cfg.cluster.gpu);
+    let (sim, markers) = lower(cfg, &spec, &graph);
+    let result = sim.run();
+    let tokens = spec.rows_per_batch(cfg.cluster.gpu) as f64 * (1.0 - spec.pad_fraction);
+    let metrics = metrics_from(&result, &markers, &graph, tokens, cfg.cluster.world() as f64);
+    (metrics, result)
+}
+
+/// `cfg.steps` steps of `cfg`'s plan as one task DAG, with each step's
+/// marker: its last backward task.
+fn lower(cfg: &SimConfig, spec: &ModelSpec, graph: &ModelGraph) -> (Sim, Vec<TaskId>) {
     let stats = cached_stats(cfg);
+    let plan = plan(cfg, spec, graph, &stats);
     // Replicated-table methods must host full embedding tables in CPU
     // memory on 8 GB RTX2080s (§5.3); EmbRace's column shards and the PS
     // methods' server-side tables avoid that. The slowdown is modelled as
@@ -162,362 +244,138 @@ pub fn simulate_full(cfg: &SimConfig) -> (StepMetrics, SimResult) {
         cfg.method,
         MethodId::HorovodAllReduce | MethodId::HorovodAllGather | MethodId::BytePs
     );
-    let graph = spec.graph(cfg.cluster.gpu);
     let cpu_extra = if cpu_embeddings && cfg.cluster.gpu == embrace_simnet::GpuKind::Rtx2080 {
         spec.cpu_emb_penalty_2080 - 1.0
     } else {
         0.0
     };
-    let sizes = step_sizes(&spec, cfg, &stats);
-    let cm = CostModel::new(cfg.cluster);
-    let prio = Priorities::assign(&graph);
-
-    let mut sim = Sim::new(cfg.comm_order.unwrap_or_else(|| cfg.method.comm_order()));
-    let mut markers: Vec<TaskId> = Vec::with_capacity(cfg.steps);
-
-    // Per-module comm task(s) of the previous step, gating this step's FP.
-    let n = graph.len();
-    let mut prev_param_ready: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-    // EmbRace: delayed-grad comm of step s-2 per embedding, gating FP.
-    let mut prev_delayed: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-    let mut fp_done: Vec<Option<TaskId>> = vec![None; n];
-
-    let world = cfg.cluster.world() as f64;
-    let servers = cfg.cluster.nodes;
-    let is_embrace = matches!(
-        cfg.method,
-        MethodId::EmbRace | MethodId::EmbRaceNoSched | MethodId::EmbRaceHorizontal
-    );
-    // Horizontal scheduling: priority queue + hoisted embedding FP.
+    // Horizontal scheduling hoists the embedding FP ahead of the blocks.
     let hoist = matches!(cfg.method, MethodId::EmbRace | MethodId::EmbRaceHorizontal);
-    // Vertical scheduling: prior/delayed gradient split.
-    let vertical_enabled = cfg.method == MethodId::EmbRace;
-
-    for step in 0..cfg.steps {
-        // ---------------- Forward pass ----------------
-        let fp_order: Vec<usize> =
-            if hoist { graph.hoisted_fp_order() } else { graph.fp_order().collect() };
-        // EmbRace: lookup-result AlltoAll tasks created after embedding FP;
-        // dense-consumer FP additionally depends on them.
-        let mut emb_data_comm: Vec<Option<TaskId>> = vec![None; n];
-
+    let fp_order: Vec<usize> =
+        if hoist { graph.hoisted_fp_order() } else { graph.fp_order().collect() };
+    let split = plan.ops.iter().any(|op| op.after == Phase::Split);
+    let order = cfg.comm_order.unwrap_or_else(|| cfg.method.comm_order());
+    let mut l = Lowering {
+        sim: Sim::new(order),
+        plan: &plan,
+        cm: CostModel::new(cfg.cluster),
+        servers: cfg.cluster.nodes,
+        gates: HashMap::new(),
+    };
+    let mut markers = Vec::with_capacity(cfg.steps);
+    for s in 0..cfg.steps {
+        // The ops waiting on the step's start, the token gathers, stay
+        // unpriced: each is latency-bound, (N-1) hops of the cluster
+        // latency ahead of the embedding FP, and pricing them flips Fig.
+        // 10's LM scaling order (EXPERIMENTS.md, "One plan of the step").
+        let mut fp_done: Vec<Option<TaskId>> = vec![None; graph.len()];
         for &m in &fp_order {
             let module = &graph.modules[m];
-            let mut deps: Vec<TaskId> = Vec::new();
-            // FP inputs computed this step.
-            for &inp in &module.inputs {
-                if let Some(t) = fp_done[inp] {
-                    deps.push(t);
-                }
-                if let Some(t) = emb_data_comm[inp] {
-                    deps.push(t);
-                }
-            }
-            // Parameters must have arrived: the previous step's prompt
-            // communications plus the step-before-last's delayed
-            // gradients (already merged into `prev_param_ready`).
-            deps.extend(prev_param_ready[m].iter().copied());
-            // Host-staged embeddings: CPU lookup time precedes the kernel.
+            // This step's FP inputs, and every op gating this FP: earlier
+            // steps' parameters and this step's lookups.
+            let mut deps: Vec<TaskId> = module.inputs.iter().filter_map(|&i| fp_done[i]).collect();
+            deps.extend(l.gates(s, Phase::Fp(m)));
             if cpu_extra > 0.0 && module.is_embedding() {
-                let stage = sim.add(
-                    Task::overhead(
-                        format!("s{step}/cpu_fp/{}", module.name),
-                        module.fp_time * cpu_extra,
-                    )
-                    .after(deps.clone()),
-                );
-                deps = vec![stage];
+                // Host-staged embeddings: CPU lookup time precedes the kernel.
+                let name = format!("s{s}/cpu_fp/{}", module.name);
+                deps =
+                    vec![l.sim.add(Task::overhead(name, module.fp_time * cpu_extra).after(deps))];
             }
-            let fp = sim.add(
-                Task::compute(format!("s{step}/fp/{}", module.name), module.fp_time).after(deps),
-            );
+            let name = format!("s{s}/fp/{}", module.name);
+            let fp = l.sim.add(Task::compute(name, module.fp_time).after(deps));
             fp_done[m] = Some(fp);
-
-            if is_embrace && module.is_embedding() {
-                // AlltoAll #1: redistribute this batch's lookup results.
-                let dur = cm.alltoall(sizes.emb_data_bytes);
-                let pr = if hoist { prio.of(CommKind::EmbData(m)) } else { 0 };
-                let t = sim.add(
-                    Task::comm(format!("s{step}/emb_data/{}", module.name), dur, pr).after([fp]),
-                );
-                emb_data_comm[m] = Some(t);
-            }
+            l.emit(s, Phase::Fp(m), &[fp]);
         }
-
-        // ---------------- Backward pass ----------------
-        let mut prev_bp: Option<TaskId> = None;
-        let mut bp_done: Vec<Option<TaskId>> = vec![None; n];
+        // The first BP waits for the whole FP; the rest chain in reverse.
+        let mut bp_deps: Vec<TaskId> = fp_done.iter().flatten().copied().collect();
         for m in graph.bp_order() {
             let module = &graph.modules[m];
-            let mut deps: Vec<TaskId> = Vec::new();
-            // Loss comes after the whole FP; chain BP in reverse order.
-            if let Some(p) = prev_bp {
-                deps.push(p);
-            } else {
-                // First BP task waits for the last FP task of this step.
-                for t in fp_done.iter().flatten() {
-                    deps.push(*t);
-                }
-            }
-            let mut bp = sim.add(
-                Task::compute(format!("s{step}/bp/{}", module.name), module.bp_time).after(deps),
-            );
+            let name = format!("s{s}/bp/{}", module.name);
+            let mut bp = l.sim.add(Task::compute(name, module.bp_time).after(bp_deps));
             if cpu_extra > 0.0 && module.is_embedding() {
                 // CPU-side gradient staging after the kernel.
-                bp = sim.add(
-                    Task::overhead(
-                        format!("s{step}/cpu_bp/{}", module.name),
-                        module.bp_time * cpu_extra,
-                    )
-                    .after([bp]),
-                );
+                let name = format!("s{s}/cpu_bp/{}", module.name);
+                bp = l.sim.add(Task::overhead(name, module.bp_time * cpu_extra).after([bp]));
             }
-            bp_done[m] = Some(bp);
-            prev_bp = Some(bp);
+            l.emit(s, Phase::Bp(m), &[bp]);
+            bp_deps = vec![bp];
         }
-
-        // ---------------- Gradient communication ----------------
-        let mut param_ready: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-        let mut delayed_ready: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-
-        // EmbRace vertical-scheduling computation: fires once after the
-        // last BP (the prototype registers it on the last BP hook, §5.1).
-        let vertical = if vertical_enabled {
-            let dur = VERTICAL_SCHED_BASE + sizes.rows_coalesced * VERTICAL_SCHED_PER_ROW;
-            Some(
-                sim.add(
-                    Task::overhead(format!("s{step}/vertical_sched"), dur)
-                        .after([prev_bp.expect("backward pass emitted at least one module")]),
-                ),
-            )
-        } else {
-            None
-        };
-
-        // Optional Horovod-style tensor fusion for the dense plane
-        // (ablation knob; BytePS keeps its own ByteScheduler chunking).
-        let fusion = cfg.fusion_bucket.filter(|_| cfg.method != MethodId::BytePs);
-
-        for m in 0..n {
-            let module = &graph.modules[m];
-            let bp = bp_done[m].expect("backward task recorded for every module");
-            if module.is_embedding() {
-                match cfg.method {
-                    MethodId::EmbRace => {
-                        let prior_dur = cm.alltoall(sizes.grad_prior);
-                        let delayed_dur = cm.alltoall(sizes.grad_coalesced - sizes.grad_prior);
-                        let v =
-                            vertical.expect("EmbRace method always schedules the vertical split");
-                        let p = sim.add(
-                            Task::comm(
-                                format!("s{step}/prior_grad/{}", module.name),
-                                prior_dur,
-                                PRIOR_GRAD_PRIORITY,
-                            )
-                            .after([bp, v]),
-                        );
-                        let d = sim.add(
-                            Task::comm(
-                                format!("s{step}/delayed_grad/{}", module.name),
-                                delayed_dur,
-                                DELAYED_GRAD_PRIORITY,
-                            )
-                            .after([bp, v]),
-                        );
-                        param_ready[m].push(p);
-                        delayed_ready[m].push(d);
-                    }
-                    MethodId::EmbRaceNoSched => {
-                        // Hybrid communication only: the raw (uncoalesced)
-                        // gradient in one AlltoAll, FIFO — coalescing
-                        // belongs to Vertical Sparse Scheduling (§4.2.2).
-                        let dur = cm.alltoall(sizes.grad_original);
-                        let t = sim.add(
-                            Task::comm(format!("s{step}/grad_whole/{}", module.name), dur, 0)
-                                .after([bp]),
-                        );
-                        param_ready[m].push(t);
-                    }
-                    MethodId::EmbRaceHorizontal => {
-                        // Whole raw gradient (no vertical split /
-                        // coalescing), but at the urgent priority of the
-                        // horizontal schedule (Fig. 6b).
-                        let dur = cm.alltoall(sizes.grad_original);
-                        let t = sim.add(
-                            Task::comm(
-                                format!("s{step}/grad_whole/{}", module.name),
-                                dur,
-                                PRIOR_GRAD_PRIORITY,
-                            )
-                            .after([bp]),
-                        );
-                        param_ready[m].push(t);
-                    }
-                    MethodId::HorovodAllReduce => {
-                        let dur =
-                            cm.ring_allreduce(sizes.emb_dense_bytes[embedding_pos(&graph, m)]);
-                        let t = sim.add(
-                            Task::comm(format!("s{step}/emb_allreduce/{}", module.name), dur, 0)
-                                .after([bp]),
-                        );
-                        param_ready[m].push(t);
-                    }
-                    MethodId::HorovodAllGather => {
-                        // Horovod's PyTorch sparse path coalesces before
-                        // gathering, so the coalesced size travels.
-                        let dur = cm.allgather(sizes.grad_coalesced);
-                        let t = sim.add(
-                            Task::comm(format!("s{step}/emb_allgather/{}", module.name), dur, 0)
-                                .after([bp]),
-                        );
-                        param_ready[m].push(t);
-                    }
-                    MethodId::BytePs => {
-                        // Densified embedding through the PS, chunked by
-                        // ByteScheduler; FP-order priority (embeddings are
-                        // needed first, so chunks get the lowest values).
-                        let bytes = sizes.emb_dense_bytes[embedding_pos(&graph, m)];
-                        for (c, chunk) in
-                            partition_tensor(bytes, DEFAULT_CHUNK_BYTES).iter().enumerate()
-                        {
-                            let dur = cm.ps_hierarchical(*chunk, servers) * BYTEPS_RAM_PENALTY;
-                            let t = sim.add(
-                                Task::comm(
-                                    format!("s{step}/ps_emb{c}/{}", module.name),
-                                    dur,
-                                    m as i64,
-                                )
-                                .after([bp]),
-                            );
-                            param_ready[m].push(t);
-                        }
-                    }
-                    MethodId::Parallax => {
-                        // Push: the raw gradient as the framework emits it
-                        // (duplicates included); pull: the unique rows of
-                        // the batch. `ps` charges both directions, so pass
-                        // the average one-way volume.
-                        let one_way = 0.5 * (sizes.grad_original + sizes.grad_coalesced);
-                        let dur = cm.ps(one_way, servers) * PARALLAX_HOSTCOPY_PENALTY;
-                        let t = sim.add(
-                            Task::comm(format!("s{step}/ps_sparse/{}", module.name), dur, 0)
-                                .after([bp]),
-                        );
-                        param_ready[m].push(t);
-                    }
-                }
-            } else if fusion.is_some() {
-                // Dense gradients handled by the fused pass below.
-            } else {
-                // Dense block gradients.
-                match cfg.method {
-                    MethodId::BytePs => {
-                        for (c, chunk) in partition_tensor(sizes.block_bytes, DEFAULT_CHUNK_BYTES)
-                            .iter()
-                            .enumerate()
-                        {
-                            let dur = cm.ps_hierarchical(*chunk, servers) * BYTEPS_RAM_PENALTY;
-                            let t = sim.add(
-                                Task::comm(
-                                    format!("s{step}/ps_blk{c}/{}", module.name),
-                                    dur,
-                                    m as i64,
-                                )
-                                .after([bp]),
-                            );
-                            param_ready[m].push(t);
-                        }
-                    }
-                    _ => {
-                        let dur = cm.ring_allreduce(sizes.block_bytes);
-                        let pr = if hoist { prio.of(CommKind::DenseBlock(m)) } else { 0 };
-                        let t = sim.add(
-                            Task::comm(format!("s{step}/allreduce/{}", module.name), dur, pr)
-                                .after([bp]),
-                        );
-                        param_ready[m].push(t);
-                    }
-                }
-            }
+        markers.extend(bp_deps.first());
+        if split {
+            // Vertical Sparse Scheduling fires once after the last BP (the
+            // prototype registers it on the last BP hook, §5.1).
+            let dur = VERTICAL_SCHED_BASE + stats.rows_coalesced * VERTICAL_SCHED_PER_ROW;
+            bp_deps.extend(l.gates(s, Phase::Split));
+            let task = Task::overhead(format!("s{s}/vertical_sched"), dur).after(bp_deps);
+            let v = l.sim.add(task);
+            l.emit(s, Phase::Split, &[v]);
         }
-
-        if let Some(bucket_bytes) = fusion {
-            use embrace_dlsim::fusion::assign_buckets;
-            let bp_sizes: Vec<(usize, f64)> = graph
-                .bp_order()
-                .filter(|&m| !graph.modules[m].is_embedding())
-                .map(|m| (m, sizes.block_bytes))
-                .collect();
-            for (b, bucket) in assign_buckets(&bp_sizes, bucket_bytes).into_iter().enumerate() {
-                // The bucket flushes when its last-produced gradient is
-                // ready; it inherits the urgency of its earliest-needed
-                // member.
-                let gate =
-                    bp_done[bucket.ready_after()].expect("backward task recorded for every module");
-                let dur = cm.ring_allreduce(bucket.bytes);
-                let pr = if hoist {
-                    bucket
-                        .modules
-                        .iter()
-                        .map(|&m| prio.of(CommKind::DenseBlock(m)))
-                        .min()
-                        .expect("bucket cannot be empty")
-                } else {
-                    0
-                };
-                let t = sim
-                    .add(Task::comm(format!("s{step}/fused_allreduce{b}"), dur, pr).after([gate]));
-                for &m in &bucket.modules {
-                    param_ready[m].push(t);
-                }
-            }
-        }
-
-        markers.push(prev_bp.expect("backward pass emitted at least one module"));
-        // Delayed gradients of step s gate the FP of step s+2, not s+1:
-        // Algorithm 1 guarantees rows reused by step s+1 are in the prior
-        // part, so only the *previous* step's delayed comm joins the
-        // parameter-ready set for the upcoming FP.
-        let delayed_prev = std::mem::take(&mut prev_delayed); // delayed(s-1)
-        prev_param_ready = param_ready;
-        for (m, ts) in delayed_prev.into_iter().enumerate() {
-            prev_param_ready[m].extend(ts);
-        }
-        prev_delayed = delayed_ready;
-        fp_done = vec![None; n];
     }
-
-    let result = sim.run();
-    let metrics = metrics_from(&result, &markers, &graph, &sizes, world);
-    (metrics, result)
+    (l.sim, markers)
 }
 
-/// Position of embedding module `m` among the graph's embeddings (to pick
-/// the matching dense-table size).
-fn embedding_pos(graph: &embrace_dlsim::graph::ModelGraph, m: usize) -> usize {
-    graph.embeddings().iter().position(|&e| e == m).expect("module is an embedding")
+/// A plan's ops as `Sim` comm tasks: each waits on its phase's task and
+/// gates the phases it unblocks.
+struct Lowering<'a> {
+    sim: Sim,
+    plan: &'a StepPlan,
+    cm: CostModel,
+    servers: usize,
+    /// The tasks gating each `(step, phase)` not lowered yet.
+    gates: HashMap<(usize, Phase), Vec<TaskId>>,
+}
+
+impl Lowering<'_> {
+    /// Take the tasks gating `phase` of step `s`.
+    fn gates(&mut self, s: usize, phase: Phase) -> Vec<TaskId> {
+        self.gates.remove(&(s, phase)).unwrap_or_default()
+    }
+
+    /// Add the ops waiting on `phase` of step `s`, which `deps` complete,
+    /// and then those waiting on the sharded updates they unblock: the DES
+    /// prices no optimizer, so an update takes no time.
+    fn emit(&mut self, s: usize, phase: Phase, deps: &[TaskId]) {
+        let plan = self.plan;
+        for op in plan.ops.iter().filter(|op| op.after == phase) {
+            let task = Task::comm(format!("s{s}/{}", op.tag), self.price(op), op.priority);
+            let t = self.sim.add(task.after(deps.iter().copied()));
+            for &(gated, k) in &op.unblocks {
+                self.gates.entry((s + k, gated)).or_default().push(t);
+            }
+            for &(gated, _) in op.unblocks.iter().filter(|(p, _)| matches!(p, Phase::Update(_))) {
+                let done = self.gates(s, gated);
+                self.emit(s, gated, &done);
+            }
+        }
+    }
+
+    /// Duration of `op` on the network.
+    fn price(&self, op: &PlanOp) -> f64 {
+        let (cm, bytes) = (&self.cm, op.bytes);
+        match op.kind {
+            OpKind::GatherTokens | OpKind::AllGatherSparse => cm.allgather(bytes),
+            OpKind::AlltoAllDense | OpKind::AlltoAllSparse => cm.alltoall(bytes),
+            // Half a ring each: with the update between them free, a
+            // unit's two phases price exactly the allreduce they replace.
+            OpKind::ReduceScatterDense | OpKind::AllGatherDense => cm.ring_allreduce(bytes) / 2.0,
+            OpKind::AllReduceDense => cm.ring_allreduce(bytes),
+            OpKind::Ps => cm.ps(bytes, self.servers) * PARALLAX_HOSTCOPY_PENALTY,
+            OpKind::PsHierarchical => cm.ps_hierarchical(bytes, self.servers) * BYTEPS_RAM_PENALTY,
+            OpKind::SparseAllreduce => unreachable!("no simulated plan runs the sparse allreduce"),
+        }
+    }
 }
 
 fn metrics_from(
     result: &SimResult,
     markers: &[TaskId],
-    graph: &embrace_dlsim::graph::ModelGraph,
-    sizes: &StepSizes,
+    graph: &ModelGraph,
+    tokens_per_batch: f64,
     world: f64,
 ) -> StepMetrics {
     // Steady state: average step duration between the 2nd and last marker.
-    let ends: Vec<f64> = markers
-        .iter()
-        .map(|&id| {
-            result
-                .trace
-                .spans
-                .iter()
-                .find(|s| s.task == id)
-                .map(|s| s.end)
-                .expect("marker task must have run")
-        })
-        .collect();
+    let end = |id: &TaskId| result.trace.spans.iter().find(|s| s.task == *id).map(|s| s.end);
+    let ends: Vec<f64> = markers.iter().map(|id| end(id).expect("marker task ran")).collect();
     let k = ends.len();
     assert!(k >= 3, "need at least 3 steps for steady state");
     let step_time = (ends[k - 1] - ends[1]) / (k - 2) as f64;
@@ -526,7 +384,7 @@ fn metrics_from(
         step_time,
         compute_time,
         stall: (step_time - compute_time).max(0.0),
-        tokens_per_sec: world * sizes.tokens_per_batch / step_time,
+        tokens_per_sec: world * tokens_per_batch / step_time,
     }
 }
 
@@ -634,6 +492,37 @@ mod tests {
                 / ModelSpec::get(ModelId::Gnmt8).compute_time(embrace_simnet::GpuKind::Rtx3090);
             assert!(single_ideal <= per_gpu_compute_bound * 1.001);
             assert!(single_ideal >= per_gpu_compute_bound * 0.3);
+        }
+    }
+}
+
+#[cfg(test)]
+mod lowering_tests {
+    use super::*;
+    use embrace_simnet::Res;
+
+    #[test]
+    fn one_span_per_plan_op_at_its_priority() {
+        // One steady step of the 2D schedule, for two embeddings and for
+        // one: a comm span per priced op of the plan, named by its tag and
+        // queued at its priority, and no other.
+        for model in [ModelId::Gnmt8, ModelId::BertBase] {
+            let cfg = SimConfig::new(MethodId::EmbRace, model, Cluster::rtx3090(16));
+            let spec = ModelSpec::get(model);
+            let (sim, _) = lower(&cfg, &spec, &spec.graph(cfg.cluster.gpu));
+            let spans = sim.run().trace.spans;
+            let step: Vec<_> =
+                spans.iter().filter(|s| s.res == Res::Comm && s.name.starts_with("s3/")).collect();
+            let plan = step_plan(&cfg);
+            let priced: Vec<&PlanOp> =
+                plan.ops.iter().filter(|op| op.after != Phase::Start).collect();
+            assert_eq!(step.len(), priced.len(), "{model:?}: {step:?}");
+            for op in priced {
+                let name = format!("s3/{}", op.tag);
+                let found: Vec<_> = step.iter().filter(|s| s.name == name).collect();
+                assert_eq!(found.len(), 1, "{model:?} {name}");
+                assert_eq!(sim.task(found[0].task).priority, op.priority, "{model:?} {name}");
+            }
         }
     }
 }

@@ -37,8 +37,10 @@ fn fig6_comparison(model: ModelId, cluster: Cluster) -> Vec<SchemeTimeline> {
 
 /// ASCII Gantt chart of one steady-state step under `method`, rendered
 /// `width` characters wide: `f`/`b` = forward/backward kernels, `v` =
-/// vertical-scheduling computation, `a` = dense AllReduce, `e` =
-/// embedding-data AlltoAll, `p`/`d` = prior/delayed gradient AlltoAll.
+/// vertical-scheduling computation, `r`/`a` = a dense block's ring
+/// reduce-scatter/all-gather, `e` = embedding-data AlltoAll, `p`/`d` =
+/// prior/delayed gradient AlltoAll, `g` = whole-gradient AlltoAll, `l` =
+/// loss gather.
 pub fn render_step_gantt(
     method: embrace_baselines::MethodId,
     model: ModelId,
@@ -130,7 +132,8 @@ mod tests {
         let lines: Vec<&str> = g.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains('f') || lines[0].contains('b'), "compute row: {g}");
-        assert!(lines[1].contains('a'), "network row should show allreduce: {g}");
+        let dense = lines[1].contains('r') && lines[1].contains('a');
+        assert!(dense, "network row should show the reduce-scatter and all-gather: {g}");
     }
 
     #[test]

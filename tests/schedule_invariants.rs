@@ -74,11 +74,11 @@ fn dense_params_arrive_before_their_fp() {
     for step in 1..4 {
         for blk in ["enc_blk0", "dec_blk7"] {
             let prev = step - 1;
-            let comm_done = end(&t, &format!("s{prev}/allreduce/{blk}"));
+            let comm_done = end(&t, &format!("s{prev}/allgather_w/{blk}"));
             let fp_start = start(&t, &format!("s{step}/fp/{blk}"));
             assert!(
                 comm_done <= fp_start + 1e-12,
-                "step {step}/{blk}: allreduce ends {comm_done}, FP starts {fp_start}"
+                "step {step}/{blk}: weights' all-gather ends {comm_done}, FP starts {fp_start}"
             );
         }
     }
