@@ -54,7 +54,9 @@
 //!
 //! Findings can be suppressed via an allowlist file (`lint-allow.txt` at
 //! the workspace root): each line is `rule path-substring line-substring`
-//! (whitespace-separated; `#` starts a comment). The variant inventories
+//! (whitespace-separated; `#` starts a comment). An entry that suppresses
+//! nothing is itself a **stale-allow** finding at its line, so an entry
+//! cannot outlive the code it excuses. The variant inventories
 //! for `packet-match` / `commop-match` are extracted from the enum
 //! definitions in `transport.rs` / `scheduler.rs` at lint time, so the
 //! lint tracks the code rather than a hardcoded list.
@@ -108,6 +110,9 @@ impl fmt::Display for Finding {
     }
 }
 
+/// The allowlist file, at the workspace root.
+const ALLOWLIST: &str = "lint-allow.txt";
+
 /// One allowlist entry: suppresses findings whose rule matches and whose
 /// path / flagged line contain the given substrings.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -115,6 +120,8 @@ struct AllowEntry {
     rule: String,
     path_substr: String,
     line_substr: String,
+    /// 1-indexed line of the entry in [`ALLOWLIST`].
+    line: usize,
 }
 
 /// Parse `lint-allow.txt` content: `rule path-substring line-substring`
@@ -123,13 +130,14 @@ struct AllowEntry {
 fn parse_allowlist(text: &str) -> Vec<AllowEntry> {
     text.lines()
         .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .filter_map(|l| {
+        .enumerate()
+        .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'))
+        .filter_map(|(i, l)| {
             let mut parts = l.splitn(3, char::is_whitespace);
             let rule = parts.next()?.to_string();
             let path_substr = parts.next()?.to_string();
             let line_substr = parts.next().unwrap_or("").trim().to_string();
-            Some(AllowEntry { rule, path_substr, line_substr })
+            Some(AllowEntry { rule, path_substr, line_substr, line: i + 1 })
         })
         .collect()
 }
@@ -943,7 +951,7 @@ fn linted_source(rel: &str) -> bool {
 /// allowlist (if `lint-allow.txt` exists at `root`).
 pub fn run_lint(root: &Path) -> Result<LintReport, String> {
     let inv = VariantInventory::from_workspace(root)?;
-    let allow = match std::fs::read_to_string(root.join("lint-allow.txt")) {
+    let allow = match std::fs::read_to_string(root.join(ALLOWLIST)) {
         Ok(text) => parse_allowlist(&text),
         Err(_) => Vec::new(),
     };
@@ -969,7 +977,8 @@ pub fn run_lint(root: &Path) -> Result<LintReport, String> {
 
 /// The lint pass over in-memory `(workspace-relative path, source)` pairs:
 /// the per-file rules over [`linted_source`] files, `unread-pub` over all
-/// of `files`, `forbid-unsafe` over `roots`, then the allowlist.
+/// of `files`, `forbid-unsafe` over `roots`, then the allowlist, whose
+/// entries that suppressed nothing are `stale-allow` findings.
 fn lint_files(
     files: &[(String, String)],
     roots: &[(String, String)],
@@ -983,12 +992,23 @@ fn lint_files(
         raw.extend(lint_source(rel, src, inv));
     }
     raw.extend(unread_pub(files));
+    let mut used = vec![false; allow.len()];
+    let mut suppress = |f: &Finding, flagged: &str| {
+        let mut hit = false;
+        for (entry, used) in allow.iter().zip(used.iter_mut()) {
+            if allowed(entry, f, flagged) {
+                *used = true;
+                hit = true;
+            }
+        }
+        hit
+    };
     let mut findings = Vec::new();
     let mut suppressed = 0usize;
     for f in raw {
         let src = files.iter().find(|(rel, _)| *rel == f.path).map_or("", |(_, s)| s.as_str());
         let flagged = src.lines().nth(f.line - 1).unwrap_or("");
-        if allow.iter().any(|e| allowed(e, &f, flagged)) {
+        if suppress(&f, flagged) {
             suppressed += 1;
         } else {
             findings.push(f);
@@ -997,12 +1017,23 @@ fn lint_files(
     for (rel, src) in roots {
         scanned += 1;
         if let Some(f) = lint_crate_root(rel, src) {
-            if allow.iter().any(|e| allowed(e, &f, "")) {
+            if suppress(&f, "") {
                 suppressed += 1;
             } else {
                 findings.push(f);
             }
         }
+    }
+    for (entry, _) in allow.iter().zip(used).filter(|(_, used)| !used) {
+        findings.push(Finding {
+            rule: "stale-allow",
+            path: ALLOWLIST.to_string(),
+            line: entry.line,
+            message: format!(
+                "this `{}` entry suppresses no finding; delete it with the code it excused",
+                entry.rule
+            ),
+        });
     }
     LintReport { files_scanned: scanned, findings, suppressed }
 }
@@ -1353,7 +1384,26 @@ mod tests {
         assert_eq!(report.suppressed, 1);
         // A line substring that does not match leaves it standing.
         let allow = parse_allowlist("unread-pub crates/x/src/a.rs pub fn other(\n");
-        assert_eq!(lint_files(&ws, &[], &inv(), &allow).findings.len(), 1);
+        let report = lint_files(&ws, &[], &inv(), &allow);
+        let unread: Vec<&Finding> =
+            report.findings.iter().filter(|f| f.rule == "unread-pub").collect();
+        assert_eq!(unread.len(), 1, "{:?}", report.findings);
+    }
+
+    #[test]
+    fn stale_allow_flags_an_entry_that_suppresses_nothing() {
+        let ws = files(&[DECL, ROOT]);
+        // Line 1 is a comment, line 2 suppresses `lonely`, line 4 nothing.
+        let allow = parse_allowlist(
+            "# why\nunread-pub crates/x/src/a.rs pub fn lonely(\n\n\
+             comm-unwrap crates/x/src/a.rs gone.unwrap()\n",
+        );
+        let report = lint_files(&ws, &[], &inv(), &allow);
+        assert_eq!(report.suppressed, 1);
+        let stale: Vec<(&str, &str, usize)> =
+            report.findings.iter().map(|f| (f.rule, f.path.as_str(), f.line)).collect();
+        assert_eq!(stale, [("stale-allow", ALLOWLIST, 4)]);
+        assert!(report.findings[0].message.contains("`comm-unwrap`"), "{}", report.findings[0]);
     }
 
     #[test]

@@ -51,7 +51,6 @@ fn main() {
         lr: 0.05,
         zipf_s: 0.9,
         seed: 11,
-        ..Default::default()
     };
     let base = train_convergence(TrainMethod::HorovodAllGather, &cfg);
     let embrace = train_convergence(TrainMethod::EmbRace, &cfg);

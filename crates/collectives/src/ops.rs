@@ -203,6 +203,11 @@ impl RingMachine {
         }
         if let Some(recv) = unit.recv {
             let mut incoming = ep.try_recv(self.ring.prev()).and_then(Packet::try_into_dense)?;
+            // A peer whose buffer has another length cuts other segments.
+            if incoming.len() != recv.len() {
+                let (expected, got) = ("ring segment of the unit's length", "another length");
+                return Err(CommError::Protocol { expected, got });
+            }
             let dst = &mut buf[recv];
             if unit.reduce {
                 // Fused: dst[i] += incoming[i] and incoming[i] becomes the
@@ -657,15 +662,15 @@ pub fn try_sparse_allreduce<C: Comm>(
                 Ok(segs) => segs,
                 Err(e) => return fail(ep, e),
             };
+            // A peer whose schedule differs (another vocab) sends other ranges.
+            let ranges = incoming.iter().map(|seg| seg.lo as usize..seg.hi as usize);
+            if !ranges.eq(msg.rows.iter().cloned()) {
+                let (expected, got) = ("SparseSegs of the round's row ranges", "other ranges");
+                return fail(ep, CommError::Protocol { expected, got });
+            }
             if round.reduce {
-                debug_assert_eq!(incoming.len(), 1, "a reduce round carries one segment");
-                let seg = incoming.pop().expect("non-empty reduce message");
+                let seg = incoming.pop().expect("a reduce round carries one segment");
                 let kept = held.pop().expect("a reduce round receives into one segment");
-                debug_assert_eq!(
-                    (seg.lo, seg.hi),
-                    (kept.lo, kept.hi),
-                    "partner sent the wrong range"
-                );
                 let body = merge_bodies(kept.body, seg.body, kept.lo, kept.hi, cfg.crossover);
                 held.push(SparseSeg { lo: kept.lo, hi: kept.hi, body });
             } else {

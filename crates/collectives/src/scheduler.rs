@@ -34,8 +34,7 @@
 //! and runs its first unit; otherwise the top op runs its next unit. A
 //! strictly more urgent submission therefore preempts the op in flight at
 //! its next unit boundary, and the preempted op resumes when it is on top
-//! again. The sparse-native allreduce has no resumable units and always
-//! runs whole.
+//! again.
 //!
 //! # The SPMD contract, and why it needs no controller
 //!
@@ -76,8 +75,7 @@
 
 use crate::ops::{
     fail, ring_name, try_allgather_tokens, try_alltoall_dense, try_alltoallv_sparse,
-    try_ring_allreduce, try_ring_part, try_sparse_allreduce, FanoutMachine, RingMachine,
-    SparseReduced, SsarConfig,
+    try_ring_allreduce, try_ring_part, FanoutMachine, RingMachine,
 };
 use crate::schedule::{Ring, RingPart};
 use crate::transport::{Comm, CommError, Endpoint};
@@ -103,9 +101,6 @@ pub enum CommOp {
     AlltoAllDense(Vec<embrace_tensor::DenseTensor>),
     /// AlltoAllv of row-sparse shards (one per destination rank).
     AlltoAllSparse(Vec<RowSparse>),
-    /// Sparse-native allreduce (SSAR) of a full-width row-sparse gradient;
-    /// always one unit.
-    SparseAllreduce(RowSparse, SsarConfig),
     /// AllGather of token ids.
     GatherTokens(Vec<u32>),
     /// Fence: completes when everything enqueued before it has run.
@@ -122,7 +117,6 @@ impl CommOp {
             CommOp::AllGatherDense(_) => "allgather_dense",
             CommOp::AlltoAllDense(_) => "alltoall_dense",
             CommOp::AlltoAllSparse(_) => "alltoallv_sparse",
-            CommOp::SparseAllreduce(..) => "sparse_allreduce",
             CommOp::GatherTokens(_) => "gather_tokens",
             CommOp::Flush => "flush",
         }
@@ -137,7 +131,6 @@ impl CommOp {
             | CommOp::AllGatherDense(buf) => (buf.len() * embrace_tensor::F32_BYTES) as u64,
             CommOp::AlltoAllDense(parts) => parts.iter().map(|p| p.nbytes() as u64).sum(),
             CommOp::AlltoAllSparse(parts) => parts.iter().map(|p| p.nbytes() as u64).sum(),
-            CommOp::SparseAllreduce(grad, _) => grad.nbytes() as u64,
             CommOp::GatherTokens(toks) => (toks.len() * embrace_tensor::TOKEN_BYTES) as u64,
             CommOp::Flush => 0,
         }
@@ -170,9 +163,6 @@ impl CommOp {
             CommOp::AlltoAllSparse(parts) => {
                 CommResult::AlltoAllSparse(try_alltoallv_sparse(ep, parts)?)
             }
-            CommOp::SparseAllreduce(grad, cfg) => {
-                CommResult::SparseAllreduce(try_sparse_allreduce(ep, &grad, &cfg)?)
-            }
             CommOp::GatherTokens(tokens) => {
                 CommResult::GatherTokens(try_allgather_tokens(ep, tokens)?)
             }
@@ -189,7 +179,6 @@ pub enum CommResult {
     AllGatherDense(Vec<f32>),
     AlltoAllDense(Vec<embrace_tensor::DenseTensor>),
     AlltoAllSparse(Vec<RowSparse>),
-    SparseAllreduce(SparseReduced),
     GatherTokens(Vec<TokenBuf>),
     Flush,
     /// The operation was not executed, or not to the end: divergent
@@ -439,7 +428,7 @@ enum Machine {
 
 impl Machine {
     /// Tensor-partition a whole op (requires `world > 1`; a fence has
-    /// nothing to partition and SSAR no units, so both stay whole).
+    /// nothing to partition and stays whole).
     fn partition<C: Comm>(&mut self, ep: &C, seg_elems: usize, spare: &mut Vec<DenseTensor>) {
         let Machine::Whole(op) = self else { return };
         let mut ring = |part, buf: Vec<f32>| {
@@ -457,7 +446,7 @@ impl Machine {
                 let parts = (0..ep.world()).map(|_| local.share()).collect();
                 Machine::Tokens(FanoutMachine::new(ep, parts))
             }
-            whole @ (CommOp::SparseAllreduce(..) | CommOp::Flush) => Machine::Whole(whole),
+            CommOp::Flush => Machine::Whole(CommOp::Flush),
         };
     }
 

@@ -66,7 +66,6 @@ pub enum OpKind {
     ReduceScatterDense,
     AllGatherDense,
     AlltoAllSparse,
-    SparseAllreduce,
     AllReduceDense,
     /// Horovod's sparse-gradient AllGather.
     AllGatherSparse,
@@ -85,7 +84,6 @@ impl OpKind {
             OpKind::ReduceScatterDense => "reduce_scatter_dense",
             OpKind::AllGatherDense => "allgather_dense",
             OpKind::AlltoAllSparse => "alltoallv_sparse",
-            OpKind::SparseAllreduce => "sparse_allreduce",
             OpKind::AllReduceDense => "allreduce_dense",
             OpKind::AllGatherSparse => "allgather_sparse",
             OpKind::Ps => "ps",

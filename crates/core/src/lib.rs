@@ -38,6 +38,6 @@ pub mod hybrid;
 pub mod partition;
 pub mod vertical;
 
-pub use hybrid::{ColumnShardedEmbedding, GradPlane, GradPlanePolicy};
+pub use hybrid::ColumnShardedEmbedding;
 pub use partition::{column_payload_matrix, row_payload_matrix};
 pub use vertical::{vertical_split, VerticalSplit};

@@ -23,11 +23,8 @@
 //! **Push** partitions a [`RowSparse`] gradient by owning shard and rides
 //! `alltoallv_sparse` (AlltoAll #2); each shard coalesces what it received
 //! — source-rank order, the same summation order a single-shard service
-//! applies — and updates through its colocated [`RowOptimizer`].
-//! Alternatively a push can ride the sparse-native allreduce
-//! ([`PushTransport::SparseAllreduce`]); every rank then applies its own
-//! slice of the reduced gradient, bitwise the SSAR oracle. Either way the
-//! owner applies under its region's write side.
+//! applies — and updates through its colocated [`RowOptimizer`], under its
+//! region's write side. The AlltoAllv is the only push path.
 //!
 //! **Fence.** A lookup's barrier is the fence: a rank enters it only after
 //! its previous push has applied, so every read sees every earlier push;
@@ -46,24 +43,18 @@
 use crate::error::PsError;
 use crate::optim::{OptimizerKind, RowOptimizer};
 use crate::partition::{PartitionBook, PartitionPolicy};
-use embrace_collectives::ops::{
-    try_allgather_regions, try_alltoallv_sparse, try_barrier, try_sparse_allreduce, SparseReduced,
-    SsarConfig,
-};
+use embrace_collectives::ops::{try_allgather_regions, try_alltoallv_sparse, try_barrier};
 use embrace_collectives::{Comm, Packet, Region};
 use embrace_obs::recorder;
 use embrace_obs::Metrics;
 use embrace_tensor::{coalesce, DenseTensor, RowSparse, TokenBuf};
 use std::sync::{Arc, RwLock, RwLockWriteGuard};
 
-/// How a push moves gradients to their owning shards.
+/// How a push moves gradients to their owning shards: partitioned by
+/// owner and exchanged point-to-point (AlltoAll #2), the only way.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum PushTransport {
-    /// Partition by owner and exchange point-to-point (AlltoAll #2).
     Alltoallv,
-    /// Reduce the whole gradient sparse-natively (SparCML SSAR) with the
-    /// given densify crossover; every rank applies its owned slice.
-    SparseAllreduce { crossover: f64 },
 }
 
 /// Configuration of one [`EmbeddingService`] group.
@@ -80,7 +71,9 @@ pub struct ServiceConfig {
     /// Accepted and ignored: the service keeps no row cache. The field
     /// stays so configurations built by field keep compiling.
     pub cache_rows: usize,
-    /// Gradient transport of [`EmbeddingService::try_push`].
+    /// Accepted and ignored: [`EmbeddingService::try_push`] always rides
+    /// the AlltoAllv. The field stays so configurations built by field
+    /// keep compiling.
     pub push: PushTransport,
 }
 
@@ -111,7 +104,6 @@ pub struct EmbeddingService {
     /// first service call registers them.
     regions: Vec<Arc<RwLock<DenseTensor>>>,
     opt: RowOptimizer,
-    push: PushTransport,
     lookups: u64,
     pushes: u64,
     /// Rows returned to lookup callers.
@@ -150,17 +142,12 @@ impl EmbeddingService {
             shard: Arc::new(RwLock::new(shard)),
             regions: Vec::new(),
             opt: RowOptimizer::new(cfg.optimizer, rows, cfg.dim),
-            push: cfg.push,
             lookups: 0,
             pushes: 0,
             rows_served: 0,
             rows_fetched: 0,
             rows_updated: 0,
         }
-    }
-
-    pub fn book(&self) -> &PartitionBook {
-        &self.book
     }
 
     /// Registration: on this service's first call every rank receives
@@ -229,75 +216,38 @@ impl EmbeddingService {
         }
         self.pushes += 1;
         self.register(ep)?;
-        match self.push {
-            PushTransport::Alltoallv => {
-                // Partition by owning shard, positions kept in input order
-                // so the destination's coalesce sums in (source rank,
-                // source position) order — the same order a single-shard
-                // store would see.
-                let partition = recorder::span("ps_push_partition", "serving");
-                let mut per_shard: Vec<(Vec<u32>, Vec<u32>)> =
-                    vec![(Vec::new(), Vec::new()); self.book.shards()];
-                for (pos, &row) in grad.indices().iter().enumerate() {
-                    let dest = self.book.owner_of(row)?;
-                    per_shard[dest].0.push(pos as u32);
-                    per_shard[dest].1.push(row);
-                }
-                let parts: Vec<RowSparse> = per_shard
-                    .into_iter()
-                    .map(|(positions, rows)| {
-                        if positions.is_empty() {
-                            RowSparse::empty(self.dim)
-                        } else {
-                            RowSparse::new(rows, grad.values().gather_rows(&positions))
-                        }
-                    })
-                    .collect();
-                drop(partition);
-                let exchange = recorder::span("ps_push_exchange", "serving");
-                let received = try_alltoallv_sparse(ep, parts)?;
-                drop(exchange);
-                let coalescing = recorder::span("ps_push_coalesce", "serving");
-                let summed = coalesce(&RowSparse::concat(&received));
-                drop(coalescing);
-                let _apply = recorder::span("ps_push_apply", "serving");
-                let rows = summed.indices().iter().map(|&row| self.book.local_index(row));
-                let mut shard = write(&self.shard, self.rank)?;
-                self.rows_updated +=
-                    self.opt.update_rows(&mut shard, rows.zip(summed.values().row_iter()));
-            }
-            PushTransport::SparseAllreduce { crossover } => {
-                let cfg = SsarConfig { vocab: self.book.vocab(), crossover };
-                let exchange = recorder::span("ps_push_exchange", "serving");
-                let reduced = try_sparse_allreduce(ep, grad, &cfg)?;
-                drop(exchange);
-                let _apply = recorder::span("ps_push_apply", "serving");
-                let mut shard = write(&self.shard, self.rank)?;
-                match reduced {
-                    SparseReduced::Sparse(summed) => {
-                        let mut owned = Vec::new();
-                        for (&row, g) in summed.indices().iter().zip(summed.values().row_iter()) {
-                            if self.book.owner_of(row)? == self.rank {
-                                owned.push((self.book.local_index(row), g));
-                            }
-                        }
-                        self.rows_updated += self.opt.update_rows(&mut shard, owned);
-                    }
-                    SparseReduced::Dense(summed) => {
-                        // Row participation is lost after densify: apply
-                        // every owned row with a nonzero sum (a true-zero
-                        // summed row is indistinguishable from an
-                        // untouched one; both are no-ops for SGD/Adagrad).
-                        let touched = (0..shard.rows())
-                            .map(|local| {
-                                (local, summed.row(self.book.global_of(self.rank, local) as usize))
-                            })
-                            .filter(|(_, g)| g.iter().any(|&x| x != 0.0));
-                        self.rows_updated += self.opt.update_rows(&mut shard, touched);
-                    }
-                }
-            }
+        // Partition by owning shard, positions kept in input order so the
+        // destination's coalesce sums in (source rank, source position)
+        // order — the same order a single-shard store would see.
+        let partition = recorder::span("ps_push_partition", "serving");
+        let mut per_shard: Vec<(Vec<u32>, Vec<u32>)> =
+            vec![(Vec::new(), Vec::new()); self.book.shards()];
+        for (pos, &row) in grad.indices().iter().enumerate() {
+            let dest = self.book.owner_of(row)?;
+            per_shard[dest].0.push(pos as u32);
+            per_shard[dest].1.push(row);
         }
+        let parts: Vec<RowSparse> = per_shard
+            .into_iter()
+            .map(|(positions, rows)| {
+                if positions.is_empty() {
+                    RowSparse::empty(self.dim)
+                } else {
+                    RowSparse::new(rows, grad.values().gather_rows(&positions))
+                }
+            })
+            .collect();
+        drop(partition);
+        let exchange = recorder::span("ps_push_exchange", "serving");
+        let received = try_alltoallv_sparse(ep, parts)?;
+        drop(exchange);
+        let coalescing = recorder::span("ps_push_coalesce", "serving");
+        let summed = coalesce(&RowSparse::concat(&received));
+        drop(coalescing);
+        let _apply = recorder::span("ps_push_apply", "serving");
+        let rows = summed.indices().iter().map(|&row| self.book.local_index(row));
+        let mut shard = write(&self.shard, self.rank)?;
+        self.rows_updated += self.opt.update_rows(&mut shard, rows.zip(summed.values().row_iter()));
         Ok(())
     }
 
@@ -339,19 +289,8 @@ fn abort<T, C: Comm>(ep: &mut C, err: PsError) -> Result<T, PsError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use embrace_collectives::ops::sparse_allreduce_oracle;
     use embrace_collectives::{run_group, run_group_with_faults, CommError, FaultPlan};
     use std::time::Duration;
-
-    impl EmbeddingService {
-        /// A handle on the rows this rank owns.
-        fn shard_table(&self) -> DenseTensor {
-            match self.shard.try_read() {
-                Ok(shard) => shard.share(),
-                Err(e) => panic!("only the owner writes its region: {e}"),
-            }
-        }
-    }
 
     fn init(row: u32, col: usize) -> f32 {
         row as f32 * 10.0 + col as f32
@@ -483,39 +422,6 @@ mod tests {
             // Both ranks pushed g=1 at lr=1: row 3 is now -2.
             assert_eq!(after.row(0), &[-2.0]);
         });
-    }
-
-    #[test]
-    fn ssar_push_matches_the_dense_oracle() {
-        let vocab = 32;
-        let dim = 2;
-        for crossover in [2.0f64, 0.0] {
-            // 2.0 keeps the reduction sparse end to end; 0.0 densifies at
-            // step 0 — both must land on the oracle's summed gradient.
-            let tables = run_group(4, move |rank, ep| {
-                let cfg = ServiceConfig {
-                    optimizer: OptimizerKind::Sgd { lr: 1.0 },
-                    push: PushTransport::SparseAllreduce { crossover },
-                    ..base_cfg(vocab, dim, PartitionPolicy::Range)
-                };
-                let mut svc = EmbeddingService::new(rank, 4, &cfg, &|_, _| 0.0);
-                let grad = RowSparse::new(
-                    vec![rank as u32, (rank as u32 + 7) % vocab as u32],
-                    DenseTensor::full(2, dim, 1.0 + rank as f32),
-                );
-                svc.try_push(ep, &grad).expect("push");
-                (grad, svc.shard_table().clone(), svc.book().clone())
-            });
-            let locals: Vec<RowSparse> = tables.iter().map(|(g, _, _)| g.share()).collect();
-            let summed = sparse_allreduce_oracle(&locals, vocab);
-            for (rank, (_, shard, book)) in tables.iter().enumerate() {
-                for local in 0..shard.rows() {
-                    let global = book.global_of(rank, local) as usize;
-                    let want: Vec<f32> = summed.row(global).iter().map(|g| -g).collect();
-                    assert_eq!(shard.row(local), &want[..], "crossover {crossover} row {global}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -335,29 +335,6 @@ impl CostModel {
         2.0 * self.beta() + intra + 2.0 * nodes * msg / self.eff(bw, msg)
     }
 
-    /// Sparse-native split allreduce (SSAR) of a `vocab × dim` f32
-    /// embedding gradient at per-rank density `delta`, densifying once
-    /// the accumulated stream density crosses `crossover`. The recursive
-    /// halving/doubling exchanges cross node NICs pairwise like the ring,
-    /// so `min(intra, inter)` governs and the per-step message size feeds
-    /// the bandwidth ramp. Reduces exactly to
-    /// [`analytic::sparse_allreduce`] on a uniform cluster.
-    pub fn sparse_allreduce(&self, delta: f64, vocab: f64, dim: f64, crossover: f64) -> f64 {
-        let n = self.cluster.world();
-        if n <= 1 {
-            return 0.0;
-        }
-        let bw = if self.cluster.nodes == 1 {
-            self.cluster.net.intra_bw
-        } else {
-            f64::min(self.cluster.net.intra_bw, self.cluster.net.inter_bw)
-        };
-        analytic::sparse_allreduce_step_bytes(delta, n, vocab, dim, crossover)
-            .iter()
-            .map(|&b| self.beta() + b / self.eff(bw, b))
-            .sum()
-    }
-
     /// OmniReduce: ring AllReduce restricted to non-zero blocks. The payload
     /// shrinks to `density × dense_bytes` but travels in `omnireduce_block`-
     /// sized messages whose effective bandwidth is reduced, reproducing the
@@ -583,24 +560,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_allreduce_matches_analytic_on_uniform_cluster() {
-        for world in [2usize, 3, 4, 8, 16] {
-            let model = CostModel::new(uniform_cluster(world));
-            for delta in [1e-4, 1e-2, 0.3, 1.0] {
-                for crossover in [f64::INFINITY, 0.25, 0.0] {
-                    let got = model.sparse_allreduce(delta, 1e6, 64.0, crossover);
-                    let expect =
-                        analytic::sparse_allreduce(delta, world, 1e6, 64.0, crossover, 1e9, 1e-5);
-                    assert!(
-                        (got - expect).abs() / expect < 1e-9,
-                        "w={world} d={delta} x={crossover}: {got} vs {expect}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn sparse_allreduce_cost_shape() {
         // Monotone in density; never-densify beats forced-dense at low
         // density and loses to it at full density (index overhead).
@@ -641,6 +600,5 @@ mod tests {
         assert_eq!(model.alltoall(1e6), 0.0);
         assert_eq!(model.ring_allreduce(1e6), 0.0);
         assert_eq!(model.allgather(1e6), 0.0);
-        assert_eq!(model.sparse_allreduce(0.1, 1e6, 64.0, 0.5), 0.0);
     }
 }

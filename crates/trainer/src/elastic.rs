@@ -171,7 +171,7 @@ impl RankState {
         model: &Toy,
     ) -> RankState {
         let r = column_partition(cfg.dim, world)[rank];
-        let emb = ColumnShardedEmbedding::new(&fs.emb, rank, world).with_policy(cfg.grad_plane);
+        let emb = ColumnShardedEmbedding::new(&fs.emb, rank, world);
         let opt_e = Adam::from_state(
             cfg.lr,
             fs.emb_m.slice_columns(r.start, r.end),

@@ -147,7 +147,6 @@ mod tests {
             lr: 0.06,
             zipf_s: 0.9,
             seed: 33,
-            ..Default::default()
         }
     }
 

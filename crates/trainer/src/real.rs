@@ -26,7 +26,7 @@ use embrace_collectives::{
     SchedOptions, SubmittedOp,
 };
 use embrace_core::horizontal::{GradRows, StepPlan};
-use embrace_core::{vertical_split, ColumnShardedEmbedding, GradPlanePolicy};
+use embrace_core::{vertical_split, ColumnShardedEmbedding};
 use embrace_dlsim::graph::ModelGraph;
 use embrace_dlsim::optim::{Adam, Optimizer, UpdatePart};
 use embrace_dlsim::{EmbeddingTable, NodeId, Prefetcher, Tape};
@@ -60,9 +60,6 @@ pub struct ConvergenceConfig {
     pub lr: f32,
     pub zipf_s: f64,
     pub seed: u64,
-    /// Which collective carries the embedding-gradient exchanges of the
-    /// EmbRace method (shared config, so every rank dispatches alike).
-    pub grad_plane: GradPlanePolicy,
 }
 
 impl Default for ConvergenceConfig {
@@ -76,7 +73,6 @@ impl Default for ConvergenceConfig {
             lr: 0.05,
             zipf_s: 0.9,
             seed: 7,
-            grad_plane: GradPlanePolicy::default(),
         }
     }
 }
@@ -251,8 +247,7 @@ impl<M: Model> RankState<M> {
         let (shards, dense, model) = M::init(cfg, cfg.world);
         let states = shards.into_iter().enumerate().map(|(rank, shard)| {
             let vocab = shard.rows();
-            let emb = ColumnShardedEmbedding::from_shard(shard, rank, cfg.world, cfg.dim)
-                .with_policy(cfg.grad_plane);
+            let emb = ColumnShardedEmbedding::from_shard(shard, rank, cfg.world, cfg.dim);
             let dense_owned = owned(dense.len(), rank, cfg.world);
             // Adam over the local column shard only; the modified step-state
             // rule makes the split update equivalent to the baseline's whole
@@ -690,24 +685,6 @@ mod tests {
         assert_eq!(want[0].len(), 8, "{want:?}");
         assert_eq!(log::<Lstm>(&lstm), want);
         assert_eq!(log::<Translation>(&translation), want);
-    }
-
-    #[test]
-    fn ssar_grad_plane_trains_to_the_same_curve() {
-        // Routing AlltoAll #2 through the sparse-native allreduce changes
-        // only the summation order of the shard gradient, so the loss
-        // curve must track the hybrid plane within float-sum jitter.
-        use embrace_core::GradPlane;
-        let base = ConvergenceConfig { steps: 20, ..Default::default() };
-        let hybrid = train_convergence(TrainMethod::EmbRace, &base);
-        let ssar_cfg = ConvergenceConfig {
-            grad_plane: GradPlanePolicy::fixed(GradPlane::SparseAllreduce),
-            ..base
-        };
-        let ssar = train_convergence(TrainMethod::EmbRace, &ssar_cfg);
-        let scale = hybrid.losses[0].abs().max(1.0);
-        let diff = hybrid.max_curve_diff(&ssar) / scale;
-        assert!(diff < 1e-3, "planes diverge: relative diff {diff}");
     }
 
     /// FNV-1a over the bits of a loss curve.

@@ -49,7 +49,7 @@ mod tests {
     use super::*;
     use crate::real::{batch_stream, train_convergence, TrainMethod};
     use embrace_core::horizontal::GradRows;
-    use embrace_core::{vertical_split, GradPlane, GradPlanePolicy};
+    use embrace_core::vertical_split;
     use embrace_tensor::{DenseTensor, RowSparse};
 
     #[test]
@@ -93,33 +93,26 @@ mod tests {
 
     #[test]
     fn scheduled_matches_inline_embrace() {
-        // One step, so the same losses bit for bit — on the hybrid plane
-        // and on the sparse-native one the config asks for.
-        let base = ConvergenceConfig { world: 4, steps: 25, ..Default::default() };
-        let ssar = ConvergenceConfig {
-            grad_plane: GradPlanePolicy::fixed(GradPlane::SparseAllreduce),
-            ..base
-        };
-        for cfg in [base, ssar] {
-            let inline = train_convergence(TrainMethod::EmbRace, &cfg);
-            let (scheduled, _, observed) = train_convergence_scheduled_observed(&cfg, true);
-            assert_eq!(inline.losses, scheduled.losses, "{:?}", cfg.grad_plane);
-            // ... on a run that did partition and preempt: every step's
-            // dense reduce-scatter ran as several units and was overtaken
-            // mid-tensor by that step's prior gradients.
-            for (rank, (_, timings)) in observed.iter().enumerate() {
-                for step in 0..cfg.steps {
-                    let find = |op: &str| {
-                        let tag = format!("s{step}/{op}");
-                        timings.iter().find(|t| t.tag == tag).unwrap_or_else(|| panic!("no {tag}"))
-                    };
-                    let (bulk, prior) = (find("reduce_scatter_w"), find("prior_grad"));
-                    assert!(bulk.chunks > 1, "rank {rank} step {step}: reduce_scatter_w ran whole");
-                    assert!(
-                        bulk.started_s < prior.started_s && prior.finished_s < bulk.finished_s,
-                        "rank {rank} step {step}: prior_grad did not preempt reduce_scatter_w"
-                    );
-                }
+        // One step, so the same losses bit for bit ...
+        let cfg = ConvergenceConfig { world: 4, steps: 25, ..Default::default() };
+        let inline = train_convergence(TrainMethod::EmbRace, &cfg);
+        let (scheduled, _, observed) = train_convergence_scheduled_observed(&cfg, true);
+        assert_eq!(inline.losses, scheduled.losses);
+        // ... on a run that did partition and preempt: every step's dense
+        // reduce-scatter ran as several units and was overtaken mid-tensor
+        // by that step's prior gradients.
+        for (rank, (_, timings)) in observed.iter().enumerate() {
+            for step in 0..cfg.steps {
+                let find = |op: &str| {
+                    let tag = format!("s{step}/{op}");
+                    timings.iter().find(|t| t.tag == tag).unwrap_or_else(|| panic!("no {tag}"))
+                };
+                let (bulk, prior) = (find("reduce_scatter_w"), find("prior_grad"));
+                assert!(bulk.chunks > 1, "rank {rank} step {step}: reduce_scatter_w ran whole");
+                assert!(
+                    bulk.started_s < prior.started_s && prior.finished_s < bulk.finished_s,
+                    "rank {rank} step {step}: prior_grad did not preempt reduce_scatter_w"
+                );
             }
         }
     }

@@ -361,7 +361,6 @@ impl Lowering<'_> {
             OpKind::AllReduceDense => cm.ring_allreduce(bytes),
             OpKind::Ps => cm.ps(bytes, self.servers) * PARALLAX_HOSTCOPY_PENALTY,
             OpKind::PsHierarchical => cm.ps_hierarchical(bytes, self.servers) * BYTEPS_RAM_PENALTY,
-            OpKind::SparseAllreduce => unreachable!("no simulated plan runs the sparse allreduce"),
         }
     }
 }

@@ -116,7 +116,6 @@ mod tests {
             lr: 0.03,
             zipf_s: 0.9,
             seed: 21,
-            ..Default::default()
         };
         let r = train_translation(TrainMethod::HorovodAllGather, &cfg);
         let early: f64 = r.losses[..5].iter().sum();

@@ -17,7 +17,6 @@ fn main() {
         lr: 0.05,
         zipf_s: 0.9,
         seed: 3,
-        ..Default::default()
     };
     println!(
         "training a {}-token-vocab embedding model on {} workers, {} steps\n",

@@ -1,14 +1,18 @@
 //! Degenerate-shape collectives: single-rank worlds, zero-length buffers,
 //! and empty sparse payloads must all round-trip exactly — these are the
 //! shapes real workloads hit at the edges (last uneven batch, a shard
-//! with no touched rows, debugging on one worker).
+//! with no touched rows, debugging on one worker). Ranks that disagree on
+//! a collective's shape must all fail typed instead.
 
 use embrace_repro::collectives::ops::{
     allgather_tokens, alltoallv_sparse, barrier, broadcast, ring_allreduce, try_barrier,
     try_ring_allreduce, try_sparse_allreduce, SparseReduced, SsarConfig,
 };
-use embrace_repro::collectives::{run_group, Packet};
+use embrace_repro::collectives::{
+    run_group, run_group_with_deadline, CommError, Endpoint, FaultPlan, Packet,
+};
 use embrace_repro::tensor::{DenseTensor, RowSparse};
+use std::time::Duration;
 
 #[test]
 fn world_of_one_short_circuits_every_collective() {
@@ -193,5 +197,54 @@ fn mixed_empty_and_nonempty_token_gathers() {
     });
     for all in out {
         assert_eq!(all, vec![vec![], vec![1], vec![], vec![3]]);
+    }
+}
+
+/// Run `f` on every rank of a fault-free `world` group and return each
+/// rank's outcome; a rank that panics or hangs fails the test.
+fn outcomes<F>(world: usize, f: F) -> Vec<Result<(), CommError>>
+where
+    F: Fn(usize, &mut Endpoint) -> Result<(), CommError> + Send + Sync + 'static,
+{
+    let plan = FaultPlan::new(0);
+    match run_group_with_deadline(world, &plan, None, Duration::from_secs(10), f) {
+        Ok(out) => out,
+        Err(e) => panic!("a rank panicked or hung: {e:?}"),
+    }
+}
+
+/// Every rank failed, and at least one saw the shapes disagree.
+fn all_failed_typed(label: &str, out: &[Result<(), CommError>]) {
+    assert!(out.iter().all(Result::is_err), "{label}: a rank returned Ok: {out:?}");
+    let protocol = out.iter().any(|r| matches!(r, Err(CommError::Protocol { .. })));
+    assert!(protocol, "{label}: no rank reported the mismatch: {out:?}");
+}
+
+#[test]
+fn sparse_allreduce_with_disagreeing_vocabs_fails_on_every_rank() {
+    // Another vocab is another schedule: the row ranges a peer sends are
+    // not the ones this rank's round expects.
+    for vocabs in [vec![16, 32], vec![16, 32, 16]] {
+        let world = vocabs.len();
+        let label = format!("vocabs {vocabs:?}");
+        let out = outcomes(world, move |rank, ep| {
+            let cfg = SsarConfig { vocab: vocabs[rank], crossover: 2.0 };
+            let grad = RowSparse::new(vec![3, 9, 12], DenseTensor::full(3, 2, 1.0));
+            try_sparse_allreduce(ep, &grad, &cfg).map(drop)
+        });
+        all_failed_typed(&label, &out);
+    }
+}
+
+#[test]
+fn ring_allreduce_with_disagreeing_lengths_fails_on_every_rank() {
+    // Another length cuts other segments: a received segment is not the
+    // length of the range this rank's unit reduces it into.
+    for lens in [vec![8, 12], vec![8, 12, 8]] {
+        let world = lens.len();
+        let label = format!("lengths {lens:?}");
+        let out =
+            outcomes(world, move |rank, ep| try_ring_allreduce(ep, &mut vec![1.0; lens[rank]]));
+        all_failed_typed(&label, &out);
     }
 }

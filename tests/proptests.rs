@@ -352,7 +352,6 @@ mod chunked_scheduler {
                 out.push(5);
                 out.extend(v.iter().map(|x| u64::from(x.to_bits())));
             }
-            CommResult::SparseAllreduce(_) => unreachable!("no sparse allreduce is submitted"),
             CommResult::Failed(e) => panic!("scheduler failed: {e:?}"),
         }
         out
