@@ -51,6 +51,9 @@
 //!   type named in the signature or a `pub` field of a read item is read.
 //!   An item nothing else reads is made private, deleted, or moved under
 //!   `#[cfg(test)]`.
+//! * **unused-dep** — every `[dependencies]` line of a `crates/*/Cargo.toml`
+//!   is named in the code of that crate's `src/`: a `use` or a path.
+//!   Comments and strings do not count. A line nothing names is deleted.
 //!
 //! Findings can be suppressed via an allowlist file (`lint-allow.txt` at
 //! the workspace root): each line is `rule path-substring line-substring`
@@ -947,6 +950,37 @@ fn linted_source(rel: &str) -> bool {
     rel.starts_with("src/") || crate_source(rel)
 }
 
+/// `unused-dep`: a `[dependencies]` line of a manifest in `manifests`
+/// whose crate's `src/` files (in `files`) never name the dependency in
+/// code.
+fn unused_deps(manifests: &[(String, String)], files: &[(String, String)]) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for (rel, toml) in manifests {
+        let src_dir = format!("{}src/", rel.trim_end_matches("Cargo.toml"));
+        let mut named = HashSet::new();
+        for (_, src) in files.iter().filter(|(f, _)| f.starts_with(&src_dir)) {
+            named.extend(identifiers(&mask_comments_and_strings(src)).map(str::to_string));
+        }
+        let mut section = "";
+        for (i, line) in toml.lines().map(str::trim).enumerate() {
+            if line.starts_with('[') {
+                section = line;
+            }
+            let Some((key, _)) = line.split_once('=') else { continue };
+            let dep = key.split('.').next().unwrap_or(key).trim();
+            if section == "[dependencies]" && !named.contains(&dep.replace('-', "_")) {
+                findings.push(Finding {
+                    rule: "unused-dep",
+                    path: rel.clone(),
+                    line: i + 1,
+                    message: format!("no code under {src_dir} names `{dep}`: delete the line"),
+                });
+            }
+        }
+    }
+    findings
+}
+
 /// Run the full lint pass over the workspace at `root`, applying the
 /// allowlist (if `lint-allow.txt` exists at `root`).
 pub fn run_lint(root: &Path) -> Result<LintReport, String> {
@@ -972,16 +1006,23 @@ pub fn run_lint(root: &Path) -> Result<LintReport, String> {
     for dir in READER_DIRS {
         collect_rs_files(&root.join(dir), &mut paths);
     }
-    Ok(lint_files(&read_all(paths), &read_all(crate_roots(root)), &inv, &allow))
+    let crates = std::fs::read_dir(root.join("crates")).map_err(|e| e.to_string())?;
+    let mut manifests: Vec<PathBuf> =
+        crates.flatten().map(|e| e.path().join("Cargo.toml")).collect();
+    manifests.sort();
+    let (files, roots) = (read_all(paths), read_all(crate_roots(root)));
+    Ok(lint_files(&files, &roots, &read_all(manifests), &inv, &allow))
 }
 
 /// The lint pass over in-memory `(workspace-relative path, source)` pairs:
 /// the per-file rules over [`linted_source`] files, `unread-pub` over all
-/// of `files`, `forbid-unsafe` over `roots`, then the allowlist, whose
-/// entries that suppressed nothing are `stale-allow` findings.
+/// of `files`, `unused-dep` over `manifests`, `forbid-unsafe` over
+/// `roots`, then the allowlist, whose entries that suppressed nothing are
+/// `stale-allow` findings.
 fn lint_files(
     files: &[(String, String)],
     roots: &[(String, String)],
+    manifests: &[(String, String)],
     inv: &VariantInventory,
     allow: &[AllowEntry],
 ) -> LintReport {
@@ -992,6 +1033,7 @@ fn lint_files(
         raw.extend(lint_source(rel, src, inv));
     }
     raw.extend(unread_pub(files));
+    raw.extend(unused_deps(manifests, files));
     let mut used = vec![false; allow.len()];
     let mut suppress = |f: &Finding, flagged: &str| {
         let mut hit = false;
@@ -1006,7 +1048,8 @@ fn lint_files(
     let mut findings = Vec::new();
     let mut suppressed = 0usize;
     for f in raw {
-        let src = files.iter().find(|(rel, _)| *rel == f.path).map_or("", |(_, s)| s.as_str());
+        let file = files.iter().chain(manifests).find(|(rel, _)| *rel == f.path);
+        let src = file.map_or("", |(_, s)| s.as_str());
         let flagged = src.lines().nth(f.line - 1).unwrap_or("");
         if suppress(&f, flagged) {
             suppressed += 1;
@@ -1376,18 +1419,39 @@ mod tests {
     #[test]
     fn unread_pub_allowlist_line_suppresses_the_finding() {
         let ws = files(&[DECL, ROOT]);
-        let report = lint_files(&ws, &[], &inv(), &[]);
+        let report = lint_files(&ws, &[], &[], &inv(), &[]);
         assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
         let allow = parse_allowlist("unread-pub crates/x/src/a.rs pub fn lonely(\n");
-        let report = lint_files(&ws, &[], &inv(), &allow);
+        let report = lint_files(&ws, &[], &[], &inv(), &allow);
         assert!(report.clean(), "{:?}", report.findings);
         assert_eq!(report.suppressed, 1);
         // A line substring that does not match leaves it standing.
         let allow = parse_allowlist("unread-pub crates/x/src/a.rs pub fn other(\n");
-        let report = lint_files(&ws, &[], &inv(), &allow);
+        let report = lint_files(&ws, &[], &[], &inv(), &allow);
         let unread: Vec<&Finding> =
             report.findings.iter().filter(|f| f.rule == "unread-pub").collect();
         assert_eq!(unread.len(), 1, "{:?}", report.findings);
+    }
+
+    #[test]
+    fn unused_dep_flags_a_dependency_only_comments_or_other_crates_name() {
+        let manifest = "[package]\nname = \"x\"\n\n[dependencies]\n\
+                        embrace-obs.workspace = true\nrand = { workspace = true }\n\
+                        parking_lot.workspace = true\n\n[dev-dependencies]\nproptest = \"1\"\n";
+        let ws = files(&[
+            ("crates/x/src/lib.rs", "// parking_lot guards nothing here\nuse embrace_obs::Span;\n"),
+            ("crates/x/src/a.rs", "fn roll() -> u8 {\n    rand::random()\n}\n"),
+            ("crates/x/tests/t.rs", "use parking_lot::Mutex;\n"),
+            ("crates/y/src/lib.rs", "use parking_lot::Mutex;\n"),
+        ]);
+        let manifests = files(&[("crates/x/Cargo.toml", manifest)]);
+        let report = lint_files(&ws, &[], &manifests, &inv(), &[]);
+        let found: Vec<_> = report.findings.iter().map(|f| (f.rule, &*f.path, f.line)).collect();
+        assert_eq!(found, [("unused-dep", "crates/x/Cargo.toml", 7)]);
+        let allow = parse_allowlist("unused-dep crates/x/Cargo.toml parking_lot\n");
+        let report = lint_files(&ws, &[], &manifests, &inv(), &allow);
+        assert!(report.clean(), "{:?}", report.findings);
+        assert_eq!(report.suppressed, 1);
     }
 
     #[test]
@@ -1398,7 +1462,7 @@ mod tests {
             "# why\nunread-pub crates/x/src/a.rs pub fn lonely(\n\n\
              comm-unwrap crates/x/src/a.rs gone.unwrap()\n",
         );
-        let report = lint_files(&ws, &[], &inv(), &allow);
+        let report = lint_files(&ws, &[], &[], &inv(), &allow);
         assert_eq!(report.suppressed, 1);
         let stale: Vec<(&str, &str, usize)> =
             report.findings.iter().map(|f| (f.rule, f.path.as_str(), f.line)).collect();

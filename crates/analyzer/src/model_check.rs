@@ -78,8 +78,8 @@ pub enum Collective {
     /// interleaved mid-tensor into a bulk dense op), then resumed. The
     /// cut is unit-aligned on every rank, as the scheduler's rule — applied
     /// before every unit to a queue that is equal on every rank —
-    /// guarantees, and as its start-round fingerprint (units run per
-    /// suspended op) checks.
+    /// guarantees, and as the fingerprint header on every unit's message
+    /// (units run per suspended op) checks.
     PreemptedRing {
         elems: usize,
         seg: usize,

@@ -23,7 +23,9 @@
 //! schedules under a virtual scheduler.
 
 use embrace_collectives::schedule::{ssar_rounds, Payload, RingPart, Schedule, Step, Traversal};
-use embrace_collectives::{Comm, CommError, Packet, ReformMsg, SubmittedOp, SEG_HEADER_BYTES};
+use embrace_collectives::{
+    Comm, CommError, Packet, ReformMsg, SubmittedOp, SEG_HEADER_BYTES, UNIT_HEADER_BYTES,
+};
 use embrace_core::horizontal::{PlanOp, StepPlan};
 use embrace_tensor::{column_partition, F32_BYTES, INDEX_BYTES};
 
@@ -104,9 +106,15 @@ fn sized(
     plan
 }
 
-/// Wire bytes of a ring segment.
+/// Wire bytes of a ring unit's message: its fingerprint header and its
+/// segment.
 fn seg_bytes(payload: &Payload) -> u64 {
-    payload.ranges().map(|r| (r.len() * F32_BYTES) as u64).sum()
+    (UNIT_HEADER_BYTES + payload.ranges().map(|r| r.len() * F32_BYTES).sum::<usize>()) as u64
+}
+
+/// Wire bytes of a fan-out message whose block is `block` bytes.
+fn unit_bytes(block: u64) -> u64 {
+    UNIT_HEADER_BYTES as u64 + block
 }
 
 /// Plan of [`embrace_collectives::ops::barrier`]: one empty packet each
@@ -130,7 +138,8 @@ pub fn ring_allreduce_plan(world: usize, elems: usize) -> P2pPlan {
 
 /// Plan of the chunked scheduler's ring allreduce (kind
 /// `"ring_allreduce_chunked"`): the same ring cut into `seg_elems`-element
-/// units. Total bytes equal [`ring_allreduce_plan`]'s for the same `elems`.
+/// units. Its segment bytes equal [`ring_allreduce_plan`]'s for the same
+/// `elems`; each extra message adds a header.
 pub fn chunked_ring_allreduce_plan(world: usize, elems: usize, seg_elems: usize) -> P2pPlan {
     let ring = Schedule::Ring { elems, seg: seg_elems, part: RingPart::AllReduce };
     sized("ring_allreduce_chunked", world, ring, |_, _, p| seg_bytes(p))
@@ -153,22 +162,23 @@ pub fn ring_phase_plan(world: usize, elems: usize, seg_elems: usize, part: RingP
 
 /// Plan of the whole-op allgather family (`allgather_dense`,
 /// `allgather_sparse`, `allgather_tokens`): an alltoall in which rank `r`
-/// sends the same `local_bytes[r]` to every peer.
+/// sends the same `local_bytes[r]` block, behind its header, to every peer.
 pub fn allgather_plan(world: usize, local_bytes: &[u64]) -> P2pPlan {
     assert_eq!(local_bytes.len(), world, "one payload size per rank");
-    sized("allgather", world, Schedule::Fanout(Traversal::Posted), |src, _, _| local_bytes[src])
+    let fanout = Schedule::Fanout(Traversal::Posted);
+    sized("allgather", world, fanout, |src, _, _| unit_bytes(local_bytes[src]))
 }
 
 fn fanout_plan(kind: &'static str, bytes: &[Vec<u64>], traversal: Traversal) -> P2pPlan {
     let world = bytes.len();
     assert!(bytes.iter().all(|row| row.len() == world), "square byte matrix");
-    sized(kind, world, Schedule::Fanout(traversal), |src, dst, _| bytes[src][dst])
+    sized(kind, world, Schedule::Fanout(traversal), |src, dst, _| unit_bytes(bytes[src][dst]))
 }
 
 /// Plan of the whole-op alltoall family (`alltoall_dense`,
-/// `alltoallv_sparse`, `alltoallv_tokens`): `bytes[i][j]` is what rank `i`
-/// sends rank `j`; every send is posted, then receives drain in
-/// source-rank order.
+/// `alltoallv_sparse`, `alltoallv_tokens`): `bytes[i][j]` is the block rank
+/// `i` sends rank `j` behind its header; every send is posted, then
+/// receives drain in source-rank order.
 pub fn alltoall_plan(kind: &'static str, bytes: &[Vec<u64>]) -> P2pPlan {
     fanout_plan(kind, bytes, Traversal::Posted)
 }
@@ -176,8 +186,8 @@ pub fn alltoall_plan(kind: &'static str, bytes: &[Vec<u64>]) -> P2pPlan {
 /// Plan of the chunked scheduler's fan-out collectives (alltoall dense /
 /// sparse and the token allgather): one send and one receive per unit, so
 /// the plan is deadlock-free without buffering assumptions. `bytes[i][j]`
-/// is what rank `i` sends rank `j`; pass a row of identical entries per
-/// rank for the allgather case.
+/// is the block rank `i` sends rank `j` behind its header; pass a row of
+/// identical entries per rank for the allgather case.
 pub fn chunked_alltoall_plan(kind: &'static str, bytes: &[Vec<u64>]) -> P2pPlan {
     fanout_plan(kind, bytes, Traversal::Paired)
 }
@@ -451,9 +461,10 @@ impl SchedulePlan {
 
 /// A [`Comm`] endpoint that performs no communication but records the
 /// point-to-point trace as plan ops. Receives are satisfied from a queue
-/// of scripted packets (typically produced by a paired in-process run);
-/// when the script runs dry the recv still records and yields
-/// [`Packet::Empty`], which is fine for plan extraction of send-shapes.
+/// of scripted packets (typically the packets a paired in-process run
+/// sent, fingerprint headers included); when the script runs dry the recv
+/// still records and yields [`Packet::Empty`], which a ring or fan-out
+/// receive rejects, so script every receive of those.
 pub struct RecordingEndpoint {
     rank: usize,
     world: usize,
@@ -535,13 +546,14 @@ mod tests {
                 for seg in [1usize, 3, 16, 1024] {
                     let chunked = chunked_ring_allreduce_plan(world, elems, seg);
                     let whole = ring_allreduce_plan(world, elems);
+                    // The same segment bytes; a header per message on top.
+                    let segs = |p: &P2pPlan, r: usize| {
+                        let sends = p.ranks[r].iter().filter(|op| matches!(op, P2pOp::Send { .. }));
+                        p.bytes_sent(r) - (sends.count() * UNIT_HEADER_BYTES) as u64
+                    };
                     for r in 0..world {
-                        assert_eq!(
-                            chunked.bytes_sent(r),
-                            whole.bytes_sent(r),
-                            "world {world} elems {elems} seg {seg} rank {r}"
-                        );
-                        assert_eq!(chunked.bytes_received(r), whole.bytes_received(r));
+                        let at = format!("world {world} elems {elems} seg {seg} rank {r}");
+                        assert_eq!(segs(&chunked, r), segs(&whole, r), "{at}");
                     }
                     let report = crate::verify::verify_p2p(&chunked, None);
                     assert!(report.clean(), "chunked ring plan clean, got {report:?}");
@@ -562,7 +574,7 @@ mod tests {
             // world-1 units, each one send + one recv.
             assert_eq!(p.ranks[r].len(), 4);
             let sent: u64 = row.iter().sum();
-            assert_eq!(p.bytes_sent(r), sent);
+            assert_eq!(p.bytes_sent(r), sent + 2 * UNIT_HEADER_BYTES as u64);
         }
         // Same totals as the whole-op plan, different interleaving.
         let whole = alltoall_plan("alltoall_dense", &bytes);
@@ -576,7 +588,7 @@ mod tests {
             &(0..3).map(|r| vec![(r as u64 + 1) * 8; 3]).collect::<Vec<_>>(),
         );
         assert!(crate::verify::verify_p2p(&gather, None).clean(), "chunked allgather plan clean");
-        assert_eq!(gather.bytes_received(0), 16 + 24);
+        assert_eq!(gather.bytes_received(0), 16 + 24 + 2 * UNIT_HEADER_BYTES as u64);
     }
 
     #[test]
@@ -600,8 +612,8 @@ mod tests {
     fn alltoall_plan_links_match_matrix() {
         let bytes = vec![vec![0, 10, 20], vec![30, 0, 40], vec![50, 60, 0]];
         let p = alltoall_plan("alltoall_dense", &bytes);
-        assert_eq!(p.link_traffic(0, 1), (1, 10));
-        assert_eq!(p.link_traffic(2, 1), (1, 60));
+        assert_eq!(p.link_traffic(0, 1), (1, unit_bytes(10)));
+        assert_eq!(p.link_traffic(2, 1), (1, unit_bytes(60)));
         assert_eq!(p.link_traffic(1, 1), (0, 0));
     }
 
@@ -702,7 +714,7 @@ mod tests {
     #[test]
     fn tokens_plan_roundtrip_constant() {
         let p = allgather_plan(2, &[(3 * TOKEN_BYTES) as u64, TOKEN_BYTES as u64]);
-        assert_eq!(p.bytes_sent(0), (3 * TOKEN_BYTES) as u64);
-        assert_eq!(p.bytes_received(0), TOKEN_BYTES as u64);
+        assert_eq!(p.bytes_sent(0), unit_bytes((3 * TOKEN_BYTES) as u64));
+        assert_eq!(p.bytes_received(0), unit_bytes(TOKEN_BYTES as u64));
     }
 }

@@ -24,7 +24,7 @@ use embrace_analyzer::{
 };
 use embrace_collectives::ops::{sparse_allreduce, SsarConfig};
 use embrace_collectives::schedule::{RingPart, Traversal};
-use embrace_collectives::{run_group, Comm, Endpoint, Packet};
+use embrace_collectives::{run_group, Comm, CommError, Endpoint, Packet};
 use embrace_tensor::{DenseTensor, RowSparse, F32_BYTES, TOKEN_BYTES};
 use embrace_trainer::train_convergence_scheduled_observed;
 
@@ -167,20 +167,52 @@ fn mutated_sparse_allreduce_plans_are_stuck_and_diagnosed() {
     }
 }
 
+/// A live endpoint that keeps a copy of every packet it sends, with its
+/// destination.
+struct Tap<'a> {
+    ep: &'a mut Endpoint,
+    sent: Vec<(usize, Packet)>,
+}
+
+impl Comm for Tap<'_> {
+    fn rank(&self) -> usize {
+        self.ep.rank()
+    }
+
+    fn world(&self) -> usize {
+        self.ep.world()
+    }
+
+    fn try_send(&mut self, to: usize, packet: Packet) -> Result<(), CommError> {
+        self.sent.push((to, packet.clone()));
+        self.ep.try_send(to, packet)
+    }
+
+    fn try_recv(&mut self, from: usize) -> Result<Packet, CommError> {
+        self.ep.try_recv(from)
+    }
+}
+
 #[test]
 fn recorded_allgather_trace_equals_plan() {
     // Drive the *real* generic allgather over a RecordingEndpoint whose
-    // receives replay the peers' payloads: the recorded op sequence must
-    // be exactly the planned one, op for op, byte for byte.
+    // receives replay what the peers sent on a live mesh, headers
+    // included: the recorded op sequence must be exactly the planned one,
+    // op for op, byte for byte.
     let world = 4;
     let locals: Vec<Vec<u32>> = (0..world).map(gather_local).collect();
     let local_bytes: Vec<u64> = locals.iter().map(|l| (l.len() * TOKEN_BYTES) as u64).collect();
     let plan = allgather_plan(world, &local_bytes);
+    let sent = run_group(world, |rank, ep| {
+        let mut tap = Tap { ep, sent: Vec::new() };
+        embrace_collectives::ops::allgather_tokens(&mut tap, locals[rank].clone());
+        tap.sent
+    });
     for rank in 0..world {
         let mut rec = RecordingEndpoint::new(rank, world);
-        for (src, local) in locals.iter().enumerate() {
-            if src != rank {
-                rec.script(src, Packet::Tokens(local.clone().into()));
+        for (src, sent) in sent.iter().enumerate() {
+            for (_, packet) in sent.iter().filter(|(to, _)| *to == rank) {
+                rec.script(src, packet.clone());
             }
         }
         let out = embrace_collectives::ops::allgather_tokens(&mut rec, locals[rank].clone());

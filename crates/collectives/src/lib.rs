@@ -61,5 +61,5 @@ pub use scheduler::{
 };
 pub use transport::{
     mesh, mesh_with_faults, slot_mesh, Comm, CommError, Endpoint, FaultPlan, Packet, ReformMsg,
-    Region, SegBody, SparseSeg, SEG_HEADER_BYTES,
+    Region, SegBody, SparseSeg, UnitBody, SEG_HEADER_BYTES, UNIT_HEADER_BYTES,
 };

@@ -12,9 +12,9 @@
 //! Who sends what to whom in which order is not decided here: barrier,
 //! broadcast, the ring, the fan-outs and the split allreduce execute
 //! [`crate::schedule`]. The ring and the fan-outs are resumable machines
-//! (`RingMachine`, `FanoutMachine`) that the chunked scheduler steps
-//! one unit at a time; the blocking functions below run the same machines
-//! to completion.
+//! (`RingMachine`, `FanoutMachine`) that the scheduler steps one unit at a
+//! time and the blocking functions run to completion; each message they
+//! send carries the sender's SPMD fingerprint as a header (`fingerprint`).
 //!
 //! # Failure semantics
 //!
@@ -44,13 +44,14 @@
 //! fault produces no disconnection edge, so a blocking receive would wait
 //! forever where a deadline turns it into [`CommError::Timeout`].
 
-use crate::schedule::{self, prev_pow2, Ring, RingPart};
-use crate::transport::{Comm, CommError, Packet, Region, SegBody, SparseSeg};
+use crate::schedule::{self, prev_pow2, Ring, RingPart, Traversal};
+use crate::transport::{Comm, CommError, Packet, Region, SegBody, SparseSeg, UnitBody};
 use embrace_obs::recorder;
 use embrace_tensor::{
     coalesce, densify_range, kernels, merge_rowsparse, scatter_add_rows, DenseTensor, RowSparse,
     TokenBuf,
 };
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 /// Best-effort abort broadcast, then pass the error through. Locally
 /// detected failures notify every peer; received aborts are not
@@ -65,6 +66,42 @@ pub(crate) fn fail<T, C: Comm>(ep: &mut C, err: CommError) -> Result<T, CommErro
         }
     }
     Err(err)
+}
+
+/// The SPMD fingerprint a machine stamps on every message it sends and
+/// checks on every one it receives: a fixed-key hash of the segment size
+/// and `(tag, priority, kind, units run)` of every op on the sender's
+/// execution stack. Links are FIFO and ranks pick units by one rule, so a
+/// divergent enqueue, or a preemption at another unit boundary, arrives as
+/// a mismatched header.
+pub(crate) fn fingerprint<'a>(
+    seg_bytes: usize,
+    stack: impl IntoIterator<Item = (&'a str, i64, &'a str, u32)>,
+) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    seg_bytes.hash(&mut hasher);
+    stack.into_iter().for_each(|op| op.hash(&mut hasher));
+    hasher.finish()
+}
+
+/// The fingerprint a blocking `try_*` form stamps: a one-op stack of its
+/// own kind.
+pub(crate) fn solo(name: &str) -> u64 {
+    fingerprint(0, [(name, 0, name, 0)])
+}
+
+/// Receive one unit message from `from`; a header other than `fp` is
+/// [`CommError::Protocol`], checked before the block is touched.
+fn recv_unit<C: Comm, P: Block>(ep: &mut C, from: usize, fp: u64) -> Result<P, CommError> {
+    match ep.try_recv(from)? {
+        Packet::Unit { fp: theirs, body } if theirs == fp => P::try_from_body(body),
+        Packet::Unit { .. } => Err(CommError::Protocol {
+            expected: "identical (tag, priority, kind, units run) stacks on every rank",
+            got: "divergent SPMD fingerprint",
+        }),
+        Packet::Abort { origin } => Err(CommError::Aborted { origin }),
+        other => Err(CommError::Protocol { expected: "Unit", got: other.kind() }),
+    }
 }
 
 /// Unwrap the result of an infallible-wrapper collective: panic with the
@@ -189,7 +226,13 @@ impl RingMachine {
         self.part
     }
 
-    pub(crate) fn step<C: Comm>(&mut self, ep: &mut C, buf: &mut [f32]) -> Result<(), CommError> {
+    /// Run the next unit, its messages stamped `fp`.
+    pub(crate) fn step<C: Comm>(
+        &mut self,
+        ep: &mut C,
+        buf: &mut [f32],
+        fp: u64,
+    ) -> Result<(), CommError> {
         let unit = self.ring.unit(self.unit);
         let slot = &mut self.held[self.unit % self.ring.per_step()];
         if let Some(send) = unit.send {
@@ -199,10 +242,10 @@ impl RingMachine {
                 staged.stage_row(&buf[send]);
                 staged
             });
-            ep.try_send(self.ring.next(), Packet::Dense(outgoing))?;
+            ep.try_send(self.ring.next(), Packet::Unit { fp, body: UnitBody::Dense(outgoing) })?;
         }
         if let Some(recv) = unit.recv {
-            let mut incoming = ep.try_recv(self.ring.prev()).and_then(Packet::try_into_dense)?;
+            let mut incoming: DenseTensor = recv_unit(ep, self.ring.prev(), fp)?;
             // A peer whose buffer has another length cuts other segments.
             if incoming.len() != recv.len() {
                 let (expected, got) = ("ring segment of the unit's length", "another length");
@@ -219,6 +262,19 @@ impl RingMachine {
             *slot = Some(incoming);
         }
         self.unit += 1;
+        Ok(())
+    }
+
+    /// Run every unit left, all stamped `fp`.
+    pub(crate) fn run<C: Comm>(
+        &mut self,
+        ep: &mut C,
+        buf: &mut [f32],
+        fp: u64,
+    ) -> Result<(), CommError> {
+        while !self.done() {
+            self.step(ep, buf, fp)?;
+        }
         Ok(())
     }
 }
@@ -264,55 +320,35 @@ pub fn try_ring_part<C: Comm>(
     let _span = recorder::span(ring_name(part), "collective");
     let ring = Ring::whole(ep.world(), ep.rank(), buf.len());
     let mut machine = RingMachine::new(ring, part, Vec::new());
-    while !machine.done() {
-        if let Err(e) = machine.step(ep, buf) {
-            return fail(ep, e);
-        }
-    }
-    Ok(())
+    machine.run(ep, buf, solo(ring_name(part))).or_else(|e| fail(ep, e))
 }
 
-/// A fan-out payload: the wire types share one exchange body.
+/// A block the machines move: the wire types share one exchange body.
 pub(crate) trait Block: Sized {
-    fn into_packet(self) -> Packet;
-    fn try_from_packet(packet: Packet) -> Result<Self, CommError>;
+    fn into_body(self) -> UnitBody;
+    fn try_from_body(body: UnitBody) -> Result<Self, CommError>;
 }
 
-impl Block for DenseTensor {
-    fn into_packet(self) -> Packet {
-        Packet::Dense(self)
-    }
-    fn try_from_packet(packet: Packet) -> Result<Self, CommError> {
-        packet.try_into_dense()
-    }
+/// [`Block`] for each type `UnitBody::$variant` carries.
+macro_rules! block {
+    ($($ty:ty => $variant:ident),*) => {$(
+        impl Block for $ty {
+            fn into_body(self) -> UnitBody {
+                UnitBody::$variant(self)
+            }
+            fn try_from_body(body: UnitBody) -> Result<Self, CommError> {
+                match body {
+                    UnitBody::$variant(block) => Ok(block),
+                    _ => Err(CommError::Protocol {
+                        expected: stringify!($variant),
+                        got: "another block",
+                    }),
+                }
+            }
+        }
+    )*};
 }
-
-impl Block for RowSparse {
-    fn into_packet(self) -> Packet {
-        Packet::Sparse(self)
-    }
-    fn try_from_packet(packet: Packet) -> Result<Self, CommError> {
-        packet.try_into_sparse()
-    }
-}
-
-impl Block for TokenBuf {
-    fn into_packet(self) -> Packet {
-        Packet::Tokens(self)
-    }
-    fn try_from_packet(packet: Packet) -> Result<Self, CommError> {
-        packet.try_into_tokens()
-    }
-}
-
-impl Block for Region {
-    fn into_packet(self) -> Packet {
-        Packet::Region(self)
-    }
-    fn try_from_packet(packet: Packet) -> Result<Self, CommError> {
-        packet.try_into_region()
-    }
-}
+block!(DenseTensor => Dense, RowSparse => Sparse, TokenBuf => Tokens, Region => Region);
 
 /// A fan-out exchange in flight: `parts[j]` goes to rank `j`, the result
 /// is indexed by source rank (own block moved across, never sent). Errors
@@ -320,24 +356,26 @@ impl Block for Region {
 pub(crate) struct FanoutMachine<P> {
     parts: Vec<Option<P>>,
     out: Vec<Option<P>>,
+    traversal: Traversal,
     unit: usize,
 }
 
 impl<P: Block> FanoutMachine<P> {
-    pub(crate) fn new<C: Comm>(ep: &C, parts: Vec<P>) -> Self {
+    /// `Paired` requires `world > 1`.
+    pub(crate) fn new<C: Comm>(ep: &C, parts: Vec<P>, traversal: Traversal) -> Self {
         let world = ep.world();
         assert_eq!(parts.len(), world, "need one outgoing block per rank");
         let parts = parts.into_iter().map(Some).collect();
-        FanoutMachine { parts, out: (0..world).map(|_| None).collect(), unit: 0 }
+        FanoutMachine { parts, out: (0..world).map(|_| None).collect(), traversal, unit: 0 }
     }
 
-    fn send<C: Comm>(&mut self, ep: &mut C, to: usize) -> Result<(), CommError> {
+    fn send<C: Comm>(&mut self, ep: &mut C, to: usize, fp: u64) -> Result<(), CommError> {
         let block = self.parts[to].take().expect("each peer is sent to once");
-        ep.try_send(to, block.into_packet())
+        ep.try_send(to, Packet::Unit { fp, body: block.into_body() })
     }
 
-    fn recv<C: Comm>(&mut self, ep: &mut C, from: usize) -> Result<(), CommError> {
-        self.out[from] = Some(P::try_from_packet(ep.try_recv(from)?)?);
+    fn recv<C: Comm>(&mut self, ep: &mut C, from: usize, fp: u64) -> Result<(), CommError> {
+        self.out[from] = Some(recv_unit(ep, from, fp)?);
         Ok(())
     }
 
@@ -347,51 +385,54 @@ impl<P: Block> FanoutMachine<P> {
         out.into_iter().map(|b| b.expect("every source delivered its block")).collect()
     }
 
-    /// The whole exchange in [`schedule::Traversal::Posted`] order.
-    fn run<C: Comm>(mut self, ep: &mut C) -> Result<Vec<P>, CommError> {
+    /// One unit, its messages stamped `fp`: the whole exchange under
+    /// [`Traversal::Posted`], one send and one receive under
+    /// [`Traversal::Paired`]. `Some(result)` once the last unit has run.
+    pub(crate) fn step<C: Comm>(
+        &mut self,
+        ep: &mut C,
+        fp: u64,
+    ) -> Result<Option<Vec<P>>, CommError> {
         let (world, rank) = (ep.world(), ep.rank());
-        for to in schedule::fanout_peers(world, rank) {
-            self.send(ep, to)?;
-        }
-        for from in schedule::fanout_sources(world, rank) {
-            self.recv(ep, from)?;
-        }
-        Ok(self.finish(rank))
-    }
-
-    /// One unit of [`schedule::Traversal::Paired`] order (requires
-    /// `world > 1`); `Some(result)` once the last unit has run.
-    pub(crate) fn step<C: Comm>(&mut self, ep: &mut C) -> Result<Option<Vec<P>>, CommError> {
-        let (world, rank) = (ep.world(), ep.rank());
-        let (to, from) =
-            schedule::fanout_pairs(world, rank).nth(self.unit).expect("stepped past the last unit");
-        self.send(ep, to)?;
-        self.recv(ep, from)?;
-        self.unit += 1;
-        Ok((self.unit == world - 1).then(|| self.finish(rank)))
+        let last = match self.traversal {
+            Traversal::Posted => {
+                for to in schedule::fanout_peers(world, rank) {
+                    self.send(ep, to, fp)?;
+                }
+                for from in schedule::fanout_sources(world, rank) {
+                    self.recv(ep, from, fp)?;
+                }
+                true
+            }
+            Traversal::Paired => {
+                let pair = schedule::fanout_pairs(world, rank).nth(self.unit);
+                let (to, from) = pair.expect("stepped past the last unit");
+                self.send(ep, to, fp)?;
+                self.recv(ep, from, fp)?;
+                self.unit += 1;
+                self.unit == world - 1
+            }
+        };
+        Ok(last.then(|| self.finish(rank)))
     }
 }
 
 /// Run a whole fan-out under its span, broadcasting an abort on failure.
 fn fanout<C: Comm, P: Block>(ep: &mut C, name: &str, parts: Vec<P>) -> Result<Vec<P>, CommError> {
     let _span = recorder::span(name, "collective");
-    FanoutMachine::new(ep, parts).run(ep).or_else(|e| fail(ep, e))
+    let mut machine = FanoutMachine::new(ep, parts, Traversal::Posted);
+    match machine.step(ep, solo(name)) {
+        Ok(out) => Ok(out.expect("a posted fan-out is one unit")),
+        Err(e) => fail(ep, e),
+    }
 }
 
 /// AllGather of per-rank dense tensors; returns all ranks' tensors in rank
 /// order (own tensor included).
 pub fn allgather_dense<C: Comm>(ep: &mut C, local: DenseTensor) -> Vec<DenseTensor> {
-    finish(try_allgather_dense(ep, local))
-}
-
-/// Fallible [`allgather_dense`].
-fn try_allgather_dense<C: Comm>(
-    ep: &mut C,
-    local: DenseTensor,
-) -> Result<Vec<DenseTensor>, CommError> {
     // An alltoall whose blocks all share one buffer: O(1) `Arc` bumps,
     // zero payload bytes copied.
-    fanout(ep, "allgather_dense", (0..ep.world()).map(|_| local.share()).collect())
+    finish(fanout(ep, "allgather_dense", (0..ep.world()).map(|_| local.share()).collect()))
 }
 
 /// AllGather of row-sparse gradients — Horovod's sparse aggregation path
@@ -399,15 +440,7 @@ fn try_allgather_dense<C: Comm>(
 /// concatenation is *uncoalesced*; summing duplicates is the caller's job,
 /// exactly as in `horovod.torch.allreduce_` for sparse inputs.
 pub fn allgather_sparse<C: Comm>(ep: &mut C, local: RowSparse) -> Vec<RowSparse> {
-    finish(try_allgather_sparse(ep, local))
-}
-
-/// Fallible [`allgather_sparse`].
-fn try_allgather_sparse<C: Comm>(
-    ep: &mut C,
-    local: RowSparse,
-) -> Result<Vec<RowSparse>, CommError> {
-    fanout(ep, "allgather_sparse", (0..ep.world()).map(|_| local.share()).collect())
+    finish(fanout(ep, "allgather_sparse", (0..ep.world()).map(|_| local.share()).collect()))
 }
 
 /// AllGather of token-id batches; feeds `D_cur` in Algorithm 1 (every rank
@@ -436,30 +469,14 @@ pub fn try_allgather_regions<C: Comm>(ep: &mut C, local: Region) -> Result<Vec<R
 /// batches received, indexed by source rank (own batch kept in place,
 /// zero-copy via the `TokenBuf` handle).
 pub fn alltoallv_tokens<C: Comm>(ep: &mut C, parts: Vec<TokenBuf>) -> Vec<TokenBuf> {
-    finish(try_alltoallv_tokens(ep, parts))
-}
-
-/// Fallible [`alltoallv_tokens`].
-fn try_alltoallv_tokens<C: Comm>(
-    ep: &mut C,
-    parts: Vec<TokenBuf>,
-) -> Result<Vec<TokenBuf>, CommError> {
-    fanout(ep, "alltoallv_tokens", parts)
+    finish(fanout(ep, "alltoallv_tokens", parts))
 }
 
 /// AlltoAll of dense blocks: `parts[j]` goes to rank `j`; returns the
 /// blocks received, indexed by source rank (own block kept in place).
 /// This is AlltoAll #1 of §4.1.1 — redistributing embedding lookup results.
 pub fn alltoall_dense<C: Comm>(ep: &mut C, parts: Vec<DenseTensor>) -> Vec<DenseTensor> {
-    finish(try_alltoall_dense(ep, parts))
-}
-
-/// Fallible [`alltoall_dense`].
-pub fn try_alltoall_dense<C: Comm>(
-    ep: &mut C,
-    parts: Vec<DenseTensor>,
-) -> Result<Vec<DenseTensor>, CommError> {
-    fanout(ep, "alltoall_dense", parts)
+    finish(fanout(ep, "alltoall_dense", parts))
 }
 
 /// AlltoAllv of row-sparse blocks: `parts[j]` goes to rank `j`. This is
@@ -562,6 +579,14 @@ fn split_body(body: SegBody, lo: u32, mid: u32, hi: u32) -> (SegBody, SegBody) {
     }
 }
 
+/// Values per row of a segment's partial sum.
+fn width(body: &SegBody) -> usize {
+    match body {
+        SegBody::Rows(r) => r.dim(),
+        SegBody::Dense(d) => d.cols(),
+    }
+}
+
 /// Assemble the final per-range segments (disjoint, covering the whole
 /// vocabulary) into the caller-facing result. Sparse throughout → the
 /// concatenation of the streams (coalesced, since ranges ascend); any
@@ -578,10 +603,7 @@ fn assemble(mut segs: Vec<SparseSeg>, vocab: usize) -> SparseReduced {
             .collect();
         return SparseReduced::Sparse(RowSparse::concat(&streams));
     }
-    let dim = match &segs[0].body {
-        SegBody::Rows(r) => r.dim(),
-        SegBody::Dense(d) => d.cols(),
-    };
+    let dim = width(&segs[0].body);
     let mut out = DenseTensor::zeros(vocab, dim);
     for seg in segs {
         match seg.body {
@@ -662,10 +684,15 @@ pub fn try_sparse_allreduce<C: Comm>(
                 Ok(segs) => segs,
                 Err(e) => return fail(ep, e),
             };
-            // A peer whose schedule differs (another vocab) sends other ranges.
+            // A peer whose schedule differs (another vocab) sends other
+            // ranges; one whose gradient has another width, other rows.
             let ranges = incoming.iter().map(|seg| seg.lo as usize..seg.hi as usize);
             if !ranges.eq(msg.rows.iter().cloned()) {
                 let (expected, got) = ("SparseSegs of the round's row ranges", "other ranges");
+                return fail(ep, CommError::Protocol { expected, got });
+            }
+            if incoming.iter().any(|seg| width(&seg.body) != grad.dim()) {
+                let (expected, got) = ("SparseSegs of this rank's gradient width", "another width");
                 return fail(ep, CommError::Protocol { expected, got });
             }
             if round.reduce {
@@ -713,6 +740,7 @@ pub fn sparse_allreduce_oracle(locals: &[RowSparse], vocab: usize) -> DenseTenso
 mod tests {
     use super::*;
     use crate::group::run_group;
+    use crate::transport::UNIT_HEADER_BYTES;
 
     #[test]
     fn barrier_completes_all_world_sizes() {
@@ -797,9 +825,7 @@ mod tests {
     ) {
         let ring = Ring::new(ep.world(), ep.rank(), buf.len(), seg);
         let mut m = RingMachine::new(ring, part, std::mem::take(spare));
-        while !m.done() {
-            m.step(ep, buf).expect("fault-free mesh");
-        }
+        m.run(ep, buf, 0).expect("fault-free mesh");
         *spare = m.into_spare();
     }
 
@@ -967,7 +993,8 @@ mod tests {
         });
         for (sent, copied, n) in out {
             assert_eq!(n, 4);
-            assert_eq!(sent, 3 * 64 * 64 * 4, "logical bytes: world-1 full tensors");
+            let unit = UNIT_HEADER_BYTES + 64 * 64 * 4;
+            assert_eq!(sent, 3 * unit as u64, "logical bytes: world-1 headed full tensors");
             assert_eq!(copied, 0, "fan-out must not copy payload bytes");
         }
     }

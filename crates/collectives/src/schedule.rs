@@ -412,7 +412,7 @@ mod tests {
     use super::*;
     use crate::group::run_group;
     use crate::ops::{self, FanoutMachine, RingMachine, SsarConfig};
-    use crate::transport::{Endpoint, Packet, SEG_HEADER_BYTES};
+    use crate::transport::{Endpoint, Packet, SEG_HEADER_BYTES, UNIT_HEADER_BYTES};
     use embrace_tensor::{DenseTensor, RowSparse, TokenBuf, F32_BYTES, INDEX_BYTES, TOKEN_BYTES};
 
     #[test]
@@ -569,7 +569,7 @@ mod tests {
                     assert_wire(
                         world,
                         whole,
-                        |_, _, p| seg_bytes(p, 0, F32_BYTES),
+                        |_, _, p| seg_bytes(p, UNIT_HEADER_BYTES, F32_BYTES),
                         |rank, ep| {
                             ops::try_ring_part(ep, &mut input(rank), part).expect("fault-free mesh")
                         },
@@ -579,14 +579,12 @@ mod tests {
                         assert_wire(
                             world,
                             cut,
-                            |_, _, p| seg_bytes(p, 0, F32_BYTES),
+                            |_, _, p| seg_bytes(p, UNIT_HEADER_BYTES, F32_BYTES),
                             |rank, ep| {
                                 let mut buf = input(rank);
                                 let ring = Ring::new(world, rank, elems, seg);
                                 let mut m = RingMachine::new(ring, part, Vec::new());
-                                while !m.done() {
-                                    m.step(ep, &mut buf).expect("fault-free mesh");
-                                }
+                                m.run(ep, &mut buf, 0).expect("fault-free mesh");
                             },
                         );
                     }
@@ -618,7 +616,8 @@ mod tests {
 
             // Allgather of rank-dependent lengths, both traversals.
             let tokens = |rank: usize| TokenBuf::from(vec![rank as u32; rank + 1]);
-            let gathered = |src: usize, _, _: &Payload| ((src + 1) * TOKEN_BYTES) as u64;
+            let gathered =
+                |src: usize, _, _: &Payload| (UNIT_HEADER_BYTES + (src + 1) * TOKEN_BYTES) as u64;
             assert_wire(world, Schedule::Fanout(Traversal::Posted), gathered, |rank, ep| {
                 ops::allgather_tokens(ep, tokens(rank).to_vec());
             });
@@ -626,20 +625,21 @@ mod tests {
             let parts = |rank: usize| -> Vec<DenseTensor> {
                 (0..world).map(|dst| DenseTensor::full(1, rank + dst + 1, rank as f32)).collect()
             };
-            let exchanged =
-                |src: usize, dst: usize, _: &Payload| ((src + dst + 1) * F32_BYTES) as u64;
+            let exchanged = |src: usize, dst: usize, _: &Payload| {
+                (UNIT_HEADER_BYTES + (src + dst + 1) * F32_BYTES) as u64
+            };
             assert_wire(world, Schedule::Fanout(Traversal::Posted), exchanged, |rank, ep| {
                 ops::alltoall_dense(ep, parts(rank));
             });
             if world > 1 {
                 assert_wire(world, Schedule::Fanout(Traversal::Paired), gathered, |rank, ep| {
                     let parts = (0..world).map(|_| tokens(rank)).collect();
-                    let mut m = FanoutMachine::new(ep, parts);
-                    while m.step(ep).expect("fault-free mesh").is_none() {}
+                    let mut m = FanoutMachine::new(ep, parts, Traversal::Paired);
+                    while m.step(ep, 0).expect("fault-free mesh").is_none() {}
                 });
                 assert_wire(world, Schedule::Fanout(Traversal::Paired), exchanged, |rank, ep| {
-                    let mut m = FanoutMachine::new(ep, parts(rank));
-                    while m.step(ep).expect("fault-free mesh").is_none() {}
+                    let mut m = FanoutMachine::new(ep, parts(rank), Traversal::Paired);
+                    while m.step(ep, 0).expect("fault-free mesh").is_none() {}
                 });
             }
         }

@@ -21,14 +21,15 @@
 //!
 //! # Units, priorities and preemption
 //!
-//! An op that runs whole — every op of [`CommScheduler::spawn`], and on a
-//! chunked scheduler ([`CommScheduler::spawn_chunked`]) every op whose
-//! payload fits one segment on every rank — is one unit: the blocking
-//! [`crate::ops`] function. A larger payload is tensor-partitioned, the
-//! second dimension of §5.2: the same [`crate::ops`] machines over the same
-//! [`crate::schedule`], stepped one unit at a time (a `chunk_bytes` ring
-//! segment, or one paired send + receive of a fan-out), so the result is
-//! bitwise-identical to the whole op. Before *every* unit one rule is
+//! Every op runs on the [`crate::ops`] machine of its kind over the same
+//! [`crate::schedule`] the blocking functions run, so every result is
+//! bitwise-identical to the blocking op's. An op that runs whole — every op
+//! of [`CommScheduler::spawn`], every fence, and on a chunked scheduler
+//! ([`CommScheduler::spawn_chunked`]) every ring op whose buffer fits one
+//! segment — is one unit: its machine run to the end. A larger ring op is
+//! tensor-partitioned, the second dimension of §5.2, into `chunk_bytes`
+//! ring segments, one per unit; on a chunked scheduler a fan-out runs one
+//! paired send + receive per unit. Before *every* unit one rule is
 //! applied: if the queue head is strictly more urgent than the op on top of
 //! the execution stack, or the stack is empty, the head is started (pushed)
 //! and runs its first unit; otherwise the top op runs its next unit. A
@@ -41,20 +42,23 @@
 //! Collectives are SPMD: a unit completes only when every rank runs it.
 //! Nothing here runs concurrently with the caller, so a rank's queue and
 //! stack at its k-th scheduler call are a function of its call sequence
-//! alone; and every op runs as the same number of units on every rank (the
-//! whole-or-partitioned choice is agreed in the op's start round). Hence
-//! ranks that make **the same sequence of `submit` / `progress` / `wait` /
-//! `flush` calls** pick the same unit every time, with no message saying
-//! so. EmbRace guarantees that sequence (priorities and hook points are a
-//! pure function of the model graph), and it is checked where it matters:
-//! every op start allgathers a fingerprint of the whole execution stack —
-//! `(tag, priority, kind, units run)` of the new op and of every suspended
-//! one, plus the segment size — so a divergent enqueue, or a rank that
-//! preempted at a different unit boundary, is [`CommError::Protocol`] on
-//! every rank instead of a deadlock or two segments mistaken for each
-//! other. The same submissions
-//! are recorded in a per-scheduler [`SubmittedOp`] log that
-//! `embrace-analyzer`'s static plan verifier consumes.
+//! alone; and every op runs as the same number of units on every rank, as
+//! whole-or-partitioned is decided from values every rank shares (a ring
+//! buffer's length, a fan-out's world). Hence ranks that make **the same
+//! sequence of `submit` / `progress` / `wait` / `flush` calls** pick the
+//! same unit every time, with no message saying so. EmbRace guarantees that
+//! sequence (priorities and hook points are a pure function of the model
+//! graph), and the data checks it: every message a unit sends carries an
+//! 8-byte fingerprint of the sender's whole execution stack —
+//! `(tag, priority, kind, units run)` of the running op and of every
+//! suspended one, plus the segment size — and the receiver compares it
+//! with its own before it touches the block. So a divergent enqueue, or a
+//! rank that preempted at a different unit boundary, is
+//! [`CommError::Protocol`] at the first receive that reads it, instead of a
+//! deadlock or two segments mistaken for each other; the scheduler itself
+//! sends nothing. The same submissions are recorded in a per-scheduler
+//! [`SubmittedOp`] log that `embrace-analyzer`'s static plan verifier
+//! consumes.
 //!
 //! # Abort contract
 //!
@@ -66,18 +70,17 @@
 //! - the failing rank tells its peers ([`crate::ops`]' abort broadcast) and
 //!   drops its transport — an owned endpoint goes, so a peer blocked on it
 //!   sees `Aborted` or `PeerGone`, or `Timeout` where the mesh has a
-//!   deadline; a borrowed one goes back to its owner;
+//!   deadline; a borrowed one goes back to its owner. So a divergence fails
+//!   `Protocol` on every rank that reads a divergent header, and the
+//!   origin's `Aborted` on a peer that reads none;
 //! - [`CommScheduler::submit`] / [`CommScheduler::flush`] after a failure
 //!   return a pre-failed ticket / `Failed(Aborted)`;
 //! - an op only this rank enqueued is started by `Drop`'s drain and fails
-//!   in its start round: `Protocol` against a peer starting another op,
+//!   at its first receive: `Protocol` against a peer running another op,
 //!   `PeerGone` against a peer that already left.
 
-use crate::ops::{
-    fail, ring_name, try_allgather_tokens, try_alltoall_dense, try_alltoallv_sparse,
-    try_ring_allreduce, try_ring_part, FanoutMachine, RingMachine,
-};
-use crate::schedule::{Ring, RingPart};
+use crate::ops::{fail, fingerprint, ring_name, solo, FanoutMachine, RingMachine};
+use crate::schedule::{Ring, RingPart, Traversal};
 use crate::transport::{Comm, CommError, Endpoint};
 use embrace_obs::{recorder, ClockDomain, SpanSet, TrackId, WallClock};
 use embrace_tensor::{DenseTensor, RowSparse, TokenBuf, F32_BYTES};
@@ -141,33 +144,15 @@ impl CommOp {
         std::mem::replace(self, CommOp::Flush)
     }
 
-    /// Run the op whole on `ep` through its blocking [`crate::ops`]
-    /// function: one unit, as a scheduler runs an unpartitioned op.
+    /// Run the op whole on `ep`, as its blocking [`crate::ops`] function
+    /// does: one unit, whose messages carry that function's one-op
+    /// fingerprint.
     pub fn try_run<C: Comm>(self, ep: &mut C) -> Result<CommResult, CommError> {
-        Ok(match self {
-            CommOp::AllReduceDense(mut buf) => {
-                try_ring_allreduce(ep, &mut buf)?;
-                CommResult::AllReduceDense(buf)
-            }
-            CommOp::ReduceScatterDense(mut buf) => {
-                try_ring_part(ep, &mut buf, RingPart::ReduceScatter)?;
-                CommResult::ReduceScatterDense(buf)
-            }
-            CommOp::AllGatherDense(mut buf) => {
-                try_ring_part(ep, &mut buf, RingPart::AllGather)?;
-                CommResult::AllGatherDense(buf)
-            }
-            CommOp::AlltoAllDense(parts) => {
-                CommResult::AlltoAllDense(try_alltoall_dense(ep, parts)?)
-            }
-            CommOp::AlltoAllSparse(parts) => {
-                CommResult::AlltoAllSparse(try_alltoallv_sparse(ep, parts)?)
-            }
-            CommOp::GatherTokens(tokens) => {
-                CommResult::GatherTokens(try_allgather_tokens(ep, tokens)?)
-            }
-            CommOp::Flush => CommResult::Flush,
-        })
+        let (mut machine, _) = Machine::start(self, ep, None, &mut Vec::new());
+        let name = machine.unit_name();
+        let _span = name.map(|name| recorder::span(name, "collective"));
+        let done = machine.advance(ep, name.map_or(0, solo))?;
+        Ok(done.expect("a whole op is one unit"))
     }
 }
 
@@ -262,7 +247,7 @@ pub struct OpTiming {
     pub submitted_s: f64,
     /// When the op was started (taken off the queue).
     pub started_s: f64,
-    /// When execution (including the SPMD fingerprint round) finished.
+    /// When its last unit finished.
     pub finished_s: f64,
     /// Units the op ran as (1 = executed whole).
     pub chunks: u32,
@@ -368,11 +353,21 @@ impl<C: Comm> CommScheduler<C> {
             done.set(Some(CommResult::Failed(CommError::Aborted { origin: core.rank })));
             return ticket;
         }
-        let (key, machine, at) = ((priority, core.seq), Machine::Whole(op), Instant::now());
+        let (key, machine, at) = ((priority, core.seq), Machine::Queued(op), Instant::now());
         core.seq += 1;
-        let (units, submitted_at, started_at) = (0, at, at);
-        let job =
-            Job { priority, tag, kind, bytes, done, machine, units, submitted_at, started_at };
+        let (partitioned, units, submitted_at, started_at) = (false, 0, at, at);
+        let job = Job {
+            priority,
+            tag,
+            kind,
+            bytes,
+            done,
+            machine,
+            partitioned,
+            units,
+            submitted_at,
+            started_at,
+        };
         core.queue.insert(key, job);
         ticket
     }
@@ -413,73 +408,97 @@ impl<C: Comm> Drop for CommScheduler<C> {
     }
 }
 
-/// A collective in flight. `Whole` finishes in one unit through
-/// [`CommOp::try_run`] ([`crate::schedule::Traversal::Posted`] for the
-/// fan-outs); the others are the same machines stepped one unit at a time:
-/// a `seg_elems`-f32 ring segment, or one send plus one receive in
-/// [`crate::schedule::Traversal::Paired`] order.
+/// A collective in flight: the [`crate::ops`] machine of its kind. One that
+/// runs whole finishes in its first unit, as the blocking op runs it
+/// ([`Traversal::Posted`] for the fan-outs); a partitioned one runs a
+/// `seg`-f32 ring segment, or one send plus one receive in
+/// [`Traversal::Paired`] order, per unit.
 enum Machine {
-    Whole(CommOp),
-    Ring(RingMachine, Vec<f32>),
+    /// Not started yet. A fence (`Flush`) stays so: it moves nothing.
+    Queued(CommOp),
+    /// The ring, its buffer, and whether it runs whole.
+    Ring(RingMachine, Vec<f32>, bool),
     Dense(FanoutMachine<DenseTensor>),
     Sparse(FanoutMachine<RowSparse>),
     Tokens(FanoutMachine<TokenBuf>),
 }
 
 impl Machine {
-    /// Tensor-partition a whole op (requires `world > 1`; a fence has
-    /// nothing to partition and stays whole).
-    fn partition<C: Comm>(&mut self, ep: &C, seg_elems: usize, spare: &mut Vec<DenseTensor>) {
-        let Machine::Whole(op) = self else { return };
+    /// The machine of `op`, and whether it is partitioned, decided from
+    /// values every rank shares, so every rank runs it as the same units.
+    /// With no segment size (a whole scheduler, or a world of one) every
+    /// op runs whole. Otherwise a ring op is partitioned iff its buffer
+    /// exceeds a segment (a length every rank must share: a segment of
+    /// another length is a protocol error), and a fan-out always steps
+    /// `Paired`, `world − 1` units whatever the payload sizes.
+    fn start<C: Comm>(
+        op: CommOp,
+        ep: &C,
+        seg_bytes: Option<usize>,
+        spare: &mut Vec<DenseTensor>,
+    ) -> (Self, bool) {
+        let paired = seg_bytes.is_some();
+        let traversal = if paired { Traversal::Paired } else { Traversal::Posted };
         let mut ring = |part, buf: Vec<f32>| {
+            let seg = seg_bytes.filter(|&seg| buf.len() * F32_BYTES > seg);
+            let seg_elems = seg.map_or(usize::MAX, |seg| (seg / F32_BYTES).max(1));
             let ring = Ring::new(ep.world(), ep.rank(), buf.len(), seg_elems);
-            Machine::Ring(RingMachine::new(ring, part, std::mem::take(spare)), buf)
+            let machine = RingMachine::new(ring, part, std::mem::take(spare));
+            (Machine::Ring(machine, buf, seg.is_none()), seg.is_some())
         };
-        *self = match op.take() {
+        match op {
             CommOp::AllReduceDense(buf) => ring(RingPart::AllReduce, buf),
             CommOp::ReduceScatterDense(buf) => ring(RingPart::ReduceScatter, buf),
             CommOp::AllGatherDense(buf) => ring(RingPart::AllGather, buf),
-            CommOp::AlltoAllDense(parts) => Machine::Dense(FanoutMachine::new(ep, parts)),
-            CommOp::AlltoAllSparse(parts) => Machine::Sparse(FanoutMachine::new(ep, parts)),
+            CommOp::AlltoAllDense(parts) => {
+                (Machine::Dense(FanoutMachine::new(ep, parts, traversal)), paired)
+            }
+            CommOp::AlltoAllSparse(parts) => {
+                (Machine::Sparse(FanoutMachine::new(ep, parts, traversal)), paired)
+            }
             CommOp::GatherTokens(local) => {
                 let local = TokenBuf::from(local);
                 let parts = (0..ep.world()).map(|_| local.share()).collect();
-                Machine::Tokens(FanoutMachine::new(ep, parts))
+                (Machine::Tokens(FanoutMachine::new(ep, parts, traversal)), paired)
             }
-            CommOp::Flush => Machine::Whole(CommOp::Flush),
-        };
-    }
-
-    /// The `collective` span name of a partitioned unit: its op's
-    /// [`crate::ops`] function.
-    fn unit_name(&self) -> &'static str {
-        match self {
-            Machine::Ring(machine, _) => ring_name(machine.part()),
-            Machine::Dense(_) => "alltoall_dense",
-            Machine::Sparse(_) => "alltoallv_sparse",
-            Machine::Tokens(_) => "allgather_tokens",
-            Machine::Whole(op) => op.kind_str(),
+            CommOp::Flush => (Machine::Queued(CommOp::Flush), false),
         }
     }
 
-    /// Run one unit. `Ok(None)`: more units remain; `Ok(Some(result))`:
-    /// that was the last. An error has been abort-broadcast to the peers.
-    fn advance<C: Comm>(&mut self, ep: &mut C) -> Result<Option<CommResult>, CommError> {
+    /// The `collective` span name of a unit: its op's [`crate::ops`]
+    /// function. A fence has none.
+    fn unit_name(&self) -> Option<&'static str> {
+        Some(match self {
+            Machine::Ring(machine, ..) => ring_name(machine.part()),
+            Machine::Dense(_) => "alltoall_dense",
+            Machine::Sparse(_) => "alltoallv_sparse",
+            Machine::Tokens(_) => "allgather_tokens",
+            Machine::Queued(_) => return None,
+        })
+    }
+
+    /// Run one unit, its messages stamped `fp`. `Ok(None)`: more units
+    /// remain; `Ok(Some(result))`: that was the last. An error has been
+    /// abort-broadcast to the peers.
+    fn advance<C: Comm>(&mut self, ep: &mut C, fp: u64) -> Result<Option<CommResult>, CommError> {
         let stepped = match self {
-            Machine::Whole(op) => return op.take().try_run(ep).map(Some),
-            Machine::Ring(machine, buf) => machine.step(ep, buf).map(|()| {
-                machine.done().then(|| {
-                    let buf = std::mem::take(buf);
-                    match machine.part() {
-                        RingPart::AllReduce => CommResult::AllReduceDense(buf),
-                        RingPart::ReduceScatter => CommResult::ReduceScatterDense(buf),
-                        RingPart::AllGather => CommResult::AllGatherDense(buf),
-                    }
+            Machine::Queued(_) => return Ok(Some(CommResult::Flush)),
+            Machine::Ring(machine, buf, whole) => {
+                let ran = if *whole { machine.run(ep, buf, fp) } else { machine.step(ep, buf, fp) };
+                ran.map(|()| {
+                    machine.done().then(|| {
+                        let buf = std::mem::take(buf);
+                        match machine.part() {
+                            RingPart::AllReduce => CommResult::AllReduceDense(buf),
+                            RingPart::ReduceScatter => CommResult::ReduceScatterDense(buf),
+                            RingPart::AllGather => CommResult::AllGatherDense(buf),
+                        }
+                    })
                 })
-            }),
-            Machine::Dense(m) => m.step(ep).map(|out| out.map(CommResult::AlltoAllDense)),
-            Machine::Sparse(m) => m.step(ep).map(|out| out.map(CommResult::AlltoAllSparse)),
-            Machine::Tokens(m) => m.step(ep).map(|out| out.map(CommResult::GatherTokens)),
+            }
+            Machine::Dense(m) => m.step(ep, fp).map(|out| out.map(CommResult::AlltoAllDense)),
+            Machine::Sparse(m) => m.step(ep, fp).map(|out| out.map(CommResult::AlltoAllSparse)),
+            Machine::Tokens(m) => m.step(ep, fp).map(|out| out.map(CommResult::GatherTokens)),
         };
         stepped.or_else(|e| fail(ep, e))
     }
@@ -493,8 +512,9 @@ struct Job {
     kind: &'static str,
     bytes: u64,
     done: Done,
-    /// `Whole` until its start round says otherwise.
     machine: Machine,
+    /// Whether it runs in more than one unit; decided when it starts.
+    partitioned: bool,
     /// Units run so far: names the per-chunk spans, becomes
     /// [`OpTiming::chunks`], and is part of the SPMD fingerprint.
     units: u32,
@@ -517,7 +537,7 @@ struct Core<C> {
     /// Ops started and not finished, most urgent on top — exactly the span
     /// nesting.
     stack: Vec<Job>,
-    /// Staging buffers the last finished chunked ring hands the next one.
+    /// Staging buffers the last finished ring hands the next one.
     spare: Vec<DenseTensor>,
     obs: Option<SchedObs>,
 }
@@ -535,8 +555,10 @@ impl<C: Comm> Core<C> {
             (None, Some(_)) => false,
         };
         let Some(mut ep) = self.ep.take() else { return false };
-        let started = if start { self.start(&mut ep) } else { Ok(()) };
-        match started.and_then(|()| self.unit(&mut ep)) {
+        if start {
+            self.start(&ep);
+        }
+        match self.unit(&mut ep) {
             Ok(()) => self.ep = Some(ep),
             // `ep` drops with this arm: the mesh is poisoned (see `ops`),
             // and a peer still expecting this rank sees `PeerGone`.
@@ -550,32 +572,32 @@ impl<C: Comm> Core<C> {
         true
     }
 
-    /// Move the queue head onto the stack and run its start round.
-    fn start(&mut self, ep: &mut C) -> Result<(), CommError> {
+    /// Move the queue head onto the stack, with the machine that runs it.
+    fn start(&mut self, ep: &C) {
         let (_, mut job) = self.queue.pop_first().expect("step saw a queue head");
         job.started_at = Instant::now();
-        // On the stack before the round, so that a failed round fails it
-        // with everything else.
-        self.stack.push(job);
+        let Machine::Queued(op) = &mut job.machine else {
+            unreachable!("queued ops are unstarted")
+        };
         let seg_bytes = self.chunk_bytes.filter(|_| ep.world() > 1);
-        if let Some(seg_bytes) = start_round(ep, &self.stack, seg_bytes)? {
-            let top = self.stack.last_mut().expect("pushed above");
-            top.machine.partition(ep, (seg_bytes / F32_BYTES).max(1), &mut self.spare);
-        }
-        Ok(())
+        (job.machine, job.partitioned) = Machine::start(op.take(), ep, seg_bytes, &mut self.spare);
+        self.stack.push(job);
     }
 
-    /// Run one unit of the op on top of the stack, recording a chunk span
-    /// and — after its last unit — its op span, timing and result.
+    /// Run one unit of the op on top of the stack, stamped with the
+    /// stack's fingerprint, recording a chunk span and — after its last
+    /// unit — its op span, timing and result.
     fn unit(&mut self, ep: &mut C) -> Result<(), CommError> {
+        let seg_bytes = self.chunk_bytes.filter(|_| ep.world() > 1).unwrap_or(0);
+        let stack = self.stack.iter().map(|j| (&*j.tag, j.priority, j.kind, j.units));
+        let fp = fingerprint(seg_bytes, stack);
         let top = self.stack.last_mut().expect("step saw an op to run");
         let chunk_start = Instant::now();
-        let partitioned = !matches!(top.machine, Machine::Whole(_));
         let result = {
-            let _span = partitioned.then(|| recorder::span(top.machine.unit_name(), "collective"));
-            top.machine.advance(ep)?
+            let _span = top.machine.unit_name().map(|name| recorder::span(name, "collective"));
+            top.machine.advance(ep, fp)?
         };
-        if let (Some(o), true) = (self.obs.as_mut(), partitioned) {
+        if let (Some(o), true) = (self.obs.as_mut(), top.partitioned) {
             let name = format!("{}/chunk{}", top.tag, top.units);
             o.spans.record(o.track, &name, "chunk", o.clock.at(chunk_start), o.clock.now());
         }
@@ -597,54 +619,10 @@ impl<C: Comm> Core<C> {
             });
         }
         finished.done.set(Some(result));
-        if let Machine::Ring(machine, _) = finished.machine {
+        if let Machine::Ring(machine, ..) = finished.machine {
             self.spare.extend(machine.into_spare());
         }
         Ok(())
-    }
-}
-
-/// The round every op start begins with: allgather a fingerprint of this
-/// rank's execution stack — `(tag, priority, kind, units run)` of the op
-/// being started (on top) and of every op suspended under it — and of its
-/// segment size, plus whether that op's payload here exceeds a segment;
-/// compare the fingerprints. Always on (not a debug assert): a divergent call
-/// sequence in a release build would otherwise surface as a deadlock inside
-/// a collective, or as one op's segment reduced into another's. It runs on
-/// the same mesh, so it also enforces the ordering it checks. Payload bytes
-/// are deliberately *not* fingerprinted — per-rank sizes legitimately
-/// differ (variable-length gathers) — which is why whole-or-partitioned is
-/// agreed here instead of decided locally: `Ok(Some(seg_bytes))`, on every
-/// rank, if the payload is oversized on any. A peer that died mid-round
-/// surfaces as the typed transport error.
-fn start_round<C: Comm>(
-    ep: &mut C,
-    stack: &[Job],
-    seg_bytes: Option<usize>,
-) -> Result<Option<usize>, CommError> {
-    let mut fp = 0xcbf29ce484222325u64; // FNV-1a
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            fp = (fp ^ b as u64).wrapping_mul(0x100000001b3);
-        }
-    };
-    mix(&seg_bytes.unwrap_or(0).to_le_bytes());
-    for e in stack {
-        mix(e.tag.as_bytes());
-        mix(&e.priority.to_le_bytes());
-        mix(e.kind.as_bytes());
-        mix(&e.units.to_le_bytes());
-    }
-    let oversized = stack.last().zip(seg_bytes).is_some_and(|(top, seg)| top.bytes > seg as u64);
-    let local = [fp as u32, (fp >> 32) as u32, oversized as u32];
-    let all = try_allgather_tokens(ep, local.to_vec())?;
-    if all.iter().all(|v| v.len() == local.len() && v[..2] == local[..2]) {
-        Ok(seg_bytes.filter(|_| all.iter().any(|v| v[2] != 0)))
-    } else {
-        Err(CommError::Protocol {
-            expected: "identical (tag, priority, kind, units run) stacks on every rank",
-            got: "divergent SPMD fingerprint",
-        })
     }
 }
 
@@ -908,8 +886,8 @@ mod tests {
     #[test]
     fn urgent_op_lands_exactly_between_two_units_of_the_bulk_op() {
         // 257 f32 over two ranks in 16-element segments: 9 units per step,
-        // 18 in all. Three units of head start, then a small urgent gather
-        // (whole), then a chunked one.
+        // 18 in all. Three units of head start, then a small urgent gather,
+        // then a larger one: each a fan-out of one unit at world 2.
         let orders = per_rank(mesh(2), |rank, ep| {
             let mut s = observed(ep, Some(TINY_CHUNK));
             let bulk = s.submit(100, "bulk", CommOp::AllReduceDense(vec![(rank + 1) as f32; 257]));
@@ -928,6 +906,7 @@ mod tests {
             unit_order(&s)
         });
         let want: Vec<String> = chunks("bulk", 0..3)
+            .chain(chunks("hp", 0..1))
             .chain(["hp".to_string()])
             .chain(chunks("bulk", 3..4))
             .chain(chunks("hp2", 0..1))
@@ -943,7 +922,7 @@ mod tests {
     #[test]
     fn three_level_nesting_is_an_exact_order() {
         // bulk (12 units at world 3) preempted by mid (4 units) preempted
-        // by hp (whole); an equally urgent op does not preempt.
+        // by hp (a gather: 2 units); an equally urgent op does not preempt.
         let orders = per_rank(mesh(3), |rank, ep| {
             let mut s = observed(ep, Some(TINY_CHUNK));
             let bulk = s.submit(100, "bulk", CommOp::AllReduceDense(vec![1.0; 144]));
@@ -962,9 +941,12 @@ mod tests {
         });
         let want: Vec<String> = chunks("bulk", 0..2)
             .chain(chunks("mid", 0..2))
+            .chain(chunks("hp", 0..2))
             .chain(["hp".to_string()])
             .chain(chunks("mid", 2..4))
-            .chain(["mid".to_string(), "tie".to_string()])
+            .chain(["mid".to_string()])
+            .chain(chunks("tie", 0..2))
+            .chain(["tie".to_string()])
             .chain(chunks("bulk", 2..12))
             .chain(["bulk".to_string()])
             .collect();
@@ -974,45 +956,61 @@ mod tests {
     }
 
     #[test]
-    fn whole_or_partitioned_is_agreed_when_payload_sizes_differ() {
-        // 15 tokens fit a 64-byte segment, 17 do not: the ranks disagree
-        // locally, the start round settles it (partitioned if oversized
-        // anywhere), and every rank runs the same number of units.
-        for (lens, units) in [([15, 15, 15], 1), ([15, 17, 15], 2)] {
+    fn a_fan_outs_unit_count_does_not_depend_on_payload_sizes() {
+        // 15 tokens fit a 64-byte segment, 17 do not: a rule that looked at
+        // the payload would split the ranks. A fan-out on a chunked
+        // scheduler steps `Paired` whatever its size, so every rank runs
+        // world − 1 units.
+        for lens in [[15, 15, 15], [15, 17, 15]] {
             per_rank(mesh(3), |rank, ep| {
                 let mut s = observed(ep, Some(TINY_CHUNK));
                 let t = s.submit(0, "g", CommOp::GatherTokens(vec![7; lens[rank]]));
                 let CommResult::GatherTokens(all) = t.wait() else { panic!("gather failed") };
                 assert_eq!(all.iter().map(|v| v.len()).collect::<Vec<_>>(), lens);
-                assert_eq!(s.observation().expect("observed").1[0].chunks, units);
+                assert_eq!(s.observation().expect("observed").1[0].chunks, 2);
             });
         }
     }
 
     #[test]
-    fn preempting_at_a_different_unit_boundary_is_a_protocol_error_on_every_rank() {
+    fn preempting_at_a_different_unit_boundary_fails_typed_on_every_rank() {
         // 7 elements over 3 ranks in 1-element segments: chunks of 3, 2, 2,
         // so some unit moves nothing on some rank. That rank can run it
         // alone — one `progress()` call more than its peers — with nothing
         // on the wire to give it away; only the units-run count in the
-        // fingerprint of the next op start does. Without it the urgent op
+        // header of the urgent op's messages does. Without it the urgent op
         // would run, and the resumed ring would reduce unit k+1's segment
-        // into unit k's range.
+        // into unit k's range. The idle rank and every rank that reads its
+        // header fail `Protocol`; a rank that reads none fails on a rank
+        // that did: its abort, or its endpoint gone.
         let world = 3;
         let ring = |rank| Ring::new(world, rank, 7, 1);
         let (idle_rank, idle_unit) = (0..world)
             .flat_map(|r| (0..ring(r).units()).map(move |u| (r, u)))
             .find(|&(r, u)| ring(r).unit(u).send.is_none() && ring(r).unit(u).recv.is_none())
             .expect("an uneven ring has an idle unit");
-        per_rank(mesh(world), |rank, ep| {
+        let errors = per_rank(mesh(world), |rank, ep| {
             let mut s = CommScheduler::spawn_chunked(ep, F32_BYTES);
             let bulk = s.submit(100, "bulk", CommOp::AllReduceDense(vec![1.0; 7]));
             let head_start = idle_unit + usize::from(rank == idle_rank);
             assert!((0..head_start).all(|_| s.progress()));
             let hp = s.submit(-10, "hp", CommOp::GatherTokens(vec![rank as u32]));
-            assert!(protocol(hp.wait()), "rank {rank}: urgent op");
-            assert!(protocol(bulk.wait()), "rank {rank}: suspended op");
+            let CommResult::Failed(err) = hp.wait() else { panic!("rank {rank}: urgent op ran") };
+            let CommResult::Failed(same) = bulk.wait() else { panic!("rank {rank}: bulk ran") };
+            assert_eq!(same, err, "rank {rank}: suspended op");
+            err
         });
+        let is_protocol = |err: &CommError| matches!(err, CommError::Protocol { .. });
+        assert!(is_protocol(&errors[idle_rank]), "{errors:?}");
+        for (rank, err) in errors.iter().enumerate() {
+            let on_a_reader = match *err {
+                CommError::Aborted { origin: peer } | CommError::PeerGone { peer } => {
+                    is_protocol(&errors[peer])
+                }
+                _ => false,
+            };
+            assert!(is_protocol(err) || on_a_reader, "rank {rank}: {errors:?}");
+        }
     }
 
     // --- The abort contract: every ticket typed, nothing panics, nothing
@@ -1020,8 +1018,8 @@ mod tests {
 
     #[test]
     fn divergent_priorities_fail_everything_pending_and_everything_later() {
-        // Same tag, different priority: the start round rejects the op on
-        // every rank; the op queued behind it fails with the same cause;
+        // Same tag, different priority: the first header each rank reads
+        // rejects the op; the op queued behind it fails with the same cause;
         // `submit` and `flush` afterwards are pre-failed `Aborted`.
         for spawn in FLAVOURS {
             per_rank(mesh(2), |rank, ep| {
@@ -1053,8 +1051,8 @@ mod tests {
     #[test]
     fn divergent_tags_fail_typed_when_the_scheduler_is_dropped() {
         // Every rank enqueues a tag no other rank knows and drops its
-        // scheduler: the drain starts the op, the start round sees the
-        // other fingerprints, and the ticket resolves `Protocol`.
+        // scheduler: the drain starts the op, its first receive reads
+        // another rank's fingerprint, and the ticket resolves `Protocol`.
         for world in 2..=4 {
             for spawn in FLAVOURS {
                 per_rank(mesh(world), |rank, ep| {
@@ -1089,16 +1087,22 @@ mod tests {
 
     #[test]
     fn stalled_link_fails_typed_within_the_deadline() {
-        // The link 0 → 1 never delivers and receives give up after 50 ms:
-        // rank 1 times out in the start round and says so; rank 0 sees that
-        // abort (or its own timeout). Nobody waits for the stalled packet.
+        // The link 0 → 1 never delivers and receives give up after 50 ms.
+        // Rank 1 sends before it receives, so rank 0 holds all of the first
+        // gather and completes it; rank 1 times out on it and says so, and
+        // rank 0's next op sees that abort (or its own timeout). Nobody
+        // waits for the stalled packet.
         for spawn in FLAVOURS {
             let plan = FaultPlan::new(11).delay_link(0, 1, Duration::from_secs(3600));
             let t0 = Instant::now();
             per_rank(mesh_with_faults(2, &plan, Some(Duration::from_millis(50))), |rank, ep| {
                 let mut s = spawn(ep);
-                let t = s.submit(0, "g", CommOp::GatherTokens(vec![rank as u32; 32]));
-                let CommResult::Failed(err) = t.wait() else { panic!("rank {rank}: survived") };
+                let first = s.submit(0, "g", CommOp::GatherTokens(vec![rank as u32; 32]));
+                let next = s.submit(1, "g2", CommOp::GatherTokens(vec![rank as u32; 32]));
+                let first = first.wait();
+                let done = matches!(first, CommResult::GatherTokens(_));
+                assert_eq!(done, rank == 0, "rank {rank}: {first:?}");
+                let CommResult::Failed(err) = next.wait() else { panic!("rank {rank}: survived") };
                 let expected = match err {
                     CommError::Timeout { peer, .. } => peer == 1 - rank,
                     CommError::Aborted { origin } => rank == 0 && origin == 1,
@@ -1112,9 +1116,8 @@ mod tests {
 
     #[test]
     fn peer_crash_inside_an_op_fails_typed_with_the_real_cause() {
-        // The last rank's endpoint tears down at the op's first send (its
-        // earlier sends are the start round), inside a whole op and inside
-        // a partitioned one. Every waiter sees the real cause — the victim
+        // The last rank's endpoint tears down at its send number world − 1,
+        // inside the allreduce, whole and partitioned alike. Every waiter sees the real cause — the victim
         // its own injection, a survivor the peer it lost or the abort of
         // whoever noticed first — never `Aborted { origin: <own rank> }`;
         // and the op queued behind fails with the same error.

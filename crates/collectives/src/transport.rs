@@ -108,10 +108,8 @@ impl Comm for Endpoint {
 pub enum Packet {
     /// A dense f32 block with row/col shape.
     Dense(DenseTensor),
-    /// A row-sparse (COO) block: row ids + value rows.
-    Sparse(RowSparse),
-    /// A batch of token ids (used to gather `D_cur` across ranks).
-    /// `Arc`-backed ([`TokenBuf`]): fan-out sends share the storage.
+    /// A batch of token ids. `Arc`-backed ([`TokenBuf`]): sends share the
+    /// storage.
     Tokens(TokenBuf),
     /// Zero-payload control message (barrier).
     Empty,
@@ -133,9 +131,59 @@ pub enum Packet {
     /// threshold. Both bodies are `Arc`-backed, so forwarding a received
     /// segment copies no payload bytes.
     SparseSegs(Vec<SparseSeg>),
+    /// One message of a ring or fan-out machine ([`crate::ops`]): the
+    /// sender's SPMD fingerprint, an 8-byte header the receiver compares
+    /// with its own before it touches `body`.
+    Unit { fp: u64, body: UnitBody },
+}
+
+/// Wire bytes of a [`Packet::Unit`]'s fingerprint header.
+pub const UNIT_HEADER_BYTES: usize = 8;
+
+/// The block a [`Packet::Unit`] carries.
+#[derive(Clone, Debug, PartialEq)]
+pub enum UnitBody {
+    Dense(DenseTensor),
+    /// A row-sparse (COO) block: row ids + value rows.
+    Sparse(RowSparse),
+    /// Token ids (gathered to form `D_cur` in Algorithm 1).
+    Tokens(TokenBuf),
     /// A registered memory region (see [`Region`]): sent once per peer
     /// when a group sets up one-sided reads.
     Region(Region),
+}
+
+impl UnitBody {
+    /// Wire size of the block (the header is [`UNIT_HEADER_BYTES`]).
+    fn nbytes(&self) -> usize {
+        match self {
+            UnitBody::Dense(d) => d.nbytes(),
+            UnitBody::Sparse(s) => s.nbytes(),
+            UnitBody::Tokens(t) => t.nbytes(),
+            // An (address, key) pair, as an RDMA registration ships, and
+            // the book.
+            UnitBody::Region(r) => 16 + r.book.nbytes(),
+        }
+    }
+
+    /// See [`Packet::copied_nbytes`].
+    fn copied_nbytes(&self) -> usize {
+        match self {
+            UnitBody::Dense(d) => owned_bytes(d.is_shared(), d.nbytes()),
+            UnitBody::Sparse(s) => s.copied_nbytes(),
+            UnitBody::Tokens(t) => owned_bytes(t.is_shared(), t.nbytes()),
+            UnitBody::Region(_) => self.nbytes(),
+        }
+    }
+}
+
+/// Bytes a payload materialised: none when it shares its storage.
+fn owned_bytes(shared: bool, nbytes: usize) -> usize {
+    if shared {
+        0
+    } else {
+        nbytes
+    }
 }
 
 /// A registered memory region: the shared handle of one rank's table
@@ -202,13 +250,7 @@ impl SparseSeg {
     pub fn copied_nbytes(&self) -> usize {
         match &self.body {
             SegBody::Rows(s) => s.copied_nbytes(),
-            SegBody::Dense(d) => {
-                if d.is_shared() {
-                    0
-                } else {
-                    d.nbytes()
-                }
-            }
+            SegBody::Dense(d) => owned_bytes(d.is_shared(), d.nbytes()),
         }
     }
 
@@ -255,7 +297,6 @@ impl Packet {
     pub fn nbytes(&self) -> usize {
         match self {
             Packet::Dense(d) => d.nbytes(),
-            Packet::Sparse(s) => s.nbytes(),
             Packet::Tokens(t) => t.nbytes(),
             Packet::Empty => 0,
             // One rank id on the wire.
@@ -264,9 +305,7 @@ impl Packet {
             Packet::Tagged { inner, .. } => 8 + inner.nbytes(),
             Packet::Reform(m) => m.nbytes(),
             Packet::SparseSegs(segs) => segs.iter().map(SparseSeg::nbytes).sum(),
-            // An (address, key) pair, as an RDMA registration ships, and
-            // the book.
-            Packet::Region(r) => 16 + r.book.nbytes(),
+            Packet::Unit { body, .. } => UNIT_HEADER_BYTES + body.nbytes(),
         }
     }
 
@@ -280,27 +319,15 @@ impl Packet {
     /// copy-elimination win.
     pub fn copied_nbytes(&self) -> usize {
         match self {
-            Packet::Dense(d) => {
-                if d.is_shared() {
-                    0
-                } else {
-                    d.nbytes()
-                }
-            }
-            Packet::Sparse(s) => s.copied_nbytes(),
-            Packet::Tokens(t) => {
-                if t.is_shared() {
-                    0
-                } else {
-                    t.nbytes()
-                }
-            }
+            Packet::Dense(d) => owned_bytes(d.is_shared(), d.nbytes()),
+            Packet::Tokens(t) => owned_bytes(t.is_shared(), t.nbytes()),
             Packet::Empty | Packet::Abort { .. } => 0,
             Packet::Tagged { inner, .. } => inner.copied_nbytes(),
             // Control messages are always materialised.
             Packet::Reform(m) => m.nbytes(),
-            Packet::Region(_) => self.nbytes(),
             Packet::SparseSegs(segs) => segs.iter().map(SparseSeg::copied_nbytes).sum(),
+            // The header is a control word, like a segment's.
+            Packet::Unit { body, .. } => body.copied_nbytes(),
         }
     }
 
@@ -308,14 +335,13 @@ impl Packet {
     pub fn kind(&self) -> &'static str {
         match self {
             Packet::Dense(_) => "Dense",
-            Packet::Sparse(_) => "Sparse",
             Packet::Tokens(_) => "Tokens",
             Packet::Empty => "Empty",
             Packet::Abort { .. } => "Abort",
             Packet::Tagged { .. } => "Tagged",
             Packet::Reform(_) => "Reform",
             Packet::SparseSegs(_) => "SparseSegs",
-            Packet::Region(_) => "Region",
+            Packet::Unit { .. } => "Unit",
         }
     }
 
@@ -328,30 +354,6 @@ impl Packet {
 
     /// Fallible extraction: an [`Packet::Abort`] maps to
     /// [`CommError::Aborted`], any other mismatch to [`CommError::Protocol`].
-    pub fn try_into_dense(self) -> Result<DenseTensor, CommError> {
-        match self {
-            Packet::Dense(d) => Ok(d),
-            other => Err(other.mismatch("Dense")),
-        }
-    }
-
-    /// See [`Packet::try_into_dense`].
-    pub fn try_into_sparse(self) -> Result<RowSparse, CommError> {
-        match self {
-            Packet::Sparse(s) => Ok(s),
-            other => Err(other.mismatch("Sparse")),
-        }
-    }
-
-    /// See [`Packet::try_into_dense`].
-    pub fn try_into_tokens(self) -> Result<TokenBuf, CommError> {
-        match self {
-            Packet::Tokens(t) => Ok(t),
-            other => Err(other.mismatch("Tokens")),
-        }
-    }
-
-    /// See [`Packet::try_into_dense`].
     pub fn try_into_sparse_segs(self) -> Result<Vec<SparseSeg>, CommError> {
         match self {
             Packet::SparseSegs(segs) => Ok(segs),
@@ -359,15 +361,8 @@ impl Packet {
         }
     }
 
-    /// See [`Packet::try_into_dense`].
-    pub fn try_into_region(self) -> Result<Region, CommError> {
-        match self {
-            Packet::Region(r) => Ok(r),
-            other => Err(other.mismatch("Region")),
-        }
-    }
-
-    /// See [`Packet::try_into_dense`], for zero-payload control packets.
+    /// See [`Packet::try_into_sparse_segs`], for zero-payload control
+    /// packets.
     pub fn try_into_empty(self) -> Result<(), CommError> {
         match self {
             Packet::Empty => Ok(()),
@@ -1154,11 +1149,11 @@ mod tests {
     #[test]
     fn shared_sparse_payload_reports_zero_copied() {
         let s = RowSparse::new(vec![0, 3], DenseTensor::zeros(2, 2));
-        let shared = s.share();
-        assert_eq!(Packet::Sparse(shared).copied_nbytes(), 0);
+        let unit = |s| Packet::Unit { fp: 7, body: UnitBody::Sparse(s) };
+        assert_eq!(unit(s.share()).copied_nbytes(), 0);
         drop(s);
         let owned = RowSparse::new(vec![1], DenseTensor::zeros(1, 2));
-        assert_eq!(Packet::Sparse(owned).copied_nbytes(), INDEX_BYTES + 2 * F32_BYTES);
+        assert_eq!(unit(owned).copied_nbytes(), INDEX_BYTES + 2 * F32_BYTES);
     }
 
     #[test]
@@ -1168,20 +1163,21 @@ mod tests {
         assert_eq!(Packet::Tokens(vec![9].into()).nbytes(), TOKEN_BYTES);
         assert_eq!(Packet::Abort { origin: 0 }.nbytes(), TOKEN_BYTES);
         let s = RowSparse::new(vec![0], DenseTensor::zeros(1, 4));
-        assert_eq!(Packet::Sparse(s).nbytes(), INDEX_BYTES + 4 * F32_BYTES);
+        let unit = Packet::Unit { fp: 7, body: UnitBody::Sparse(s) };
+        assert_eq!(unit.nbytes(), UNIT_HEADER_BYTES + INDEX_BYTES + 4 * F32_BYTES);
     }
 
     #[test]
     fn typed_extraction_reports_protocol_and_abort() {
         assert_eq!(
-            Packet::Empty.try_into_dense(),
-            Err(CommError::Protocol { expected: "Dense", got: "Empty" })
+            Packet::Tokens(vec![1].into()).try_into_empty(),
+            Err(CommError::Protocol { expected: "Empty", got: "Tokens" })
         );
         assert_eq!(
-            Packet::Abort { origin: 3 }.try_into_tokens(),
+            Packet::Abort { origin: 3 }.try_into_empty(),
             Err(CommError::Aborted { origin: 3 })
         );
-        assert_eq!(Packet::Tokens(vec![1].into()).try_into_tokens(), Ok(vec![1].into()));
+        assert_eq!(Packet::SparseSegs(Vec::new()).try_into_sparse_segs(), Ok(Vec::new()));
         assert_eq!(Packet::Empty.try_into_empty(), Ok(()));
     }
 

@@ -907,8 +907,11 @@ mod tests {
         // The step's AlltoAll #2 payloads are its sparse packets, the
         // delayed exchange's (one per peer) the last of them.
         let sends = step_sends(&base.train, 1);
-        let sparse: Vec<u64> =
-            (0..).zip(&sends).filter(|(_, &kind)| kind == "Sparse").map(|(at, _)| at).collect();
+        let sparse: Vec<u64> = (0..)
+            .zip(&sends)
+            .filter(|(_, &kind)| kind == "unit Sparse")
+            .map(|(at, _)| at)
+            .collect();
         let delayed = &sparse[sparse.len() - (base.train.world - 1)..];
         // Rank 1 dies on its second send of step 2's delayed AlltoAll #2.
         let plan = FaultPlan::new(13).crash_rank_at_op(1, 2 * per_step + delayed[1]);

@@ -25,6 +25,8 @@ use embrace_collectives::{
     run_group, Comm, CommError, CommOp, CommResult, CommScheduler, Endpoint, OpTiming,
     SchedOptions, SubmittedOp,
 };
+#[cfg(test)]
+use embrace_collectives::{Packet, UnitBody};
 use embrace_core::horizontal::{GradRows, StepPlan};
 use embrace_core::{vertical_split, ColumnShardedEmbedding};
 use embrace_dlsim::graph::ModelGraph;
@@ -523,8 +525,8 @@ pub(crate) fn train_embrace<M: Model>(
     (losses, comm.submitted().to_vec(), comm.observation())
 }
 
-/// Every packet a transport is asked to send — kind and wire bytes — in
-/// order.
+/// Every packet a transport is asked to send — kind (`unit <block>` for a
+/// machine's unit message) and wire bytes — in order.
 #[cfg(test)]
 pub(crate) struct SendLog<C> {
     inner: C,
@@ -548,16 +550,18 @@ impl<C: Comm> Comm for SendLog<C> {
         self.inner.world()
     }
 
-    fn try_send(
-        &mut self,
-        to: usize,
-        packet: embrace_collectives::Packet,
-    ) -> Result<(), CommError> {
-        self.sent.push((packet.kind(), packet.nbytes()));
+    fn try_send(&mut self, to: usize, packet: Packet) -> Result<(), CommError> {
+        let kind = match &packet {
+            Packet::Unit { body: UnitBody::Dense(_), .. } => "unit Dense",
+            Packet::Unit { body: UnitBody::Sparse(_), .. } => "unit Sparse",
+            Packet::Unit { body: UnitBody::Tokens(_), .. } => "unit Tokens",
+            other => other.kind(),
+        };
+        self.sent.push((kind, packet.nbytes()));
         self.inner.try_send(to, packet)
     }
 
-    fn try_recv(&mut self, from: usize) -> Result<embrace_collectives::Packet, CommError> {
+    fn try_recv(&mut self, from: usize) -> Result<Packet, CommError> {
         self.inner.try_recv(from)
     }
 }
@@ -567,6 +571,7 @@ mod tests {
     use super::*;
     use crate::lstm::Lstm;
     use crate::translation::Translation;
+    use embrace_collectives::UNIT_HEADER_BYTES;
     use embrace_tensor::TOKEN_BYTES;
 
     #[test]
@@ -579,13 +584,12 @@ mod tests {
     }
 
     #[test]
-    fn dense_plane_moves_the_allreduce_bytes_with_one_more_start_round() {
+    fn dense_plane_moves_the_allreduce_bytes_and_no_start_round() {
         // Sharding the update changes no byte the ring moves: a step's
-        // dense data messages, less AlltoAll #1's lookup blocks, carry
-        // 2·(N−1)/N of W per rank, as the allreduce's did. Each op's start
-        // round (a 3-word token gather) is the only added traffic: eight
-        // ops per step — the two halves of the dense plane where the
-        // allreduce was one.
+        // dense data messages, less their headers and AlltoAll #1's lookup
+        // blocks, carry 2·(N−1)/N of W per rank, as the allreduce's did.
+        // The SPMD check rides those messages: no op start sends a 3-word
+        // token record of its own.
         let cfg = ConvergenceConfig { world: 4, steps: 1, ..Default::default() };
         let (n, len) = (cfg.world, cfg.dim * cfg.dim);
         assert_eq!(len % n, 0, "equal chunks keep the expected bytes exact");
@@ -600,12 +604,48 @@ mod tests {
         });
         let shards = column_partition(cfg.dim, n);
         for (rank, sent) in logs.iter().enumerate() {
-            let dense: usize = sent.iter().filter(|(k, _)| *k == "Dense").map(|(_, b)| b).sum();
+            let dense: Vec<usize> =
+                sent.iter().filter(|(k, _)| *k == "unit Dense").map(|&(_, b)| b).collect();
+            let payload = dense.iter().sum::<usize>() - dense.len() * UNIT_HEADER_BYTES;
             let lookup = (n - 1) * cfg.tokens_per_batch * shards[rank].width() * F32_BYTES;
-            assert_eq!(dense - lookup, 2 * (n - 1) * len / n * F32_BYTES, "rank {rank}");
+            assert_eq!(payload - lookup, 2 * (n - 1) * len / n * F32_BYTES, "rank {rank}");
             let starts = sent.iter().filter(|&&(k, b)| k == "Tokens" && b == 3 * TOKEN_BYTES);
-            assert_eq!(starts.count(), 8 * (n - 1), "rank {rank}");
+            assert_eq!(starts.count(), 0, "rank {rank}");
         }
+    }
+
+    #[test]
+    fn a_train_sparse_step_sends_fourteen_messages_per_rank() {
+        // The benchmark's `train_sparse` shape at world 2, where every
+        // collective unit is one message: 2 token gathers, the loss
+        // gather, AlltoAll #1, 2 AlltoAll #2 exchanges and 8 ring units
+        // (4 reduce-scatter, 4 all-gather). Nothing else: the scheduler
+        // sends no message of its own.
+        let cfg = ConvergenceConfig {
+            world: 2,
+            vocab: 262_144,
+            dim: 4,
+            tokens_per_batch: 8192,
+            zipf_s: 1.05,
+            seed: 1,
+            steps: 2,
+            ..Default::default()
+        };
+        let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
+        let states = RankState::initial(&cfg, &sampler);
+        let counts = run_group(cfg.world, |rank, ep| {
+            let mut log = SendLog::new(ep);
+            let mut st: RankState = states.take(rank);
+            let mut per_step = Vec::new();
+            for _ in 0..cfg.steps {
+                let before = log.sent.len();
+                st.run_step(&mut CommScheduler::new(&mut log, st.sched_options(false)))
+                    .expect("fault-free");
+                per_step.push(log.sent.len() - before);
+            }
+            per_step
+        });
+        assert_eq!(counts, vec![vec![14; cfg.steps]; cfg.world]);
     }
 
     #[test]

@@ -223,13 +223,16 @@ fn all_failed_typed(label: &str, out: &[Result<(), CommError>]) {
 #[test]
 fn sparse_allreduce_with_disagreeing_vocabs_fails_on_every_rank() {
     // Another vocab is another schedule: the row ranges a peer sends are
-    // not the ones this rank's round expects.
-    for vocabs in [vec![16, 32], vec![16, 32, 16]] {
+    // not the ones this rank's round expects. Another gradient width is
+    // rows this rank cannot merge.
+    for (vocabs, dims) in
+        [(vec![16, 32], vec![2, 2]), (vec![16, 32, 16], vec![2, 2, 2]), (vec![16, 16], vec![2, 3])]
+    {
         let world = vocabs.len();
-        let label = format!("vocabs {vocabs:?}");
+        let label = format!("vocabs {vocabs:?} widths {dims:?}");
         let out = outcomes(world, move |rank, ep| {
             let cfg = SsarConfig { vocab: vocabs[rank], crossover: 2.0 };
-            let grad = RowSparse::new(vec![3, 9, 12], DenseTensor::full(3, 2, 1.0));
+            let grad = RowSparse::new(vec![3, 9, 12], DenseTensor::full(3, dims[rank], 1.0));
             try_sparse_allreduce(ep, &grad, &cfg).map(drop)
         });
         all_failed_typed(&label, &out);

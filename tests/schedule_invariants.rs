@@ -153,11 +153,11 @@ fn observed_training_is_deterministic_in_losses_and_span_structure() {
 
     // Every unit the step's comm scheduler runs lies inside a `collective`
     // span directly under its step, partitioned and preempted ops
-    // included: one span per op start round plus one per unit, as the
-    // scheduler's own timing log counts them on the same run.
+    // included: one span per unit, as the scheduler's own timing log
+    // counts them on the same run.
     let (_, _, observed) = train_convergence_scheduled_observed(&cfg, true);
     for (rank, (set, (_, timings))) in spans_a.iter().zip(&observed).enumerate() {
-        let units: u32 = timings.iter().map(|t| 1 + t.chunks).sum();
+        let units: u32 = timings.iter().map(|t| t.chunks).sum();
         let structure = rankless_structure(set);
         let spans = structure.iter().filter(|l| l.starts_with("d1|collective|")).count();
         let all = structure.iter().filter(|l| l.contains("|collective|")).count();
