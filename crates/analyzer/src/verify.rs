@@ -469,8 +469,9 @@ pub fn verify_schedule(plan: &SchedulePlan) -> Vec<Diagnostic> {
 /// phase feeds what the op after its sharded update feeds): a FP two steps
 /// out last, then the dense FPs after the embedding FPs, this step's
 /// before the next step's, and in FP order. A higher-ranked op must not
-/// have a lower priority. Ops that feed no FP (the next batch's tokens,
-/// the loss) are not ranked.
+/// have a lower priority. The next batch's token gather ranks by the
+/// first next-step embedding FP it feeds; the loss feeds no FP and is not
+/// ranked.
 pub fn verify_horizontal(plan: &StepPlan, graph: &ModelGraph) -> Vec<Diagnostic> {
     let feeds = |op: &PlanOp| {
         let updated =

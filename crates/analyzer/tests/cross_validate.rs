@@ -313,11 +313,12 @@ fn model_broadcast_matches_real_results() {
         let model = unique_ok(&report);
         let real = run_group(world, |rank, ep| {
             let p = (rank == 0).then(|| Packet::Tokens(broadcast_payload(world).into()));
-            embrace_collectives::ops::broadcast(ep, 0, p).into_tokens()
+            embrace_collectives::ops::broadcast(ep, 0, p)
         });
         for rank in 0..world {
             let RankOutcome::Ok { out, .. } = &model[rank] else { panic!("model rank failed") };
-            assert_eq!(&out[0], &real[rank], "world {world} rank {rank}");
+            let want = Packet::Tokens(out[0].clone().into());
+            assert_eq!(want, real[rank], "world {world} rank {rank}");
         }
     }
 }

@@ -360,7 +360,7 @@ mod tests {
         let mut a = ElasticWorker::new(&mut a_ep);
         let mut b = ElasticWorker::new(&mut b_ep);
         a.try_send(1, Packet::Tokens(vec![1, 2].into())).unwrap();
-        assert_eq!(b.try_recv(0).unwrap().into_tokens(), vec![1, 2]);
+        assert_eq!(b.try_recv(0).unwrap(), Packet::Tokens(vec![1, 2].into()));
     }
 
     #[test]

@@ -778,9 +778,9 @@ mod tests {
     fn broadcast_delivers_root_payload() {
         let out = run_group(4, |rank, ep| {
             let payload = (rank == 2).then(|| Packet::Tokens(vec![42].into()));
-            broadcast(ep, 2, payload).into_tokens()
+            broadcast(ep, 2, payload)
         });
-        assert!(out.iter().all(|t| t == &vec![42]));
+        assert!(out.iter().all(|p| p == &Packet::Tokens(vec![42].into())));
     }
 
     #[test]

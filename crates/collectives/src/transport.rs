@@ -345,13 +345,6 @@ impl Packet {
         }
     }
 
-    pub fn into_tokens(self) -> TokenBuf {
-        match self {
-            Packet::Tokens(t) => t,
-            other => panic!("expected Tokens packet, got {other:?}"),
-        }
-    }
-
     /// Fallible extraction: an [`Packet::Abort`] maps to
     /// [`CommError::Aborted`], any other mismatch to [`CommError::Protocol`].
     pub fn try_into_sparse_segs(self) -> Result<Vec<SparseSeg>, CommError> {
@@ -1081,7 +1074,7 @@ mod tests {
                 a.send(1, Packet::Tokens(vec![7, 8].into()));
             });
             s.spawn(|| {
-                assert_eq!(b.recv(0).into_tokens(), vec![7, 8]);
+                assert_eq!(b.recv(0), Packet::Tokens(vec![7, 8].into()));
                 b.send(1, Packet::Empty); // self-send
                 assert_eq!(b.recv(1), Packet::Empty);
             });
@@ -1105,7 +1098,7 @@ mod tests {
             a.send(1, Packet::Tokens(vec![k].into()));
         }
         for k in 0..10u32 {
-            assert_eq!(b.recv(0).into_tokens(), vec![k]);
+            assert_eq!(b.recv(0), Packet::Tokens(vec![k].into()));
         }
     }
 
@@ -1238,8 +1231,8 @@ mod tests {
             a.try_send(1, Packet::Tokens(vec![k].into())).unwrap();
         }
         // First two delivered, rest dropped: receiver times out on the 3rd.
-        assert_eq!(b.try_recv(0).unwrap().into_tokens(), vec![0]);
-        assert_eq!(b.try_recv(0).unwrap().into_tokens(), vec![1]);
+        assert_eq!(b.try_recv(0).unwrap(), Packet::Tokens(vec![0].into()));
+        assert_eq!(b.try_recv(0).unwrap(), Packet::Tokens(vec![1].into()));
         assert!(matches!(b.try_recv(0), Err(CommError::Timeout { peer: 0, .. })));
         // Traffic accounting still counts the attempted sends.
         assert_eq!(a.msgs_sent(), 4);
@@ -1277,7 +1270,7 @@ mod tests {
             a.try_send(1, Packet::Tokens(vec![k].into())).unwrap();
         }
         for k in 0..20u32 {
-            assert_eq!(b.try_recv(0).unwrap().into_tokens(), vec![k]);
+            assert_eq!(b.try_recv(0).unwrap(), Packet::Tokens(vec![k].into()));
         }
     }
 
@@ -1316,9 +1309,9 @@ mod tests {
             a.try_send(1, Packet::Tokens(vec![k].into())).unwrap();
         }
         // Message 0 delivered, 1 and 2 dropped, 3 and 4 delivered again.
-        assert_eq!(b.try_recv(0).unwrap().into_tokens(), vec![0]);
-        assert_eq!(b.try_recv(0).unwrap().into_tokens(), vec![3]);
-        assert_eq!(b.try_recv(0).unwrap().into_tokens(), vec![4]);
+        assert_eq!(b.try_recv(0).unwrap(), Packet::Tokens(vec![0].into()));
+        assert_eq!(b.try_recv(0).unwrap(), Packet::Tokens(vec![3].into()));
+        assert_eq!(b.try_recv(0).unwrap(), Packet::Tokens(vec![4].into()));
         assert!(matches!(b.try_recv(0), Err(CommError::Timeout { peer: 0, .. })));
     }
 
@@ -1452,7 +1445,7 @@ mod tests {
                 a.send(1, Packet::Tokens(vec![9].into()));
             });
             b.send(0, Packet::Empty);
-            assert_eq!(b.recv(0).into_tokens(), vec![9]);
+            assert_eq!(b.recv(0), Packet::Tokens(vec![9].into()));
         });
         assert_eq!((b.spun.get(), b.parked.get()), (1, 1));
         let mut m = embrace_obs::Metrics::new();

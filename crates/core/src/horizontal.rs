@@ -11,12 +11,19 @@
 //! half the allreduce each and the sharded update between them at zero;
 //! `verify-plan` builds its schedule plan from it.
 //!
-//! Priorities (lower drains first) encode §4.2.1. The token AllGathers go
-//! first: scheduling metadata, cheap, needed before anything else. Prior
+//! A step gathers the next batch's token ids (§4.2's prefetcher): its
+//! split reads them, and the next step looks them up. Without the split
+//! (the Fig. 9 ablations) a step gathers its own batch.
+//!
+//! Priorities (lower drains first) encode §4.2.1. A step's gather of its
+//! own batch goes first: every FP of the step waits on it. Prior
 //! gradients are the most urgent gradients, because the next embedding FP
 //! waits on them; the embedding-data AlltoAll comes next, because the
-//! first dense FP waits on it. Dense blocks follow in *FP dependency
-//! order*, so each block's weights arrive just before its FP needs them;
+//! first dense FP waits on it. The prefetch of the next batch ties with
+//! the prior gradients, as it feeds the same FPs, but queues behind them
+//! and behind the step's lookups: nothing reads those ids before the
+//! split. Dense blocks follow in *FP dependency order*, so each block's
+//! weights arrive just before its FP needs them;
 //! they are communicated whole, as the paper avoids tensor partitioning
 //! and its startup/bandwidth penalties. Delayed gradients go last,
 //! overlapping the next iteration, and only the loss gather after them.
@@ -25,12 +32,17 @@ use embrace_dlsim::fusion::{assign_buckets, Bucket};
 use embrace_dlsim::graph::ModelGraph;
 use embrace_tensor::{F32_BYTES, TOKEN_BYTES};
 
-/// Priority of the token AllGathers (this batch's and the next one's).
+/// Priority of the gather of a step's own batch, which its FPs wait on.
 const TOKEN_GATHER_PRIORITY: i64 = -4;
 /// Priority of prior embedding gradients (most urgent gradient).
 const PRIOR_GRAD_PRIORITY: i64 = -2;
 /// Priority of the embedding lookup-result AlltoAll.
 const EMB_DATA_PRIORITY: i64 = -1;
+/// Priority of the prefetch of the next batch's ids: tied with the prior
+/// gradients, which feed the same next-step embedding FPs; a later one
+/// would rank an FP the ids feed behind another embedding's. The prior
+/// gradients become ready first, at the split the prefetch also waits on.
+const TOKEN_PREFETCH_PRIORITY: i64 = PRIOR_GRAD_PRIORITY;
 /// Priority of the first dense block in FP order; the blocks after it are
 /// numbered on from here.
 const DENSE_PRIORITY: i64 = 0;
@@ -161,18 +173,26 @@ impl StepPlan {
         let tokens = embeddings.len() as f64 * shapes.tokens * TOKEN_BYTES as f64;
         let lookup = shapes.tokens * shapes.world as f64 * shapes.shard_width * F32_BYTES as f64;
         let mut plan = StepPlan { ops: Vec::new() };
-        // One gather of the batch's ids for every embedding, and one of the
-        // next batch's for the split.
-        let fps = embeddings.iter().map(|&e| (Fp(e), 0));
-        plan.push(GatherTokens, "tokens_cur".into(), TOKEN_GATHER_PRIORITY, tokens, Start, fps);
-        if let GradRows::Split { .. } = shapes.grad {
-            let top = TOKEN_GATHER_PRIORITY;
-            plan.push(GatherTokens, "tokens_next".into(), top, tokens, Start, [(Phase::Split, 0)]);
-        }
         for &e in &embeddings {
             let fed = graph.fp_order().filter(|c| graph.modules[*c].inputs.contains(&e));
             let fed = fed.map(|c| (Fp(c), 0));
             plan.push(AlltoAllDense, name("emb_data", e), EMB_DATA_PRIORITY, lookup, Fp(e), fed);
+        }
+        // One gather of a batch's ids for every embedding: under the split,
+        // the next batch's, which the split and then the next step's
+        // lookups read, submitted after this step's lookups; otherwise the
+        // step's own, moved ahead of the lookups that read it.
+        let split = matches!(shapes.grad, GradRows::Split { .. });
+        let (tag, priority, k) = if split {
+            ("tokens_next", TOKEN_PREFETCH_PRIORITY, 1)
+        } else {
+            ("tokens", TOKEN_GATHER_PRIORITY, 0)
+        };
+        let fps = embeddings.iter().map(|&e| (Fp(e), k));
+        let gates = split.then_some((Phase::Split, 0)).into_iter().chain(fps);
+        plan.push(GatherTokens, tag.into(), priority, tokens, Start, gates);
+        if !split {
+            plan.ops.rotate_right(1);
         }
         let units = dense_units(graph, shapes.fusion);
         for (suffix, unit) in &units {
@@ -213,6 +233,12 @@ impl StepPlan {
         let loss = TOKEN_BYTES as f64;
         plan.push(GatherTokens, "loss".into(), LOSS_PRIORITY, loss, Bp(0), []);
         plan
+    }
+
+    /// The step's one gather of a batch's token ids: the op that waits on
+    /// the step's start.
+    pub fn token_gather(&self) -> &PlanOp {
+        self.ops.iter().find(|op| op.after == Phase::Start).expect("a step gathers its tokens")
     }
 
     /// Append an op: `kind`, `tag`, `priority` and `bytes`, waiting on
@@ -292,15 +318,18 @@ mod tests {
     fn plan_lists_every_op_once_with_its_gates() {
         let plan =
             StepPlan::embrace(&graph(), &shapes(GradRows::Split { coalesced: 5.0, prior: 2.0 }));
-        // One gather of each batch's ids for both embeddings, 2 embeddings
-        // × 3 ops (data, prior, delayed), 4 blocks × 2 ring phases, the loss.
-        assert_eq!(plan.ops.len(), 2 + 2 * 3 + 4 * 2 + 1);
-        let tokens = find(&plan, "tokens_cur");
-        let both_fps = [(Phase::Fp(0), 0), (Phase::Fp(3), 0)];
+        // One gather of the next batch's ids for both embeddings, 2
+        // embeddings × 3 ops (data, prior, delayed), 4 blocks × 2 ring
+        // phases, the loss.
+        assert_eq!(plan.ops.len(), 1 + 2 * 3 + 4 * 2 + 1);
+        // Submitted after both lookups, which it must not hold up.
+        let tokens = plan.token_gather();
+        let gates = [(Phase::Split, 0), (Phase::Fp(0), 1), (Phase::Fp(3), 1)];
         assert_eq!(
-            (tokens.bytes, tokens.after, &tokens.unblocks[..]),
-            (48.0, Phase::Start, &both_fps[..])
+            (tokens.tag.as_str(), tokens.bytes, tokens.priority, &tokens.unblocks[..]),
+            ("tokens_next", 48.0, TOKEN_PREFETCH_PRIORITY, &gates[..])
         );
+        assert_eq!(plan.ops[2].tag, "tokens_next");
         let prior = find(&plan, "prior_grad/dec_emb");
         assert_eq!(
             (prior.bytes, prior.after, &prior.unblocks[..]),
@@ -322,10 +351,18 @@ mod tests {
     #[test]
     fn whole_gradient_drops_the_split() {
         let plan = StepPlan::embrace(&graph(), &shapes(GradRows::Whole(7.0)));
-        assert!(plan
-            .ops
-            .iter()
-            .all(|op| op.after != Phase::Split && !op.tag.starts_with("tokens_next")));
+        assert!(plan.ops.iter().all(|op| op.after != Phase::Split));
+        // One gather, of the step's own batch, first: it gates this step's
+        // FPs.
+        let gathers = plan.ops.iter().filter(|op| op.kind == OpKind::GatherTokens);
+        assert_eq!(gathers.count(), 2, "the batch's ids and the loss");
+        let tokens = plan.token_gather();
+        let both_fps = [(Phase::Fp(0), 0), (Phase::Fp(3), 0)];
+        assert_eq!(
+            (tokens.tag.as_str(), tokens.bytes, tokens.priority, &tokens.unblocks[..]),
+            ("tokens", 48.0, TOKEN_GATHER_PRIORITY, &both_fps[..])
+        );
+        assert_eq!(plan.ops[0].tag, "tokens");
         let whole = find(&plan, "grad_whole/enc_emb");
         assert_eq!(
             (whole.bytes, whole.priority, whole.after),

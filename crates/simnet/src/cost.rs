@@ -200,6 +200,24 @@ impl CostModel {
         self.cluster.net.bw_eff(bw, msg)
     }
 
+    /// Seconds the busier of the intra-node plane and the shared node NIC
+    /// takes when every GPU sends `msg` bytes to every other GPU.
+    fn all_pairs_wire(&self, msg: f64) -> f64 {
+        let n = self.cluster.world() as f64;
+        let w = self.cluster.gpus_per_node as f64;
+        // Per-GPU bytes to local peers, over the intra link.
+        let intra =
+            if w > 1.0 { msg * (w - 1.0) / self.eff(self.cluster.net.intra_bw, msg) } else { 0.0 };
+        // Per-NIC bytes to remote GPUs: w local senders × (N−w) remote peers
+        // (ingress is symmetric).
+        let inter = if self.cluster.nodes > 1 {
+            msg * w * (n - w) / self.eff(self.cluster.net.inter_bw, msg)
+        } else {
+            0.0
+        };
+        intra.max(inter)
+    }
+
     /// One AlltoAll over `total_bytes` of payload distributed uniformly:
     /// every rank sends `total/N` to each peer. Latency: `(N-1)` exchange
     /// rounds. Bandwidth: the busier of the intra-node plane and the
@@ -211,18 +229,7 @@ impl CostModel {
         if n <= 1.0 {
             return 0.0;
         }
-        let w = self.cluster.gpus_per_node as f64;
-        let msg = total_bytes / n;
-        // Per-GPU bytes to local peers, over the intra link.
-        let intra =
-            if w > 1.0 { msg * (w - 1.0) / self.eff(self.cluster.net.intra_bw, msg) } else { 0.0 };
-        // Per-NIC bytes to remote GPUs: w local senders × (N−w) remote peers.
-        let inter = if self.cluster.nodes > 1 {
-            msg * w * (n - w) / self.eff(self.cluster.net.inter_bw, msg)
-        } else {
-            0.0
-        };
-        (n - 1.0) * self.beta() + intra.max(inter)
+        (n - 1.0) * self.beta() + self.all_pairs_wire(total_bytes / n)
     }
 
     /// AlltoAllv with explicit per-source-per-destination payloads
@@ -267,26 +274,15 @@ impl CostModel {
         2.0 * (n - 1.0) * (self.beta() + unit / self.eff(bw, unit))
     }
 
-    /// AllGather of a sparse tensor of `sparse_bytes` per worker: every
-    /// worker sends its full tensor to every other worker, so a node NIC
-    /// carries `w × (N−w)` copies.
+    /// AllGather of a sparse tensor of `sparse_bytes` per worker, Table 2's
+    /// form: every worker sends its full tensor to every other worker in
+    /// `(N-1)` rounds, so a node NIC carries `w × (N−w)` copies.
     pub fn allgather(&self, sparse_bytes: f64) -> f64 {
         let n = self.cluster.world() as f64;
         if n <= 1.0 {
             return 0.0;
         }
-        let w = self.cluster.gpus_per_node as f64;
-        let msg = sparse_bytes;
-        let intra =
-            if w > 1.0 { msg * (w - 1.0) / self.eff(self.cluster.net.intra_bw, msg) } else { 0.0 };
-        // Per-NIC egress: each of the w local GPUs sends its full tensor to
-        // every one of the (N−w) remote GPUs (ingress is symmetric).
-        let inter = if self.cluster.nodes > 1 {
-            msg * w * (n - w) / self.eff(self.cluster.net.inter_bw, msg)
-        } else {
-            0.0
-        };
-        (n - 1.0) * self.beta() + intra.max(inter)
+        (n - 1.0) * self.beta() + self.all_pairs_wire(sparse_bytes)
     }
 
     /// Parameter-server push+pull of `sparse_bytes` with `servers` CPU-side

@@ -1,10 +1,11 @@
 //! Chaos harness: the EmbRace hybrid training step under injected faults.
 //!
 //! [`run_chaos`] runs the step [`crate::real::train_convergence`]'s
-//! EmbRace path runs (`real::RankState::run_step`: AllGather of batch
-//! tokens, hybrid AlltoAll forward, dense ring AllReduce, Vertical Sparse
-//! Scheduling with two AlltoAll #2 exchanges, all through the comm
-//! scheduler) over a mesh built from a seeded
+//! EmbRace path runs (`real::RankState::run_step`: AllGather of the next
+//! batch's tokens, hybrid AlltoAll forward on the ids the step before
+//! gathered, dense ring AllReduce, Vertical Sparse Scheduling with two
+//! AlltoAll #2 exchanges, all through the comm scheduler; the first step
+//! also gathers its own batch) over a mesh built from a seeded
 //! [`FaultPlan`], under both a per-receive
 //! deadline and a whole-group watchdog, and reports each rank's typed
 //! error instead of panicking with it. Each step gets a scheduler of its

@@ -186,8 +186,8 @@ impl RankState {
         for _ in 0..fs.step {
             stream.advance().expect("infinite stream");
         }
-        let (dense, model) = (fs.w.clone(), model.clone());
-        RankState { emb, dense, dense_owned, model, opt_e, opt_dense, stream, step: fs.step }
+        let (dense, model, prefetched, step) = (fs.w.clone(), model.clone(), None, fs.step);
+        RankState { emb, dense, dense_owned, model, opt_e, opt_dense, stream, prefetched, step }
     }
 }
 
@@ -803,8 +803,8 @@ fn train_until(ep: &mut Endpoint, st: &mut RankState, until: u64, losses: &mut V
     }
 }
 
-/// The packet kinds rank `rank` sends in the first EmbRace step of an
-/// elastic run, replica exchange excluded.
+/// The packet kinds rank `rank` sends in the second EmbRace step of an
+/// elastic run, the first on prefetched ids, replica exchange excluded.
 #[cfg(test)]
 use crate::real::SendLog;
 #[cfg(test)]
@@ -818,17 +818,22 @@ fn step_sends(cfg: &ConvergenceConfig, rank: usize) -> Vec<&'static str> {
     let mut logs = run_group(cfg.world, move |rank, ep| {
         let mut st = RankState::from_full(&base, rank, cfg.world, &cfg, &sampler, &model);
         let mut log = SendLog::new(ElasticWorker::new(ep));
-        st.run_step(&mut CommScheduler::new(&mut log, st.sched_options(false)))
-            .expect("fault-free");
-        log.sent.into_iter().map(|(kind, _)| kind).collect::<Vec<_>>()
+        let mut first = 0;
+        for _ in 0..2 {
+            first = log.sent.len();
+            st.run_step(&mut CommScheduler::new(&mut log, st.sched_options(false)))
+                .expect("fault-free");
+        }
+        log.sent.drain(first..).map(|(kind, _)| kind).collect::<Vec<_>>()
     });
     logs.swap_remove(rank)
 }
 
-/// Total messages each rank sends in one full elastic step (hybrid step
-/// plus the replica ring exchange) away from checkpoint boundaries.
+/// Total messages each rank sends in the first two full elastic steps
+/// (hybrid step plus the replica ring exchange) away from checkpoint
+/// boundaries: the first also gathers its own batch's ids.
 #[cfg(test)]
-fn ops_per_step(cfg: &ConvergenceConfig) -> u64 {
+fn ops_per_step(cfg: &ConvergenceConfig) -> [u64; 2] {
     let cfg = *cfg;
     let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
     let (base, model) = FullState::initial_and_model(&cfg);
@@ -842,8 +847,13 @@ fn ops_per_step(cfg: &ConvergenceConfig) -> u64 {
             ..ElasticConfig::quick(FaultPlan::new(0), RecoveryPolicy::Shrink)
         };
         let ecfg = ElasticConfig { train: cfg, ..ecfg };
-        run_one_step(&mut g, &mut st, &mut replicas, &mut ckpt, &[], &ecfg).expect("fault-free");
-        g.endpoint().msgs_sent()
+        let mut step = || {
+            let before = g.endpoint().msgs_sent();
+            run_one_step(&mut g, &mut st, &mut replicas, &mut ckpt, &[], &ecfg)
+                .expect("fault-free");
+            g.endpoint().msgs_sent() - before
+        };
+        [step(), step()]
     });
     counts[0]
 }
@@ -903,7 +913,7 @@ mod tests {
     #[test]
     fn shrink_during_second_alltoall_recovers_bitwise() {
         let base = ElasticConfig::quick(FaultPlan::new(0), RecoveryPolicy::Shrink);
-        let per_step = ops_per_step(&base.train);
+        let [first, steady] = ops_per_step(&base.train);
         // The step's AlltoAll #2 payloads are its sparse packets, the
         // delayed exchange's (one per peer) the last of them.
         let sends = step_sends(&base.train, 1);
@@ -914,7 +924,7 @@ mod tests {
             .collect();
         let delayed = &sparse[sparse.len() - (base.train.world - 1)..];
         // Rank 1 dies on its second send of step 2's delayed AlltoAll #2.
-        let plan = FaultPlan::new(13).crash_rank_at_op(1, 2 * per_step + delayed[1]);
+        let plan = FaultPlan::new(13).crash_rank_at_op(1, first + steady + delayed[1]);
         let cfg = ElasticConfig { plan, checkpoint_interval: 0, ..base };
         let report = run_elastic(&cfg).expect("no watchdog");
         assert_eq!(report.restarts, 0);

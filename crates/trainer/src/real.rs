@@ -27,14 +27,14 @@ use embrace_collectives::{
 };
 #[cfg(test)]
 use embrace_collectives::{Packet, UnitBody};
-use embrace_core::horizontal::{GradRows, StepPlan};
+use embrace_core::horizontal::{GradRows, PlanOp, StepPlan};
 use embrace_core::{vertical_split, ColumnShardedEmbedding};
 use embrace_dlsim::graph::ModelGraph;
 use embrace_dlsim::optim::{Adam, Optimizer, UpdatePart};
 use embrace_dlsim::{EmbeddingTable, NodeId, Prefetcher, Tape};
 use embrace_models::{BatchGen, ZipfSampler};
 use embrace_obs::{recorder, SpanSet};
-use embrace_tensor::{column_partition, DenseTensor, RowSparse, F32_BYTES};
+use embrace_tensor::{column_partition, DenseTensor, RowSparse, TokenBuf, F32_BYTES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
@@ -230,6 +230,9 @@ pub(crate) struct RankState<M = Toy> {
     pub(crate) opt_e: Adam,
     pub(crate) opt_dense: Adam,
     pub(crate) stream: Prefetcher<Vec<u32>, BatchGen>,
+    /// Every rank's ids of the next step's batch, as this step's token
+    /// gather fetched them; `None` until a step has returned `Ok`.
+    pub(crate) prefetched: Option<Vec<TokenBuf>>,
     pub(crate) step: u64,
 }
 
@@ -257,8 +260,8 @@ impl<M: Model> RankState<M> {
             let opt_e = Adam::new(vocab, emb.shard_dim(), cfg.lr);
             let opt_dense = Adam::new(1, dense_owned.len(), cfg.lr);
             let stream = batch_stream(sampler, cfg, rank);
-            let (dense, model) = (dense.share(), model.clone());
-            RankState { emb, dense, dense_owned, model, opt_e, opt_dense, stream, step: 0 }
+            let (dense, model, prefetched, step) = (dense.share(), model.clone(), None, 0);
+            RankState { emb, dense, dense_owned, model, opt_e, opt_dense, stream, prefetched, step }
         });
         PerRank::new(states.collect())
     }
@@ -282,12 +285,16 @@ impl<M: Model> RankState<M> {
         StepPlan::embrace(&graph, &self.emb.step_shapes(tokens, grad))
     }
 
-    /// One EmbRace hybrid step — AllGather of batch tokens, hybrid AlltoAll
-    /// forward, the dense plane, Vertical Sparse Scheduling with two
-    /// AlltoAll #2 exchanges — returning the global loss. The dense plane
-    /// is the ring allreduce cut at its phase boundary around a sharded
-    /// update: the reduce-scatter of the dense block's gradient, Adam on the
-    /// chunk this rank owns, and the all-gather of the updated block. Every
+    /// One EmbRace hybrid step — hybrid AlltoAll forward on the ids the step
+    /// before prefetched, the dense plane, Vertical Sparse Scheduling with
+    /// two AlltoAll #2 exchanges — returning the global loss. Its one token
+    /// AllGather prefetches the next batch's ids for the split and the next
+    /// step (§4.2); a step that finds none (the first after
+    /// [`Self::initial`], an elastic rebuild or a failed step) first gathers
+    /// its own batch, as the whole-gradient plan does. The dense plane is
+    /// the ring allreduce cut at its phase boundary around a sharded update:
+    /// the reduce-scatter of the dense block's gradient, Adam on the chunk
+    /// this rank owns, and the all-gather of the updated block. Every
     /// exchange goes through `comm` in the order of [`Self::plan`], with its
     /// tag (prefixed by the step) and priority, and the step waits only
     /// where the data is needed. It returns with every ticket waited and
@@ -301,33 +308,44 @@ impl<M: Model> RankState<M> {
         let tokens = self.model.expand(self.stream.advance().expect("infinite stream"));
         let next_local = self.stream.peek_next().expect("infinite stream").clone();
         let next_local = self.model.expand(next_local);
+        let tag = |p: &PlanOp| format!("s{step}/{}", p.tag);
+        let all_tokens = match self.prefetched.take() {
+            Some(ids) => ids,
+            None => {
+                let whole = self.plan(tokens.len(), GradRows::Whole(0.0));
+                let (prime, op) = (whole.token_gather(), CommOp::GatherTokens(tokens.clone()));
+                let CommResult::GatherTokens(ids) =
+                    comm.submit(prime.priority, tag(prime), op).wait().into_result()?
+                else {
+                    unreachable!("token gather")
+                };
+                ids
+            }
+        };
         // The split's sizes are this step's data: the step reads the plan's
         // tags and priorities only.
         let plan = self.plan(tokens.len(), GradRows::Split { coalesced: 0.0, prior: 0.0 });
         let mut planned = plan.ops.iter();
         let mut submit = |comm: &mut CommScheduler<C>, op| {
             let p = planned.next().expect("the step submits the plan's ops");
-            comm.submit(p.priority, format!("s{step}/{}", p.tag), op)
+            comm.submit(p.priority, tag(p), op)
         };
-        // Hybrid FP: gather this batch and the next, AlltoAll #1 the
-        // lookup results.
-        let t_cur = submit(comm, CommOp::GatherTokens(tokens.clone()));
-        let t_next = submit(comm, CommOp::GatherTokens(next_local));
-        let CommResult::GatherTokens(all_tokens) = t_cur.wait().into_result()? else {
-            unreachable!("token gather")
-        };
+        // Hybrid FP: AlltoAll #1 this batch's lookup results, then prefetch
+        // the next batch's ids, for the split. They are taken before the
+        // dense plane's quantum, which would go to the gather.
         let lookup = submit(comm, self.emb.lookup_op(&all_tokens)).wait();
         let lookup = ColumnShardedEmbedding::finish_lookup(lookup)?;
+        let t_next = submit(comm, CommOp::GatherTokens(next_local));
         let (loss, grad_dense, grad_rows) = self.model.fwd_bwd(&lookup, &tokens, &self.dense);
+        let CommResult::GatherTokens(next_gathered) = t_next.wait().into_result()? else {
+            unreachable!("token gather")
+        };
         // Dense plane: the BP hook fires the reduce-scatter and hands the
         // comm plane one quantum, so the bulk op is in flight when the more
         // urgent prior gradients preempt it below.
         let t_w = submit(comm, CommOp::ReduceScatterDense(grad_dense.into_vec()));
         comm.progress();
         // Vertical Sparse Scheduling: split by next-iteration data.
-        let CommResult::GatherTokens(next_gathered) = t_next.wait().into_result()? else {
-            unreachable!("token gather")
-        };
         let raw = RowSparse::new(tokens.clone(), grad_rows);
         let split = vertical_split(&raw, &tokens, &next_gathered.concat());
         // AlltoAll #2, prior first, then delayed; Adam advances once.
@@ -357,6 +375,7 @@ impl<M: Model> RankState<M> {
             unreachable!("dense all-gather")
         };
         self.dense = DenseTensor::from_vec(rows, cols, dense);
+        self.prefetched = Some(next_gathered);
         self.step += 1;
         // Summed in rank order, so every rank computes the identical f64.
         Ok(all.iter().map(|v| f32::from_bits(v[0]) as f64).sum())
@@ -615,12 +634,13 @@ mod tests {
     }
 
     #[test]
-    fn a_train_sparse_step_sends_fourteen_messages_per_rank() {
+    fn a_train_sparse_step_sends_thirteen_messages_per_rank() {
         // The benchmark's `train_sparse` shape at world 2, where every
-        // collective unit is one message: 2 token gathers, the loss
-        // gather, AlltoAll #1, 2 AlltoAll #2 exchanges and 8 ring units
-        // (4 reduce-scatter, 4 all-gather). Nothing else: the scheduler
-        // sends no message of its own.
+        // collective unit is one message: the next batch's token gather,
+        // the loss gather, AlltoAll #1, 2 AlltoAll #2 exchanges and 8 ring
+        // units (4 reduce-scatter, 4 all-gather). Nothing else: the
+        // scheduler sends no message of its own. Step 0 also gathers its
+        // own batch, which no step before it prefetched.
         let cfg = ConvergenceConfig {
             world: 2,
             vocab: 262_144,
@@ -628,7 +648,7 @@ mod tests {
             tokens_per_batch: 8192,
             zipf_s: 1.05,
             seed: 1,
-            steps: 2,
+            steps: 3,
             ..Default::default()
         };
         let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
@@ -645,7 +665,7 @@ mod tests {
             }
             per_step
         });
-        assert_eq!(counts, vec![vec![14; cfg.steps]; cfg.world]);
+        assert_eq!(counts, vec![vec![14, 13, 13]; cfg.world]);
     }
 
     #[test]
@@ -710,7 +730,8 @@ mod tests {
     #[test]
     fn every_model_submits_the_same_step() {
         // One step, one submission log: each op's kind and priority are
-        // the toy's for every model.
+        // the toy's for every model (the gather of the step's own batch,
+        // then the 7 ops of its plan).
         fn log<M: Model>(cfg: &ConvergenceConfig) -> Vec<Vec<(&'static str, i64)>> {
             let cfg = ConvergenceConfig { world: 3, steps: 1, ..*cfg };
             let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);

@@ -56,7 +56,8 @@ mod tests {
     fn every_step_submits_the_toy_plan() {
         // The live step at world 2, step by step, against the toy's plan:
         // kinds, tags, priorities, order and bytes, the split's sizes from
-        // that step's batches and the next ones.
+        // that step's batches and the next ones. Step 0 first gathers its
+        // own batch, as the whole-gradient plan does.
         let cfg = ConvergenceConfig { world: 2, steps: 4, ..Default::default() };
         let (_, logs, _) = train_convergence_scheduled_observed(&cfg, false);
         let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
@@ -77,7 +78,9 @@ mod tests {
                     (split.prior.nnz_rows() as f64, split.delayed.nnz_rows() as f64);
                 let plan =
                     st.plan(tokens.len(), GradRows::Split { coalesced: prior + delayed, prior });
-                for op in &plan.ops {
+                let whole = st.plan(tokens.len(), GradRows::Whole(0.0));
+                let primed = (step == 0).then(|| whole.token_gather());
+                for op in primed.into_iter().chain(&plan.ops) {
                     let want = SubmittedOp {
                         priority: op.priority,
                         tag: format!("s{step}/{}", op.tag),

@@ -263,11 +263,10 @@ fn lower(cfg: &SimConfig, spec: &ModelSpec, graph: &ModelGraph) -> (Sim, Vec<Tas
         gates: HashMap::new(),
     };
     let mut markers = Vec::with_capacity(cfg.steps);
+    // What a step's start waits on: the previous step's last compute task.
+    let mut start = Vec::new();
     for s in 0..cfg.steps {
-        // The ops waiting on the step's start, the token gathers, stay
-        // unpriced: each is latency-bound, (N-1) hops of the cluster
-        // latency ahead of the embedding FP, and pricing them flips Fig.
-        // 10's LM scaling order (EXPERIMENTS.md, "One plan of the step").
+        l.emit(s, Phase::Start, &start);
         let mut fp_done: Vec<Option<TaskId>> = vec![None; graph.len()];
         for &m in &fp_order {
             let module = &graph.modules[m];
@@ -301,7 +300,7 @@ fn lower(cfg: &SimConfig, spec: &ModelSpec, graph: &ModelGraph) -> (Sim, Vec<Tas
             bp_deps = vec![bp];
         }
         markers.extend(bp_deps.first());
-        if split {
+        start = if split {
             // Vertical Sparse Scheduling fires once after the last BP (the
             // prototype registers it on the last BP hook, §5.1).
             let dur = VERTICAL_SCHED_BASE + stats.rows_coalesced * VERTICAL_SCHED_PER_ROW;
@@ -309,7 +308,10 @@ fn lower(cfg: &SimConfig, spec: &ModelSpec, graph: &ModelGraph) -> (Sim, Vec<Tas
             let task = Task::overhead(format!("s{s}/vertical_sched"), dur).after(bp_deps);
             let v = l.sim.add(task);
             l.emit(s, Phase::Split, &[v]);
-        }
+            vec![v]
+        } else {
+            bp_deps
+        };
     }
     (l.sim, markers)
 }
@@ -503,8 +505,8 @@ mod lowering_tests {
     #[test]
     fn one_span_per_plan_op_at_its_priority() {
         // One steady step of the 2D schedule, for two embeddings and for
-        // one: a comm span per priced op of the plan, named by its tag and
-        // queued at its priority, and no other.
+        // one: a comm span per op of the plan, named by its tag and queued
+        // at its priority, and no other.
         for model in [ModelId::Gnmt8, ModelId::BertBase] {
             let cfg = SimConfig::new(MethodId::EmbRace, model, Cluster::rtx3090(16));
             let spec = ModelSpec::get(model);
@@ -513,14 +515,42 @@ mod lowering_tests {
             let step: Vec<_> =
                 spans.iter().filter(|s| s.res == Res::Comm && s.name.starts_with("s3/")).collect();
             let plan = step_plan(&cfg);
-            let priced: Vec<&PlanOp> =
-                plan.ops.iter().filter(|op| op.after != Phase::Start).collect();
-            assert_eq!(step.len(), priced.len(), "{model:?}: {step:?}");
-            for op in priced {
+            assert_eq!(step.len(), plan.ops.len(), "{model:?}: {step:?}");
+            for op in &plan.ops {
                 let name = format!("s3/{}", op.tag);
                 let found: Vec<_> = step.iter().filter(|s| s.name == name).collect();
                 assert_eq!(found.len(), 1, "{model:?} {name}");
                 assert_eq!(sim.task(found[0].task).priority, op.priority, "{model:?} {name}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_token_prefetch_is_off_the_fp_path() {
+        // LM on 16 RTX3090s, in steady state: a step's prefetch of the
+        // next batch's ids lands before that batch's embedding FPs, and it
+        // becomes ready at the same instant as the step before's prior
+        // gradients (both wait on its split), which gate the step's own
+        // embedding FPs; the network, which no op preempts, sends the
+        // prior gradients first.
+        let cfg = SimConfig::new(MethodId::EmbRace, ModelId::Lm, Cluster::rtx3090(16));
+        let spec = ModelSpec::get(ModelId::Lm);
+        let graph = spec.graph(cfg.cluster.gpu);
+        let (sim, _) = lower(&cfg, &spec, &graph);
+        let spans = sim.run().trace.spans;
+        let span = |name: String| {
+            spans.iter().find(|s| s.name == name).unwrap_or_else(|| panic!("no {name}"))
+        };
+        let embeddings = graph.embeddings();
+        for k in 1..cfg.steps - 1 {
+            let (gathered, prefetch) =
+                (span(format!("s{k}/tokens_next")), span(format!("s{}/tokens_next", k + 1)));
+            for &e in &embeddings {
+                let module = &graph.modules[e].name;
+                let fp = span(format!("s{}/fp/{module}", k + 1));
+                assert!(gathered.end <= fp.start, "step {k}: {fp:?} before {gathered:?}");
+                let prior = span(format!("s{k}/prior_grad{}", suffix(module, embeddings.len())));
+                assert!(prior.end <= prefetch.start, "step {k}: {prefetch:?} before {prior:?}");
             }
         }
     }

@@ -19,7 +19,7 @@ fn world_of_one_short_circuits_every_collective() {
     let out = run_group(1, |rank, ep| {
         barrier(ep);
         try_barrier(ep).unwrap();
-        let b = broadcast(ep, 0, Some(Packet::Tokens(vec![9].into()))).into_tokens();
+        let b = broadcast(ep, 0, Some(Packet::Tokens(vec![9].into())));
         let mut buf = vec![2.5f32, -1.0];
         ring_allreduce(ep, &mut buf);
         let toks = allgather_tokens(ep, vec![rank as u32]);
@@ -28,7 +28,7 @@ fn world_of_one_short_circuits_every_collective() {
         (b, buf, toks, sparse)
     });
     let (b, buf, toks, sparse) = &out[0];
-    assert_eq!(b, &vec![9]);
+    assert_eq!(b, &Packet::Tokens(vec![9].into()));
     assert_eq!(buf, &vec![2.5, -1.0]); // untouched: nothing to reduce with
     assert_eq!(toks[0], vec![0]);
     assert_eq!(toks.len(), 1);
