@@ -23,8 +23,10 @@ use embrace_analyzer::{
     SchedulePlan,
 };
 use embrace_collectives::ops::{sparse_allreduce, SsarConfig};
-use embrace_collectives::schedule::{RingPart, Traversal};
-use embrace_collectives::{run_group, Comm, CommError, Endpoint, Packet};
+use embrace_collectives::schedule::{Ring, RingPart, Traversal};
+use embrace_collectives::{
+    run_group, Comm, CommError, CommOp, CommResult, CommScheduler, Endpoint, Packet,
+};
 use embrace_tensor::{DenseTensor, RowSparse, F32_BYTES, TOKEN_BYTES};
 use embrace_trainer::train_convergence_scheduled_observed;
 
@@ -107,6 +109,61 @@ fn whole_op_plans_match_real_traffic() {
                 .collect();
             embrace_collectives::ops::alltoall_dense(ep, parts);
         });
+    }
+}
+
+#[test]
+fn scheduled_phase_pair_matches_its_plans() {
+    // The dense plane the trainer runs: a chunked scheduler's
+    // reduce-scatter of a shared gradient, then its all-gather sending the
+    // reduce-scatter's segments. Each phase's per-link traffic must equal
+    // its plan at the scheduler's segment size — uneven chunks, several
+    // segments per chunk — and the pair must leave the sum everywhere.
+    for world in 2..=4 {
+        for (elems, seg) in [(2 * world + 3, 2), (7 * world + 2, 3)] {
+            let plans = [RingPart::ReduceScatter, RingPart::AllGather]
+                .map(|part| ring_phase_plan(world, elems, seg, part));
+            for plan in &plans {
+                assert!(verify_p2p(plan, None).clean(), "plan for {} must be clean", plan.kind);
+            }
+            let out = run_group(world, |rank, ep| {
+                let counters = |ep: &Endpoint| {
+                    (0..world).map(|p| (ep.msgs_sent_to(p), ep.bytes_sent_to(p))).collect()
+                };
+                let grad: Vec<f32> = (0..elems).map(|i| (rank + i) as f32).collect();
+                let rs = CommOp::ReduceScatterDense(DenseTensor::from_vec(1, elems, grad));
+                let mut comm = CommScheduler::spawn_chunked(&mut *ep, seg * F32_BYTES);
+                let CommResult::ReduceScatterDense(sums) = comm.submit(0, "rs", rs).wait() else {
+                    panic!("reduce-scatter failed")
+                };
+                drop(comm);
+                let after_rs: Vec<(u64, u64)> = counters(ep);
+                let mut block = DenseTensor::zeros(1, elems);
+                let owned: Vec<f32> =
+                    sums.iter().flat_map(DenseTensor::as_slice).copied().collect();
+                block.as_mut_slice()[Ring::whole(world, rank, elems).owned()]
+                    .copy_from_slice(&owned);
+                let ag = CommOp::AllGatherDense(block, sums);
+                let mut comm = CommScheduler::spawn_chunked(&mut *ep, seg * F32_BYTES);
+                let CommResult::AllGatherDense(block) = comm.submit(0, "ag", ag).wait() else {
+                    panic!("all-gather failed")
+                };
+                drop(comm);
+                let after_ag: Vec<(u64, u64)> = counters(ep);
+                (after_rs, after_ag, block.into_vec())
+            });
+            let sum = |i: usize| (world * i + world * (world - 1) / 2) as f32;
+            for (from, (after_rs, after_ag, block)) in out.iter().enumerate() {
+                assert_eq!(block, &(0..elems).map(sum).collect::<Vec<_>>(), "rank {from}");
+                for to in (0..world).filter(|&to| to != from) {
+                    let (rs, all) = (after_rs[to], after_ag[to]);
+                    let ag = (all.0 - rs.0, all.1 - rs.1);
+                    let at = format!("world {world} elems {elems} seg {seg} link {from}->{to}");
+                    assert_eq!(rs, plans[0].link_traffic(from, to), "{at}: reduce-scatter");
+                    assert_eq!(ag, plans[1].link_traffic(from, to), "{at}: all-gather");
+                }
+            }
+        }
     }
 }
 

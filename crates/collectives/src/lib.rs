@@ -9,8 +9,11 @@
 //!
 //! Provided primitives (§2.2 of the paper):
 //! * [`ops::ring_allreduce`] — bandwidth-optimal ring AllReduce, and its
-//!   reduce-scatter and all-gather phases alone ([`ops::try_ring_part`]:
-//!   the dense plane, gradient in and updated weights out),
+//!   reduce-scatter and all-gather phases alone, in a caller's buffer
+//!   ([`ops::try_ring_part`]) or as the trainer's dense plane runs them
+//!   ([`CommOp::ReduceScatterDense`] shares the gradient and returns the
+//!   owned chunk's sums, [`CommOp::AllGatherDense`] sends the updated
+//!   weights as the update left them),
 //! * [`ops::allgather_sparse`] — AllGather of COO row-sparse gradients
 //!   (Horovod ≥ 0.22 sparse path),
 //! * [`ops::alltoall_dense`] / [`ops::alltoallv_sparse`] — the AlltoAll

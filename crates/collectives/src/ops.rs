@@ -168,41 +168,66 @@ pub fn try_broadcast<C: Comm>(
     }
 }
 
+/// What a ring runs over: a buffer lent to it, or one it shares.
+pub(crate) enum RingBuf<'a> {
+    /// The caller's buffer, which is where the result lands. The first step a
+    /// machine runs stages its sends, and every reduce writes the sum into
+    /// the buffer and into the packet it forwards
+    /// ([`kernels::add_assign_both`]); an all-gather copies what it
+    /// receives in.
+    Lent(&'a mut [f32]),
+    /// A reduce-scatter's gradient, which the ring shares and never writes.
+    /// The first step sends O(1) views of it, and every reduce writes
+    /// `own + incoming` once, into the segment sent next
+    /// ([`kernels::add_to`]): the sums end in the machine's segments
+    /// ([`RingMachine::take_owned`]).
+    Shared(&'a DenseTensor),
+}
+
 /// A ring allreduce, or one of its phases, in flight, executed one
 /// [`schedule::RingUnit`] at a time over the units [`Ring::part`] names.
 /// Errors come back raw; the caller owns the abort broadcast.
 ///
-/// # Receive-fuse-forward
+/// # Receive-reduce-forward
 ///
 /// The segment a unit receives is exactly the segment the same unit of
-/// the next step sends (see [`Ring`]), so the received tensor — updated in
-/// place by the fused [`kernels::add_assign_both`] reduce during
-/// reduce-scatter, forwarded verbatim during allgather — *is* that unit's
-/// outgoing packet. Only the first step a machine runs stages from `buf` —
-/// step 0, or for an all-gather on its own step N−1, whose packets no
-/// reduce-scatter holds; every other step touches each element once.
+/// the next step sends (see [`Ring`]), so what a unit makes of the
+/// received tensor — the reduce's output during reduce-scatter, the tensor
+/// itself during all-gather — *is* that unit's outgoing packet, held until
+/// the unit comes round again. Only the first step a machine runs sends
+/// from its buffer ([`RingBuf`]): step 0, or for an all-gather on its own
+/// step N−1, whose packets are those a shared reduce-scatter returned
+/// ([`RingMachine::hold`]) or, in a lent buffer, staged from it. Every
+/// other step touches each element once.
 ///
 /// # Allocation discipline
 ///
-/// The first step stages each segment it sends into a buffer of its own; from
-/// then on each received buffer — whose sole owner we now are — is held
-/// until its unit comes round again and goes back out. A machine
-/// therefore needs at most [`Ring::per_step`] staging buffers (one for
-/// the whole-op ring) however many steps it runs, and it ends owning as
-/// many: a caller running rings back to back passes each machine's
-/// [`RingMachine::into_spare`] to the next, which then allocates nothing
-/// (fresh staging memory is page-faulted memory: +52 µs per 256 KiB
-/// segment measured). Asserted by the `*_steady_state` tests via
-/// [`embrace_tensor::alloc_counter`].
+/// Segment buffers circulate. A lent ring's first step stages each send
+/// into a buffer of its own; a shared one sends views, and each of its
+/// reduces takes a buffer for its output and gives back the peer's sums
+/// it consumed (not the first step's views, which are the peer's
+/// gradient). A received buffer, whose sole owner we now are, is held
+/// until its unit comes round again and goes back out, and a machine ends
+/// owning what it holds ([`RingMachine::into_spare`]) less what
+/// [`RingMachine::take_owned`] hands out. So a lent ring needs
+/// [`Ring::per_step`] buffers however many steps it runs (one for the
+/// whole-op ring); a shared reduce-scatter needs as many for its first
+/// step and one more from its second; an all-gather given its packets
+/// needs none. A caller running rings back to back passes each machine's
+/// spare buffers to the next, which then allocates nothing (fresh memory
+/// is page-faulted memory: +52 µs per 256 KiB segment measured). Asserted
+/// by the `*_steady_state` tests via [`embrace_tensor::alloc_counter`].
 pub(crate) struct RingMachine {
     ring: Ring,
     part: RingPart,
     unit: usize,
+    /// One past the last unit of the first step this machine runs.
+    first_step_end: usize,
     /// One past the last unit to run.
     end: usize,
-    /// `held[i]`: the buffer received by segment `i` of the previous step.
+    /// `held[i]`: the packet segment `i` of the next step sends.
     held: Vec<Option<DenseTensor>>,
-    /// Staging buffers for the first step, used before allocating.
+    /// Segment buffers to stage or reduce into, used before allocating.
     spare: Vec<DenseTensor>,
 }
 
@@ -210,10 +235,38 @@ impl RingMachine {
     pub(crate) fn new(ring: Ring, part: RingPart, spare: Vec<DenseTensor>) -> Self {
         let held = (0..ring.per_step()).map(|_| None).collect();
         let units = ring.part(part);
-        RingMachine { ring, part, unit: units.start, end: units.end, held, spare }
+        let first_step_end = units.start + ring.per_step();
+        RingMachine { ring, part, unit: units.start, first_step_end, end: units.end, held, spare }
     }
 
-    /// Every buffer this machine still owns, for the next ring to stage into.
+    /// Give an all-gather the packets of its first step: this rank's
+    /// [`Ring::owned`] chunk cut as [`Ring::owned_segments`], as a shared
+    /// reduce-scatter's [`RingMachine::take_owned`] returned it. They go
+    /// out as they are; a world of one, which runs no unit, drops them.
+    /// Panics on segments cut otherwise.
+    pub(crate) fn hold(&mut self, segments: Vec<DenseTensor>) {
+        let cut = self.ring.owned_segments().map(|range| range.len());
+        let fits = segments.iter().map(DenseTensor::len).eq(cut);
+        assert!(fits, "all-gather packets must be cut as the owned chunk's segments");
+        if self.done() {
+            return;
+        }
+        for (slot, segment) in self.held.iter_mut().zip(segments) {
+            *slot = Some(segment);
+        }
+    }
+
+    /// A finished reduce-scatter's result over a shared buffer: its
+    /// [`Ring::owned`] chunk of the sum, one tensor per segment of
+    /// [`Ring::owned_segments`] (NCCL's out-of-place reduce-scatter). A
+    /// world of one runs no unit: its segments are views of `buf`.
+    pub(crate) fn take_owned(&mut self, buf: &DenseTensor) -> Vec<DenseTensor> {
+        let (ring, held) = (&self.ring, &mut self.held);
+        let segments = ring.owned_segments().zip(held);
+        segments.map(|(range, slot)| slot.take().unwrap_or_else(|| buf.view(range))).collect()
+    }
+
+    /// Every buffer this machine still owns, for the next ring to use.
     pub(crate) fn into_spare(self) -> Vec<DenseTensor> {
         self.held.into_iter().flatten().chain(self.spare).collect()
     }
@@ -226,22 +279,30 @@ impl RingMachine {
         self.part
     }
 
+    /// A spare segment buffer, or a fresh one sized for the largest segment.
+    fn buffer(&mut self) -> DenseTensor {
+        self.spare.pop().unwrap_or_else(|| DenseTensor::zeros(1, self.ring.seg()))
+    }
+
     /// Run the next unit, its messages stamped `fp`.
     pub(crate) fn step<C: Comm>(
         &mut self,
         ep: &mut C,
-        buf: &mut [f32],
+        buf: &mut RingBuf<'_>,
         fp: u64,
     ) -> Result<(), CommError> {
         let unit = self.ring.unit(self.unit);
-        let slot = &mut self.held[self.unit % self.ring.per_step()];
+        let slot = self.unit % self.ring.per_step();
         if let Some(send) = unit.send {
-            let outgoing = slot.take().unwrap_or_else(|| {
-                let fresh = || DenseTensor::zeros(1, self.ring.seg());
-                let mut staged = self.spare.pop().unwrap_or_else(fresh);
-                staged.stage_row(&buf[send]);
-                staged
-            });
+            let outgoing = match (self.held[slot].take(), &*buf) {
+                (Some(held), _) => held,
+                (None, RingBuf::Shared(grad)) => grad.view(send),
+                (None, RingBuf::Lent(buf)) => {
+                    let mut staged = self.buffer();
+                    staged.overwrite_row(send.len()).copy_from_slice(&buf[send]);
+                    staged
+                }
+            };
             ep.try_send(self.ring.next(), Packet::Unit { fp, body: UnitBody::Dense(outgoing) })?;
         }
         if let Some(recv) = unit.recv {
@@ -251,15 +312,29 @@ impl RingMachine {
                 let (expected, got) = ("ring segment of the unit's length", "another length");
                 return Err(CommError::Protocol { expected, got });
             }
-            let dst = &mut buf[recv];
-            if unit.reduce {
-                // Fused: dst[i] += incoming[i] and incoming[i] becomes the
-                // sum too — the next step's outgoing segment, already reduced.
-                kernels::add_assign_both(dst, incoming.as_mut_slice());
-            } else {
-                dst.copy_from_slice(incoming.as_slice());
-            }
-            *slot = Some(incoming);
+            let outgoing = match buf {
+                RingBuf::Lent(buf) if unit.reduce => {
+                    kernels::add_assign_both(&mut buf[recv], incoming.as_mut_slice());
+                    incoming
+                }
+                RingBuf::Lent(buf) => {
+                    buf[recv].copy_from_slice(incoming.as_slice());
+                    incoming
+                }
+                RingBuf::Shared(grad) => {
+                    assert!(unit.reduce, "an all-gather writes its buffer: it is lent");
+                    let mut sum = self.buffer();
+                    let own = &grad.as_slice()[recv.clone()];
+                    kernels::add_to(sum.overwrite_row(recv.len()), own, incoming.as_slice());
+                    // The first step's packets are views of the peer's
+                    // gradient; later ones are its sums, ours to reuse.
+                    if self.unit >= self.first_step_end {
+                        self.spare.push(incoming);
+                    }
+                    sum
+                }
+            };
+            self.held[slot] = Some(outgoing);
         }
         self.unit += 1;
         Ok(())
@@ -269,7 +344,7 @@ impl RingMachine {
     pub(crate) fn run<C: Comm>(
         &mut self,
         ep: &mut C,
-        buf: &mut [f32],
+        buf: &mut RingBuf<'_>,
         fp: u64,
     ) -> Result<(), CommError> {
         while !self.done() {
@@ -320,7 +395,7 @@ pub fn try_ring_part<C: Comm>(
     let _span = recorder::span(ring_name(part), "collective");
     let ring = Ring::whole(ep.world(), ep.rank(), buf.len());
     let mut machine = RingMachine::new(ring, part, Vec::new());
-    machine.run(ep, buf, solo(ring_name(part))).or_else(|e| fail(ep, e))
+    machine.run(ep, &mut RingBuf::Lent(buf), solo(ring_name(part))).or_else(|e| fail(ep, e))
 }
 
 /// A block the machines move: the wire types share one exchange body.
@@ -825,7 +900,7 @@ mod tests {
     ) {
         let ring = Ring::new(ep.world(), ep.rank(), buf.len(), seg);
         let mut m = RingMachine::new(ring, part, std::mem::take(spare));
-        m.run(ep, buf, 0).expect("fault-free mesh");
+        m.run(ep, &mut RingBuf::Lent(buf), 0).expect("fault-free mesh");
         *spare = m.into_spare();
     }
 
@@ -844,29 +919,75 @@ mod tests {
         }
     }
 
+    /// The sharded update's pair as the comm scheduler runs it: a
+    /// reduce-scatter sharing a copy of `buf`, `f` on its segments, which
+    /// go into `buf`'s owned range too, and an all-gather lent `buf` that
+    /// sends those segments; whole (`seg` `None`) or in `seg`-element
+    /// units, with `spare` handed from ring to ring.
+    fn shared_pair(
+        ep: &mut crate::Endpoint,
+        buf: &mut [f32],
+        seg: Option<usize>,
+        spare: &mut Vec<DenseTensor>,
+        f: impl Fn(f32) -> f32,
+    ) {
+        let ring = Ring::new(ep.world(), ep.rank(), buf.len(), seg.unwrap_or(usize::MAX));
+        let grad = DenseTensor::from_vec(1, buf.len(), buf.to_vec());
+        let mut rs = RingMachine::new(ring.clone(), RingPart::ReduceScatter, std::mem::take(spare));
+        rs.run(ep, &mut RingBuf::Shared(&grad), 0).expect("fault-free mesh");
+        let mut sums = rs.take_owned(&grad);
+        *spare = rs.into_spare();
+        for (range, sum) in ring.owned_segments().zip(&mut sums) {
+            sum.as_mut_slice().iter_mut().for_each(|x| *x = f(*x));
+            buf[range].copy_from_slice(sum.as_slice());
+        }
+        let mut ag = RingMachine::new(ring, RingPart::AllGather, std::mem::take(spare));
+        ag.hold(sums);
+        ag.run(ep, &mut RingBuf::Lent(buf), 0).expect("fault-free mesh");
+        *spare = ag.into_spare();
+    }
+
     #[test]
     fn ring_steady_state_allocates_per_call_not_per_step() {
-        // Received buffers circulate, so a call allocates only what its
-        // first step's sends stage into, independent of world size, step
-        // count and payload length: one buffer for the whole-op ring, one
-        // per segment for a stepped ring starting cold — and nothing at all
-        // for a stepped ring handed its predecessor's buffers, which is how
-        // the comm scheduler runs them (its `Core::spare`). A call here is
-        // the allreduce, or its reduce-scatter then its all-gather: each
-        // phase stages once, and the all-gather stages into what the
-        // reduce-scatter received.
-        const PARTS: [&[RingPart]; 2] =
-            [&[RingPart::AllReduce], &[RingPart::ReduceScatter, RingPart::AllGather]];
+        // Segment buffers circulate, so a call allocates only what its
+        // first steps take, independent of step count and payload length:
+        // cold, a lent ring's first step stages one buffer per segment (one
+        // for the whole-op ring), and a shared reduce-scatter's first step
+        // takes as many for its sums plus one from its second step (worlds
+        // above 2); an all-gather sending the reduce-scatter's segments
+        // takes none. A ring handed its predecessor's buffers allocates
+        // nothing at all, which is how the comm scheduler runs them (its
+        // `Core::spare`). A call here is the allreduce, or its
+        // reduce-scatter then its all-gather (each lent phase stages once),
+        // or the shared pair.
+        #[derive(Clone, Copy, Debug)]
+        enum Call {
+            Lent(&'static [RingPart]),
+            Shared,
+        }
+        const CALLS: [Call; 3] = [
+            Call::Lent(&[RingPart::AllReduce]),
+            Call::Lent(&[RingPart::ReduceScatter, RingPart::AllGather]),
+            Call::Shared,
+        ];
         for world in [2, 4, 8] {
-            for parts in PARTS {
+            for call in CALLS {
                 for (seg, handoff) in [(None, false), (Some(64), false), (Some(64), true)] {
                     let calls = 3u64;
                     let counts = run_group(world, move |rank, ep| {
                         let mut buf = vec![rank as f32; 4096];
                         let mut spare = Vec::new();
-                        let mut run = |ep: &mut crate::Endpoint, buf: &mut [f32]| {
-                            for &part in parts {
-                                run_part(ep, buf, part, seg, &mut spare);
+                        let mut run = |ep: &mut crate::Endpoint, buf: &mut [f32]| match call {
+                            Call::Lent(parts) => {
+                                for &part in parts {
+                                    run_part(ep, buf, part, seg, &mut spare);
+                                    if !handoff {
+                                        spare.clear();
+                                    }
+                                }
+                            }
+                            Call::Shared => {
+                                shared_pair(ep, buf, seg, &mut spare, |x| x);
                                 if !handoff {
                                     spare.clear();
                                 }
@@ -880,16 +1001,17 @@ mod tests {
                         }
                         embrace_tensor::alloc_counter::events()
                     });
-                    let per_part = match (seg, handoff) {
-                        (None, _) => 1,
-                        (Some(seg), false) => (4096 / world).div_ceil(seg) as u64,
-                        (Some(_), true) => 0,
+                    let per_step = seg.map_or(1, |seg| (4096 / world).div_ceil(seg)) as u64;
+                    let per_call = match (call, handoff) {
+                        (_, true) => 0,
+                        (Call::Lent(parts), false) => per_step * parts.len() as u64,
+                        (Call::Shared, false) => per_step + u64::from(world > 2),
                     };
                     for (rank, events) in counts.into_iter().enumerate() {
                         assert_eq!(
                             events,
-                            calls * per_part * parts.len() as u64,
-                            "world={world} {parts:?} seg={seg:?} handoff={handoff} rank={rank}"
+                            calls * per_call,
+                            "world={world} {call:?} seg={seg:?} handoff={handoff} rank={rank}"
                         );
                     }
                 }
@@ -931,6 +1053,38 @@ mod tests {
                             bits(want),
                             "world={world} len={len} seg={seg:?} rank={rank}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_pair_around_an_owner_transform_equals_allreduce_then_transform() {
+        // The reduce-scatter over a shared gradient sums out of place into
+        // its segments, and the all-gather sends them: the pair with `f`
+        // on the segments must leave every rank, bit for bit, what the
+        // lent allreduce followed by `f` gives — at every segmentation.
+        let f = |x: f32| 3.0 * x + 1.0;
+        for world in 1..=5 {
+            for len in [0, 1, world - 1, world + 1, 7, 64, 257] {
+                let mk = move |rank: usize| -> Vec<f32> {
+                    (0..len).map(|i| ((rank * 31 + i) as f32).sin()).collect()
+                };
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let max_chunk = len.div_ceil(world).max(1);
+                for seg in [None, Some(1), Some(3), Some(max_chunk), Some(len + 1)] {
+                    let out = run_group(world, move |rank, ep| {
+                        let mut want = mk(rank);
+                        ring_allreduce(ep, &mut want);
+                        want.iter_mut().for_each(|x| *x = f(*x));
+                        let mut got = mk(rank);
+                        shared_pair(ep, &mut got, seg, &mut Vec::new(), f);
+                        (want, got)
+                    });
+                    for (rank, (want, got)) in out.iter().enumerate() {
+                        let at = format!("world={world} len={len} seg={seg:?} rank={rank}");
+                        assert_eq!(bits(got), bits(want), "{at}");
                     }
                 }
             }

@@ -122,7 +122,7 @@ impl Ring {
         (self.rank + self.world - 1) % self.world
     }
 
-    /// Elements of the largest segment (staging-buffer capacity).
+    /// Elements of the largest segment (a segment buffer's capacity).
     pub fn seg(&self) -> usize {
         self.seg
     }
@@ -151,6 +151,14 @@ impl Ring {
     pub fn owned(&self) -> Range<usize> {
         let c = self.chunks[(self.rank + 1) % self.world];
         c.start..c.end
+    }
+
+    /// [`Ring::owned`] cut as the ring cuts it: the ranges the last
+    /// reduce-scatter step receives and the first all-gather step sends,
+    /// in order — the owned chunk in one range per segment.
+    pub fn owned_segments(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        let chunk = (self.rank + 1) % self.world;
+        (0..self.per_step).map_while(move |i| self.segment(chunk, i))
     }
 
     pub fn unit(&self, u: usize) -> RingUnit {
@@ -584,7 +592,8 @@ mod tests {
                                 let mut buf = input(rank);
                                 let ring = Ring::new(world, rank, elems, seg);
                                 let mut m = RingMachine::new(ring, part, Vec::new());
-                                m.run(ep, &mut buf, 0).expect("fault-free mesh");
+                                m.run(ep, &mut ops::RingBuf::Lent(&mut buf), 0)
+                                    .expect("fault-free mesh");
                             },
                         );
                     }

@@ -79,7 +79,7 @@
 //!   at its first receive: `Protocol` against a peer running another op,
 //!   `PeerGone` against a peer that already left.
 
-use crate::ops::{fail, fingerprint, ring_name, solo, FanoutMachine, RingMachine};
+use crate::ops::{fail, fingerprint, ring_name, solo, FanoutMachine, RingBuf, RingMachine};
 use crate::schedule::{Ring, RingPart, Traversal};
 use crate::transport::{Comm, CommError, Endpoint};
 use embrace_obs::{recorder, ClockDomain, SpanSet, TrackId, WallClock};
@@ -93,12 +93,18 @@ use std::time::Instant;
 pub enum CommOp {
     /// In-place sum-AllReduce of a dense buffer.
     AllReduceDense(Vec<f32>),
-    /// The allreduce's reduce-scatter phase: the result holds the sum in
-    /// this rank's [`Ring::owned`] range of the buffer.
-    ReduceScatterDense(Vec<f32>),
-    /// The allreduce's all-gather phase on a buffer of its own: the result
-    /// holds every rank's [`Ring::owned`] range of its buffer.
-    AllGatherDense(Vec<f32>),
+    /// The allreduce's reduce-scatter phase over a gradient it takes as a
+    /// shared buffer and never writes: its first step sends views of it.
+    /// The result is this rank's [`Ring::owned`] chunk of the sum, one
+    /// tensor per segment of [`Ring::owned_segments`], as NCCL's
+    /// out-of-place reduce-scatter returns it.
+    ReduceScatterDense(DenseTensor),
+    /// The allreduce's all-gather phase: a block whose [`Ring::owned`]
+    /// range already holds this rank's values, and those values cut as a
+    /// reduce-scatter returned its sums, which the first step sends as
+    /// they are. The result is the block holding every rank's
+    /// [`Ring::owned`] range.
+    AllGatherDense(DenseTensor, Vec<DenseTensor>),
     /// AlltoAll of dense blocks (one per destination rank) — EmbRace's
     /// lookup-result redistribution.
     AlltoAllDense(Vec<embrace_tensor::DenseTensor>),
@@ -117,7 +123,7 @@ impl CommOp {
         match self {
             CommOp::AllReduceDense(_) => "allreduce_dense",
             CommOp::ReduceScatterDense(_) => "reduce_scatter_dense",
-            CommOp::AllGatherDense(_) => "allgather_dense",
+            CommOp::AllGatherDense(..) => "allgather_dense",
             CommOp::AlltoAllDense(_) => "alltoall_dense",
             CommOp::AlltoAllSparse(_) => "alltoallv_sparse",
             CommOp::GatherTokens(_) => "gather_tokens",
@@ -129,9 +135,8 @@ impl CommOp {
     /// per-rank value may legitimately differ across ranks for gathers).
     fn payload_bytes(&self) -> u64 {
         match self {
-            CommOp::AllReduceDense(buf)
-            | CommOp::ReduceScatterDense(buf)
-            | CommOp::AllGatherDense(buf) => (buf.len() * embrace_tensor::F32_BYTES) as u64,
+            CommOp::AllReduceDense(buf) => (buf.len() * embrace_tensor::F32_BYTES) as u64,
+            CommOp::ReduceScatterDense(buf) | CommOp::AllGatherDense(buf, _) => buf.nbytes() as u64,
             CommOp::AlltoAllDense(parts) => parts.iter().map(|p| p.nbytes() as u64).sum(),
             CommOp::AlltoAllSparse(parts) => parts.iter().map(|p| p.nbytes() as u64).sum(),
             CommOp::GatherTokens(toks) => (toks.len() * embrace_tensor::TOKEN_BYTES) as u64,
@@ -160,8 +165,9 @@ impl CommOp {
 #[derive(Debug)]
 pub enum CommResult {
     AllReduceDense(Vec<f32>),
-    ReduceScatterDense(Vec<f32>),
-    AllGatherDense(Vec<f32>),
+    /// This rank's owned chunk of the sum, one tensor per ring segment.
+    ReduceScatterDense(Vec<DenseTensor>),
+    AllGatherDense(DenseTensor),
     AlltoAllDense(Vec<embrace_tensor::DenseTensor>),
     AlltoAllSparse(Vec<RowSparse>),
     GatherTokens(Vec<TokenBuf>),
@@ -416,8 +422,9 @@ impl<C: Comm> Drop for CommScheduler<C> {
 enum Machine {
     /// Not started yet. A fence (`Flush`) stays so: it moves nothing.
     Queued(CommOp),
-    /// The ring, its buffer, and whether it runs whole.
-    Ring(RingMachine, Vec<f32>, bool),
+    /// The ring, its buffer (shared by a reduce-scatter, lent otherwise),
+    /// and whether it runs whole.
+    Ring(RingMachine, DenseTensor, bool),
     Dense(FanoutMachine<DenseTensor>),
     Sparse(FanoutMachine<RowSparse>),
     Tokens(FanoutMachine<TokenBuf>),
@@ -439,17 +446,24 @@ impl Machine {
     ) -> (Self, bool) {
         let paired = seg_bytes.is_some();
         let traversal = if paired { Traversal::Paired } else { Traversal::Posted };
-        let mut ring = |part, buf: Vec<f32>| {
-            let seg = seg_bytes.filter(|&seg| buf.len() * F32_BYTES > seg);
+        // An all-gather also takes the packets of its first step.
+        let mut ring = |part, buf: DenseTensor, held: Option<Vec<DenseTensor>>| {
+            let seg = seg_bytes.filter(|&seg| buf.nbytes() > seg);
             let seg_elems = seg.map_or(usize::MAX, |seg| (seg / F32_BYTES).max(1));
             let ring = Ring::new(ep.world(), ep.rank(), buf.len(), seg_elems);
-            let machine = RingMachine::new(ring, part, std::mem::take(spare));
+            let mut machine = RingMachine::new(ring, part, std::mem::take(spare));
+            if let Some(held) = held {
+                machine.hold(held);
+            }
             (Machine::Ring(machine, buf, seg.is_none()), seg.is_some())
         };
         match op {
-            CommOp::AllReduceDense(buf) => ring(RingPart::AllReduce, buf),
-            CommOp::ReduceScatterDense(buf) => ring(RingPart::ReduceScatter, buf),
-            CommOp::AllGatherDense(buf) => ring(RingPart::AllGather, buf),
+            CommOp::AllReduceDense(buf) => {
+                let buf = DenseTensor::from_vec(1, buf.len(), buf);
+                ring(RingPart::AllReduce, buf, None)
+            }
+            CommOp::ReduceScatterDense(grad) => ring(RingPart::ReduceScatter, grad, None),
+            CommOp::AllGatherDense(block, owned) => ring(RingPart::AllGather, block, Some(owned)),
             CommOp::AlltoAllDense(parts) => {
                 (Machine::Dense(FanoutMachine::new(ep, parts, traversal)), paired)
             }
@@ -484,13 +498,23 @@ impl Machine {
         let stepped = match self {
             Machine::Queued(_) => return Ok(Some(CommResult::Flush)),
             Machine::Ring(machine, buf, whole) => {
-                let ran = if *whole { machine.run(ep, buf, fp) } else { machine.step(ep, buf, fp) };
+                let mut ring_buf = match machine.part() {
+                    RingPart::ReduceScatter => RingBuf::Shared(buf),
+                    RingPart::AllReduce | RingPart::AllGather => RingBuf::Lent(buf.as_mut_slice()),
+                };
+                let ran = if *whole {
+                    machine.run(ep, &mut ring_buf, fp)
+                } else {
+                    machine.step(ep, &mut ring_buf, fp)
+                };
                 ran.map(|()| {
                     machine.done().then(|| {
-                        let buf = std::mem::take(buf);
+                        let buf = std::mem::replace(buf, DenseTensor::zeros(0, 0));
                         match machine.part() {
-                            RingPart::AllReduce => CommResult::AllReduceDense(buf),
-                            RingPart::ReduceScatter => CommResult::ReduceScatterDense(buf),
+                            RingPart::AllReduce => CommResult::AllReduceDense(buf.into_vec()),
+                            RingPart::ReduceScatter => {
+                                CommResult::ReduceScatterDense(machine.take_owned(&buf))
+                            }
                             RingPart::AllGather => CommResult::AllGatherDense(buf),
                         }
                     })
@@ -712,24 +736,46 @@ mod tests {
     fn ring_phase_ops_around_an_owner_update_equal_the_allreduce() {
         // The ops' path through the queue, whole and chunked: reduce-scatter,
         // an update of the owned range, all-gather — as the allreduce and
-        // the same update everywhere.
-        let (world, len) = (3, 101);
-        for spawn in FLAVOURS {
-            per_rank(mesh(world), |rank, ep| {
-                let mut s = spawn(ep);
-                let input: Vec<f32> = (0..len).map(|i| ((rank * 7 + i) as f32).cos()).collect();
-                let ar = s.submit(0, "ar", CommOp::AllReduceDense(input.clone()));
-                let CommResult::AllReduceDense(mut want) = ar.wait() else { panic!("wrong kind") };
-                want.iter_mut().for_each(|x| *x *= 0.5);
-                let rs = s.submit(0, "rs", CommOp::ReduceScatterDense(input));
-                let CommResult::ReduceScatterDense(mut got) = rs.wait() else {
-                    panic!("wrong kind")
-                };
-                got[Ring::whole(world, rank, len).owned()].iter_mut().for_each(|x| *x *= 0.5);
-                let ag = s.submit(0, "ag", CommOp::AllGatherDense(got));
-                let CommResult::AllGatherDense(got) = ag.wait() else { panic!("wrong kind") };
-                assert_eq!(got, want, "rank {rank}");
-            });
+        // the same update everywhere. Round after round, the segment
+        // buffers the rings hand on stay as many: a world of one, whose
+        // all-gather sends nothing, keeps none of its packets.
+        let len = 101;
+        for world in 1..=3 {
+            for spawn in FLAVOURS {
+                per_rank(mesh(world), |rank, ep| {
+                    let mut s = spawn(ep);
+                    let mut spare = Vec::new();
+                    for round in 0..3 {
+                        let input: Vec<f32> =
+                            (0..len).map(|i| ((rank * 7 + round * 3 + i) as f32).cos()).collect();
+                        let ar = s.submit(0, "ar", CommOp::AllReduceDense(input.clone()));
+                        let CommResult::AllReduceDense(mut want) = ar.wait() else {
+                            panic!("wrong kind")
+                        };
+                        want.iter_mut().for_each(|x| *x *= 0.5);
+                        let grad = DenseTensor::from_vec(1, len, input);
+                        let rs = s.submit(0, "rs", CommOp::ReduceScatterDense(grad));
+                        let CommResult::ReduceScatterDense(mut sums) = rs.wait() else {
+                            panic!("wrong kind")
+                        };
+                        // The update, in the segments the all-gather sends
+                        // and in the block's owned range, which it keeps.
+                        sums.iter_mut().for_each(|segment| segment.scale(0.5));
+                        let updated: Vec<f32> =
+                            sums.iter().flat_map(DenseTensor::as_slice).copied().collect();
+                        let mut block = DenseTensor::zeros(1, len);
+                        block.as_mut_slice()[Ring::whole(world, rank, len).owned()]
+                            .copy_from_slice(&updated);
+                        let ag = s.submit(0, "ag", CommOp::AllGatherDense(block, sums));
+                        let CommResult::AllGatherDense(got) = ag.wait() else {
+                            panic!("wrong kind")
+                        };
+                        assert_eq!(got.as_slice(), want, "world {world} rank {rank}");
+                        spare.push(s.core.borrow().spare.len());
+                    }
+                    assert_eq!(spare[1], spare[2], "world {world} rank {rank}: {spare:?}");
+                });
+            }
         }
     }
 

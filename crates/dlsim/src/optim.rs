@@ -140,16 +140,49 @@ impl Adam {
         }
     }
 
-    /// One dense step of a span of a larger tensor whose moments this
-    /// optimizer holds for that span alone (`params.len()` elements each).
-    /// The rule is element-wise, so the span comes out bitwise as a whole-
-    /// tensor [`Optimizer::step_dense`] would leave it: a tensor updated
-    /// span by span, each span by its own optimizer, is the tensor updated
-    /// whole.
-    pub fn step_span(&mut self, params: &mut [f32], grad: &[f32]) {
-        assert_eq!(params.len(), grad.len(), "gradient length must match the span");
+    /// One dense step of `params`, a span of a larger tensor whose moments
+    /// this optimizer holds for that span alone, its gradient given in
+    /// consecutive pieces (together `params.len()` elements, such as a
+    /// ring reduce-scatter's segments). Each gradient element is
+    /// overwritten with its updated parameter in the same pass, so the
+    /// pieces leave holding the span's new values, ready to be all-gathered
+    /// as they are. The rule is element-wise, so both come out bitwise as a
+    /// whole-tensor [`Optimizer::step_dense`] would leave the span: a tensor
+    /// updated span by span, each span by its own optimizer, is the tensor
+    /// updated whole.
+    pub fn step_span_into<'g>(
+        &mut self,
+        params: &mut [f32],
+        grad: impl IntoIterator<Item = &'g mut [f32]>,
+    ) {
         assert_eq!(params.len(), self.m.len(), "state length must match the span");
-        self.apply(params, std::iter::once((0..grad.len(), grad)), UpdatePart::Whole);
+        let rule = self.rule(UpdatePart::Whole);
+        let (m, v) = (self.m.as_mut_slice(), self.v.as_mut_slice());
+        let mut covered = 0;
+        for piece in grad {
+            let at = covered..covered + piece.len();
+            assert!(at.end <= params.len(), "gradient pieces must cover the span");
+            let moments = m[at.clone()].iter_mut().zip(&mut v[at.clone()]);
+            for ((p, (m, v)), g) in params[at.clone()].iter_mut().zip(moments).zip(piece) {
+                rule.update(p, m, v, *g);
+                *g = *p;
+            }
+            covered = at.end;
+        }
+        assert_eq!(covered, params.len(), "gradient pieces must cover the span");
+    }
+
+    /// The element rule at this call's step, advancing it as `part` says.
+    fn rule(&mut self, part: UpdatePart) -> AdamRule {
+        let t = self.effective_step(part);
+        AdamRule {
+            lr: self.lr,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            bc1: 1.0 - self.beta1.powi(t as i32),
+            bc2: 1.0 - self.beta2.powi(t as i32),
+        }
     }
 
     fn apply<'g>(
@@ -158,20 +191,38 @@ impl Adam {
         grad: impl Iterator<Item = (Range<usize>, &'g [f32])>,
         part: UpdatePart,
     ) {
-        let t = self.effective_step(part);
-        let bc1 = 1.0 - self.beta1.powi(t as i32);
-        let bc2 = 1.0 - self.beta2.powi(t as i32);
+        let rule = self.rule(part);
         let (m, v) = (self.m.as_mut_slice(), self.v.as_mut_slice());
         for (at, g) in grad {
             let moments = m[at.clone()].iter_mut().zip(&mut v[at.clone()]);
             for ((p, (m, v)), &g) in p[at].iter_mut().zip(moments).zip(g) {
-                *m = self.beta1 * *m + (1.0 - self.beta1) * g;
-                *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
-                let m_hat = *m / bc1;
-                let v_hat = *v / bc2;
-                *p -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+                rule.update(p, m, v, g);
             }
         }
+    }
+}
+
+/// Adam's element update at one step: every path runs this one rule, so
+/// they agree bit for bit.
+#[derive(Clone, Copy)]
+struct AdamRule {
+    lr: f32,
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
+    /// The step's bias corrections, `1 − β^t`.
+    bc1: f32,
+    bc2: f32,
+}
+
+impl AdamRule {
+    #[inline(always)]
+    fn update(&self, p: &mut f32, m: &mut f32, v: &mut f32, g: f32) {
+        *m = self.beta1 * *m + (1.0 - self.beta1) * g;
+        *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
+        let m_hat = *m / self.bc1;
+        let v_hat = *v / self.bc2;
+        *p -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
     }
 }
 
@@ -327,24 +378,42 @@ mod tests {
 
     #[test]
     fn adam_span_by_span_equals_whole_bitwise() {
-        // Three spans, uneven and one empty, each with its own optimizer,
-        // against one whole-tensor optimizer over many steps.
+        // Three spans, uneven and one empty, each with its own optimizer
+        // and its gradient in pieces (none, one, several with an empty
+        // one), against one whole-tensor optimizer over many steps: the
+        // weights and the pieces written back both equal the whole step.
         let (rows, cols) = (5, 7);
         let mut rng = StdRng::seed_from_u64(21);
         let mut whole = DenseTensor::uniform(rows, cols, 0.5, &mut rng);
         let mut spans = whole.as_slice().to_vec();
         let cuts = [0..9, 9..9, 9..rows * cols];
+        let pieces: [&[usize]; 3] = [&[9], &[], &[4, 0, 11, 11]];
         let mut o_whole = Adam::new(rows, cols, 0.02);
         let mut o_spans: Vec<Adam> = cuts.iter().map(|c| Adam::new(1, c.len(), 0.02)).collect();
+        let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for step in 0..12 {
             let g = DenseTensor::uniform(rows, cols, 1.0 + step as f32, &mut rng);
             o_whole.step_dense(&mut whole, &g);
-            for (opt, cut) in o_spans.iter_mut().zip(&cuts) {
-                opt.step_span(&mut spans[cut.clone()], &g.as_slice()[cut.clone()]);
+            let mut written = g.as_slice().to_vec();
+            for ((opt, cut), lens) in o_spans.iter_mut().zip(&cuts).zip(pieces) {
+                let mut rest = &mut written[cut.clone()];
+                let grad = lens.iter().map(|&n| {
+                    let (piece, tail) = std::mem::take(&mut rest).split_at_mut(n);
+                    rest = tail;
+                    piece
+                });
+                opt.step_span_into(&mut spans[cut.clone()], grad);
             }
-            let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&spans), bits(whole.as_slice()), "step {step}");
+            assert_eq!(bits(&spans), bits(whole.as_slice()), "step {step}: weights");
+            assert_eq!(bits(&written), bits(whole.as_slice()), "step {step}: written back");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "gradient pieces must cover the span")]
+    fn adam_span_into_rejects_pieces_short_of_the_span() {
+        let mut short = [0.5f32; 3];
+        Adam::new(1, 4, 0.02).step_span_into(&mut [0.0; 4], [&mut short[..]]);
     }
 
     #[test]

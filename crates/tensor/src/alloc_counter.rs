@@ -3,8 +3,8 @@
 //! A counting `GlobalAlloc` is off the table (`#![forbid(unsafe_code)]`
 //! workspace-wide), so allocation discipline is asserted one level up:
 //! every code path in this crate that materialises a fresh `f32`/index
-//! buffer — construction, copy-on-write of shared storage, a staging
-//! buffer outgrowing its capacity — reports the event here. Collective
+//! buffer — construction, copy-on-write of shared storage, a reused row
+//! buffer too small for its row — reports the event here. Collective
 //! algorithms that promise steady-state allocation-freedom (the
 //! scratch-buffer ring in `embrace-collectives`) are tested against these
 //! counters: the per-call delta must be a small constant, independent of

@@ -6,6 +6,7 @@
 
 use crate::kernels::{copy_row, NARROW};
 use rand::Rng;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A dense row-major matrix of `f32`.
@@ -27,18 +28,43 @@ use std::sync::Arc;
 /// that uniqueness check (an atomic load plus a compare-exchange), so a
 /// loop over rows takes [`DenseTensor::rows_mut`] or the slice once,
 /// outside the loop.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// A [`DenseTensor::view`] is a `1 × n` tensor over a range of another's
+/// elements: the same storage, an `Arc` bump, counted by its own length.
+/// Everything above holds for it, copy-on-write included.
+#[derive(Clone)]
 pub struct DenseTensor {
     rows: usize,
     cols: usize,
+    /// Where this tensor's `rows × cols` elements start in `data`: 0 but
+    /// for a view.
+    offset: usize,
     data: Arc<Vec<f32>>,
+}
+
+/// Shape and elements, as for a plain `Vec`-backed matrix: a view equals
+/// the tensor its elements would be copied into.
+impl PartialEq for DenseTensor {
+    fn eq(&self, other: &Self) -> bool {
+        (self.rows, self.cols) == (other.rows, other.cols) && self.as_slice() == other.as_slice()
+    }
+}
+
+impl std::fmt::Debug for DenseTensor {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DenseTensor")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("data", &self.as_slice())
+            .finish()
+    }
 }
 
 impl DenseTensor {
     /// Wrap a freshly materialised buffer, recording the allocation.
     fn fresh(rows: usize, cols: usize, data: Vec<f32>) -> Self {
         crate::alloc_counter::note(data.len() * crate::F32_BYTES);
-        Self { rows, cols, data: Arc::new(data) }
+        Self { rows, cols, offset: 0, data: Arc::new(data) }
     }
 
     /// A `rows × cols` tensor filled with zeros.
@@ -54,7 +80,7 @@ impl DenseTensor {
     /// Build from an existing buffer. Panics if `data.len() != rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
         assert_eq!(data.len(), rows * cols, "buffer length must equal rows*cols");
-        Self { rows, cols, data: Arc::new(data) }
+        Self { rows, cols, offset: 0, data: Arc::new(data) }
     }
 
     /// A tensor with entries drawn uniformly from `[-scale, scale]`.
@@ -67,7 +93,16 @@ impl DenseTensor {
     /// identical to [`Clone::clone`]; spelled out at collective send sites
     /// so the `payload-clone` lint can tell cheap sharing from deep copies.
     pub fn share(&self) -> Self {
-        Self { rows: self.rows, cols: self.cols, data: Arc::clone(&self.data) }
+        Self { rows: self.rows, cols: self.cols, offset: self.offset, data: Arc::clone(&self.data) }
+    }
+
+    /// O(1) `1 × range.len()` view of elements `range` of this tensor (in
+    /// row-major order): a [`Self::share`] of the storage, so a send of it
+    /// moves no payload bytes. Panics when `range` is out of bounds.
+    pub fn view(&self, range: Range<usize>) -> Self {
+        assert!(range.start <= range.end && range.end <= self.len(), "view out of bounds");
+        let (offset, data) = (self.offset + range.start, Arc::clone(&self.data));
+        Self { rows: 1, cols: range.len(), offset, data }
     }
 
     /// True when other handles alias this buffer — the next mutating call
@@ -76,28 +111,33 @@ impl DenseTensor {
         Arc::strong_count(&self.data) > 1
     }
 
-    /// Exclusive access to the element buffer, copy-on-write when shared.
-    fn data_mut(&mut self) -> &mut Vec<f32> {
-        if self.is_shared() {
-            crate::alloc_counter::note(self.data.len() * crate::F32_BYTES);
+    /// Exclusive access to the elements, copy-on-write when shared: the
+    /// copy holds this tensor's elements only, however large the storage
+    /// it viewed.
+    fn data_mut(&mut self) -> &mut [f32] {
+        let len = self.len();
+        if Arc::get_mut(&mut self.data).is_none() {
+            crate::alloc_counter::note(len * crate::F32_BYTES);
+            self.data = Arc::new(self.as_slice().to_vec());
+            self.offset = 0;
         }
-        Arc::make_mut(&mut self.data)
+        let data = Arc::get_mut(&mut self.data).expect("storage made exclusive above");
+        &mut data[self.offset..self.offset + len]
     }
 
-    /// Reuse this tensor as a 1 × `src.len()` staging row, copying `src`
-    /// into the existing buffer. Allocation-free when the storage is
-    /// exclusively owned and its capacity suffices — the ring-allreduce
-    /// steady state, where one staging buffer circulates for the whole
-    /// 2·(N−1)-step schedule.
-    pub fn stage_row(&mut self, src: &[f32]) {
-        self.rows = 1;
-        self.cols = src.len();
-        let v = self.data_mut();
-        if v.capacity() < src.len() {
-            crate::alloc_counter::note(src.len() * crate::F32_BYTES);
+    /// Reuse this tensor as a `1 × len` row over the start of its storage
+    /// and borrow the row for overwriting: the elements hold whatever the
+    /// storage held, and the caller writes every one. Allocation-free when
+    /// the storage is exclusively owned and holds `len` floats — how the
+    /// ring's segment buffers circulate, each of them sized for the
+    /// ring's largest segment; otherwise a fresh zeroed row (counted).
+    pub fn overwrite_row(&mut self, len: usize) -> &mut [f32] {
+        (self.rows, self.cols, self.offset) = (1, len, 0);
+        if Arc::get_mut(&mut self.data).is_none_or(|v| v.len() < len) {
+            crate::alloc_counter::note(len * crate::F32_BYTES);
+            self.data = Arc::new(vec![0.0; len]);
         }
-        v.clear();
-        v.extend_from_slice(src);
+        &mut Arc::get_mut(&mut self.data).expect("storage made exclusive above")[..len]
     }
 
     pub fn rows(&self) -> usize {
@@ -110,11 +150,11 @@ impl DenseTensor {
 
     /// Total number of elements.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.rows * self.cols
     }
 
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
     }
 
     /// Size in bytes when stored (or transmitted) densely.
@@ -123,26 +163,36 @@ impl DenseTensor {
     }
 
     pub fn as_slice(&self) -> &[f32] {
-        &self.data
+        &self.data[self.offset..self.offset + self.len()]
     }
 
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         self.data_mut()
     }
 
-    /// Take the buffer out. Free when this handle is the only owner;
-    /// copies (and counts the allocation) when the storage is shared.
+    /// Take the buffer out. Free when this handle is the only owner of
+    /// storage holding exactly its elements; copies (and counts the
+    /// allocation) when the storage is shared or this is a view of part of it.
     pub fn into_vec(self) -> Vec<f32> {
-        Arc::try_unwrap(self.data).unwrap_or_else(|shared| {
-            crate::alloc_counter::note(shared.len() * crate::F32_BYTES);
-            (*shared).clone()
-        })
+        let len = self.len();
+        match Arc::try_unwrap(self.data) {
+            Ok(whole) if whole.len() == len => whole,
+            Ok(data) => {
+                crate::alloc_counter::note(len * crate::F32_BYTES);
+                data[self.offset..self.offset + len].to_vec()
+            }
+            Err(shared) => {
+                crate::alloc_counter::note(len * crate::F32_BYTES);
+                shared[self.offset..self.offset + len].to_vec()
+            }
+        }
     }
 
     /// Borrow row `r`.
     pub fn row(&self, r: usize) -> &[f32] {
         assert!(r < self.rows, "row {r} out of bounds ({} rows)", self.rows);
-        &self.data[r * self.cols..(r + 1) * self.cols]
+        let start = self.offset + r * self.cols;
+        &self.data[start..start + self.cols]
     }
 
     /// Mutably borrow row `r`.
@@ -162,19 +212,19 @@ impl DenseTensor {
 
     /// Every row in order (see [`Self::rows_mut`] for the zero-width case).
     pub fn row_iter(&self) -> std::slice::ChunksExact<'_, f32> {
-        self.data.chunks_exact(self.cols.max(1))
+        self.as_slice().chunks_exact(self.cols.max(1))
     }
 
     /// `self += other`, element-wise.
     pub fn add_assign(&mut self, other: &DenseTensor) {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols), "shape mismatch in add");
-        crate::kernels::add_assign(self.data_mut(), &other.data);
+        crate::kernels::add_assign(self.data_mut(), other.as_slice());
     }
 
     /// `self += alpha * other`, element-wise (axpy).
     pub fn axpy(&mut self, alpha: f32, other: &DenseTensor) {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols), "shape mismatch in axpy");
-        crate::kernels::scaled_add(self.data_mut(), alpha, &other.data);
+        crate::kernels::scaled_add(self.data_mut(), alpha, other.as_slice());
     }
 
     /// `self *= alpha`, element-wise.
@@ -184,12 +234,12 @@ impl DenseTensor {
 
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
-        self.data.iter().sum()
+        self.as_slice().iter().sum()
     }
 
     /// Squared L2 norm.
     pub fn norm_sq(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum()
+        self.as_slice().iter().map(|x| x * x).sum()
     }
 
     /// Copy the rows given by `indices` (in order) into a new tensor.
@@ -207,7 +257,7 @@ impl DenseTensor {
     pub fn slice_rows(&self, start: usize, end: usize) -> DenseTensor {
         assert!(start <= end && end <= self.rows, "row range out of bounds");
         let mut out = DenseTensor::zeros(end - start, self.cols);
-        out.as_mut_slice().copy_from_slice(&self.data[start * self.cols..end * self.cols]);
+        out.as_mut_slice().copy_from_slice(&self.as_slice()[start * self.cols..end * self.cols]);
         out
     }
 
@@ -254,7 +304,7 @@ impl DenseTensor {
         let mut data = Vec::with_capacity(rows * cols);
         for b in blocks {
             assert_eq!(b.cols, cols, "column count mismatch in concat_rows");
-            data.extend_from_slice(&b.data);
+            data.extend_from_slice(b.as_slice());
         }
         DenseTensor::fresh(rows, cols, data)
     }
@@ -262,7 +312,8 @@ impl DenseTensor {
     /// Maximum absolute element-wise difference to `other`.
     pub fn max_abs_diff(&self, other: &DenseTensor) -> f32 {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols), "shape mismatch");
-        self.data.iter().zip(other.data.iter()).map(|(a, b)| (a - b).abs()).fold(0.0_f32, f32::max)
+        let pairs = self.as_slice().iter().zip(other.as_slice());
+        pairs.map(|(a, b)| (a - b).abs()).fold(0.0_f32, f32::max)
     }
 
     /// True when all elements differ from `other` by at most `tol`.
@@ -403,26 +454,65 @@ mod tests {
     }
 
     #[test]
-    fn stage_row_reuses_capacity_without_allocating() {
+    fn overwrite_row_reuses_storage_without_allocating() {
         let mut scratch = DenseTensor::zeros(1, 8);
         crate::alloc_counter::reset();
         for k in 0..10 {
             let src: Vec<f32> = (0..8 - k % 3).map(|x| x as f32).collect();
-            scratch.stage_row(&src);
+            scratch.overwrite_row(src.len()).copy_from_slice(&src);
             assert_eq!(scratch.rows(), 1);
             assert_eq!(scratch.cols(), src.len());
             assert_eq!(scratch.as_slice(), &src[..]);
         }
-        assert_eq!(crate::alloc_counter::events(), 0, "staging must reuse the buffer");
+        assert_eq!(crate::alloc_counter::events(), 0, "a row must reuse the storage");
+        // Wider than the storage: a fresh row.
+        assert_eq!(scratch.overwrite_row(9).len(), 9);
+        assert_eq!(crate::alloc_counter::events(), 1);
     }
 
     #[test]
-    fn stage_row_on_shared_storage_copies_on_write() {
+    fn overwrite_row_on_shared_storage_leaves_the_sharer_alone() {
         let mut scratch = DenseTensor::full(1, 4, 7.0);
         let alias = scratch.share();
-        scratch.stage_row(&[1.0, 2.0]);
+        crate::alloc_counter::reset();
+        scratch.overwrite_row(2).copy_from_slice(&[1.0, 2.0]);
+        assert_eq!(crate::alloc_counter::events(), 1, "shared storage is never written");
         assert_eq!(scratch.as_slice(), &[1.0, 2.0]);
         assert_eq!(alias.as_slice(), &[7.0; 4], "aliased handle must be untouched");
+    }
+
+    #[test]
+    fn a_view_shares_its_range_until_written() {
+        let t = DenseTensor::from_vec(2, 3, (0..6).map(|x| x as f32).collect());
+        crate::alloc_counter::reset();
+        let mut v = t.view(1..5);
+        let vv = v.view(1..3);
+        assert_eq!((v.rows(), v.cols(), v.len(), v.nbytes()), (1, 4, 4, 16));
+        assert_eq!(v.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(vv, DenseTensor::from_vec(1, 2, vec![2.0, 3.0]));
+        assert!(t.is_shared() && v.is_shared());
+        assert_eq!(crate::alloc_counter::events(), 0, "a view is O(1)");
+        // A write copies the view's elements alone; the others are untouched.
+        v.as_mut_slice()[0] = 9.0;
+        assert_eq!(crate::alloc_counter::bytes(), 4 * crate::F32_BYTES as u64);
+        assert_eq!(v.as_slice(), &[9.0, 2.0, 3.0, 4.0]);
+        assert_eq!(t.as_slice(), &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert_eq!(vv.as_slice(), &[2.0, 3.0]);
+        // The last handle of the storage writes it in place, and takes its
+        // elements out with one copy.
+        drop((t, v));
+        let mut last = vv;
+        crate::alloc_counter::reset();
+        last.as_mut_slice()[1] = 8.0;
+        assert_eq!(crate::alloc_counter::events(), 0, "an exclusive view writes in place");
+        assert_eq!(last.into_vec(), vec![2.0, 8.0]);
+        assert_eq!(crate::alloc_counter::events(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "view out of bounds")]
+    fn a_view_past_the_end_panics() {
+        let _ = DenseTensor::zeros(1, 3).view(2..4);
     }
 
     #[test]

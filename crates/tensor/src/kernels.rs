@@ -4,7 +4,7 @@
 //! the one row copy of the tensor row movers (gather, column split and
 //! reassembly, the coalescer and the row-sparse merge).
 //!
-//! The reduce kernels are four plain slice loops. Each asserts equal
+//! The reduce kernels are five plain slice loops. Each asserts equal
 //! lengths up front, which is all the autovectoriser needs to drop the
 //! bounds checks and emit packed SIMD: hand-blocking the same loops into
 //! `[f32; 8]` chunks measures the same or slower at every size the
@@ -17,8 +17,14 @@
 //! Every element sees one operation on fixed operands in index order, so
 //! results do not depend on how the compiler blocks the loop — that is
 //! what the collectives' bitwise-determinism proofs in the analyzer rest
-//! on. [`add_assign_both`] is the one fused pass: the ring's
-//! receive-reduce-forward step in a single sweep over memory.
+//! on. [`add_to`] is the trainer's ring reduce: it reads the rank's own
+//! segment of the gradient, which the ring shares and never writes, and
+//! the incoming one, and writes their sum once, into the segment it sends
+//! next. [`add_assign_both`] is no longer the trainer's ring reduce: it
+//! writes the sum twice, into the caller's buffer and the packet it
+//! forwards, which only the blocking slice forms, whose result lives in a
+//! borrowed buffer, still need; it stays because the frozen benchmark
+//! imports it as well.
 //!
 //! `copy_row` exists because a runtime-length `copy_from_slice` is a
 //! libc `memcpy` call, and the sparse plane copies tens of thousands of
@@ -78,6 +84,20 @@ pub fn scaled_add(dst: &mut [f32], alpha: f32, src: &[f32]) {
 pub fn scale(dst: &mut [f32], alpha: f32) {
     for d in dst {
         *d *= alpha;
+    }
+}
+
+/// `out[i] = a[i] + b[i]`: the out-of-place reduce, one write per element
+/// into a third buffer — the ring's reduce over a buffer it shares, which
+/// sums its own segment and the incoming one into the segment it sends
+/// next. Bitwise a copy of `a` followed by [`add_assign`] of `b`. Panics on
+/// length mismatch.
+#[inline]
+pub fn add_to(out: &mut [f32], a: &[f32], b: &[f32]) {
+    assert_eq!(out.len(), a.len(), "length mismatch in add_to");
+    assert_eq!(out.len(), b.len(), "length mismatch in add_to");
+    for i in 0..out.len() {
+        out[i] = a[i] + b[i];
     }
 }
 

@@ -59,6 +59,24 @@ proptest! {
     }
 
     #[test]
+    fn add_to_is_a_copy_then_add_assign_bitwise(
+        // (own, incoming) element pairs of any bit pattern, NaNs and
+        // infinities included: the ring's out-of-place reduce must keep
+        // the `own + incoming` operand order of the in-place fold.
+        pairs in prop::collection::vec((0u32..=u32::MAX, 0u32..=u32::MAX), 0..41),
+    ) {
+        let floats = pairs.into_iter().map(|(a, b)| (f32::from_bits(a), f32::from_bits(b)));
+        let (own, incoming): (Vec<f32>, Vec<f32>) = floats.unzip();
+        let mut want = vec![0.0; own.len()];
+        want.copy_from_slice(&own);
+        crate::kernels::add_assign(&mut want, &incoming);
+        let mut got = vec![1.0; own.len()];
+        crate::kernels::add_to(&mut got, &own, &incoming);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
     fn matmul_distributes_over_addition(
         a in tensor(3, 4),
         b in tensor(4, 2),

@@ -824,7 +824,7 @@ fn step_sends(cfg: &ConvergenceConfig, rank: usize) -> Vec<&'static str> {
             st.run_step(&mut CommScheduler::new(&mut log, st.sched_options(false)))
                 .expect("fault-free");
         }
-        log.sent.drain(first..).map(|(kind, _)| kind).collect::<Vec<_>>()
+        log.sent.drain(first..).map(|(kind, ..)| kind).collect::<Vec<_>>()
     });
     logs.swap_remove(rank)
 }

@@ -343,7 +343,7 @@ impl<M: Model> RankState<M> {
         // Dense plane: the BP hook fires the reduce-scatter and hands the
         // comm plane one quantum, so the bulk op is in flight when the more
         // urgent prior gradients preempt it below.
-        let t_w = submit(comm, CommOp::ReduceScatterDense(grad_dense.into_vec()));
+        let t_w = submit(comm, CommOp::ReduceScatterDense(grad_dense));
         comm.progress();
         // Vertical Sparse Scheduling: split by next-iteration data.
         let raw = RowSparse::new(tokens.clone(), grad_rows);
@@ -351,16 +351,16 @@ impl<M: Model> RankState<M> {
         // AlltoAll #2, prior first, then delayed; Adam advances once.
         let t_prior = submit(comm, self.emb.grad_op(&split.prior));
         let t_delayed = submit(comm, self.emb.grad_op(&split.delayed));
-        // The owned chunk of the gradient is summed: update those elements,
-        // then ship them to every rank in the block's own buffer.
-        let CommResult::ReduceScatterDense(summed) = t_w.wait().into_result()? else {
+        // The owned chunk of the gradient is summed, in the ring's
+        // segments: update those elements in one pass that also leaves the
+        // new values in the segments, which the all-gather sends as they are.
+        let CommResult::ReduceScatterDense(mut summed) = t_w.wait().into_result()? else {
             unreachable!("dense reduce-scatter")
         };
-        let (rows, cols) = (self.dense.rows(), self.dense.cols());
-        let mut dense = std::mem::replace(&mut self.dense, DenseTensor::zeros(0, 0)).into_vec();
-        let owned = self.dense_owned.clone();
-        self.opt_dense.step_span(&mut dense[owned.clone()], &summed[owned]);
-        let t_gather = submit(comm, CommOp::AllGatherDense(dense));
+        let mut dense = std::mem::replace(&mut self.dense, DenseTensor::zeros(0, 0));
+        let owned = &mut dense.as_mut_slice()[self.dense_owned.clone()];
+        self.opt_dense.step_span_into(owned, summed.iter_mut().map(DenseTensor::as_mut_slice));
+        let t_gather = submit(comm, CommOp::AllGatherDense(dense, summed));
         let prior = self.emb.finish_grad(t_prior.wait())?;
         self.emb.apply_grad(&prior, &mut self.opt_e, UpdatePart::Prior);
         // Global loss: every rank's f32 scalar, gathered bit for bit.
@@ -374,7 +374,7 @@ impl<M: Model> RankState<M> {
         let CommResult::AllGatherDense(dense) = t_gather.wait().into_result()? else {
             unreachable!("dense all-gather")
         };
-        self.dense = DenseTensor::from_vec(rows, cols, dense);
+        self.dense = dense;
         self.prefetched = Some(next_gathered);
         self.step += 1;
         // Summed in rank order, so every rank computes the identical f64.
@@ -545,11 +545,12 @@ pub(crate) fn train_embrace<M: Model>(
 }
 
 /// Every packet a transport is asked to send — kind (`unit <block>` for a
-/// machine's unit message) and wire bytes — in order.
+/// machine's unit message), wire bytes and the payload bytes materialised
+/// for it ([`Packet::copied_nbytes`]) — in order.
 #[cfg(test)]
 pub(crate) struct SendLog<C> {
     inner: C,
-    pub(crate) sent: Vec<(&'static str, usize)>,
+    pub(crate) sent: Vec<(&'static str, usize, usize)>,
 }
 
 #[cfg(test)]
@@ -576,7 +577,7 @@ impl<C: Comm> Comm for SendLog<C> {
             Packet::Unit { body: UnitBody::Tokens(_), .. } => "unit Tokens",
             other => other.kind(),
         };
-        self.sent.push((kind, packet.nbytes()));
+        self.sent.push((kind, packet.nbytes(), packet.copied_nbytes()));
         self.inner.try_send(to, packet)
     }
 
@@ -624,11 +625,11 @@ mod tests {
         let shards = column_partition(cfg.dim, n);
         for (rank, sent) in logs.iter().enumerate() {
             let dense: Vec<usize> =
-                sent.iter().filter(|(k, _)| *k == "unit Dense").map(|&(_, b)| b).collect();
+                sent.iter().filter(|(k, ..)| *k == "unit Dense").map(|&(_, b, _)| b).collect();
             let payload = dense.iter().sum::<usize>() - dense.len() * UNIT_HEADER_BYTES;
             let lookup = (n - 1) * cfg.tokens_per_batch * shards[rank].width() * F32_BYTES;
             assert_eq!(payload - lookup, 2 * (n - 1) * len / n * F32_BYTES, "rank {rank}");
-            let starts = sent.iter().filter(|&&(k, b)| k == "Tokens" && b == 3 * TOKEN_BYTES);
+            let starts = sent.iter().filter(|&&(k, b, _)| k == "Tokens" && b == 3 * TOKEN_BYTES);
             assert_eq!(starts.count(), 0, "rank {rank}");
         }
     }
@@ -666,6 +667,75 @@ mod tests {
             per_step
         });
         assert_eq!(counts, vec![vec![14, 13, 13]; cfg.world]);
+    }
+
+    #[test]
+    fn a_train_dense_step_stages_nothing_and_allocates_no_ring_buffer() {
+        // The benchmark's `train_dense` shape: W's 4 MiB gradient in ring
+        // segments of an eighth of W (512 KiB). The reduce-scatter's first
+        // step sends views of the gradient, so no byte of it is staged — at
+        // world 2 that is every reduce-scatter message; a later step sends
+        // its reduces' outputs. With one scheduler for the run, as
+        // `train_embrace` has, the ring's buffers circulate from step to
+        // step: a steady-state step allocates W's gradient and buffers
+        // smaller than a segment, and no ring segment.
+        for world in [2, 3] {
+            let cfg = ConvergenceConfig {
+                world,
+                vocab: 4096,
+                dim: 1024,
+                tokens_per_batch: 1,
+                lr: 0.001,
+                zipf_s: 1.05,
+                seed: 1,
+                steps: 3,
+            };
+            let w_bytes = cfg.dim * cfg.dim * F32_BYTES;
+            let ring = Ring::new(world, 0, cfg.dim * cfg.dim, w_bytes / 8 / F32_BYTES);
+            let per_step = ring.per_step();
+            let smallest_segment = (0..ring.units())
+                .filter_map(|u| ring.unit(u).send)
+                .map(|range| range.len() * F32_BYTES)
+                .min()
+                .expect("a ring of two or more ranks sends");
+            let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
+            let states = RankState::initial(&cfg, &sampler);
+            let out = run_group(world, |rank, ep| {
+                let mut log = SendLog::new(ep);
+                let mut st: RankState = states.take(rank);
+                let mut comm = CommScheduler::new(&mut log, st.sched_options(false));
+                let allocated: Vec<u64> = (0..cfg.steps)
+                    .map(|_| {
+                        embrace_tensor::alloc_counter::reset();
+                        st.run_step(&mut comm).expect("fault-free");
+                        embrace_tensor::alloc_counter::bytes()
+                    })
+                    .collect();
+                drop(comm);
+                (log.sent, allocated)
+            });
+            for (rank, (sent, allocated)) in out.into_iter().enumerate() {
+                let at = format!("world {world} rank {rank}");
+                let ring_msgs: Vec<(usize, usize)> = sent
+                    .iter()
+                    .filter(|&&(k, b, _)| k == "unit Dense" && b >= smallest_segment)
+                    .map(|&(_, b, copied)| (b, copied))
+                    .collect();
+                let (rs, ag) = ((world - 1) * per_step, (world - 1) * per_step);
+                assert_eq!(ring_msgs.len(), cfg.steps * (rs + ag), "{at}");
+                for (step, msgs) in ring_msgs.chunks(rs + ag).enumerate() {
+                    for (i, &(bytes, copied)) in msgs[..per_step].iter().enumerate() {
+                        assert_eq!(copied, 0, "{at} step {step}: {bytes} B view {i} was staged");
+                    }
+                }
+                // Step 0 also fills the ring's buffers and copies the
+                // initial block, which every rank shares.
+                for &bytes in &allocated[1..] {
+                    let bytes = bytes as usize;
+                    assert!(bytes < w_bytes + smallest_segment, "{at}: {allocated:?} B per step");
+                }
+            }
+        }
     }
 
     #[test]

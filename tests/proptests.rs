@@ -313,6 +313,7 @@ proptest! {
 /// first).
 mod chunked_scheduler {
     use super::*;
+    use embrace_repro::collectives::schedule::Ring;
     use embrace_repro::collectives::{mesh, CommOp, CommResult, CommScheduler, Ticket};
 
     /// Canonical bit-encoding of a result: f32 payloads as bit patterns,
@@ -348,9 +349,15 @@ mod chunked_scheduler {
                 }
             }
             CommResult::Flush => out.push(4),
-            CommResult::ReduceScatterDense(v) | CommResult::AllGatherDense(v) => {
+            // The owned chunk's sums, whatever segments carry them.
+            CommResult::ReduceScatterDense(segments) => {
                 out.push(5);
-                out.extend(v.iter().map(|x| u64::from(x.to_bits())));
+                let values = segments.iter().flat_map(DenseTensor::as_slice);
+                out.extend(values.map(|x| u64::from(x.to_bits())));
+            }
+            CommResult::AllGatherDense(block) => {
+                out.push(6);
+                out.extend(block.as_slice().iter().map(|x| u64::from(x.to_bits())));
             }
             CommResult::Failed(e) => panic!("scheduler failed: {e:?}"),
         }
@@ -359,8 +366,8 @@ mod chunked_scheduler {
 
     /// One full SPMD round over all seven op kinds: a bulk low-priority
     /// AllReduce first, `head_start` units of it, then the high-priority
-    /// ops that preempt it when chunking is on. Returns per-rank result
-    /// encodings.
+    /// ops that preempt it when chunking is on, the all-gather sending the
+    /// reduce-scatter's segments. Returns per-rank result encodings.
     fn run_all_ops(
         world: usize,
         chunk: Option<usize>,
@@ -386,7 +393,8 @@ mod chunked_scheduler {
                                 ((seed as usize + rank * 131 + i * 7) % 509) as f32 * 0.25 - 63.0
                             })
                             .collect();
-                        let t_bulk = s.submit(100, "bulk", CommOp::AllReduceDense(bulk.clone()));
+                        let block = DenseTensor::from_vec(1, bulk_len, bulk.clone());
+                        let t_bulk = s.submit(100, "bulk", CommOp::AllReduceDense(bulk));
                         for _ in 0..head_start {
                             s.progress();
                         }
@@ -415,13 +423,26 @@ mod chunked_scheduler {
                             s.submit(-10, "hp_a2ad", CommOp::AlltoAllDense(dense)),
                             s.submit(-10, "hp_a2as", CommOp::AlltoAllSparse(sparse)),
                             s.submit(-10, "hp_flush", CommOp::Flush),
-                            s.submit(-10, "hp_rs", CommOp::ReduceScatterDense(bulk.clone())),
-                            s.submit(-10, "hp_ag", CommOp::AllGatherDense(bulk)),
+                            s.submit(-10, "hp_rs", CommOp::ReduceScatterDense(block.share())),
                         ];
                         let mut bits = Vec::new();
+                        let mut summed = Vec::new();
                         for t in hp {
-                            bits.extend(result_bits(&t.wait()));
+                            let result = t.wait();
+                            bits.extend(result_bits(&result));
+                            if let CommResult::ReduceScatterDense(segments) = result {
+                                summed = segments;
+                            }
                         }
+                        // The owned chunk's sums in the block and in the
+                        // segments: the all-gather completes the allreduce.
+                        let mut block = block;
+                        let owned = Ring::whole(world, rank, bulk_len).owned();
+                        let sums: Vec<f32> =
+                            summed.iter().flat_map(DenseTensor::as_slice).copied().collect();
+                        block.as_mut_slice()[owned].copy_from_slice(&sums);
+                        let ag = s.submit(-10, "hp_ag", CommOp::AllGatherDense(block, summed));
+                        bits.extend(result_bits(&ag.wait()));
                         bits.extend(result_bits(&t_bulk.wait()));
                         bits
                     })
