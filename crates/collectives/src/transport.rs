@@ -19,8 +19,8 @@
 //!   instead of hanging forever.
 //!
 //! Deterministic fault injection is configured through a [`FaultPlan`]
-//! (per-link delivery delay, link-drops-after-N-messages, rank-crashes-at-
-//! step-K) and attached to a mesh by [`mesh_with_faults`]. A mesh built by
+//! (link delays, stragglers, drops, flaky windows, crashes at a step or at
+//! a send) and attached to a mesh by [`mesh_with_faults`]. A mesh built by
 //! plain [`mesh`] carries no fault state and its fast path is unchanged.
 //!
 //! The legacy panicking [`Endpoint::send`]/[`Endpoint::recv`] remain as
@@ -34,8 +34,13 @@
 //! within the budget, and taking them costs neither side a futex call;
 //! `transport.recv_spun` / `transport.recv_parked` say how a run's receives
 //! split. A mesh with more ranks than the host has cores never polls.
+//!
+//! A delayed link stamps each packet with the instant it is due, and no
+//! receive returns it earlier: taken off the channel before then, it waits
+//! in the link's `held` slot as its next delivery, and a parked receive
+//! sleeps until the stamp or, if that ends first, its deadline.
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use embrace_tensor::{DenseTensor, RowSparse, TokenBuf, TOKEN_BYTES};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -422,18 +427,20 @@ impl std::error::Error for CommError {}
 
 /// A deterministic, seeded schedule of faults to inject into a mesh.
 ///
-/// Three fault shapes (composable; all addressed by rank):
+/// Six fault shapes (composable; all addressed by rank):
 /// * **link delay** — every delivery on the ordered link `(from → to)` is
-///   deferred by a fixed duration (the sender never blocks; a store-and-
-///   forward worker serialises the link, so per-link ordering is
-///   preserved and back-to-back messages accumulate delay like a
-///   one-packet-deep slow pipe);
+///   deferred. The sender never blocks: it stamps each packet due at
+///   `max(now, the link's previous stamp) + delay`, so per-link order holds
+///   and back-to-back messages queue like a one-packet-deep slow pipe;
+/// * **straggle** — every outgoing link of the rank is delayed that way;
 /// * **drop-after-N** — the ordered link delivers its first `n` messages,
 ///   then silently discards everything (a dead cable: the receiver sees
 ///   only a timeout);
+/// * **flaky** — the ordered link drops one window of messages, then heals;
 /// * **crash-at-step** — the rank tears its endpoint down when it begins
 ///   step `k` ([`Endpoint::begin_step`]), so peers observe
-///   [`CommError::PeerGone`] or a timeout.
+///   [`CommError::PeerGone`] or a timeout;
+/// * **crash-at-op** — the same, at the rank's `n`-th send.
 ///
 /// Plans are plain data: building one never touches the transport, and a
 /// mesh built from an empty plan behaves exactly like [`mesh`].
@@ -645,7 +652,7 @@ impl FaultPlan {
             delivered: vec![0; world],
             rank,
             clock: self.flaky_clock.clone(),
-            delay_tx: (0..world).map(|_| None).collect(),
+            due: vec![None; world],
         })
     }
 }
@@ -664,26 +671,12 @@ struct LinkFaults {
     rank: usize,
     /// Plan-shared monotonic message clock for flaky links.
     clock: FlakyClock,
-    /// Lazily spawned store-and-forward workers for delayed links; the
-    /// worker exits once this sender half is dropped and its queue drains.
-    delay_tx: Vec<Option<Sender<Packet>>>,
+    /// The stamp of the last packet sent on each delayed link.
+    due: Vec<Option<Instant>>,
 }
 
-/// Spawn the store-and-forward worker for one delayed link: it receives
-/// each packet, sleeps the link delay, then forwards — preserving per-link
-/// ordering (delays accumulate for back-to-back messages, like a
-/// one-packet-deep slow pipe). A forward failure means the destination is
-/// gone; the packet is dropped, which is indistinguishable on the wire.
-fn spawn_delay_worker(out: Sender<Packet>, delay: Duration) -> Sender<Packet> {
-    let (dtx, drx) = unbounded::<Packet>();
-    std::thread::spawn(move || {
-        while let Ok(p) = drx.recv() {
-            std::thread::sleep(delay);
-            let _ = out.send(p);
-        }
-    });
-    dtx
-}
+/// What a link carries: a packet and, on a delayed link, when it is due.
+type Stamped = (Option<Instant>, Packet);
 
 /// How long a receive polls its link before it parks: twice what a parked
 /// receive costs. On the reference host that is ~20 µs in a ping-pong (two
@@ -700,15 +693,17 @@ fn spawn_delay_worker(out: Sender<Packet>, delay: Duration) -> Sender<Packet> {
 const SPIN_BUDGET: Duration = Duration::from_micros(80);
 
 /// Per-rank handle onto the mesh. Sending never blocks (channels are
-/// unbounded) unless a link-delay fault is configured; receiving waits
-/// until the addressed peer has sent, bounded by the configured deadline:
-/// it polls the link for up to `SPIN_BUDGET`, then parks on the channel
-/// (`Endpoint::wait`, the only receive path).
+/// unbounded); receiving waits until the addressed peer's packet is due,
+/// bounded by the configured deadline: it polls the link for up to
+/// `SPIN_BUDGET`, then parks (`Endpoint::wait`, the only receive path).
 pub struct Endpoint {
     rank: usize,
     world: usize,
-    tx: Vec<Sender<Packet>>,
-    rx: Vec<Receiver<Packet>>,
+    tx: Vec<Sender<Stamped>>,
+    rx: Vec<Receiver<Stamped>>,
+    /// Per source, a stamped packet taken off the link before it was due:
+    /// the link's next delivery.
+    held: Vec<Cell<Option<Stamped>>>,
     bytes_sent: u64,
     msgs_sent: u64,
     /// Bytes of sent payloads that were exclusively owned (materialised)
@@ -774,9 +769,10 @@ impl Endpoint {
     }
 
     /// Send `packet` to rank `to`, reporting failure as a typed error.
-    /// Injected link faults apply here: a delayed link defers delivery
-    /// (the sender never blocks, so abort notifications always get out),
-    /// a dropped link counts the traffic but never delivers.
+    /// Injected link faults apply here: a delayed link stamps the packet
+    /// with the instant it is due (the sender never blocks, so abort
+    /// notifications always get out), a dropped link counts the traffic
+    /// but never delivers.
     pub fn try_send(&mut self, to: usize, packet: Packet) -> Result<(), CommError> {
         if self.crashed {
             return Err(CommError::Injected { rank: self.rank });
@@ -793,6 +789,7 @@ impl Endpoint {
         self.msgs_sent += 1;
         self.sent_per_peer[to].0 += 1;
         self.sent_per_peer[to].1 += packet.nbytes() as u64;
+        let mut due = None;
         if let Some(f) = self.faults.as_mut() {
             let n = f.delivered[to];
             f.delivered[to] = n + 1;
@@ -812,15 +809,13 @@ impl Endpoint {
                 }
             }
             if let Some(delay) = f.delays[to] {
-                let out = &self.tx[to];
-                let dtx =
-                    f.delay_tx[to].get_or_insert_with(|| spawn_delay_worker(out.clone(), delay));
-                // The worker holds its receiver for as long as this sender
-                // half exists, so this send cannot observe disconnection.
-                return dtx.send(packet).map_err(|_| CommError::PeerGone { peer: to });
+                // The link passes one packet per `delay`, in order.
+                let now = Instant::now();
+                due = Some(f.due[to].map_or(now, |last| last.max(now)) + delay);
+                f.due[to] = due;
             }
         }
-        self.tx[to].send(packet).map_err(|_| CommError::PeerGone { peer: to })
+        self.tx[to].send((due, packet)).map_err(|_| CommError::PeerGone { peer: to })
     }
 
     /// Receive the next packet sent by rank `from`. Panics on failure —
@@ -844,63 +839,78 @@ impl Endpoint {
         self.wait(from, Some(deadline))
     }
 
-    /// The one place a receive waits: poll the link for at most
-    /// [`SPIN_BUDGET`], then block exactly as the transport always has. The
-    /// spin is [`Endpoint::poll`], so its error contract is `poll`'s, and
-    /// the time it took counts against `deadline`. An oversubscribed mesh
-    /// (`!self.spin`) goes straight to the blocking call.
+    /// The one place a receive waits, within one absolute deadline: poll
+    /// the link for at most [`SPIN_BUDGET`], then park — block on the
+    /// channel, or sleep until the held packet's stamp. Every packet comes
+    /// out of [`Endpoint::poll`], so the error contract is `poll`'s. An
+    /// oversubscribed mesh (`!self.spin`) goes straight to the park. A
+    /// deadline that ends before the stamp is a `Timeout`, and the packet
+    /// stays held.
     fn wait(&self, from: usize, deadline: Option<Duration>) -> Result<Packet, CommError> {
         if self.crashed {
             return Err(CommError::Injected { rank: self.rank });
         }
-        let mut left = deadline;
+        let start = Instant::now();
+        // `None` also for a deadline too far off to name: it never ends.
+        let end = deadline.and_then(|d| Some((start.checked_add(d)?, d)));
         if self.spin {
-            let budget = deadline.map_or(SPIN_BUDGET, |d| d.min(SPIN_BUDGET));
-            let start = Instant::now();
+            let budget = start + SPIN_BUDGET;
+            let spin_end = end.map_or(budget, |(end, _)| end.min(budget));
             loop {
                 if let Some(p) = self.poll(from)? {
                     self.spun.set(self.spun.get() + 1);
                     return Ok(p);
                 }
-                if start.elapsed() >= budget {
+                if Instant::now() >= spin_end {
                     break;
                 }
                 std::hint::spin_loop();
             }
-            left = deadline.map(|d| d.saturating_sub(start.elapsed()));
         }
         self.parked.set(self.parked.get() + 1);
-        let got = match left {
-            None => self.rx[from].recv().map_err(|_| RecvTimeoutError::Disconnected),
-            Some(d) => self.rx[from].recv_timeout(d),
-        };
-        match (got, deadline) {
-            (Ok(p), _) => {
-                self.note_recv(&p);
-                Ok(p)
+        loop {
+            if let Some(p) = self.poll(from)? {
+                return Ok(p);
             }
-            (Err(RecvTimeoutError::Timeout), Some(waited)) => {
-                Err(CommError::Timeout { peer: from, waited })
+            let now = Instant::now();
+            if let Some((_, waited)) = end.filter(|&(end, _)| now >= end) {
+                return Err(CommError::Timeout { peer: from, waited });
             }
-            (Err(_), _) => Err(CommError::PeerGone { peer: from }),
+            // What the park yields, the next poll delivers or reports.
+            let next = match self.held[from].take() {
+                Some(held) => {
+                    let wake = held.0.map_or(now, |due| end.map_or(due, |(end, _)| end.min(due)));
+                    std::thread::sleep(wake.saturating_duration_since(now));
+                    Some(held)
+                }
+                None => match end {
+                    None => self.rx[from].recv().ok(),
+                    Some((end, _)) => self.rx[from].recv_timeout(end - now).ok(),
+                },
+            };
+            self.held[from].set(next);
         }
     }
 
-    /// Take a packet already queued from `from` without blocking:
-    /// `Ok(None)` when the link is merely empty, [`CommError::PeerGone`]
-    /// once the peer is gone and its queued packets have drained.
+    /// Take a packet already due from `from` without blocking: `Ok(None)`
+    /// when the link is empty or its next packet is not due yet (it is then
+    /// held), [`CommError::PeerGone`] once the peer is gone and its queued
+    /// packets have drained.
     fn poll(&self, from: usize) -> Result<Option<Packet>, CommError> {
         if self.crashed {
             return Err(CommError::Injected { rank: self.rank });
         }
-        match self.rx[from].try_recv() {
-            Ok(p) => {
-                self.note_recv(&p);
-                Ok(Some(p))
-            }
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(CommError::PeerGone { peer: from }),
+        let (due, p) = match self.held[from].take().map_or_else(|| self.rx[from].try_recv(), Ok) {
+            Ok(stamped) => stamped,
+            Err(TryRecvError::Empty) => return Ok(None),
+            Err(TryRecvError::Disconnected) => return Err(CommError::PeerGone { peer: from }),
+        };
+        if due.is_some_and(|due| due > Instant::now()) {
+            self.held[from].set(Some((due, p)));
+            return Ok(None);
         }
+        self.note_recv(&p);
+        Ok(Some(p))
     }
 
     /// Count a successfully received packet.
@@ -933,9 +943,6 @@ impl Endpoint {
         self.crashed = true;
         self.tx.clear();
         self.rx.clear();
-        // Dropping the delay-worker senders lets store-and-forward threads
-        // drain and exit.
-        self.faults = None;
     }
 
     /// Total bytes this endpoint has pushed onto the wire.
@@ -1011,27 +1018,18 @@ pub fn mesh_with_faults(
     assert!(world > 0, "mesh needs at least one rank");
     // Decided once per mesh, from what the host can run at the same time.
     let spin = std::thread::available_parallelism().is_ok_and(|cores| world <= cores.get());
-    // channels[i][j]: i -> j
-    let mut senders: Vec<Vec<Option<Sender<Packet>>>> =
-        (0..world).map(|_| (0..world).map(|_| None).collect()).collect();
-    let mut receivers: Vec<Vec<Option<Receiver<Packet>>>> =
-        (0..world).map(|_| (0..world).map(|_| None).collect()).collect();
-    for (i, row) in senders.iter_mut().enumerate() {
-        for (j, slot) in row.iter_mut().enumerate() {
-            let (tx, rx) = unbounded();
-            *slot = Some(tx);
-            receivers[j][i] = Some(rx);
-        }
-    }
-    senders
+    // senders[j][i] and receivers[j][i] are the two ends of the link i -> j.
+    let (senders, receivers): (Vec<Vec<Sender<Stamped>>>, Vec<Vec<_>>) =
+        (0..world).map(|_| (0..world).map(|_| unbounded()).unzip()).unzip();
+    receivers
         .into_iter()
-        .zip(receivers)
         .enumerate()
-        .map(|(rank, (tx_row, rx_row))| Endpoint {
+        .map(|(rank, rx)| Endpoint {
             rank,
             world,
-            tx: tx_row.into_iter().map(Option::unwrap).collect(),
-            rx: rx_row.into_iter().map(Option::unwrap).collect(),
+            tx: senders.iter().map(|to| to[rank].clone()).collect(),
+            rx,
+            held: (0..world).map(|_| Cell::new(None)).collect(),
             bytes_sent: 0,
             msgs_sent: 0,
             bytes_copied: 0,
@@ -1248,16 +1246,17 @@ mod tests {
             s.spawn(move || {
                 a.try_send(1, Packet::Empty).unwrap();
             });
-            s.spawn(move || {
-                // Too-short deadline trips...
-                assert!(matches!(
-                    b.recv_timeout(0, Duration::from_millis(5)),
-                    Err(CommError::Timeout { .. })
-                ));
-                // ...but a deadline past the delay delivers the packet.
-                assert_eq!(b.recv_timeout(0, Duration::from_secs(2)).unwrap(), Packet::Empty);
-            });
+            // Too-short deadline trips...
+            assert!(matches!(
+                b.recv_timeout(0, Duration::from_millis(5)),
+                Err(CommError::Timeout { .. })
+            ));
+            // ...but a deadline past the delay delivers the packet.
+            assert_eq!(b.recv_timeout(0, Duration::from_secs(2)).unwrap(), Packet::Empty);
         });
+        // Neither receive found the packet due while spinning: waiting
+        // out the delay is a park, like waiting out the timeout.
+        assert_eq!((b.spun.get(), b.parked.get()), (0, 2));
     }
 
     #[test]
@@ -1266,12 +1265,15 @@ mod tests {
         let mut eps = mesh_with_faults(2, &plan, Some(Duration::from_secs(2)));
         let b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
+        let start = Instant::now();
         for k in 0..20u32 {
             a.try_send(1, Packet::Tokens(vec![k].into())).unwrap();
         }
         for k in 0..20u32 {
             assert_eq!(b.try_recv(0).unwrap(), Packet::Tokens(vec![k].into()));
         }
+        // Back-to-back sends queue: the link passes one packet per delay.
+        assert!(start.elapsed() >= Duration::from_millis(40), "{:?}", start.elapsed());
     }
 
     #[test]
@@ -1374,6 +1376,22 @@ mod tests {
         assert!(a.crashed);
         assert_eq!(b.try_recv(0).unwrap(), Packet::Empty);
         assert_eq!(b.try_recv(0).unwrap(), Packet::Empty);
+        assert_eq!(b.try_recv(0), Err(CommError::PeerGone { peer: 0 }));
+        // On a delayed link, what the sender sent before it crashed still
+        // arrives, in order and at its stamp, before the peer reads as gone.
+        let delayed = plan.delay_link(0, 1, Duration::from_millis(5));
+        let mut eps = mesh_with_faults(2, &delayed, Some(Duration::from_millis(30)));
+        let b = eps.pop().unwrap();
+        let mut a = eps.pop().unwrap();
+        let start = Instant::now();
+        for k in 0..2u32 {
+            a.try_send(1, Packet::Tokens(vec![k].into())).unwrap();
+        }
+        assert_eq!(a.try_send(1, Packet::Empty), Err(CommError::Injected { rank: 0 }));
+        for k in 0..2u32 {
+            assert_eq!(b.try_recv(0).unwrap(), Packet::Tokens(vec![k].into()));
+        }
+        assert!(start.elapsed() >= Duration::from_millis(10));
         assert_eq!(b.try_recv(0), Err(CommError::PeerGone { peer: 0 }));
     }
 

@@ -213,8 +213,8 @@ proptest! {
         len in 0usize..=MAX_LEN,
         rows in 0usize..=4,
         dim in 1usize..=5,
-        // Store-and-forward delays on two links: the delay worker keeps
-        // per-link delivery order, so no result may depend on them.
+        // Delays on two links: the stamps keep per-link delivery order,
+        // so no result may depend on them.
         delay_us in 50u64..=400,
         vocab in 1usize..=20,
         nnzs in vec(0usize..=SSAR_MAX_NNZ, 8),
