@@ -133,17 +133,26 @@ fn scheduled_phase_pair_matches_its_plans() {
                 let grad: Vec<f32> = (0..elems).map(|i| (rank + i) as f32).collect();
                 let rs = CommOp::ReduceScatterDense(DenseTensor::from_vec(1, elems, grad));
                 let mut comm = CommScheduler::spawn_chunked(&mut *ep, seg * F32_BYTES);
-                let CommResult::ReduceScatterDense(sums) = comm.submit(0, "rs", rs).wait() else {
+                let CommResult::ReduceScatterDense(mut segments) = comm.submit(0, "rs", rs).wait()
+                else {
                     panic!("reduce-scatter failed")
                 };
                 drop(comm);
                 let after_rs: Vec<(u64, u64)> = counters(ep);
+                // An identity update takes the last add, into the block's
+                // owned range and where the segments write.
                 let mut block = DenseTensor::zeros(1, elems);
-                let owned: Vec<f32> =
-                    sums.iter().flat_map(DenseTensor::as_slice).copied().collect();
-                block.as_mut_slice()[Ring::whole(world, rank, elems).owned()]
-                    .copy_from_slice(&owned);
-                let ag = CommOp::AllGatherDense(block, sums);
+                let mut at = Ring::whole(world, rank, elems).owned().start;
+                for segment in &mut segments {
+                    let piece = segment.unsummed();
+                    let sums = &mut block.as_mut_slice()[at..at + piece.len()];
+                    at += piece.len();
+                    piece.update(sums, |x, g| {
+                        *x = g;
+                        g
+                    });
+                }
+                let ag = CommOp::AllGatherDense(block, segments);
                 let mut comm = CommScheduler::spawn_chunked(&mut *ep, seg * F32_BYTES);
                 let CommResult::AllGatherDense(block) = comm.submit(0, "ag", ag).wait() else {
                     panic!("all-gather failed")

@@ -12,8 +12,9 @@
 //!   reduce-scatter and all-gather phases alone, in a caller's buffer
 //!   ([`ops::try_ring_part`]) or as the trainer's dense plane runs them
 //!   ([`CommOp::ReduceScatterDense`] shares the gradient and returns the
-//!   owned chunk's sums, [`CommOp::AllGatherDense`] sends the updated
-//!   weights as the update left them),
+//!   owned chunk one add short of its sum, [`ops::OwnedSegment`], whose
+//!   owner's update takes that add; [`CommOp::AllGatherDense`] sends the
+//!   updated weights as the update left them),
 //! * [`ops::allgather_sparse`] — AllGather of COO row-sparse gradients
 //!   (Horovod ≥ 0.22 sparse path),
 //! * [`ops::alltoall_dense`] / [`ops::alltoallv_sparse`] — the AlltoAll

@@ -49,7 +49,7 @@ use crate::transport::{Comm, CommError, Packet, Region, SegBody, SparseSeg, Unit
 use embrace_obs::recorder;
 use embrace_tensor::{
     coalesce, densify_range, kernels, merge_rowsparse, scatter_add_rows, DenseTensor, RowSparse,
-    TokenBuf,
+    TokenBuf, Unsummed,
 };
 use std::hash::{DefaultHasher, Hash, Hasher};
 
@@ -177,11 +177,61 @@ pub(crate) enum RingBuf<'a> {
     /// receives in.
     Lent(&'a mut [f32]),
     /// A reduce-scatter's gradient, which the ring shares and never writes.
-    /// The first step sends O(1) views of it, and every reduce writes
-    /// `own + incoming` once, into the segment sent next
-    /// ([`kernels::add_to`]): the sums end in the machine's segments
-    /// ([`RingMachine::take_owned`]).
+    /// The first step sends O(1) views of it, and every reduce but the last
+    /// step's writes `own + incoming` once, into the segment sent next
+    /// ([`kernels::add_to`]). The last step's reduces are left to the
+    /// owner's update: each owned segment ends one add short
+    /// ([`RingMachine::take_segments`]).
     Shared(&'a DenseTensor),
+}
+
+/// One segment of this rank's [`Ring::owned`] chunk as a shared
+/// reduce-scatter leaves it: one add short of its sum. The owner's update
+/// takes that add in its own element loop ([`OwnedSegment::unsummed`]) and
+/// writes the segment's new values where the all-gather sends them from
+/// ([`crate::CommOp::AllGatherDense`]), so the sum is never written on its
+/// own.
+#[derive(Debug)]
+pub struct OwnedSegment {
+    /// This rank's gradient over the segment: a view of the shared buffer.
+    own: DenseTensor,
+    rest: Rest,
+}
+
+/// The rest of an [`OwnedSegment`]'s sum, and where its update writes.
+#[derive(Debug)]
+enum Rest {
+    /// The last step's packet, when the update cannot write it — a view of
+    /// the peer's gradient, as at world 2, where the last step is the
+    /// first — or no packet, in a world of one. The update writes `out`,
+    /// a segment buffer of the ring's: the one the sum would have taken.
+    Apart { partial: Option<DenseTensor>, out: DenseTensor },
+    /// The last step's packet when it is the peer's sum, a buffer this
+    /// rank now owns outright: the update writes over it.
+    Over { acc: DenseTensor },
+}
+
+impl OwnedSegment {
+    /// The segment's addends and where its update writes, for the owner's
+    /// element loop ([`Unsummed::update`]).
+    pub fn unsummed(&mut self) -> Unsummed<'_> {
+        let own = self.own.as_slice();
+        match &mut self.rest {
+            Rest::Apart { partial, out } => {
+                let partial = partial.as_ref().map(DenseTensor::as_slice);
+                Unsummed::Apart { own, partial, out: out.as_mut_slice() }
+            }
+            Rest::Over { acc } => Unsummed::Over { own, acc: acc.as_mut_slice() },
+        }
+    }
+
+    /// What the update wrote: the all-gather's packet.
+    fn into_packet(self) -> DenseTensor {
+        match self.rest {
+            Rest::Apart { out, .. } => out,
+            Rest::Over { acc } => acc,
+        }
+    }
 }
 
 /// A ring allreduce, or one of its phases, in flight, executed one
@@ -196,9 +246,13 @@ pub(crate) enum RingBuf<'a> {
 /// itself during all-gather — *is* that unit's outgoing packet, held until
 /// the unit comes round again. Only the first step a machine runs sends
 /// from its buffer ([`RingBuf`]): step 0, or for an all-gather on its own
-/// step N−1, whose packets are those a shared reduce-scatter returned
+/// step N−1, whose packets are what the owner's update wrote
 /// ([`RingMachine::hold`]) or, in a lent buffer, staged from it. Every
-/// other step touches each element once.
+/// other step touches each element once. A shared reduce-scatter's last
+/// step does not reduce at all: what it receives is one add short of the
+/// owned chunk's sum, and the owner's update, which reads every element
+/// of that chunk anyway, takes the add ([`OwnedSegment`]); so the sum is
+/// never written and read back.
 ///
 /// # Allocation discipline
 ///
@@ -209,12 +263,16 @@ pub(crate) enum RingBuf<'a> {
 /// gradient). A received buffer, whose sole owner we now are, is held
 /// until its unit comes round again and goes back out, and a machine ends
 /// owning what it holds ([`RingMachine::into_spare`]) less what
-/// [`RingMachine::take_owned`] hands out. So a lent ring needs
+/// [`RingMachine::take_segments`] hands out. So a lent ring needs
 /// [`Ring::per_step`] buffers however many steps it runs (one for the
 /// whole-op ring); a shared reduce-scatter needs as many for its first
-/// step and one more from its second; an all-gather given its packets
-/// needs none. A caller running rings back to back passes each machine's
-/// spare buffers to the next, which then allocates nothing (fresh memory
+/// step and one more from its second — its last step takes none, and its
+/// result one per segment only where the update cannot write over the
+/// partial (world 2, or a world of one, which has none); an all-gather
+/// given its packets needs none, and in a world of one keeps them as
+/// spares. A caller running rings back to back
+/// passes each machine's spare buffers to the next, which then allocates
+/// nothing (fresh memory
 /// is page-faulted memory: +52 µs per 256 KiB segment measured). Asserted
 /// by the `*_steady_state` tests via [`embrace_tensor::alloc_counter`].
 pub(crate) struct RingMachine {
@@ -225,7 +283,8 @@ pub(crate) struct RingMachine {
     first_step_end: usize,
     /// One past the last unit to run.
     end: usize,
-    /// `held[i]`: the packet segment `i` of the next step sends.
+    /// `held[i]`: the packet segment `i` of the next step sends — after a
+    /// shared reduce-scatter's last step, the partial it received.
     held: Vec<Option<DenseTensor>>,
     /// Segment buffers to stage or reduce into, used before allocating.
     spare: Vec<DenseTensor>,
@@ -240,30 +299,48 @@ impl RingMachine {
     }
 
     /// Give an all-gather the packets of its first step: this rank's
-    /// [`Ring::owned`] chunk cut as [`Ring::owned_segments`], as a shared
-    /// reduce-scatter's [`RingMachine::take_owned`] returned it. They go
-    /// out as they are; a world of one, which runs no unit, drops them.
-    /// Panics on segments cut otherwise.
-    pub(crate) fn hold(&mut self, segments: Vec<DenseTensor>) {
+    /// [`Ring::owned`] chunk cut as [`Ring::owned_segments`], each what the
+    /// owner's update wrote into a segment [`RingMachine::take_segments`]
+    /// returned. They go out as they are; a world of one, which runs no
+    /// unit, keeps them as spares. Panics on segments cut otherwise.
+    pub(crate) fn hold(&mut self, segments: Vec<OwnedSegment>) {
         let cut = self.ring.owned_segments().map(|range| range.len());
-        let fits = segments.iter().map(DenseTensor::len).eq(cut);
+        let fits = segments.iter().map(|segment| segment.own.len()).eq(cut);
         assert!(fits, "all-gather packets must be cut as the owned chunk's segments");
-        if self.done() {
-            return;
-        }
+        let done = self.done();
         for (slot, segment) in self.held.iter_mut().zip(segments) {
-            *slot = Some(segment);
+            let packet = segment.into_packet();
+            if done {
+                self.spare.push(packet);
+            } else {
+                *slot = Some(packet);
+            }
         }
     }
 
-    /// A finished reduce-scatter's result over a shared buffer: its
-    /// [`Ring::owned`] chunk of the sum, one tensor per segment of
-    /// [`Ring::owned_segments`] (NCCL's out-of-place reduce-scatter). A
-    /// world of one runs no unit: its segments are views of `buf`.
-    pub(crate) fn take_owned(&mut self, buf: &DenseTensor) -> Vec<DenseTensor> {
-        let (ring, held) = (&self.ring, &mut self.held);
-        let segments = ring.owned_segments().zip(held);
-        segments.map(|(range, slot)| slot.take().unwrap_or_else(|| buf.view(range))).collect()
+    /// A finished reduce-scatter's result over the shared gradient `grad`:
+    /// its [`Ring::owned`] chunk one add short of the sum, one
+    /// [`OwnedSegment`] per segment of [`Ring::owned_segments`]. A world of
+    /// one runs no unit: its segments are `grad` alone, each with a spare
+    /// buffer for the update to write.
+    pub(crate) fn take_segments(&mut self, grad: &DenseTensor) -> Vec<OwnedSegment> {
+        // The last step's packets are the peer's sums, ours to write over,
+        // unless that step was the first (world 2): views of its gradient.
+        let ours = self.first_step_end < self.end;
+        let mut segments = Vec::with_capacity(self.held.len());
+        for (range, held) in self.ring.owned_segments().zip(&mut self.held) {
+            let rest = match held.take() {
+                Some(acc) if ours => Rest::Over { acc },
+                partial => {
+                    let seg = self.ring.seg();
+                    let mut out = self.spare.pop().unwrap_or_else(|| DenseTensor::zeros(1, seg));
+                    out.overwrite_row(range.len());
+                    Rest::Apart { partial, out }
+                }
+            };
+            segments.push(OwnedSegment { own: grad.view(range), rest });
+        }
+        segments
     }
 
     /// Every buffer this machine still owns, for the next ring to use.
@@ -323,15 +400,20 @@ impl RingMachine {
                 }
                 RingBuf::Shared(grad) => {
                     assert!(unit.reduce, "an all-gather writes its buffer: it is lent");
-                    let mut sum = self.buffer();
-                    let own = &grad.as_slice()[recv.clone()];
-                    kernels::add_to(sum.overwrite_row(recv.len()), own, incoming.as_slice());
-                    // The first step's packets are views of the peer's
-                    // gradient; later ones are its sums, ours to reuse.
-                    if self.unit >= self.first_step_end {
-                        self.spare.push(incoming);
+                    if self.unit + self.ring.per_step() >= self.end {
+                        // The last step: the owner's update takes the add.
+                        incoming
+                    } else {
+                        let mut sum = self.buffer();
+                        let own = &grad.as_slice()[recv.clone()];
+                        kernels::add_to(sum.overwrite_row(recv.len()), own, incoming.as_slice());
+                        // The first step's packets are views of the peer's
+                        // gradient; later ones are its sums, ours to reuse.
+                        if self.unit >= self.first_step_end {
+                            self.spare.push(incoming);
+                        }
+                        sum
                     }
-                    sum
                 }
             };
             self.held[slot] = Some(outgoing);
@@ -920,9 +1002,10 @@ mod tests {
     }
 
     /// The sharded update's pair as the comm scheduler runs it: a
-    /// reduce-scatter sharing a copy of `buf`, `f` on its segments, which
-    /// go into `buf`'s owned range too, and an all-gather lent `buf` that
-    /// sends those segments; whole (`seg` `None`) or in `seg`-element
+    /// reduce-scatter sharing a copy of `buf`, `f` in the owner's loop over
+    /// its unsummed segments — each new value into `buf`'s owned range and
+    /// where the segment writes — and an all-gather lent `buf` that sends
+    /// what the segments wrote; whole (`seg` `None`) or in `seg`-element
     /// units, with `spare` handed from ring to ring.
     fn shared_pair(
         ep: &mut crate::Endpoint,
@@ -935,14 +1018,16 @@ mod tests {
         let grad = DenseTensor::from_vec(1, buf.len(), buf.to_vec());
         let mut rs = RingMachine::new(ring.clone(), RingPart::ReduceScatter, std::mem::take(spare));
         rs.run(ep, &mut RingBuf::Shared(&grad), 0).expect("fault-free mesh");
-        let mut sums = rs.take_owned(&grad);
+        let mut segments = rs.take_segments(&grad);
         *spare = rs.into_spare();
-        for (range, sum) in ring.owned_segments().zip(&mut sums) {
-            sum.as_mut_slice().iter_mut().for_each(|x| *x = f(*x));
-            buf[range].copy_from_slice(sum.as_slice());
+        for (range, segment) in ring.owned_segments().zip(&mut segments) {
+            segment.unsummed().update(&mut buf[range], |x, g| {
+                *x = f(g);
+                *x
+            });
         }
         let mut ag = RingMachine::new(ring, RingPart::AllGather, std::mem::take(spare));
-        ag.hold(sums);
+        ag.hold(segments);
         ag.run(ep, &mut RingBuf::Lent(buf), 0).expect("fault-free mesh");
         *spare = ag.into_spare();
     }
@@ -1062,9 +1147,13 @@ mod tests {
     #[test]
     fn shared_pair_around_an_owner_transform_equals_allreduce_then_transform() {
         // The reduce-scatter over a shared gradient sums out of place into
-        // its segments, and the all-gather sends them: the pair with `f`
-        // on the segments must leave every rank, bit for bit, what the
-        // lent allreduce followed by `f` gives — at every segmentation.
+        // its segments but for the last step's add, which `f`'s loop takes
+        // over each owned segment's unsummed pieces — its own gradient and
+        // the received partial (none at world 1), apart or written over
+        // (world 3 and up) — and the all-gather sends what that loop
+        // wrote: the pair must leave every rank, bit for bit, what the
+        // lent allreduce followed by `f` gives, at worlds 1–5 and every
+        // segmentation.
         let f = |x: f32| 3.0 * x + 1.0;
         for world in 1..=5 {
             for len in [0, 1, world - 1, world + 1, 7, 64, 257] {

@@ -79,7 +79,9 @@
 //!   at its first receive: `Protocol` against a peer running another op,
 //!   `PeerGone` against a peer that already left.
 
-use crate::ops::{fail, fingerprint, ring_name, solo, FanoutMachine, RingBuf, RingMachine};
+use crate::ops::{
+    fail, fingerprint, ring_name, solo, FanoutMachine, OwnedSegment, RingBuf, RingMachine,
+};
 use crate::schedule::{Ring, RingPart, Traversal};
 use crate::transport::{Comm, CommError, Endpoint};
 use embrace_obs::{recorder, ClockDomain, SpanSet, TrackId, WallClock};
@@ -96,15 +98,15 @@ pub enum CommOp {
     /// The allreduce's reduce-scatter phase over a gradient it takes as a
     /// shared buffer and never writes: its first step sends views of it.
     /// The result is this rank's [`Ring::owned`] chunk of the sum, one
-    /// tensor per segment of [`Ring::owned_segments`], as NCCL's
-    /// out-of-place reduce-scatter returns it.
+    /// [`OwnedSegment`] per segment of [`Ring::owned_segments`], each one
+    /// add short: the owner's update takes the last add.
     ReduceScatterDense(DenseTensor),
     /// The allreduce's all-gather phase: a block whose [`Ring::owned`]
-    /// range already holds this rank's values, and those values cut as a
-    /// reduce-scatter returned its sums, which the first step sends as
-    /// they are. The result is the block holding every rank's
-    /// [`Ring::owned`] range.
-    AllGatherDense(DenseTensor, Vec<DenseTensor>),
+    /// range already holds this rank's values, and the segments a
+    /// reduce-scatter returned, holding those values as the owner's update
+    /// wrote them, which the first step sends as they are. The result is
+    /// the block holding every rank's [`Ring::owned`] range.
+    AllGatherDense(DenseTensor, Vec<OwnedSegment>),
     /// AlltoAll of dense blocks (one per destination rank) — EmbRace's
     /// lookup-result redistribution.
     AlltoAllDense(Vec<embrace_tensor::DenseTensor>),
@@ -165,8 +167,8 @@ impl CommOp {
 #[derive(Debug)]
 pub enum CommResult {
     AllReduceDense(Vec<f32>),
-    /// This rank's owned chunk of the sum, one tensor per ring segment.
-    ReduceScatterDense(Vec<DenseTensor>),
+    /// This rank's owned chunk of the sum, one add short, per ring segment.
+    ReduceScatterDense(Vec<OwnedSegment>),
     AllGatherDense(DenseTensor),
     AlltoAllDense(Vec<embrace_tensor::DenseTensor>),
     AlltoAllSparse(Vec<RowSparse>),
@@ -447,7 +449,7 @@ impl Machine {
         let paired = seg_bytes.is_some();
         let traversal = if paired { Traversal::Paired } else { Traversal::Posted };
         // An all-gather also takes the packets of its first step.
-        let mut ring = |part, buf: DenseTensor, held: Option<Vec<DenseTensor>>| {
+        let mut ring = |part, buf: DenseTensor, held: Option<Vec<OwnedSegment>>| {
             let seg = seg_bytes.filter(|&seg| buf.nbytes() > seg);
             let seg_elems = seg.map_or(usize::MAX, |seg| (seg / F32_BYTES).max(1));
             let ring = Ring::new(ep.world(), ep.rank(), buf.len(), seg_elems);
@@ -513,7 +515,7 @@ impl Machine {
                         match machine.part() {
                             RingPart::AllReduce => CommResult::AllReduceDense(buf.into_vec()),
                             RingPart::ReduceScatter => {
-                                CommResult::ReduceScatterDense(machine.take_owned(&buf))
+                                CommResult::ReduceScatterDense(machine.take_segments(&buf))
                             }
                             RingPart::AllGather => CommResult::AllGatherDense(buf),
                         }
@@ -738,7 +740,8 @@ mod tests {
         // an update of the owned range, all-gather — as the allreduce and
         // the same update everywhere. Round after round, the segment
         // buffers the rings hand on stay as many: a world of one, whose
-        // all-gather sends nothing, keeps none of its packets.
+        // all-gather sends nothing, keeps its packets as the spares the
+        // next round's update writes.
         let len = 101;
         for world in 1..=3 {
             for spawn in FLAVOURS {
@@ -755,18 +758,25 @@ mod tests {
                         want.iter_mut().for_each(|x| *x *= 0.5);
                         let grad = DenseTensor::from_vec(1, len, input);
                         let rs = s.submit(0, "rs", CommOp::ReduceScatterDense(grad));
-                        let CommResult::ReduceScatterDense(mut sums) = rs.wait() else {
+                        let CommResult::ReduceScatterDense(mut segments) = rs.wait() else {
                             panic!("wrong kind")
                         };
-                        // The update, in the segments the all-gather sends
-                        // and in the block's owned range, which it keeps.
-                        sums.iter_mut().for_each(|segment| segment.scale(0.5));
-                        let updated: Vec<f32> =
-                            sums.iter().flat_map(DenseTensor::as_slice).copied().collect();
+                        // The update, in the owner's loop over the unsummed
+                        // segments: into the block's owned range, which it
+                        // keeps, and where each segment writes, which the
+                        // all-gather sends.
                         let mut block = DenseTensor::zeros(1, len);
-                        block.as_mut_slice()[Ring::whole(world, rank, len).owned()]
-                            .copy_from_slice(&updated);
-                        let ag = s.submit(0, "ag", CommOp::AllGatherDense(block, sums));
+                        let mut at = Ring::whole(world, rank, len).owned().start;
+                        for segment in &mut segments {
+                            let piece = segment.unsummed();
+                            let owned = &mut block.as_mut_slice()[at..at + piece.len()];
+                            at += piece.len();
+                            piece.update(owned, |x, g| {
+                                *x = g * 0.5;
+                                *x
+                            });
+                        }
+                        let ag = s.submit(0, "ag", CommOp::AllGatherDense(block, segments));
                         let CommResult::AllGatherDense(got) = ag.wait() else {
                             panic!("wrong kind")
                         };

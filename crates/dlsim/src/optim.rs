@@ -9,7 +9,7 @@
 //! when the delayed part is applied. [`UpdatePart`] selects that behaviour
 //! and the equivalence is proven in this module's tests.
 
-use embrace_tensor::{kernels, DenseTensor, RowSparse};
+use embrace_tensor::{kernels, DenseTensor, RowSparse, Unsummed};
 use std::ops::Range;
 
 /// Which portion of a split sparse gradient an update call carries.
@@ -142,18 +142,20 @@ impl Adam {
 
     /// One dense step of `params`, a span of a larger tensor whose moments
     /// this optimizer holds for that span alone, its gradient given in
-    /// consecutive pieces (together `params.len()` elements, such as a
-    /// ring reduce-scatter's segments). Each gradient element is
-    /// overwritten with its updated parameter in the same pass, so the
-    /// pieces leave holding the span's new values, ready to be all-gathered
-    /// as they are. The rule is element-wise, so both come out bitwise as a
-    /// whole-tensor [`Optimizer::step_dense`] would leave the span: a tensor
-    /// updated span by span, each span by its own optimizer, is the tensor
-    /// updated whole.
+    /// consecutive pieces (together `params.len()` elements), each one add
+    /// short of its sum, as a shared ring reduce-scatter's last step leaves
+    /// its owned segments. The element loop takes that add — `own +
+    /// partial`, in [`kernels::add_to`]'s order, or `own` alone without a
+    /// partial — and writes each new value into `params` and where the
+    /// piece writes, which the all-gather then sends as it is. The rule is
+    /// element-wise, so both come out bitwise as [`kernels::add_to`]
+    /// followed by a whole-tensor [`Optimizer::step_dense`] would leave the
+    /// span: a tensor updated span by span, each span by its own
+    /// optimizer, is the tensor updated whole.
     pub fn step_span_into<'g>(
         &mut self,
         params: &mut [f32],
-        grad: impl IntoIterator<Item = &'g mut [f32]>,
+        grad: impl IntoIterator<Item = Unsummed<'g>>,
     ) {
         assert_eq!(params.len(), self.m.len(), "state length must match the span");
         let rule = self.rule(UpdatePart::Whole);
@@ -163,10 +165,10 @@ impl Adam {
             let at = covered..covered + piece.len();
             assert!(at.end <= params.len(), "gradient pieces must cover the span");
             let moments = m[at.clone()].iter_mut().zip(&mut v[at.clone()]);
-            for ((p, (m, v)), g) in params[at.clone()].iter_mut().zip(moments).zip(piece) {
-                rule.update(p, m, v, *g);
-                *g = *p;
-            }
+            piece.update(params[at.clone()].iter_mut().zip(moments), |(p, (m, v)), g| {
+                rule.update(p, m, v, g);
+                *p
+            });
             covered = at.end;
         }
         assert_eq!(covered, params.len(), "gradient pieces must cover the span");
@@ -376,44 +378,123 @@ mod tests {
         }
     }
 
+    /// The three forms a shared reduce-scatter leaves a piece in — the
+    /// partial apart, the partial taken over, no partial (a world of
+    /// one) — for `own`, `partial` and `out` of one length.
+    fn unsummed<'a>(
+        form: usize,
+        own: &'a [f32],
+        partial: &'a [f32],
+        out: &'a mut [f32],
+    ) -> Unsummed<'a> {
+        match form % 3 {
+            0 => Unsummed::Apart { own, partial: Some(partial), out },
+            1 => {
+                out.copy_from_slice(partial);
+                Unsummed::Over { own, acc: out }
+            }
+            _ => Unsummed::Apart { own, partial: None, out },
+        }
+    }
+
+    /// Bits, every NaN one key: the add may take either NaN operand's payload.
+    fn keys(s: &[f32]) -> Vec<u32> {
+        s.iter().map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() }).collect()
+    }
+
     #[test]
     fn adam_span_by_span_equals_whole_bitwise() {
         // Three spans, uneven and one empty, each with its own optimizer
-        // and its gradient in pieces (none, one, several with an empty
-        // one), against one whole-tensor optimizer over many steps: the
-        // weights and the pieces written back both equal the whole step.
-        let (rows, cols) = (5, 7);
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut whole = DenseTensor::uniform(rows, cols, 0.5, &mut rng);
-        let mut spans = whole.as_slice().to_vec();
-        let cuts = [0..9, 9..9, 9..rows * cols];
+        // and its gradient in unsummed pieces (none, one, several with an
+        // empty one) of every form, against `kernels::add_to` (or the
+        // addend alone, for a piece with no partial) followed by one
+        // whole-tensor optimizer: the weights, the pieces written and the
+        // moments all equal the whole step. Twelve steps of finite values
+        // with −0.0 sprinkled through weights, moments and addends (a
+        // world of one must not add `+ 0.0`, which makes −0.0 +0.0), then
+        // single steps from arbitrary bit patterns.
+        let n = 35;
+        let cuts = [0..9, 9..9, 9..n];
         let pieces: [&[usize]; 3] = [&[9], &[], &[4, 0, 11, 11]];
-        let mut o_whole = Adam::new(rows, cols, 0.02);
-        let mut o_spans: Vec<Adam> = cuts.iter().map(|c| Adam::new(1, c.len(), 0.02)).collect();
-        let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for step in 0..12 {
-            let g = DenseTensor::uniform(rows, cols, 1.0 + step as f32, &mut rng);
-            o_whole.step_dense(&mut whole, &g);
-            let mut written = g.as_slice().to_vec();
-            for ((opt, cut), lens) in o_spans.iter_mut().zip(&cuts).zip(pieces) {
-                let mut rest = &mut written[cut.clone()];
-                let grad = lens.iter().map(|&n| {
-                    let (piece, tail) = std::mem::take(&mut rest).split_at_mut(n);
-                    rest = tail;
-                    piece
-                });
-                opt.step_span_into(&mut spans[cut.clone()], grad);
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut finite = |scale: f32| -> Vec<f32> {
+            let v = DenseTensor::uniform(1, n, scale, &mut rng).into_vec();
+            v.into_iter().enumerate().map(|(i, x)| if i % 5 == 2 { -0.0 } else { x }).collect()
+        };
+        let mut arbitrary = StdRng::seed_from_u64(22);
+        let mut bits = || -> Vec<f32> {
+            (0..n).map(|_| f32::from_bits(arbitrary.gen_range(0..=u32::MAX))).collect()
+        };
+        for round in 0..40 {
+            let (steps, lr) = if round == 0 { (12, 0.02) } else { (1, 0.02) };
+            let (params, m, v) = if round == 0 {
+                (finite(0.5), finite(0.1), vec![0.0; n])
+            } else {
+                (bits(), bits(), bits())
+            };
+            let state = |range: std::ops::Range<usize>| {
+                let (m, v) = (m[range.clone()].to_vec(), v[range.clone()].to_vec());
+                let len = range.len();
+                Adam::from_state(
+                    lr,
+                    DenseTensor::from_vec(1, len, m),
+                    DenseTensor::from_vec(1, len, v),
+                    0,
+                )
+            };
+            let mut whole = DenseTensor::from_vec(1, n, params.clone());
+            let mut o_whole = state(0..n);
+            let mut spans = params;
+            let mut o_spans: Vec<Adam> = cuts.iter().map(|c| state(c.clone())).collect();
+            for step in 0..steps {
+                let (own, partial) = if round == 0 {
+                    (finite(1.0 + step as f32), finite(2.0))
+                } else {
+                    (bits(), bits())
+                };
+                // Piece k of every span takes form k + step, so each form
+                // meets every cut.
+                let mut g = vec![0.0; n];
+                kernels::add_to(&mut g, &own, &partial);
+                let mut written = vec![f32::NAN; n];
+                for ((opt, cut), lens) in o_spans.iter_mut().zip(&cuts).zip(pieces) {
+                    let mut at = cut.start;
+                    let mut rest = &mut written[cut.clone()];
+                    let mut grad = Vec::new();
+                    for (k, &len) in lens.iter().enumerate() {
+                        let (out, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                        rest = tail;
+                        let (own, partial) = (&own[at..at + len], &partial[at..at + len]);
+                        if (k + step) % 3 == 2 {
+                            g[at..at + len].copy_from_slice(own);
+                        }
+                        grad.push(unsummed(k + step, own, partial, out));
+                        at += len;
+                    }
+                    opt.step_span_into(&mut spans[cut.clone()], grad);
+                }
+                let g = DenseTensor::from_vec(1, n, g);
+                o_whole.step_dense(&mut whole, &g);
+                let at = format!("round {round} step {step}");
+                assert_eq!(keys(&spans), keys(whole.as_slice()), "{at}: weights");
+                assert_eq!(keys(&written), keys(whole.as_slice()), "{at}: written");
+                let (m_whole, v_whole, _) = o_whole.state();
+                let moments = |k: usize| -> Vec<f32> {
+                    let each = o_spans.iter().map(|o| [o.state().0, o.state().1][k]);
+                    each.flat_map(DenseTensor::as_slice).copied().collect()
+                };
+                assert_eq!(keys(&moments(0)), keys(m_whole.as_slice()), "{at}: first moments");
+                assert_eq!(keys(&moments(1)), keys(v_whole.as_slice()), "{at}: second moments");
             }
-            assert_eq!(bits(&spans), bits(whole.as_slice()), "step {step}: weights");
-            assert_eq!(bits(&written), bits(whole.as_slice()), "step {step}: written back");
         }
     }
 
     #[test]
     #[should_panic(expected = "gradient pieces must cover the span")]
     fn adam_span_into_rejects_pieces_short_of_the_span() {
-        let mut short = [0.5f32; 3];
-        Adam::new(1, 4, 0.02).step_span_into(&mut [0.0; 4], [&mut short[..]]);
+        let (own, mut out) = ([0.5f32; 3], [0.0f32; 3]);
+        let short = Unsummed::Apart { own: &own, partial: None, out: &mut out };
+        Adam::new(1, 4, 0.02).step_span_into(&mut [0.0; 4], [short]);
     }
 
     #[test]

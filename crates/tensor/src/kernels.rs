@@ -20,7 +20,10 @@
 //! on. [`add_to`] is the trainer's ring reduce: it reads the rank's own
 //! segment of the gradient, which the ring shares and never writes, and
 //! the incoming one, and writes their sum once, into the segment it sends
-//! next. [`add_assign_both`] is no longer the trainer's ring reduce: it
+//! next. The last reduce of a segment is not written at all: the ring
+//! hands the segment's owner both addends as an [`Unsummed`], whose
+//! [`Unsummed::update`] adds them, in the same order, inside the owner's
+//! own element loop. [`add_assign_both`] is no longer the trainer's ring reduce: it
 //! writes the sum twice, into the caller's buffer and the packet it
 //! forwards, which only the blocking slice forms, whose result lives in a
 //! borrowed buffer, still need; it stays because the frozen benchmark
@@ -98,6 +101,70 @@ pub fn add_to(out: &mut [f32], a: &[f32], b: &[f32]) {
     assert_eq!(out.len(), b.len(), "length mismatch in add_to");
     for i in 0..out.len() {
         out[i] = a[i] + b[i];
+    }
+}
+
+/// A segment of a sum one add short, as a shared ring reduce-scatter's
+/// last step leaves it for the segment's owner: the owner's addend, the
+/// received one, and where the owner writes what it makes of each sum.
+/// [`Unsummed::update`] takes the add inside the owner's element loop, so
+/// the sum is never written on its own.
+#[derive(Debug)]
+pub enum Unsummed<'a> {
+    /// `own[i] + partial[i]` — or `own[i]` alone without a partial (a world
+    /// of one, where `+ 0.0` would turn −0.0 into +0.0) — with the results
+    /// going to `out`.
+    Apart { own: &'a [f32], partial: Option<&'a [f32]>, out: &'a mut [f32] },
+    /// `own[i] + acc[i]`, the results going over `acc`: a partial the owner
+    /// holds outright.
+    Over { own: &'a [f32], acc: &'a mut [f32] },
+}
+
+impl Unsummed<'_> {
+    /// Elements in the segment.
+    pub fn len(&self) -> usize {
+        match self {
+            Unsummed::Apart { own, .. } | Unsummed::Over { own, .. } => own.len(),
+        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// For each element in index order, with the next item of `state`:
+    /// `f(item, sum)` written where this segment writes. The sum is `own +
+    /// partial`, in the order [`add_to`] adds, so the results are bitwise
+    /// those of `f` over [`add_to`]'s output. Panics on length mismatch.
+    #[inline]
+    pub fn update<I>(self, state: I, mut f: impl FnMut(I::Item, f32) -> f32)
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let state = state.into_iter();
+        assert_eq!(state.len(), self.len(), "length mismatch in Unsummed::update");
+        match self {
+            Unsummed::Apart { own, partial: None, out } => {
+                assert_eq!(out.len(), own.len(), "length mismatch in Unsummed::update");
+                for ((o, &a), s) in out.iter_mut().zip(own).zip(state) {
+                    *o = f(s, a);
+                }
+            }
+            Unsummed::Apart { own, partial: Some(partial), out } => {
+                assert_eq!(out.len(), own.len(), "length mismatch in Unsummed::update");
+                assert_eq!(partial.len(), own.len(), "length mismatch in Unsummed::update");
+                for (((o, &a), &b), s) in out.iter_mut().zip(own).zip(partial).zip(state) {
+                    *o = f(s, a + b);
+                }
+            }
+            Unsummed::Over { own, acc } => {
+                assert_eq!(acc.len(), own.len(), "length mismatch in Unsummed::update");
+                for ((o, &a), s) in acc.iter_mut().zip(own).zip(state) {
+                    *o = f(s, a + *o);
+                }
+            }
+        }
     }
 }
 
@@ -182,6 +249,32 @@ mod tests {
         for (d, s) in [(3, 2), (NARROW + 1, NARROW), (1, 0), (8, 9)] {
             let copy = || copy_row(&mut vec![0.0; d], &vec![0.0; s]);
             assert!(std::panic::catch_unwind(copy).is_err(), "{d} <- {s} must panic");
+        }
+    }
+
+    /// Every form of [`Unsummed`] under the identity is [`add_to`]'s sum
+    /// bit for bit — and without a partial the addend itself, −0.0 kept.
+    #[test]
+    fn unsummed_identity_update_is_add_to_bitwise() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for &len in &LENS {
+            let mut own = data(len, 10);
+            if let Some(x) = own.first_mut() {
+                *x = -0.0;
+            }
+            let partial = data(len, 11);
+            let mut want = vec![0.0; len];
+            add_to(&mut want, &own, &partial);
+            let same = || std::iter::repeat_n((), len);
+            let mut out = vec![1.0; len];
+            Unsummed::Apart { own: &own, partial: Some(&partial), out: &mut out }
+                .update(same(), |(), g| g);
+            assert_eq!(bits(&out), bits(&want), "apart, len {len}");
+            let mut acc = partial.clone();
+            Unsummed::Over { own: &own, acc: &mut acc }.update(same(), |(), g| g);
+            assert_eq!(bits(&acc), bits(&want), "over, len {len}");
+            Unsummed::Apart { own: &own, partial: None, out: &mut out }.update(same(), |(), g| g);
+            assert_eq!(bits(&out), bits(&own), "alone, len {len}");
         }
     }
 

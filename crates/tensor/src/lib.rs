@@ -53,6 +53,7 @@ pub mod tokens;
 pub use coalesce::{coalesce, coalesce_split, is_coalesced};
 pub use dense::DenseTensor;
 pub use index::{intersect, unique_sorted, IndexSet};
+pub use kernels::Unsummed;
 pub use merge::{densify_range, merge_rowsparse, scatter_add_rows};
 pub use shard::{column_partition, owner_of_row, row_partition, ColumnRange, RowRange};
 pub use sparse::RowSparse;

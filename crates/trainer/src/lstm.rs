@@ -16,13 +16,10 @@
 //! coincide.
 
 use crate::real::{
-    flat_grad, leaves, train, uniform_block, uniform_shards, ConvergenceConfig, ConvergenceResult,
-    Model, TrainMethod,
+    flat_grad, leaves, train, ConvergenceConfig, ConvergenceResult, Model, TrainMethod,
 };
 use embrace_dlsim::autograd::Tape;
 use embrace_tensor::DenseTensor;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Unroll length (tokens per sequence; position `t` predicts `t+1`).
 const SEQ_LEN: usize = 4;
@@ -52,13 +49,19 @@ fn successor(token: u32, vocab: usize) -> u32 {
 }
 
 impl Model for Lstm {
-    fn init(cfg: &ConvergenceConfig, world: usize) -> (Vec<DenseTensor>, DenseTensor, Lstm) {
-        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(1234));
-        let table = uniform_shards(cfg.vocab, cfg.dim, world, 0.3, &mut rng);
-        let dense = uniform_block(&params(cfg.dim), &mut rng);
-        let targets = DenseTensor::uniform(cfg.vocab, cfg.dim, 1.0, &mut rng);
-        let seqs = (cfg.tokens_per_batch / (SEQ_LEN + 1)).max(1);
-        (table, dense, Lstm { targets, seqs })
+    const SEED_OFFSET: u64 = 1234;
+
+    fn dense_params(dim: usize) -> Vec<(usize, usize, f32)> {
+        params(dim).to_vec()
+    }
+
+    fn with_targets(cfg: &ConvergenceConfig, targets: DenseTensor) -> Lstm {
+        Lstm { targets, seqs: (cfg.tokens_per_batch / (SEQ_LEN + 1)).max(1) }
+    }
+
+    #[cfg(test)]
+    fn targets(&self) -> &[f32] {
+        self.targets.as_slice()
     }
 
     /// `SEQ_LEN` blocks of `seqs` tokens, block `t` timestep `t`'s inputs:

@@ -19,7 +19,7 @@
 //! the default), and Fig. 11's LSTM and translation proxies.
 
 use embrace_baselines::horovod::{allgather_sparse_grad, allreduce_dense_grad};
-use embrace_collectives::ops::allgather_dense;
+use embrace_collectives::ops::{allgather_dense, OwnedSegment};
 use embrace_collectives::schedule::Ring;
 use embrace_collectives::{
     run_group, Comm, CommError, CommOp, CommResult, CommScheduler, Endpoint, OpTiming,
@@ -100,12 +100,46 @@ impl ConvergenceResult {
 /// AllGather baseline need of a model: an embedding table feeding dense
 /// parameters, trained on per-rank token batches. Each Fig. 11 model
 /// implements it; everything else about a step is the same for all.
+///
+/// Every model's initial state is one stream of draws from
+/// `StdRng::seed_from_u64(seed + SEED_OFFSET)`, in this order: the
+/// `table_rows × dim` embedding table from `[-0.3, 0.3]`, each dense
+/// parameter from `[-scale, scale]`, and the `vocab × dim` targets from
+/// `[-1, 1]`, each row-major ([`draw_state`]).
 pub(crate) trait Model: Clone + Send + Sync {
+    /// Added to the run's seed for the model's stream of initial draws.
+    const SEED_OFFSET: u64;
+
+    /// Rows of the embedding table, which is `cfg.dim` wide.
+    fn table_rows(cfg: &ConvergenceConfig) -> usize {
+        cfg.vocab
+    }
+
+    /// The dense block's parameters as `(rows, cols, init scale)`, in
+    /// block order.
+    fn dense_params(dim: usize) -> Vec<(usize, usize, f32)>;
+
+    /// The dense block's shape: one row of every parameter, which
+    /// [`leaves`] cuts, unless the model keeps one matrix's.
+    fn block_shape(cfg: &ConvergenceConfig) -> (usize, usize) {
+        (1, Self::dense_params(cfg.dim).iter().map(|&(rows, cols, _)| rows * cols).sum())
+    }
+
+    /// The model's read-only data around `targets`, each vocabulary
+    /// token's target vector (`vocab × dim`).
+    fn with_targets(cfg: &ConvergenceConfig, targets: DenseTensor) -> Self;
+
+    /// The targets [`Model::with_targets`] was given.
+    #[cfg(test)]
+    fn targets(&self) -> &[f32];
+
     /// Draw the run's initial state once: the embedding table as `world`
     /// column shards (drawn in place, so no full table is built for
     /// `world > 1`), every dense parameter in one block, and the model's
     /// read-only data.
-    fn init(cfg: &ConvergenceConfig, world: usize) -> (Vec<DenseTensor>, DenseTensor, Self);
+    fn init(cfg: &ConvergenceConfig, world: usize) -> (Vec<DenseTensor>, DenseTensor, Self) {
+        draw_state(cfg, world)
+    }
 
     /// The table rows the step looks up for one drawn batch.
     fn expand(&self, batch: Vec<u32>) -> Vec<u32> {
@@ -124,41 +158,116 @@ pub(crate) trait Model: Clone + Send + Sync {
     ) -> (f64, DenseTensor, DenseTensor);
 }
 
-/// A `rows × dim` table drawn from `[-scale, scale]` in row-major order,
-/// straight into its `world` column shards: [`DenseTensor::uniform`]'s
-/// draws in the same order, so the shards are bitwise that table's
-/// columns.
-pub(crate) fn uniform_shards(
-    rows: usize,
-    dim: usize,
-    world: usize,
+/// One matrix of the initial-state stream: `rows` rows drawn from
+/// `[-scale, scale]`, each row across the column shards left to right.
+struct Matrix<'a> {
     scale: f32,
-    rng: &mut StdRng,
-) -> Vec<DenseTensor> {
-    let parts = column_partition(dim, world);
-    let mut shards: Vec<Vec<f32>> =
-        parts.iter().map(|p| Vec::with_capacity(rows * p.width())).collect();
-    for _ in 0..rows {
-        for (shard, p) in shards.iter_mut().zip(&parts) {
-            shard.extend((0..p.width()).map(|_| rng.gen_range(-scale..=scale)));
+    rows: usize,
+    /// Each column shard's rows, row-major, and its width.
+    shards: Vec<(&'a mut [f32], usize)>,
+}
+
+impl<'a> Matrix<'a> {
+    fn words(&self) -> usize {
+        self.rows * self.shards.iter().map(|&(_, width)| width).sum::<usize>()
+    }
+
+    /// Rows `..r` and rows `r..`.
+    fn split(self, r: usize) -> (Matrix<'a>, Matrix<'a>) {
+        let (mut top, mut bottom) = (Vec::new(), Vec::new());
+        for (shard, width) in self.shards {
+            let (a, b) = shard.split_at_mut(r * width);
+            top.push((a, width));
+            bottom.push((b, width));
+        }
+        let scale = self.scale;
+        (
+            Matrix { scale, rows: r, shards: top },
+            Matrix { scale, rows: self.rows - r, shards: bottom },
+        )
+    }
+
+    fn fill(&mut self, rng: &mut StdRng) {
+        let scale = self.scale;
+        for row in 0..self.rows {
+            for (shard, width) in &mut self.shards {
+                let cells = &mut shard[row * *width..(row + 1) * *width];
+                cells.iter_mut().for_each(|x| *x = rng.gen_range(-scale..=scale));
+            }
         }
     }
-    let table = shards.into_iter().zip(&parts);
-    table.map(|(s, p)| DenseTensor::from_vec(rows, p.width(), s)).collect()
 }
 
-/// Dense parameters of the given `(rows, cols, scale)` shapes, each
-/// drawn from `[-scale, scale]` as [`DenseTensor::uniform`] would, one
-/// after another into one flat block.
-pub(crate) fn uniform_block(params: &[(usize, usize, f32)], rng: &mut StdRng) -> DenseTensor {
-    let mut block = Vec::new();
-    for &(rows, cols, scale) in params {
-        block.extend((0..rows * cols).map(|_| rng.gen_range(-scale..=scale)));
+/// [`Model::init`]: `M`'s stream for `world` column shards, drawn on two
+/// cores. Every buffer is allocated here, on the calling thread; a helper
+/// thread draws the stream's second half into them — starting its
+/// generator there with [`StdRng::advance`], each draw being one word —
+/// while this thread draws the first half. So the draws are bitwise those
+/// of one thread, and the helper allocates nothing, which this asserts
+/// ([`embrace_tensor::alloc_counter`]): buffers it allocated would come
+/// from a second malloc arena, which the rank threads' later allocations
+/// do not reuse (a helper that allocated W and the targets read
+/// `peak_rss_mib` 11–15 % higher).
+fn draw_state<M: Model>(
+    cfg: &ConvergenceConfig,
+    world: usize,
+) -> (Vec<DenseTensor>, DenseTensor, M) {
+    let (rows, dim) = (M::table_rows(cfg), cfg.dim);
+    let widths: Vec<usize> = column_partition(dim, world).iter().map(|p| p.width()).collect();
+    let mut table: Vec<Vec<f32>> = widths.iter().map(|w| vec![0.0; rows * w]).collect();
+    let params = M::dense_params(dim);
+    let (block_rows, block_cols) = M::block_shape(cfg);
+    let mut block = vec![0.0; block_rows * block_cols];
+    let mut targets = vec![0.0; cfg.vocab * dim];
+    let mut stream = Vec::with_capacity(params.len() + 2);
+    let shards = table.iter_mut().zip(&widths).map(|(t, &w)| (t.as_mut_slice(), w)).collect();
+    stream.push(Matrix { scale: 0.3, rows, shards });
+    let mut rest = block.as_mut_slice();
+    for &(rows, cols, scale) in &params {
+        let (param, tail) = std::mem::take(&mut rest).split_at_mut(rows * cols);
+        rest = tail;
+        stream.push(Matrix { scale, rows, shards: vec![(param, cols)] });
     }
-    DenseTensor::from_vec(1, block.len(), block)
+    assert!(rest.is_empty(), "the block's shape must hold its parameters");
+    stream.push(Matrix { scale: 1.0, rows: cfg.vocab, shards: vec![(&mut targets, dim)] });
+    // The halves, cut at the row in which the stream's middle word falls.
+    let half = stream.iter().map(Matrix::words).sum::<usize>() / 2;
+    let (mut first, mut second, mut at) = (Vec::new(), Vec::new(), 0);
+    for matrix in stream {
+        let words = matrix.words();
+        if at >= half || words == 0 {
+            second.push(matrix);
+        } else if at + words <= half {
+            first.push(matrix);
+        } else {
+            let per_row = words / matrix.rows;
+            let (top, bottom) = matrix.split((half - at).div_ceil(per_row));
+            first.push(top);
+            second.push(bottom);
+        }
+        at += words;
+    }
+    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(M::SEED_OFFSET));
+    let mut tail = rng.clone();
+    tail.advance(first.iter().map(Matrix::words).sum::<usize>() as u64);
+    let helper_allocs = std::thread::scope(|scope| {
+        let helper = scope.spawn(|| {
+            embrace_tensor::alloc_counter::reset();
+            second.iter_mut().for_each(|matrix| matrix.fill(&mut tail));
+            embrace_tensor::alloc_counter::events()
+        });
+        first.iter_mut().for_each(|matrix| matrix.fill(&mut rng));
+        helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    });
+    assert_eq!(helper_allocs, 0, "the helper thread fills buffers and allocates none");
+    drop((first, second));
+    let table = table.into_iter().zip(&widths).map(|(t, &w)| DenseTensor::from_vec(rows, w, t));
+    let targets = DenseTensor::from_vec(cfg.vocab, dim, targets);
+    let dense = DenseTensor::from_vec(block_rows, block_cols, block);
+    (table.collect(), dense, M::with_targets(cfg, targets))
 }
 
-/// The parameters of a [`uniform_block`] of `params`, each a leaf of
+/// The parameters of a dense block of `params`, each a leaf of
 /// `tape` in its own shape.
 pub(crate) fn leaves<const N: usize>(
     tape: &mut Tape,
@@ -187,12 +296,24 @@ pub(crate) struct Toy {
 }
 
 impl Model for Toy {
-    fn init(cfg: &ConvergenceConfig, world: usize) -> (Vec<DenseTensor>, DenseTensor, Toy) {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let table = uniform_shards(cfg.vocab, cfg.dim, world, 0.3, &mut rng);
-        let w = DenseTensor::uniform(cfg.dim, cfg.dim, 0.3, &mut rng);
-        let targets = DenseTensor::uniform(cfg.vocab, cfg.dim, 1.0, &mut rng);
-        (table, w, Toy { targets })
+    const SEED_OFFSET: u64 = 0;
+
+    fn dense_params(dim: usize) -> Vec<(usize, usize, f32)> {
+        vec![(dim, dim, 0.3)]
+    }
+
+    /// `W` keeps its shape: the products read it as a matrix.
+    fn block_shape(cfg: &ConvergenceConfig) -> (usize, usize) {
+        (cfg.dim, cfg.dim)
+    }
+
+    fn with_targets(_: &ConvergenceConfig, targets: DenseTensor) -> Toy {
+        Toy { targets }
+    }
+
+    #[cfg(test)]
+    fn targets(&self) -> &[f32] {
+        self.targets.as_slice()
     }
 
     fn fwd_bwd(
@@ -245,15 +366,17 @@ pub(crate) fn owned(len: usize, rank: usize, world: usize) -> Range<usize> {
 
 impl<M: Model> RankState<M> {
     /// Every rank's state before the first step of a `cfg` run, from one
-    /// draw of the initial state: each rank gets its column shard of the
-    /// table, drawn in place (no full table exists), and all ranks share
-    /// the model's read-only data and start from the same dense block.
+    /// draw of the initial state ([`Model::init`], on two cores): each
+    /// rank gets its column shard of the table, drawn in place (no full
+    /// table exists), and all ranks share the model's read-only data and
+    /// start from the same dense block. `sampler` is the run's one.
     pub(crate) fn initial(cfg: &ConvergenceConfig, sampler: &ZipfSampler) -> PerRank<Self> {
-        let (shards, dense, model) = M::init(cfg, cfg.world);
+        let world = cfg.world;
+        let (shards, dense, model) = M::init(cfg, world);
         let states = shards.into_iter().enumerate().map(|(rank, shard)| {
             let vocab = shard.rows();
-            let emb = ColumnShardedEmbedding::from_shard(shard, rank, cfg.world, cfg.dim);
-            let dense_owned = owned(dense.len(), rank, cfg.world);
+            let emb = ColumnShardedEmbedding::from_shard(shard, rank, world, cfg.dim);
+            let dense_owned = owned(dense.len(), rank, world);
             // Adam over the local column shard only; the modified step-state
             // rule makes the split update equivalent to the baseline's whole
             // update.
@@ -351,16 +474,17 @@ impl<M: Model> RankState<M> {
         // AlltoAll #2, prior first, then delayed; Adam advances once.
         let t_prior = submit(comm, self.emb.grad_op(&split.prior));
         let t_delayed = submit(comm, self.emb.grad_op(&split.delayed));
-        // The owned chunk of the gradient is summed, in the ring's
-        // segments: update those elements in one pass that also leaves the
-        // new values in the segments, which the all-gather sends as they are.
-        let CommResult::ReduceScatterDense(mut summed) = t_w.wait().into_result()? else {
+        // The owned chunk of the gradient is one add short of its sum, in
+        // the ring's segments: Adam takes that add in its element loop,
+        // which also leaves the new values where the segments write, and
+        // the all-gather sends them as they are.
+        let CommResult::ReduceScatterDense(mut segments) = t_w.wait().into_result()? else {
             unreachable!("dense reduce-scatter")
         };
         let mut dense = std::mem::replace(&mut self.dense, DenseTensor::zeros(0, 0));
         let owned = &mut dense.as_mut_slice()[self.dense_owned.clone()];
-        self.opt_dense.step_span_into(owned, summed.iter_mut().map(DenseTensor::as_mut_slice));
-        let t_gather = submit(comm, CommOp::AllGatherDense(dense, summed));
+        self.opt_dense.step_span_into(owned, segments.iter_mut().map(OwnedSegment::unsummed));
+        let t_gather = submit(comm, CommOp::AllGatherDense(dense, segments));
         let prior = self.emb.finish_grad(t_prior.wait())?;
         self.emb.apply_grad(&prior, &mut self.opt_e, UpdatePart::Prior);
         // Global loss: every rank's f32 scalar, gathered bit for bit.
@@ -594,12 +718,50 @@ mod tests {
     use embrace_collectives::UNIT_HEADER_BYTES;
     use embrace_tensor::TOKEN_BYTES;
 
+    /// Every model's initial stream drawn by one thread, in order, as
+    /// whole tensors — the table, each dense parameter, the targets — from
+    /// each model's literal seed and shapes: the bits [`draw_state`] must
+    /// leave in the shards, the block and the targets.
+    fn serial_stream(model: &str, cfg: &ConvergenceConfig) -> Vec<u32> {
+        let (v, d) = (cfg.vocab, cfg.dim);
+        let (offset, rows, params) = match model {
+            "toy" => (0, v, vec![(d, d, 0.3)]),
+            "lstm" => {
+                (1234, v, vec![(d, 4 * d, 0.3), (d, 4 * d, 0.3), (1, 4 * d, 0.1), (d, d, 0.3)])
+            }
+            _ => (77, 2 * v, vec![(d, d, 0.3); 3]),
+        };
+        let mut rng = StdRng::seed_from_u64(cfg.seed + offset);
+        let mut words = DenseTensor::uniform(rows, d, 0.3, &mut rng).into_vec();
+        for (r, c, scale) in params {
+            words.extend(DenseTensor::uniform(r, c, scale, &mut rng).into_vec());
+        }
+        words.extend(DenseTensor::uniform(v, d, 1.0, &mut rng).into_vec());
+        words.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn shards_drawn_in_place_are_the_full_tables_columns() {
-        let table = DenseTensor::uniform(13, 7, 0.3, &mut StdRng::seed_from_u64(5));
-        for world in 1..=4 {
-            let shards = uniform_shards(13, 7, world, 0.3, &mut StdRng::seed_from_u64(5));
-            assert_eq!(DenseTensor::concat_columns(&shards), table, "world {world}");
+        // Each model's state drawn on two cores into column shards, at
+        // worlds 1–4 (some shards zero-wide), is bitwise the serial draw,
+        // with the stream's middle in the table or in the dense block; and
+        // the draw asserts that its helper thread materialised no tensor
+        // buffer.
+        fn check<M: Model>(model: &str, cfg: ConvergenceConfig) {
+            let want = serial_stream(model, &cfg);
+            for world in 1..=4 {
+                let (shards, dense, drawn) = M::init(&cfg, world);
+                let table = DenseTensor::concat_columns(&shards);
+                let parts = [table.as_slice(), dense.as_slice(), drawn.targets()];
+                let got: Vec<u32> = parts.concat().iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, want, "{model} {}x{} world {world}", cfg.vocab, cfg.dim);
+            }
+        }
+        for (vocab, dim) in [(13, 7), (50, 2), (3, 9)] {
+            let cfg = ConvergenceConfig { vocab, dim, seed: 5, ..Default::default() };
+            check::<Toy>("toy", cfg);
+            check::<Lstm>("lstm", cfg);
+            check::<Translation>("translation", cfg);
         }
     }
 

@@ -26,13 +26,10 @@
 //! multi-embedding case.
 
 use crate::real::{
-    flat_grad, leaves, train, uniform_block, uniform_shards, ConvergenceConfig, ConvergenceResult,
-    Model, TrainMethod,
+    flat_grad, leaves, train, ConvergenceConfig, ConvergenceResult, Model, TrainMethod,
 };
 use embrace_dlsim::autograd::Tape;
 use embrace_tensor::DenseTensor;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// The dense block's parameters as `(rows, cols, init scale)`, in block
 /// order: `W_enc`, `W_dec` and `W_out`, each `d × d`.
@@ -48,12 +45,24 @@ pub(crate) struct Translation {
 }
 
 impl Model for Translation {
-    fn init(cfg: &ConvergenceConfig, world: usize) -> (Vec<DenseTensor>, DenseTensor, Translation) {
-        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(77));
-        let table = uniform_shards(2 * cfg.vocab, cfg.dim, world, 0.3, &mut rng);
-        let dense = uniform_block(&params(cfg.dim), &mut rng);
-        let targets = DenseTensor::uniform(cfg.vocab, cfg.dim, 1.0, &mut rng);
-        (table, dense, Translation { targets })
+    const SEED_OFFSET: u64 = 77;
+
+    /// The encoder's rows, then the decoder's.
+    fn table_rows(cfg: &ConvergenceConfig) -> usize {
+        2 * cfg.vocab
+    }
+
+    fn dense_params(dim: usize) -> Vec<(usize, usize, f32)> {
+        params(dim).to_vec()
+    }
+
+    fn with_targets(_: &ConvergenceConfig, targets: DenseTensor) -> Translation {
+        Translation { targets }
+    }
+
+    #[cfg(test)]
+    fn targets(&self) -> &[f32] {
+        self.targets.as_slice()
     }
 
     /// The batch's first half as encoder rows, its second half shifted

@@ -349,12 +349,8 @@ mod chunked_scheduler {
                 }
             }
             CommResult::Flush => out.push(4),
-            // The owned chunk's sums, whatever segments carry them.
-            CommResult::ReduceScatterDense(segments) => {
-                out.push(5);
-                let values = segments.iter().flat_map(DenseTensor::as_slice);
-                out.extend(values.map(|x| u64::from(x.to_bits())));
-            }
+            // One add short: `run_all_ops` encodes the sums it completes.
+            CommResult::ReduceScatterDense(_) => unreachable!("encoded once summed"),
             CommResult::AllGatherDense(block) => {
                 out.push(6);
                 out.extend(block.as_slice().iter().map(|x| u64::from(x.to_bits())));
@@ -426,22 +422,31 @@ mod chunked_scheduler {
                             s.submit(-10, "hp_rs", CommOp::ReduceScatterDense(block.share())),
                         ];
                         let mut bits = Vec::new();
-                        let mut summed = Vec::new();
+                        let mut unsummed = Vec::new();
                         for t in hp {
-                            let result = t.wait();
-                            bits.extend(result_bits(&result));
-                            if let CommResult::ReduceScatterDense(segments) = result {
-                                summed = segments;
+                            match t.wait() {
+                                CommResult::ReduceScatterDense(segments) => unsummed = segments,
+                                result => bits.extend(result_bits(&result)),
                             }
                         }
-                        // The owned chunk's sums in the block and in the
-                        // segments: the all-gather completes the allreduce.
+                        // The owned chunk's sums, taken by an identity
+                        // update into the block and where the segments
+                        // write: the all-gather completes the allreduce.
                         let mut block = block;
                         let owned = Ring::whole(world, rank, bulk_len).owned();
-                        let sums: Vec<f32> =
-                            summed.iter().flat_map(DenseTensor::as_slice).copied().collect();
-                        block.as_mut_slice()[owned].copy_from_slice(&sums);
-                        let ag = s.submit(-10, "hp_ag", CommOp::AllGatherDense(block, summed));
+                        let mut at = owned.start;
+                        for segment in &mut unsummed {
+                            let piece = segment.unsummed();
+                            let sums = &mut block.as_mut_slice()[at..at + piece.len()];
+                            at += piece.len();
+                            piece.update(sums, |x, g| {
+                                *x = g;
+                                g
+                            });
+                        }
+                        bits.push(5);
+                        bits.extend(block.as_slice()[owned].iter().map(|x| u64::from(x.to_bits())));
+                        let ag = s.submit(-10, "hp_ag", CommOp::AllGatherDense(block, unsummed));
                         bits.extend(result_bits(&ag.wait()));
                         bits.extend(result_bits(&t_bulk.wait()));
                         bits
