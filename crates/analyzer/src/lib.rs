@@ -7,9 +7,8 @@
 //! * [`plan`] — a per-rank communication-plan IR ([`plan::P2pPlan`] for
 //!   point-to-point send/recv sequences, [`plan::SchedulePlan`] for
 //!   prioritised collective submissions) plus generators: byte-sizing
-//!   folds over `embrace_collectives::schedule` (the split allreduce's
-//!   over simulated index sets), the re-form handshake, and the 2D
-//!   schedule plan of `embrace_core::horizontal`'s step plan.
+//!   folds over `embrace_collectives::schedule`, the re-form handshake,
+//!   and the 2D schedule plan of `embrace_core::horizontal`'s step plan.
 //! * [`verify`] — the static verifier. [`verify::verify_p2p`] checks a
 //!   point-to-point plan at any world size: send/recv pairing (orphan
 //!   sends, static deadlocks, byte conservation per message) and

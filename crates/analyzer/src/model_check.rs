@@ -34,9 +34,10 @@
 //!   coordinator, exercising failover).
 //!
 //! The collectives (barrier, broadcast, ring, allgather, alltoallv — whole
-//! or cut into the chunked scheduler's units — and the split allreduce)
-//! are not restated here: each rank's virtual program is its
-//! `embrace_collectives::schedule` — the definition the live ops execute
+//! or cut into the chunked scheduler's units; the posted allgather is
+//! also `sparse_allreduce`'s traversal) are not restated here: each
+//! rank's virtual program is its `embrace_collectives::schedule` — the
+//! definition the live ops execute
 //! — interpreted step by step over virtual links. Only the re-form
 //! handshake keeps an interpreter of its own. The abort protocol is the
 //! live one (origin broadcasts [`Packet::Abort`]-equivalents, receivers of
@@ -67,12 +68,6 @@ pub enum Collective {
     AllgatherTokens(Traversal),
     /// Alltoallv (dense and sparse share the structure), likewise.
     Alltoallv(Traversal),
-    /// The sparse-native split allreduce (SSAR) of
-    /// `ops::sparse_allreduce` over a dense [`SSAR_VOCAB`]-row buffer: the
-    /// sparse→dense crossover only changes payload *encoding*, never the
-    /// peer/order schedule or the pairwise summation tree, so the dense
-    /// run covers every crossover setting.
-    SparseAllreduce,
     /// A chunked ring allreduce preempted after `preempt_at` units by a
     /// whole paired allgather (the §5.2 scenario: urgent sparse op
     /// interleaved mid-tensor into a bulk dense op), then resumed. The
@@ -119,7 +114,6 @@ impl Collective {
             Collective::AllgatherTokens(Traversal::Paired) => "allgather_chunked",
             Collective::Alltoallv(Traversal::Posted) => "alltoallv",
             Collective::Alltoallv(Traversal::Paired) => "alltoallv_chunked",
-            Collective::SparseAllreduce => "sparse_allreduce",
             Collective::PreemptedRing { .. } => "ring_preempted",
             Collective::Reform => "reform",
             Collective::ReformMidway { .. } => "reform_midway",
@@ -160,7 +154,6 @@ impl Collective {
             Collective::ring(2 * world + 1),
             Collective::AllgatherTokens(Traversal::Posted),
             Collective::Alltoallv(Traversal::Posted),
-            Collective::SparseAllreduce,
         ]
     }
 
@@ -248,7 +241,6 @@ fn program(cfg: &CheckConfig, rank: usize) -> Vec<Step> {
         Collective::AllgatherTokens(traversal) | Collective::Alltoallv(traversal) => {
             flat(Schedule::Fanout(traversal))
         }
-        Collective::SparseAllreduce => flat(Schedule::Ssar { vocab: SSAR_VOCAB }),
         // Unit indices align across ranks (every rank runs the same units
         // per ring step), which is what makes a unit-aligned cut coherent.
         Collective::PreemptedRing { elems, seg, preempt_at } => {
@@ -268,26 +260,6 @@ fn program(cfg: &CheckConfig, rank: usize) -> Vec<Step> {
 struct Model<'a> {
     cfg: &'a CheckConfig,
     progs: Vec<Vec<Step>>,
-}
-
-/// Vocabulary rows of the SSAR model (power of two keeps the halving
-/// midpoints clean; small enough for exhaustive enumeration).
-pub const SSAR_VOCAB: usize = 8;
-
-/// Rank `rank`'s gradient for the SSAR model, dense, as f32 bit patterns:
-/// rank-dependent strides give per-rank row sets that partially overlap
-/// (shared rows exercise the summing merge, unique rows the disjoint
-/// path); values are distinct per `(rank, row)` and at least 1.0, and a
-/// row the rank does not hold is `+0.0` (all-zero bits), as the live
-/// collective's dense representation materialises it. Public so tests can
-/// replay the identical inputs through the real threaded collective and
-/// compare results bitwise.
-pub fn ssar_local(rank: usize) -> Vec<u32> {
-    let mut buf = vec![0f32.to_bits(); SSAR_VOCAB];
-    for row in (rank % 2..SSAR_VOCAB).step_by(rank % 3 + 1) {
-        buf[row] = ((rank * 7 + row) as f32 * 0.25 + 1.0).to_bits();
-    }
-    buf
 }
 
 // --- Elastic re-form handshake state machine -----------------------------
@@ -405,9 +377,7 @@ fn send_payload(
     match payload {
         Payload::Signal => VPacket::Empty,
         Payload::Message => VPacket::Data(broadcast_payload(cfg.world)),
-        Payload::Seg { .. } | Payload::Segs { .. } => {
-            VPacket::Data(payload.ranges().flat_map(|r| &st.buf[r]).copied().collect())
-        }
+        Payload::Seg { lo, hi, .. } => VPacket::Data(st.buf[*lo..*hi].to_vec()),
         Payload::Block => VPacket::Data(match cfg.collective {
             Collective::Alltoallv(_) => alltoallv_part(rank, to),
             // Allgather and the preemptor inside PreemptedRing.
@@ -422,8 +392,8 @@ fn handle_recv(payload: &Payload, st: &mut RankState, from: usize, p: VPacket) {
     match (payload, p) {
         (Payload::Signal, VPacket::Empty) => {}
         (Payload::Message, VPacket::Data(d)) => st.out = vec![d],
-        (Payload::Seg { reduce, .. } | Payload::Segs { reduce, .. }, VPacket::Data(d)) => {
-            for (i, inc) in payload.ranges().flatten().zip(d) {
+        (Payload::Seg { lo, hi, reduce }, VPacket::Data(d)) => {
+            for (i, inc) in (*lo..*hi).zip(d) {
                 // Accumulate bit-exactly as the real reduce does.
                 let acc = &mut st.buf[i];
                 *acc = if *reduce {
@@ -450,7 +420,6 @@ impl World {
                     Collective::AllgatherTokens(_) | Collective::Alltoallv(_) => {
                         (Vec::new(), vec![Vec::new(); w], Status::Running)
                     }
-                    Collective::SparseAllreduce => (ssar_local(rank), Vec::new(), Status::Running),
                     // The preempted ring carries both the ring buffer and
                     // the preemptor gather's output slots.
                     Collective::PreemptedRing { elems, .. } => {
@@ -967,27 +936,6 @@ mod tests {
                         assert_eq!(out[crash], RankOutcome::Err(VErr::Crashed));
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn sparse_allreduce_result_is_the_rowwise_sum() {
-        for world in 1..=5 {
-            let r = check_collective(world, Collective::SparseAllreduce);
-            assert!(r.deterministic_success(), "{}", r.summary());
-            // Reference: the inputs are small multiples of 0.25, so f32
-            // addition is exact and the row sums are order-independent.
-            let mut expect = vec![0f32; SSAR_VOCAB];
-            for rank in 0..world {
-                for (sum, bits) in expect.iter_mut().zip(ssar_local(rank)) {
-                    *sum += f32::from_bits(bits);
-                }
-            }
-            let expect: Vec<u32> = expect.into_iter().map(f32::to_bits).collect();
-            for o in r.unique_outcome().expect("deterministic") {
-                let RankOutcome::Ok { buf, .. } = o else { panic!("rank failed") };
-                assert_eq!(buf, &expect, "world {world}");
             }
         }
     }

@@ -9,11 +9,9 @@
 //!   steps of `embrace_collectives::schedule` — the definition the live
 //!   ops execute — in bytes. A fan-out is planned in the traversal that
 //!   runs it: posted for a whole-op call, paired for the chunked
-//!   scheduler's units (the schedule module records why they differ). The
-//!   split allreduce's sizes depend on the data, so its generator walks
-//!   the schedule's rounds over simulated index sets; only the re-form
-//!   handshake is written out here. Both are diffed against live wire
-//!   counters by the cross-validation tests.
+//!   scheduler's units (the schedule module records why they differ).
+//!   Only the re-form handshake is written out here. Both are diffed
+//!   against live wire counters by the cross-validation tests.
 //! * **Schedule plans** ([`SchedulePlan`]): per rank, the ordered
 //!   collective submissions — tag, kind, priority, payload bytes — either
 //!   built from the step plan of `embrace_core::horizontal` or harvested
@@ -22,10 +20,8 @@
 //! `verify` consumes both levels; `model_check` executes the same
 //! schedules under a virtual scheduler.
 
-use embrace_collectives::schedule::{ssar_rounds, Payload, RingPart, Schedule, Step, Traversal};
-use embrace_collectives::{
-    Comm, CommError, Packet, ReformMsg, SubmittedOp, SEG_HEADER_BYTES, UNIT_HEADER_BYTES,
-};
+use embrace_collectives::schedule::{Payload, RingPart, Schedule, Step, Traversal};
+use embrace_collectives::{Comm, CommError, Packet, ReformMsg, SubmittedOp, UNIT_HEADER_BYTES};
 use embrace_core::horizontal::{PlanOp, StepPlan};
 use embrace_tensor::{column_partition, F32_BYTES, INDEX_BYTES};
 
@@ -109,7 +105,8 @@ fn sized(
 /// Wire bytes of a ring unit's message: its fingerprint header and its
 /// segment.
 fn seg_bytes(payload: &Payload) -> u64 {
-    (UNIT_HEADER_BYTES + payload.ranges().map(|r| r.len() * F32_BYTES).sum::<usize>()) as u64
+    let Payload::Seg { lo, hi, .. } = payload else { unreachable!("a ring moves segments") };
+    (UNIT_HEADER_BYTES + (hi - lo) * F32_BYTES) as u64
 }
 
 /// Wire bytes of a fan-out message whose block is `block` bytes.
@@ -260,147 +257,6 @@ pub fn reform_plan(world: usize) -> P2pPlan {
         }
     }
     plan
-}
-
-/// One simulated SSAR segment: an index range plus the representation the
-/// runtime would carry for it. While sparse, `set` is the exact union of
-/// contributing coalesced index sets restricted to `[lo, hi)` — the merge
-/// kernel sums duplicates but never prunes zero rows, so the planned nnz
-/// equals the runtime nnz regardless of values.
-#[derive(Clone, Debug)]
-struct SimSeg {
-    lo: u32,
-    hi: u32,
-    dense: bool,
-    set: Vec<u32>,
-}
-
-impl SimSeg {
-    /// Wire bytes of this segment, matching `SparseSeg::nbytes`.
-    fn nbytes(&self, dim: usize) -> u64 {
-        let body = if self.dense {
-            (self.hi - self.lo) as usize * dim * F32_BYTES
-        } else {
-            self.set.len() * (INDEX_BYTES + dim * F32_BYTES)
-        };
-        (SEG_HEADER_BYTES + body) as u64
-    }
-}
-
-/// The runtime's crossover rule (`ops::mk_body`): densify when the
-/// density of the freshly produced stream reaches `crossover`.
-fn ssar_crossed(nnz: usize, lo: u32, hi: u32, crossover: f64) -> bool {
-    hi > lo && nnz as f64 / (hi - lo) as f64 >= crossover
-}
-
-/// Merge two same-range segments the way `ops::merge_bodies` does:
-/// sparse+sparse unions the index sets and re-applies the crossover rule;
-/// a dense operand keeps the result dense (densification is one-way).
-fn ssar_merge(a: SimSeg, b: SimSeg, crossover: f64) -> SimSeg {
-    debug_assert_eq!((a.lo, a.hi), (b.lo, b.hi));
-    let mut set = a.set;
-    set.extend(b.set);
-    set.sort_unstable();
-    set.dedup();
-    let dense = a.dense || b.dense || ssar_crossed(set.len(), a.lo, a.hi, crossover);
-    SimSeg { lo: a.lo, hi: a.hi, dense, set }
-}
-
-/// Split a segment at `mid` the way `ops::split_body` does: the index set
-/// partitions; a dense segment yields two dense halves.
-fn ssar_split(seg: &SimSeg, mid: u32) -> (SimSeg, SimSeg) {
-    let pos = seg.set.partition_point(|&i| i < mid);
-    (
-        SimSeg { lo: seg.lo, hi: mid, dense: seg.dense, set: seg.set[..pos].to_vec() },
-        SimSeg { lo: mid, hi: seg.hi, dense: seg.dense, set: seg.set[pos..].to_vec() },
-    )
-}
-
-/// Plan of [`embrace_collectives::ops::sparse_allreduce`] (SSAR): the
-/// rounds of `schedule::ssar_rounds`, sized. `locals[r]` is rank `r`'s raw
-/// (possibly duplicated, unsorted) gradient row indices; the generator
-/// coalesces them and carries the exact index-set unions and sparse→dense
-/// crossover decisions from round to round, so every planned byte count
-/// equals the runtime's `Packet::SparseSegs` wire size for the same inputs.
-pub fn sparse_allreduce_plan(
-    world: usize,
-    locals: &[Vec<u32>],
-    dim: usize,
-    vocab: usize,
-    crossover: f64,
-) -> P2pPlan {
-    assert!(world > 0 && locals.len() == world, "one index list per rank");
-    assert!(u32::try_from(vocab).is_ok(), "vocab must fit u32");
-    let vocab32 = vocab as u32;
-    let mut held: Vec<Vec<SimSeg>> = locals
-        .iter()
-        .map(|raw| {
-            let mut set = raw.clone();
-            set.sort_unstable();
-            set.dedup();
-            if let Some(&max) = set.last() {
-                assert!(max < vocab32, "row index {max} out of vocab {vocab}");
-            }
-            let dense = ssar_crossed(set.len(), 0, vocab32, crossover);
-            vec![SimSeg { lo: 0, hi: vocab32, dense, set }]
-        })
-        .collect();
-    let wire = |segs: &[SimSeg]| segs.iter().map(|s| s.nbytes(dim)).sum::<u64>();
-    let mut plan = P2pPlan::new("sparse_allreduce", world);
-    // Every rank has the same number of rounds: step them together.
-    let mut programs: Vec<_> =
-        (0..world).map(|rank| ssar_rounds(world, rank, vocab).into_iter()).collect();
-    while let Some(rounds) = programs.iter_mut().map(Iterator::next).collect::<Option<Vec<_>>>() {
-        // Every rank sends out of what it held entering the round, then
-        // receives what its peer sent in the same round.
-        let sent: Vec<Vec<SimSeg>> = (0..world)
-            .map(|rank| match &rounds[rank] {
-                round if round.send.is_none() => Vec::new(),
-                round if !round.reduce => held[rank].clone(),
-                round => {
-                    let seg = held[rank].pop().expect("a reduce round starts holding one segment");
-                    match round.halving() {
-                        None => vec![seg],
-                        Some((mid, keep_low)) => {
-                            let (low, high) = ssar_split(&seg, mid as u32);
-                            let (keep, sent) = if keep_low { (low, high) } else { (high, low) };
-                            held[rank].push(keep);
-                            vec![sent]
-                        }
-                    }
-                }
-            })
-            .collect();
-        for (rank, round) in rounds.iter().enumerate() {
-            if let Some(msg) = &round.send {
-                plan.ranks[rank].push(P2pOp::Send { to: msg.peer, bytes: wire(&sent[rank]) });
-            }
-            if let Some(msg) = &round.recv {
-                let incoming = &sent[msg.peer];
-                plan.ranks[rank].push(P2pOp::Recv { from: msg.peer, bytes: wire(incoming) });
-                if round.reduce {
-                    let kept = held[rank].pop().expect("a reduce round receives into one segment");
-                    held[rank].push(ssar_merge(kept, incoming[0].clone(), crossover));
-                } else {
-                    held[rank].extend(incoming.iter().cloned());
-                }
-            }
-        }
-    }
-    plan
-}
-
-/// Deterministic demo instance of the SSAR plan for the verification
-/// sweeps: a fixed small vocabulary with rank-dependent stride patterns
-/// (rank `r` touches every `(r mod 5 + 2)`-th row starting at `r`), at a
-/// mid-range crossover so both sparse and densified segments appear.
-/// Cheap enough to generate at world 1024 for the scale sweep.
-pub fn sparse_allreduce_demo_plan(world: usize) -> P2pPlan {
-    let vocab = 512;
-    let locals: Vec<Vec<u32>> = (0..world)
-        .map(|r| (r % 17..vocab).step_by(r % 5 + 2).map(|i| i as u32).collect())
-        .collect();
-    sparse_allreduce_plan(world, &locals, 4, vocab, 0.5)
 }
 
 /// One collective in a rank's schedule plan.
@@ -643,71 +499,6 @@ mod tests {
             assert_eq!(p.link_traffic(1, 0), (1, (TOKEN_BYTES + 8) as u64));
             let commit = (8 + world * TOKEN_BYTES) as u64;
             assert_eq!(p.link_traffic(0, 1), (2, (TOKEN_BYTES + 8) as u64 + commit));
-        }
-    }
-
-    #[test]
-    fn sparse_allreduce_plan_is_clean_and_conserves_bytes() {
-        for world in [2usize, 3, 4, 5, 7, 8] {
-            for crossover in [2.0, 0.5, 0.0] {
-                let locals: Vec<Vec<u32>> = (0..world)
-                    .map(|r| (r as u32..64).step_by(r + 2).chain([r as u32]).collect())
-                    .collect();
-                let p = sparse_allreduce_plan(world, &locals, 4, 64, crossover);
-                assert_eq!(p.kind, "sparse_allreduce");
-                let report = crate::verify::verify_p2p(&p, None);
-                assert!(report.clean(), "world {world} x {crossover}: {report:?}");
-                let sent: u64 = (0..world).map(|r| p.bytes_sent(r)).sum();
-                let recv: u64 = (0..world).map(|r| p.bytes_received(r)).sum();
-                assert_eq!(sent, recv, "world {world} x {crossover}");
-            }
-        }
-        assert!(sparse_allreduce_plan(1, &[vec![3, 1]], 4, 8, 0.5).ranks[0].is_empty());
-    }
-
-    #[test]
-    fn sparse_allreduce_plan_crossover_bounds_bytes() {
-        // crossover 0.0 forces dense segments everywhere: every wire byte
-        // count is the dense range size, independent of index sets.
-        let locals: Vec<Vec<u32>> = vec![vec![0], vec![1], vec![2], vec![3]];
-        let dense = sparse_allreduce_plan(4, &locals, 2, 16, 0.0);
-        let expect_half = (SEG_HEADER_BYTES + 8 * 2 * F32_BYTES) as u64;
-        let expect_quarter = (SEG_HEADER_BYTES + 4 * 2 * F32_BYTES) as u64;
-        assert_eq!(
-            dense.ranks[0],
-            vec![
-                P2pOp::Send { to: 1, bytes: expect_half },
-                P2pOp::Recv { from: 1, bytes: expect_half },
-                P2pOp::Send { to: 2, bytes: expect_quarter },
-                P2pOp::Recv { from: 2, bytes: expect_quarter },
-                P2pOp::Send { to: 1, bytes: expect_quarter },
-                P2pOp::Recv { from: 1, bytes: expect_quarter },
-                P2pOp::Send { to: 2, bytes: 2 * expect_quarter },
-                P2pOp::Recv { from: 2, bytes: 2 * expect_quarter },
-            ]
-        );
-        // crossover > 1.0 never densifies: byte counts track nnz exactly,
-        // and sparse traffic undercuts dense when density is low.
-        let sparse = sparse_allreduce_plan(4, &locals, 2, 16, 2.0);
-        for r in 0..4 {
-            assert!(sparse.bytes_sent(r) < dense.bytes_sent(r), "rank {r}");
-        }
-        let row = (INDEX_BYTES + 2 * F32_BYTES) as u64;
-        // Rank 0 step 1: upper half [8,16) is empty, lower-half recv from
-        // rank 1 carries its single row {1}.
-        assert_eq!(sparse.ranks[0][0], P2pOp::Send { to: 1, bytes: SEG_HEADER_BYTES as u64 });
-        assert_eq!(
-            sparse.ranks[0][1],
-            P2pOp::Recv { from: 1, bytes: SEG_HEADER_BYTES as u64 + row }
-        );
-    }
-
-    #[test]
-    fn sparse_allreduce_demo_plan_scales() {
-        for world in [1usize, 2, 3, 4, 8, 16, 64] {
-            let p = sparse_allreduce_demo_plan(world);
-            let report = crate::verify::verify_p2p(&p, None);
-            assert!(report.clean(), "world {world}: {report:?}");
         }
     }
 

@@ -694,7 +694,7 @@ mod tests {
     use crate::plan::{
         allgather_plan, alltoall_plan, barrier_plan, broadcast_plan, chunked_alltoall_plan,
         chunked_ring_allreduce_plan, grad_alltoall_bytes, lookup_alltoall_bytes, reform_plan,
-        ring_allreduce_plan, sparse_allreduce_demo_plan,
+        ring_allreduce_plan,
     };
 
     fn kinds(diags: &[Diagnostic]) -> Vec<DiagnosticKind> {
@@ -712,7 +712,6 @@ mod tests {
             alltoall_plan("alltoall_lookup", &lookup_alltoall_bytes(&rows, 8 * world)),
             alltoall_plan("alltoallv_grad", &grad_alltoall_bytes(&rows, 8 * world)),
             chunked_alltoall_plan("alltoall_chunked", &lookup_alltoall_bytes(&rows, 8 * world)),
-            sparse_allreduce_demo_plan(world),
             reform_plan(world),
         ]
     }
@@ -771,7 +770,6 @@ mod tests {
                     Collective::RingAllreduce { elems: 2 * world + 1, seg: 2 },
                     chunked_ring_allreduce_plan(world, 2 * world + 1, 2),
                 ),
-                (Collective::SparseAllreduce, sparse_allreduce_demo_plan(world)),
                 (Collective::Reform, reform_plan(world)),
             ];
             for (collective, plan) in cases {
@@ -858,17 +856,15 @@ mod tests {
         // still has its partner, so pairing is clean, but nothing can start.
         for world in 2..=8usize {
             let bytes = lookup_alltoall_bytes(&vec![3; world], 8 * world);
-            // (plan, ranks on the cycle if it is the only one)
+            // (plan, ranks on its one cycle)
             let cases = [
-                (ring_allreduce_plan(world, 4 * world + 1), Some(world)),
-                (chunked_ring_allreduce_plan(world, 4 * world + 1, 2), Some(world)),
-                (barrier_plan(world), Some(world)),
+                (ring_allreduce_plan(world, 4 * world + 1), world),
+                (chunked_ring_allreduce_plan(world, 4 * world + 1, 2), world),
+                (barrier_plan(world), world),
                 // Posted receives drain in ascending source order: rank 0
                 // waits on rank 1, everyone else on rank 0.
-                (alltoall_plan("alltoall_posted", &bytes), Some(2)),
-                (chunked_alltoall_plan("alltoall_paired", &bytes), Some(world)),
-                // Exchange partners wait on each other, pair by pair.
-                (sparse_allreduce_demo_plan(world), None),
+                (alltoall_plan("alltoall_posted", &bytes), 2),
+                (chunked_alltoall_plan("alltoall_paired", &bytes), world),
             ];
             for (plan0, on_cycle) in cases {
                 let mut plan = plan0.clone();
@@ -891,12 +887,10 @@ mod tests {
                     let P2pOp::Recv { from, .. } = plan.ranks[rank][0] else { panic!("hoisted") };
                     let named = format!("rank {rank} op#0 recv<-{from}");
                     assert!(d.message.contains(&named), "{} w={world}: {d}", plan.kind);
-                    let ranks = on_cycle.unwrap_or(2);
-                    assert!(d.message.contains(&format!("on {ranks} ranks")), "{}: {d}", plan.kind);
+                    let ranks = format!("on {on_cycle} ranks");
+                    assert!(d.message.contains(&ranks), "{}: {d}", plan.kind);
                 }
-                if on_cycle.is_some() {
-                    assert_eq!(report.diagnostics.len(), 1, "{} w={world}", plan.kind);
-                }
+                assert_eq!(report.diagnostics.len(), 1, "{} w={world}", plan.kind);
             }
             // The root only sends and everyone else only receives.
             let mut broadcast = broadcast_plan(world, 0, 64);

@@ -5,7 +5,7 @@
 //! `cargo run --release -p embrace-bench --bin fig7` etc.; the complete
 //! index lives in DESIGN.md §5. Beside them: the `chaos` fault matrix,
 //! the `embrace_sim` driver (simulate / `verify-plan` / `trace` /
-//! `scenarios`) and `bench_comm`, the SSAR density sweep.
+//! `scenarios`).
 //!
 //! Performance is measured in one place, the `benchmark/` crate at the
 //! repo root (BENCHMARK.json); nothing here records or gates timings.

@@ -1,8 +1,7 @@
 //! The `verify-plan` subcommand of `embrace_sim`: run the static
 //! comm-plan verifier over all four paper model specs, demonstrate the
-//! seeded-mutation detectors, model-check the six collectives (including
-//! the sparse-native split allreduce) plus the elastic re-form handshake
-//! for worlds 2–4, and hold the plan checker to the model checker's
+//! seeded-mutation detectors, model-check the five collectives plus the
+//! elastic re-form handshake for worlds 2–4, and hold the plan checker to the model checker's
 //! verdicts and to its by-construction expectations on seeded mutations.
 //!
 //! `--large [--out FILE]` switches to the scale sweep: every plan family
@@ -21,8 +20,7 @@ use embrace_analyzer::model_check::{check, CheckConfig, Collective};
 use embrace_analyzer::plan::{
     allgather_plan, alltoall_plan, barrier_plan, broadcast_plan, chunked_alltoall_plan,
     chunked_ring_allreduce_plan, grad_alltoall_bytes, lookup_alltoall_bytes, reform_plan,
-    ring_allreduce_plan, ring_phase_plan, sparse_allreduce_demo_plan, sparse_allreduce_plan,
-    P2pPlan, SchedulePlan,
+    ring_allreduce_plan, ring_phase_plan, P2pPlan, SchedulePlan,
 };
 use embrace_analyzer::verify::{mutate_p2p, mutate_partition, mutate_schedule};
 use embrace_analyzer::{
@@ -105,14 +103,7 @@ fn verify_model(spec: &ModelSpec, world: usize) -> Result<usize, String> {
         expect_clean_p2p(&format!("{} {} lookup alltoall", spec.name, emb.name), &lookup)?;
         let grads = alltoall_plan("alltoallv_sparse", &grad_alltoall_bytes(&batch_rows, emb.dim));
         expect_clean_p2p(&format!("{} {} grad alltoall", spec.name, emb.name), &grads)?;
-        // Sparse-native split allreduce over the same gradient shape:
-        // deterministic per-rank index draws at the batch's row count.
-        let locals: Vec<Vec<u32>> = (0..world)
-            .map(|r| (0..rows).map(|i| ((r * 7919 + i * 31) % emb.vocab) as u32).collect())
-            .collect();
-        let ssar = sparse_allreduce_plan(world, &locals, emb.dim, emb.vocab, 0.5);
-        expect_clean_p2p(&format!("{} {} sparse allreduce", spec.name, emb.name), &ssar)?;
-        checked += 3;
+        checked += 2;
     }
     let dense = ring_allreduce_plan(world, spec.block_params);
     expect_clean_p2p(&format!("{} dense ring", spec.name), &dense)?;
@@ -191,9 +182,9 @@ fn demo_mutations() -> Result<(), String> {
     Ok(())
 }
 
-/// Exhaustively model-check the six collectives plus their three
-/// unit-stepped variants and the preempted ring for worlds 2–4, plus abort termination with a
-/// crashed rank 0.
+/// Exhaustively model-check the five collectives plus their three
+/// unit-stepped variants and the preempted ring for worlds 2–4, plus
+/// abort termination with a crashed rank 0.
 fn model_check_all() -> Result<(), String> {
     for world in CHECK_WORLDS {
         for c in Collective::all(world).into_iter().chain(Collective::chunked(world)) {
@@ -248,7 +239,7 @@ fn model_check_reform() -> Result<(), String> {
 /// sizes scaled to `world` (payloads stay modest so the sweep measures
 /// analysis, not plan size). Generated one at a time: a world-1024 plan
 /// is ~100 MB.
-const PLAN_FAMILIES: [fn(usize) -> P2pPlan; 10] = [
+const PLAN_FAMILIES: [fn(usize) -> P2pPlan; 9] = [
     barrier_plan,
     |w| broadcast_plan(w, 0, 64),
     |w| ring_allreduce_plan(w, 4 * w + 1),
@@ -257,7 +248,6 @@ const PLAN_FAMILIES: [fn(usize) -> P2pPlan; 10] = [
     |w| alltoall_plan("alltoall_lookup", &lookup_alltoall_bytes(&sweep_rows(w), 4 * w)),
     |w| alltoall_plan("alltoallv_grad", &grad_alltoall_bytes(&sweep_rows(w), 4 * w)),
     |w| chunked_alltoall_plan("alltoall_chunked", &lookup_alltoall_bytes(&sweep_rows(w), 4 * w)),
-    sparse_allreduce_demo_plan,
     reform_plan,
 ];
 
@@ -285,7 +275,6 @@ fn checker_expectations() -> Result<(), String> {
                 Collective::RingAllreduce { elems: 2 * world + 1, seg: 2 },
                 chunked_ring_allreduce_plan(world, 2 * world + 1, 2),
             ),
-            (Collective::SparseAllreduce, sparse_allreduce_demo_plan(world)),
             (Collective::Reform, reform_plan(world)),
         ];
         let modeled_count = modeled.len();
@@ -413,7 +402,7 @@ pub fn run(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     println!("  {total} plans verified, 0 diagnostics");
     demo_mutations()?;
     println!(
-        "model checker: worlds {CHECK_WORLDS:?}, 6 collectives + 4 chunked, fault-free + crash(0)"
+        "model checker: worlds {CHECK_WORLDS:?}, 5 collectives + 4 chunked, fault-free + crash(0)"
     );
     model_check_all()?;
     println!("model checker: elastic re-form handshake, fault-free + dead rank + midway crash");

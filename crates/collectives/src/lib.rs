@@ -17,6 +17,9 @@
 //!   updated weights as the update left them),
 //! * [`ops::allgather_sparse`] — AllGather of COO row-sparse gradients
 //!   (Horovod ≥ 0.22 sparse path),
+//! * [`ops::sparse_allreduce`] — the sum of row-sparse gradients on every
+//!   rank: one AllGather of each rank's coalesced block, merged in rank
+//!   order (no trainer runs it; the benchmark's per-layer probe does),
 //! * [`ops::alltoall_dense`] / [`ops::alltoallv_sparse`] — the AlltoAll
 //!   exchanges EmbRace uses for embedding lookup results and gradients,
 //! * [`ops::allgather_tokens`], [`ops::broadcast`], [`ops::barrier`] —
@@ -65,5 +68,5 @@ pub use scheduler::{
 };
 pub use transport::{
     mesh, mesh_with_faults, slot_mesh, Comm, CommError, Endpoint, FaultPlan, Packet, ReformMsg,
-    Region, SegBody, SparseSeg, UnitBody, SEG_HEADER_BYTES, UNIT_HEADER_BYTES,
+    Region, UnitBody, UNIT_HEADER_BYTES,
 };

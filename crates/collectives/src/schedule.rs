@@ -1,13 +1,12 @@
 //! The one definition of every collective whose peers, order and ranges
 //! depend on `(world, rank)` only: who sends which range to whom, in which
-//! order. The split allreduce is one of them — only its message *sizes*
-//! depend on the data.
+//! order.
 //!
 //! Four consumers read it and none re-derives it: the blocking ops and
 //! the chunked scheduler ([`crate::ops`], [`crate::scheduler`]) execute
 //! the typed forms below ([`barrier_rounds`], [`broadcast_fan`], [`Ring`],
-//! [`fanout_peers`] / [`fanout_sources`] / [`fanout_pairs`],
-//! [`ssar_rounds`]); `embrace-analyzer`'s plan generators and model
+//! [`fanout_peers`] / [`fanout_sources`] / [`fanout_pairs`]);
+//! `embrace-analyzer`'s plan generators and model
 //! checker consume the same forms lowered to [`Step`] lists by
 //! [`Schedule::units`].
 //!
@@ -26,12 +25,6 @@
 
 use embrace_tensor::{row_partition, RowRange};
 use std::ops::Range;
-
-/// Largest power of two `<= n` (requires `n >= 1`).
-pub fn prev_pow2(n: usize) -> usize {
-    debug_assert!(n >= 1);
-    1 << n.ilog2()
-}
 
 /// Every rank but `me`, ascending.
 fn others(world: usize, me: usize) -> impl Iterator<Item = usize> {
@@ -197,110 +190,6 @@ pub fn fanout_pairs(world: usize, rank: usize) -> impl Iterator<Item = (usize, u
     fanout_peers(world, rank).zip(fanout_peers(world, rank).rev())
 }
 
-/// One message of the split allreduce: the peer, and the vocabulary row
-/// ranges it carries — one wire segment per range.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SsarMsg {
-    pub peer: usize,
-    pub rows: Vec<Range<usize>>,
-}
-
-/// One round of [`ssar_rounds`]: at most one send, then at most one
-/// receive. Entering a `reduce` round a rank holds one range: the single
-/// range it sends leaves it, and the single range it receives — the part
-/// it keeps — is summed in. In any other round it sends everything it
-/// holds and adds what it receives to that.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SsarRound {
-    pub send: Option<SsarMsg>,
-    pub recv: Option<SsarMsg>,
-    pub reduce: bool,
-}
-
-impl SsarRound {
-    /// Where a reduce-scatter round splits the held range, and whether the
-    /// lower half is the one kept; `None` for every other round.
-    pub fn halving(&self) -> Option<(usize, bool)> {
-        let (kept, sent) = (&self.recv.as_ref()?.rows[0], &self.send.as_ref()?.rows[0]);
-        // The half that ends where the other starts is the lower one.
-        let keep_low = kept.end <= sent.start;
-        self.reduce.then_some((if keep_low { kept.end } else { kept.start }, keep_low))
-    }
-}
-
-/// Sparse split allreduce (SparCML's SSAR) over `vocab` rows. With `p` the
-/// largest power of two `<= world` and `extra = world − p`:
-///
-/// 1. *fold-in* (`extra > 0`): rank `r >= p` sends all rows to `r − p`;
-/// 2. *recursive-halving reduce-scatter*, distances `d = 1, 2, …, p/2`:
-///    partners `r ^ d` hold the same range and split it at its midpoint,
-///    the rank with bit `d` clear keeping the lower half;
-/// 3. *recursive-doubling allgather*, the same distances again: partners
-///    swap every reduced range they have gathered so far;
-/// 4. *fold-out*: rank `r < extra` sends all `p` reduced ranges to `r + p`.
-///
-/// Every rank gets the same number of rounds (ranks a round does not
-/// involve get an empty one), so round indices agree across the group.
-pub fn ssar_rounds(world: usize, rank: usize, vocab: usize) -> Vec<SsarRound> {
-    let p = prev_pow2(world);
-    let extra = world - p;
-    let distances = || (0..p.trailing_zeros()).map(|bit| 1usize << bit);
-    // Rows rank `r < p` holds once the reduce-scatter has run every distance
-    // below `d`.
-    let held = |r: usize, d: usize| {
-        let (mut lo, mut hi) = (0, vocab);
-        for bit in distances().take_while(|&bit| bit < d) {
-            let mid = lo + (hi - lo) / 2;
-            if r & bit == 0 {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        lo..hi
-    };
-    let reduced: Vec<Range<usize>> = (0..p).map(|r| held(r, p)).collect();
-    // What rank `r < p` has gathered before the allgather exchange at
-    // distance `d`: its own reduced range, then its partners' lists in
-    // arrival order.
-    let gathered = |r: usize, d: usize| (0..d).map(|m| reduced[r ^ m].clone()).collect();
-    let msg = |peer, rows| Some(SsarMsg { peer, rows });
-    // The fold rounds pair rank `r >= p` with `r − p`.
-    let folded = if rank >= p {
-        Some(rank - p)
-    } else if rank < extra {
-        Some(rank + p)
-    } else {
-        None
-    };
-    let mut rounds = Vec::new();
-    if extra > 0 {
-        let every_row = 0..vocab;
-        let all = folded.and_then(|peer| msg(peer, vec![every_row]));
-        let (send, recv) = if rank >= p { (all, None) } else { (None, all) };
-        rounds.push(SsarRound { send, recv, reduce: true });
-    }
-    for reduce in [true, false] {
-        for d in distances() {
-            let peer = rank ^ d;
-            let (send, recv) = if rank >= p {
-                (None, None)
-            } else if reduce {
-                (msg(peer, vec![held(peer, 2 * d)]), msg(peer, vec![held(rank, 2 * d)]))
-            } else {
-                (msg(peer, gathered(rank, d)), msg(peer, gathered(peer, d)))
-            };
-            rounds.push(SsarRound { send, recv, reduce });
-        }
-    }
-    if extra > 0 {
-        let result = folded.and_then(|peer| msg(peer, gathered(rank.min(peer), p)));
-        let (send, recv) = if rank >= p { (None, result) } else { (result, None) };
-        rounds.push(SsarRound { send, recv, reduce: false });
-    }
-    rounds
-}
-
 /// How a fan-out walks its peer list (see the module docs).
 #[derive(Clone, Copy, Debug, Hash, PartialEq, Eq)]
 pub enum Traversal {
@@ -315,28 +204,11 @@ pub enum Payload {
     Signal,
     /// The broadcast root's message.
     Message,
-    /// `buf[lo..hi]` of the reduction buffer — elements of the ring's, rows
-    /// of the split allreduce's. A received range is summed into place when
-    /// `reduce`, overwritten otherwise.
+    /// `buf[lo..hi]` of the ring's reduction buffer. A received range is
+    /// summed into place when `reduce`, overwritten otherwise.
     Seg { lo: usize, hi: usize, reduce: bool },
-    /// Several such ranges in one message, back to back: an [`SsarMsg`] of
-    /// a gather round.
-    Segs { ranges: Vec<Range<usize>>, reduce: bool },
     /// The block the sending rank holds for the receiving rank.
     Block,
-}
-
-impl Payload {
-    /// The buffer ranges a [`Payload::Seg`] or [`Payload::Segs`] moves, in
-    /// wire order; nothing for the other payloads.
-    pub fn ranges(&self) -> impl Iterator<Item = Range<usize>> + '_ {
-        let (one, many) = match self {
-            Payload::Seg { lo, hi, .. } => (Some(*lo..*hi), &[][..]),
-            Payload::Segs { ranges, .. } => (None, &ranges[..]),
-            _ => (None, &[][..]),
-        };
-        one.into_iter().chain(many.iter().cloned())
-    }
 }
 
 /// One point-to-point operation of a rank's program.
@@ -353,7 +225,6 @@ pub enum Schedule {
     Broadcast { root: usize },
     Ring { elems: usize, seg: usize, part: RingPart },
     Fanout(Traversal),
-    Ssar { vocab: usize },
 }
 
 impl Schedule {
@@ -391,16 +262,6 @@ impl Schedule {
                     })
                     .collect()
             }
-            Schedule::Ssar { vocab } => ssar_rounds(world, rank, vocab)
-                .into_iter()
-                .map(|SsarRound { send, recv, reduce }| {
-                    let segs = |m: SsarMsg| match m.rows[..] {
-                        [Range { start: lo, end: hi }] => (m.peer, Payload::Seg { lo, hi, reduce }),
-                        _ => (m.peer, Payload::Segs { ranges: m.rows, reduce }),
-                    };
-                    unit(send.map(segs), recv.map(segs))
-                })
-                .collect(),
             Schedule::Fanout(Traversal::Posted) => vec![fanout_peers(world, rank)
                 .map(|to| Step::Send { to, payload: Payload::Block })
                 .chain(
@@ -420,7 +281,7 @@ mod tests {
     use super::*;
     use crate::group::run_group;
     use crate::ops::{self, FanoutMachine, RingMachine, SsarConfig};
-    use crate::transport::{Endpoint, Packet, SEG_HEADER_BYTES, UNIT_HEADER_BYTES};
+    use crate::transport::{Endpoint, Packet, UNIT_HEADER_BYTES};
     use embrace_tensor::{DenseTensor, RowSparse, TokenBuf, F32_BYTES, INDEX_BYTES, TOKEN_BYTES};
 
     #[test]
@@ -463,61 +324,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ssar_rounds_agree_on_both_ends_and_gather_every_row_once() {
-        for world in [1, 2, 3, 4, 5, 6, 8, 13, 16] {
-            for vocab in [0, 1, 5, 8, 24] {
-                let rounds: Vec<_> = (0..world).map(|r| ssar_rounds(world, r, vocab)).collect();
-                for (rank, mine) in rounds.iter().enumerate() {
-                    assert_eq!(mine.len(), rounds[0].len(), "world {world} rank {rank}");
-                    let every_row = 0..vocab;
-                    let mut held = vec![every_row];
-                    for (t, round) in mine.iter().enumerate() {
-                        if let Some(SsarMsg { peer, rows }) = &round.send {
-                            let got = rounds[*peer][t].recv.as_ref().expect("peer receives");
-                            assert_eq!(
-                                (got.peer, &got.rows),
-                                (rank, rows),
-                                "world {world} round {t}"
-                            );
-                            assert_eq!(round.reduce, rounds[*peer][t].reduce);
-                            if round.reduce {
-                                // The sent and the kept range split what was held.
-                                let kept = round.recv.iter().flat_map(|m| m.rows.clone());
-                                let mut halves: Vec<_> = kept.chain(rows.clone()).collect();
-                                halves.sort_by_key(|r| (r.start, r.end));
-                                let (lo, hi) = (halves[0].start, halves[halves.len() - 1].end);
-                                assert_eq!(vec![lo..hi], held);
-                                assert!(halves.windows(2).all(|w| w[0].end == w[1].start));
-                                held.clear();
-                            } else {
-                                assert_eq!(rows, &held, "a gather round sends all that is held");
-                            }
-                        }
-                        if let Some(msg) = &round.recv {
-                            assert!(rounds[msg.peer][t].send.is_some(), "world {world} round {t}");
-                            if round.reduce {
-                                held.clone_from(&msg.rows);
-                            } else {
-                                held.extend(msg.rows.iter().cloned());
-                            }
-                        }
-                    }
-                    held.sort_by_key(|r| (r.start, r.end));
-                    assert_eq!((held[0].start, held[held.len() - 1].end), (0, vocab));
-                    assert!(held.windows(2).all(|w| w[0].end == w[1].start), "{held:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn prev_pow2_rounds_down() {
-        for (n, p) in [(1, 1), (2, 2), (3, 2), (4, 4), (7, 4), (8, 8), (1000, 512)] {
-            assert_eq!(prev_pow2(n), p);
-        }
-    }
-
     /// Run `live` on a mesh and require every rank's per-peer
     /// `(msgs, bytes)` send counters to equal `schedule` sized by
     /// `bytes(src, dst, payload)` — the plan `embrace-analyzer` derives.
@@ -543,11 +349,10 @@ mod tests {
         }
     }
 
-    /// Wire bytes of a segment payload: `header` per range plus `unit`
-    /// per element or row.
-    fn seg_bytes(payload: &Payload, header: usize, unit: usize) -> u64 {
-        assert!(matches!(payload, Payload::Seg { .. } | Payload::Segs { .. }), "{payload:?}");
-        payload.ranges().map(|r| (header + r.len() * unit) as u64).sum()
+    /// Wire bytes of a ring segment payload: its header and its elements.
+    fn seg_bytes(payload: &Payload) -> u64 {
+        let Payload::Seg { lo, hi, .. } = payload else { panic!("{payload:?}") };
+        (UNIT_HEADER_BYTES + (hi - lo) * F32_BYTES) as u64
     }
 
     #[test]
@@ -577,7 +382,7 @@ mod tests {
                     assert_wire(
                         world,
                         whole,
-                        |_, _, p| seg_bytes(p, UNIT_HEADER_BYTES, F32_BYTES),
+                        |_, _, p| seg_bytes(p),
                         |rank, ep| {
                             ops::try_ring_part(ep, &mut input(rank), part).expect("fault-free mesh")
                         },
@@ -587,7 +392,7 @@ mod tests {
                         assert_wire(
                             world,
                             cut,
-                            |_, _, p| seg_bytes(p, UNIT_HEADER_BYTES, F32_BYTES),
+                            |_, _, p| seg_bytes(p),
                             |rank, ep| {
                                 let mut buf = input(rank);
                                 let ring = Ring::new(world, rank, elems, seg);
@@ -600,27 +405,19 @@ mod tests {
                 }
             }
 
-            // The split allreduce in its three representation modes, on
-            // inputs whose segment sizes follow from the row ranges alone:
-            // never dense and always dense (every rank holds every row),
-            // dense from step 0 (strided rows).
-            let (vocab, dim) = (24, 3);
-            let sparse_row = INDEX_BYTES + dim * F32_BYTES;
-            for (crossover, stride, row) in
-                [(2.0, 1, sparse_row), (0.5, 1, dim * F32_BYTES), (0.0, 3, dim * F32_BYTES)]
-            {
-                assert_wire(
-                    world,
-                    Schedule::Ssar { vocab },
-                    |_, _, p| seg_bytes(p, SEG_HEADER_BYTES, row),
-                    |rank, ep| {
-                        let first = (rank % stride) as u32;
-                        let rows: Vec<u32> = (first..vocab as u32).step_by(stride).collect();
-                        let grad =
-                            RowSparse::new(rows.clone(), DenseTensor::full(rows.len(), dim, 1.0));
-                        ops::sparse_allreduce(ep, &grad, &SsarConfig { vocab, crossover });
-                    },
-                );
+            // The sparse allreduce: a posted fan-out of each rank's
+            // coalesced block (rank `r` holds rows `0..=r`, row 0 twice),
+            // whichever representation its result takes.
+            let dim = 3;
+            for crossover in [2.0, 0.0] {
+                let block = |src: usize, _, _: &Payload| {
+                    (UNIT_HEADER_BYTES + (src + 1) * (INDEX_BYTES + dim * F32_BYTES)) as u64
+                };
+                assert_wire(world, Schedule::Fanout(Traversal::Posted), block, |rank, ep| {
+                    let rows: Vec<u32> = (0..=rank as u32).chain([0]).collect();
+                    let grad = RowSparse::new(rows, DenseTensor::full(rank + 2, dim, 1.0));
+                    ops::sparse_allreduce(ep, &grad, &SsarConfig { vocab: world, crossover });
+                });
             }
 
             // Allgather of rank-dependent lengths, both traversals.

@@ -130,12 +130,6 @@ pub enum Packet {
     /// Membership re-form control message. Deliberately *untagged* so the
     /// re-form handshake can cross an epoch boundary.
     Reform(ReformMsg),
-    /// One message of the sparse-native allreduce (SparCML SSAR): a list of
-    /// row-range segments, each carried either as an index–value stream or
-    /// as a densified block once accumulated density crossed the crossover
-    /// threshold. Both bodies are `Arc`-backed, so forwarding a received
-    /// segment copies no payload bytes.
-    SparseSegs(Vec<SparseSeg>),
     /// One message of a ring or fan-out machine ([`crate::ops`]): the
     /// sender's SPMD fingerprint, an 8-byte header the receiver compares
     /// with its own before it touches `body`.
@@ -217,58 +211,6 @@ impl fmt::Debug for Region {
     }
 }
 
-/// A half-open vocabulary row range `[lo, hi)` of a sparse allreduce,
-/// together with the accumulated partial sum for that range in whichever
-/// representation the sender's crossover rule chose.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SparseSeg {
-    pub lo: u32,
-    pub hi: u32,
-    pub body: SegBody,
-}
-
-/// Representation of one [`SparseSeg`]'s payload.
-#[derive(Clone, Debug, PartialEq)]
-pub enum SegBody {
-    /// Coalesced index–value stream; indices are *absolute* vocabulary
-    /// rows inside `[lo, hi)`.
-    Rows(RowSparse),
-    /// Densified `(hi - lo) × dim` block.
-    Dense(DenseTensor),
-}
-
-/// Wire bytes of one segment header: `lo` and `hi` as u32 each.
-pub const SEG_HEADER_BYTES: usize = 8;
-
-impl SparseSeg {
-    /// Wire size: range header plus the payload in its representation.
-    pub fn nbytes(&self) -> usize {
-        SEG_HEADER_BYTES
-            + match &self.body {
-                SegBody::Rows(s) => s.nbytes(),
-                SegBody::Dense(d) => d.nbytes(),
-            }
-    }
-
-    /// Payload bytes materialised for this segment (headers are control
-    /// words and never counted); see [`Packet::copied_nbytes`].
-    pub fn copied_nbytes(&self) -> usize {
-        match &self.body {
-            SegBody::Rows(s) => s.copied_nbytes(),
-            SegBody::Dense(d) => owned_bytes(d.is_shared(), d.nbytes()),
-        }
-    }
-
-    /// O(1) handle onto the same payload storage (`Arc` bumps).
-    pub fn share(&self) -> SparseSeg {
-        let body = match &self.body {
-            SegBody::Rows(s) => SegBody::Rows(s.share()),
-            SegBody::Dense(d) => SegBody::Dense(d.share()),
-        };
-        SparseSeg { lo: self.lo, hi: self.hi, body }
-    }
-}
-
 /// The elastic membership layer's re-form handshake messages.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ReformMsg {
@@ -309,7 +251,6 @@ impl Packet {
             // The epoch tag rides ahead of the payload.
             Packet::Tagged { inner, .. } => 8 + inner.nbytes(),
             Packet::Reform(m) => m.nbytes(),
-            Packet::SparseSegs(segs) => segs.iter().map(SparseSeg::nbytes).sum(),
             Packet::Unit { body, .. } => UNIT_HEADER_BYTES + body.nbytes(),
         }
     }
@@ -330,8 +271,7 @@ impl Packet {
             Packet::Tagged { inner, .. } => inner.copied_nbytes(),
             // Control messages are always materialised.
             Packet::Reform(m) => m.nbytes(),
-            Packet::SparseSegs(segs) => segs.iter().map(SparseSeg::copied_nbytes).sum(),
-            // The header is a control word, like a segment's.
+            // The header is a control word.
             Packet::Unit { body, .. } => body.copied_nbytes(),
         }
     }
@@ -345,22 +285,13 @@ impl Packet {
             Packet::Abort { .. } => "Abort",
             Packet::Tagged { .. } => "Tagged",
             Packet::Reform(_) => "Reform",
-            Packet::SparseSegs(_) => "SparseSegs",
             Packet::Unit { .. } => "Unit",
         }
     }
 
-    /// Fallible extraction: an [`Packet::Abort`] maps to
-    /// [`CommError::Aborted`], any other mismatch to [`CommError::Protocol`].
-    pub fn try_into_sparse_segs(self) -> Result<Vec<SparseSeg>, CommError> {
-        match self {
-            Packet::SparseSegs(segs) => Ok(segs),
-            other => Err(other.mismatch("SparseSegs")),
-        }
-    }
-
-    /// See [`Packet::try_into_sparse_segs`], for zero-payload control
-    /// packets.
+    /// Fallible extraction of a zero-payload control packet: an
+    /// [`Packet::Abort`] maps to [`CommError::Aborted`], any other
+    /// mismatch to [`CommError::Protocol`].
     pub fn try_into_empty(self) -> Result<(), CommError> {
         match self {
             Packet::Empty => Ok(()),
@@ -1168,7 +1099,6 @@ mod tests {
             Packet::Abort { origin: 3 }.try_into_empty(),
             Err(CommError::Aborted { origin: 3 })
         );
-        assert_eq!(Packet::SparseSegs(Vec::new()).try_into_sparse_segs(), Ok(Vec::new()));
         assert_eq!(Packet::Empty.try_into_empty(), Ok(()));
     }
 

@@ -43,8 +43,8 @@ const MAX_LEN: usize = 67;
 const SSAR_MAX_WORLD: usize = 16;
 const SSAR_MAX_NNZ: usize = 12;
 
-/// Build rank `rank`'s gradient for the SSAR oracle property from the
-/// proptest raw material. `shape` selects the cross-rank index relation:
+/// Build rank `rank`'s gradient for the sparse allreduce oracle property
+/// from the proptest raw material. `shape` selects the cross-rank index relation:
 /// 0 draws freely over the vocabulary (duplicates within a rank are kept —
 /// the local coalesce path must sum them), 1 confines each rank to its own
 /// `row_partition` band (pairwise disjoint), 2 gives every rank the same
@@ -174,7 +174,7 @@ proptest! {
         // 0 = random (duplicate indices within a rank allowed),
         // 1 = disjoint per-rank index bands, 2 = identical (full overlap).
         shape in 0u8..3,
-        // Crossover forced never (2.0) or from step 0 (0.0).
+        // Crossover forced never (2.0) or always (0.0).
         crossover_sel in 0u8..2,
         nnzs in vec(0usize..=SSAR_MAX_NNZ, SSAR_MAX_WORLD),
         raw_idx in vec(0u32..4096, SSAR_MAX_WORLD * SSAR_MAX_NNZ),
@@ -193,8 +193,8 @@ proptest! {
         let l = locals.clone();
         let results = run_group(world, move |rank, ep| sparse_allreduce(ep, &l[rank], &cfg));
         for (rank, got) in results.iter().enumerate() {
-            // 0.0 fires the switch on every rank's step-0 stream (the full
-            // range is non-empty); 2.0 can never fire (density <= 1).
+            // 0.0 densifies every result (the vocabulary is non-empty);
+            // 2.0 never does (density <= 1).
             prop_assert_eq!(got.is_dense(), !crossover_never, "rank {} representation", rank);
             let dense = got.to_dense(vocab);
             prop_assert_eq!(dense.rows(), vocab);
@@ -289,8 +289,8 @@ proptest! {
             prop_assert_eq!(&clean[rank], &slow[rank], "broadcast rank {}", rank);
         }
 
-        // Sparse-native split allreduce (SSAR), crossover mid-range so
-        // random densities exercise both representations.
+        // Sparse allreduce, crossover mid-range so random densities
+        // exercise both representations.
         let grads: Vec<RowSparse> = (0..world)
             .map(|r| ssar_local(r, world, vocab, dim.min(3), 0, (&nnzs, &raw_idx, &raw_val)))
             .collect();

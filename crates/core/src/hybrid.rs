@@ -22,9 +22,9 @@
 //! scheduler runs the op between them in the training step;
 //! [`ColumnShardedEmbedding::forward`] and
 //! [`ColumnShardedEmbedding::exchange_grad_part`] run it whole. The
-//! gradient always rides the AlltoAllv: the sparse-native allreduce
-//! (`embrace_collectives::ops::sparse_allreduce`) is a standalone op that
-//! no step selects.
+//! gradient always rides the AlltoAllv:
+//! `embrace_collectives::ops::sparse_allreduce` (an allgather and a
+//! merge) is a standalone op that no step selects.
 
 use crate::horizontal::{GradRows, OpKind, StepShapes};
 use embrace_collectives::{Comm, CommError, CommOp, CommResult};

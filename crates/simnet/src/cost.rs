@@ -40,119 +40,6 @@ pub mod analytic {
     pub fn allgather(alpha: f64, m_bytes: f64, world: f64, bw: f64, beta: f64) -> f64 {
         (world - 1.0) * (alpha * m_bytes / bw + beta)
     }
-
-    /// Wire constants of the sparse-native split allreduce, mirroring
-    /// `embrace-tensor`'s `INDEX_BYTES`/`F32_BYTES` and
-    /// `embrace-collectives`' `SEG_HEADER_BYTES` (simnet deliberately
-    /// depends on neither crate).
-    const SSAR_INDEX_BYTES: f64 = 8.0;
-    pub const SSAR_F32_BYTES: f64 = 4.0;
-    const SSAR_SEG_HEADER_BYTES: f64 = 8.0;
-
-    /// Expected density of the union of `k` independent per-rank row
-    /// draws, each at density `delta`: `1 − (1−δ)^k`. Fractional `k` is
-    /// meaningful — per-step stream counts are averaged over ranks when
-    /// the world is not a power of two.
-    pub(crate) fn union_density(delta: f64, k: f64) -> f64 {
-        1.0 - (1.0 - delta.clamp(0.0, 1.0)).powf(k)
-    }
-
-    /// Per-step expected wire bytes of the sparse-native split allreduce
-    /// (SSAR) over a `vocab × dim` f32 embedding gradient at per-rank
-    /// density `delta`, densifying a stream once its accumulated density
-    /// reaches `crossover` (pass `f64::INFINITY` for never, `0.0` for
-    /// always). Steps in critical-path order: fold-in (worlds that are
-    /// not powers of two), `log₂ p` recursive-halving reduce-scatter
-    /// exchanges, `log₂ p` recursive-doubling allgather exchanges,
-    /// fold-out. At reduce-scatter step `j` a rank's stream aggregates
-    /// `2^j · N/p` contributions over a `vocab/2^j` range and ships half
-    /// of it; allgather segments all sit at the final union density.
-    /// Mirrors `plan::sparse_allreduce_plan`'s byte accounting in
-    /// expectation.
-    pub fn sparse_allreduce_step_bytes(
-        delta: f64,
-        world: usize,
-        vocab: f64,
-        dim: f64,
-        crossover: f64,
-    ) -> Vec<f64> {
-        if world <= 1 {
-            return Vec::new();
-        }
-        // Largest power of two <= world (world >= 2 here).
-        let p = 1usize << world.ilog2();
-        let extra = world - p;
-        let l = p.trailing_zeros() as i32;
-        // Average contributing streams per surviving rank after fold-in.
-        let kf = world as f64 / p as f64;
-        let sparse_row = SSAR_INDEX_BYTES + dim * SSAR_F32_BYTES;
-        let dense_row = dim * SSAR_F32_BYTES;
-        // One segment of `rows` range at `density`: the crossover rule
-        // picks the representation, exactly as `ops::mk_body` does.
-        let seg = |rows: f64, density: f64| {
-            SSAR_SEG_HEADER_BYTES
-                + if density >= crossover { rows * dense_row } else { density * rows * sparse_row }
-        };
-        let mut steps = Vec::new();
-        if extra > 0 {
-            steps.push(seg(vocab, union_density(delta, 1.0)));
-        }
-        for j in 0..l {
-            let density = union_density(delta, kf * f64::powi(2.0, j));
-            steps.push(seg(vocab / f64::powi(2.0, j + 1), density));
-        }
-        let final_density = union_density(delta, world as f64);
-        for j in 0..l {
-            steps.push(f64::powi(2.0, j) * seg(vocab / p as f64, final_density));
-        }
-        if extra > 0 {
-            steps.push(p as f64 * seg(vocab / p as f64, final_density));
-        }
-        steps
-    }
-
-    /// Closed-form SSAR time: one latency plus one bandwidth term per
-    /// step of [`sparse_allreduce_step_bytes`].
-    pub fn sparse_allreduce(
-        delta: f64,
-        world: usize,
-        vocab: f64,
-        dim: f64,
-        crossover: f64,
-        bw: f64,
-        beta: f64,
-    ) -> f64 {
-        sparse_allreduce_step_bytes(delta, world, vocab, dim, crossover)
-            .iter()
-            .map(|b| beta + b / bw)
-            .sum()
-    }
-
-    /// The per-rank density at which the never-densifying SSAR closed
-    /// form intersects the dense ring [`allreduce`] on the same tensor:
-    /// below it sparse-native wins, above it dense wins. Clamped to
-    /// `[0, 1]`; returns 1.0 when sparse wins everywhere (latency-bound
-    /// regimes, where SSAR's `2·log₂ N` steps beat the ring's `2(N−1)`).
-    pub fn sparse_crossover_density(world: usize, vocab: f64, dim: f64, bw: f64, beta: f64) -> f64 {
-        let dense = allreduce(vocab * dim * SSAR_F32_BYTES, world as f64, bw, beta);
-        let gap = |d: f64| sparse_allreduce(d, world, vocab, dim, f64::INFINITY, bw, beta) - dense;
-        if gap(0.0) >= 0.0 {
-            return 0.0;
-        }
-        if gap(1.0) <= 0.0 {
-            return 1.0;
-        }
-        let (mut lo, mut hi) = (0.0_f64, 1.0_f64);
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if gap(mid) <= 0.0 {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        0.5 * (lo + hi)
-    }
 }
 
 /// Which collective a communication task uses; carried in DES task metadata
@@ -540,54 +427,6 @@ mod tests {
         let rp = mp.ring_allreduce(payload);
         let rs = ms.ring_allreduce(payload);
         assert!((rp - rs).abs() / rs < 0.6, "ring times should be same order: {rp} vs {rs}");
-    }
-
-    #[test]
-    fn union_density_is_exact_and_monotone() {
-        assert!((analytic::union_density(0.3, 1.0) - 0.3).abs() < 1e-12);
-        // Two independent draws: 1 − (1−δ)² = 2δ − δ².
-        assert!((analytic::union_density(0.25, 2.0) - (0.5 - 0.0625)).abs() < 1e-12);
-        let mut last = 0.0;
-        for k in [1.0, 1.5, 2.0, 4.0, 16.0, 256.0] {
-            let d = analytic::union_density(0.1, k);
-            assert!(d > last && d <= 1.0, "k={k}: {d}");
-            last = d;
-        }
-    }
-
-    #[test]
-    fn sparse_allreduce_cost_shape() {
-        // Monotone in density; never-densify beats forced-dense at low
-        // density and loses to it at full density (index overhead).
-        let (vocab, dim) = (1e6, 64.0);
-        let mut last = 0.0;
-        for delta in [1e-4, 1e-3, 1e-2, 0.1, 1.0] {
-            let t = analytic::sparse_allreduce(delta, 8, vocab, dim, f64::INFINITY, 1e9, 1e-5);
-            assert!(t > last, "delta={delta}");
-            last = t;
-        }
-        let sparse_lo = analytic::sparse_allreduce(1e-3, 8, vocab, dim, f64::INFINITY, 1e9, 1e-5);
-        let dense_lo = analytic::sparse_allreduce(1e-3, 8, vocab, dim, 0.0, 1e9, 1e-5);
-        assert!(sparse_lo < dense_lo, "{sparse_lo} vs {dense_lo}");
-        let sparse_hi = analytic::sparse_allreduce(1.0, 8, vocab, dim, f64::INFINITY, 1e9, 1e-5);
-        let dense_hi = analytic::sparse_allreduce(1.0, 8, vocab, dim, 0.0, 1e9, 1e-5);
-        assert!(sparse_hi > dense_hi, "{sparse_hi} vs {dense_hi}");
-    }
-
-    #[test]
-    fn sparse_crossover_density_sits_on_the_intersection() {
-        let (vocab, dim, bw, beta) = (1e6, 64.0, 1e9, 1e-5);
-        for world in [2usize, 4, 8, 16] {
-            let star = analytic::sparse_crossover_density(world, vocab, dim, bw, beta);
-            assert!(star > 0.0 && star < 1.0, "w={world}: {star}");
-            let dense =
-                analytic::allreduce(vocab * dim * analytic::SSAR_F32_BYTES, world as f64, bw, beta);
-            let at =
-                |d: f64| analytic::sparse_allreduce(d, world, vocab, dim, f64::INFINITY, bw, beta);
-            assert!((at(star) - dense).abs() / dense < 1e-6, "w={world}");
-            assert!(at(star * 0.9) < dense, "w={world}: sparse must win below the crossover");
-            assert!(at((star * 1.1).min(1.0)) > dense, "w={world}: dense must win above it");
-        }
     }
 
     #[test]

@@ -251,9 +251,7 @@ impl DenseTensor {
         out
     }
 
-    /// Copy a half-open row range `[start, end)` into a new tensor — the
-    /// row-split primitive the sparse-native allreduce uses to halve a
-    /// densified segment at each recursive-halving step.
+    /// Copy a half-open row range `[start, end)` into a new tensor.
     pub fn slice_rows(&self, start: usize, end: usize) -> DenseTensor {
         assert!(start <= end && end <= self.rows, "row range out of bounds");
         let mut out = DenseTensor::zeros(end - start, self.cols);

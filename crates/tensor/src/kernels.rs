@@ -1,5 +1,5 @@
 //! The f32 row kernels: the reduce loops every collective reduce step runs
-//! (ring chunks, the SSAR k-way merge, coalesce duplicate-summing,
+//! (ring chunks, the row-sparse k-way merge, coalesce duplicate-summing,
 //! scatter-add, the dense optimizers' tensor algebra), and `copy_row`,
 //! the one row copy of the tensor row movers (gather, column split and
 //! reassembly, the coalescer and the row-sparse merge).

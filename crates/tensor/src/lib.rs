@@ -54,7 +54,7 @@ pub use coalesce::{coalesce, coalesce_split, is_coalesced};
 pub use dense::DenseTensor;
 pub use index::{intersect, unique_sorted, IndexSet};
 pub use kernels::Unsummed;
-pub use merge::{densify_range, merge_rowsparse, scatter_add_rows};
+pub use merge::merge_rowsparse;
 pub use shard::{column_partition, owner_of_row, row_partition, ColumnRange, RowRange};
 pub use sparse::RowSparse;
 pub use tokens::TokenBuf;

@@ -1,18 +1,12 @@
 //! K-way merge of coalesced row-sparse streams — the reduction kernel of
-//! the sparse-native allreduce (SparCML's SSAR).
+//! `sparse_allreduce`, which merges every rank's gathered block.
 //!
 //! Each input stream is a coalesced `(index, row)` list; the merge produces
 //! the coalesced sum: the union of the index sets, with rows present in
 //! several streams summed in *stream order* (stream 0's contribution first).
 //! Stream order is what makes the reduction deterministic: every rank that
 //! merges the same streams in the same order produces bitwise-identical
-//! f32 sums, which is the property the model checker proves for the whole
-//! collective.
-//!
-//! Two representation bridges ride along for the dense crossover:
-//! [`scatter_add_rows`] folds a sparse stream into an already-densified
-//! segment, and [`densify_range`] materialises a stream as the dense block
-//! of its row range.
+//! f32 sums.
 
 use crate::dense::DenseTensor;
 use crate::sparse::RowSparse;
@@ -76,29 +70,6 @@ pub fn merge_rowsparse(parts: &[RowSparse]) -> RowSparse {
     alloc_counter::note(indices.len() * INDEX_BYTES + values.len() * F32_BYTES);
     let rows = indices.len();
     RowSparse::new(indices, DenseTensor::from_vec(rows, dim, values))
-}
-
-/// Fold a sparse stream into a densified segment: row `i` of `sparse`
-/// (vocabulary index `idx`) is added into row `idx - base` of `dense`.
-/// Panics when an index falls outside `[base, base + dense.rows())`.
-pub fn scatter_add_rows(dense: &mut DenseTensor, base: u32, sparse: &RowSparse) {
-    assert_eq!(dense.cols(), sparse.dim(), "dim mismatch in scatter-add");
-    let dim = dense.cols();
-    let dst = dense.as_mut_slice();
-    for (&idx, row) in sparse.indices().iter().zip(sparse.values().row_iter()) {
-        let local = (idx - base) as usize;
-        crate::kernels::add_assign(&mut dst[local * dim..(local + 1) * dim], row);
-    }
-}
-
-/// Materialise a coalesced stream whose indices all lie in `[lo, hi)` as
-/// the dense `(hi - lo) × dim` block of that row range — the
-/// representation switch when accumulated density crosses the crossover
-/// threshold. Absent rows become `+0.0`.
-pub fn densify_range(sparse: &RowSparse, lo: u32, hi: u32) -> DenseTensor {
-    let mut out = DenseTensor::zeros((hi - lo) as usize, sparse.dim());
-    scatter_add_rows(&mut out, lo, sparse);
-    out
 }
 
 #[cfg(test)]
@@ -174,43 +145,5 @@ mod tests {
     fn uncoalesced_input_panics() {
         let bad = rs(vec![5, 1], vec![0.; 4]);
         let _ = merge_rowsparse(&[bad]);
-    }
-
-    #[test]
-    fn scatter_add_folds_into_segment() {
-        let mut seg = DenseTensor::zeros(4, 2);
-        let s = rs(vec![10, 12], vec![1., 2., 3., 4.]);
-        scatter_add_rows(&mut seg, 10, &s);
-        assert_eq!(seg.row(0), &[1., 2.]);
-        assert_eq!(seg.row(2), &[3., 4.]);
-        assert_eq!(seg.row(1), &[0., 0.]);
-    }
-
-    #[test]
-    fn densify_range_matches_to_dense_window() {
-        let s = rs(vec![5, 7], vec![1., 1., 7., 7.]);
-        let d = densify_range(&s, 4, 8);
-        assert_eq!(d.rows(), 4);
-        let full = s.to_dense(8);
-        for r in 0..4 {
-            assert_eq!(d.row(r), full.row(4 + r));
-        }
-    }
-
-    #[test]
-    fn split_at_row_partitions_and_shares_trivial_sides() {
-        let s = rs(vec![1, 4, 6], vec![1., 1., 4., 4., 6., 6.]);
-        let (l, r) = s.split_at_row(5);
-        assert_eq!(l.indices(), &[1, 4]);
-        assert_eq!(r.indices(), &[6]);
-        assert_eq!(r.values().row(0), &[6., 6.]);
-        crate::alloc_counter::reset();
-        let (all, none) = s.split_at_row(100);
-        assert_eq!(crate::alloc_counter::events(), 0, "one-sided split must share");
-        assert_eq!(all.indices(), s.indices());
-        assert!(none.is_empty());
-        let (none2, all2) = s.split_at_row(0);
-        assert!(none2.is_empty());
-        assert_eq!(all2.indices(), s.indices());
     }
 }

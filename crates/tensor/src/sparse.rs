@@ -91,8 +91,13 @@ impl RowSparse {
     /// Materialise as a dense `vocab × dim` matrix, summing duplicate rows —
     /// the semantics AllReduce sees when a sparse gradient is densified.
     pub fn to_dense(&self, vocab: usize) -> DenseTensor {
-        let mut out = DenseTensor::zeros(vocab, self.dim());
-        crate::merge::scatter_add_rows(&mut out, 0, self);
+        let dim = self.dim();
+        let mut out = DenseTensor::zeros(vocab, dim);
+        let dst = out.as_mut_slice();
+        for (&idx, row) in self.indices.iter().zip(self.values.row_iter()) {
+            let at = idx as usize * dim;
+            crate::kernels::add_assign(&mut dst[at..at + dim], row);
+        }
         out
     }
 
@@ -135,36 +140,6 @@ impl RowSparse {
             DenseTensor::concat_rows(&blocks)
         };
         Self { indices: Arc::new(indices), values }
-    }
-
-    /// Split a *coalesced* gradient at vocabulary row `row`: the left part
-    /// keeps indices `< row`, the right part indices `>= row`. When one
-    /// side is empty the other is an O(1) shared handle (no bytes copied) —
-    /// the recursive-halving fast path for segments that are entirely on
-    /// one side of the split point.
-    ///
-    /// Panics when the indices are not strictly increasing.
-    pub fn split_at_row(&self, row: u32) -> (RowSparse, RowSparse) {
-        assert!(
-            self.indices.windows(2).all(|w| w[0] < w[1]),
-            "split_at_row requires a coalesced gradient"
-        );
-        let pos = self.indices.partition_point(|&i| i < row);
-        if pos == 0 {
-            return (RowSparse::empty(self.dim()), self.share());
-        }
-        if pos == self.indices.len() {
-            return (self.share(), RowSparse::empty(self.dim()));
-        }
-        let left = RowSparse {
-            indices: Arc::new(self.indices[..pos].to_vec()),
-            values: self.values.slice_rows(0, pos),
-        };
-        let right = RowSparse {
-            indices: Arc::new(self.indices[pos..].to_vec()),
-            values: self.values.slice_rows(pos, self.indices.len()),
-        };
-        (left, right)
     }
 
     /// Keep only the columns `[start, end)` of every stored row — the

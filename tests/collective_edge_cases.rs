@@ -100,8 +100,8 @@ fn expect_sparse(r: SparseReduced) -> RowSparse {
 
 #[test]
 fn sparse_allreduce_empty_on_every_rank() {
-    // No rank touched any row: the split-allreduce still runs its full
-    // exchange schedule over empty streams and must return an empty sum.
+    // No rank touched any row: the allreduce still gathers every rank's
+    // empty block and must return an empty sum.
     let cfg = SsarConfig { vocab: 8, crossover: 2.0 };
     for world in [1, 2, 3, 5] {
         let out = run_group(world, move |_rank, ep| {
@@ -152,7 +152,7 @@ fn sparse_allreduce_world_of_one_keeps_data_local() {
 #[test]
 fn sparse_allreduce_single_shared_row() {
     // Every rank updates the same single row: the union has one index and
-    // the value is the exact tree sum of the per-rank contributions.
+    // the value is the exact sum of the per-rank contributions.
     let cfg = SsarConfig { vocab: 32, crossover: 2.0 };
     for world in [2, 3, 4, 5, 8] {
         let out = run_group(world, move |rank, ep| {
@@ -179,8 +179,8 @@ fn sparse_allreduce_zero_vocab() {
                 try_sparse_allreduce(ep, &RowSparse::empty(5), &cfg).unwrap()
             });
             for got in out {
-                // An empty range can never reach its crossover density, so
-                // the result stays sparse even at crossover 0.
+                // A zero-row vocabulary has no density to reach, so the
+                // result stays sparse even at crossover 0.
                 let s = expect_sparse(got);
                 assert_eq!(s.nnz_rows(), 0);
             }
@@ -222,9 +222,8 @@ fn all_failed_typed(label: &str, out: &[Result<(), CommError>]) {
 
 #[test]
 fn sparse_allreduce_with_disagreeing_vocabs_fails_on_every_rank() {
-    // Another vocab is another schedule: the row ranges a peer sends are
-    // not the ones this rank's round expects. Another gradient width is
-    // rows this rank cannot merge.
+    // Another vocab, or another gradient width, is another header: a
+    // peer's block fails the check before this rank merges it.
     for (vocabs, dims) in
         [(vec![16, 32], vec![2, 2]), (vec![16, 32, 16], vec![2, 2, 2]), (vec![16, 16], vec![2, 3])]
     {

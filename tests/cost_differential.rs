@@ -53,22 +53,6 @@ fn run_chain(rounds: usize, dur: f64) -> SimResult {
     sim.run()
 }
 
-/// Run sequential communication rounds of per-round durations `durs` —
-/// the DES skeleton of collectives whose steps move different sizes
-/// (the sparse split allreduce halves its range every exchange).
-fn run_chain_steps(durs: &[f64]) -> SimResult {
-    let mut sim = Sim::new(CommOrder::Fifo);
-    let mut prev = None;
-    for (r, &dur) in durs.iter().enumerate() {
-        let mut task = Task::comm(format!("round{r}"), dur, 0);
-        if let Some(p) = prev {
-            task = task.after([p]);
-        }
-        prev = Some(sim.add(task));
-    }
-    sim.run()
-}
-
 fn assert_close(label: &str, a: f64, b: f64) {
     let rel = (a - b).abs() / b.abs().max(1e-30);
     assert!(rel < 1e-9, "{label}: {a} vs {b} (rel {rel:.3e})");
@@ -141,62 +125,6 @@ fn uniform_alltoallv_degenerates_to_alltoall() {
             cm.alltoallv(&bytes),
             cm.alltoall(payload),
         );
-    }
-}
-
-#[test]
-fn sparse_allreduce_chain_matches_cost_model_across_density_sweep() {
-    // The SSAR DES chain: one comm round per fold-in / reduce-scatter /
-    // allgather / fold-out step, each lasting β plus that step's expected
-    // wire bytes over the uniform bandwidth. Must equal the closed form
-    // to float precision at every density and crossover setting —
-    // including world 16 (two extra fold rounds never occur; 16 = 2⁴).
-    let (vocab, dim) = (1e6, 64.0);
-    for world in WORLDS {
-        for delta in [1e-4, 1e-3, 1e-2, 0.1, 0.3, 1.0] {
-            for crossover in [f64::INFINITY, 0.25, 0.0] {
-                let steps =
-                    analytic::sparse_allreduce_step_bytes(delta, world, vocab, dim, crossover);
-                let durs: Vec<f64> = steps.iter().map(|b| BETA + b / BW).collect();
-                let res = run_chain_steps(&durs);
-                let label = format!("ssar world={world} delta={delta} crossover={crossover}");
-                let closed =
-                    analytic::sparse_allreduce(delta, world, vocab, dim, crossover, BW, BETA);
-                assert_close(&label, res.makespan, closed);
-                assert_saturated(&label, &res);
-            }
-        }
-    }
-    // Odd world: fold-in and fold-out rounds join the chain.
-    let world = 5;
-    let steps = analytic::sparse_allreduce_step_bytes(0.01, world, vocab, dim, f64::INFINITY);
-    assert_eq!(steps.len(), 2 + 2 * 2, "fold-in + 2 RS + 2 AG + fold-out");
-    let durs: Vec<f64> = steps.iter().map(|b| BETA + b / BW).collect();
-    let res = run_chain_steps(&durs);
-    let closed = analytic::sparse_allreduce(0.01, world, vocab, dim, f64::INFINITY, BW, BETA);
-    assert_close("ssar world=5", res.makespan, closed);
-}
-
-#[test]
-fn sparse_crossover_density_matches_closed_form_intersection() {
-    // The analytic crossover density must sit exactly where the DES
-    // chains of the sparse-native and dense-ring encodings intersect.
-    let (vocab, dim) = (1e6, 64.0);
-    for world in WORLDS {
-        let star = analytic::sparse_crossover_density(world, vocab, dim, BW, BETA);
-        assert!(star > 0.0 && star < 1.0, "world={world}: {star}");
-        let n = world as f64;
-        let m = vocab * dim * analytic::SSAR_F32_BYTES;
-        let dense_chain = run_chain(2 * (world - 1), BETA + (m / n) / BW).makespan;
-        let sparse_at = |d: f64| {
-            let steps = analytic::sparse_allreduce_step_bytes(d, world, vocab, dim, f64::INFINITY);
-            run_chain_steps(&steps.iter().map(|b| BETA + b / BW).collect::<Vec<_>>()).makespan
-        };
-        let at_star = sparse_at(star);
-        let rel = (at_star - dense_chain).abs() / dense_chain;
-        assert!(rel < 1e-6, "world={world}: {at_star} vs {dense_chain} (rel {rel:.3e})");
-        assert!(sparse_at(star * 0.9) < dense_chain, "world={world}: sparse wins below");
-        assert!(sparse_at((star * 1.1).min(1.0)) > dense_chain, "world={world}: dense wins above");
     }
 }
 
