@@ -33,9 +33,9 @@
 //!   survivor, even when a rank crashes *mid-handshake* (including the
 //!   coordinator, exercising failover).
 //!
-//! The collectives (barrier, broadcast, ring, allgather, alltoallv — whole
-//! or cut into the chunked scheduler's units; the posted allgather is
-//! also `sparse_allreduce`'s traversal) are not restated here: each
+//! The collectives (barrier, broadcast, the ring whole or cut into the
+//! chunked scheduler's units, and the posted allgather and alltoallv that
+//! every fan-out runs, `sparse_allreduce` included) are not restated here: each
 //! rank's virtual program is its `embrace_collectives::schedule` — the
 //! definition the live ops execute
 //! — interpreted step by step over virtual links. Only the re-form
@@ -46,7 +46,7 @@
 //!
 //! [`Packet::Abort`]: embrace_collectives::Packet::Abort
 
-use embrace_collectives::schedule::{Payload, RingPart, Schedule, Step, Traversal};
+use embrace_collectives::schedule::{Payload, RingPart, Schedule, Step};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Which collective algorithm to model-check.
@@ -63,13 +63,12 @@ pub enum Collective {
         elems: usize,
         seg: usize,
     },
-    /// Token allgather: [`Traversal::Posted`] is the whole op,
-    /// [`Traversal::Paired`] the chunked scheduler's unit-stepped run.
-    AllgatherTokens(Traversal),
+    /// Token allgather, one posted unit whichever way it runs.
+    AllgatherTokens,
     /// Alltoallv (dense and sparse share the structure), likewise.
-    Alltoallv(Traversal),
+    Alltoallv,
     /// A chunked ring allreduce preempted after `preempt_at` units by a
-    /// whole paired allgather (the §5.2 scenario: urgent sparse op
+    /// posted allgather (the §5.2 scenario: urgent sparse op
     /// interleaved mid-tensor into a bulk dense op), then resumed. The
     /// cut is unit-aligned on every rank, as the scheduler's rule — applied
     /// before every unit to a queue that is equal on every rank —
@@ -110,10 +109,8 @@ impl Collective {
             Collective::Broadcast { .. } => "broadcast",
             Collective::RingAllreduce { elems, seg } if *seg >= *elems => "ring_allreduce",
             Collective::RingAllreduce { .. } => "ring_allreduce_chunked",
-            Collective::AllgatherTokens(Traversal::Posted) => "allgather",
-            Collective::AllgatherTokens(Traversal::Paired) => "allgather_chunked",
-            Collective::Alltoallv(Traversal::Posted) => "alltoallv",
-            Collective::Alltoallv(Traversal::Paired) => "alltoallv_chunked",
+            Collective::AllgatherTokens => "allgather",
+            Collective::Alltoallv => "alltoallv",
             Collective::PreemptedRing { .. } => "ring_preempted",
             Collective::Reform => "reform",
             Collective::ReformMidway { .. } => "reform_midway",
@@ -152,20 +149,18 @@ impl Collective {
             Collective::Barrier,
             Collective::Broadcast { root: 0 },
             Collective::ring(2 * world + 1),
-            Collective::AllgatherTokens(Traversal::Posted),
-            Collective::Alltoallv(Traversal::Posted),
+            Collective::AllgatherTokens,
+            Collective::Alltoallv,
         ]
     }
 
     /// The chunked-execution programs at their default check sizes: a
     /// segment size of 2 forces multiple units per ring step, and the
     /// preempted variant cuts the ring after `world` units — mid
-    /// reduce-scatter.
+    /// reduce-scatter. A fan-out runs as in [`Collective::all`].
     pub fn chunked(world: usize) -> Vec<Collective> {
         vec![
             Collective::RingAllreduce { elems: 2 * world + 1, seg: 2 },
-            Collective::AllgatherTokens(Traversal::Paired),
-            Collective::Alltoallv(Traversal::Paired),
             Collective::PreemptedRing { elems: 2 * world + 1, seg: 2, preempt_at: world },
         ]
     }
@@ -238,9 +233,7 @@ fn program(cfg: &CheckConfig, rank: usize) -> Vec<Step> {
         Collective::RingAllreduce { elems, seg } => {
             flat(Schedule::Ring { elems, seg, part: RingPart::AllReduce })
         }
-        Collective::AllgatherTokens(traversal) | Collective::Alltoallv(traversal) => {
-            flat(Schedule::Fanout(traversal))
-        }
+        Collective::AllgatherTokens | Collective::Alltoallv => flat(Schedule::Fanout),
         // Unit indices align across ranks (every rank runs the same units
         // per ring step), which is what makes a unit-aligned cut coherent.
         Collective::PreemptedRing { elems, seg, preempt_at } => {
@@ -248,7 +241,7 @@ fn program(cfg: &CheckConfig, rank: usize) -> Vec<Step> {
                 Schedule::Ring { elems, seg, part: RingPart::AllReduce }.units(cfg.world, rank);
             let k = preempt_at.min(units.len());
             let mut prog = units[..k].concat();
-            prog.extend(flat(Schedule::Fanout(Traversal::Paired)));
+            prog.extend(flat(Schedule::Fanout));
             prog.extend(units[k..].concat());
             prog
         }
@@ -379,7 +372,7 @@ fn send_payload(
         Payload::Message => VPacket::Data(broadcast_payload(cfg.world)),
         Payload::Seg { lo, hi, .. } => VPacket::Data(st.buf[*lo..*hi].to_vec()),
         Payload::Block => VPacket::Data(match cfg.collective {
-            Collective::Alltoallv(_) => alltoallv_part(rank, to),
+            Collective::Alltoallv => alltoallv_part(rank, to),
             // Allgather and the preemptor inside PreemptedRing.
             _ => gather_local(rank),
         }),
@@ -417,7 +410,7 @@ impl World {
                     Collective::RingAllreduce { elems, .. } => {
                         (ring_init(rank, elems), Vec::new(), Status::Running)
                     }
-                    Collective::AllgatherTokens(_) | Collective::Alltoallv(_) => {
+                    Collective::AllgatherTokens | Collective::Alltoallv => {
                         (Vec::new(), vec![Vec::new(); w], Status::Running)
                     }
                     // The preempted ring carries both the ring buffer and
@@ -701,10 +694,10 @@ impl World {
 /// local part in place).
 fn finish_payload(cfg: &CheckConfig, rank: usize) -> Option<Vec<(usize, Vec<u32>)>> {
     match cfg.collective {
-        Collective::AllgatherTokens(_) | Collective::PreemptedRing { .. } => {
+        Collective::AllgatherTokens | Collective::PreemptedRing { .. } => {
             Some(vec![(rank, gather_local(rank))])
         }
-        Collective::Alltoallv(_) => Some(vec![(rank, alltoallv_part(rank, rank))]),
+        Collective::Alltoallv => Some(vec![(rank, alltoallv_part(rank, rank))]),
         Collective::Broadcast { root } if rank == root => {
             Some(vec![(0, broadcast_payload(cfg.world))])
         }
@@ -895,7 +888,7 @@ mod tests {
 
     #[test]
     fn interleaving_counts_grow_with_world() {
-        let gather = Collective::AllgatherTokens(Traversal::Posted);
+        let gather = Collective::AllgatherTokens;
         let w2 = check_collective(2, gather);
         let w4 = check_collective(4, gather);
         assert!(w4.interleavings > w2.interleavings, "{} vs {}", w4.summary(), w2.summary());
@@ -954,7 +947,7 @@ mod tests {
     #[test]
     fn chunked_ring_matches_unchunked_ring_bitwise() {
         // Splitting into segments — and even preempting mid-tensor with a
-        // whole gather — must not change a single bit of the reduction.
+        // posted gather — must not change a single bit of the reduction.
         for world in 2..=3 {
             let elems = 2 * world + 1;
             let whole = check_collective(world, Collective::ring(elems));

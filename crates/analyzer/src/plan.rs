@@ -7,9 +7,8 @@
 //!   send/recv records — peer and byte count — a collective will perform.
 //!   Peers and order are not restated here: each generator sizes the
 //!   steps of `embrace_collectives::schedule` — the definition the live
-//!   ops execute — in bytes. A fan-out is planned in the traversal that
-//!   runs it: posted for a whole-op call, paired for the chunked
-//!   scheduler's units (the schedule module records why they differ).
+//!   ops execute — in bytes. A fan-out is one posted unit, whether a
+//!   blocking call or the chunked scheduler runs it, so it has one plan.
 //!   Only the re-form handshake is written out here. Both are diffed
 //!   against live wire counters by the cross-validation tests.
 //! * **Schedule plans** ([`SchedulePlan`]): per rank, the ordered
@@ -20,7 +19,7 @@
 //! `verify` consumes both levels; `model_check` executes the same
 //! schedules under a virtual scheduler.
 
-use embrace_collectives::schedule::{Payload, RingPart, Schedule, Step, Traversal};
+use embrace_collectives::schedule::{Payload, RingPart, Schedule, Step};
 use embrace_collectives::{Comm, CommError, Packet, ReformMsg, SubmittedOp, UNIT_HEADER_BYTES};
 use embrace_core::horizontal::{PlanOp, StepPlan};
 use embrace_tensor::{column_partition, F32_BYTES, INDEX_BYTES};
@@ -157,36 +156,22 @@ pub fn ring_phase_plan(world: usize, elems: usize, seg_elems: usize, part: RingP
     sized(kind, world, Schedule::Ring { elems, seg: seg_elems, part }, |_, _, p| seg_bytes(p))
 }
 
-/// Plan of the whole-op allgather family (`allgather_dense`,
-/// `allgather_sparse`, `allgather_tokens`): an alltoall in which rank `r`
+/// Plan of the allgather family (`allgather_dense`, `allgather_sparse`,
+/// `allgather_tokens`, the scheduler's token gather): an alltoall in which rank `r`
 /// sends the same `local_bytes[r]` block, behind its header, to every peer.
 pub fn allgather_plan(world: usize, local_bytes: &[u64]) -> P2pPlan {
     assert_eq!(local_bytes.len(), world, "one payload size per rank");
-    let fanout = Schedule::Fanout(Traversal::Posted);
-    sized("allgather", world, fanout, |src, _, _| unit_bytes(local_bytes[src]))
+    sized("allgather", world, Schedule::Fanout, |src, _, _| unit_bytes(local_bytes[src]))
 }
 
-fn fanout_plan(kind: &'static str, bytes: &[Vec<u64>], traversal: Traversal) -> P2pPlan {
-    let world = bytes.len();
-    assert!(bytes.iter().all(|row| row.len() == world), "square byte matrix");
-    sized(kind, world, Schedule::Fanout(traversal), |src, dst, _| unit_bytes(bytes[src][dst]))
-}
-
-/// Plan of the whole-op alltoall family (`alltoall_dense`,
-/// `alltoallv_sparse`, `alltoallv_tokens`): `bytes[i][j]` is the block rank
+/// Plan of the alltoall family (`alltoall_dense`, `alltoallv_sparse`,
+/// `alltoallv_tokens`, and the scheduler's): `bytes[i][j]` is the block rank
 /// `i` sends rank `j` behind its header; every send is posted, then
 /// receives drain in source-rank order.
 pub fn alltoall_plan(kind: &'static str, bytes: &[Vec<u64>]) -> P2pPlan {
-    fanout_plan(kind, bytes, Traversal::Posted)
-}
-
-/// Plan of the chunked scheduler's fan-out collectives (alltoall dense /
-/// sparse and the token allgather): one send and one receive per unit, so
-/// the plan is deadlock-free without buffering assumptions. `bytes[i][j]`
-/// is the block rank `i` sends rank `j` behind its header; pass a row of
-/// identical entries per rank for the allgather case.
-pub fn chunked_alltoall_plan(kind: &'static str, bytes: &[Vec<u64>]) -> P2pPlan {
-    fanout_plan(kind, bytes, Traversal::Paired)
+    let world = bytes.len();
+    assert!(bytes.iter().all(|row| row.len() == world), "square byte matrix");
+    sized(kind, world, Schedule::Fanout, |src, dst, _| unit_bytes(bytes[src][dst]))
 }
 
 /// Byte matrix of EmbRace's **AlltoAll #1** (lookup-result redistribution,
@@ -419,32 +404,6 @@ mod tests {
         // seg >= max chunk degenerates to exactly one unit per step.
         let p = chunked_ring_allreduce_plan(3, 12, 100);
         assert_eq!(p.ranks[0].len(), ring_allreduce_plan(3, 12).ranks[0].len());
-    }
-
-    #[test]
-    fn chunked_alltoall_plan_pairs_units_per_link() {
-        let bytes = vec![vec![0, 10, 20], vec![30, 0, 40], vec![50, 60, 0]];
-        let p = chunked_alltoall_plan("alltoall_dense_chunked", &bytes);
-        assert!(crate::verify::verify_p2p(&p, None).clean(), "chunked alltoall plan clean");
-        for (r, row) in bytes.iter().enumerate() {
-            // world-1 units, each one send + one recv.
-            assert_eq!(p.ranks[r].len(), 4);
-            let sent: u64 = row.iter().sum();
-            assert_eq!(p.bytes_sent(r), sent + 2 * UNIT_HEADER_BYTES as u64);
-        }
-        // Same totals as the whole-op plan, different interleaving.
-        let whole = alltoall_plan("alltoall_dense", &bytes);
-        for r in 0..3 {
-            assert_eq!(p.bytes_sent(r), whole.bytes_sent(r));
-            assert_eq!(p.bytes_received(r), whole.bytes_received(r));
-        }
-        // Allgather shape: identical row entries per rank.
-        let gather = chunked_alltoall_plan(
-            "allgather_chunked",
-            &(0..3).map(|r| vec![(r as u64 + 1) * 8; 3]).collect::<Vec<_>>(),
-        );
-        assert!(crate::verify::verify_p2p(&gather, None).clean(), "chunked allgather plan clean");
-        assert_eq!(gather.bytes_received(0), 16 + 24 + 2 * UNIT_HEADER_BYTES as u64);
     }
 
     #[test]

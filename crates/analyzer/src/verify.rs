@@ -692,9 +692,8 @@ mod tests {
     use super::*;
     use crate::model_check::{check_collective, Collective};
     use crate::plan::{
-        allgather_plan, alltoall_plan, barrier_plan, broadcast_plan, chunked_alltoall_plan,
-        chunked_ring_allreduce_plan, grad_alltoall_bytes, lookup_alltoall_bytes, reform_plan,
-        ring_allreduce_plan,
+        allgather_plan, alltoall_plan, barrier_plan, broadcast_plan, chunked_ring_allreduce_plan,
+        grad_alltoall_bytes, lookup_alltoall_bytes, reform_plan, ring_allreduce_plan,
     };
 
     fn kinds(diags: &[Diagnostic]) -> Vec<DiagnosticKind> {
@@ -711,7 +710,6 @@ mod tests {
             allgather_plan(world, &vec![16; world]),
             alltoall_plan("alltoall_lookup", &lookup_alltoall_bytes(&rows, 8 * world)),
             alltoall_plan("alltoallv_grad", &grad_alltoall_bytes(&rows, 8 * world)),
-            chunked_alltoall_plan("alltoall_chunked", &lookup_alltoall_bytes(&rows, 8 * world)),
             reform_plan(world),
         ]
     }
@@ -864,7 +862,6 @@ mod tests {
                 // Posted receives drain in ascending source order: rank 0
                 // waits on rank 1, everyone else on rank 0.
                 (alltoall_plan("alltoall_posted", &bytes), 2),
-                (chunked_alltoall_plan("alltoall_paired", &bytes), world),
             ];
             for (plan0, on_cycle) in cases {
                 let mut plan = plan0.clone();

@@ -19,7 +19,7 @@ use embrace_analyzer::plan::{
 };
 use embrace_analyzer::{verify_p2p, verify_schedule, P2pOp, RecordingEndpoint, SchedulePlan};
 use embrace_collectives::ops::{sparse_allreduce, SsarConfig};
-use embrace_collectives::schedule::{Ring, RingPart, Traversal};
+use embrace_collectives::schedule::{Ring, RingPart};
 use embrace_collectives::{
     run_group, Comm, CommError, CommOp, CommResult, CommScheduler, Endpoint, Packet,
 };
@@ -279,7 +279,7 @@ fn unique_ok(report: &model_check::CheckReport) -> &[RankOutcome] {
 #[test]
 fn model_allgather_matches_real_results_bitwise() {
     for world in 2..=4 {
-        let report = check_collective(world, Collective::AllgatherTokens(Traversal::Posted));
+        let report = check_collective(world, Collective::AllgatherTokens);
         let model = unique_ok(&report);
         let real = run_group(world, |rank, ep| {
             embrace_collectives::ops::allgather_tokens(ep, gather_local(rank))
@@ -333,7 +333,7 @@ fn model_alltoallv_matches_real_results() {
     // `alltoall_dense` and `alltoallv_sparse`; replay its token parts as
     // 1-row dense tensors (small integers are exact in f32).
     for world in 2..=4 {
-        let report = check_collective(world, Collective::Alltoallv(Traversal::Posted));
+        let report = check_collective(world, Collective::Alltoallv);
         let model = unique_ok(&report);
         let real = run_group(world, |rank, ep| {
             let parts: Vec<DenseTensor> = (0..world)

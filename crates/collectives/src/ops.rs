@@ -11,10 +11,11 @@
 //!
 //! Who sends what to whom in which order is not decided here: barrier,
 //! broadcast, the ring and the fan-outs execute [`crate::schedule`]. The
-//! ring and the fan-outs are resumable machines (`RingMachine`,
-//! `FanoutMachine`) that the scheduler steps one unit at a time and the
-//! blocking functions run to completion; each message they send carries
-//! the sender's SPMD fingerprint as a header (`fingerprint`).
+//! ring is a resumable machine (`RingMachine`) that the scheduler steps one
+//! unit at a time and the blocking functions run to completion; a fan-out
+//! is one posted exchange (`posted`), which both run whole. Each message
+//! either sends carries the sender's SPMD fingerprint as a header
+//! (`fingerprint`).
 //!
 //! # Failure semantics
 //!
@@ -44,7 +45,7 @@
 //! fault produces no disconnection edge, so a blocking receive would wait
 //! forever where a deadline turns it into [`CommError::Timeout`].
 
-use crate::schedule::{self, Ring, RingPart, Traversal};
+use crate::schedule::{self, Ring, RingPart};
 use crate::transport::{Comm, CommError, Packet, Region, UnitBody};
 use embrace_obs::recorder;
 use embrace_tensor::{
@@ -507,87 +508,34 @@ macro_rules! block {
 }
 block!(DenseTensor => Dense, RowSparse => Sparse, TokenBuf => Tokens, Region => Region);
 
-/// A fan-out exchange in flight: `parts[j]` goes to rank `j`, the result
-/// is indexed by source rank (own block moved across, never sent). Errors
-/// come back raw; the caller owns the abort broadcast.
-pub(crate) struct FanoutMachine<P> {
-    parts: Vec<Option<P>>,
-    out: Vec<Option<P>>,
-    traversal: Traversal,
-    unit: usize,
-}
-
-impl<P: Block> FanoutMachine<P> {
-    /// `Paired` requires `world > 1`.
-    pub(crate) fn new<C: Comm>(ep: &C, parts: Vec<P>, traversal: Traversal) -> Self {
-        let world = ep.world();
-        assert_eq!(parts.len(), world, "need one outgoing block per rank");
-        let parts = parts.into_iter().map(Some).collect();
-        FanoutMachine { parts, out: (0..world).map(|_| None).collect(), traversal, unit: 0 }
-    }
-
-    fn send<C: Comm>(&mut self, ep: &mut C, to: usize, fp: u64) -> Result<(), CommError> {
-        let block = self.parts[to].take().expect("each peer is sent to once");
-        ep.try_send(to, Packet::Unit { fp, body: block.into_body() })
-    }
-
-    fn recv<C: Comm>(&mut self, ep: &mut C, from: usize, fp: u64) -> Result<(), CommError> {
-        self.out[from] = Some(recv_unit(ep, from, fp)?);
-        Ok(())
-    }
-
-    fn finish(&mut self, rank: usize) -> Vec<P> {
-        self.out[rank] = self.parts[rank].take();
-        let out = std::mem::take(&mut self.out);
-        out.into_iter().map(|b| b.expect("every source delivered its block")).collect()
-    }
-
-    /// One unit, its messages stamped `fp`: the whole exchange under
-    /// [`Traversal::Posted`], one send and one receive under
-    /// [`Traversal::Paired`]. `Some(result)` once the last unit has run.
-    pub(crate) fn step<C: Comm>(
-        &mut self,
-        ep: &mut C,
-        fp: u64,
-    ) -> Result<Option<Vec<P>>, CommError> {
-        let (world, rank) = (ep.world(), ep.rank());
-        let last = match self.traversal {
-            Traversal::Posted => {
-                for to in schedule::fanout_peers(world, rank) {
-                    self.send(ep, to, fp)?;
-                }
-                for from in schedule::fanout_sources(world, rank) {
-                    self.recv(ep, from, fp)?;
-                }
-                true
-            }
-            Traversal::Paired => {
-                let pair = schedule::fanout_pairs(world, rank).nth(self.unit);
-                let (to, from) = pair.expect("stepped past the last unit");
-                self.send(ep, to, fp)?;
-                self.recv(ep, from, fp)?;
-                self.unit += 1;
-                self.unit == world - 1
-            }
-        };
-        Ok(last.then(|| self.finish(rank)))
-    }
-}
-
 /// Run a whole fan-out under its span, broadcasting an abort on failure.
 fn fanout<C: Comm, P: Block>(ep: &mut C, name: &str, parts: Vec<P>) -> Result<Vec<P>, CommError> {
     let _span = recorder::span(name, "collective");
-    posted(ep, parts, solo(name))
+    posted(ep, parts, solo(name)).or_else(|e| fail(ep, e))
 }
 
-/// A whole posted fan-out, its messages stamped `fp`, broadcasting an
-/// abort on failure.
-fn posted<C: Comm, P: Block>(ep: &mut C, parts: Vec<P>, fp: u64) -> Result<Vec<P>, CommError> {
-    let mut machine = FanoutMachine::new(ep, parts, Traversal::Posted);
-    match machine.step(ep, fp) {
-        Ok(out) => Ok(out.expect("a posted fan-out is one unit")),
-        Err(e) => fail(ep, e),
+/// A whole fan-out exchange, its messages stamped `fp`: `parts[j]` goes to
+/// rank `j`, every send posted in [`schedule::fanout_peers`] order, then
+/// every receive drained in [`schedule::fanout_sources`] order into the
+/// slot it emptied. The result is indexed by source rank (own block kept in
+/// place, never sent). Errors come back raw; the caller owns the abort
+/// broadcast.
+pub(crate) fn posted<C: Comm, P: Block>(
+    ep: &mut C,
+    parts: Vec<P>,
+    fp: u64,
+) -> Result<Vec<P>, CommError> {
+    let (world, rank) = (ep.world(), ep.rank());
+    assert_eq!(parts.len(), world, "need one outgoing block per rank");
+    let mut blocks: Vec<Option<P>> = parts.into_iter().map(Some).collect();
+    for to in schedule::fanout_peers(world, rank) {
+        let block = blocks[to].take().expect("each peer is sent to once");
+        ep.try_send(to, Packet::Unit { fp, body: block.into_body() })?;
     }
+    for from in schedule::fanout_sources(world, rank) {
+        blocks[from] = Some(recv_unit(ep, from, fp)?);
+    }
+    Ok(blocks.into_iter().map(|b| b.expect("every source delivered its block")).collect())
 }
 
 /// AllGather of per-rank dense tensors; returns all ranks' tensors in rank
@@ -729,7 +677,8 @@ pub fn try_sparse_allreduce<C: Comm>(
     let mut header = DefaultHasher::new();
     (solo(NAME), cfg.vocab, local.dim()).hash(&mut header);
     let parts = (0..ep.world()).map(|_| local.share()).collect();
-    let sum = merge_rowsparse(&posted(ep, parts, header.finish())?);
+    let gathered = posted(ep, parts, header.finish()).or_else(|e| fail(ep, e))?;
+    let sum = merge_rowsparse(&gathered);
     if cfg.vocab > 0 && sum.density(cfg.vocab) >= cfg.crossover {
         Ok(SparseReduced::Dense(sum.to_dense(cfg.vocab)))
     } else {

@@ -5,23 +5,21 @@
 //! Four consumers read it and none re-derives it: the blocking ops and
 //! the chunked scheduler ([`crate::ops`], [`crate::scheduler`]) execute
 //! the typed forms below ([`barrier_rounds`], [`broadcast_fan`], [`Ring`],
-//! [`fanout_peers`] / [`fanout_sources`] / [`fanout_pairs`]);
+//! [`fanout_peers`] / [`fanout_sources`]);
 //! `embrace-analyzer`'s plan generators and model
 //! checker consume the same forms lowered to [`Step`] lists by
 //! [`Schedule::units`].
 //!
-//! # Two fan-out traversals
+//! # One fan-out traversal
 //!
-//! A fan-out (allgather, alltoall) has one rotated peer list and two
-//! ways to walk it. [`Traversal::Posted`] — every send, then every receive
-//! in ascending source order — is what a whole-op call runs.
-//! [`Traversal::Paired`] — unit `u` sends to peer `u` and receives from
-//! the mirrored peer — is what the chunked scheduler steps, because a
-//! preemption point needs matched send/receive counts on every link.
-//! They are not interchangeable: run to completion, the paired order
-//! measured 2.0–2.2× slower at world 4 and 2.9–3.2× at world 8 (every
-//! blocking receive is a context switch), and draining posted receives
-//! in rotated instead of ascending order +16–23 % at world 8.
+//! A fan-out (allgather, alltoall) posts every send along a rotated peer
+//! list, then drains every receive in ascending source order, as one
+//! unit: the blocking ops and the chunked scheduler run it the same way.
+//! Every message is then in flight before the first blocking receive, so
+//! a fan-out pays one message latency rather than one per peer: a walk in
+//! `world − 1` send-then-receive units measured 2.0–2.2× slower at world
+//! 4 and 2.9–3.2× at world 8, and draining the receives in rotated
+//! instead of ascending order +16–23 % at world 8.
 
 use embrace_tensor::{row_partition, RowRange};
 use std::ops::Range;
@@ -172,29 +170,15 @@ impl Ring {
     }
 }
 
-/// A fan-out's peer list: rotated so no rank is flooded first. Both
-/// traversals send in this order.
-pub fn fanout_peers(world: usize, rank: usize) -> impl DoubleEndedIterator<Item = usize> {
+/// A fan-out's send order: the peer list rotated so no rank is flooded
+/// first.
+pub fn fanout_peers(world: usize, rank: usize) -> impl Iterator<Item = usize> {
     (1..world).map(move |off| (rank + off) % world)
 }
 
-/// Receive order of [`Traversal::Posted`]: ascending source.
+/// A fan-out's receive order: ascending source.
 pub fn fanout_sources(world: usize, rank: usize) -> impl Iterator<Item = usize> {
     others(world, rank)
-}
-
-/// `(to, from)` per unit of [`Traversal::Paired`]: the peer list zipped
-/// with its mirror, so on every ordered link the sender's and receiver's
-/// unit indices agree and each unit sends before it receives.
-pub fn fanout_pairs(world: usize, rank: usize) -> impl Iterator<Item = (usize, usize)> {
-    fanout_peers(world, rank).zip(fanout_peers(world, rank).rev())
-}
-
-/// How a fan-out walks its peer list (see the module docs).
-#[derive(Clone, Copy, Debug, Hash, PartialEq, Eq)]
-pub enum Traversal {
-    Posted,
-    Paired,
 }
 
 /// What a [`Step`] moves.
@@ -224,7 +208,7 @@ pub enum Schedule {
     Barrier,
     Broadcast { root: usize },
     Ring { elems: usize, seg: usize, part: RingPart },
-    Fanout(Traversal),
+    Fanout,
 }
 
 impl Schedule {
@@ -262,16 +246,13 @@ impl Schedule {
                     })
                     .collect()
             }
-            Schedule::Fanout(Traversal::Posted) => vec![fanout_peers(world, rank)
+            Schedule::Fanout => vec![fanout_peers(world, rank)
                 .map(|to| Step::Send { to, payload: Payload::Block })
                 .chain(
                     fanout_sources(world, rank)
                         .map(|from| Step::Recv { from, payload: Payload::Block }),
                 )
                 .collect()],
-            Schedule::Fanout(Traversal::Paired) => {
-                fanout_pairs(world, rank).map(|(to, from)| pair(to, from, Payload::Block)).collect()
-            }
         }
     }
 }
@@ -280,9 +261,10 @@ impl Schedule {
 mod tests {
     use super::*;
     use crate::group::run_group;
-    use crate::ops::{self, FanoutMachine, RingMachine, SsarConfig};
+    use crate::ops::{self, RingMachine, SsarConfig};
+    use crate::scheduler::{CommOp, CommResult, CommScheduler};
     use crate::transport::{Endpoint, Packet, UNIT_HEADER_BYTES};
-    use embrace_tensor::{DenseTensor, RowSparse, TokenBuf, F32_BYTES, INDEX_BYTES, TOKEN_BYTES};
+    use embrace_tensor::{DenseTensor, RowSparse, F32_BYTES, INDEX_BYTES, TOKEN_BYTES};
 
     #[test]
     fn ring_units_forward_what_they_received() {
@@ -310,18 +292,23 @@ mod tests {
     }
 
     #[test]
-    fn paired_units_agree_on_both_ends_of_every_link() {
+    fn a_fanout_sends_to_and_receives_from_every_other_rank_once() {
         for world in [1, 2, 3, 4, 5, 8] {
             for rank in 0..world {
-                let mut sources: Vec<usize> = fanout_peers(world, rank).collect();
-                sources.sort_unstable();
-                assert!(sources.into_iter().eq(fanout_sources(world, rank)));
-                for (u, (to, from)) in fanout_pairs(world, rank).enumerate() {
-                    assert_eq!(fanout_pairs(world, to).nth(u).map(|(_, f)| f), Some(rank));
-                    assert_eq!(fanout_pairs(world, from).nth(u).map(|(t, _)| t), Some(rank));
-                }
+                let mut peers: Vec<usize> = fanout_peers(world, rank).collect();
+                peers.sort_unstable();
+                assert!(peers.into_iter().eq(fanout_sources(world, rank)));
+                assert!(fanout_sources(world, rank).eq(others(world, rank)));
             }
         }
+    }
+
+    /// Run `op` alone on a chunked scheduler over `ep`, its segment
+    /// smaller than any payload, as the trainers run their fan-outs.
+    fn run_chunked(ep: &mut Endpoint, op: CommOp) {
+        let mut s = CommScheduler::spawn_chunked(ep, 1);
+        let result = s.submit(0, "op", op).wait();
+        assert!(!matches!(result, CommResult::Failed(_)), "{result:?}");
     }
 
     /// Run `live` on a mesh and require every rank's per-peer
@@ -413,41 +400,52 @@ mod tests {
                 let block = |src: usize, _, _: &Payload| {
                     (UNIT_HEADER_BYTES + (src + 1) * (INDEX_BYTES + dim * F32_BYTES)) as u64
                 };
-                assert_wire(world, Schedule::Fanout(Traversal::Posted), block, |rank, ep| {
+                assert_wire(world, Schedule::Fanout, block, |rank, ep| {
                     let rows: Vec<u32> = (0..=rank as u32).chain([0]).collect();
                     let grad = RowSparse::new(rows, DenseTensor::full(rank + 2, dim, 1.0));
                     ops::sparse_allreduce(ep, &grad, &SsarConfig { vocab: world, crossover });
                 });
             }
 
-            // Allgather of rank-dependent lengths, both traversals.
-            let tokens = |rank: usize| TokenBuf::from(vec![rank as u32; rank + 1]);
+            // Allgather of rank-dependent lengths, alltoall of (src + dst +
+            // 1)-element blocks and alltoallv of as many rows: blocking,
+            // and as the chunked scheduler runs them.
+            let tokens = |rank: usize| vec![rank as u32; rank + 1];
             let gathered =
                 |src: usize, _, _: &Payload| (UNIT_HEADER_BYTES + (src + 1) * TOKEN_BYTES) as u64;
-            assert_wire(world, Schedule::Fanout(Traversal::Posted), gathered, |rank, ep| {
-                ops::allgather_tokens(ep, tokens(rank).to_vec());
+            assert_wire(world, Schedule::Fanout, gathered, |rank, ep| {
+                ops::allgather_tokens(ep, tokens(rank));
             });
-            // Alltoall of (src + dst + 1)-element blocks, both traversals.
+            assert_wire(world, Schedule::Fanout, gathered, |rank, ep| {
+                run_chunked(ep, CommOp::GatherTokens(tokens(rank)));
+            });
             let parts = |rank: usize| -> Vec<DenseTensor> {
                 (0..world).map(|dst| DenseTensor::full(1, rank + dst + 1, rank as f32)).collect()
             };
             let exchanged = |src: usize, dst: usize, _: &Payload| {
                 (UNIT_HEADER_BYTES + (src + dst + 1) * F32_BYTES) as u64
             };
-            assert_wire(world, Schedule::Fanout(Traversal::Posted), exchanged, |rank, ep| {
+            assert_wire(world, Schedule::Fanout, exchanged, |rank, ep| {
                 ops::alltoall_dense(ep, parts(rank));
             });
-            if world > 1 {
-                assert_wire(world, Schedule::Fanout(Traversal::Paired), gathered, |rank, ep| {
-                    let parts = (0..world).map(|_| tokens(rank)).collect();
-                    let mut m = FanoutMachine::new(ep, parts, Traversal::Paired);
-                    while m.step(ep, 0).expect("fault-free mesh").is_none() {}
-                });
-                assert_wire(world, Schedule::Fanout(Traversal::Paired), exchanged, |rank, ep| {
-                    let mut m = FanoutMachine::new(ep, parts(rank), Traversal::Paired);
-                    while m.step(ep, 0).expect("fault-free mesh").is_none() {}
-                });
-            }
+            assert_wire(world, Schedule::Fanout, exchanged, |rank, ep| {
+                run_chunked(ep, CommOp::AlltoAllDense(parts(rank)));
+            });
+            let shards = |rank: usize| -> Vec<RowSparse> {
+                let shard = |rows: usize| {
+                    RowSparse::new((0..rows as u32).collect(), DenseTensor::full(rows, 1, 1.0))
+                };
+                (0..world).map(|dst| shard(rank + dst + 1)).collect()
+            };
+            let rows = |src: usize, dst: usize, _: &Payload| {
+                (UNIT_HEADER_BYTES + (src + dst + 1) * (INDEX_BYTES + F32_BYTES)) as u64
+            };
+            assert_wire(world, Schedule::Fanout, rows, |rank, ep| {
+                ops::alltoallv_sparse(ep, shards(rank));
+            });
+            assert_wire(world, Schedule::Fanout, rows, |rank, ep| {
+                run_chunked(ep, CommOp::AlltoAllSparse(shards(rank)));
+            });
         }
     }
 }

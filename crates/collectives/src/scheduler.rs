@@ -28,8 +28,8 @@
 //! ([`CommScheduler::spawn_chunked`]) every ring op whose buffer fits one
 //! segment — is one unit: its machine run to the end. A larger ring op is
 //! tensor-partitioned, the second dimension of §5.2, into `chunk_bytes`
-//! ring segments, one per unit; on a chunked scheduler a fan-out runs one
-//! paired send + receive per unit. Before *every* unit one rule is
+//! ring segments, one per unit. A fan-out is always one unit: the posted
+//! exchange its blocking function runs. Before *every* unit one rule is
 //! applied: if the queue head is strictly more urgent than the op on top of
 //! the execution stack, or the stack is empty, the head is started (pushed)
 //! and runs its first unit; otherwise the top op runs its next unit. A
@@ -44,7 +44,7 @@
 //! stack at its k-th scheduler call are a function of its call sequence
 //! alone; and every op runs as the same number of units on every rank, as
 //! whole-or-partitioned is decided from values every rank shares (a ring
-//! buffer's length, a fan-out's world). Hence ranks that make **the same
+//! buffer's length). Hence ranks that make **the same
 //! sequence of `submit` / `progress` / `wait` / `flush` calls** pick the
 //! same unit every time, with no message saying so. EmbRace guarantees that
 //! sequence (priorities and hook points are a pure function of the model
@@ -79,10 +79,8 @@
 //!   at its first receive: `Protocol` against a peer running another op,
 //!   `PeerGone` against a peer that already left.
 
-use crate::ops::{
-    fail, fingerprint, ring_name, solo, FanoutMachine, OwnedSegment, RingBuf, RingMachine,
-};
-use crate::schedule::{Ring, RingPart, Traversal};
+use crate::ops::{fail, fingerprint, posted, ring_name, solo, OwnedSegment, RingBuf, RingMachine};
+use crate::schedule::{Ring, RingPart};
 use crate::transport::{Comm, CommError, Endpoint};
 use embrace_obs::{recorder, ClockDomain, SpanSet, TrackId, WallClock};
 use embrace_tensor::{DenseTensor, RowSparse, TokenBuf, F32_BYTES};
@@ -416,20 +414,17 @@ impl<C: Comm> Drop for CommScheduler<C> {
     }
 }
 
-/// A collective in flight: the [`crate::ops`] machine of its kind. One that
-/// runs whole finishes in its first unit, as the blocking op runs it
-/// ([`Traversal::Posted`] for the fan-outs); a partitioned one runs a
-/// `seg`-f32 ring segment, or one send plus one receive in
-/// [`Traversal::Paired`] order, per unit.
+/// A collective in flight. A ring op runs on its [`crate::ops`] machine,
+/// whole in its first unit as the blocking op runs it, or a `seg`-f32
+/// ring segment per unit when partitioned. Any other op stays as it was
+/// submitted until its one unit runs it as its blocking function does: a
+/// fan-out as one posted exchange, a fence as nothing.
 enum Machine {
-    /// Not started yet. A fence (`Flush`) stays so: it moves nothing.
+    /// A fan-out or a fence, or a ring op not started yet.
     Queued(CommOp),
     /// The ring, its buffer (shared by a reduce-scatter, lent otherwise),
     /// and whether it runs whole.
     Ring(RingMachine, DenseTensor, bool),
-    Dense(FanoutMachine<DenseTensor>),
-    Sparse(FanoutMachine<RowSparse>),
-    Tokens(FanoutMachine<TokenBuf>),
 }
 
 impl Machine {
@@ -438,58 +433,49 @@ impl Machine {
     /// With no segment size (a whole scheduler, or a world of one) every
     /// op runs whole. Otherwise a ring op is partitioned iff its buffer
     /// exceeds a segment (a length every rank must share: a segment of
-    /// another length is a protocol error), and a fan-out always steps
-    /// `Paired`, `world − 1` units whatever the payload sizes.
+    /// another length is a protocol error); a fan-out never is.
     fn start<C: Comm>(
         op: CommOp,
         ep: &C,
         seg_bytes: Option<usize>,
         spare: &mut Vec<DenseTensor>,
     ) -> (Self, bool) {
-        let paired = seg_bytes.is_some();
-        let traversal = if paired { Traversal::Paired } else { Traversal::Posted };
         // An all-gather also takes the packets of its first step.
-        let mut ring = |part, buf: DenseTensor, held: Option<Vec<OwnedSegment>>| {
-            let seg = seg_bytes.filter(|&seg| buf.nbytes() > seg);
-            let seg_elems = seg.map_or(usize::MAX, |seg| (seg / F32_BYTES).max(1));
-            let ring = Ring::new(ep.world(), ep.rank(), buf.len(), seg_elems);
-            let mut machine = RingMachine::new(ring, part, std::mem::take(spare));
-            if let Some(held) = held {
-                machine.hold(held);
-            }
-            (Machine::Ring(machine, buf, seg.is_none()), seg.is_some())
-        };
-        match op {
+        let (part, buf, held) = match op {
             CommOp::AllReduceDense(buf) => {
-                let buf = DenseTensor::from_vec(1, buf.len(), buf);
-                ring(RingPart::AllReduce, buf, None)
+                (RingPart::AllReduce, DenseTensor::from_vec(1, buf.len(), buf), None)
             }
-            CommOp::ReduceScatterDense(grad) => ring(RingPart::ReduceScatter, grad, None),
-            CommOp::AllGatherDense(block, owned) => ring(RingPart::AllGather, block, Some(owned)),
-            CommOp::AlltoAllDense(parts) => {
-                (Machine::Dense(FanoutMachine::new(ep, parts, traversal)), paired)
-            }
-            CommOp::AlltoAllSparse(parts) => {
-                (Machine::Sparse(FanoutMachine::new(ep, parts, traversal)), paired)
-            }
-            CommOp::GatherTokens(local) => {
-                let local = TokenBuf::from(local);
-                let parts = (0..ep.world()).map(|_| local.share()).collect();
-                (Machine::Tokens(FanoutMachine::new(ep, parts, traversal)), paired)
-            }
-            CommOp::Flush => (Machine::Queued(CommOp::Flush), false),
+            CommOp::ReduceScatterDense(grad) => (RingPart::ReduceScatter, grad, None),
+            CommOp::AllGatherDense(block, owned) => (RingPart::AllGather, block, Some(owned)),
+            op @ (CommOp::AlltoAllDense(_)
+            | CommOp::AlltoAllSparse(_)
+            | CommOp::GatherTokens(_)
+            | CommOp::Flush) => return (Machine::Queued(op), false),
+        };
+        let seg = seg_bytes.filter(|&seg| buf.nbytes() > seg);
+        let seg_elems = seg.map_or(usize::MAX, |seg| (seg / F32_BYTES).max(1));
+        let ring = Ring::new(ep.world(), ep.rank(), buf.len(), seg_elems);
+        let mut machine = RingMachine::new(ring, part, std::mem::take(spare));
+        if let Some(held) = held {
+            machine.hold(held);
         }
+        (Machine::Ring(machine, buf, seg.is_none()), seg.is_some())
     }
 
     /// The `collective` span name of a unit: its op's [`crate::ops`]
-    /// function. A fence has none.
+    /// function. A fence has none, nor a ring op before it starts.
     fn unit_name(&self) -> Option<&'static str> {
         Some(match self {
             Machine::Ring(machine, ..) => ring_name(machine.part()),
-            Machine::Dense(_) => "alltoall_dense",
-            Machine::Sparse(_) => "alltoallv_sparse",
-            Machine::Tokens(_) => "allgather_tokens",
-            Machine::Queued(_) => return None,
+            Machine::Queued(op) => match op {
+                CommOp::AlltoAllDense(_) => "alltoall_dense",
+                CommOp::AlltoAllSparse(_) => "alltoallv_sparse",
+                CommOp::GatherTokens(_) => "allgather_tokens",
+                CommOp::AllReduceDense(_)
+                | CommOp::ReduceScatterDense(_)
+                | CommOp::AllGatherDense(..)
+                | CommOp::Flush => return None,
+            },
         })
     }
 
@@ -498,7 +484,24 @@ impl Machine {
     /// abort-broadcast to the peers.
     fn advance<C: Comm>(&mut self, ep: &mut C, fp: u64) -> Result<Option<CommResult>, CommError> {
         let stepped = match self {
-            Machine::Queued(_) => return Ok(Some(CommResult::Flush)),
+            Machine::Queued(op) => match op.take() {
+                CommOp::AlltoAllDense(parts) => {
+                    posted(ep, parts, fp).map(CommResult::AlltoAllDense)
+                }
+                CommOp::AlltoAllSparse(parts) => {
+                    posted(ep, parts, fp).map(CommResult::AlltoAllSparse)
+                }
+                CommOp::GatherTokens(local) => {
+                    let local = TokenBuf::from(local);
+                    let parts = (0..ep.world()).map(|_| local.share()).collect();
+                    posted(ep, parts, fp).map(CommResult::GatherTokens)
+                }
+                CommOp::Flush => Ok(CommResult::Flush),
+                CommOp::AllReduceDense(_)
+                | CommOp::ReduceScatterDense(_)
+                | CommOp::AllGatherDense(..) => unreachable!("a ring op runs on its machine"),
+            }
+            .map(Some),
             Machine::Ring(machine, buf, whole) => {
                 let mut ring_buf = match machine.part() {
                     RingPart::ReduceScatter => RingBuf::Shared(buf),
@@ -522,9 +525,6 @@ impl Machine {
                     })
                 })
             }
-            Machine::Dense(m) => m.step(ep, fp).map(|out| out.map(CommResult::AlltoAllDense)),
-            Machine::Sparse(m) => m.step(ep, fp).map(|out| out.map(CommResult::AlltoAllSparse)),
-            Machine::Tokens(m) => m.step(ep, fp).map(|out| out.map(CommResult::GatherTokens)),
         };
         stepped.or_else(|e| fail(ep, e))
     }
@@ -943,7 +943,7 @@ mod tests {
     fn urgent_op_lands_exactly_between_two_units_of_the_bulk_op() {
         // 257 f32 over two ranks in 16-element segments: 9 units per step,
         // 18 in all. Three units of head start, then a small urgent gather,
-        // then a larger one: each a fan-out of one unit at world 2.
+        // then a larger one: each a fan-out, one unit that records no chunk.
         let orders = per_rank(mesh(2), |rank, ep| {
             let mut s = observed(ep, Some(TINY_CHUNK));
             let bulk = s.submit(100, "bulk", CommOp::AllReduceDense(vec![(rank + 1) as f32; 257]));
@@ -962,10 +962,8 @@ mod tests {
             unit_order(&s)
         });
         let want: Vec<String> = chunks("bulk", 0..3)
-            .chain(chunks("hp", 0..1))
             .chain(["hp".to_string()])
             .chain(chunks("bulk", 3..4))
-            .chain(chunks("hp2", 0..1))
             .chain(["hp2".to_string()])
             .chain(chunks("bulk", 4..18))
             .chain(["bulk".to_string()])
@@ -978,7 +976,7 @@ mod tests {
     #[test]
     fn three_level_nesting_is_an_exact_order() {
         // bulk (12 units at world 3) preempted by mid (4 units) preempted
-        // by hp (a gather: 2 units); an equally urgent op does not preempt.
+        // by hp (a gather: one unit); an equally urgent op does not preempt.
         let orders = per_rank(mesh(3), |rank, ep| {
             let mut s = observed(ep, Some(TINY_CHUNK));
             let bulk = s.submit(100, "bulk", CommOp::AllReduceDense(vec![1.0; 144]));
@@ -997,12 +995,9 @@ mod tests {
         });
         let want: Vec<String> = chunks("bulk", 0..2)
             .chain(chunks("mid", 0..2))
-            .chain(chunks("hp", 0..2))
             .chain(["hp".to_string()])
             .chain(chunks("mid", 2..4))
-            .chain(["mid".to_string()])
-            .chain(chunks("tie", 0..2))
-            .chain(["tie".to_string()])
+            .chain(["mid".to_string(), "tie".to_string()])
             .chain(chunks("bulk", 2..12))
             .chain(["bulk".to_string()])
             .collect();
@@ -1015,15 +1010,14 @@ mod tests {
     fn a_fan_outs_unit_count_does_not_depend_on_payload_sizes() {
         // 15 tokens fit a 64-byte segment, 17 do not: a rule that looked at
         // the payload would split the ranks. A fan-out on a chunked
-        // scheduler steps `Paired` whatever its size, so every rank runs
-        // world − 1 units.
+        // scheduler is one posted unit whatever its size.
         for lens in [[15, 15, 15], [15, 17, 15]] {
             per_rank(mesh(3), |rank, ep| {
                 let mut s = observed(ep, Some(TINY_CHUNK));
                 let t = s.submit(0, "g", CommOp::GatherTokens(vec![7; lens[rank]]));
                 let CommResult::GatherTokens(all) = t.wait() else { panic!("gather failed") };
                 assert_eq!(all.iter().map(|v| v.len()).collect::<Vec<_>>(), lens);
-                assert_eq!(s.observation().expect("observed").1[0].chunks, 2);
+                assert_eq!(s.observation().expect("observed").1[0].chunks, 1);
             });
         }
     }

@@ -798,37 +798,51 @@ mod tests {
 
     #[test]
     fn a_train_sparse_step_sends_thirteen_messages_per_rank() {
-        // The benchmark's `train_sparse` shape at world 2, where every
-        // collective unit is one message: the next batch's token gather,
-        // the loss gather, AlltoAll #1, 2 AlltoAll #2 exchanges and 8 ring
-        // units (4 reduce-scatter, 4 all-gather). Nothing else: the
-        // scheduler sends no message of its own. Step 0 also gathers its
-        // own batch, which no step before it prefetched.
-        let cfg = ConvergenceConfig {
-            world: 2,
-            vocab: 262_144,
-            dim: 4,
-            tokens_per_batch: 8192,
-            zipf_s: 1.05,
-            seed: 1,
-            steps: 3,
-            ..Default::default()
-        };
-        let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
-        let states = RankState::initial(&cfg, &sampler);
-        let counts = run_group(cfg.world, |rank, ep| {
-            let mut log = SendLog::new(ep);
-            let mut st: RankState = states.take(rank);
-            let mut per_step = Vec::new();
-            for _ in 0..cfg.steps {
-                let before = log.sent.len();
-                st.run_step(&mut CommScheduler::new(&mut log, st.sched_options(false)))
-                    .expect("fault-free");
-                per_step.push(log.sent.len() - before);
+        // The benchmark's `train_sparse` shape. A step runs five fan-outs —
+        // the next batch's token gather, the loss gather, AlltoAll #1 and 2
+        // AlltoAll #2 exchanges — each one message to every peer, and the
+        // dense ring, one message per unit. Nothing else: the scheduler
+        // sends no message of its own. Step 0 also gathers its own batch,
+        // which no step before it prefetched. At world 2, which the
+        // benchmark runs, that is 13 messages: the five fan-outs and 8 ring
+        // units (4 reduce-scatter, 4 all-gather).
+        for world in [2, 3, 4] {
+            let cfg = ConvergenceConfig {
+                world,
+                vocab: 262_144,
+                dim: 4,
+                tokens_per_batch: 8192,
+                zipf_s: 1.05,
+                seed: 1,
+                steps: 3,
+                ..Default::default()
+            };
+            let sampler = ZipfSampler::new(cfg.vocab, cfg.zipf_s);
+            let states = RankState::initial(&cfg, &sampler);
+            let counts = run_group(world, |rank, ep| {
+                let mut log = SendLog::new(ep);
+                let mut st: RankState = states.take(rank);
+                let seg = st.sched_options(false).chunk_bytes.expect("chunked") / F32_BYTES;
+                let ring = Ring::new(world, rank, st.dense.len(), seg);
+                let step = 5 * (world - 1) + 2 * (world - 1) * ring.per_step();
+                let want: Vec<usize> =
+                    (0..cfg.steps).map(|s| step + if s == 0 { world - 1 } else { 0 }).collect();
+                let mut per_step = Vec::new();
+                for _ in 0..cfg.steps {
+                    let before = log.sent.len();
+                    st.run_step(&mut CommScheduler::new(&mut log, st.sched_options(false)))
+                        .expect("fault-free");
+                    per_step.push(log.sent.len() - before);
+                }
+                (per_step, want)
+            });
+            for (rank, (got, want)) in counts.iter().enumerate() {
+                assert_eq!(got, want, "world {world} rank {rank}");
             }
-            per_step
-        });
-        assert_eq!(counts, vec![vec![14, 13, 13]; cfg.world]);
+            if world == 2 {
+                assert!(counts.iter().all(|(got, _)| *got == [14, 13, 13]), "{counts:?}");
+            }
+        }
     }
 
     #[test]
